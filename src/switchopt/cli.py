@@ -24,7 +24,7 @@ from .benchmarks import build_problem
 from .exceptions import SwitchOptError, InvalidSwitchOrder, MissingCostate, \
     InfeasiblePolytope, NoStructure
 from .gradients import dense_trajectory, evaluate_gradient, \
-    free_time_gradient_check
+    forward_sweep, free_time_gradient_check
 from .odeint import IntegratorSettings
 from .optimizer import OptimizeSettings, SolveReport, derivative_profile, \
     minimize, reference_errors, secant_switch
@@ -113,7 +113,7 @@ def cmd_solve(args):
         bundle = evaluate_gradient(prob, cfg, ode)
         report = SolveReport(
             final_cfg=cfg, objective=bundle.objective, iterations=iters,
-            gradient_evals=iters, converged=True,
+            objective_evals=iters, gradient_evals=iters, converged=True,
             stationarity=float(abs(bundle.d_s[0])),
             worst_margin=float(np.min(bundle.feasibility_margins)),
             reference_errors=reference_errors(prob, cfg, bundle.objective),
@@ -192,7 +192,7 @@ def cmd_gradcheck(args):
     rows = []
 
     def fd_objective(cq):
-        return evaluate_gradient(prob, cq, ode, with_d_T=False).objective
+        return forward_sweep(prob, cq, ode, sample_count=2).objective
 
     for j in range(prob.k):
         hi, lo = cfg.copy(), cfg.copy()

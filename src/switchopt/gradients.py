@@ -65,6 +65,7 @@ class TrajectoryRecord:
     objective: float
     sigma: np.ndarray                 # switch points in tau units, incl. 0 and 1
     T: float
+    steps: int                        # integrator step attempts of the sweep
 
 
 @dataclass
@@ -128,7 +129,8 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
         checkpoint_costates=ckpt[:, n:] if prob.case == 2 else None,
         objective=float(prob.C(ckpt[-1, :n])),
         sigma=sigma,
-        T=T)
+        T=T,
+        steps=traj.steps)
 
 
 def _segment_ode_case1(prob, T, sigma, j):
@@ -237,10 +239,15 @@ def _worst_margins(prob, fwd):
 
 
 def evaluate_gradient(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,
-                      with_d_T=None):
-    """Objective plus exact gradient w.r.t. switch points, p0, and T."""
+                      with_d_T=None, fwd=None):
+    """Objective plus exact gradient w.r.t. switch points, p0, and T.
+
+    ``fwd`` is the forward record of ``cfg`` when it is already computed;
+    then only the backward sweep runs, and ``sample_count`` is unused.
+    """
     settings = settings or IntegratorSettings()
-    fwd = forward_sweep(prob, cfg, settings, sample_count)
+    if fwd is None:
+        fwd = forward_sweep(prob, cfg, settings, sample_count)
     bwd = backward_sweep(prob, cfg, fwd, settings)
     T = fwd.T
 

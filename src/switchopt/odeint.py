@@ -95,11 +95,14 @@ class DenseTrajectory:
     ``step_times``/``step_states``/``step_derivs`` hold the raw accepted-step
     nodes (with duplicates removed at restarts); the uniform samples are a
     Hermite re-interpolation of those nodes, intended for reports and plots.
+    ``steps`` counts the step attempts (accepted, rejected and non-finite)
+    charged against ``IntegratorSettings.max_steps``.
     """
 
     sample_times: np.ndarray
     sample_states: np.ndarray
     breakpoint_states: list[np.ndarray]
+    steps: int = 0
     step_times: np.ndarray = field(repr=False, default=None)
     step_states: np.ndarray = field(repr=False, default=None)
     step_derivs: np.ndarray = field(repr=False, default=None)
@@ -251,7 +254,7 @@ def integrate_piecewise(ode, x_start, direction="forward", settings=None,
 
     return DenseTrajectory(
         sample_times=samp_t, sample_states=samp_x,
-        breakpoint_states=bp_states,
+        breakpoint_states=bp_states, steps=used,
         step_times=times, step_states=states, step_derivs=derivs)
 
 

@@ -11,13 +11,14 @@ can instead use a secant iteration on the switch-point derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import InfeasiblePolytope, LineSearchFailure, \
-    MaxItersExceeded, SecantDivergence, SwitchOptError
+    MaxItersExceeded, NonFiniteDerivative, NonFiniteState, SecantDivergence, \
+    StepLimitExceeded, StepUnderflow
 from .gradients import evaluate_gradient, forward_sweep
 from .odeint import IntegratorSettings
 from .problem import SwitchConfig
@@ -30,6 +31,16 @@ __all__ = [
     "secant_switch",
     "derivative_profile",
 ]
+
+# A line-search trial's forward sweep may use at most this many times the
+# integrator steps of the current iterate's forward sweep.  A trial that
+# runs into a stiff or singular region then fails fast and is backed off.
+_TRIAL_STEP_FACTOR = 10
+
+# Failures that make a trial point non-integrable.  Anything else (a bad
+# configuration, say) is a fault and propagates.
+_TRIAL_FAILURES = (StepLimitExceeded, StepUnderflow, NonFiniteState,
+                   NonFiniteDerivative)
 
 
 @dataclass(frozen=True)
@@ -59,7 +70,8 @@ class SolveReport:
     final_cfg: SwitchConfig
     objective: float
     iterations: int
-    gradient_evals: int
+    objective_evals: int              # forward sweeps, failed trials included
+    gradient_evals: int               # backward sweeps
     converged: bool
     stationarity: float
     worst_margin: float
@@ -74,6 +86,7 @@ class SolveReport:
             "T": None if cfg.T is None else float(cfg.T),
             "objective": float(self.objective),
             "iterations": int(self.iterations),
+            "objective_evals": int(self.objective_evals),
             "gradient_evals": int(self.gradient_evals),
             "converged": bool(self.converged),
             "stationarity": float(self.stationarity),
@@ -165,12 +178,21 @@ class _Vars:
     def project(self, z):
         out = z.copy()
         if self.free_time:
-            T = max(float(z[-1]), (self.k + 1) * self.eps_gap)
+            # one gap more than the chain needs, so that the chain in tau
+            # units stays nonempty after rounding
+            T = max(float(z[-1]), (self.k + 2) * self.eps_gap)
             out[-1] = T
-            out[:self.k] = project_ordered(z[:self.k], 1.0, self.eps_gap / self.T0)
+            out[:self.k] = project_ordered(z[:self.k], 1.0, self._gap(T) / T)
         else:
-            out[:self.k] = project_ordered(z[:self.k], self.T0, self.eps_gap)
+            out[:self.k] = project_ordered(z[:self.k], self.T0,
+                                           self._gap(self.T0))
         return out
+
+    def _gap(self, T):
+        """The switch gap, plus a few ulps of T so that it survives the
+        rounding of s = sigma * T and of the differences validate_config
+        takes."""
+        return self.eps_gap + 8 * np.spacing(T)
 
     def gradient(self, bundle, T):
         parts = [bundle.d_s * T if self.free_time else bundle.d_s]
@@ -200,6 +222,9 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
 
     Gradients come from the forward/backward sweep; feasibility of the
     switch ordering is maintained by chain projection at every trial point.
+    A line-search trial runs only the forward sweep, with a step budget of
+    _TRIAL_STEP_FACTOR times the current iterate's; the Armijo test needs
+    nothing more, so the backward sweep runs only at accepted points.
     Converges when the projected-gradient infinity norm drops below
     stat_tol.
     """
@@ -209,17 +234,22 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
     var = _Vars(prob, cfg0, eps_gap)
 
     z = var.project(var.pack(cfg0))
-    n_evals = 0
+    n_forward = n_backward = 0
 
-    def eval_at(zq):
-        nonlocal n_evals
-        n_evals += 1
-        cfg = var.unpack(zq)
-        return evaluate_gradient(prob, cfg, ode_settings,
-                                 with_d_T=prob.free_time)
+    def objective_at(zq, max_steps):
+        nonlocal n_forward
+        n_forward += 1
+        return forward_sweep(prob, var.unpack(zq),
+                             replace(ode_settings, max_steps=max_steps))
 
-    bundle = eval_at(z)
-    fz = bundle.objective
+    def gradient_at(zq, fwd):
+        nonlocal n_backward
+        n_backward += 1
+        return evaluate_gradient(prob, var.unpack(zq), ode_settings,
+                                 with_d_T=prob.free_time, fwd=fwd)
+
+    fwd = objective_at(z, ode_settings.max_steps)
+    bundle = gradient_at(z, fwd)
     g = var.gradient(bundle, var.unpack(z).T or var.T0)
     # diagonal pre-scaling: cap the first trial step at ~1% of the variable
     # scale per coordinate, so badly conditioned objectives (large penalty
@@ -233,77 +263,75 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
     converged = False
     it = 0
     message = ""
-    try:
-        for it in range(1, settings.max_iters + 1):
-            pg = np.max(np.abs(z - var.project(z - g)))
-            if pg <= settings.stat_tol:
-                converged = True
+    for it in range(1, settings.max_iters + 1):
+        pg = np.max(np.abs(z - var.project(z - g)))
+        if pg <= settings.stat_tol:
+            converged = True
+            break
+
+        d = _two_loop(-g, pairs, gamma, base)
+        if d @ g >= 0:
+            pairs.clear()
+            d = -g * base
+
+        alpha, accepted = 1.0, False
+        budget = min(ode_settings.max_steps, _TRIAL_STEP_FACTOR * fwd.steps)
+        for _ in range(60):
+            z_new = var.project(z + alpha * d)
+            step = z_new - z
+            if np.max(np.abs(step)) < 1e-16:
                 break
-
-            d = _two_loop(-g, pairs, gamma, base)
-            if d @ g >= 0:
-                pairs.clear()
-                d = -g * base
-
-            alpha, accepted = 1.0, False
-            for _ in range(60):
-                z_new = var.project(z + alpha * d)
-                step = z_new - z
-                if np.max(np.abs(step)) < 1e-16:
-                    break
-                pred = g @ step
-                try:
-                    bundle_new = eval_at(z_new)
-                except SwitchOptError:
-                    # trial point not integrable; back off
-                    alpha *= settings.ls_shrink
-                    continue
-                if bundle_new.objective <= fz + settings.ls_c1 * min(pred, 0.0):
+            pred = g @ step
+            try:
+                fwd_new = objective_at(z_new, budget)
+                if fwd_new.objective \
+                        <= fwd.objective + settings.ls_c1 * min(pred, 0.0):
+                    bundle_new = gradient_at(z_new, fwd_new)
                     accepted = True
                     break
-                alpha *= settings.ls_shrink
-            if not accepted:
-                if pairs:
-                    pairs.clear()
-                    continue
-                if pg <= 100.0 * settings.stat_tol:
-                    # no decrease possible at the integration accuracy
-                    # floor; the iterate is stationary to working precision
-                    message = (f"line search stalled at projected "
-                               f"gradient {pg:.3e}")
-                    break
-                raise LineSearchFailure(
-                    f"{prob.name}: no decrease at iteration {it} "
-                    f"(projected gradient {pg:.3e})")
+            except _TRIAL_FAILURES:
+                pass  # trial point not integrable; back off
+            alpha *= settings.ls_shrink
+        if not accepted:
+            if pairs:
+                pairs.clear()
+                continue
+            if pg <= 100.0 * settings.stat_tol:
+                # no decrease possible at the integration accuracy
+                # floor; the iterate is stationary to working precision
+                message = (f"line search stalled at projected "
+                           f"gradient {pg:.3e}")
+                break
+            raise LineSearchFailure(
+                f"{prob.name}: no decrease at iteration {it} "
+                f"(projected gradient {pg:.3e})")
 
-            g_new = var.gradient(bundle_new, var.unpack(z_new).T or var.T0)
-            sk, yk = z_new - z, g_new - g
-            sy = sk @ yk
-            if sy > 1e-12 * np.linalg.norm(sk) * np.linalg.norm(yk):
-                pairs.append((sk, yk, 1.0 / sy))
-                if len(pairs) > settings.memory:
-                    pairs.pop(0)
-                gamma = sy / (yk @ (yk * base))
-            z, fz, g, bundle = z_new, bundle_new.objective, g_new, bundle_new
-        else:
-            raise MaxItersExceeded(
-                f"{prob.name}: {settings.max_iters} iterations, "
-                f"projected gradient {pg:.3e} > {settings.stat_tol:.3e}")
-    except (MaxItersExceeded, LineSearchFailure) as exc:
-        message = str(exc)
-        raise
+        g_new = var.gradient(bundle_new, var.unpack(z_new).T or var.T0)
+        sk, yk = z_new - z, g_new - g
+        sy = sk @ yk
+        if sy > 1e-12 * np.linalg.norm(sk) * np.linalg.norm(yk):
+            pairs.append((sk, yk, 1.0 / sy))
+            if len(pairs) > settings.memory:
+                pairs.pop(0)
+            gamma = sy / (yk @ (yk * base))
+        z, g, fwd, bundle = z_new, g_new, fwd_new, bundle_new
+    else:
+        raise MaxItersExceeded(
+            f"{prob.name}: {settings.max_iters} iterations, "
+            f"projected gradient {pg:.3e} > {settings.stat_tol:.3e}")
 
     cfg = var.unpack(z)
     pg = float(np.max(np.abs(z - var.project(z - g))))
     return SolveReport(
         final_cfg=cfg,
-        objective=fz,
+        objective=fwd.objective,
         iterations=it,
-        gradient_evals=n_evals,
+        objective_evals=n_forward,
+        gradient_evals=n_backward,
         converged=converged,
         stationarity=pg,
         worst_margin=float(np.min(bundle.feasibility_margins)),
-        reference_errors=reference_errors(prob, cfg, fz),
+        reference_errors=reference_errors(prob, cfg, fwd.objective),
         message=message)
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import switchopt
+from switchopt.benchmarks import CatalystParams, catalyst_switch_times
 from switchopt.cli import main, EXIT_OK, EXIT_CHECK_FAILED, EXIT_SOLVER, \
     EXIT_CONFIG
 
@@ -32,6 +38,24 @@ def test_solve_catalyst_writes_report(tmp_path):
     # control starts at the upper bound, ends at the lower one
     assert rows[0, 3] == 1.0
     assert rows[-1, 3] == 0.0
+
+
+def test_readme_catalyst2_solve_ends_in_bounded_time(tmp_path):
+    # README command at the default --ode-tol; early line-search trials
+    # run into the singular feedback's pole and must fail fast
+    src = str(Path(switchopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchopt.cli", "solve",
+         "--problem", "catalyst2", "--s0", "0.1,0.7", "--p0", "0.9,0.8",
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    np.testing.assert_allclose(report["s"],
+                               catalyst_switch_times(CatalystParams(T=1.0)),
+                               atol=1e-4)
+    assert report["objective_evals"] > report["gradient_evals"]
 
 
 def test_solve_secant_bressan(tmp_path):

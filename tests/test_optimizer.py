@@ -2,15 +2,20 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import switchopt.gradients as gradients
+import switchopt.optimizer as optimizer
 from switchopt.benchmarks import (
     build_problem, catalyst_switch_times, CatalystParams, JACOBSON_S1,
 )
-from switchopt.exceptions import InfeasiblePolytope, SecantDivergence
+from switchopt.exceptions import InfeasiblePolytope, InvalidSwitchOrder, \
+    NonFiniteDerivative, NonFiniteState, SecantDivergence, \
+    StepLimitExceeded, StepUnderflow
 from switchopt.gradients import forward_sweep
 from switchopt.odeint import IntegratorSettings
 from switchopt.optimizer import (
-    OptimizeSettings, derivative_profile, minimize, project_ordered,
+    OptimizeSettings, _Vars, derivative_profile, minimize, project_ordered,
     secant_switch,
 )
 from switchopt.problem import SwitchConfig, validate_config
@@ -113,6 +118,40 @@ def test_projection_matches_qp_oracle():
         np.testing.assert_allclose(ours, oracle, atol=1e-10)
 
 
+_COORD = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["catalyst1", "catalyst2", "jacobson"]),
+       T=st.floats(1e-4, 1e3), data=st.data())
+def test_fixed_time_projection_passes_validate_config(name, T, data):
+    prob = build_problem(name, T=T)
+    var = _Vars(prob, SwitchConfig(s=np.zeros(prob.k)), prob.eps_gap)
+    z = np.array(data.draw(st.lists(_COORD, min_size=prob.k + var.np0,
+                                    max_size=prob.k + var.np0)))
+    validate_config(prob, var.unpack(var.project(z)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(T0=st.floats(1.0, 200.0), T=st.floats(-10.0, 1e3),
+       sigma=st.lists(st.floats(-2.0, 3.0), min_size=2, max_size=2))
+def test_free_time_projection_passes_validate_config(T0, T, sigma):
+    # eps_gap is fixed by the problem's horizon; the projection must keep
+    # it for every horizon it projects to, not only the starting one
+    prob = build_problem("goddard")
+    var = _Vars(prob, SwitchConfig(s=np.zeros(2), T=T0), prob.eps_gap)
+    cfg = var.unpack(var.project(np.array([*sigma, T])))
+    validate_config(prob, cfg)
+
+
+def test_free_time_projection_below_start_horizon():
+    # T = 30 < T0 = 42 used to leave a physical gap of eps_gap * 30/42
+    prob = build_problem("goddard")
+    var = _Vars(prob, SwitchConfig(s=np.array([13.0, 21.0]), T=42.0),
+                prob.eps_gap)
+    validate_config(prob, var.unpack(var.project(np.array([0.5, 0.5, 30.0]))))
+
+
 # ---------------------------------------------------------------------------
 # minimize
 # ---------------------------------------------------------------------------
@@ -159,6 +198,94 @@ def test_minimize_reports_reference_errors():
                    OptimizeSettings(stat_tol=1e-9), TIGHT)
     assert rep.reference_errors is not None
     assert rep.reference_errors["s1"] < 1e-6
+
+
+def _catalyst2_readme_start():
+    # the README start at the default tolerance: three early line-search
+    # trials run into the singular feedback's pole
+    return (build_problem("catalyst2", T=1.0),
+            SwitchConfig(s=np.array([0.1, 0.7]), p0=np.array([0.9, 0.8])))
+
+
+def _recording(monkeypatch, module, name, log):
+    """Replace module.name by a wrapper appending (args, outcome) to log."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        try:
+            out = original(*args, **kwargs)
+        except Exception as exc:
+            log.append((args, exc))
+            raise
+        log.append((args, out))
+        return out
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_minimize_sweeps_once_per_trial_backward_only_when_accepted(
+        monkeypatch):
+    forward, backward = [], []
+    _recording(monkeypatch, optimizer, "forward_sweep", forward)
+    _recording(monkeypatch, gradients, "forward_sweep", forward)
+    _recording(monkeypatch, gradients, "backward_sweep", backward)
+    rep = minimize(*_catalyst2_readme_start())
+    assert rep.converged
+    assert len(forward) == rep.objective_evals
+    assert len(backward) == rep.gradient_evals
+    # the start plus one accepted trial per iteration but the last
+    assert rep.gradient_evals == rep.iterations
+    assert rep.objective_evals > rep.gradient_evals
+
+
+def test_trial_over_step_budget_is_backed_off(monkeypatch):
+    log = []
+    _recording(monkeypatch, optimizer, "forward_sweep", log)
+    rep = minimize(*_catalyst2_readme_start())
+    np.testing.assert_allclose(rep.final_cfg.s,
+                               catalyst_switch_times(CatalystParams(T=1.0)),
+                               atol=1e-6)
+    assert log[0][0][2].max_steps == IntegratorSettings().max_steps
+    over, swept = 0, set()
+    for args, out in log:
+        if isinstance(out, StepLimitExceeded):
+            # the budget is a multiple of the steps of an earlier iterate
+            over += 1
+            assert args[2].max_steps in {
+                optimizer._TRIAL_STEP_FACTOR * n for n in swept}
+        elif not isinstance(out, Exception):
+            swept.add(out.steps)
+    assert over, "no trial ran over its step budget"
+
+
+def _first_trial_raises(monkeypatch, failure):
+    """Make the forward sweep of minimize's first trial raise ``failure``."""
+    original = optimizer.forward_sweep
+    calls = []
+
+    def sweep(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise failure("injected")
+        return original(*args, **kwargs)
+    monkeypatch.setattr(optimizer, "forward_sweep", sweep)
+    return calls
+
+
+@pytest.mark.parametrize("failure", [StepLimitExceeded, StepUnderflow,
+                                     NonFiniteState, NonFiniteDerivative])
+def test_integration_failure_of_a_trial_is_backed_off(monkeypatch, failure):
+    calls = _first_trial_raises(monkeypatch, failure)
+    rep = minimize(build_problem("catalyst1", T=1.0),
+                   SwitchConfig(s=np.array([0.1, 0.7])))
+    assert rep.converged
+    assert rep.objective_evals == len(calls)
+
+
+def test_configuration_error_of_a_trial_propagates(monkeypatch):
+    _first_trial_raises(monkeypatch, InvalidSwitchOrder)
+    with pytest.raises(InvalidSwitchOrder):
+        minimize(build_problem("catalyst1", T=1.0),
+                 SwitchConfig(s=np.array([0.1, 0.7])))
 
 
 # ---------------------------------------------------------------------------
