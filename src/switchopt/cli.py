@@ -110,14 +110,15 @@ def cmd_solve(args):
         lo, hi = _parse_list(args.bracket)
         s_root, iters = secant_switch(prob, (lo, hi), opt, ode)
         cfg = SwitchConfig(s=np.array([s_root]))
-        bundle = evaluate_gradient(prob, cfg, ode)
+        fwd = forward_sweep(prob, cfg, ode)
+        bundle = evaluate_gradient(prob, cfg, ode, fwd=fwd)
         report = SolveReport(
             final_cfg=cfg, objective=bundle.objective, iterations=iters,
             objective_evals=iters, gradient_evals=iters, converged=True,
             stationarity=float(abs(bundle.d_s[0])),
             worst_margin=float(np.min(bundle.feasibility_margins)),
             reference_errors=reference_errors(prob, cfg, bundle.objective),
-            message="secant")
+            message="secant", final_fwd=fwd)
     else:
         if args.warmstart:
             dcp = solve_tv_euler(prob, N=args.N, rho_tv=args.rho_tv)
@@ -137,7 +138,8 @@ def cmd_solve(args):
         json.dump({"problem": prob.name, **report.to_dict()}, fh, indent=2)
         fh.write("\n")
 
-    times, xs, us, ps = dense_trajectory(prob, report.final_cfg, ode)
+    times, xs, us, ps = dense_trajectory(prob, report.final_cfg, ode,
+                                         fwd=report.final_fwd)
     header = (["t"] + [f"x{i + 1}" for i in range(prob.n)]
               + [f"u{i + 1}" for i in range(prob.m)]
               + [f"p{i + 1}" for i in range(prob.n)])

@@ -16,15 +16,16 @@ produces every derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .odeint import IntegratorSettings, PiecewiseOde, integrate_piecewise, \
-    integrate_with_quadrature
-from .problem import ProblemDef, SwitchConfig, case2_gradients, \
-    control_feasibility, generalized_hamiltonian, phase_control, \
-    phase_dynamics, phase_jacobian, validate_config
+    integrate_with_quadrature  # noqa: F401 (patched here by perfbench)
+from .problem import case2_gradients, generalized_hamiltonian, \
+    phase_dynamics, phase_feasibility, phase_law, phase_law_jacobian, \
+    validate_config
 
 __all__ = [
     "GeneralizedPoint",
@@ -102,19 +103,19 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
     settings = settings or IntegratorSettings()
     validate_config(prob, cfg)
     sigma, T = _tau_breakpoints(prob, cfg)
-    n = prob.n
+    n, f, f_x = prob.n, prob.f, prob.f_x
+    laws = _resolved(phase_law, prob)
 
     if prob.case == 1:
         def rhs(j, tau, x):
-            return T * phase_dynamics(prob, j, tau * T, x)
+            return T * f(x, laws[j](tau * T, x))
         z0 = prob.x0
     else:
         def rhs(j, tau, z):
-            t = tau * T
             x, p = z[:n], z[n:]
-            u = phase_control(prob, j, t, x, p)
-            dx = prob.f(x, u)
-            dp = -p @ np.asarray(prob.f_x(x, u), dtype=float)
+            u = laws[j](tau * T, x, p)
+            dx = f(x, u)
+            dp = -p @ np.asarray(f_x(x, u), dtype=float)
             return T * np.concatenate((dx, dp))
         z0 = np.concatenate((prob.x0, cfg.p0))
 
@@ -133,39 +134,41 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
         steps=traj.steps)
 
 
-def _segment_ode_case1(prob, T, sigma, j):
-    n = prob.n
+def _resolved(make, prob):
+    """One closure per phase, e.g. ``_resolved(phase_law, prob)``."""
+    return [make(prob, j) for j in range(prob.k + 1)]
+
+
+def _case1_costate_rhs(prob, T, laws, jacobians, quadrature):
+    """RHS of (x, p) on tau, segment j running laws[j] and jacobians[j];
+    with ``quadrature``, plus H = p . f from the same model values."""
+    n, f = prob.n, prob.f
+
+    def rhs(j, tau, z):
+        t = tau * T
+        x, p = z[:n], z[n:2 * n]
+        u = laws[j](t, x)
+        dx = f(x, u)
+        dz = T * np.concatenate((dx, -p @ jacobians[j](t, x, u)))
+        return np.concatenate((dz, (p @ dx,))) if quadrature else dz
+    return rhs
+
+
+def _case2_costate_rhs(prob, T, law, gradients):
+    """RHS of (x, p, y1, y2, integral of H) on tau for one Case-2 phase."""
+    n, f, f_x = prob.n, prob.f, prob.f_x
 
     def rhs(_j, tau, z):
         t = tau * T
-        x, p = z[:n], z[n:]
-        dx = phase_dynamics(prob, j, t, x)
-        dp = -p @ phase_jacobian(prob, j, t, x)
-        return T * np.concatenate((dx, dp))
-
-    def integrand(_j, tau, z):
-        x, p = z[:n], z[n:]
-        return float(p @ phase_dynamics(prob, j, tau * T, x))
-
-    return PiecewiseOde(dim=2 * n, segments=sigma[j:j + 2], rhs=rhs), integrand
-
-
-def _segment_ode_case2(prob, T, sigma, j):
-    n = prob.n
-
-    def rhs(_j, tau, z):
-        t = tau * T
-        x, p, y1, y2 = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-        u = phase_control(prob, j, t, x, p)
-        fx = np.asarray(prob.f_x(x, u), dtype=float)
-        gx, gp = case2_gradients(prob, j, t, x, p, y1, y2)
-        return T * np.concatenate((prob.f(x, u), -p @ fx, -gx, -gp))
-
-    def integrand(_j, tau, z):
-        x, p, y1, y2 = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-        return generalized_hamiltonian(prob, j, tau * T, x, p, y1, y2)
-
-    return PiecewiseOde(dim=4 * n, segments=sigma[j:j + 2], rhs=rhs), integrand
+        x, p, y1, y2 = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:4 * n]
+        u = law(t, x, p)
+        dx = f(x, u)
+        fx = np.asarray(f_x(x, u), dtype=float)
+        gx, gp = gradients(t, x, p, y1, y2)
+        H = float(y1 @ dx - p @ (fx @ y2))
+        return np.concatenate((T * np.concatenate((dx, -p @ fx, -gx, -gp)),
+                               (H,)))
+    return rhs
 
 
 def backward_sweep(prob, cfg, fwd, settings=None):
@@ -173,21 +176,23 @@ def backward_sweep(prob, cfg, fwd, settings=None):
 
     The state (and Case-2 costate) needed along the backward pass is
     re-integrated jointly and reset to the forward checkpoint at each switch
-    point, which bounds backward drift per phase.  Also accumulates the
-    Hamiltonian quadrature used for the terminal-time derivative.
+    point, which bounds backward drift per phase.  The Hamiltonian
+    quadrature used for the terminal-time derivative rides along as a last
+    state component that starts at 0 at the end of each phase.
     """
     settings = settings or IntegratorSettings()
     n = prob.n
     sigma, T = fwd.sigma, fwd.T
     k = prob.k
     grad_T = np.asarray(prob.grad_C(fwd.checkpoint_states[-1]), dtype=float)
+    laws = _resolved(phase_law, prob)
 
     if prob.case == 1:
         y = grad_T.copy()                       # costate p, carried backward
-        make = _segment_ode_case1
+        jacobians = _resolved(phase_law_jacobian, prob)
     else:
         y = np.concatenate((grad_T, np.zeros(n)))  # (y1, y2)
-        make = _segment_ode_case2
+        gradients = [partial(case2_gradients, prob, j) for j in range(k + 1)]
 
     points = [None] * (k + 2)
     points[k + 1] = _point_from(prob, fwd, k + 1, y)
@@ -195,16 +200,21 @@ def backward_sweep(prob, cfg, fwd, settings=None):
     for j in range(k, -1, -1):
         # reset the state (and Case-2 costate) to the forward checkpoint
         if prob.case == 1:
-            z_end = np.concatenate((fwd.checkpoint_states[j + 1], y))
+            z_end = np.concatenate((fwd.checkpoint_states[j + 1], y, [0.0]))
+            # the one-segment ODE below calls its segment 0
+            rhs = _case1_costate_rhs(prob, T, laws[j:j + 1],
+                                     jacobians[j:j + 1], True)
         else:
             z_end = np.concatenate((fwd.checkpoint_states[j + 1],
-                                    fwd.checkpoint_costates[j + 1], y))
-        ode, integrand = make(prob, T, sigma, j)
-        traj, q = integrate_with_quadrature(ode, z_end, integrand,
-                                            "backward", settings)
-        quad += q
-        y = traj.breakpoint_states[0][n:] if prob.case == 1 \
-            else traj.breakpoint_states[0][2 * n:]
+                                    fwd.checkpoint_costates[j + 1], y, [0.0]))
+            rhs = _case2_costate_rhs(prob, T, laws[j], gradients[j])
+        ode = PiecewiseOde(dim=z_end.size, segments=sigma[j:j + 2], rhs=rhs)
+        z0 = integrate_piecewise(ode, z_end, "backward",
+                                 settings).breakpoint_states[0]
+        # backward integration reflects time, so the component holds minus
+        # the integral of H over the phase
+        quad -= float(z0[-1])
+        y = z0[n:-1] if prob.case == 1 else z0[2 * n:-1]
         points[j] = _point_from(prob, fwd, j, y)
     return BackwardRecord(checkpoints=points, hamiltonian_integral=quad)
 
@@ -230,10 +240,11 @@ def _worst_margins(prob, fwd):
     seg = np.clip(np.searchsorted(fwd.sigma, tau, side="right") - 1,
                   0, prob.k)
     worst = np.full(prob.k + 1, np.inf)
+    margins = _resolved(phase_feasibility, prob)
     for i, t in enumerate(fwd.times):
         j = seg[i]
         p = fwd.costates[i] if fwd.costates is not None else None
-        mrg = control_feasibility(prob, j, t, fwd.states[i], p)
+        mrg = margins[j](t, fwd.states[i], p)
         worst[j] = min(worst[j], float(np.min(mrg)))
     return worst
 
@@ -293,33 +304,32 @@ def free_time_gradient_check(prob, cfg, settings=None, delta=None):
     return bundle.d_T, (vals[0] - vals[1]) / (2 * delta)
 
 
-def dense_trajectory(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
+def dense_trajectory(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,
+                     fwd=None):
     """Aligned dense samples of (t, x, u, p) for reporting.
 
     For Case 1 the costate comes from a joint backward integration of
     (x, p) over all phases; states are taken from the forward pass, which
     is the accurate direction for them.  For Case 2 the forward pass
-    already carries the costate.
+    already carries the costate.  ``fwd`` is the forward record of ``cfg``
+    when it is already computed; then ``sample_count`` is unused.
     """
     settings = settings or IntegratorSettings()
-    fwd = forward_sweep(prob, cfg, settings, sample_count)
+    if fwd is None:
+        fwd = forward_sweep(prob, cfg, settings, sample_count)
     n, T, sigma = prob.n, fwd.T, fwd.sigma
+    laws = _resolved(phase_law, prob)
 
     if prob.case == 2:
         costates = fwd.costates
     else:
-        def rhs(j, tau, z):
-            t = tau * T
-            x, p = z[:n], z[n:]
-            dx = phase_dynamics(prob, j, t, x)
-            dp = -p @ phase_jacobian(prob, j, t, x)
-            return T * np.concatenate((dx, dp))
-
+        rhs = _case1_costate_rhs(prob, T, laws,
+                                 _resolved(phase_law_jacobian, prob), False)
         ode = PiecewiseOde(dim=2 * n, segments=sigma, rhs=rhs)
         z_end = np.concatenate((fwd.checkpoint_states[-1],
                                 prob.grad_C(fwd.checkpoint_states[-1])))
         back = integrate_piecewise(ode, z_end, "backward", settings,
-                                   sample_count)
+                                   fwd.times.size)
         costates = back.sample_states[:, n:]
 
     tau = fwd.times / T
@@ -327,5 +337,5 @@ def dense_trajectory(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
     controls = np.empty((fwd.times.size, prob.m))
     for i, t in enumerate(fwd.times):
         p = costates[i] if prob.case == 2 else None
-        controls[i] = phase_control(prob, int(seg[i]), t, fwd.states[i], p)
+        controls[i] = laws[seg[i]](t, fwd.states[i], p)
     return fwd.times, fwd.states, controls, costates

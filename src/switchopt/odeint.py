@@ -9,6 +9,7 @@ is implemented by time reflection, giving a single forward code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,7 +26,7 @@ __all__ = [
 ]
 
 # Dormand-Prince 5(4) tableau (7 stages, FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -108,93 +109,97 @@ class DenseTrajectory:
     step_derivs: np.ndarray = field(repr=False, default=None)
 
 
-def _error_norm(err, y_old, y_new, settings):
-    scale = settings.abs_tol + settings.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
+    """Integrate dy/dt = rhs(j, t, y) over [t0, t1], appending accepted nodes.
 
-
-def _integrate_segment(f, t0, t1, y0, settings, nodes, budget):
-    """Integrate dy/dt = f(t, y) over [t0, t1], appending accepted nodes.
-
-    Returns (y_end, steps_used).  ``nodes`` receives (t, y, f(t, y)) triples
-    including the segment start.
+    Returns (y_end, steps_used).  ``nodes`` receives (t, y, rhs(j, t, y))
+    triples including the segment start.  Overflow is not warned about: a
+    non-finite stage halves the step, down to ``NonFiniteState`` at h_min.
     """
     t, y = t0, np.array(y0, dtype=float)
-    k1 = f(t, y)
-    if not np.all(np.isfinite(k1)):
+    k1 = rhs(j, t, y)
+    if not np.isfinite(k1).all():
         raise NonFiniteState(f"non-finite derivative at t={t}")
-    nodes.append((t, y.copy(), k1.copy()))
+    nodes.append((t, y, k1.copy()))
 
     h = min(settings.h_init, settings.h_max, t1 - t0)
     err_prev = 1.0
     steps = 0
     k = np.empty((7, y.size))
+    k_cols = [k[:i].T for i in range(7)]
+    abs_y = np.abs(y)
 
-    while t < t1:
-        if steps >= budget:
-            raise StepLimitExceeded(f"exceeded {settings.max_steps} steps")
-        clipped = h >= t1 - t
-        h_try = t1 - t if clipped else h
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t1:
+            if steps >= budget:
+                raise StepLimitExceeded(f"exceeded {settings.max_steps} steps")
+            clipped = h >= t1 - t
+            h_try = t1 - t if clipped else h
 
-        k[0] = k1
-        failed = False
-        for i in range(1, 7):
-            yi = y + h_try * (k[:i].T @ _A[i])
-            k[i] = f(t + _C[i] * h_try, yi)
-            if not np.all(np.isfinite(k[i])):
-                failed = True
-                break
-        if not failed:
-            y_new = y + h_try * (_B5 @ k)
-            failed = not np.all(np.isfinite(y_new))
+            k[0] = k1
+            failed = False
+            for i in range(1, 7):
+                k[i] = rhs(j, t + _C[i] * h_try,
+                           y + h_try * (k_cols[i] @ _A[i]))
+                if not np.isfinite(k[i]).all():
+                    failed = True
+                    break
+            if not failed:
+                y_new = y + h_try * (_B5 @ k)
+                failed = not np.isfinite(y_new).all()
 
-        steps += 1
-        if failed:
-            h = 0.5 * h_try
-            if h < settings.h_min:
-                raise NonFiniteState(f"non-finite state near t={t}")
-            continue
+            steps += 1
+            if failed:
+                h = 0.5 * h_try
+                if h < settings.h_min:
+                    raise NonFiniteState(f"non-finite state near t={t}")
+                continue
 
-        err = _error_norm(h_try * (_E @ k), y, y_new, settings)
-        if err <= 1.0:
-            t = t1 if clipped else t + h_try
-            y = y_new
-            k1 = k[6]  # FSAL
-            nodes.append((t, y.copy(), k1.copy()))
-            fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
-            err_prev = max(err, 1e-10)
-            h = min(h_try * min(_FAC_MAX, max(_FAC_MIN, fac)), settings.h_max)
-        else:
-            fac = max(_FAC_MIN, _SAFETY * err ** (-_ALPHA))
-            h = h_try * min(1.0, fac)
-            if h < settings.h_min:
-                raise StepUnderflow(
-                    f"step size {h:.3e} below h_min at t={t}; "
-                    "the problem may be stiff or blowing up"
-                )
+            abs_new = np.abs(y_new)
+            w = h_try * (_E @ k) / (settings.abs_tol + settings.rel_tol
+                                    * np.maximum(abs_y, abs_new))
+            err = math.sqrt(float(np.add.reduce(w * w)) / w.size)
+            if err <= 1.0:
+                t = t1 if clipped else t + h_try
+                y, abs_y = y_new, abs_new
+                k1 = k[6]  # FSAL; a view, which a rejected attempt overwrites
+                nodes.append((t, y, k1.copy()))
+                fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
+                err_prev = max(err, 1e-10)
+                h = min(h_try * min(_FAC_MAX, max(_FAC_MIN, fac)), settings.h_max)
+            else:
+                fac = max(_FAC_MIN, _SAFETY * err ** (-_ALPHA))
+                h = h_try * min(1.0, fac)
+                if h < settings.h_min:
+                    raise StepUnderflow(
+                        f"step size {h:.3e} below h_min at t={t}; "
+                        "the problem may be stiff or blowing up"
+                    )
     return y, steps
 
 
 def _hermite_resample(nodes, sample_times):
-    """Cubic Hermite interpolation of accepted-step nodes at given times."""
+    """Cubic Hermite interpolation of accepted-step nodes at given times.
+
+    ``np.float_power`` is the C ``pow`` of a float64 scalar ``** 2``; an
+    array ``** 2`` multiplies instead, which can differ in the last bit.
+    """
     times = np.array([n[0] for n in nodes])
     states = np.array([n[1] for n in nodes])
     derivs = np.array([n[2] for n in nodes])
-    out = np.empty((sample_times.size, states.shape[1]))
     idx = np.searchsorted(times, sample_times, side="right") - 1
     idx = np.clip(idx, 0, times.size - 2)
-    for m, (tq, i) in enumerate(zip(sample_times, idx)):
-        h = times[i + 1] - times[i]
-        if h <= 0:  # duplicated node at a restart
-            out[m] = states[i + 1]
-            continue
-        s = (tq - times[i]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out[m] = (h00 * states[i] + h01 * states[i + 1]
-                  + h * (h10 * derivs[i] + h11 * derivs[i + 1]))
+    h = times[idx + 1] - times[idx]
+    dup = h <= 0  # duplicated node at a restart
+    s = (sample_times - times[idx]) / np.where(dup, 1.0, h)
+    h00 = (1 + 2 * s) * np.float_power(1 - s, 2)
+    h10 = s * np.float_power(1 - s, 2)
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    out = (h00[:, None] * states[idx] + h01[:, None] * states[idx + 1]
+           + h[:, None] * (h10[:, None] * derivs[idx]
+                           + h11[:, None] * derivs[idx + 1]))
+    out[dup] = states[idx[dup] + 1]
     return times, states, derivs, out
 
 
@@ -233,9 +238,8 @@ def integrate_piecewise(ode, x_start, direction="forward", settings=None,
     used = 0
     for j in range(len(work.segments) - 1):
         y, steps = _integrate_segment(
-            lambda t, x, j=j: work.rhs(j, t, x),
-            work.segments[j], work.segments[j + 1], y, settings, nodes,
-            budget - used)
+            work.rhs, j, work.segments[j], work.segments[j + 1], y, settings,
+            nodes, budget - used)
         used += steps
         bp_states.append(y.copy())
 
@@ -264,7 +268,8 @@ def integrate_with_quadrature(ode, x_start, integrand, direction="forward",
 
     Returns (trajectory, value) where value = integral of integrand(j, t, x)
     over the full interval (with respect to increasing t, regardless of the
-    traversal direction).
+    traversal direction).  The gradient sweeps do not use it: their RHS
+    returns the integrand as a last component, reusing its model values.
     """
     def rhs(j, t, z):
         dx = ode.rhs(j, t, z[:-1])

@@ -11,7 +11,7 @@ can instead use a secant iteration on the switch-point derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import InfeasiblePolytope, LineSearchFailure, \
     MaxItersExceeded, NonFiniteDerivative, NonFiniteState, SecantDivergence, \
     StepLimitExceeded, StepUnderflow
-from .gradients import evaluate_gradient, forward_sweep
+from .gradients import TrajectoryRecord, evaluate_gradient, forward_sweep
 from .odeint import IntegratorSettings
 from .problem import SwitchConfig
 
@@ -77,6 +77,8 @@ class SolveReport:
     worst_margin: float
     reference_errors: Optional[dict] = None
     message: str = ""
+    # forward record of final_cfg, for reuse; not part of to_dict
+    final_fwd: Optional[TrajectoryRecord] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         cfg = self.final_cfg
@@ -332,7 +334,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
         stationarity=pg,
         worst_margin=float(np.min(bundle.feasibility_margins)),
         reference_errors=reference_errors(prob, cfg, fwd.objective),
-        message=message)
+        message=message, final_fwd=fwd)
 
 
 def reference_errors(prob, cfg, objective) -> Optional[dict]:

@@ -20,6 +20,7 @@ __all__ = [
     "ControlPhase",
     "ProblemDef",
     "SwitchConfig",
+    "phase_law", "phase_law_jacobian", "phase_feasibility",
     "phase_control",
     "phase_dynamics",
     "phase_jacobian",
@@ -128,17 +129,74 @@ def validate_config(prob: ProblemDef, cfg: SwitchConfig):
             f"{prob.name}: p0 has dimension {cfg.p0.size}, expected {prob.n}")
 
 
-def phase_control(prob, j, t, x, p=None):
-    """Control produced by phase j's law at (t, x[, p])."""
-    ph = prob.phases[j]
-    if ph.law_kind == "state_costate":
+def _vector(v):
+    u = np.asarray(v, dtype=float)
+    return u if u.ndim else u.reshape(1)
+
+
+def _central_differences(g, v, h_fd):
+    """Central differences [dg/dv_i], step h_fd * max(1, |v_i|)."""
+    cols = []
+    for i in range(v.size):
+        h = h_fd * max(1.0, abs(v[i]))
+        vp, vm = v.copy(), v.copy()
+        vp[i] += h
+        vm[i] -= h
+        cols.append((g(vp) - g(vm)) / (2 * h))
+    return cols
+
+
+def phase_law(prob, j):
+    """Phase j's control law as u(t, x, p=None), a 1-d float array."""
+    law, kind = prob.phases[j].law, prob.phases[j].law_kind
+    if kind == "constant":
+        return lambda t, x, p=None: _vector(law(t))
+    if kind == "state":
+        return lambda t, x, p=None: _vector(law(t, x))
+
+    def control(t, x, p=None):
         if p is None:
             raise MissingCostate(
                 f"{prob.name}: phase {j} law needs the costate")
-        return np.atleast_1d(np.asarray(ph.law(t, x, p), dtype=float))
+        return _vector(law(t, x, p))
+    return control
+
+
+def phase_law_jacobian(prob, j, h_fd=DEFAULT_FD_STEP):
+    """Phase j's closed-loop state Jacobian as J(t, x, u, p=None), u the
+    control there: f_x + f_u @ (d law / d x), with the phase's law_x when
+    given, else a central finite difference of the law."""
+    ph, f_x, f_u = prob.phases[j], prob.f_x, prob.f_u
     if ph.law_kind == "constant":
-        return np.atleast_1d(np.asarray(ph.law(t), dtype=float))
-    return np.atleast_1d(np.asarray(ph.law(t, x), dtype=float))
+        return lambda t, x, u, p=None: np.asarray(f_x(x, u), dtype=float)
+    law_x = ph.law_x
+    if law_x is None:
+        control = phase_law(prob, j)
+        law_x = lambda t, x, p: np.column_stack(_central_differences(
+            lambda xq: control(t, xq, p), x, h_fd))
+    elif ph.law_kind == "state":
+        law_x = lambda t, x, p, state_law_x=law_x: state_law_x(t, x)
+
+    def jacobian(t, x, u, p=None):
+        return (np.asarray(f_x(x, u), dtype=float)
+                + np.asarray(f_u(x, u), dtype=float)
+                @ np.atleast_2d(law_x(t, x, p)))
+    return jacobian
+
+
+def phase_feasibility(prob, j):
+    """Phase j's control-box margin as m(t, x, p=None)."""
+    ph, control = prob.phases[j], phase_law(prob, j)
+
+    def margin(t, x, p=None):
+        u = control(t, x, p)
+        return np.minimum(u - _vector(ph.lower(t)), _vector(ph.upper(t)) - u)
+    return margin
+
+
+def phase_control(prob, j, t, x, p=None):
+    """Control produced by phase j's law at (t, x[, p])."""
+    return phase_law(prob, j)(t, x, p)
 
 
 def phase_dynamics(prob, j, t, x, p=None):
@@ -147,41 +205,14 @@ def phase_dynamics(prob, j, t, x, p=None):
 
 
 def phase_jacobian(prob, j, t, x, p=None, h_fd=DEFAULT_FD_STEP):
-    """Total state Jacobian of the closed-loop dynamics of phase j.
-
-    For feedback laws this includes the chain-rule term through the control:
-    f_x + f_u @ (d law / d x).  Uses the phase's analytic law_x when
-    available, otherwise a central finite difference of the law.
-    """
-    ph = prob.phases[j]
-    u = phase_control(prob, j, t, x, p)
-    jac = np.asarray(prob.f_x(x, u), dtype=float)
-    if ph.law_kind == "constant":
-        return jac
-    if ph.law_x is not None:
-        if ph.law_kind == "state_costate":
-            lx = ph.law_x(t, x, p)
-        else:
-            lx = ph.law_x(t, x)
-    else:
-        lx = np.empty((prob.m, prob.n))
-        for i in range(prob.n):
-            h = h_fd * max(1.0, abs(x[i]))
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            lx[:, i] = (phase_control(prob, j, t, xp, p)
-                        - phase_control(prob, j, t, xm, p)) / (2 * h)
-    return jac + np.asarray(prob.f_u(x, u), dtype=float) @ np.atleast_2d(lx)
+    """Total state Jacobian of the closed-loop dynamics of phase j."""
+    return phase_law_jacobian(prob, j, h_fd)(
+        t, x, phase_control(prob, j, t, x, p), p)
 
 
 def control_feasibility(prob, j, t, x, p=None):
     """Componentwise margin min(u - alpha, beta - u); negative = violated."""
-    ph = prob.phases[j]
-    u = phase_control(prob, j, t, x, p)
-    lo = np.atleast_1d(np.asarray(ph.lower(t), dtype=float))
-    hi = np.atleast_1d(np.asarray(ph.upper(t), dtype=float))
-    return np.minimum(u - lo, hi - u)
+    return phase_feasibility(prob, j)(t, x, p)
 
 
 def generalized_hamiltonian(prob, j, t, x, p, y1, y2):
@@ -198,21 +229,10 @@ def numeric_case2_derivs(prob, j, t, x, p, y, h_fd=DEFAULT_FD_STEP):
     Fallback for problems that do not supply analytic case2_derivs.
     """
     y1, y2 = y
-    gx = np.empty(prob.n)
-    gp = np.empty(prob.n)
-    for i in range(prob.n):
-        h = h_fd * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        gx[i] = (generalized_hamiltonian(prob, j, t, xp, p, y1, y2)
-                 - generalized_hamiltonian(prob, j, t, xm, p, y1, y2)) / (2 * h)
-        h = h_fd * max(1.0, abs(p[i]))
-        pp, pm = p.copy(), p.copy()
-        pp[i] += h
-        pm[i] -= h
-        gp[i] = (generalized_hamiltonian(prob, j, t, x, pp, y1, y2)
-                 - generalized_hamiltonian(prob, j, t, x, pm, y1, y2)) / (2 * h)
+    gx = np.array(_central_differences(
+        lambda xq: generalized_hamiltonian(prob, j, t, xq, p, y1, y2), x, h_fd))
+    gp = np.array(_central_differences(
+        lambda pq: generalized_hamiltonian(prob, j, t, x, pq, y1, y2), p, h_fd))
     if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gp))):
         raise NonFiniteDerivative(
             f"{prob.name}: non-finite Hamiltonian gradient in phase {j} at t={t}")

@@ -9,6 +9,7 @@ import pytest
 
 import switchopt
 from switchopt.benchmarks import CatalystParams, catalyst_switch_times
+from switchopt.odeint import IntegratorSettings
 from switchopt.cli import main, EXIT_OK, EXIT_CHECK_FAILED, EXIT_SOLVER, \
     EXIT_CONFIG
 
@@ -198,3 +199,32 @@ def test_solve_sweep_jobs(tmp_path):
 
 def test_bad_flag_exits_config():
     assert main(["solve", "--nope"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", "catalyst1", "--T", "4", "--s0", "0.1,3.7"],
+    ["--problem", "jacobson", "--secant", "--bracket", "1.41,1.42"],
+])
+def test_solve_writes_trajectory_of_final_sweep(tmp_path, monkeypatch, argv):
+    # the CLI hands the solver's final forward record to dense_trajectory,
+    # so the trajectory costs no forward sweep of its own
+    from switchopt import cli, gradients
+    from switchopt.problem import SwitchConfig
+    calls = []
+    dense = gradients.dense_trajectory
+
+    def recording(prob, cfg, settings=None,
+                  sample_count=gradients.DEFAULT_SAMPLES, fwd=None):
+        calls.append(fwd)
+        return dense(prob, cfg, settings, sample_count, fwd)
+
+    monkeypatch.setattr(cli, "dense_trajectory", recording)
+    assert main(["solve", *argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 1 and calls[0] is not None
+    report = json.loads((tmp_path / "report.json").read_text())
+    prob = cli.build_problem(report["problem"],
+                             4.0 if report["problem"] == "catalyst1" else None)
+    cfg = SwitchConfig(s=np.array(report["s"]))
+    times, xs, us, ps = dense(prob, cfg, IntegratorSettings())
+    _, rows = _read_csv(tmp_path / "trajectory.csv")
+    assert np.array_equal(rows, np.column_stack([times, xs, us, ps]))

@@ -8,7 +8,7 @@ from switchopt.benchmarks import (
     JACOBSON_S1,
 )
 from switchopt.gradients import (
-    dense_trajectory, evaluate_gradient, forward_sweep,
+    DEFAULT_SAMPLES, dense_trajectory, evaluate_gradient, forward_sweep,
     free_time_gradient_check,
 )
 from switchopt.odeint import IntegratorSettings
@@ -179,3 +179,74 @@ def test_feasibility_margins_reported():
     # bang phases sit exactly on their bound, the singular phase is interior
     assert bundle.feasibility_margins[0] == pytest.approx(0.0, abs=1e-12)
     assert bundle.feasibility_margins[1] > 0.2
+
+
+# The sweeps resolve each phase once into closures; the finite-difference
+# law Jacobian and the numeric Case-2 Hamiltonian gradients are their
+# fallback paths when a problem gives no analytic derivative.
+GODDARD_CFG = SwitchConfig(s=np.array([13.9, 21.7]), T=43.1)
+CATALYST2_CFG = SwitchConfig(s=np.array([0.14, 0.72]),
+                             p0=np.array([0.87, 0.83]))
+
+
+def _assert_bundles_close(got, want, rtol):
+    assert got.objective == pytest.approx(want.objective, rel=rtol)
+    np.testing.assert_allclose(got.d_s, want.d_s, rtol=rtol)
+    if want.d_p0 is not None:
+        np.testing.assert_allclose(got.d_p0, want.d_p0, rtol=rtol)
+    if want.d_T is not None:
+        assert got.d_T == pytest.approx(want.d_T, rel=rtol)
+    np.testing.assert_allclose(got.feasibility_margins,
+                               want.feasibility_margins, rtol=rtol)
+
+
+def test_fd_law_jacobian_sweep_matches_analytic():
+    prob = build_problem("goddard")
+    stripped = dataclasses.replace(prob, phases=tuple(
+        dataclasses.replace(ph, law_x=None) for ph in prob.phases))
+    assert any(ph.law_x is not None for ph in prob.phases)
+    want = evaluate_gradient(prob, GODDARD_CFG, TIGHT)
+    got = evaluate_gradient(stripped, GODDARD_CFG, TIGHT)
+    assert np.min(np.abs(want.d_s)) > 1e-4 and abs(want.d_T) > 1e-4
+    _assert_bundles_close(got, want, 1e-6)
+
+
+def test_numeric_case2_derivs_sweep_matches_analytic():
+    prob = build_problem("catalyst2")
+    want = evaluate_gradient(prob, CATALYST2_CFG, TIGHT)
+    got = evaluate_gradient(dataclasses.replace(prob, case2_derivs=None),
+                            CATALYST2_CFG, TIGHT)
+    assert np.min(np.abs(want.d_s)) > 1e-4
+    assert np.min(np.abs(want.d_p0)) > 1e-4
+    _assert_bundles_close(got, want, 1e-6)
+
+
+def _float_law(ph):
+    """The same law returning a Python float instead of a 1-vector."""
+    law = ph.law
+    if ph.law_kind == "constant":
+        return lambda t: float(law(t)[0])
+    if ph.law_kind == "state":
+        return lambda t, x: float(law(t, x)[0])
+    return lambda t, x, p: float(law(t, x, p)[0])
+
+
+@pytest.mark.parametrize("name, cfg", [("goddard", GODDARD_CFG),
+                                       ("catalyst2", CATALYST2_CFG)])
+def test_scalar_float_law_integrates(name, cfg):
+    prob = build_problem(name)
+    floats = dataclasses.replace(prob, phases=tuple(
+        dataclasses.replace(ph, law=_float_law(ph)) for ph in prob.phases))
+    want = evaluate_gradient(prob, cfg, TIGHT)
+    got = evaluate_gradient(floats, cfg, TIGHT)
+    _assert_bundles_close(got, want, 0.0)
+    _, _, us, _ = dense_trajectory(floats, cfg, TIGHT)
+    assert us.shape == (DEFAULT_SAMPLES, 1)
+
+
+def test_dense_trajectory_reuses_forward_record():
+    prob = build_problem("goddard")
+    fwd = forward_sweep(prob, GODDARD_CFG, TIGHT)
+    reused = dense_trajectory(prob, GODDARD_CFG, TIGHT, fwd=fwd)
+    for got, want in zip(reused, dense_trajectory(prob, GODDARD_CFG, TIGHT)):
+        assert np.array_equal(got, want)

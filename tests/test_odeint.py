@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+
+from switchopt import odeint
 
 from switchopt.exceptions import NonFiniteState, StepLimitExceeded
 from switchopt.odeint import (
@@ -157,8 +161,10 @@ def test_dense_samples_interpolate():
 def test_blowup_raises():
     ode = PiecewiseOde(dim=1, segments=np.array([0.0, 2.0]),
                        rhs=lambda j, t, x: x * x)
-    with pytest.raises((NonFiniteState, Exception)):
-        integrate_piecewise(ode, np.array([10.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # overflowing stages are not warned
+        with pytest.raises(NonFiniteState):
+            integrate_piecewise(ode, np.array([10.0]))
 
 
 def test_step_budget_enforced():
@@ -174,3 +180,71 @@ def test_settings_validation():
         IntegratorSettings(rel_tol=-1.0)
     with pytest.raises(ValueError):
         IntegratorSettings(h_min=1.0, h_max=0.1)
+
+
+def _hermite_loop(nodes, sample_times):
+    """Sample-by-sample cubic Hermite interpolation (reference)."""
+    times = np.array([n[0] for n in nodes])
+    states = np.array([n[1] for n in nodes])
+    derivs = np.array([n[2] for n in nodes])
+    out = np.empty((sample_times.size, states.shape[1]))
+    idx = np.searchsorted(times, sample_times, side="right") - 1
+    idx = np.clip(idx, 0, times.size - 2)
+    for m, (tq, i) in enumerate(zip(sample_times, idx)):
+        h = times[i + 1] - times[i]
+        if h <= 0:  # duplicated node at a restart
+            out[m] = states[i + 1]
+            continue
+        s = (tq - times[i]) / h
+        h00 = (1 + 2 * s) * (1 - s) ** 2
+        h10 = s * (1 - s) ** 2
+        h01 = s * s * (3 - 2 * s)
+        h11 = s * s * (s - 1)
+        out[m] = (h00 * states[i] + h01 * states[i + 1]
+                  + h * (h10 * derivs[i] + h11 * derivs[i + 1]))
+    return out
+
+
+def _piecewise_oscillator():
+    def rhs(j, t, x):
+        w = (1.0, 3.0, 0.5)[j]
+        return np.array([x[1], -w * x[0] + 0.1 * np.sin(t) * x[1]])
+    return PiecewiseOde(dim=2, segments=np.array([0.0, 1.0, 1.5, 2.0]),
+                        rhs=rhs)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_hermite_resample_matches_loop_exactly(monkeypatch, direction):
+    calls = []
+    vectorised = odeint._hermite_resample
+
+    def spy(nodes, sample_times):
+        calls.append((list(nodes), sample_times.copy()))
+        return vectorised(nodes, sample_times)
+
+    monkeypatch.setattr(odeint, "_hermite_resample", spy)
+    ode = _piecewise_oscillator()
+    # samples 2**-10 apart land on both breakpoints, where nodes are
+    # duplicated
+    traj = integrate_piecewise(ode, np.array([1.0, 0.0]), direction,
+                               settings=_tight(), sample_count=2049)
+    (nodes, sample_times), = calls
+    node_times = np.array([n[0] for n in nodes])
+    assert np.any(np.diff(node_times) == 0)
+    assert np.isin(node_times[np.diff(node_times, append=np.inf) == 0],
+                   sample_times).all()
+    ref = _hermite_loop(nodes, sample_times)
+    assert np.array_equal(vectorised(nodes, sample_times)[3], ref)
+    assert np.array_equal(traj.sample_states,
+                          ref[::-1] if direction == "backward" else ref)
+
+
+def test_hermite_resample_duplicated_last_node():
+    # a query past a trailing duplicate falls on the zero-length interval
+    nodes = [(0.0, np.array([1.0]), np.array([2.0])),
+             (1.0, np.array([3.0]), np.array([-1.0])),
+             (1.0, np.array([4.0]), np.array([0.5]))]
+    sample_times = np.array([0.0, 0.25, 0.999, 1.0, 1.5])
+    out = odeint._hermite_resample(nodes, sample_times)[3]
+    assert np.array_equal(out, _hermite_loop(nodes, sample_times))
+    assert out[-1, 0] == 4.0 and out[-2, 0] == 4.0
