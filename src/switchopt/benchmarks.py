@@ -43,7 +43,6 @@ class ReferenceSolution:
     T_star: Optional[float] = None
     C_star: Optional[float] = None
     u_sing: Optional[float] = None
-    p0_star: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------

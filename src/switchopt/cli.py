@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -63,14 +62,6 @@ def _parse_list(text):
     return np.array([float(v) for v in text.split(",")])
 
 
-def _build(args):
-    name = args.problem
-    if getattr(args, "case", None) is not None and name == "catalyst1" \
-            and args.case == 2:
-        name = "catalyst2"
-    return build_problem(name, T=args.T)
-
-
 def _ode_settings(args):
     tol = args.ode_tol
     return IntegratorSettings(rel_tol=tol, abs_tol=tol)
@@ -100,7 +91,7 @@ def _initial_config(prob, args):
 
 def cmd_solve(args):
     out = _out_dir(args)
-    prob = _build(args)
+    prob = build_problem(args.problem, T=args.T)
     ode = _ode_settings(args)
     opt = OptimizeSettings(stat_tol=args.opt_tol)
 
@@ -155,7 +146,7 @@ def cmd_solve(args):
 
 def cmd_warmstart(args):
     out = _out_dir(args)
-    prob = _build(args)
+    prob = build_problem(args.problem, T=args.T)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         dcp = solve_tv_euler(prob, N=args.N, rho_tv=args.rho_tv)
@@ -186,7 +177,7 @@ def cmd_warmstart(args):
 
 
 def cmd_gradcheck(args):
-    prob = _build(args)
+    prob = build_problem(args.problem, T=args.T)
     ode = _ode_settings(args)
     cfg = _initial_config(prob, args)
     bundle = evaluate_gradient(prob, cfg, ode, with_d_T=prob.free_time)
@@ -226,7 +217,7 @@ def cmd_gradcheck(args):
 
 def cmd_profile(args):
     out = _out_dir(args)
-    prob = _build(args)
+    prob = build_problem(args.problem, T=args.T)
     ode = _ode_settings(args)
     if args.grid is None:
         raise InvalidSwitchOrder("--grid lo,hi,n is required")
@@ -251,7 +242,6 @@ def cmd_profile(args):
 def _add_common(sp):
     sp.add_argument("--problem", required=True,
                     help="catalyst1 | catalyst2 | jacobson | bressan | goddard")
-    sp.add_argument("--case", type=int, choices=(1, 2), default=None)
     sp.add_argument("--T", type=float, default=None, help="horizon override")
     sp.add_argument("--ode-tol", type=float, default=1e-8)
     sp.add_argument("--opt-tol", type=float, default=1e-8)
@@ -276,8 +266,6 @@ def build_parser():
                     help="seed s0/p0 from the TV warm start")
     sp.add_argument("--N", type=int, default=100)
     sp.add_argument("--rho-tv", type=float, default=1e-3)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="parallel solves when --problem is a comma list")
 
     sp = sub.add_parser("warmstart", help="TV-regularized structure detection")
     _add_common(sp)
@@ -315,20 +303,12 @@ def main(argv=None):
     try:
         names = args.problem.split(",")
         if args.command == "solve" and len(names) > 1:
-            # independent sweep: one output subdirectory per problem
-            jobs = max(1, getattr(args, "jobs", 1))
+            # a sweep, one problem after another, each in its own
+            # output subdirectory
             base = _out_dir(args)
-
-            def run(name):
-                import copy
-                a = copy.copy(args)
-                a.problem = name
-                a.out = str(base / name)
-                return _run_one(a)
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                codes = list(pool.map(run, names))
-            return max(codes)
+            return max([_run_one(argparse.Namespace(**{
+                **vars(args), "problem": name, "out": str(base / name)}))
+                for name in names])
         return _run_one(args)
     except (InvalidSwitchOrder, MissingCostate, InfeasiblePolytope,
             KeyError, ValueError) as exc:

@@ -4,13 +4,15 @@ A problem is the dynamics f(x, u), a terminal objective C(x(T)), and an
 ordered list of phases.  Each phase carries a control law: a constant
 vector, a state feedback u = law(t, x), or a state-costate feedback
 u = law(t, x, p) (Case 2).  Phase j is active on (s_j, s_{j+1}) once a
-switch configuration fixes the s_j.
+switch configuration fixes the s_j.  The sweeps integrate z = x (Case 1)
+or z = (x, p) (Case 2); each phase gives its flow F(t, z) and the adjoint
+row lam . dF/dz of that flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,13 +23,7 @@ __all__ = [
     "ProblemDef",
     "SwitchConfig",
     "phase_law", "phase_law_jacobian", "phase_feasibility",
-    "phase_control",
-    "phase_dynamics",
-    "phase_jacobian",
-    "control_feasibility",
-    "generalized_hamiltonian",
-    "numeric_case2_derivs",
-    "case2_gradients",
+    "phase_flow", "phase_adjoint",
     "validate_config",
 ]
 
@@ -74,7 +70,8 @@ class ProblemDef:
     f_u: Callable        # (x, u) -> (n, m)
     C: Callable          # x_T -> scalar
     grad_C: Callable     # x_T -> (n,) row
-    case2_derivs: Optional[Callable] = None  # (j,t,x,p,y1,y2) -> (gx, gp)
+    # (j, t, x, p, y1, y2) -> (gx, gp), the row (y1, y2) . dF/d(x, p)
+    case2_derivs: Optional[Callable] = None
     reference: object = None
     eps_gap: float = None
 
@@ -194,53 +191,44 @@ def phase_feasibility(prob, j):
     return margin
 
 
-def phase_control(prob, j, t, x, p=None):
-    """Control produced by phase j's law at (t, x[, p])."""
-    return phase_law(prob, j)(t, x, p)
+def phase_flow(prob, j):
+    """Phase j's flow F(t, z) of the sweep state: z = x and F = f in Case 1,
+    z = (x, p) and F = (f, -p f_x) in Case 2."""
+    n, f, f_x, control = prob.n, prob.f, prob.f_x, phase_law(prob, j)
+    if prob.case == 1:
+        return lambda t, z: f(z, control(t, z))
+
+    def flow(t, z):
+        x, p = z[:n], z[n:]
+        u = control(t, x, p)
+        dp = -p @ np.asarray(f_x(x, u), dtype=float)
+        return np.concatenate((f(x, u), dp))
+    return flow
 
 
-def phase_dynamics(prob, j, t, x, p=None):
-    """Closed-loop dynamics f(x, phi_j(...)) for phase j."""
-    return prob.f(x, phase_control(prob, j, t, x, p))
+def phase_adjoint(prob, j, h_fd=DEFAULT_FD_STEP):
+    """Phase j's adjoint as A(t, z, lam) -> (F, lam . dF/dz), both from one
+    model evaluation: the closed-loop Jacobian in Case 1, the problem's
+    case2_derivs in Case 2, else central differences of lam . F over z."""
+    n, derivs = prob.n, prob.case2_derivs
+    if prob.case == 1:
+        f, control = prob.f, phase_law(prob, j)
+        jacobian = phase_law_jacobian(prob, j, h_fd)
 
+        def adjoint(t, z, lam):
+            u = control(t, z)
+            return f(z, u), lam @ jacobian(t, z, u)
+        return adjoint
+    flow = phase_flow(prob, j)
+    if derivs is not None:
+        return lambda t, z, lam: (flow(t, z), np.concatenate(
+            derivs(j, t, z[:n], z[n:], lam[:n], lam[n:])))
 
-def phase_jacobian(prob, j, t, x, p=None, h_fd=DEFAULT_FD_STEP):
-    """Total state Jacobian of the closed-loop dynamics of phase j."""
-    return phase_law_jacobian(prob, j, h_fd)(
-        t, x, phase_control(prob, j, t, x, p), p)
-
-
-def control_feasibility(prob, j, t, x, p=None):
-    """Componentwise margin min(u - alpha, beta - u); negative = violated."""
-    return phase_feasibility(prob, j)(t, x, p)
-
-
-def generalized_hamiltonian(prob, j, t, x, p, y1, y2):
-    """Scalar H_j = y1 . f_j(x,p,t) - p . f_jx(x,p,t) . y2^T (Case 2)."""
-    u = phase_control(prob, j, t, x, p)
-    fx = np.asarray(prob.f_x(x, u), dtype=float)
-    return float(y1 @ prob.f(x, u) - p @ (fx @ y2))
-
-
-def numeric_case2_derivs(prob, j, t, x, p, y, h_fd=DEFAULT_FD_STEP):
-    """Central-difference gradients of the generalized Hamiltonian.
-
-    y = (y1, y2).  Returns (grad_x H_j, grad_p H_j) as length-n rows.
-    Fallback for problems that do not supply analytic case2_derivs.
-    """
-    y1, y2 = y
-    gx = np.array(_central_differences(
-        lambda xq: generalized_hamiltonian(prob, j, t, xq, p, y1, y2), x, h_fd))
-    gp = np.array(_central_differences(
-        lambda pq: generalized_hamiltonian(prob, j, t, x, pq, y1, y2), p, h_fd))
-    if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gp))):
-        raise NonFiniteDerivative(
-            f"{prob.name}: non-finite Hamiltonian gradient in phase {j} at t={t}")
-    return gx, gp
-
-
-def case2_gradients(prob, j, t, x, p, y1, y2):
-    """Gradients of the generalized Hamiltonian, analytic when provided."""
-    if prob.case2_derivs is not None:
-        return prob.case2_derivs(j, t, x, p, y1, y2)
-    return numeric_case2_derivs(prob, j, t, x, p, (y1, y2))
+    def adjoint(t, z, lam):
+        g = np.array(_central_differences(
+            lambda zq: lam @ flow(t, zq), z, h_fd))
+        if not np.isfinite(g).all():
+            raise NonFiniteDerivative(
+                f"{prob.name}: non-finite adjoint in phase {j} at t={t}")
+        return flow(t, z), g
+    return adjoint

@@ -12,8 +12,7 @@ phase pattern, and an initial-costate estimate for the main solver.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

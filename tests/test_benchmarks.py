@@ -10,7 +10,7 @@ from switchopt.benchmarks import (
 )
 from switchopt.gradients import dense_trajectory, forward_sweep
 from switchopt.odeint import IntegratorSettings
-from switchopt.problem import SwitchConfig, phase_control
+from switchopt.problem import SwitchConfig, phase_law
 
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 
@@ -148,8 +148,7 @@ def test_catalyst_case2_feedback_matches_constant_on_arc():
 def test_constant_singular_variant():
     prob = build_catalyst(CatalystParams(case=2), constant_singular=True)
     assert prob.case == 2
-    u = phase_control(prob, 1, 0.5, np.array([0.7, 0.2]),
-                      np.array([1.0, 1.0]))
+    u = phase_law(prob, 1)(0.5, np.array([0.7, 0.2]), np.array([1.0, 1.0]))
     assert u[0] == pytest.approx(catalyst_singular_value(CatalystParams()))
 
 

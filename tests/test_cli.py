@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,22 +42,47 @@ def test_solve_catalyst_writes_report(tmp_path):
     assert rows[-1, 3] == 0.0
 
 
+def _readme_commands():
+    """The `switchopt ...` lines of the README's sh blocks, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [line.split()[1:]
+            for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for line in block.splitlines() if line.startswith("switchopt ")]
+
+
+README_COMMANDS = _readme_commands()
+README_CATALYST2 = ["solve", "--problem", "catalyst2", "--s0", "0.1,0.7",
+                    "--p0", "0.9,0.8"]
+
+
+def _run_cli(argv, out, timeout):
+    """Run ``python -m switchopt.cli`` on this source tree."""
+    src = str(Path(switchopt.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "switchopt.cli", *argv, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=timeout)
+
+
 def test_readme_catalyst2_solve_ends_in_bounded_time(tmp_path):
     # README command at the default --ode-tol; early line-search trials
     # run into the singular feedback's pole and must fail fast
-    src = str(Path(switchopt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "switchopt.cli", "solve",
-         "--problem", "catalyst2", "--s0", "0.1,0.7", "--p0", "0.9,0.8",
-         "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=20)
+    assert README_CATALYST2 in README_COMMANDS
+    proc = _run_cli(README_CATALYST2, tmp_path, 20)
     assert proc.returncode == EXIT_OK, proc.stderr
     report = json.loads((tmp_path / "report.json").read_text())
     np.testing.assert_allclose(report["s"],
                                catalyst_switch_times(CatalystParams(T=1.0)),
                                atol=1e-4)
     assert report["objective_evals"] > report["gradient_evals"]
+
+
+@pytest.mark.parametrize(
+    "argv", [c for c in README_COMMANDS if c != README_CATALYST2],
+    ids=" ".join)
+def test_readme_command_exits_ok(tmp_path, argv):
+    proc = _run_cli(argv, tmp_path, 30)
+    assert proc.returncode == EXIT_OK, proc.stderr
 
 
 def test_solve_secant_bressan(tmp_path):
@@ -191,7 +217,7 @@ def test_csv_full_precision(tmp_path):
 
 def test_solve_sweep_jobs(tmp_path):
     code = main(["solve", "--problem", "jacobson,bressan", "--secant",
-                 "--bracket", "1.41,1.42", "--jobs", "2", "--out", str(tmp_path)])
+                 "--bracket", "1.41,1.42", "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert (tmp_path / "jacobson" / "report.json").exists()
     assert (tmp_path / "bressan" / "report.json").exists()

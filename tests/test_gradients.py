@@ -12,7 +12,7 @@ from switchopt.gradients import (
     free_time_gradient_check,
 )
 from switchopt.odeint import IntegratorSettings
-from switchopt.problem import SwitchConfig, phase_dynamics
+from switchopt.problem import SwitchConfig, phase_flow
 
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 
@@ -156,7 +156,7 @@ def test_bressan_hamiltonian_integral():
 
     times, xs, _, ps = dense_trajectory(prob, cfg, TIGHT, sample_count=2001)
     seg = (times > 10.0 / 3.0).astype(int)
-    H = np.array([ps[i] @ phase_dynamics(prob, seg[i], times[i], xs[i])
+    H = np.array([ps[i] @ phase_flow(prob, seg[i])(times[i], xs[i])
                   for i in range(times.size)])
     h = times[1] - times[0]
     simpson = h / 3 * (H[0] + H[-1] + 4 * H[1:-1:2].sum() + 2 * H[2:-2:2].sum())

@@ -1,13 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from switchopt.benchmarks import build_problem
+from switchopt.benchmarks import PROBLEM_NAMES, build_problem
 from switchopt.exceptions import InvalidSwitchOrder, MissingCostate
+from switchopt.gradients import forward_sweep
 from switchopt.problem import (
-    SwitchConfig, control_feasibility, case2_gradients,
-    generalized_hamiltonian, numeric_case2_derivs, phase_control,
-    phase_dynamics, phase_jacobian, validate_config,
+    SwitchConfig, phase_adjoint, phase_feasibility, phase_flow, phase_law,
+    phase_law_jacobian, validate_config,
 )
+
+
+def _jacobian(prob, j, t, x, h_fd=1e-6):
+    """Closed-loop state Jacobian of phase j at (t, x)."""
+    return phase_law_jacobian(prob, j, h_fd)(t, x, phase_law(prob, j)(t, x))
 
 
 @pytest.fixture
@@ -37,25 +45,25 @@ def test_validate_requires_costate(catalyst2):
 
 def test_catalyst_full_mixing_dynamics(catalyst):
     # u=1 phase from a=1, b=0: da = -k1*a = -1, db = +k1*a = +1
-    dx = phase_dynamics(catalyst, 0, 0.0, np.array([1.0, 0.0]))
+    dx = phase_flow(catalyst, 0)(0.0, np.array([1.0, 0.0]))
     np.testing.assert_allclose(dx, [-1.0, 1.0], rtol=1e-14)
 
 
 def test_catalyst_no_mixing_dynamics(catalyst):
     # u=0 phase: da = 0, db = -k3*b
-    dx = phase_dynamics(catalyst, 2, 0.9, np.array([0.3, 0.4]))
+    dx = phase_flow(catalyst, 2)(0.9, np.array([0.3, 0.4]))
     np.testing.assert_allclose(dx, [0.0, -0.4], rtol=1e-14)
 
 
 def test_bressan_first_phase():
     prob = build_problem("bressan", T=10.0)
-    dx = phase_dynamics(prob, 1, 4.0, np.array([2.0, 0.0, 0.0]))
+    dx = phase_flow(prob, 1)(4.0, np.array([2.0, 0.0, 0.0]))
     assert dx[0] == pytest.approx(0.5)   # singular phase: x1' = u = 1/2
 
 
 def test_jacobson_dynamics():
     prob = build_problem("jacobson")
-    dx = phase_dynamics(prob, 0, 0.0, np.array([0.0, 0.3, 0.0]))
+    dx = phase_flow(prob, 0)(0.0, np.array([0.0, 0.3, 0.0]))
     np.testing.assert_allclose(dx[:2], [0.3, -1.0], rtol=1e-14)
     # augmented state integrates the running cost
     assert dx[2] == pytest.approx(0.5 * 0.3 ** 2)
@@ -63,24 +71,24 @@ def test_jacobson_dynamics():
 
 def test_feasibility_margin_interior(catalyst):
     # singular value 0.2271... sits 0.2271 above 0 and 0.7729 below 1
-    m = control_feasibility(catalyst, 1, 0.5, np.array([0.7, 0.2]))
+    m = phase_feasibility(catalyst, 1)(0.5, np.array([0.7, 0.2]))
     assert m == pytest.approx(0.227142082708498, abs=1e-12)
 
 
 def test_feasibility_margin_at_bound(catalyst):
-    assert control_feasibility(catalyst, 0, 0.0, np.array([1.0, 0.0])) == 0.0
+    assert phase_feasibility(catalyst, 0)(0.0, np.array([1.0, 0.0])) == 0.0
 
 
 def test_phase_jacobian_matches_fd(catalyst):
     x = np.array([0.6, 0.25])
-    J = phase_jacobian(catalyst, 1, 0.4, x)
+    J = _jacobian(catalyst, 1, 0.4, x)
     h = 1e-6
     for i in range(2):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        col = (phase_dynamics(catalyst, 1, 0.4, xp)
-               - phase_dynamics(catalyst, 1, 0.4, xm)) / (2 * h)
+        col = (phase_flow(catalyst, 1)(0.4, xp)
+               - phase_flow(catalyst, 1)(0.4, xm)) / (2 * h)
         np.testing.assert_allclose(J[:, i], col, atol=1e-7)
 
 
@@ -88,9 +96,8 @@ def test_fd_jacobian_halving_quadratic():
     # central differences: quartering the error when the step is halved
     prob = build_problem("jacobson")
     x = np.array([0.4, -0.2, 0.1])
-    exact = phase_jacobian(prob, 1, 2.0, x)   # analytic law_x path
+    exact = _jacobian(prob, 1, 2.0, x)   # analytic law_x path
 
-    import dataclasses
     from switchopt.problem import ControlPhase
     ph = list(prob.phases)
     ph[1] = ControlPhase(1, "state", ph[1].law, ph[1].lower, ph[1].upper)
@@ -98,34 +105,88 @@ def test_fd_jacobian_halving_quadratic():
 
     errs = []
     for h in (1e-3, 5e-4):
-        J = phase_jacobian(stripped, 1, 2.0, x, h_fd=h)
+        J = _jacobian(stripped, 1, 2.0, x, h_fd=h)
         errs.append(np.max(np.abs(J - exact)))
     if errs[1] > 1e-13:    # below that, roundoff dominates
         assert errs[0] / errs[1] > 3.0
 
 
 def test_generalized_hamiltonian_zero_at_zero_costate(catalyst2):
-    x = np.array([0.8, 0.15])
-    p = np.array([1.1, 0.9])
-    z = np.zeros(2)
-    val = generalized_hamiltonian(catalyst2, 1, 0.3, x, p, z, z)
-    assert val == 0.0
-    gx, gp = case2_gradients(catalyst2, 1, 0.3, x, p, z, z)
-    np.testing.assert_allclose(gx, 0.0, atol=1e-12)
-    np.testing.assert_allclose(gp, 0.0, atol=1e-12)
+    # the generalized Hamiltonian is lam . F for the sweep state z = (x, p)
+    z = np.array([0.8, 0.15, 1.1, 0.9])
+    lam = np.zeros(4)
+    F, g = phase_adjoint(catalyst2, 1)(0.3, z, lam)
+    assert float(lam @ F) == 0.0
+    np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
 def test_case2_analytic_matches_fd(catalyst2):
+    # analytic case2_derivs against the central-difference fallback
+    numeric = dataclasses.replace(catalyst2, case2_derivs=None)
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.uniform(0.1, 0.9, size=2)
         p = rng.uniform(0.5, 1.5, size=2)
         y1 = rng.normal(size=2)
         y2 = rng.normal(size=2)
-        gx, gp = case2_gradients(catalyst2, 1, 0.4, x, p, y1, y2)
-        fx, fp = numeric_case2_derivs(catalyst2, 1, 0.4, x, p, (y1, y2))
-        np.testing.assert_allclose(gx, fx, rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(gp, fp, rtol=1e-5, atol=1e-6)
+        z, lam = np.concatenate((x, p)), np.concatenate((y1, y2))
+        _, g = phase_adjoint(catalyst2, 1)(0.4, z, lam)
+        _, fd = phase_adjoint(numeric, 1)(0.4, z, lam)
+        np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-6)
+
+
+# one off-optimum configuration per problem; its forward sweep supplies the
+# (t, z) points at which each phase's adjoint is checked
+SWEEP_CFGS = {
+    "catalyst1": SwitchConfig(s=np.array([0.15, 0.7])),
+    "catalyst2": SwitchConfig(s=np.array([0.14, 0.72]),
+                              p0=np.array([0.87, 0.83])),
+    "jacobson": SwitchConfig(s=np.array([1.3])),
+    "bressan": SwitchConfig(s=np.array([3.1])),
+    "goddard": SwitchConfig(s=np.array([13.9, 21.7]), T=43.1),
+}
+_SWEPT = {}
+
+
+def _phase_points(name, j):
+    """(problem, [(t, z)]) at the forward-sweep samples of phase j."""
+    if name not in _SWEPT:
+        prob = build_problem(name)
+        fwd = forward_sweep(prob, SWEEP_CFGS[name])
+        seg = np.clip(np.searchsorted(fwd.sigma, fwd.times / fwd.T,
+                                      side="right") - 1, 0, prob.k)
+        zs = (fwd.states if fwd.costates is None
+              else np.hstack((fwd.states, fwd.costates)))
+        _SWEPT[name] = prob, seg, fwd.times, zs
+    prob, seg, times, zs = _SWEPT[name]
+    return prob, [(times[i], zs[i]) for i in np.flatnonzero(seg == j)]
+
+
+@pytest.mark.parametrize("name, j", [
+    (name, j) for name in PROBLEM_NAMES
+    for j in range(build_problem(name).k + 1)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_phase_adjoint_matches_central_differences(name, j, data):
+    # lam . dF/dz from the phase's analytic derivatives (law_x, the
+    # closed-loop Jacobian or case2_derivs) against central differences of
+    # lam . F over z, and the adjoint's flow value against phase_flow
+    prob, points = _phase_points(name, j)
+    t, z = data.draw(st.sampled_from(points))
+    lam = np.array(data.draw(st.lists(st.floats(-10.0, 10.0),
+                                      min_size=z.size, max_size=z.size)))
+    flow = phase_flow(prob, j)
+    F, g = phase_adjoint(prob, j)(t, z, lam)
+    assert np.array_equal(F, flow(t, z))
+    fd = np.empty(z.size)
+    for i in range(z.size):
+        h = 1e-6 * max(1.0, abs(z[i]))
+        zp, zm = z.copy(), z.copy()
+        zp[i] += h
+        zm[i] -= h
+        fd[i] = (lam @ flow(t, zp) - lam @ flow(t, zm)) / (2 * h)
+    scale = max(1.0, np.max(np.abs(fd)))
+    assert np.max(np.abs(g - fd)) <= 1e-5 * scale
 
 
 def test_case2_sympy_oracle(catalyst2):
@@ -158,18 +219,17 @@ def test_case2_sympy_oracle(catalyst2):
     gx_o = [float(sympy.diff(H, v).subs(syms)) for v in (a, b)]
     gp_o = [float(sympy.diff(H, v).subs(syms)) for v in (p1, p2)]
 
-    gx, gp = case2_gradients(
-        catalyst2, 1, 0.5,
-        np.array([0.7, 0.2]), np.array([1.05, 0.92]),
-        np.array([0.3, -0.4]), np.array([0.22, 0.11]))
+    _, g = phase_adjoint(catalyst2, 1)(
+        0.5, np.array([0.7, 0.2, 1.05, 0.92]), np.array([0.3, -0.4, 0.22, 0.11]))
+    gx, gp = g[:2], g[2:]
     np.testing.assert_allclose(gx, gx_o, rtol=1e-10)
     np.testing.assert_allclose(gp, gp_o, rtol=1e-10)
 
 
 def test_phase_control_constant_vs_state(catalyst):
-    u0 = phase_control(catalyst, 0, 0.1, np.array([0.9, 0.1]))
+    u0 = phase_law(catalyst, 0)(0.1, np.array([0.9, 0.1]))
     assert u0[0] == 1.0
-    u2 = phase_control(catalyst, 2, 0.9, np.array([0.9, 0.1]))
+    u2 = phase_law(catalyst, 2)(0.9, np.array([0.9, 0.1]))
     assert u2[0] == 0.0
 
 
