@@ -162,8 +162,8 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
             if err <= 1.0:
                 t = t1 if clipped else t + h_try
                 y, abs_y = y_new, abs_new
-                k1 = k[6]  # FSAL; a view, which a rejected attempt overwrites
-                nodes.append((t, y, k1.copy()))
+                k1 = k[6].copy()  # FSAL; the next attempt overwrites k[6]
+                nodes.append((t, y, k1))
                 fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
                 err_prev = max(err, 1e-10)
                 h = min(h_try * min(_FAC_MAX, max(_FAC_MIN, fac)), settings.h_max)

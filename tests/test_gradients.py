@@ -93,6 +93,18 @@ def test_switch_derivative_matches_fd_jacobson():
     assert bundle.d_s[0] == pytest.approx(_fd_ds(prob, cfg, 0), rel=1e-7)
 
 
+def test_switch_derivative_converges_with_rejected_steps():
+    # the long horizon makes the integrator reject steps; each retry must
+    # restart from f(t, y), not from the rejected attempt's last stage
+    prob = build_problem("catalyst1", T=12.0)
+    cfg = SwitchConfig(s=np.array([0.1, 11.7]))
+    loose = evaluate_gradient(prob, cfg,
+                              IntegratorSettings(rel_tol=1e-10, abs_tol=1e-10))
+    tight = evaluate_gradient(prob, cfg,
+                              IntegratorSettings(rel_tol=1e-13, abs_tol=1e-13))
+    assert abs(loose.d_s[0] - tight.d_s[0]) <= 5e-11
+
+
 def test_case2_derivatives_match_fd():
     prob = build_problem("catalyst2", T=1.0)
     cfg = SwitchConfig(s=np.array([0.1, 0.7]), p0=np.array([0.9, 0.8]))
