@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -145,21 +146,18 @@ SWEEP_CFGS = {
     "bressan": SwitchConfig(s=np.array([3.1])),
     "goddard": SwitchConfig(s=np.array([13.9, 21.7]), T=43.1),
 }
-_SWEPT = {}
 
 
+@functools.lru_cache(maxsize=None)
 def _phase_points(name, j):
     """(problem, [(t, z)]) at the forward-sweep samples of phase j."""
-    if name not in _SWEPT:
-        prob = build_problem(name)
-        fwd = forward_sweep(prob, SWEEP_CFGS[name])
-        seg = np.clip(np.searchsorted(fwd.sigma, fwd.times / fwd.T,
-                                      side="right") - 1, 0, prob.k)
-        zs = (fwd.states if fwd.costates is None
-              else np.hstack((fwd.states, fwd.costates)))
-        _SWEPT[name] = prob, seg, fwd.times, zs
-    prob, seg, times, zs = _SWEPT[name]
-    return prob, [(times[i], zs[i]) for i in np.flatnonzero(seg == j)]
+    prob = build_problem(name)
+    fwd = forward_sweep(prob, SWEEP_CFGS[name])
+    seg = np.clip(np.searchsorted(fwd.sigma, fwd.times / fwd.T,
+                                  side="right") - 1, 0, prob.k)
+    zs = (fwd.states if fwd.costates is None
+          else np.hstack((fwd.states, fwd.costates)))
+    return prob, [(fwd.times[i], zs[i]) for i in np.flatnonzero(seg == j)]
 
 
 @pytest.mark.parametrize("name, j", [
