@@ -207,9 +207,9 @@ def phase_flow(prob, j):
 
 
 def phase_adjoint(prob, j, h_fd=DEFAULT_FD_STEP):
-    """Phase j's adjoint as A(t, z, lam) -> (F, lam . dF/dz), both from one
-    model evaluation: the closed-loop Jacobian in Case 1, the problem's
-    case2_derivs in Case 2, else central differences of lam . F over z."""
+    """Phase j's adjoint A(t, z, lam) -> (F, lam . dF/dz): the row from the
+    closed-loop Jacobian (Case 1) or case2_derivs (Case 2), sharing F's
+    model evaluation, else a central difference of lam . F over z."""
     n, derivs = prob.n, prob.case2_derivs
     if prob.case == 1:
         f, control = prob.f, phase_law(prob, j)
