@@ -227,6 +227,18 @@ def test_bad_flag_exits_config():
     assert main(["solve", "--nope"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flags", [
+    ["--N", "0"], ["--N", "1"], ["--rho-tv", "nan"], ["--rho-tv", "-1"],
+], ids=" ".join)
+def test_warmstart_bad_mesh_exits_config(tmp_path, flags):
+    # checked before any work: with a NaN weight every backtracking test is
+    # false and the step would halve forever, and N = 0 divides by zero
+    proc = _run_cli(["warmstart", "--problem", "catalyst1", *flags],
+                    tmp_path, 30)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "configuration error" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["--problem", "catalyst1", "--T", "4", "--s0", "0.1,3.7"],
     ["--problem", "jacobson", "--secant", "--bracket", "1.41,1.42"],

@@ -1,14 +1,153 @@
+import dataclasses
 import warnings
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from switchopt import warmstart
 from switchopt.benchmarks import build_problem
 from switchopt.exceptions import NoStructure
 from switchopt.warmstart import (
     DiscreteControlProblem, detect_structure, solve_tv_euler, tv_prox,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference loops: the TV layer as first written, with NumPy scalar indexing
+# in the prox, a rollout per gradient and a two-pass adjoint.  The optimized
+# code must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+def _tv_prox_ref(signal, weight):
+    y = np.asarray(signal, dtype=float)
+    n = y.size
+    if n == 0 or weight == 0:
+        return y.copy()
+    lam = float(weight)
+    x = np.empty(n)
+    k = k0 = km = kp = 0
+    vmin = y[0] - lam
+    vmax = y[0] + lam
+    umin = lam
+    umax = -lam
+    while True:
+        if k == n - 1:
+            if umin < 0:
+                x[k0:km + 1] = vmin
+                k = k0 = km = km + 1
+                vmin = y[k]
+                umin = lam
+                umax = y[k] + lam - vmax
+                continue
+            if umax > 0:
+                x[k0:kp + 1] = vmax
+                k = k0 = kp = kp + 1
+                vmax = y[k]
+                umax = -lam
+                umin = y[k] - lam - vmin
+                continue
+            x[k0:n] = vmin + umin / (k - k0 + 1)
+            return x
+        umin += y[k + 1] - vmin
+        if umin < -lam:
+            x[k0:km + 1] = vmin
+            k = k0 = km = kp = km + 1
+            vmin = y[k]
+            vmax = y[k] + 2 * lam
+            umin = lam
+            umax = -lam
+            continue
+        umax += y[k + 1] - vmax
+        if umax > lam:
+            x[k0:kp + 1] = vmax
+            k = k0 = km = kp = kp + 1
+            vmin = y[k] - 2 * lam
+            vmax = y[k]
+            umin = lam
+            umax = -lam
+            continue
+        k += 1
+        if umin >= lam:
+            km = k
+            vmin += (umin - lam) / (k - k0 + 1)
+            umin = lam
+        if umax <= -lam:
+            kp = k
+            vmax += (umax + lam) / (k - k0 + 1)
+            umax = -lam
+
+
+def _rollout_ref(prob, u, h):
+    N = u.shape[1]
+    xs = np.empty((N + 1, prob.n))
+    xs[0] = prob.x0
+    for j in range(N):
+        xs[j + 1] = xs[j] + h * prob.f(xs[j], u[:, j])
+    return xs
+
+
+def _adjoint_ref(prob, xs, u, h):
+    N = u.shape[1]
+    ps = np.empty((N, prob.n))
+    ps[N - 1] = prob.grad_C(xs[N])
+    for j in range(N - 1, 0, -1):
+        ps[j - 1] = ps[j] @ (np.eye(prob.n) + h * prob.f_x(xs[j], u[:, j]))
+    grad = np.empty_like(u)
+    for j in range(N):
+        grad[:, j] = h * (ps[j] @ prob.f_u(xs[j], u[:, j]))
+    return ps, grad
+
+
+def _solve_tv_euler_ref(prob, N, rho_tv, max_iters=2000):
+    """(u, objective, iterations, p0_estimate) of the reference loop."""
+    T = float(prob.T)
+    h = T / N
+    mids = (np.arange(N) + 0.5) * h
+    lower = np.stack([prob.phases[0].lower(t) for t in mids], axis=1)
+    upper = np.stack([prob.phases[0].upper(t) for t in mids], axis=1)
+    tv = warmstart._tv_value
+
+    u = 0.5 * (lower + upper)
+    xs = _rollout_ref(prob, u, h)
+    _, g = _adjoint_ref(prob, xs, u, h)
+    du = 1e-4 * np.maximum(1.0, np.abs(u))
+    _, g2 = _adjoint_ref(prob, _rollout_ref(prob, u + du, h), u + du, h)
+    L_hat = np.linalg.norm(g2 - g) / np.linalg.norm(du)
+    step = 1.0 / max(L_hat, 1e-12)
+
+    def smooth(uq):
+        return float(prob.C(_rollout_ref(prob, uq, h)[-1]))
+
+    f_s = smooth(u)
+    obj = f_s + tv(u, rho_tv)
+    it = 0
+    for it in range(1, max_iters + 1):
+        xs = _rollout_ref(prob, u, h)
+        _, g = _adjoint_ref(prob, xs, u, h)
+        while True:
+            v = u - step * g
+            u_new = np.empty_like(u)
+            for i in range(u.shape[0]):
+                u_new[i] = _tv_prox_ref(v[i], step * rho_tv)
+            u_new = np.clip(u_new, lower, upper)
+            d = u_new - u
+            f_new = smooth(u_new)
+            if f_new <= f_s + np.sum(g * d) + np.sum(d * d) / (2 * step) \
+                    or np.max(np.abs(d)) < 1e-15:
+                break
+            step *= 0.5
+        obj_new = f_new + tv(u_new, rho_tv)
+        rel = abs(obj - obj_new) / max(1.0, abs(obj))
+        u, f_s = u_new, f_new
+        obj = obj_new
+        step *= 1.2
+        if rel <= 1e-8:
+            break
+    ps, _ = _adjoint_ref(prob, _rollout_ref(prob, u, h), u, h)
+    return u, obj, it, ps[0]
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +227,84 @@ def test_prox_nonexpansive():
         assert np.linalg.norm(da) <= np.linalg.norm(a - b) + 1e-10
 
 
+@settings(max_examples=300, deadline=None)
+@given(y=arrays(np.float64, st.integers(0, 40),
+                elements=st.floats(-1e3, 1e3)),
+       weight=st.floats(0.0, 1e2))
+def test_prox_matches_reference_loop_exactly(y, weight):
+    assert tv_prox(y, weight).tobytes() == _tv_prox_ref(y, weight).tobytes()
+
+
+@pytest.mark.parametrize("signal,weight", [
+    (np.zeros((2, 3)), 0.1),
+    (np.float64(1.0), 0.1),
+    (np.zeros(3), float("nan")),
+    (np.zeros(3), float("inf")),
+    (np.zeros(3), -1.0),
+])
+def test_prox_rejects_bad_arguments(signal, weight):
+    with pytest.raises(ValueError):
+        tv_prox(signal, weight)
+
+
 # ---------------------------------------------------------------------------
 # TV-regularized Euler solve
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,N", [("catalyst1", 100), ("catalyst2", 150)])
+def test_solve_matches_reference_loop_exactly(name, N):
+    prob = build_problem(name)
+    u, obj, it, p0 = _solve_tv_euler_ref(prob, N, 1e-3)
+    dcp = solve_tv_euler(prob, N=N, rho_tv=1e-3)
+    assert dcp.u.tobytes() == u.tobytes()
+    assert dcp.objective == obj
+    assert dcp.iterations == it
+    assert dcp.p0_estimate.tobytes() == p0.tobytes()
+
+
+def test_one_rollout_per_trial(monkeypatch):
+    # two rollouts before the loop (start point and curvature probe), then
+    # one per prox pass, whether the pass is accepted or backtracked
+    calls = {"f": 0, "prox": 0}
+    prob = build_problem("catalyst1")
+    f, prox = prob.f, warmstart.tv_prox
+
+    def counted_f(x, u):
+        calls["f"] += 1
+        return f(x, u)
+
+    def counted_prox(signal, weight):
+        calls["prox"] += 1
+        return prox(signal, weight)
+
+    monkeypatch.setattr(warmstart, "tv_prox", counted_prox)
+    N = 100
+    dcp = solve_tv_euler(dataclasses.replace(prob, f=counted_f), N=N,
+                         rho_tv=1e-3)
+    passes = calls["prox"] // prob.m
+    assert passes > dcp.iterations       # the run includes backtracks
+    assert calls["f"] == N * (2 + passes)
+
+
+@pytest.mark.parametrize("name", ["catalyst1", "catalyst2"])
+def test_adjoint_gradient_matches_central_differences(name):
+    prob = build_problem(name)
+    N = 40
+    h = prob.T / N
+    u = np.random.default_rng(3).uniform(0.0, 1.0, size=(prob.m, N))
+
+    def cost(uq):
+        return prob.C(warmstart._rollout(prob, uq, h)[-1])
+
+    _, grad = warmstart._adjoint(prob, warmstart._rollout(prob, u, h), u, h)
+    eps = 1e-6
+    for j in (0, N // 2, N - 1):
+        for i in range(prob.m):
+            e = np.zeros_like(u)
+            e[i, j] = eps
+            fd = (cost(u + e) - cost(u - e)) / (2 * eps)
+            # gradients are about 2e-3; measured gaps are below 2e-10
+            assert abs(grad[i, j] - fd) <= 1e-9 + 1e-6 * abs(fd), (i, j)
 
 @pytest.fixture(scope="module")
 def catalyst_dcp():
@@ -130,6 +344,17 @@ def test_rho_sweep_tv_monotone():
             dcp = solve_tv_euler(prob, N=100, rho_tv=rho)
             tvs.append(np.sum(np.abs(np.diff(dcp.u, axis=1))))
     assert all(a >= b - 1e-9 for a, b in zip(tvs, tvs[1:]))
+
+
+@pytest.mark.parametrize("N,rho_tv", [
+    (0, 1e-3), (1, 1e-3), (100, float("nan")), (100, float("inf")),
+    (100, -1.0)])
+def test_solve_rejects_bad_arguments_before_work(N, rho_tv):
+    def f(x, u):
+        raise AssertionError("the model ran")
+    prob = dataclasses.replace(build_problem("catalyst1"), f=f)
+    with pytest.raises(ValueError):
+        solve_tv_euler(prob, N=N, rho_tv=rho_tv)
 
 
 def test_max_iters_warns_not_raises():
