@@ -42,7 +42,6 @@ class ReferenceSolution:
     s_star: np.ndarray
     T_star: Optional[float] = None
     C_star: Optional[float] = None
-    u_sing: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +179,16 @@ def build_catalyst(params: CatalystParams = CatalystParams(),
     case2 = params.case == 2
     if case2 and not constant_singular:
         sing_law, sing_grads = _catalyst_singular_feedback(params)
-        singular = ControlPhase(1, "state_costate", sing_law, lo, hi)
+        singular = ControlPhase("state_costate", sing_law, lo, hi)
     else:
-        singular = ControlPhase(1, "constant",
+        singular = ControlPhase("constant",
                                 lambda t, v=u_sing: np.array([v]), lo, hi)
         sing_grads = None
 
     phases = (
-        ControlPhase(0, "constant", lambda t: np.array([1.0]), lo, hi),
+        ControlPhase("constant", lambda t: np.array([1.0]), lo, hi),
         singular,
-        ControlPhase(2, "constant", lambda t: np.array([0.0]), lo, hi),
+        ControlPhase("constant", lambda t: np.array([0.0]), lo, hi),
     )
     case2_derivs = None
     if case2:
@@ -199,8 +198,7 @@ def build_catalyst(params: CatalystParams = CatalystParams(),
     standard = (params.k1, params.k2, params.k3) == (1.0, 10.0, 1.0)
     reference = ReferenceSolution(
         s_star=catalyst_switch_times(params),
-        C_star=_CATALYST_OBJECTIVES.get(params.T) if standard else None,
-        u_sing=u_sing)
+        C_star=_CATALYST_OBJECTIVES.get(params.T) if standard else None)
 
     return ProblemDef(
         name=f"catalyst{params.case}", n=2, m=1,
@@ -243,8 +241,8 @@ def build_jacobson() -> ProblemDef:
     lo = lambda t: np.array([-1.0])
     hi = lambda t: np.array([1.0])
     phases = (
-        ControlPhase(0, "constant", lambda t: np.array([-1.0]), lo, hi),
-        ControlPhase(1, "state", lambda t, x: np.array([x[0]]), lo, hi,
+        ControlPhase("constant", lambda t: np.array([-1.0]), lo, hi),
+        ControlPhase("state", lambda t, x: np.array([x[0]]), lo, hi,
                      law_x=lambda t, x: np.array([[1.0, 0.0, 0.0]])),
     )
     return ProblemDef(
@@ -261,9 +259,6 @@ def build_jacobson() -> ProblemDef:
 
 def build_bressan(T: float = 10.0) -> ProblemDef:
     """Bressan's problem on [0, T]: bang u=-1 then singular u=1/2; s_1 = T/3."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-
     def f(x, u):
         return np.array([u[0], -x[0], x[0] ** 2 - x[1]])
 
@@ -278,8 +273,8 @@ def build_bressan(T: float = 10.0) -> ProblemDef:
     lo = lambda t: np.array([-1.0])
     hi = lambda t: np.array([1.0])
     phases = (
-        ControlPhase(0, "constant", lambda t: np.array([-1.0]), lo, hi),
-        ControlPhase(1, "constant", lambda t: np.array([0.5]), lo, hi),
+        ControlPhase("constant", lambda t: np.array([-1.0]), lo, hi),
+        ControlPhase("constant", lambda t: np.array([0.5]), lo, hi),
     )
     return ProblemDef(
         name="bressan", n=3, m=1, x0=np.zeros(3),
@@ -367,9 +362,9 @@ def build_goddard(params: GoddardParams = GoddardParams(),
     lo = lambda t: np.array([0.0])
     hi = lambda t: np.array([params.u_max])
     phases = (
-        ControlPhase(0, "constant", lambda t: np.array([params.u_max]), lo, hi),
-        ControlPhase(1, "state", u_sing, lo, hi, law_x=u_sing_x),
-        ControlPhase(2, "constant", lambda t: np.array([0.0]), lo, hi),
+        ControlPhase("constant", lambda t: np.array([params.u_max]), lo, hi),
+        ControlPhase("state", u_sing, lo, hi, law_x=u_sing_x),
+        ControlPhase("constant", lambda t: np.array([0.0]), lo, hi),
     )
 
     beta, rho = params.beta_pen, params.rho_pen
@@ -401,6 +396,8 @@ def build_problem(name: str, T: Optional[float] = None) -> ProblemDef:
         return build_catalyst(
             CatalystParams(T=T if T is not None else 1.0, case=2))
     if name == "jacobson":
+        if T not in (None, 5.0):
+            raise ValueError(f"jacobson's horizon is fixed at 5, got T={T}")
         return build_jacobson()
     if name == "bressan":
         return build_bressan(T if T is not None else 10.0)

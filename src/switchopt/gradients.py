@@ -174,16 +174,15 @@ def _worst_margins(prob, fwd):
     return worst
 
 
-def evaluate_gradient(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,
-                      with_d_T=None, fwd=None):
+def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
     """Objective plus exact gradient w.r.t. switch points, p0, and T.
 
     ``fwd`` is the forward record of ``cfg`` when it is already computed;
-    then only the backward sweep runs, and ``sample_count`` is unused.
+    then only the backward sweep runs.
     """
     settings = settings or IntegratorSettings()
     if fwd is None:
-        fwd = forward_sweep(prob, cfg, settings, sample_count)
+        fwd = forward_sweep(prob, cfg, settings)
     bwd = backward_sweep(prob, cfg, fwd, settings)
     T = fwd.T
 

@@ -45,24 +45,21 @@ _ALPHA = 0.7 / 5  # PI controller: proportional exponent
 _BETA = 0.4 / 5   # PI controller: integral exponent
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
+_H_INIT = 1e-3    # first trial step of every segment
+_H_MIN = 1e-14    # below this step size a segment gives up
 
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerances and step bounds for the adaptive integrator."""
+    """Tolerances and step budget for the adaptive integrator."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-8
-    h_init: float = 1e-3
-    h_min: float = 1e-14
-    h_max: float = np.inf
     max_steps: int = 1_000_000
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not (0 < self.h_min <= self.h_max):
-            raise ValueError("need 0 < h_min <= h_max")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -93,11 +90,11 @@ class PiecewiseOde:
 class DenseTrajectory:
     """Forward-sweep output: uniform samples plus segment-boundary states.
 
-    ``step_times``/``step_states``/``step_derivs`` hold the raw accepted-step
-    nodes (with duplicates removed at restarts); the uniform samples are a
-    Hermite re-interpolation of those nodes, intended for reports and plots.
-    ``steps`` counts the step attempts (accepted, rejected and non-finite)
-    charged against ``IntegratorSettings.max_steps``.
+    ``step_times`` holds the times of the accepted-step nodes, segment
+    starts included; the uniform samples are a Hermite re-interpolation of
+    those nodes, intended for reports and plots.  ``steps`` counts the step
+    attempts (accepted, rejected and non-finite) charged against
+    ``IntegratorSettings.max_steps``.
     """
 
     sample_times: np.ndarray
@@ -105,8 +102,6 @@ class DenseTrajectory:
     breakpoint_states: list[np.ndarray]
     steps: int = 0
     step_times: np.ndarray = field(repr=False, default=None)
-    step_states: np.ndarray = field(repr=False, default=None)
-    step_derivs: np.ndarray = field(repr=False, default=None)
 
 
 def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
@@ -114,7 +109,7 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
 
     Returns (y_end, steps_used).  ``nodes`` receives (t, y, rhs(j, t, y))
     triples including the segment start.  Overflow is not warned about: a
-    non-finite stage halves the step, down to ``NonFiniteState`` at h_min.
+    non-finite stage halves the step, down to ``NonFiniteState`` at _H_MIN.
     """
     t, y = t0, np.array(y0, dtype=float)
     k1 = rhs(j, t, y)
@@ -122,7 +117,7 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
         raise NonFiniteState(f"non-finite derivative at t={t}")
     nodes.append((t, y, k1.copy()))
 
-    h = min(settings.h_init, settings.h_max, t1 - t0)
+    h = min(_H_INIT, t1 - t0)
     err_prev = 1.0
     steps = 0
     k = np.empty((7, y.size))
@@ -151,7 +146,7 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
             steps += 1
             if failed:
                 h = 0.5 * h_try
-                if h < settings.h_min:
+                if h < _H_MIN:
                     raise NonFiniteState(f"non-finite state near t={t}")
                 continue
 
@@ -166,11 +161,11 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
                 nodes.append((t, y, k1))
                 fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
                 err_prev = max(err, 1e-10)
-                h = min(h_try * min(_FAC_MAX, max(_FAC_MIN, fac)), settings.h_max)
+                h = h_try * min(_FAC_MAX, max(_FAC_MIN, fac))
             else:
                 fac = max(_FAC_MIN, _SAFETY * err ** (-_ALPHA))
                 h = h_try * min(1.0, fac)
-                if h < settings.h_min:
+                if h < _H_MIN:
                     raise StepUnderflow(
                         f"step size {h:.3e} below h_min at t={t}; "
                         "the problem may be stiff or blowing up"
@@ -200,7 +195,7 @@ def _hermite_resample(nodes, sample_times):
            + h[:, None] * (h10[:, None] * derivs[idx]
                            + h11[:, None] * derivs[idx + 1]))
     out[dup] = states[idx[dup] + 1]
-    return times, states, derivs, out
+    return times, out
 
 
 def _reflect(ode: PiecewiseOde) -> PiecewiseOde:
@@ -245,21 +240,18 @@ def integrate_piecewise(ode, x_start, direction="forward", settings=None,
 
     n_samp = max(2, sample_count) if sample_count else 2
     samp_t = np.linspace(work.segments[0], work.segments[-1], n_samp)
-    times, states, derivs, samp_x = _hermite_resample(nodes, samp_t)
+    times, samp_x = _hermite_resample(nodes, samp_t)
 
     if direction == "backward":
         a, b = ode.segments[0], ode.segments[-1]
         samp_t = ((a + b) - samp_t)[::-1]
         samp_x = samp_x[::-1]
         times = ((a + b) - times)[::-1]
-        states = states[::-1]
-        derivs = -derivs[::-1]
         bp_states = bp_states[::-1]
 
     return DenseTrajectory(
         sample_times=samp_t, sample_states=samp_x,
-        breakpoint_states=bp_states, steps=used,
-        step_times=times, step_states=states, step_derivs=derivs)
+        breakpoint_states=bp_states, steps=used, step_times=times)
 
 
 def integrate_with_quadrature(ode, x_start, integrand, direction="forward",
@@ -287,6 +279,4 @@ def integrate_with_quadrature(ode, x_start, integrand, direction="forward",
 
     traj.sample_states = traj.sample_states[:, :-1]
     traj.breakpoint_states = [s[:-1] for s in traj.breakpoint_states]
-    traj.step_states = traj.step_states[:, :-1]
-    traj.step_derivs = traj.step_derivs[:, :-1]
     return traj, float(quad)

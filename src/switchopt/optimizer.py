@@ -37,6 +37,10 @@ __all__ = [
 # runs into a stiff or singular region then fails fast and is backed off.
 _TRIAL_STEP_FACTOR = 10
 
+_LS_SHRINK = 0.5     # backtracking factor of the line search
+_ARMIJO_C1 = 1e-4    # sufficient-decrease constant of the Armijo test
+_MEMORY = 10         # L-BFGS correction pairs kept
+
 # Failures that make a trial point non-integrable.  Anything else (a bad
 # configuration, say) is a fault and propagates.
 _TRIAL_FAILURES = (StepLimitExceeded, StepUnderflow, NonFiniteState,
@@ -49,18 +53,10 @@ class OptimizeSettings:
 
     stat_tol: float = 1e-8
     max_iters: int = 300
-    ls_shrink: float = 0.5
-    ls_c1: float = 1e-4
-    memory: int = 10
-    eps_gap: Optional[float] = None  # default: the problem's eps_gap
 
     def __post_init__(self):
-        if not (0 < self.ls_shrink < 1):
-            raise ValueError("need 0 < ls_shrink < 1")
-        if not (0 < self.ls_c1 < 0.5):
-            raise ValueError("need 0 < ls_c1 < 1/2")
-        if self.stat_tol <= 0 or self.memory < 1:
-            raise ValueError("stat_tol > 0 and memory >= 1 required")
+        if self.stat_tol <= 0 or self.max_iters < 1:
+            raise ValueError("stat_tol > 0 and max_iters >= 1 required")
 
 
 @dataclass
@@ -152,13 +148,13 @@ class _Vars:
     which dC/dT is derived (the physical switch points scale with T).
     """
 
-    def __init__(self, prob, cfg0, eps_gap):
+    def __init__(self, prob, cfg0):
         self.prob = prob
         self.free_time = prob.free_time
         self.k = prob.k
         self.np0 = prob.n if prob.case == 2 else 0
         self.T0 = float(cfg0.T) if cfg0.T is not None else float(prob.T)
-        self.eps_gap = eps_gap
+        self.eps_gap = prob.eps_gap
 
     def pack(self, cfg):
         T = float(cfg.T) if cfg.T is not None else self.T0
@@ -232,8 +228,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
     """
     settings = settings or OptimizeSettings()
     ode_settings = ode_settings or IntegratorSettings()
-    eps_gap = settings.eps_gap if settings.eps_gap is not None else prob.eps_gap
-    var = _Vars(prob, cfg0, eps_gap)
+    var = _Vars(prob, cfg0)
 
     z = var.project(var.pack(cfg0))
     n_forward = n_backward = 0
@@ -287,13 +282,13 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
             try:
                 fwd_new = objective_at(z_new, budget)
                 if fwd_new.objective \
-                        <= fwd.objective + settings.ls_c1 * min(pred, 0.0):
+                        <= fwd.objective + _ARMIJO_C1 * min(pred, 0.0):
                     bundle_new = gradient_at(z_new, fwd_new)
                     accepted = True
                     break
             except _TRIAL_FAILURES:
                 pass  # trial point not integrable; back off
-            alpha *= settings.ls_shrink
+            alpha *= _LS_SHRINK
         if not accepted:
             if pairs:
                 pairs.clear()
@@ -313,7 +308,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
         sy = sk @ yk
         if sy > 1e-12 * np.linalg.norm(sk) * np.linalg.norm(yk):
             pairs.append((sk, yk, 1.0 / sy))
-            if len(pairs) > settings.memory:
+            if len(pairs) > _MEMORY:
                 pairs.pop(0)
             gamma = sy / (yk @ (yk * base))
         z, g, fwd, bundle = z_new, g_new, fwd_new, bundle_new

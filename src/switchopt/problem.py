@@ -11,6 +11,7 @@ row lam . dF/dz of that flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,7 +42,6 @@ class ControlPhase:
     is used wherever the Jacobian of the closed-loop dynamics is needed.
     """
 
-    index: int
     law_kind: str
     law: Callable
     lower: Callable[[float], np.ndarray]
@@ -73,19 +73,25 @@ class ProblemDef:
     # (j, t, x, p, y1, y2) -> (gx, gp), the row (y1, y2) . dF/d(x, p)
     case2_derivs: Optional[Callable] = None
     reference: object = None
-    eps_gap: float = None
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         if self.case not in (1, 2):
             raise ValueError("case must be 1 or 2")
-        if self.eps_gap is None:
-            object.__setattr__(self, "eps_gap", 1e-6 * self.T)
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"{self.name}: horizon T must be finite and "
+                             f"> 0, got {self.T}")
 
     @property
     def k(self) -> int:
         """Number of switch points."""
         return len(self.phases) - 1
+
+    @property
+    def eps_gap(self) -> float:
+        """Smallest spacing of 0, s_1, ..., s_k, T that validate_config
+        accepts."""
+        return 1e-6 * self.T
 
 
 @dataclass

@@ -69,7 +69,6 @@ class StructureEstimate:
     switch_times: np.ndarray
     phase_kinds: tuple              # entries: bang-low | bang-high | singular
     p0_estimate: np.ndarray
-    u_profile: np.ndarray           # (m, N) converged control
 
     def __post_init__(self):
         s = np.asarray(self.switch_times, dtype=float)
@@ -263,26 +262,29 @@ def solve_tv_euler(prob, N=100, rho_tv=1e-3, max_iters=2000):
 # structure detection
 # ---------------------------------------------------------------------------
 
-def detect_structure(dcp, jump_tol=None, bound_tol=None, k_max=6):
+# Fractions of each control channel's range: the smallest change across one
+# mesh edge that counts as a jump, and the largest distance of a segment
+# mean from a bound that still counts as bang.  More than _K_MAX jumps means
+# the control oscillates rather than switches.
+_JUMP_TOL = 0.1
+_BOUND_TOL = 0.05
+_K_MAX = 6
+
+
+def detect_structure(dcp):
     """Scan a converged discrete control for jumps and classify segments.
 
     A mesh edge is a jump candidate when the control changes by more than
-    jump_tol in some channel; consecutive candidates merge into one switch
-    at their jump-weighted mean edge time.  Segments are bang-low/bang-high
-    when the segment-mean control sits within bound_tol of a bound, else
-    singular.  Raises NoStructure when nothing is detected or the count
-    exceeds k_max.
+    _JUMP_TOL of its range in some channel; consecutive candidates merge
+    into one switch at their jump-weighted mean edge time.  Segments are
+    bang-low/bang-high when the segment-mean control sits within _BOUND_TOL
+    of the range from a bound, else singular.  Raises NoStructure when
+    nothing is detected or the count exceeds _K_MAX.
     """
     u, h, N = dcp.u, dcp.h, dcp.N
     rng_ch = np.max(dcp.upper - dcp.lower, axis=1)
-    if jump_tol is None:
-        jump_tol = 0.1 * rng_ch
-    else:
-        jump_tol = np.broadcast_to(np.asarray(jump_tol, float), rng_ch.shape)
-    if bound_tol is None:
-        bound_tol = 0.05 * rng_ch
-    else:
-        bound_tol = np.broadcast_to(np.asarray(bound_tol, float), rng_ch.shape)
+    jump_tol = _JUMP_TOL * rng_ch
+    bound_tol = _BOUND_TOL * rng_ch
 
     diffs = np.abs(np.diff(u, axis=1))                     # (m, N-1)
     hit = np.any(diffs > jump_tol[:, None], axis=0)        # (N-1,)
@@ -305,9 +307,9 @@ def detect_structure(dcp, jump_tol=None, bound_tol=None, k_max=6):
     if not switches:
         raise NoStructure(
             f"no jumps above tolerance in the {N}-interval control")
-    if len(switches) > k_max:
+    if len(switches) > _K_MAX:
         raise NoStructure(
-            f"{len(switches)} jumps detected, more than k_max={k_max}; "
+            f"{len(switches)} jumps detected, more than {_K_MAX}; "
             "the control is likely oscillatory (try a larger rho_tv)")
 
     # classify segments between detected switches
@@ -330,5 +332,4 @@ def detect_structure(dcp, jump_tol=None, bound_tol=None, k_max=6):
     return StructureEstimate(
         switch_times=np.array(switches),
         phase_kinds=tuple(kinds),
-        p0_estimate=dcp.p0_estimate.copy(),
-        u_profile=dcp.u.copy())
+        p0_estimate=dcp.p0_estimate.copy())

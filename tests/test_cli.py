@@ -101,6 +101,26 @@ def test_solve_misordered_exits_3(tmp_path, capsys):
     assert "ordering" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("T", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["warmstart", "--problem", "catalyst1"],
+    ["solve", "--problem", "goddard", "--s0", "13,21"],
+], ids=lambda c: c[0])
+def test_bad_horizon_exits_3(tmp_path, capsys, command, T):
+    code = main([*command, "--T", T, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T, expected", [("7", EXIT_CONFIG), ("5", EXIT_OK)])
+def test_jacobson_horizon_is_fixed(tmp_path, capsys, T, expected):
+    code = main(["solve", "--problem", "jacobson", "--T", T, "--secant",
+                 "--bracket", "1.41,1.42", "--out", str(tmp_path)])
+    assert code == expected
+    assert ("configuration error" in capsys.readouterr().err) \
+        == (expected == EXIT_CONFIG)
+
+
 def test_solve_unknown_problem_exits_3(tmp_path):
     code = main(["solve", "--problem", "nosuch", "--s0", "0.5",
                  "--out", str(tmp_path)])

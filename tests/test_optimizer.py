@@ -125,8 +125,9 @@ _COORD = st.floats(-1e3, 1e3)
 @given(name=st.sampled_from(["catalyst1", "catalyst2", "jacobson"]),
        T=st.floats(1e-4, 1e3), data=st.data())
 def test_fixed_time_projection_passes_validate_config(name, T, data):
-    prob = build_problem(name, T=T)
-    var = _Vars(prob, SwitchConfig(s=np.zeros(prob.k)), prob.eps_gap)
+    # jacobson's horizon is fixed
+    prob = build_problem(name, T=None if name == "jacobson" else T)
+    var = _Vars(prob, SwitchConfig(s=np.zeros(prob.k)))
     z = np.array(data.draw(st.lists(_COORD, min_size=prob.k + var.np0,
                                     max_size=prob.k + var.np0)))
     validate_config(prob, var.unpack(var.project(z)))
@@ -139,7 +140,7 @@ def test_free_time_projection_passes_validate_config(T0, T, sigma):
     # eps_gap is fixed by the problem's horizon; the projection must keep
     # it for every horizon it projects to, not only the starting one
     prob = build_problem("goddard")
-    var = _Vars(prob, SwitchConfig(s=np.zeros(2), T=T0), prob.eps_gap)
+    var = _Vars(prob, SwitchConfig(s=np.zeros(2), T=T0))
     cfg = var.unpack(var.project(np.array([*sigma, T])))
     validate_config(prob, cfg)
 
@@ -147,8 +148,7 @@ def test_free_time_projection_passes_validate_config(T0, T, sigma):
 def test_free_time_projection_below_start_horizon():
     # T = 30 < T0 = 42 used to leave a physical gap of eps_gap * 30/42
     prob = build_problem("goddard")
-    var = _Vars(prob, SwitchConfig(s=np.array([13.0, 21.0]), T=42.0),
-                prob.eps_gap)
+    var = _Vars(prob, SwitchConfig(s=np.array([13.0, 21.0]), T=42.0))
     validate_config(prob, var.unpack(var.project(np.array([0.5, 0.5, 30.0]))))
 
 
@@ -366,6 +366,6 @@ def test_profile_single_point():
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        OptimizeSettings(ls_shrink=1.5)
+        OptimizeSettings(max_iters=0)
     with pytest.raises(ValueError):
         OptimizeSettings(stat_tol=0.0)

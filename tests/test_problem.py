@@ -101,7 +101,7 @@ def test_fd_jacobian_halving_quadratic():
 
     from switchopt.problem import ControlPhase
     ph = list(prob.phases)
-    ph[1] = ControlPhase(1, "state", ph[1].law, ph[1].lower, ph[1].upper)
+    ph[1] = ControlPhase("state", ph[1].law, ph[1].lower, ph[1].upper)
     stripped = dataclasses.replace(prob, phases=tuple(ph))
 
     errs = []

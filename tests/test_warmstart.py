@@ -427,7 +427,19 @@ def test_detect_too_many_jumps():
     vals = [1.0, 0.0] * 5
     dcp = _synthetic_dcp(vals, edges=list(range(5, 50, 5)))
     with pytest.raises(NoStructure):
-        detect_structure(dcp, k_max=4)
+        detect_structure(dcp)
+
+
+@pytest.mark.parametrize("jumps", [6, 7])
+def test_detect_jump_count_limit(jumps):
+    # up to 6 jumps are a structure; 7 are an oscillation
+    vals = [1.0, 0.0] * 4
+    dcp = _synthetic_dcp(vals[:jumps + 1], edges=list(range(5, 5 * jumps + 1, 5)))
+    if jumps <= 6:
+        assert detect_structure(dcp).switch_times.size == jumps
+    else:
+        with pytest.raises(NoStructure, match="7 jumps"):
+            detect_structure(dcp)
 
 
 def test_structure_estimate_validation():
@@ -435,4 +447,4 @@ def test_structure_estimate_validation():
     with pytest.raises(ValueError):
         StructureEstimate(switch_times=np.array([0.5, 0.4]),
                           phase_kinds=("bang-high", "singular", "bang-low"),
-                          p0_estimate=np.zeros(2), u_profile=np.zeros((1, 4)))
+                          p0_estimate=np.zeros(2))
