@@ -101,15 +101,16 @@ def cmd_solve(args):
         lo, hi = _parse_list(args.bracket)
         s_root, iters = secant_switch(prob, (lo, hi), opt, ode)
         cfg = SwitchConfig(s=np.array([s_root]))
-        fwd = forward_sweep(prob, cfg, ode)
-        bundle = evaluate_gradient(prob, cfg, ode, fwd=fwd)
+        bundle = evaluate_gradient(prob, cfg, ode)
+        stationarity = float(abs(bundle.d_s[0]))
         report = SolveReport(
             final_cfg=cfg, objective=bundle.objective, iterations=iters,
-            objective_evals=iters, gradient_evals=iters, converged=True,
-            stationarity=float(abs(bundle.d_s[0])),
+            objective_evals=iters, gradient_evals=iters,
+            converged=stationarity <= opt.stat_tol,
+            stationarity=stationarity,
             worst_margin=float(np.min(bundle.feasibility_margins)),
             reference_errors=reference_errors(prob, cfg, bundle.objective),
-            message="secant", final_fwd=fwd)
+            message="secant", final_bundle=bundle)
     else:
         if args.warmstart:
             dcp = solve_tv_euler(prob, N=args.N, rho_tv=args.rho_tv)
@@ -130,7 +131,7 @@ def cmd_solve(args):
         fh.write("\n")
 
     times, xs, us, ps = dense_trajectory(prob, report.final_cfg, ode,
-                                         fwd=report.final_fwd)
+                                         bundle=report.final_bundle)
     header = (["t"] + [f"x{i + 1}" for i in range(prob.n)]
               + [f"u{i + 1}" for i in range(prob.m)]
               + [f"p{i + 1}" for i in range(prob.n)])
@@ -182,24 +183,19 @@ def cmd_gradcheck(args):
     cfg = _initial_config(prob, args)
     bundle = evaluate_gradient(prob, cfg, ode, with_d_T=prob.free_time)
 
-    rows = []
-
-    def fd_objective(cq):
-        return forward_sweep(prob, cq, ode, sample_count=2).objective
-
-    for j in range(prob.k):
-        hi, lo = cfg.copy(), cfg.copy()
-        hi.s = cfg.s.copy(); hi.s[j] += _FD_DELTA
-        lo.s = cfg.s.copy(); lo.s[j] -= _FD_DELTA
-        fd = (fd_objective(hi) - fd_objective(lo)) / (2 * _FD_DELTA)
-        rows.append((f"d_s{j + 1}", bundle.d_s[j], fd))
+    # (bundle field, configuration field, index) per central difference
+    comps = [("d_s", "s", j) for j in range(prob.k)]
     if prob.case == 2:
-        for i in range(prob.n):
-            hi, lo = cfg.copy(), cfg.copy()
-            hi.p0 = cfg.p0.copy(); hi.p0[i] += _FD_DELTA
-            lo.p0 = cfg.p0.copy(); lo.p0[i] -= _FD_DELTA
-            fd = (fd_objective(hi) - fd_objective(lo)) / (2 * _FD_DELTA)
-            rows.append((f"d_p0{i + 1}", bundle.d_p0[i], fd))
+        comps += [("d_p0", "p0", i) for i in range(prob.n)]
+    rows = []
+    for label, name, i in comps:
+        sweeps = []
+        for delta in (_FD_DELTA, -_FD_DELTA):
+            cq = cfg.copy()
+            getattr(cq, name)[i] += delta
+            sweeps.append(forward_sweep(prob, cq, ode, sample_count=2))
+        fd = (sweeps[0].objective - sweeps[1].objective) / (2 * _FD_DELTA)
+        rows.append((f"{label}{i + 1}", getattr(bundle, label)[i], fd))
     if prob.free_time:
         analytic, fd = free_time_gradient_check(prob, cfg, ode)
         rows.append(("d_T", analytic, fd))

@@ -18,12 +18,12 @@ produces every derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .odeint import IntegratorSettings, PiecewiseOde, integrate_piecewise, \
+from .odeint import PiecewiseOde, integrate_piecewise, \
     integrate_with_quadrature  # noqa: F401 (patched here by perfbench)
 from .problem import phase_adjoint, phase_feasibility, phase_flow, \
     phase_law, validate_config
@@ -46,6 +46,7 @@ class TrajectoryRecord:
     """Forward-sweep output: dense samples plus switch-point checkpoints."""
 
     times: np.ndarray                 # physical time at dense samples
+    phase: np.ndarray                 # phase index of each dense sample
     states: np.ndarray                # (n_samples, n)
     costates: Optional[np.ndarray]    # (n_samples, n), Case 2 only
     checkpoint_states: np.ndarray     # (k+2, n) at 0, s_1..s_k, T
@@ -58,9 +59,10 @@ class TrajectoryRecord:
 
 @dataclass
 class BackwardRecord:
-    """Backward-sweep output: adjoint checkpoints and the lam . F quadrature."""
+    """Backward-sweep output: adjoint checkpoints, samples and quadrature."""
 
     costates: list                    # adjoint lam of z at 0, s_1..s_k, T
+    samples: np.ndarray               # lam at the forward dense samples
     hamiltonian_integral: float       # integral of lam . F over tau in [0, 1]
 
 
@@ -74,6 +76,9 @@ class GradientBundle:
     d_T: Optional[float]
     feasibility_margins: np.ndarray   # worst margin per phase
     hamiltonian_jumps: list           # (left, right) Hamiltonian pairs per s_j
+    # the sweeps the bundle comes from, for reuse; not part of any output
+    fwd: Optional[TrajectoryRecord] = field(default=None, repr=False)
+    bwd: Optional[BackwardRecord] = field(default=None, repr=False)
 
 
 def _horizon(prob, cfg):
@@ -92,7 +97,6 @@ def _resolved(make, prob):
 
 def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
     """Integrate the sweep state z forward and evaluate the objective."""
-    settings = settings or IntegratorSettings()
     validate_config(prob, cfg)
     sigma, T = _tau_breakpoints(prob, cfg)
     n, flows = prob.n, _resolved(phase_flow, prob)
@@ -102,10 +106,15 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
         return T * flows[j](tau * T, z)
 
     ode = PiecewiseOde(dim=z0.size, segments=sigma, rhs=rhs)
-    traj = integrate_piecewise(ode, z0, "forward", settings, sample_count)
+    traj = integrate_piecewise(ode, z0, "forward", settings,
+                               np.linspace(0.0, 1.0, max(2, sample_count)))
     ckpt = np.array(traj.breakpoint_states)
+    times = traj.sample_times * T
+    # a sample at a switch point belongs to the phase that starts there
+    phase = np.searchsorted(sigma, times / T, side="right") - 1
     return TrajectoryRecord(
-        times=traj.sample_times * T,
+        times=times,
+        phase=np.clip(phase, 0, prob.k),
         states=traj.sample_states[:, :n],
         costates=traj.sample_states[:, n:] if z0.size > n else None,
         checkpoint_states=ckpt[:, :n],
@@ -116,58 +125,60 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
         steps=traj.steps)
 
 
-def _adjoint_rhs(T, adjoints, d, quadrature):
-    """RHS of (z, lam) on tau, segment j running adjoints[j], z of size d;
-    with ``quadrature``, plus lam . F from the same model values."""
+def _adjoint_rhs(T, adjoint, d):
+    """RHS of (z, lam, lam . F) on tau for one phase's ``adjoint``, z of
+    size d; the quadrature reuses the model values of the adjoint."""
     def rhs(j, tau, w):
         lam = w[d:2 * d]
-        F, lam_F_z = adjoints[j](tau * T, w[:d], lam)
+        F, lam_F_z = adjoint(tau * T, w[:d], lam)
         dw = T * np.concatenate((F, -lam_F_z))
-        return np.concatenate((dw, (lam @ F,))) if quadrature else dw
+        return np.concatenate((dw, (lam @ F,)))
     return rhs
 
 
-def backward_sweep(prob, cfg, fwd, settings=None):
+def backward_sweep(prob, fwd, settings=None):
     """Integrate the adjoint lam of z backward with checkpoint resets.
 
     z is re-integrated jointly and reset to the forward checkpoint at each
     switch point, which bounds backward drift per phase.  The lam . F
     quadrature used for the terminal-time derivative rides along as a last
-    state component that starts at 0 at the end of each phase.
+    state component that starts at 0 at the end of each phase.  lam is
+    also resampled at the forward record's dense samples of each phase.
     """
-    settings = settings or IntegratorSettings()
     sigma, T, k = fwd.sigma, fwd.T, prob.k
     d = fwd.checkpoints.shape[1]
     lam = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
                           np.zeros(d - prob.n)))
     adjoints = _resolved(phase_adjoint, prob)
+    tau = fwd.times / T
+    samples = np.empty((tau.size, d))
 
     costates = [None] * (k + 2)
     costates[k + 1] = lam
     quad = 0.0
     for j in range(k, -1, -1):
         w_end = np.concatenate((fwd.checkpoints[j + 1], lam, [0.0]))
-        # the one-segment ODE below calls its segment 0
-        rhs = _adjoint_rhs(T, adjoints[j:j + 1], d, True)
-        ode = PiecewiseOde(dim=w_end.size, segments=sigma[j:j + 2], rhs=rhs)
-        w0 = integrate_piecewise(ode, w_end, "backward",
-                                 settings).breakpoint_states[0]
+        ode = PiecewiseOde(dim=w_end.size, segments=sigma[j:j + 2],
+                           rhs=_adjoint_rhs(T, adjoints[j], d))
+        here = fwd.phase == j
+        back = integrate_piecewise(ode, w_end, "backward", settings,
+                                   tau[here])
+        samples[here] = back.sample_states[:, d:-1]
+        w0 = back.breakpoint_states[0]
         # backward integration reflects time, so the component holds minus
         # the integral of lam . F over the phase
         quad -= float(w0[-1])
         lam = costates[j] = w0[d:-1]
-    return BackwardRecord(costates=costates, hamiltonian_integral=quad)
+    return BackwardRecord(costates=costates, samples=samples,
+                          hamiltonian_integral=quad)
 
 
 def _worst_margins(prob, fwd):
     """Worst feasibility margin of each phase along the dense samples."""
-    tau = fwd.times / fwd.T
-    seg = np.clip(np.searchsorted(fwd.sigma, tau, side="right") - 1,
-                  0, prob.k)
     worst = np.full(prob.k + 1, np.inf)
     margins = _resolved(phase_feasibility, prob)
     for i, t in enumerate(fwd.times):
-        j = seg[i]
+        j = fwd.phase[i]
         p = fwd.costates[i] if fwd.costates is not None else None
         mrg = margins[j](t, fwd.states[i], p)
         worst[j] = min(worst[j], float(np.min(mrg)))
@@ -180,10 +191,9 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
     ``fwd`` is the forward record of ``cfg`` when it is already computed;
     then only the backward sweep runs.
     """
-    settings = settings or IntegratorSettings()
     if fwd is None:
         fwd = forward_sweep(prob, cfg, settings)
-    bwd = backward_sweep(prob, cfg, fwd, settings)
+    bwd = backward_sweep(prob, fwd, settings)
     T = fwd.T
 
     jumps = []
@@ -205,7 +215,8 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
         d_p0=lam0[prob.n:].copy() if lam0.size > prob.n else None,
         d_T=bwd.hamiltonian_integral if with_d_T else None,
         feasibility_margins=_worst_margins(prob, fwd),
-        hamiltonian_jumps=jumps)
+        hamiltonian_jumps=jumps,
+        fwd=fwd, bwd=bwd)
 
 
 def free_time_gradient_check(prob, cfg, settings=None, delta=None):
@@ -215,7 +226,6 @@ def free_time_gradient_check(prob, cfg, settings=None, delta=None):
     points fixed (physical switch points scale with T), matching the
     unit-interval reformulation in which dC/dT is derived.
     """
-    settings = settings or IntegratorSettings()
     T = _horizon(prob, cfg)
     delta = delta if delta is not None else 1e-6 * max(1.0, abs(T))
     bundle = evaluate_gradient(prob, cfg, settings, with_d_T=True)
@@ -231,34 +241,24 @@ def free_time_gradient_check(prob, cfg, settings=None, delta=None):
 
 
 def dense_trajectory(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,
-                     fwd=None):
+                     bundle=None):
     """Aligned dense samples of (t, x, u, p) for reporting.
 
-    For Case 2 the forward pass already carries the costate p.  For Case 1
-    the costate is the adjoint of z = x, from a joint backward integration
-    of (x, p) over all phases; states are taken from the forward pass,
-    which is the accurate direction for them.  ``fwd`` is the forward
-    record of ``cfg`` when it is already computed; then ``sample_count``
-    is unused.
+    In Case 2 the forward sweep carries the costate p.  In Case 1 p is the
+    adjoint lam of z = x, sampled by the backward sweep whose Hamiltonian
+    jumps give the gradient.  ``bundle`` is the gradient of ``cfg`` when
+    it is already computed; then no sweep runs and ``sample_count`` is
+    unused.
     """
-    settings = settings or IntegratorSettings()
-    if fwd is None:
+    if bundle is not None:
+        fwd, bwd = bundle.fwd, bundle.bwd
+    else:
         fwd = forward_sweep(prob, cfg, settings, sample_count)
-    n, T, sigma = prob.n, fwd.T, fwd.sigma
-    costates = fwd.costates
-    if costates is None:
-        rhs = _adjoint_rhs(T, _resolved(phase_adjoint, prob), n, False)
-        ode = PiecewiseOde(dim=2 * n, segments=sigma, rhs=rhs)
-        x_end = fwd.checkpoint_states[-1]
-        w_end = np.concatenate((x_end, prob.grad_C(x_end)))
-        back = integrate_piecewise(ode, w_end, "backward", settings,
-                                   fwd.times.size)
-        costates = back.sample_states[:, n:]
-
-    tau = fwd.times / T
-    seg = np.clip(np.searchsorted(sigma, tau, side="right") - 1, 0, prob.k)
+        bwd = None if fwd.costates is not None \
+            else backward_sweep(prob, fwd, settings)
+    costates = bwd.samples if fwd.costates is None else fwd.costates
     laws = _resolved(phase_law, prob)
     controls = np.empty((fwd.times.size, prob.m))
     for i, t in enumerate(fwd.times):
-        controls[i] = laws[seg[i]](t, fwd.states[i], costates[i])
+        controls[i] = laws[fwd.phase[i]](t, fwd.states[i], costates[i])
     return fwd.times, fwd.states, controls, costates

@@ -88,13 +88,13 @@ class PiecewiseOde:
 
 @dataclass
 class DenseTrajectory:
-    """Forward-sweep output: uniform samples plus segment-boundary states.
+    """Integration output: samples plus segment-boundary states.
 
     ``step_times`` holds the times of the accepted-step nodes, segment
-    starts included; the uniform samples are a Hermite re-interpolation of
-    those nodes, intended for reports and plots.  ``steps`` counts the step
-    attempts (accepted, rejected and non-finite) charged against
-    ``IntegratorSettings.max_steps``.
+    starts included; the samples are a Hermite re-interpolation of those
+    nodes at the requested times, intended for reports and plots.
+    ``steps`` counts the step attempts (accepted, rejected and non-finite)
+    charged against ``IntegratorSettings.max_steps``.
     """
 
     sample_times: np.ndarray
@@ -210,13 +210,14 @@ def _reflect(ode: PiecewiseOde) -> PiecewiseOde:
 
 
 def integrate_piecewise(ode, x_start, direction="forward", settings=None,
-                        sample_count=0):
+                        sample_times=None):
     """Integrate a piecewise ODE across all segments with hard restarts.
 
     ``direction`` is "forward" (from segments[0]) or "backward" (from
     segments[-1], realized by time reflection).  The returned trajectory is
-    always expressed in original time with increasing sample_times;
-    breakpoint_states[i] is the state at ode.segments[i].
+    always expressed in original time: the states are resampled at
+    ``sample_times`` (default: the two ends of the interval), in the order
+    given, and breakpoint_states[i] is the state at ode.segments[i].
     """
     settings = settings or IntegratorSettings()
     x_start = np.asarray(x_start, dtype=float)
@@ -238,14 +239,13 @@ def integrate_piecewise(ode, x_start, direction="forward", settings=None,
         used += steps
         bp_states.append(y.copy())
 
-    n_samp = max(2, sample_count) if sample_count else 2
-    samp_t = np.linspace(work.segments[0], work.segments[-1], n_samp)
-    times, samp_x = _hermite_resample(nodes, samp_t)
-
-    if direction == "backward":
-        a, b = ode.segments[0], ode.segments[-1]
-        samp_t = ((a + b) - samp_t)[::-1]
-        samp_x = samp_x[::-1]
+    a, b = ode.segments[0], ode.segments[-1]
+    samp_t = np.asarray([a, b] if sample_times is None else sample_times,
+                        dtype=float)
+    backward = direction == "backward"
+    times, samp_x = _hermite_resample(
+        nodes, (a + b) - samp_t if backward else samp_t)
+    if backward:
         times = ((a + b) - times)[::-1]
         bp_states = bp_states[::-1]
 
@@ -255,7 +255,7 @@ def integrate_piecewise(ode, x_start, direction="forward", settings=None,
 
 
 def integrate_with_quadrature(ode, x_start, integrand, direction="forward",
-                              settings=None, sample_count=0):
+                              settings=None, sample_times=None):
     """Integrate the ODE while accumulating a scalar quadrature state.
 
     Returns (trajectory, value) where value = integral of integrand(j, t, x)
@@ -269,7 +269,7 @@ def integrate_with_quadrature(ode, x_start, integrand, direction="forward",
 
     aug = PiecewiseOde(dim=ode.dim + 1, segments=ode.segments, rhs=rhs)
     z0 = np.append(np.asarray(x_start, dtype=float), 0.0)
-    traj = integrate_piecewise(aug, z0, direction, settings, sample_count)
+    traj = integrate_piecewise(aug, z0, direction, settings, sample_times)
 
     if direction == "backward":
         # reflection negates the quadrature rate; start value sits at t = b

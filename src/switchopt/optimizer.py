@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import InfeasiblePolytope, LineSearchFailure, \
     MaxItersExceeded, NonFiniteDerivative, NonFiniteState, SecantDivergence, \
     StepLimitExceeded, StepUnderflow
-from .gradients import TrajectoryRecord, evaluate_gradient, forward_sweep
+from .gradients import GradientBundle, evaluate_gradient, forward_sweep
 from .odeint import IntegratorSettings
 from .problem import SwitchConfig
 
@@ -73,8 +73,8 @@ class SolveReport:
     worst_margin: float
     reference_errors: Optional[dict] = None
     message: str = ""
-    # forward record of final_cfg, for reuse; not part of to_dict
-    final_fwd: Optional[TrajectoryRecord] = field(default=None, repr=False)
+    # gradient of final_cfg and its sweeps, for reuse; not part of to_dict
+    final_bundle: Optional[GradientBundle] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         cfg = self.final_cfg
@@ -329,7 +329,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
         stationarity=pg,
         worst_margin=float(np.min(bundle.feasibility_margins)),
         reference_errors=reference_errors(prob, cfg, fwd.objective),
-        message=message, final_fwd=fwd)
+        message=message, final_bundle=bundle)
 
 
 def reference_errors(prob, cfg, objective) -> Optional[dict]:
@@ -355,14 +355,14 @@ def secant_switch(prob, bracket, settings=None, ode_settings=None):
     """Secant iteration on s -> dC/ds_1 for a single-switch problem.
 
     Terminates when |dC/ds_1| <= stat_tol or the update falls below
-    1e-14 * T.  Raises SecantDivergence if an iterate leaves (0, T), the
-    budget runs out, or the found stationary point has negative derivative
-    slope (a local maximum of the objective, not a minimum).
+    1e-14 * T.  Raises ValueError if the bracket's ends are that close
+    already, and SecantDivergence if an iterate leaves (0, T), the budget
+    runs out, or the found stationary point has negative derivative slope
+    (a local maximum of the objective, not a minimum).
     """
     if prob.k != 1:
         raise ValueError("secant_switch requires a single-switch problem")
     settings = settings or OptimizeSettings()
-    ode_settings = ode_settings or IntegratorSettings()
     T = float(prob.T)
 
     def g(s):
@@ -370,6 +370,9 @@ def secant_switch(prob, bracket, settings=None, ode_settings=None):
         return evaluate_gradient(prob, cfg, ode_settings).d_s[0]
 
     s_prev, s_cur = float(bracket[0]), float(bracket[1])
+    if abs(s_cur - s_prev) <= 1e-14 * T:
+        raise ValueError(f"secant bracket ends {s_prev!r}, {s_cur!r} are "
+                         "not more than 1e-14 * T apart")
     g_prev, g_cur = g(s_prev), g(s_cur)
     for it in range(2, settings.max_iters + 2):
         if abs(g_cur) <= settings.stat_tol or abs(s_cur - s_prev) <= 1e-14 * T:
@@ -394,11 +397,10 @@ def secant_switch(prob, bracket, settings=None, ode_settings=None):
         f"{prob.name}: no convergence in {settings.max_iters} iterations")
 
 
-def derivative_profile(prob, s_grid, settings=None, ode_settings=None):
+def derivative_profile(prob, s_grid, ode_settings=None):
     """Table of (s, dC/ds_1) over a grid, for single-switch problems."""
     if prob.k != 1:
         raise ValueError("derivative_profile requires a single-switch problem")
-    ode_settings = ode_settings or IntegratorSettings()
     rows = np.empty((len(s_grid), 2))
     for i, s in enumerate(s_grid):
         cfg = SwitchConfig(s=np.array([float(s)]))

@@ -94,6 +94,18 @@ def test_solve_secant_bressan(tmp_path):
     assert abs(report["s"][0] - 10.0 / 3.0) <= 1e-10
 
 
+def test_solve_secant_converged_reads_stationarity(tmp_path):
+    # no |dC/ds1| reaches 1e-30: the secant stops on its step size instead,
+    # and the report must not call that converged
+    code = main(["solve", "--problem", "bressan", "--secant",
+                 "--bracket", "3,4", "--opt-tol", "1e-30",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert abs(report["s"][0] - 10.0 / 3.0) <= 1e-10
+    assert report["stationarity"] > 1e-30 and not report["converged"]
+
+
 def test_solve_misordered_exits_3(tmp_path, capsys):
     code = main(["solve", "--problem", "catalyst1", "--T", "1",
                  "--s0", "0.7,0.1", "--out", str(tmp_path)])
@@ -264,17 +276,17 @@ def test_warmstart_bad_mesh_exits_config(tmp_path, flags):
     ["--problem", "jacobson", "--secant", "--bracket", "1.41,1.42"],
 ])
 def test_solve_writes_trajectory_of_final_sweep(tmp_path, monkeypatch, argv):
-    # the CLI hands the solver's final forward record to dense_trajectory,
-    # so the trajectory costs no forward sweep of its own
+    # the CLI hands the solver's final gradient bundle to dense_trajectory,
+    # so the trajectory costs no sweep of its own
     from switchopt import cli, gradients
     from switchopt.problem import SwitchConfig
     calls = []
     dense = gradients.dense_trajectory
 
     def recording(prob, cfg, settings=None,
-                  sample_count=gradients.DEFAULT_SAMPLES, fwd=None):
-        calls.append(fwd)
-        return dense(prob, cfg, settings, sample_count, fwd)
+                  sample_count=gradients.DEFAULT_SAMPLES, bundle=None):
+        calls.append(bundle)
+        return dense(prob, cfg, settings, sample_count, bundle)
 
     monkeypatch.setattr(cli, "dense_trajectory", recording)
     assert main(["solve", *argv, "--out", str(tmp_path)]) == EXIT_OK
@@ -286,3 +298,44 @@ def test_solve_writes_trajectory_of_final_sweep(tmp_path, monkeypatch, argv):
     times, xs, us, ps = dense(prob, cfg, IntegratorSettings())
     _, rows = _read_csv(tmp_path / "trajectory.csv")
     assert np.array_equal(rows, np.column_stack([times, xs, us, ps]))
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["--problem", "catalyst1", "--T", "4", "--s0", "0.1,3.7"], "minimize"),
+    (["--problem", "jacobson", "--secant", "--bracket", "1.41,1.42"],
+     "evaluate_gradient"),
+], ids=["minimize", "secant"])
+def test_solve_integrates_nothing_after_last_gradient(tmp_path, monkeypatch,
+                                                      argv, last):
+    # once the solver (or, after a secant solve, the one evaluation of its
+    # root) has returned, the report and trajectory.csv come from its bundle
+    from switchopt import cli, gradients
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrated after the last gradient")
+
+    def then_forbid(fn):
+        def run(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            for name in ("integrate_piecewise", "forward_sweep",
+                         "backward_sweep"):
+                monkeypatch.setattr(gradients, name, forbidden)
+            return out
+        return run
+
+    monkeypatch.setattr(cli, last, then_forbid(getattr(cli, last)))
+    assert main(["solve", *argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert gradients.forward_sweep is forbidden
+    header, rows = _read_csv(tmp_path / "trajectory.csv")
+    assert rows.shape == (gradients.DEFAULT_SAMPLES, len(header))
+
+
+@pytest.mark.parametrize("bracket", ["3.0,3.0", "3.0,3.00000000000005"])
+def test_solve_secant_degenerate_bracket_exits_3(tmp_path, capsys, bracket):
+    # ends closer than 1e-14 * T: the secant has no step to take, and used
+    # to report s = 3.0 as converged with dC/ds1 = 10.5
+    code = main(["solve", "--problem", "bressan", "--secant",
+                 "--bracket", bracket, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

@@ -7,12 +7,14 @@ from switchopt.benchmarks import (
     build_catalyst, build_problem, catalyst_switch_times, CatalystParams,
     JACOBSON_S1,
 )
+from switchopt import gradients
 from switchopt.gradients import (
     DEFAULT_SAMPLES, dense_trajectory, evaluate_gradient, forward_sweep,
     free_time_gradient_check,
 )
-from switchopt.odeint import IntegratorSettings
-from switchopt.problem import SwitchConfig, phase_flow
+from switchopt.odeint import IntegratorSettings, PiecewiseOde, \
+    integrate_piecewise
+from switchopt.problem import SwitchConfig, phase_adjoint, phase_flow
 
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 
@@ -258,7 +260,76 @@ def test_scalar_float_law_integrates(name, cfg):
 
 def test_dense_trajectory_reuses_forward_record():
     prob = build_problem("goddard")
-    fwd = forward_sweep(prob, GODDARD_CFG, TIGHT)
-    reused = dense_trajectory(prob, GODDARD_CFG, TIGHT, fwd=fwd)
+    bundle = evaluate_gradient(prob, GODDARD_CFG, TIGHT)
+    reused = dense_trajectory(prob, GODDARD_CFG, TIGHT, bundle=bundle)
     for got, want in zip(reused, dense_trajectory(prob, GODDARD_CFG, TIGHT)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name, cfg", [("goddard", GODDARD_CFG),
+                                       ("catalyst2", CATALYST2_CFG)])
+def test_dense_trajectory_from_bundle_integrates_nothing(monkeypatch, name,
+                                                         cfg):
+    prob = build_problem(name)
+    bundle = evaluate_gradient(prob, cfg, TIGHT)
+    want = dense_trajectory(prob, cfg, TIGHT)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense_trajectory integrated again")
+
+    for fn in ("integrate_piecewise", "forward_sweep", "backward_sweep"):
+        monkeypatch.setattr(gradients, fn, forbidden)
+    got = dense_trajectory(prob, cfg, TIGHT, bundle=bundle)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    if prob.case == 1:
+        # the reported costate is the lam whose jumps gave d_s
+        assert np.array_equal(got[3], bundle.bwd.samples)
+
+
+def _whole_horizon_costate(prob, fwd, settings):
+    """lam of z at the forward samples from one backward integration of
+    (z, lam) over all phases, with no reset of z at the switch points.
+
+    This is how the Case-1 reported costate used to be computed, kept as an
+    independent reference for the backward sweep's samples.
+    """
+    T, d = fwd.T, fwd.checkpoints.shape[1]
+    adjoints = [phase_adjoint(prob, j) for j in range(prob.k + 1)]
+
+    def rhs(j, tau, w):
+        F, lam_F_z = adjoints[j](tau * T, w[:d], w[d:])
+        return T * np.concatenate((F, -lam_F_z))
+
+    lam_end = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
+                              np.zeros(d - prob.n)))
+    back = integrate_piecewise(
+        PiecewiseOde(dim=2 * d, segments=fwd.sigma, rhs=rhs),
+        np.concatenate((fwd.checkpoints[-1], lam_end)), "backward",
+        settings, fwd.times / T)
+    return back.sample_states[:, d:]
+
+
+# at T = 1 the dense samples are 0.005 apart: none falls in the middle phase
+EMPTY_MIDDLE_CFG = SwitchConfig(s=np.array([0.1011, 0.1031]))
+
+
+@pytest.mark.parametrize("name, T, cfg", [
+    ("catalyst1", None, SwitchConfig(s=np.array([0.15, 0.7]))),
+    ("catalyst1", None, EMPTY_MIDDLE_CFG),
+    ("catalyst2", None, CATALYST2_CFG),
+    ("jacobson", None, SwitchConfig(s=np.array([1.3]))),
+    ("bressan", 10.0, SwitchConfig(s=np.array([3.1]))),
+    ("goddard", None, GODDARD_CFG),
+], ids=["catalyst1", "catalyst1-empty-phase", "catalyst2", "jacobson",
+        "bressan", "goddard"])
+def test_sampled_costate_matches_whole_horizon_integration(name, T, cfg):
+    prob = build_problem(name, T=T)
+    bundle = evaluate_gradient(prob, cfg, TIGHT)
+    fwd = bundle.fwd
+    empty = np.bincount(fwd.phase, minlength=prob.k + 1) == 0
+    assert empty.tolist() == ([False, True, False] if cfg is EMPTY_MIDDLE_CFG
+                              else [False] * (prob.k + 1))
+    ref = _whole_horizon_costate(prob, fwd, TIGHT)
+    err = np.max(np.abs(bundle.bwd.samples - ref))
+    assert err <= 1e-8 * np.max(np.abs(ref))

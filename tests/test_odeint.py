@@ -152,7 +152,7 @@ def test_dense_samples_interpolate():
     ode = PiecewiseOde(dim=1, segments=np.array([0.0, 2.0]),
                        rhs=lambda j, t, x: np.array([np.exp(t) - x[0]]))
     traj = integrate_piecewise(ode, np.array([0.5]), settings=_tight(),
-                               sample_count=101)
+                               sample_times=np.linspace(0.0, 2.0, 101))
     exact = lambda t: np.sinh(t) + 0.5 * np.exp(-t)
     err = np.abs(traj.sample_states[:, 0] - exact(traj.sample_times))
     assert err.max() < 1e-7
@@ -227,7 +227,8 @@ def test_hermite_resample_matches_loop_exactly(monkeypatch, direction):
     # samples 2**-10 apart land on both breakpoints, where nodes are
     # duplicated
     traj = integrate_piecewise(ode, np.array([1.0, 0.0]), direction,
-                               settings=_tight(), sample_count=2049)
+                               settings=_tight(),
+                               sample_times=np.linspace(0.0, 2.0, 2049))
     (nodes, sample_times), = calls
     node_times = np.array([n[0] for n in nodes])
     assert np.any(np.diff(node_times) == 0)
@@ -235,8 +236,10 @@ def test_hermite_resample_matches_loop_exactly(monkeypatch, direction):
                    sample_times).all()
     ref = _hermite_loop(nodes, sample_times)
     assert np.array_equal(vectorised(nodes, sample_times)[1], ref)
-    assert np.array_equal(traj.sample_states,
-                          ref[::-1] if direction == "backward" else ref)
+    # samples come back in the order asked for, in original time, in
+    # either direction
+    assert np.array_equal(traj.sample_times, np.linspace(0.0, 2.0, 2049))
+    assert np.array_equal(traj.sample_states, ref)
 
 
 def test_hermite_resample_duplicated_last_node():

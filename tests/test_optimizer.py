@@ -322,6 +322,19 @@ def test_secant_budget():
                       OptimizeSettings(stat_tol=1e-14, max_iters=1), TIGHT)
 
 
+@pytest.mark.parametrize("bracket", [(3.0, 3.0), (3.0, 3.0 + 5e-14),
+                                     (3.0 + 5e-14, 3.0)])
+def test_secant_degenerate_bracket_raises_before_any_sweep(monkeypatch,
+                                                           bracket):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("swept a degenerate bracket")
+
+    monkeypatch.setattr(optimizer, "evaluate_gradient", forbidden)
+    prob = build_problem("bressan", T=10.0)
+    with pytest.raises(ValueError, match="1e-14"):
+        secant_switch(prob, bracket)
+
+
 def test_secant_requires_single_switch():
     prob = build_problem("catalyst1", T=1.0)
     with pytest.raises(ValueError):
