@@ -142,7 +142,9 @@ def backward_sweep(prob, fwd, settings=None):
     z is re-integrated jointly and reset to the forward checkpoint at each
     switch point, which bounds backward drift per phase.  The lam . F
     quadrature used for the terminal-time derivative rides along as a last
-    state component that starts at 0 at the end of each phase.  lam is
+    state component that starts at 0 at the end of each phase.  It is left
+    out of the error test: near a free-time optimum lam . F cancels terms
+    of size |lam| |F|, and its own test would steer the step.  lam is
     also resampled at the forward record's dense samples of each phase.
     """
     sigma, T, k = fwd.sigma, fwd.T, prob.k
@@ -159,7 +161,7 @@ def backward_sweep(prob, fwd, settings=None):
     for j in range(k, -1, -1):
         w_end = np.concatenate((fwd.checkpoints[j + 1], lam, [0.0]))
         ode = PiecewiseOde(dim=w_end.size, segments=sigma[j:j + 2],
-                           rhs=_adjoint_rhs(T, adjoints[j], d))
+                           rhs=_adjoint_rhs(T, adjoints[j], d), quadratures=1)
         here = fwd.phase == j
         back = integrate_piecewise(ode, w_end, "backward", settings,
                                    tau[here])
@@ -174,14 +176,20 @@ def backward_sweep(prob, fwd, settings=None):
 
 
 def _worst_margins(prob, fwd):
-    """Worst feasibility margin of each phase along the dense samples."""
-    worst = np.full(prob.k + 1, np.inf)
+    """Worst feasibility margin of each phase along the dense samples and
+    at its two checkpoints, so that a phase between samples has one too."""
+    n, worst = prob.n, np.full(prob.k + 1, np.inf)
     margins = _resolved(phase_feasibility, prob)
-    for i, t in enumerate(fwd.times):
-        j = fwd.phase[i]
-        p = fwd.costates[i] if fwd.costates is not None else None
-        mrg = margins[j](t, fwd.states[i], p)
-        worst[j] = min(worst[j], float(np.min(mrg)))
+    points = [(fwd.phase[i], t, fwd.states[i],
+               None if fwd.costates is None else fwd.costates[i])
+              for i, t in enumerate(fwd.times)]
+    for j in range(prob.k + 1):
+        for c in (j, j + 1):
+            z = fwd.checkpoints[c]
+            points.append((j, fwd.sigma[c] * fwd.T, z[:n],
+                           z[n:] if z.size > n else None))
+    for j, t, x, p in points:
+        worst[j] = min(worst[j], float(np.min(margins[j](t, x, p))))
     return worst
 
 

@@ -70,12 +70,16 @@ class PiecewiseOde:
 
     ``segments`` is the ordered breakpoint list; segment j spans
     [segments[j], segments[j+1]] and ``rhs(j, t, x)`` is only evaluated
-    with t inside that closed interval.
+    with t inside that closed interval.  The last ``quadratures``
+    components are passengers: they ride along on the accepted stages but
+    are left out of the local error test, as integrators that carry
+    quadratures do by default (CVODES).
     """
 
     dim: int
     segments: Sequence[float]
     rhs: Callable[[int, float, np.ndarray], np.ndarray]
+    quadratures: int = 0
 
     def __post_init__(self):
         seg = np.asarray(self.segments, dtype=float)
@@ -83,6 +87,8 @@ class PiecewiseOde:
             raise ValueError("need at least two breakpoints")
         if not np.all(np.diff(seg) > 0):
             raise ValueError("breakpoints must be strictly increasing")
+        if not 0 <= self.quadratures < self.dim:
+            raise ValueError("quadratures must lie in [0, dim)")
         object.__setattr__(self, "segments", seg)
 
 
@@ -104,10 +110,11 @@ class DenseTrajectory:
     step_times: np.ndarray = field(repr=False, default=None)
 
 
-def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
+def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget, n_err):
     """Integrate dy/dt = rhs(j, t, y) over [t0, t1], appending accepted nodes.
 
-    Returns (y_end, steps_used).  ``nodes`` receives (t, y, rhs(j, t, y))
+    Only the first ``n_err`` components enter the error norm.  Returns
+    (y_end, steps_used).  ``nodes`` receives (t, y, rhs(j, t, y))
     triples including the segment start.  Overflow is not warned about: a
     non-finite stage halves the step, down to ``NonFiniteState`` at _H_MIN.
     """
@@ -151,9 +158,9 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
                 continue
 
             abs_new = np.abs(y_new)
-            w = h_try * (_E @ k) / (settings.abs_tol + settings.rel_tol
-                                    * np.maximum(abs_y, abs_new))
-            err = math.sqrt(float(np.add.reduce(w * w)) / w.size)
+            w = (h_try * (_E @ k) / (settings.abs_tol + settings.rel_tol
+                                     * np.maximum(abs_y, abs_new)))[:n_err]
+            err = math.sqrt(float(np.add.reduce(w * w)) / n_err)
             if err <= 1.0:
                 t = t1 if clipped else t + h_try
                 y, abs_y = y_new, abs_new
@@ -206,7 +213,8 @@ def _reflect(ode: PiecewiseOde) -> PiecewiseOde:
     def rhs(j, t, x):
         return -ode.rhs(nseg - 1 - j, (a + b) - t, x)
 
-    return PiecewiseOde(dim=ode.dim, segments=mirrored, rhs=rhs)
+    return PiecewiseOde(dim=ode.dim, segments=mirrored, rhs=rhs,
+                        quadratures=ode.quadratures)
 
 
 def integrate_piecewise(ode, x_start, direction="forward", settings=None,
@@ -235,7 +243,7 @@ def integrate_piecewise(ode, x_start, direction="forward", settings=None,
     for j in range(len(work.segments) - 1):
         y, steps = _integrate_segment(
             work.rhs, j, work.segments[j], work.segments[j + 1], y, settings,
-            nodes, budget - used)
+            nodes, budget - used, ode.dim - ode.quadratures)
         used += steps
         bp_states.append(y.copy())
 
@@ -260,14 +268,16 @@ def integrate_with_quadrature(ode, x_start, integrand, direction="forward",
 
     Returns (trajectory, value) where value = integral of integrand(j, t, x)
     over the full interval (with respect to increasing t, regardless of the
-    traversal direction).  The gradient sweeps do not use it: their RHS
-    returns the integrand as a last component, reusing its model values.
+    traversal direction).  The quadrature is left out of the error test.
+    The gradient sweeps do not use it: their RHS returns the integrand as a
+    last component, reusing its model values.
     """
     def rhs(j, t, z):
         dx = ode.rhs(j, t, z[:-1])
         return np.append(dx, integrand(j, t, z[:-1]))
 
-    aug = PiecewiseOde(dim=ode.dim + 1, segments=ode.segments, rhs=rhs)
+    aug = PiecewiseOde(dim=ode.dim + 1, segments=ode.segments, rhs=rhs,
+                       quadratures=ode.quadratures + 1)
     z0 = np.append(np.asarray(x_start, dtype=float), 0.0)
     traj = integrate_piecewise(aug, z0, direction, settings, sample_times)
 

@@ -37,7 +37,10 @@ __all__ = [
 # runs into a stiff or singular region then fails fast and is backed off.
 _TRIAL_STEP_FACTOR = 10
 
-_LS_SHRINK = 0.5     # backtracking factor of the line search
+# Backtracking factor after a trial that fails to integrate, and the bounds
+# of the interpolated factor after one that fails Armijo.
+_LS_SHRINK = 0.5
+_LS_MIN_SHRINK = 0.1
 _ARMIJO_C1 = 1e-4    # sufficient-decrease constant of the Armijo test
 _MEMORY = 10         # L-BFGS correction pairs kept
 
@@ -222,9 +225,15 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
     switch ordering is maintained by chain projection at every trial point.
     A line-search trial runs only the forward sweep, with a step budget of
     _TRIAL_STEP_FACTOR times the current iterate's; the Armijo test needs
-    nothing more, so the backward sweep runs only at accepted points.
+    nothing more, so the backward sweep runs only at accepted points.  A
+    trial that integrates but fails Armijo backtracks to the minimizer of
+    the quadratic through f, the predicted decrease and the trial's f,
+    safeguarded to [_LS_MIN_SHRINK, _LS_SHRINK]; a failed trial halves.
     Converges when the projected-gradient infinity norm drops below
-    stat_tol.
+    stat_tol.  A line search that fails from a steepest-descent direction
+    reports "stalled" when the projected gradient is within 100 stat_tol
+    or the last accepted step lowered C by no more than rel_tol |C|, the
+    objective's resolution; otherwise it raises LineSearchFailure.
     """
     settings = settings or OptimizeSettings()
     ode_settings = ode_settings or IntegratorSettings()
@@ -260,6 +269,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
     converged = False
     it = 0
     message = ""
+    last_drop = np.inf  # decrease of C at the last accepted step
     for it in range(1, settings.max_iters + 1):
         pg = np.max(np.abs(z - var.project(z - g)))
         if pg <= settings.stat_tol:
@@ -279,6 +289,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
             if np.max(np.abs(step)) < 1e-16:
                 break
             pred = g @ step
+            shrink = _LS_SHRINK
             try:
                 fwd_new = objective_at(z_new, budget)
                 if fwd_new.objective \
@@ -286,18 +297,24 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
                     bundle_new = gradient_at(z_new, fwd_new)
                     accepted = True
                     break
+                curv = fwd_new.objective - fwd.objective - pred
+                if np.isfinite(curv) and curv > 0:
+                    shrink = min(_LS_SHRINK,
+                                 max(_LS_MIN_SHRINK, -pred / (2.0 * curv)))
             except _TRIAL_FAILURES:
                 pass  # trial point not integrable; back off
-            alpha *= _LS_SHRINK
+            alpha *= shrink
         if not accepted:
             if pairs:
                 pairs.clear()
                 continue
-            if pg <= 100.0 * settings.stat_tol:
+            resolution = ode_settings.rel_tol * abs(fwd.objective)
+            if pg <= 100.0 * settings.stat_tol or last_drop <= resolution:
                 # no decrease possible at the integration accuracy
                 # floor; the iterate is stationary to working precision
-                message = (f"line search stalled at projected "
-                           f"gradient {pg:.3e}")
+                message = (f"line search stalled at projected gradient "
+                           f"{pg:.3e}; the last step lowered C by "
+                           f"{last_drop:.3e}, resolution {resolution:.3e}")
                 break
             raise LineSearchFailure(
                 f"{prob.name}: no decrease at iteration {it} "
@@ -311,6 +328,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
             if len(pairs) > _MEMORY:
                 pairs.pop(0)
             gamma = sy / (yk @ (yk * base))
+        last_drop = fwd.objective - fwd_new.objective
         z, g, fwd, bundle = z_new, g_new, fwd_new, bundle_new
     else:
         raise MaxItersExceeded(

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from switchopt.benchmarks import (
-    build_catalyst, build_problem, catalyst_switch_times, CatalystParams,
-    JACOBSON_S1,
+    build_catalyst, build_problem, catalyst_singular_value,
+    catalyst_switch_times, CatalystParams, GODDARD_REFERENCE, JACOBSON_S1,
 )
 from switchopt import gradients
 from switchopt.gradients import (
@@ -193,6 +193,38 @@ def test_feasibility_margins_reported():
     # bang phases sit exactly on their bound, the singular phase is interior
     assert bundle.feasibility_margins[0] == pytest.approx(0.0, abs=1e-12)
     assert bundle.feasibility_margins[1] > 0.2
+
+
+def test_phase_between_dense_samples_has_finite_margin():
+    # the singular phase [0.1011, 0.1031] holds none of the 201 samples;
+    # its checkpoints give it the singular control's margin
+    prob = build_problem("catalyst1", T=1.0)
+    bundle = evaluate_gradient(
+        prob, SwitchConfig(s=np.array([0.1011, 0.1031])), TIGHT)
+    assert not np.any(bundle.fwd.phase == 1)
+    u = catalyst_singular_value(CatalystParams())
+    np.testing.assert_allclose(bundle.feasibility_margins,
+                               [0.0, min(u, 1.0 - u), 0.0], atol=1e-9)
+
+
+def test_goddard_backward_steps_track_forward_at_optimum(monkeypatch):
+    # at a free-time optimum lam . F cancels terms of size |lam| |F|; the
+    # quadrature left out of the error test no longer steers the step
+    prob = build_problem("goddard")
+    cfg = SwitchConfig(s=np.array(GODDARD_REFERENCE.s_star),
+                       T=GODDARD_REFERENCE.T_star)
+    fwd = forward_sweep(prob, cfg, TIGHT)
+    steps = []
+
+    def counted(*args, **kwargs):
+        traj = integrate_piecewise(*args, **kwargs)
+        steps.append(traj.steps)
+        return traj
+
+    monkeypatch.setattr(gradients, "integrate_piecewise", counted)
+    evaluate_gradient(prob, cfg, TIGHT, fwd=fwd)
+    assert len(steps) == prob.k + 1
+    assert sum(steps) <= 1.1 * fwd.steps
 
 
 # The sweeps resolve each phase once into closures; the finite-difference

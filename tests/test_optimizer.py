@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 import switchopt.gradients as gradients
 import switchopt.optimizer as optimizer
 from switchopt.benchmarks import (
-    build_problem, catalyst_switch_times, CatalystParams, JACOBSON_S1,
+    build_problem, catalyst_switch_times, CatalystParams, GODDARD_REFERENCE,
+    JACOBSON_S1,
 )
 from switchopt.exceptions import InfeasiblePolytope, InvalidSwitchOrder, \
-    NonFiniteDerivative, NonFiniteState, SecantDivergence, \
-    StepLimitExceeded, StepUnderflow
+    LineSearchFailure, NonFiniteDerivative, NonFiniteState, \
+    SecantDivergence, StepLimitExceeded, StepUnderflow
 from switchopt.gradients import forward_sweep
 from switchopt.odeint import IntegratorSettings
 from switchopt.optimizer import (
@@ -286,6 +287,56 @@ def test_configuration_error_of_a_trial_propagates(monkeypatch):
     with pytest.raises(InvalidSwitchOrder):
         minimize(build_problem("catalyst1", T=1.0),
                  SwitchConfig(s=np.array([0.1, 0.7])))
+
+
+def _goddard_starts():
+    """The README goddard start and six moved by 1e-4 relative."""
+    rng = np.random.default_rng(5)
+    readme = np.array([13.0, 21.0, 42.0])
+    return [readme] + [readme * (1 + 1e-4 * rng.uniform(-1, 1, 3))
+                       for _ in range(6)]
+
+
+@pytest.mark.parametrize("start", _goddard_starts(),
+                         ids=[f"start{i}" for i in range(7)])
+def test_goddard_starts_end_near_reference(start):
+    # near the optimum Armijo asks for less decrease than C resolves; the
+    # solve stops there as stalled instead of raising LineSearchFailure
+    rep = minimize(build_problem("goddard"),
+                   SwitchConfig(s=start[:2], T=start[2]))
+    np.testing.assert_allclose(rep.final_cfg.s, GODDARD_REFERENCE.s_star,
+                               atol=1e-5)
+    assert rep.final_cfg.T == pytest.approx(GODDARD_REFERENCE.T_star,
+                                            abs=1e-5)
+
+
+def test_goddard_backtracks_by_interpolation():
+    # a trial that fails Armijo backtracks to the minimizer of the
+    # quadratic model: the benchmark's goddard solve takes 44 forward
+    # sweeps, against 101 when every backtrack halves
+    rep = minimize(build_problem("goddard"),
+                   SwitchConfig(s=np.array([13.0, 21.0]), T=42.0),
+                   ode_settings=IntegratorSettings(rel_tol=1e-10,
+                                                   abs_tol=1e-10))
+    assert rep.objective_evals <= 60
+    np.testing.assert_allclose(rep.final_cfg.s, GODDARD_REFERENCE.s_star,
+                               atol=1e-5)
+
+
+def test_sign_flipped_gradient_still_fails_the_line_search(monkeypatch):
+    # the stall rule reads the last accepted decrease; with none there is
+    # no stall to report, so a broken gradient cannot pass for one
+    original = optimizer.evaluate_gradient
+
+    def flipped(*args, **kwargs):
+        bundle = original(*args, **kwargs)
+        bundle.d_s, bundle.d_T = -bundle.d_s, -bundle.d_T
+        return bundle
+    monkeypatch.setattr(optimizer, "evaluate_gradient", flipped)
+    start = _goddard_starts()[0]
+    with pytest.raises(LineSearchFailure, match="at iteration 1 "):
+        minimize(build_problem("goddard"),
+                 SwitchConfig(s=start[:2], T=start[2]))
 
 
 # ---------------------------------------------------------------------------
