@@ -17,7 +17,8 @@ from .odeint import IntegratorSettings, PiecewiseOde, DenseTrajectory, \
     integrate_piecewise, integrate_with_quadrature
 from .problem import ControlPhase, ProblemDef, SwitchConfig, validate_config
 from .gradients import GradientBundle, TrajectoryRecord, evaluate_gradient, \
-    forward_sweep, backward_sweep, dense_trajectory, free_time_gradient_check
+    forward_sweep, backward_sweep, dense_trajectory, feasibility_margins, \
+    gradcheck, free_time_gradient_check
 from .optimizer import OptimizeSettings, SolveReport, minimize, \
     project_ordered, secant_switch, derivative_profile
 from .warmstart import DiscreteControlProblem, StructureEstimate, tv_prox, \
@@ -36,7 +37,7 @@ __all__ = [
     "ControlPhase", "ProblemDef", "SwitchConfig", "validate_config",
     "GradientBundle", "TrajectoryRecord", "evaluate_gradient",
     "forward_sweep", "backward_sweep", "dense_trajectory",
-    "free_time_gradient_check",
+    "feasibility_margins", "gradcheck", "free_time_gradient_check",
     "OptimizeSettings", "SolveReport", "minimize", "project_ordered",
     "secant_switch", "derivative_profile",
     "DiscreteControlProblem", "StructureEstimate", "tv_prox",

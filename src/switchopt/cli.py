@@ -23,7 +23,7 @@ from .benchmarks import build_problem
 from .exceptions import SwitchOptError, InvalidSwitchOrder, MissingCostate, \
     InfeasiblePolytope, NoStructure
 from .gradients import dense_trajectory, evaluate_gradient, \
-    forward_sweep, free_time_gradient_check
+    feasibility_margins, gradcheck
 from .odeint import IntegratorSettings
 from .optimizer import OptimizeSettings, SolveReport, derivative_profile, \
     minimize, reference_errors, secant_switch
@@ -35,7 +35,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
 
-_FD_DELTA = 1e-6
 _GRADCHECK_RTOL = 1e-5
 _GRADCHECK_ATOL = 1e-8
 
@@ -59,7 +58,8 @@ def _out_dir(args):
 
 
 def _parse_list(text):
-    return np.array([float(v) for v in text.split(",")])
+    return None if text is None else np.array(
+        [float(v) for v in text.split(",")])
 
 
 def _ode_settings(args):
@@ -67,20 +67,12 @@ def _ode_settings(args):
     return IntegratorSettings(rel_tol=tol, abs_tol=tol)
 
 
-def _initial_config(prob, args):
-    if args.s0 is None:
+def _config(prob, s, p0):
+    """The validated configuration (s, p0) at the problem's horizon."""
+    if s is None:
         raise InvalidSwitchOrder(
             "--s0 is required (or use --secant/--warmstart)")
-    s0 = _parse_list(args.s0)
-    if s0.size != prob.k:
-        raise InvalidSwitchOrder(
-            f"{prob.name} has {prob.k} switch points, got {s0.size}")
-    p0 = _parse_list(args.p0) if args.p0 else None
-    if prob.case == 2 and p0 is None:
-        raise MissingCostate(f"{prob.name} is a Case-2 problem; supply --p0")
-    T0 = args.T if prob.free_time else None
-    cfg = SwitchConfig(s=s0, p0=p0,
-                       T=T0 or (prob.T if prob.free_time else None))
+    cfg = SwitchConfig(s=s, p0=p0, T=prob.T if prob.free_time else None)
     validate_config(prob, cfg)
     return cfg
 
@@ -108,7 +100,8 @@ def cmd_solve(args):
             objective_evals=iters, gradient_evals=iters,
             converged=stationarity <= opt.stat_tol,
             stationarity=stationarity,
-            worst_margin=float(np.min(bundle.feasibility_margins)),
+            worst_margin=float(np.min(feasibility_margins(prob,
+                                                          bundle.fwd))),
             reference_errors=reference_errors(prob, cfg, bundle.objective),
             message="secant", final_bundle=bundle)
     else:
@@ -119,11 +112,10 @@ def cmd_solve(args):
                 raise NoStructure(
                     f"warm start proposed {est.switch_times.size} switches "
                     f"but {prob.name} has {prob.k}")
-            p0 = est.p0_estimate if prob.case == 2 else None
-            cfg0 = SwitchConfig(s=est.switch_times, p0=p0,
-                                T=prob.T if prob.free_time else None)
+            cfg0 = _config(prob, est.switch_times,
+                           est.p0_estimate if prob.case == 2 else None)
         else:
-            cfg0 = _initial_config(prob, args)
+            cfg0 = _config(prob, _parse_list(args.s0), _parse_list(args.p0))
         report = minimize(prob, cfg0, opt, ode)
 
     with open(out / "report.json", "w") as fh:
@@ -180,25 +172,8 @@ def cmd_warmstart(args):
 def cmd_gradcheck(args):
     prob = build_problem(args.problem, T=args.T)
     ode = _ode_settings(args)
-    cfg = _initial_config(prob, args)
-    bundle = evaluate_gradient(prob, cfg, ode, with_d_T=prob.free_time)
-
-    # (bundle field, configuration field, index) per central difference
-    comps = [("d_s", "s", j) for j in range(prob.k)]
-    if prob.case == 2:
-        comps += [("d_p0", "p0", i) for i in range(prob.n)]
-    rows = []
-    for label, name, i in comps:
-        sweeps = []
-        for delta in (_FD_DELTA, -_FD_DELTA):
-            cq = cfg.copy()
-            getattr(cq, name)[i] += delta
-            sweeps.append(forward_sweep(prob, cq, ode, sample_count=2))
-        fd = (sweeps[0].objective - sweeps[1].objective) / (2 * _FD_DELTA)
-        rows.append((f"{label}{i + 1}", getattr(bundle, label)[i], fd))
-    if prob.free_time:
-        analytic, fd = free_time_gradient_check(prob, cfg, ode)
-        rows.append(("d_T", analytic, fd))
+    cfg = _config(prob, _parse_list(args.s0), _parse_list(args.p0))
+    rows = gradcheck(prob, cfg, ode)
 
     ok = True
     print(f"{'derivative':>8} {'analytic':>24} {'finite diff':>24} {'rel err':>12}")

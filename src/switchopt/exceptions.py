@@ -30,7 +30,8 @@ class NonFiniteDerivative(SwitchOptError):
 
 
 class InvalidSwitchOrder(SwitchOptError):
-    """Switch points violate 0 < s_1 < ... < s_k < T with the minimum gap."""
+    """Switch points violate 0 < s_1 < ... < s_k < T with the minimum gap,
+    or a p0 does not fit the problem."""
 
 
 # --- optimizer ---

@@ -35,6 +35,8 @@ __all__ = [
     "forward_sweep",
     "backward_sweep",
     "evaluate_gradient",
+    "feasibility_margins",
+    "gradcheck",
     "free_time_gradient_check",
 ]
 
@@ -74,20 +76,13 @@ class GradientBundle:
     d_s: np.ndarray
     d_p0: Optional[np.ndarray]
     d_T: Optional[float]
-    feasibility_margins: np.ndarray   # worst margin per phase
-    hamiltonian_jumps: list           # (left, right) Hamiltonian pairs per s_j
     # the sweeps the bundle comes from, for reuse; not part of any output
-    fwd: Optional[TrajectoryRecord] = field(default=None, repr=False)
-    bwd: Optional[BackwardRecord] = field(default=None, repr=False)
+    fwd: TrajectoryRecord = field(repr=False)
+    bwd: BackwardRecord = field(repr=False)
 
 
 def _horizon(prob, cfg):
     return float(cfg.T) if cfg.T is not None else float(prob.T)
-
-
-def _tau_breakpoints(prob, cfg):
-    T = _horizon(prob, cfg)
-    return np.concatenate(([0.0], cfg.s / T, [1.0])), T
 
 
 def _resolved(make, prob):
@@ -98,9 +93,10 @@ def _resolved(make, prob):
 def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
     """Integrate the sweep state z forward and evaluate the objective."""
     validate_config(prob, cfg)
-    sigma, T = _tau_breakpoints(prob, cfg)
+    T = _horizon(prob, cfg)
+    sigma = np.concatenate(([0.0], cfg.s / T, [1.0]))
     n, flows = prob.n, _resolved(phase_flow, prob)
-    z0 = prob.x0 if prob.case == 1 else np.concatenate((prob.x0, cfg.p0))
+    z0 = prob.x0 if cfg.p0 is None else np.concatenate((prob.x0, cfg.p0))
 
     def rhs(j, tau, z):
         return T * flows[j](tau * T, z)
@@ -175,9 +171,10 @@ def backward_sweep(prob, fwd, settings=None):
                           hamiltonian_integral=quad)
 
 
-def _worst_margins(prob, fwd):
-    """Worst feasibility margin of each phase along the dense samples and
-    at its two checkpoints, so that a phase between samples has one too."""
+def feasibility_margins(prob, fwd):
+    """Worst control-box margin of each phase of the forward record ``fwd``
+    along its dense samples and at the phase's two checkpoints, so that a
+    phase between samples has one too."""
     n, worst = prob.n, np.full(prob.k + 1, np.inf)
     margins = _resolved(phase_feasibility, prob)
     points = [(fwd.phase[i], t, fwd.states[i],
@@ -202,17 +199,13 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
     if fwd is None:
         fwd = forward_sweep(prob, cfg, settings)
     bwd = backward_sweep(prob, fwd, settings)
-    T = fwd.T
 
-    jumps = []
     d_s = np.empty(prob.k)
     flows = _resolved(phase_flow, prob)
     for j in range(1, prob.k + 1):
-        t, z, lam = fwd.sigma[j] * T, fwd.checkpoints[j], bwd.costates[j]
-        left = float(lam @ flows[j - 1](t, z))
-        right = float(lam @ flows[j](t, z))
-        jumps.append((left, right))
-        d_s[j - 1] = left - right
+        t, z, lam = fwd.sigma[j] * fwd.T, fwd.checkpoints[j], bwd.costates[j]
+        d_s[j - 1] = float(lam @ flows[j - 1](t, z)) \
+            - float(lam @ flows[j](t, z))
 
     if with_d_T is None:
         with_d_T = prob.free_time
@@ -222,30 +215,57 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
         d_s=d_s,
         d_p0=lam0[prob.n:].copy() if lam0.size > prob.n else None,
         d_T=bwd.hamiltonian_integral if with_d_T else None,
-        feasibility_margins=_worst_margins(prob, fwd),
-        hamiltonian_jumps=jumps,
         fwd=fwd, bwd=bwd)
 
 
-def free_time_gradient_check(prob, cfg, settings=None, delta=None):
-    """Compare the Hamiltonian-quadrature dC/dT with a central difference.
+def _central_difference(prob, settings, bumped, delta):
+    """(C(bumped(delta)) - C(bumped(-delta))) / (2 delta), each objective
+    from a forward sweep without dense samples."""
+    f_hi, f_lo = (forward_sweep(prob, bumped(d), settings,
+                                sample_count=2).objective
+                  for d in (delta, -delta))
+    return (f_hi - f_lo) / (2 * delta)
 
-    The difference perturbs T while holding the tau-positions of the switch
-    points fixed (physical switch points scale with T), matching the
-    unit-interval reformulation in which dC/dT is derived.
-    """
+
+def _fd_d_T(prob, cfg, settings, delta=None):
+    """Central difference in T, step 1e-6 max(1, |T|) by default, holding
+    sigma = s / T fixed as the unit-interval reformulation of dC/dT does."""
     T = _horizon(prob, cfg)
     delta = delta if delta is not None else 1e-6 * max(1.0, abs(T))
-    bundle = evaluate_gradient(prob, cfg, settings, with_d_T=True)
     sigma = cfg.s / T
 
-    vals = []
-    for Tq in (T + delta, T - delta):
+    def bumped(d):
         cq = cfg.copy()
-        cq.T = Tq
-        cq.s = sigma * Tq
-        vals.append(forward_sweep(prob, cq, settings, sample_count=2).objective)
-    return bundle.d_T, (vals[0] - vals[1]) / (2 * delta)
+        cq.T = T + d
+        cq.s = sigma * cq.T
+        return cq
+    return _central_difference(prob, settings, bumped, delta)
+
+
+def free_time_gradient_check(prob, cfg, settings=None, delta=None):
+    """(dC/dT from the Hamiltonian quadrature, its central difference)."""
+    return (evaluate_gradient(prob, cfg, settings, with_d_T=True).d_T,
+            _fd_d_T(prob, cfg, settings, delta))
+
+
+def gradcheck(prob, cfg, settings=None):
+    """Rows (label, analytic, central difference) from one evaluation: d_s1..,
+    d_p01.. when cfg has a p0, and d_T on free-time problems.  The steps are
+    1e-6 in s and p0 and 1e-6 max(1, |T|) in T."""
+    bundle = evaluate_gradient(prob, cfg, settings, with_d_T=prob.free_time)
+    rows = []
+    for name in ("s", "p0"):
+        derivs = getattr(bundle, "d_" + name)
+        for i in range(0 if derivs is None else derivs.size):
+            def bumped(d, name=name, i=i):
+                cq = cfg.copy()
+                getattr(cq, name)[i] += d
+                return cq
+            rows.append((f"d_{name}{i + 1}", derivs[i], _central_difference(
+                prob, settings, bumped, 1e-6)))
+    if prob.free_time:
+        rows.append(("d_T", bundle.d_T, _fd_d_T(prob, cfg, settings)))
+    return rows
 
 
 def dense_trajectory(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,

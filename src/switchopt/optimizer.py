@@ -19,7 +19,8 @@ import numpy as np
 from .exceptions import InfeasiblePolytope, LineSearchFailure, \
     MaxItersExceeded, NonFiniteDerivative, NonFiniteState, SecantDivergence, \
     StepLimitExceeded, StepUnderflow
-from .gradients import GradientBundle, evaluate_gradient, forward_sweep
+from .gradients import GradientBundle, evaluate_gradient, \
+    feasibility_margins, forward_sweep
 from .odeint import IntegratorSettings
 from .problem import SwitchConfig
 
@@ -152,10 +153,9 @@ class _Vars:
     """
 
     def __init__(self, prob, cfg0):
-        self.prob = prob
         self.free_time = prob.free_time
         self.k = prob.k
-        self.np0 = prob.n if prob.case == 2 else 0
+        self.np0 = 0 if cfg0.p0 is None else cfg0.p0.size
         self.T0 = float(cfg0.T) if cfg0.T is not None else float(prob.T)
         self.eps_gap = prob.eps_gap
 
@@ -345,7 +345,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
         gradient_evals=n_backward,
         converged=converged,
         stationarity=pg,
-        worst_margin=float(np.min(bundle.feasibility_margins)),
+        worst_margin=float(np.min(feasibility_margins(prob, bundle.fwd))),
         reference_errors=reference_errors(prob, cfg, fwd.objective),
         message=message, final_bundle=bundle)
 

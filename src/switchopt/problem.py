@@ -115,7 +115,8 @@ class SwitchConfig:
 
 
 def validate_config(prob: ProblemDef, cfg: SwitchConfig):
-    """Check ordering 0 < s_1 < ... < s_k < T with the configured gap."""
+    """Check ordering 0 < s_1 < ... < s_k < T with the configured gap, and
+    that cfg has a p0, of the state's size, exactly in Case 2."""
     T = cfg.T if cfg.T is not None else prob.T
     if cfg.s.size != prob.k:
         raise InvalidSwitchOrder(
@@ -127,9 +128,10 @@ def validate_config(prob: ProblemDef, cfg: SwitchConfig):
             f"0 < s_1 < ... < s_k < {T} with gap {prob.eps_gap:g}")
     if prob.case == 2 and cfg.p0 is None:
         raise MissingCostate(f"{prob.name}: Case-2 problem requires p0")
-    if cfg.p0 is not None and cfg.p0.size != prob.n:
-        raise InvalidSwitchOrder(
-            f"{prob.name}: p0 has dimension {cfg.p0.size}, expected {prob.n}")
+    np0 = prob.n if prob.case == 2 else 0
+    if cfg.p0 is not None and cfg.p0.size != np0:
+        raise InvalidSwitchOrder(f"{prob.name}: p0 has size {cfg.p0.size}, "
+                                 f"Case {prob.case} takes {np0}")
 
 
 def _vector(v):

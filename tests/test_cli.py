@@ -145,6 +145,15 @@ def test_solve_missing_costate_exits_3(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["solve", "gradcheck"])
+def test_case1_costate_exits_3(tmp_path, capsys, command):
+    code = main([command, "--problem", "catalyst1", "--s0", "0.1,0.7",
+                 "--p0", "5,5", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "Case 1 takes 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_solve_secant_divergence_exits_2(tmp_path, capsys):
     code = main(["solve", "--problem", "jacobson", "--secant",
                  "--bracket", "4.70,4.71", "--out", str(tmp_path)])

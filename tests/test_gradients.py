@@ -9,11 +9,12 @@ from switchopt.benchmarks import (
 )
 from switchopt import gradients
 from switchopt.gradients import (
-    DEFAULT_SAMPLES, dense_trajectory, evaluate_gradient, forward_sweep,
-    free_time_gradient_check,
+    DEFAULT_SAMPLES, dense_trajectory, evaluate_gradient, feasibility_margins,
+    forward_sweep, free_time_gradient_check, gradcheck,
 )
 from switchopt.odeint import IntegratorSettings, PiecewiseOde, \
     integrate_piecewise
+from switchopt.optimizer import minimize
 from switchopt.problem import SwitchConfig, phase_adjoint, phase_flow
 
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
@@ -178,21 +179,28 @@ def test_bressan_hamiltonian_integral():
 
 
 def test_hamiltonian_jump_equals_ds():
+    # dC/ds_j = lam . F_{j-1} - lam . F_j at s_j, from the sweeps' records
     prob = build_problem("catalyst1", T=1.0)
     bundle = evaluate_gradient(prob, SwitchConfig(s=np.array([0.2, 0.6])),
                                TIGHT)
-    for j, (left, right) in enumerate(bundle.hamiltonian_jumps):
-        assert bundle.d_s[j] == pytest.approx(left - right, rel=1e-12)
+    fwd = bundle.fwd
+    for j in range(1, prob.k + 1):
+        t, z = fwd.sigma[j] * fwd.T, fwd.checkpoints[j]
+        lam = bundle.bwd.costates[j]
+        jump = (lam @ phase_flow(prob, j - 1)(t, z)
+                - lam @ phase_flow(prob, j)(t, z))
+        assert bundle.d_s[j - 1] == pytest.approx(jump, rel=1e-12)
 
 
 def test_feasibility_margins_reported():
     prob = build_problem("catalyst1", T=1.0)
     bundle = evaluate_gradient(prob, SwitchConfig(s=np.array([0.15, 0.7])),
                                TIGHT)
-    assert bundle.feasibility_margins.shape == (3,)
+    margins = feasibility_margins(prob, bundle.fwd)
+    assert margins.shape == (3,)
     # bang phases sit exactly on their bound, the singular phase is interior
-    assert bundle.feasibility_margins[0] == pytest.approx(0.0, abs=1e-12)
-    assert bundle.feasibility_margins[1] > 0.2
+    assert margins[0] == pytest.approx(0.0, abs=1e-12)
+    assert margins[1] > 0.2
 
 
 def test_phase_between_dense_samples_has_finite_margin():
@@ -203,7 +211,7 @@ def test_phase_between_dense_samples_has_finite_margin():
         prob, SwitchConfig(s=np.array([0.1011, 0.1031])), TIGHT)
     assert not np.any(bundle.fwd.phase == 1)
     u = catalyst_singular_value(CatalystParams())
-    np.testing.assert_allclose(bundle.feasibility_margins,
+    np.testing.assert_allclose(feasibility_margins(prob, bundle.fwd),
                                [0.0, min(u, 1.0 - u), 0.0], atol=1e-9)
 
 
@@ -235,15 +243,16 @@ CATALYST2_CFG = SwitchConfig(s=np.array([0.14, 0.72]),
                              p0=np.array([0.87, 0.83]))
 
 
-def _assert_bundles_close(got, want, rtol):
+def _assert_bundles_close(got_prob, got, want_prob, want, rtol):
     assert got.objective == pytest.approx(want.objective, rel=rtol)
     np.testing.assert_allclose(got.d_s, want.d_s, rtol=rtol)
     if want.d_p0 is not None:
         np.testing.assert_allclose(got.d_p0, want.d_p0, rtol=rtol)
     if want.d_T is not None:
         assert got.d_T == pytest.approx(want.d_T, rel=rtol)
-    np.testing.assert_allclose(got.feasibility_margins,
-                               want.feasibility_margins, rtol=rtol)
+    np.testing.assert_allclose(feasibility_margins(got_prob, got.fwd),
+                               feasibility_margins(want_prob, want.fwd),
+                               rtol=rtol)
 
 
 def test_fd_law_jacobian_sweep_matches_analytic():
@@ -254,17 +263,17 @@ def test_fd_law_jacobian_sweep_matches_analytic():
     want = evaluate_gradient(prob, GODDARD_CFG, TIGHT)
     got = evaluate_gradient(stripped, GODDARD_CFG, TIGHT)
     assert np.min(np.abs(want.d_s)) > 1e-4 and abs(want.d_T) > 1e-4
-    _assert_bundles_close(got, want, 1e-6)
+    _assert_bundles_close(stripped, got, prob, want, 1e-6)
 
 
 def test_numeric_case2_derivs_sweep_matches_analytic():
     prob = build_problem("catalyst2")
+    numeric = dataclasses.replace(prob, case2_derivs=None)
     want = evaluate_gradient(prob, CATALYST2_CFG, TIGHT)
-    got = evaluate_gradient(dataclasses.replace(prob, case2_derivs=None),
-                            CATALYST2_CFG, TIGHT)
+    got = evaluate_gradient(numeric, CATALYST2_CFG, TIGHT)
     assert np.min(np.abs(want.d_s)) > 1e-4
     assert np.min(np.abs(want.d_p0)) > 1e-4
-    _assert_bundles_close(got, want, 1e-6)
+    _assert_bundles_close(numeric, got, prob, want, 1e-6)
 
 
 def _float_law(ph):
@@ -285,7 +294,7 @@ def test_scalar_float_law_integrates(name, cfg):
         dataclasses.replace(ph, law=_float_law(ph)) for ph in prob.phases))
     want = evaluate_gradient(prob, cfg, TIGHT)
     got = evaluate_gradient(floats, cfg, TIGHT)
-    _assert_bundles_close(got, want, 0.0)
+    _assert_bundles_close(floats, got, prob, want, 0.0)
     _, _, us, _ = dense_trajectory(floats, cfg, TIGHT)
     assert us.shape == (DEFAULT_SAMPLES, 1)
 
@@ -365,3 +374,73 @@ def test_sampled_costate_matches_whole_horizon_integration(name, T, cfg):
     ref = _whole_horizon_costate(prob, fwd, TIGHT)
     err = np.max(np.abs(bundle.bwd.samples - ref))
     assert err <= 1e-8 * np.max(np.abs(ref))
+
+
+# one off-optimum configuration per problem
+CONFIGS = {
+    "catalyst1": (None, SwitchConfig(s=np.array([0.15, 0.7]))),
+    "catalyst2": (None, CATALYST2_CFG),
+    "jacobson": (None, SwitchConfig(s=np.array([1.3]))),
+    "bressan": (10.0, SwitchConfig(s=np.array([3.1]))),
+    "goddard": (None, GODDARD_CFG),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_gradient_evaluates_no_control_bound(name):
+    # the control-box margins are a separate call on the forward record
+    T, cfg = CONFIGS[name]
+    calls = []
+
+    def counted(bound):
+        def wrapper(t):
+            calls.append(t)
+            return bound(t)
+        return wrapper
+
+    prob = build_problem(name, T=T)
+    prob = dataclasses.replace(prob, phases=tuple(
+        dataclasses.replace(ph, lower=counted(ph.lower),
+                            upper=counted(ph.upper))
+        for ph in prob.phases))
+    bundle = evaluate_gradient(prob, cfg, TIGHT)
+    assert calls == []
+    assert np.all(np.isfinite(feasibility_margins(prob, bundle.fwd)))
+    assert calls
+
+
+@pytest.mark.parametrize("name, cfg", [
+    ("catalyst1", SwitchConfig(s=np.array([0.1, 0.7]))),
+    ("goddard", SwitchConfig(s=np.array([13.0, 21.0]), T=42.0)),
+])
+def test_solve_reports_margin_of_final_sweep(name, cfg):
+    prob = build_problem(name)
+    report = minimize(prob, cfg)
+    want = float(np.min(feasibility_margins(prob, report.final_bundle.fwd)))
+    assert report.worst_margin == want
+
+
+@pytest.mark.parametrize("name", ["catalyst2", "goddard"])
+def test_gradcheck_evaluates_gradient_once(monkeypatch, name):
+    T, cfg = CONFIGS[name]
+    prob = build_problem(name, T=T)
+    bundles = []
+
+    def recorded(*args, **kwargs):
+        bundles.append(evaluate_gradient(*args, **kwargs))
+        return bundles[-1]
+
+    monkeypatch.setattr(gradients, "evaluate_gradient", recorded)
+    rows = gradcheck(prob, cfg, TIGHT)
+    assert len(bundles) == 1
+    b = bundles[0]
+    want = [("d_s1", b.d_s[0]), ("d_s2", b.d_s[1])]
+    if cfg.p0 is not None:
+        want += [("d_p01", b.d_p0[0]), ("d_p02", b.d_p0[1])]
+    if prob.free_time:
+        want.append(("d_T", b.d_T))
+    assert [row[:2] for row in rows] == want
+    for _, a, fd in rows:
+        assert a == pytest.approx(fd, rel=1e-5, abs=1e-8)
+    if prob.free_time:
+        assert rows[-1][1:] == free_time_gradient_check(prob, cfg, TIGHT)

@@ -128,7 +128,9 @@ _COORD = st.floats(-1e3, 1e3)
 def test_fixed_time_projection_passes_validate_config(name, T, data):
     # jacobson's horizon is fixed
     prob = build_problem(name, T=None if name == "jacobson" else T)
-    var = _Vars(prob, SwitchConfig(s=np.zeros(prob.k)))
+    # the starting configuration's p0 sets the packing's p0 block
+    p0 = np.zeros(prob.n) if prob.case == 2 else None
+    var = _Vars(prob, SwitchConfig(s=np.zeros(prob.k), p0=p0))
     z = np.array(data.draw(st.lists(_COORD, min_size=prob.k + var.np0,
                                     max_size=prob.k + var.np0)))
     validate_config(prob, var.unpack(var.project(z)))

@@ -44,6 +44,13 @@ def test_validate_requires_costate(catalyst2):
         validate_config(catalyst2, SwitchConfig(s=np.array([0.1, 0.7])))
 
 
+def test_validate_rejects_costate_on_case1(catalyst):
+    # a Case-1 sweep state is x alone: it has no place for a p0
+    with pytest.raises(InvalidSwitchOrder, match="Case 1 takes 0"):
+        validate_config(catalyst, SwitchConfig(s=np.array([0.1, 0.7]),
+                                               p0=np.array([5.0, 5.0])))
+
+
 def test_catalyst_full_mixing_dynamics(catalyst):
     # u=1 phase from a=1, b=0: da = -k1*a = -1, db = +k1*a = +1
     dx = phase_flow(catalyst, 0)(0.0, np.array([1.0, 0.0]))
