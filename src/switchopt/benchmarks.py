@@ -213,6 +213,16 @@ def build_catalyst(params: CatalystParams = CatalystParams(),
 # Jacobson-Gershwin-Lele
 # ---------------------------------------------------------------------------
 
+# Jacobson's and Bressan's callbacks also take B lanes of states, x of
+# shape (n, B) and u of shape (m, B), and then return arrays whose
+# trailing axis is the lane axis, as the lane sweeps of
+# ``derivative_profile`` need.
+
+def _lane_zeros(shape, x):
+    """Zeros of ``shape``, with x's lane axis appended when it has one."""
+    return np.zeros(shape + x.shape[1:])
+
+
 JACOBSON_S1 = 1.41376408763006415924
 
 
@@ -231,19 +241,27 @@ def build_jacobson() -> ProblemDef:
         return np.array([x[1], u[0], 0.5 * (x[0] ** 2 + x[1] ** 2)])
 
     def f_x(x, u):
-        return np.array([[0.0, 1.0, 0.0],
-                         [0.0, 0.0, 0.0],
-                         [x[0], x[1], 0.0]])
+        J = _lane_zeros((3, 3), x)
+        J[0, 1] = 1.0
+        J[2, 0], J[2, 1] = x[0], x[1]
+        return J
 
     def f_u(x, u):
-        return np.array([[0.0], [1.0], [0.0]])
+        J = _lane_zeros((3, 1), x)
+        J[1, 0] = 1.0
+        return J
+
+    def law_x(t, x):
+        J = _lane_zeros((1, 3), x)
+        J[0, 0] = 1.0
+        return J
 
     lo = lambda t: np.array([-1.0])
     hi = lambda t: np.array([1.0])
     phases = (
         ControlPhase("constant", lambda t: np.array([-1.0]), lo, hi),
         ControlPhase("state", lambda t, x: np.array([x[0]]), lo, hi,
-                     law_x=lambda t, x: np.array([[1.0, 0.0, 0.0]])),
+                     law_x=law_x),
     )
     return ProblemDef(
         name="jacobson", n=3, m=1, x0=np.array([0.0, 1.0, 0.0]),
@@ -263,12 +281,15 @@ def build_bressan(T: float = 10.0) -> ProblemDef:
         return np.array([u[0], -x[0], x[0] ** 2 - x[1]])
 
     def f_x(x, u):
-        return np.array([[0.0, 0.0, 0.0],
-                         [-1.0, 0.0, 0.0],
-                         [2 * x[0], -1.0, 0.0]])
+        J = _lane_zeros((3, 3), x)
+        J[1, 0] = J[2, 1] = -1.0
+        J[2, 0] = 2 * x[0]
+        return J
 
     def f_u(x, u):
-        return np.array([[1.0], [0.0], [0.0]])
+        J = _lane_zeros((3, 1), x)
+        J[0, 0] = 1.0
+        return J
 
     lo = lambda t: np.array([-1.0])
     hi = lambda t: np.array([1.0])

@@ -62,16 +62,29 @@ def _parse_list(text):
         [float(v) for v in text.split(",")])
 
 
+def _grid(text):
+    """The points of ``--grid lo,hi,n``: n >= 1 points from lo to hi."""
+    usage = f"--grid takes lo,hi,n with n >= 1, got {text!r}"
+    parts = [] if text is None else text.split(",")
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except (IndexError, ValueError):
+        raise InvalidSwitchOrder(usage) from None
+    if len(parts) != 3 or n < 1:
+        raise InvalidSwitchOrder(usage)
+    return np.linspace(lo, hi, n)
+
+
 def _ode_settings(args):
     tol = args.ode_tol
     return IntegratorSettings(rel_tol=tol, abs_tol=tol)
 
 
-def _config(prob, s, p0):
-    """The validated configuration (s, p0) at the problem's horizon."""
+def _config(prob, s, p0, alternatives=""):
+    """The validated configuration (s, p0) at the problem's horizon;
+    ``alternatives`` names the command's other ways to give s."""
     if s is None:
-        raise InvalidSwitchOrder(
-            "--s0 is required (or use --secant/--warmstart)")
+        raise InvalidSwitchOrder("--s0 is required" + alternatives)
     cfg = SwitchConfig(s=s, p0=p0, T=prob.T if prob.free_time else None)
     validate_config(prob, cfg)
     return cfg
@@ -115,7 +128,8 @@ def cmd_solve(args):
             cfg0 = _config(prob, est.switch_times,
                            est.p0_estimate if prob.case == 2 else None)
         else:
-            cfg0 = _config(prob, _parse_list(args.s0), _parse_list(args.p0))
+            cfg0 = _config(prob, _parse_list(args.s0), _parse_list(args.p0),
+                           " (or use --secant/--warmstart)")
         report = minimize(prob, cfg0, opt, ode)
 
     with open(out / "report.json", "w") as fh:
@@ -190,11 +204,7 @@ def cmd_profile(args):
     out = _out_dir(args)
     prob = build_problem(args.problem, T=args.T)
     ode = _ode_settings(args)
-    if args.grid is None:
-        raise InvalidSwitchOrder("--grid lo,hi,n is required")
-    lo, hi, npts = args.grid.split(",")
-    grid = np.linspace(float(lo), float(hi), int(npts))
-    rows = derivative_profile(prob, grid, ode_settings=ode)
+    rows = derivative_profile(prob, _grid(args.grid), ode_settings=ode)
     _write_csv(out / "derivative_profile.csv", ["s", "dC_ds1"], rows)
 
     g = rows[:, 1]

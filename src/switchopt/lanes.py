@@ -1,0 +1,308 @@
+"""Lockstep lanes: B fixed-time Case-1 configurations swept as one.
+
+The lanes of a sweep are integrated by one masked, segment-synchronous
+DOPRI5 loop.  Each lane keeps its own t, h, error history, step budget
+and breakpoints, and applies exactly the rules of the scalar loop in
+``odeint``, so it takes the steps of the scalar sweep of its
+configuration.  All lanes work on the same segment, so every RHS call
+evaluates one phase's law for all of them, and the interpreter's cost per
+call is paid once per B lanes.  Arrays carry the lane axis last: states
+(n, B), times (B,).  The model callbacks must accept that layout, as
+jacobson's and bressan's do.
+
+``optimizer.derivative_profile`` imports this module on first use, so that
+importing the package does not compile it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .exceptions import NonFiniteState, StepLimitExceeded, StepUnderflow
+from .gradients import GradientBundle, _horizon, _resolved
+from .odeint import _A, _ALPHA, _B5, _BETA, _C, _E, _FAC_MAX, _FAC_MIN, \
+    _H_INIT, _H_MIN, _SAFETY, IntegratorSettings, PiecewiseOde, _reflect
+from .problem import validate_config
+
+__all__ = [
+    "integrate_lanes",
+    "lane_flow",
+    "lane_adjoint",
+    "LaneRecord",
+    "forward_lanes",
+    "backward_lanes",
+    "evaluate_lanes",
+]
+
+
+# ---------------------------------------------------------------------------
+# integration
+# ---------------------------------------------------------------------------
+
+def _lane_error(kind, failing, message):
+    """``kind`` for the lowest failing lane, its message from message(b)."""
+    b = int(np.argmax(failing))
+    return kind(f"lane {b}: {message(b)}")
+
+
+def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, n_err):
+    """``_integrate_segment`` for B lanes in lockstep, without nodes.
+
+    t0, t1 and budget have shape (B,) and y0 shape (dim, B).  Every lane
+    applies the scalar rules with its own t, h, error history and budget.
+    The stages are held lane-major, (B, 7, dim), so that each lane's
+    tableau products are the scalar loop's own BLAS calls: given the same
+    RHS values, a lane repeats its scalar integration bit for bit, which
+    keeps step counts equal where the error estimate is rounding noise.
+    A lane that has reached t1 is frozen, trying steps of length 0, until
+    all have.
+    The first failure raises, naming its lane.  Returns (y_end,
+    steps_used), the steps per lane.
+    """
+    def f(t, y):
+        return rhs(j, t, y.T).T
+
+    t, y = t0, np.array(y0.T, dtype=float)
+    k1 = f(t, y)
+    bad = ~np.isfinite(k1).all(axis=1)
+    if bad.any():
+        raise _lane_error(NonFiniteState, bad,
+                          lambda b: f"non-finite derivative at t={t[b]}")
+
+    h = np.minimum(_H_INIT, t1 - t0)
+    err_prev = np.ones(t.shape)
+    steps = np.zeros(t.shape, dtype=int)
+    k = np.empty((t.size, 7, y.shape[1]))
+    k_cols = [k[:, :i].transpose(0, 2, 1) for i in range(7)]
+    active = t < t1
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while active.any():
+            over = active & (steps >= budget)
+            if over.any():
+                raise _lane_error(StepLimitExceeded, over, lambda b:
+                                  f"exceeded {settings.max_steps} steps")
+            clipped = h >= t1 - t
+            h_try = np.where(active, np.where(clipped, t1 - t, h), 0.0)
+            h_col = h_try[:, None]
+
+            k[:, 0] = k1
+            for i in range(1, 7):
+                k[:, i] = f(t + _C[i] * h_try, y + h_col * (k_cols[i] @ _A[i]))
+            y_new = y + h_col * (_B5 @ k)
+            failed = active & ~(np.isfinite(k[:, 1:]).all(axis=(1, 2))
+                                & np.isfinite(y_new).all(axis=1))
+            steps += active
+
+            w = (h_col * (_E @ k) / (settings.abs_tol + settings.rel_tol
+                                     * np.maximum(np.abs(y), np.abs(y_new))))
+            w = w[:, :n_err]
+            err = np.sqrt(np.add.reduce(w * w, axis=1) / n_err)
+            tested = active & ~failed
+            accept = tested & (err <= 1.0)
+            reject = tested & ~accept
+            # float_power is the C pow of the scalar loop's float ** float
+            shrink = _SAFETY * np.float_power(err, -_ALPHA)
+            fac = np.where(err == 0.0, _FAC_MAX,
+                           shrink * np.float_power(err_prev, _BETA))
+            h = np.where(accept, h_try * np.minimum(
+                _FAC_MAX, np.maximum(_FAC_MIN, fac)), h)
+            h = np.where(reject, h_try * np.minimum(
+                1.0, np.maximum(_FAC_MIN, shrink)), h)
+            h = np.where(failed, 0.5 * h_try, h)
+
+            t = np.where(accept, np.where(clipped, t1, t + h_try), t)
+            y = np.where(accept[:, None], y_new, y)
+            k1 = np.where(accept[:, None], k[:, 6], k1)
+            err_prev = np.where(accept, np.maximum(err, 1e-10), err_prev)
+
+            dead = (failed | reject) & (h < _H_MIN)
+            if dead.any():
+                b = int(np.argmax(dead))
+                if failed[b]:
+                    raise _lane_error(NonFiniteState, dead, lambda b:
+                                      f"non-finite state near t={t[b]}")
+                raise _lane_error(StepUnderflow, dead, lambda b: (
+                    f"step size {h[b]:.3e} below h_min at t={t[b]}; "
+                    "the problem may be stiff or blowing up"))
+            active = t < t1
+    return y.T, steps
+
+
+def integrate_lanes(ode, y_start, direction="forward", settings=None):
+    """Integrate the B lanes of ``ode`` in lockstep, segment by segment.
+
+    ``ode.segments`` has shape (nseg+1, B) and ``y_start`` shape (dim, B).
+    All lanes work on the same segment j, so every RHS call evaluates
+    segment j's law for all of them; within it each lane steps exactly as
+    ``integrate_piecewise`` would, under its own ``max_steps`` budget.
+    Returns (breakpoint_states, steps): breakpoint_states[i] is the
+    (dim, B) state at ode.segments[i] in original time, and steps the
+    (B,) step attempts of each lane.
+    """
+    settings = settings or IntegratorSettings()
+    y = np.array(y_start, dtype=float)
+    if ode.segments.ndim != 2:
+        raise ValueError("lanes need segments of shape (nseg+1, B)")
+    if y.shape != (ode.dim, ode.segments.shape[1]):
+        raise ValueError(f"y_start has shape {y.shape}, expected "
+                         f"{(ode.dim, ode.segments.shape[1])}")
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"unknown direction {direction!r}")
+
+    work = _reflect(ode) if direction == "backward" else ode
+    bp_states = [y]
+    used = np.zeros(y.shape[1], dtype=int)
+    for j in range(len(work.segments) - 1):
+        y, steps = _integrate_lane_segment(
+            work.rhs, j, work.segments[j], work.segments[j + 1], y, settings,
+            settings.max_steps - used, ode.dim - ode.quadratures)
+        used += steps
+        bp_states.append(y)
+    return (bp_states[::-1] if direction == "backward" else bp_states), used
+
+
+# ---------------------------------------------------------------------------
+# model
+# ---------------------------------------------------------------------------
+
+def _lane_law(prob, j):
+    """Phase j's control law on B lanes as u(t, x) of shape (m, B), for t
+    of shape (B,) and x of shape (n, B); a constant law is broadcast."""
+    ph, m = prob.phases[j], prob.m
+    if prob.case != 1 or ph.law_kind == "state_costate":
+        raise ValueError(f"{prob.name}: lane sweeps take Case-1 problems")
+    law = (lambda t, x: ph.law(t)) if ph.law_kind == "constant" else ph.law
+
+    def control(t, x):
+        u = np.empty((m, t.size))
+        u[:] = np.reshape(law(t, x), (m, -1))
+        return u
+    return control
+
+
+def lane_flow(prob, j):
+    """``phase_flow`` of a Case-1 problem on B lanes: F(t, x) of shape
+    (n, B).  The model callbacks must take x of shape (n, B)."""
+    f, control = prob.f, _lane_law(prob, j)
+    return lambda t, x: f(x, control(t, x))
+
+
+def lane_adjoint(prob, j):
+    """``phase_adjoint`` of a Case-1 problem on B lanes: A(t, x, lam) ->
+    (F, lam . dF/dx), each (n, B).  f_x, f_u and a state law's law_x,
+    which must be given, return their lane axis last."""
+    ph, f, f_x, f_u = prob.phases[j], prob.f, prob.f_x, prob.f_u
+    control, feedback = _lane_law(prob, j), ph.law_kind != "constant"
+    if feedback and ph.law_x is None:
+        raise ValueError(f"{prob.name}: lane sweeps need phase {j}'s law_x")
+
+    def adjoint(t, x, lam):
+        u = control(t, x)
+        J = f_x(x, u)
+        if feedback:
+            J = J + np.einsum("imb,mjb->ijb", f_u(x, u), ph.law_x(t, x))
+        return f(x, u), _lane_vecmat(lam, J)
+    return adjoint
+
+
+def _lane_vecmat(lam, J):
+    """lam @ J per lane, lam (n, B) and J (n, n, B), through the BLAS call
+    of the scalar ``lam @ J``, so that each lane gets the scalar bits."""
+    J = np.ascontiguousarray(np.moveaxis(J, -1, 0))
+    return np.matmul(lam.T[:, None, :], J)[:, 0].T
+
+
+# ---------------------------------------------------------------------------
+# sweeps
+# ---------------------------------------------------------------------------
+
+@dataclass
+class LaneRecord:
+    """B sweeps run in lockstep; every array ends in the lane axis."""
+
+    checkpoints: np.ndarray           # (k+2, n, B): x or lam at 0, s_1.., T
+    sigma: np.ndarray                 # (k+2, B): switch points in tau units
+    T: np.ndarray                     # (B,)
+    steps: np.ndarray                 # (B,) integrator step attempts
+    objective: Optional[np.ndarray] = None   # (B,), forward sweeps only
+
+
+def forward_lanes(prob, cfgs, settings=None):
+    """``forward_sweep`` of the Case-1 configurations ``cfgs`` as the lanes
+    of one lockstep integration, without dense samples.  Every
+    configuration is validated before any lane is integrated."""
+    for cfg in cfgs:
+        validate_config(prob, cfg)
+    T = np.array([_horizon(prob, cfg) for cfg in cfgs])
+    sigma = np.column_stack([np.concatenate(([0.0], cfg.s / t, [1.0]))
+                             for cfg, t in zip(cfgs, T)])
+    flows = _resolved(lane_flow, prob)
+
+    def rhs(j, tau, x):
+        return T * flows[j](tau * T, x)
+
+    ode = PiecewiseOde(dim=prob.n, segments=sigma, rhs=rhs)
+    states, steps = integrate_lanes(
+        ode, np.repeat(prob.x0[:, None], T.size, axis=1), "forward", settings)
+    ckpt = np.array(states)
+    return LaneRecord(checkpoints=ckpt, sigma=sigma, T=T, steps=steps,
+                      objective=np.asarray(prob.C(ckpt[-1]), dtype=float))
+
+
+def _lane_adjoint_rhs(T, adjoint, n):
+    """RHS of (x, lam) on tau for B lanes of one phase's ``adjoint``."""
+    def rhs(j, tau, w):
+        F, lam_F_x = adjoint(tau * T, w[:n], w[n:])
+        return T * np.concatenate((F, -lam_F_x))
+    return rhs
+
+
+def backward_lanes(prob, fwd, settings=None):
+    """``backward_sweep`` of the lanes of ``fwd``, with x reset to the
+    forward checkpoint at each switch point and each phase under its own
+    step budget.  It carries no lam . F quadrature and samples no dense
+    lam: a fixed-time profile reads only the Hamiltonian jumps."""
+    n, B = prob.n, fwd.T.size
+    adjoints = _resolved(lane_adjoint, prob)
+    lam = np.broadcast_to(
+        np.reshape(prob.grad_C(fwd.checkpoints[-1]), (n, -1)), (n, B))
+    costates = [None] * (prob.k + 2)
+    costates[-1] = lam
+    steps = np.zeros(B, dtype=int)
+    for j in range(prob.k, -1, -1):
+        ode = PiecewiseOde(dim=2 * n, segments=fwd.sigma[j:j + 2],
+                           rhs=_lane_adjoint_rhs(fwd.T, adjoints[j], n))
+        states, used = integrate_lanes(
+            ode, np.concatenate((fwd.checkpoints[j + 1], lam)), "backward",
+            settings)
+        lam = costates[j] = states[0][n:]
+        steps += used
+    return LaneRecord(checkpoints=np.array(costates), sigma=fwd.sigma,
+                      T=fwd.T, steps=steps)
+
+
+def _lane_dot(a, b):
+    """a . b per lane of two (n, B) arrays, by the scalar ``a @ b``'s call."""
+    return np.matmul(a.T[:, None, :], b.T[:, :, None])[:, 0, 0]
+
+
+def evaluate_lanes(prob, cfgs, settings=None):
+    """``evaluate_gradient`` of the Case-1 configurations ``cfgs`` from one
+    lockstep forward and one lockstep backward sweep.  The bundle's
+    objective has shape (B,), d_s shape (k, B), d_p0 and d_T are None, and
+    fwd and bwd are the two LaneRecords."""
+    fwd = forward_lanes(prob, cfgs, settings)
+    bwd = backward_lanes(prob, fwd, settings)
+    flows = _resolved(lane_flow, prob)
+    d_s = np.empty((prob.k, fwd.T.size))
+    for j in range(1, prob.k + 1):
+        t, x, lam = fwd.sigma[j] * fwd.T, fwd.checkpoints[j], \
+            bwd.checkpoints[j]
+        d_s[j - 1] = _lane_dot(lam, flows[j - 1](t, x)) \
+            - _lane_dot(lam, flows[j](t, x))
+    return GradientBundle(objective=fwd.objective, d_s=d_s, d_p0=None,
+                          d_T=None, fwd=fwd, bwd=bwd)

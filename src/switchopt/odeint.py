@@ -74,6 +74,10 @@ class PiecewiseOde:
     components are passengers: they ride along on the accepted stages but
     are left out of the local error test, as integrators that carry
     quadratures do by default (CVODES).
+
+    ``segments`` of shape (nseg+1, B) describes B lanes for
+    ``lanes.integrate_lanes``: column b holds lane b's breakpoints, and
+    ``rhs`` takes t of shape (B,) and states of shape (dim, B).
     """
 
     dim: int
@@ -83,9 +87,9 @@ class PiecewiseOde:
 
     def __post_init__(self):
         seg = np.asarray(self.segments, dtype=float)
-        if seg.size < 2:
+        if seg.ndim not in (1, 2) or len(seg) < 2:
             raise ValueError("need at least two breakpoints")
-        if not np.all(np.diff(seg) > 0):
+        if not np.all(np.diff(seg, axis=0) > 0):
             raise ValueError("breakpoints must be strictly increasing")
         if not 0 <= self.quadratures < self.dim:
             raise ValueError("quadratures must lie in [0, dim)")

@@ -416,11 +416,20 @@ def secant_switch(prob, bracket, settings=None, ode_settings=None):
 
 
 def derivative_profile(prob, s_grid, ode_settings=None):
-    """Table of (s, dC/ds_1) over a grid, for single-switch problems."""
+    """Table of (s, dC/ds_1) over a grid, for single-switch problems.
+
+    The grid points are the lanes of one lockstep forward and backward
+    sweep (``evaluate_lanes``); lane b takes the steps of
+    ``evaluate_gradient`` at s_grid[b].  A failing point raises, its
+    message naming the lane.
+    """
+    from .lanes import evaluate_lanes  # compiled only when a profile runs
+
     if prob.k != 1:
         raise ValueError("derivative_profile requires a single-switch problem")
-    rows = np.empty((len(s_grid), 2))
-    for i, s in enumerate(s_grid):
-        cfg = SwitchConfig(s=np.array([float(s)]))
-        rows[i] = (s, evaluate_gradient(prob, cfg, ode_settings).d_s[0])
-    return rows
+    s = np.array(s_grid, dtype=float).reshape(-1)
+    if s.size == 0:
+        raise ValueError("derivative_profile needs at least one grid point")
+    bundle = evaluate_lanes(prob, [SwitchConfig(s=v[None]) for v in s],
+                            ode_settings)
+    return np.column_stack((s, bundle.d_s[0]))

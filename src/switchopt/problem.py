@@ -115,12 +115,18 @@ class SwitchConfig:
 
 
 def validate_config(prob: ProblemDef, cfg: SwitchConfig):
-    """Check ordering 0 < s_1 < ... < s_k < T with the configured gap, and
-    that cfg has a p0, of the state's size, exactly in Case 2."""
+    """Check that s, T and p0 are finite, the ordering 0 < s_1 < ... <
+    s_k < T with the configured gap, and that cfg has a p0, of the state's
+    size, exactly in Case 2."""
     T = cfg.T if cfg.T is not None else prob.T
     if cfg.s.size != prob.k:
         raise InvalidSwitchOrder(
             f"{prob.name}: expected {prob.k} switch points, got {cfg.s.size}")
+    if not (np.isfinite(cfg.s).all() and math.isfinite(T) and (
+            cfg.p0 is None or np.isfinite(cfg.p0).all())):
+        raise InvalidSwitchOrder(
+            f"{prob.name}: non-finite configuration s = {cfg.s}, T = {T}"
+            + ("" if cfg.p0 is None else f", p0 = {cfg.p0}"))
     pts = np.concatenate(([0.0], cfg.s, [T]))
     if np.any(np.diff(pts) < prob.eps_gap):
         raise InvalidSwitchOrder(

@@ -238,6 +238,41 @@ def test_profile_single_point(tmp_path):
     assert rows.shape == (1, 2)
 
 
+@pytest.mark.parametrize("grid", ["1.38,1.48,0", "1.38,1.48", "1.38,1.48,2.5",
+                                  "1.38,1.48,3,4", "a,1.48,3"])
+def test_profile_bad_grid_exits_config(tmp_path, capsys, grid):
+    code = main(["profile", "--problem", "jacobson", "--grid", grid,
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "--grid takes lo,hi,n with n >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "derivative_profile.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--problem", "jacobson", "--grid", "1.38,nan,3"],
+    ["solve", "--problem", "catalyst1", "--s0", "nan,0.7"],
+    ["gradcheck", "--problem", "catalyst2", "--s0", "0.1,0.7",
+     "--p0", "nan,0.8"],
+    ["gradcheck", "--problem", "goddard", "--s0", "13,21", "--T", "inf"],
+], ids=lambda argv: argv[0])
+def test_non_finite_configuration_exits_config(tmp_path, capsys, argv):
+    code = main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert "non-finite" in err or "must be finite" in err
+
+
+@pytest.mark.parametrize("command, alternatives", [
+    ("solve", True), ("gradcheck", False)])
+def test_missing_s0_names_the_commands_options(capsys, command,
+                                               alternatives):
+    code = main([command, "--problem", "catalyst1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "--s0 is required" in err
+    assert ("--secant/--warmstart" in err) == alternatives
+
+
 def test_out_dir_from_env(tmp_path, monkeypatch):
     monkeypatch.setenv("SPA_OUT_DIR", str(tmp_path / "envout"))
     code = main(["profile", "--problem", "bressan", "--grid", "3.3,3.3,1"])

@@ -12,6 +12,7 @@ from switchopt.gradients import (
     DEFAULT_SAMPLES, dense_trajectory, evaluate_gradient, feasibility_margins,
     forward_sweep, free_time_gradient_check, gradcheck,
 )
+from switchopt.lanes import evaluate_lanes
 from switchopt.odeint import IntegratorSettings, PiecewiseOde, \
     integrate_piecewise
 from switchopt.optimizer import minimize
@@ -444,3 +445,58 @@ def test_gradcheck_evaluates_gradient_once(monkeypatch, name):
         assert a == pytest.approx(fd, rel=1e-5, abs=1e-8)
     if prob.free_time:
         assert rows[-1][1:] == free_time_gradient_check(prob, cfg, TIGHT)
+
+
+# ---------------------------------------------------------------------------
+# lockstep lanes against evaluate_gradient, point by point
+# ---------------------------------------------------------------------------
+
+def _scalar_point(monkeypatch, prob, s, settings):
+    """evaluate_gradient at s, and the step attempts of its forward sweep
+    and of its backward sweep (all phases)."""
+    steps = []
+    integrate = gradients.integrate_piecewise
+
+    def counting(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        steps.append(traj.steps)
+        return traj
+    monkeypatch.setattr(gradients, "integrate_piecewise", counting)
+    bundle = evaluate_gradient(prob, SwitchConfig(s=np.array([s])), settings)
+    monkeypatch.setattr(gradients, "integrate_piecewise", integrate)
+    return bundle, steps[0], sum(steps[1:])
+
+
+@pytest.mark.parametrize("tol", [None, 1e-11], ids=["default", "tol1e-11"])
+@pytest.mark.parametrize("name, grid, stride", [
+    ("jacobson", np.linspace(1.38, 1.48, 200), 13),   # the README profile
+    ("bressan", np.linspace(3.0, 3.7, 15), 1),
+])
+def test_lanes_match_scalar_sweeps(monkeypatch, name, grid, stride, tol):
+    prob = build_problem(name)
+    settings = IntegratorSettings() if tol is None \
+        else IntegratorSettings(rel_tol=tol, abs_tol=tol)
+    lanes = evaluate_lanes(prob, [SwitchConfig(s=np.array([s])) for s in grid],
+                           settings)
+    assert lanes.d_s.shape == (1, grid.size)
+    for b in range(0, grid.size, stride):
+        bundle, fwd_steps, bwd_steps = _scalar_point(monkeypatch, prob,
+                                                     grid[b], settings)
+        assert abs(lanes.d_s[0, b] - bundle.d_s[0]) <= 1e-12
+        assert abs(lanes.objective[b] - bundle.objective) <= 1e-12
+        assert lanes.fwd.steps[b] == fwd_steps
+        assert lanes.bwd.steps[b] == bwd_steps
+
+
+@pytest.mark.parametrize("name", ["catalyst2", "jacobson"])
+def test_lanes_refuse_problems_they_cannot_batch(name):
+    # a Case-2 problem, and a state-feedback phase without law_x
+    prob = build_problem(name)
+    if name == "jacobson":
+        prob = dataclasses.replace(prob, phases=tuple(
+            dataclasses.replace(ph, law_x=None) for ph in prob.phases))
+        cfg = SwitchConfig(s=np.array([1.4]))
+    else:
+        cfg = SwitchConfig(s=np.array([0.1, 0.7]), p0=np.ones(2))
+    with pytest.raises(ValueError, match="lane sweeps"):
+        evaluate_lanes(prob, [cfg])

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from switchopt import odeint
 
-from switchopt.exceptions import NonFiniteState, StepLimitExceeded
+from switchopt.exceptions import NonFiniteState, StepLimitExceeded, \
+    StepUnderflow, SwitchOptError
+from switchopt.lanes import integrate_lanes
 from switchopt.odeint import (
     IntegratorSettings, PiecewiseOde, integrate_piecewise,
     integrate_with_quadrature,
@@ -283,3 +286,97 @@ def test_hermite_resample_duplicated_last_node():
     out = odeint._hermite_resample(nodes, sample_times)[1]
     assert np.array_equal(out, _hermite_loop(nodes, sample_times))
     assert out[-1, 0] == 4.0 and out[-2, 0] == 4.0
+
+
+# ---------------------------------------------------------------------------
+# lockstep lanes against the scalar integrator, lane by lane
+# ---------------------------------------------------------------------------
+
+def _banded_ode(segments, fast):
+    """y1 = sin(2t) exactly, and a stage that strays from it by more than
+    3e-5 lands where the law is undefined (NaN), so that oversized trial
+    steps fail and halve; on segment 1, y2 relaxes at rate 400 toward
+    y1^2 (``fast`` = +1, forward) or away from it (-1, stable when
+    integrated backward), which makes the error test reject steps."""
+    def rhs(j, t, y):
+        slow = y[0] - y[1]
+        dy = np.array([2.0 * np.cos(2.0 * t),
+                       slow if j == 0 else fast * 400.0 * (y[0] ** 2 - y[1])])
+        return np.where(np.abs(y[0] - np.sin(2.0 * t)) > 3e-5, np.nan, dy)
+    return PiecewiseOde(dim=2, segments=segments, rhs=rhs)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_lanes_take_the_scalar_steps(direction):
+    lanes = 7
+    seg = np.vstack([np.zeros(lanes), np.linspace(0.3, 0.5, lanes),
+                     np.linspace(0.6, 0.9, lanes)])
+    ode = _banded_ode(seg, 1.0 if direction == "forward" else -1.0)
+    t_start = seg[0] if direction == "forward" else seg[-1]
+    y_start = np.vstack([np.sin(2.0 * t_start), np.linspace(-1, 1, lanes)])
+    st = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-9)
+    states, steps = integrate_lanes(ode, y_start, direction, st)
+
+    repeated = 0
+    for b in range(lanes):
+        lane = dataclasses.replace(ode, segments=seg[:, b])
+        traj = integrate_piecewise(lane, y_start[:, b], direction, st)
+        assert steps[b] == traj.steps
+        for i, x in enumerate(traj.breakpoint_states):
+            np.testing.assert_allclose(states[i][:, b], x, rtol=0, atol=1e-12)
+        repeated += traj.steps - (traj.step_times.size - 2)
+    # both the non-finite halving and the error test's rejection ran
+    assert repeated > 2 * lanes
+
+
+def _lanes_and_scalar(rhs, seg, y_start, settings):
+    """The lanes' exception and, per lane, the scalar integration's (None
+    when it succeeds)."""
+    ode = PiecewiseOde(dim=y_start.shape[0], segments=seg, rhs=rhs)
+    scalar = []
+    for b in range(seg.shape[1]):
+        try:
+            integrate_piecewise(dataclasses.replace(ode, segments=seg[:, b]),
+                                y_start[:, b], settings=settings)
+            scalar.append(None)
+        except SwitchOptError as exc:
+            scalar.append(type(exc))
+    with pytest.raises(SwitchOptError) as info:
+        integrate_lanes(ode, y_start, settings=settings)
+    return info.value, scalar
+
+
+@pytest.mark.parametrize("kind", [NonFiniteState, StepUnderflow,
+                                  StepLimitExceeded])
+def test_failing_lane_raises_its_scalar_exception(kind):
+    lanes = 4
+    seg = np.vstack([np.zeros(lanes), np.full(lanes, 0.5), np.ones(lanes)])
+    settings = IntegratorSettings()
+    if kind is NonFiniteState:
+        # dy/dt = y^2 blows up at t = 1 / y0, inside the interval for lane 2
+        rhs = lambda j, t, y: y * y
+        y_start = np.array([[0.2, 0.5, 4.0, 0.1]])
+    elif kind is StepUnderflow:
+        # an amplitude-y2 law that no step size resolves, in lane 1 only
+        rhs = lambda j, t, y: np.array([y[1] * 1e12 * np.sin(1e15 * t),
+                                        0.0 * y[1]])
+        y_start = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    else:
+        # the fastest oscillation needs the most steps
+        rhs = lambda j, t, y: np.cos(y[1] * t) + 0.0 * y
+        y_start = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 5.0, 60.0, 2.0]])
+        settings = IntegratorSettings(max_steps=100)
+    exc, scalar = _lanes_and_scalar(rhs, seg, y_start, settings)
+    b = int(str(exc).split(":")[0].removeprefix("lane "))
+    assert type(exc) is kind and scalar[b] is kind
+    assert scalar.count(None) == lanes - 1
+
+
+def test_lanes_need_lane_states():
+    ode = PiecewiseOde(dim=1, segments=np.zeros((2, 3)) + [[0.0], [1.0]],
+                       rhs=lambda j, t, y: -y)
+    with pytest.raises(ValueError):
+        integrate_lanes(ode, np.ones(3))
+    with pytest.raises(ValueError):
+        PiecewiseOde(dim=1, segments=np.array([[0.0, 1.0], [1.0, 1.0]]),
+                     rhs=lambda j, t, y: -y)

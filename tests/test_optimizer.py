@@ -13,7 +13,7 @@ from switchopt.benchmarks import (
 from switchopt.exceptions import InfeasiblePolytope, InvalidSwitchOrder, \
     LineSearchFailure, NonFiniteDerivative, NonFiniteState, \
     SecantDivergence, StepLimitExceeded, StepUnderflow
-from switchopt.gradients import forward_sweep
+from switchopt.gradients import evaluate_gradient, forward_sweep
 from switchopt.odeint import IntegratorSettings
 from switchopt.optimizer import (
     OptimizeSettings, _Vars, derivative_profile, minimize, project_ordered,
@@ -428,6 +428,45 @@ def test_profile_single_point():
     prob = build_problem("bressan", T=10.0)
     rows = derivative_profile(prob, [3.3], ode_settings=TIGHT)
     assert rows.shape == (1, 2)
+
+
+def test_profile_is_the_pointwise_gradient():
+    prob = build_problem("bressan", T=10.0)
+    grid = np.linspace(3.0, 3.7, 4)
+    rows = derivative_profile(prob, grid)
+    assert np.array_equal(rows[:, 0], grid)
+    for (s, d), want in zip(rows, grid):
+        bundle = evaluate_gradient(prob, SwitchConfig(s=np.array([want])))
+        assert abs(d - bundle.d_s[0]) <= 1e-12
+
+
+def test_profile_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="at least one"):
+        derivative_profile(build_problem("jacobson"), [])
+
+
+def test_profile_step_budget_raises_like_the_scalar_sweep():
+    prob = build_problem("jacobson")
+    tiny = IntegratorSettings(max_steps=10)
+    with pytest.raises(StepLimitExceeded):
+        evaluate_gradient(prob, SwitchConfig(s=np.array([1.4])), tiny)
+    with pytest.raises(StepLimitExceeded):
+        derivative_profile(prob, np.linspace(1.38, 1.48, 5), tiny)
+
+
+def test_profile_failing_point_raises_its_scalar_exception():
+    # forward sweeps take 70 steps at s = 0.5 down to 46 at s = 4.5, so a
+    # budget of 56 fails some grid points and not others; the lane the
+    # error names fails alone too
+    prob = build_problem("jacobson")
+    grid = np.linspace(0.5, 4.5, 9)
+    budget = IntegratorSettings(max_steps=56)
+    with pytest.raises(StepLimitExceeded) as info:
+        derivative_profile(prob, grid, budget)
+    b = int(str(info.value).split(":")[0].removeprefix("lane "))
+    with pytest.raises(StepLimitExceeded):
+        evaluate_gradient(prob, SwitchConfig(s=grid[b:b + 1]), budget)
+    evaluate_gradient(prob, SwitchConfig(s=grid[-1:]), budget)
 
 
 def test_settings_validation():

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from switchopt.benchmarks import PROBLEM_NAMES, build_problem
 from switchopt.exceptions import InvalidSwitchOrder, MissingCostate
+from switchopt import gradients, lanes
 from switchopt.gradients import forward_sweep
+from switchopt.lanes import forward_lanes, lane_adjoint, lane_flow
 from switchopt.problem import (
     SwitchConfig, phase_adjoint, phase_feasibility, phase_flow, phase_law,
     phase_law_jacobian, validate_config,
@@ -240,3 +242,76 @@ def test_phase_control_constant_vs_state(catalyst):
 
 def test_eps_gap_default(catalyst):
     assert catalyst.eps_gap == pytest.approx(1e-6 * catalyst.T)
+
+
+# ---------------------------------------------------------------------------
+# non-finite configurations
+# ---------------------------------------------------------------------------
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("a sweep ran on a non-finite configuration")
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(PROBLEM_NAMES), data=st.data())
+def test_non_finite_configuration_raises_before_any_sweep(name, data):
+    prob = build_problem(name)
+    cfg = SwitchConfig(s=np.linspace(0.0, prob.T, prob.k + 2)[1:-1],
+                       p0=np.ones(prob.n) if prob.case == 2 else None,
+                       T=prob.T if prob.free_time else None)
+    fields = ["s"] + (["p0"] if cfg.p0 is not None else []) \
+        + (["T"] if cfg.T is not None else [])
+    field = data.draw(st.sampled_from(fields))
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if field == "T":
+        cfg.T = bad
+    else:
+        vec = getattr(cfg, field)
+        vec[data.draw(st.integers(0, vec.size - 1))] = bad
+    with pytest.raises(InvalidSwitchOrder, match="non-finite"):
+        validate_config(prob, cfg)
+
+    sweeps = gradients.integrate_piecewise, lanes.integrate_lanes
+    gradients.integrate_piecewise = lanes.integrate_lanes = _no_sweep
+    try:
+        with pytest.raises(InvalidSwitchOrder):
+            forward_sweep(prob, cfg)
+        if prob.k == 1:
+            # the lane sweep checks every lane before it integrates any
+            good = SwitchConfig(s=np.array([0.3 * prob.T]))
+            with pytest.raises(InvalidSwitchOrder):
+                forward_lanes(prob, [good, cfg, good])
+    finally:
+        gradients.integrate_piecewise, lanes.integrate_lanes = sweeps
+
+
+# ---------------------------------------------------------------------------
+# lane callbacks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["jacobson", "bressan"])
+def test_lane_callbacks_match_scalar_calls(name):
+    # x of shape (n, B) gives the scalar results of each column, with the
+    # lane axis last: the Jacobians bit for bit, f to rounding, as a
+    # float64 scalar's ** 2 is C pow and an array's multiplies
+    prob = build_problem(name)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-2.0, 2.0, (prob.n, 5))
+    lam = rng.uniform(-2.0, 2.0, (prob.n, 5))
+    t = rng.uniform(0.0, prob.T, 5)
+    u = rng.uniform(-1.0, 1.0, (prob.m, 5))
+    for fn in (prob.f, prob.f_x, prob.f_u):
+        out = fn(x, u)
+        assert out.shape[-1] == 5
+        for b in range(5):
+            np.testing.assert_allclose(out[..., b], fn(x[:, b], u[:, b]),
+                                       rtol=1e-15, atol=1e-15)
+            if fn is not prob.f:
+                assert np.array_equal(out[..., b], fn(x[:, b], u[:, b]))
+    for j in range(prob.k + 1):
+        F, g = lane_adjoint(prob, j)(t, x, lam)
+        assert np.array_equal(F, lane_flow(prob, j)(t, x))
+        for b in range(5):
+            F_b, g_b = phase_adjoint(prob, j)(t[b], x[:, b], lam[:, b])
+            np.testing.assert_allclose(F[:, b], F_b, rtol=1e-15, atol=1e-15)
+            assert np.array_equal(g[:, b], g_b)
