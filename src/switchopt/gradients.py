@@ -9,7 +9,9 @@ derivative:
 
 - dC/ds_j = lam . (F_{j-1} - F_j) at s_j, the jump of the Hamiltonian lam . F;
 - dC/dp0 is the p-block of lam(0) (Case 2);
-- dC/dT is the integral of lam . F over the unit-interval rescaling of time.
+- dC/dT = lam(1) . F_k(T, z(T)) + sum_j sigma_j dC/ds_j, the terminal
+  Hamiltonian plus the chain rule through s_j = sigma_j T.  It holds when a
+  phase flow depends on t explicitly, and costs one flow evaluation.
 
 All integrations here run on tau in [0, 1] with the horizon T as a dynamics
 parameter, for fixed- and free-time problems alike, so the same code path
@@ -61,11 +63,10 @@ class TrajectoryRecord:
 
 @dataclass
 class BackwardRecord:
-    """Backward-sweep output: adjoint checkpoints, samples and quadrature."""
+    """Backward-sweep output: adjoint checkpoints and samples."""
 
     costates: list                    # adjoint lam of z at 0, s_1..s_k, T
     samples: np.ndarray               # lam at the forward dense samples
-    hamiltonian_integral: float       # integral of lam . F over tau in [0, 1]
 
 
 @dataclass
@@ -122,13 +123,11 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
 
 
 def _adjoint_rhs(T, adjoint, d):
-    """RHS of (z, lam, lam . F) on tau for one phase's ``adjoint``, z of
-    size d; the quadrature reuses the model values of the adjoint."""
+    """RHS of (z, lam) on tau for one phase's ``adjoint``, z of size d.
+    The lanes pass T of shape (B,) and w of shape (2d, B)."""
     def rhs(j, tau, w):
-        lam = w[d:2 * d]
-        F, lam_F_z = adjoint(tau * T, w[:d], lam)
-        dw = T * np.concatenate((F, -lam_F_z))
-        return np.concatenate((dw, (lam @ F,)))
+        F, lam_F_z = adjoint(tau * T, w[:d], w[d:])
+        return T * np.concatenate((F, -lam_F_z))
     return rhs
 
 
@@ -136,12 +135,8 @@ def backward_sweep(prob, fwd, settings=None):
     """Integrate the adjoint lam of z backward with checkpoint resets.
 
     z is re-integrated jointly and reset to the forward checkpoint at each
-    switch point, which bounds backward drift per phase.  The lam . F
-    quadrature used for the terminal-time derivative rides along as a last
-    state component that starts at 0 at the end of each phase.  It is left
-    out of the error test: near a free-time optimum lam . F cancels terms
-    of size |lam| |F|, and its own test would steer the step.  lam is
-    also resampled at the forward record's dense samples of each phase.
+    switch point, which bounds backward drift per phase.  lam is also
+    resampled at the forward record's dense samples of each phase.
     """
     sigma, T, k = fwd.sigma, fwd.T, prob.k
     d = fwd.checkpoints.shape[1]
@@ -153,22 +148,16 @@ def backward_sweep(prob, fwd, settings=None):
 
     costates = [None] * (k + 2)
     costates[k + 1] = lam
-    quad = 0.0
     for j in range(k, -1, -1):
-        w_end = np.concatenate((fwd.checkpoints[j + 1], lam, [0.0]))
+        w_end = np.concatenate((fwd.checkpoints[j + 1], lam))
         ode = PiecewiseOde(dim=w_end.size, segments=sigma[j:j + 2],
-                           rhs=_adjoint_rhs(T, adjoints[j], d), quadratures=1)
+                           rhs=_adjoint_rhs(T, adjoints[j], d))
         here = fwd.phase == j
         back = integrate_piecewise(ode, w_end, "backward", settings,
                                    tau[here])
-        samples[here] = back.sample_states[:, d:-1]
-        w0 = back.breakpoint_states[0]
-        # backward integration reflects time, so the component holds minus
-        # the integral of lam . F over the phase
-        quad -= float(w0[-1])
-        lam = costates[j] = w0[d:-1]
-    return BackwardRecord(costates=costates, samples=samples,
-                          hamiltonian_integral=quad)
+        samples[here] = back.sample_states[:, d:]
+        lam = costates[j] = back.breakpoint_states[0][d:]
+    return BackwardRecord(costates=costates, samples=samples)
 
 
 def feasibility_margins(prob, fwd):
@@ -209,12 +198,19 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
 
     if with_d_T is None:
         with_d_T = prob.free_time
+    d_T = None
+    if with_d_T:
+        # dC/dT at fixed s from the terminal Hamiltonian, plus the chain
+        # rule through s = sigma T
+        lam, z = bwd.costates[-1], fwd.checkpoints[-1]
+        d_T = float(lam @ flows[prob.k](fwd.T, z)) \
+            + float(fwd.sigma[1:-1] @ d_s)
     lam0 = bwd.costates[0]
     return GradientBundle(
         objective=fwd.objective,
         d_s=d_s,
         d_p0=lam0[prob.n:].copy() if lam0.size > prob.n else None,
-        d_T=bwd.hamiltonian_integral if with_d_T else None,
+        d_T=d_T,
         fwd=fwd, bwd=bwd)
 
 
@@ -243,7 +239,8 @@ def _fd_d_T(prob, cfg, settings, delta=None):
 
 
 def free_time_gradient_check(prob, cfg, settings=None, delta=None):
-    """(dC/dT from the Hamiltonian quadrature, its central difference)."""
+    """(dC/dT from the terminal Hamiltonian and the switch-point jumps,
+    its central difference)."""
     return (evaluate_gradient(prob, cfg, settings, with_d_T=True).d_T,
             _fd_d_T(prob, cfg, settings, delta))
 

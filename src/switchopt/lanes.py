@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import NonFiniteState, StepLimitExceeded, StepUnderflow
-from .gradients import GradientBundle, _horizon, _resolved
+from .gradients import GradientBundle, _adjoint_rhs, _horizon, _resolved
 from .odeint import _A, _ALPHA, _B5, _BETA, _C, _E, _FAC_MAX, _FAC_MIN, \
     _H_INIT, _H_MIN, _SAFETY, IntegratorSettings, PiecewiseOde, _reflect
 from .problem import validate_config
@@ -48,7 +48,7 @@ def _lane_error(kind, failing, message):
     return kind(f"lane {b}: {message(b)}")
 
 
-def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, n_err):
+def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
     """``_integrate_segment`` for B lanes in lockstep, without nodes.
 
     t0, t1 and budget have shape (B,) and y0 shape (dim, B).  Every lane
@@ -66,12 +66,6 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, n_err):
         return rhs(j, t, y.T).T
 
     t, y = t0, np.array(y0.T, dtype=float)
-    k1 = f(t, y)
-    bad = ~np.isfinite(k1).all(axis=1)
-    if bad.any():
-        raise _lane_error(NonFiniteState, bad,
-                          lambda b: f"non-finite derivative at t={t[b]}")
-
     h = np.minimum(_H_INIT, t1 - t0)
     err_prev = np.ones(t.shape)
     steps = np.zeros(t.shape, dtype=int)
@@ -80,6 +74,12 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, n_err):
     active = t < t1
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k1 = f(t, y)
+        bad = ~np.isfinite(k1).all(axis=1)
+        if bad.any():
+            raise _lane_error(NonFiniteState, bad,
+                              lambda b: f"non-finite derivative at t={t[b]}")
+
         while active.any():
             over = active & (steps >= budget)
             if over.any():
@@ -99,8 +99,7 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, n_err):
 
             w = (h_col * (_E @ k) / (settings.abs_tol + settings.rel_tol
                                      * np.maximum(np.abs(y), np.abs(y_new))))
-            w = w[:, :n_err]
-            err = np.sqrt(np.add.reduce(w * w, axis=1) / n_err)
+            err = np.sqrt(np.add.reduce(w * w, axis=1) / w.shape[1])
             tested = active & ~failed
             accept = tested & (err <= 1.0)
             reject = tested & ~accept
@@ -159,7 +158,7 @@ def integrate_lanes(ode, y_start, direction="forward", settings=None):
     for j in range(len(work.segments) - 1):
         y, steps = _integrate_lane_segment(
             work.rhs, j, work.segments[j], work.segments[j + 1], y, settings,
-            settings.max_steps - used, ode.dim - ode.quadratures)
+            settings.max_steps - used)
         used += steps
         bp_states.append(y)
     return (bp_states[::-1] if direction == "backward" else bp_states), used
@@ -253,19 +252,11 @@ def forward_lanes(prob, cfgs, settings=None):
                       objective=np.asarray(prob.C(ckpt[-1]), dtype=float))
 
 
-def _lane_adjoint_rhs(T, adjoint, n):
-    """RHS of (x, lam) on tau for B lanes of one phase's ``adjoint``."""
-    def rhs(j, tau, w):
-        F, lam_F_x = adjoint(tau * T, w[:n], w[n:])
-        return T * np.concatenate((F, -lam_F_x))
-    return rhs
-
-
 def backward_lanes(prob, fwd, settings=None):
     """``backward_sweep`` of the lanes of ``fwd``, with x reset to the
     forward checkpoint at each switch point and each phase under its own
-    step budget.  It carries no lam . F quadrature and samples no dense
-    lam: a fixed-time profile reads only the Hamiltonian jumps."""
+    step budget.  It samples no dense lam: a fixed-time profile reads
+    only the Hamiltonian jumps."""
     n, B = prob.n, fwd.T.size
     adjoints = _resolved(lane_adjoint, prob)
     lam = np.broadcast_to(
@@ -275,7 +266,7 @@ def backward_lanes(prob, fwd, settings=None):
     steps = np.zeros(B, dtype=int)
     for j in range(prob.k, -1, -1):
         ode = PiecewiseOde(dim=2 * n, segments=fwd.sigma[j:j + 2],
-                           rhs=_lane_adjoint_rhs(fwd.T, adjoints[j], n))
+                           rhs=_adjoint_rhs(fwd.T, adjoints[j], n))
         states, used = integrate_lanes(
             ode, np.concatenate((fwd.checkpoints[j + 1], lam)), "backward",
             settings)

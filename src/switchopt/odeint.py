@@ -58,8 +58,8 @@ class IntegratorSettings:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -70,10 +70,7 @@ class PiecewiseOde:
 
     ``segments`` is the ordered breakpoint list; segment j spans
     [segments[j], segments[j+1]] and ``rhs(j, t, x)`` is only evaluated
-    with t inside that closed interval.  The last ``quadratures``
-    components are passengers: they ride along on the accepted stages but
-    are left out of the local error test, as integrators that carry
-    quadratures do by default (CVODES).
+    with t inside that closed interval.
 
     ``segments`` of shape (nseg+1, B) describes B lanes for
     ``lanes.integrate_lanes``: column b holds lane b's breakpoints, and
@@ -83,7 +80,6 @@ class PiecewiseOde:
     dim: int
     segments: Sequence[float]
     rhs: Callable[[int, float, np.ndarray], np.ndarray]
-    quadratures: int = 0
 
     def __post_init__(self):
         seg = np.asarray(self.segments, dtype=float)
@@ -91,8 +87,6 @@ class PiecewiseOde:
             raise ValueError("need at least two breakpoints")
         if not np.all(np.diff(seg, axis=0) > 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if not 0 <= self.quadratures < self.dim:
-            raise ValueError("quadratures must lie in [0, dim)")
         object.__setattr__(self, "segments", seg)
 
 
@@ -114,20 +108,15 @@ class DenseTrajectory:
     step_times: np.ndarray = field(repr=False, default=None)
 
 
-def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget, n_err):
+def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
     """Integrate dy/dt = rhs(j, t, y) over [t0, t1], appending accepted nodes.
 
-    Only the first ``n_err`` components enter the error norm.  Returns
-    (y_end, steps_used).  ``nodes`` receives (t, y, rhs(j, t, y))
-    triples including the segment start.  Overflow is not warned about: a
-    non-finite stage halves the step, down to ``NonFiniteState`` at _H_MIN.
+    Returns (y_end, steps_used).  ``nodes`` receives (t, y, rhs(j, t, y))
+    triples including the segment start.  No RHS call warns about overflow
+    or division: a non-finite stage halves the step, down to
+    ``NonFiniteState`` at _H_MIN, and a non-finite first call raises it.
     """
     t, y = t0, np.array(y0, dtype=float)
-    k1 = rhs(j, t, y)
-    if not np.isfinite(k1).all():
-        raise NonFiniteState(f"non-finite derivative at t={t}")
-    nodes.append((t, y, k1.copy()))
-
     h = min(_H_INIT, t1 - t0)
     err_prev = 1.0
     steps = 0
@@ -135,7 +124,12 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget, n_err):
     k_cols = [k[:i].T for i in range(7)]
     abs_y = np.abs(y)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k1 = rhs(j, t, y)
+        if not np.isfinite(k1).all():
+            raise NonFiniteState(f"non-finite derivative at t={t}")
+        nodes.append((t, y, k1.copy()))
+
         while t < t1:
             if steps >= budget:
                 raise StepLimitExceeded(f"exceeded {settings.max_steps} steps")
@@ -163,8 +157,8 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget, n_err):
 
             abs_new = np.abs(y_new)
             w = (h_try * (_E @ k) / (settings.abs_tol + settings.rel_tol
-                                     * np.maximum(abs_y, abs_new)))[:n_err]
-            err = math.sqrt(float(np.add.reduce(w * w)) / n_err)
+                                     * np.maximum(abs_y, abs_new)))
+            err = math.sqrt(float(np.add.reduce(w * w)) / w.size)
             if err <= 1.0:
                 t = t1 if clipped else t + h_try
                 y, abs_y = y_new, abs_new
@@ -217,8 +211,7 @@ def _reflect(ode: PiecewiseOde) -> PiecewiseOde:
     def rhs(j, t, x):
         return -ode.rhs(nseg - 1 - j, (a + b) - t, x)
 
-    return PiecewiseOde(dim=ode.dim, segments=mirrored, rhs=rhs,
-                        quadratures=ode.quadratures)
+    return PiecewiseOde(dim=ode.dim, segments=mirrored, rhs=rhs)
 
 
 def integrate_piecewise(ode, x_start, direction="forward", settings=None,
@@ -247,7 +240,7 @@ def integrate_piecewise(ode, x_start, direction="forward", settings=None,
     for j in range(len(work.segments) - 1):
         y, steps = _integrate_segment(
             work.rhs, j, work.segments[j], work.segments[j + 1], y, settings,
-            nodes, budget - used, ode.dim - ode.quadratures)
+            nodes, budget - used)
         used += steps
         bp_states.append(y.copy())
 
@@ -272,16 +265,16 @@ def integrate_with_quadrature(ode, x_start, integrand, direction="forward",
 
     Returns (trajectory, value) where value = integral of integrand(j, t, x)
     over the full interval (with respect to increasing t, regardless of the
-    traversal direction).  The quadrature is left out of the error test.
-    The gradient sweeps do not use it: their RHS returns the integrand as a
-    last component, reusing its model values.
+    traversal direction).  The quadrature is one more component of the
+    state and enters the error test like the others.  The gradient sweeps
+    do not use it; the tests integrate the paper's dC/dT quadrature with
+    it as an oracle.
     """
     def rhs(j, t, z):
         dx = ode.rhs(j, t, z[:-1])
         return np.append(dx, integrand(j, t, z[:-1]))
 
-    aug = PiecewiseOde(dim=ode.dim + 1, segments=ode.segments, rhs=rhs,
-                       quadratures=ode.quadratures + 1)
+    aug = PiecewiseOde(dim=ode.dim + 1, segments=ode.segments, rhs=rhs)
     z0 = np.append(np.asarray(x_start, dtype=float), 0.0)
     traj = integrate_piecewise(aug, z0, direction, settings, sample_times)
 

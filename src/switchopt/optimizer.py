@@ -11,6 +11,7 @@ can instead use a secant iteration on the switch-point derivative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -59,8 +60,9 @@ class OptimizeSettings:
     max_iters: int = 300
 
     def __post_init__(self):
-        if self.stat_tol <= 0 or self.max_iters < 1:
-            raise ValueError("stat_tol > 0 and max_iters >= 1 required")
+        if not 0 < self.stat_tol < math.inf or self.max_iters < 1:
+            raise ValueError("stat_tol must be finite and positive, and "
+                             "max_iters >= 1")
 
 
 @dataclass

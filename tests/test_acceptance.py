@@ -223,7 +223,7 @@ def test_criterion_8_free_time_identity():
         analytic, fd = free_time_gradient_check(prob, cfg, TIGHT)
         rel_errs.append(abs(analytic - fd) / abs(fd))
     ok = normalized <= 1e-4 and max(rel_errs) <= 1e-5
-    _verdict(8, ok, f"|quadrature|/|beta| at optimum {normalized:.2e} "
+    _verdict(8, ok, f"|d_T|/|beta| at optimum {normalized:.2e} "
                     f"(<=1e-4); FD agreement at T=40,45: "
                     f"{rel_errs[0]:.2e}, {rel_errs[1]:.2e} (<=1e-5)")
 

@@ -262,6 +262,16 @@ def test_non_finite_configuration_exits_config(tmp_path, capsys, argv):
     assert "non-finite" in err or "must be finite" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--opt-tol", "inf"), ("--opt-tol", "nan"), ("--ode-tol", "inf")])
+def test_non_finite_tolerance_exits_config(tmp_path, capsys, flag, value):
+    code = main(["solve", "--problem", "catalyst1", "--s0", "0.1,0.7",
+                 flag, value, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("command, alternatives", [
     ("solve", True), ("gradcheck", False)])
 def test_missing_s0_names_the_commands_options(capsys, command,

@@ -1,20 +1,22 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from switchopt.benchmarks import (
-    build_catalyst, build_problem, catalyst_singular_value,
+    PROBLEM_NAMES, build_catalyst, build_problem, catalyst_singular_value,
     catalyst_switch_times, CatalystParams, GODDARD_REFERENCE, JACOBSON_S1,
 )
 from switchopt import gradients
+from switchopt.exceptions import NonFiniteState
 from switchopt.gradients import (
     DEFAULT_SAMPLES, dense_trajectory, evaluate_gradient, feasibility_margins,
     forward_sweep, free_time_gradient_check, gradcheck,
 )
 from switchopt.lanes import evaluate_lanes
 from switchopt.odeint import IntegratorSettings, PiecewiseOde, \
-    integrate_piecewise
+    integrate_piecewise, integrate_with_quadrature
 from switchopt.optimizer import minimize
 from switchopt.problem import SwitchConfig, phase_adjoint, phase_flow
 
@@ -161,6 +163,45 @@ def test_free_time_derivative_matches_fd():
     assert analytic == pytest.approx(fd, rel=1e-5)
 
 
+def test_free_time_derivative_with_time_dependent_law():
+    # phase 0 thrust 193 (1 - 0.01 t): lam . F misses the explicit-t term
+    # of dC/dT, the terminal Hamiltonian does not
+    prob = build_problem("goddard")
+    thrust = dataclasses.replace(
+        prob.phases[0], law=lambda t: np.array([193.0 * (1.0 - 0.01 * t)]))
+    prob = dataclasses.replace(prob, phases=(thrust, *prob.phases[1:]))
+    cfg = SwitchConfig(s=np.array([13.0, 21.0]), T=42.0)
+    analytic, fd = free_time_gradient_check(prob, cfg, TIGHT)
+    assert analytic == pytest.approx(fd, rel=1e-5)
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_d_T_matches_hamiltonian_quadrature(name):
+    # the paper's dC/dT: the integral of lam . F over tau in [0, 1], each
+    # phase integrated back from the sweeps' checkpoints
+    cfg = {"catalyst1": SwitchConfig(s=np.array([0.15, 0.7])),
+           "catalyst2": CATALYST2_CFG,
+           "jacobson": SwitchConfig(s=np.array([1.2])),
+           "bressan": SwitchConfig(s=np.array([3.0])),
+           "goddard": GODDARD_CFG}[name]
+    prob = build_problem(name)
+    bundle = evaluate_gradient(prob, cfg, TIGHT, with_d_T=True)
+    fwd, d, T = bundle.fwd, bundle.fwd.checkpoints.shape[1], bundle.fwd.T
+    quad = 0.0
+    for j in range(prob.k + 1):
+        flow = phase_flow(prob, j)
+        ode = PiecewiseOde(dim=2 * d, segments=fwd.sigma[j:j + 2],
+                           rhs=gradients._adjoint_rhs(
+                               T, phase_adjoint(prob, j), d))
+        _, q = integrate_with_quadrature(
+            ode, np.concatenate((fwd.checkpoints[j + 1],
+                                 bundle.bwd.costates[j + 1])),
+            lambda j_, tau, w: w[d:] @ flow(tau * T, w[:d]), "backward",
+            TIGHT)
+        quad += q
+    assert bundle.d_T == pytest.approx(quad, rel=1e-9)
+
+
 def test_bressan_hamiltonian_integral():
     # H = p.f is constant along an autonomous extremal; at s1 = T/3 the
     # trajectory gives H = -x2(T) = -50/3, confirmed by Simpson quadrature
@@ -177,6 +218,16 @@ def test_bressan_hamiltonian_integral():
     h = times[1] - times[0]
     simpson = h / 3 * (H[0] + H[-1] + 4 * H[1:-1:2].sum() + 2 * H[2:-2:2].sum())
     assert bundle.d_T == pytest.approx(simpson / 10.0, abs=1e-5)
+
+
+def test_non_finite_law_raises_under_warnings_as_errors():
+    # p0 = 0 makes catalyst2's singular law 0 / 0 at the first switch
+    prob = build_problem("catalyst2")
+    cfg = SwitchConfig(s=np.array([0.1, 0.7]), p0=np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteState):
+            evaluate_gradient(prob, cfg)
 
 
 def test_hamiltonian_jump_equals_ds():
@@ -217,8 +268,8 @@ def test_phase_between_dense_samples_has_finite_margin():
 
 
 def test_goddard_backward_steps_track_forward_at_optimum(monkeypatch):
-    # at a free-time optimum lam . F cancels terms of size |lam| |F|; the
-    # quadrature left out of the error test no longer steers the step
+    # the backward sweep integrates (z, lam) with no passenger, so at a
+    # free-time optimum its steps stay close to the forward sweep's
     prob = build_problem("goddard")
     cfg = SwitchConfig(s=np.array(GODDARD_REFERENCE.s_star),
                        T=GODDARD_REFERENCE.T_star)

@@ -114,38 +114,6 @@ def test_quadrature_simpson_oracle():
     assert q == pytest.approx(oracle, abs=1e-7)
 
 
-def _decay_pair(j, t, y):
-    return np.array([-y[0], (2.0, -3.0)[j] * y[1]])
-
-
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_quadrature_passenger_leaves_steps_bit_identical(direction):
-    # (y, integral of y1 y2) with the integral left out of the error test
-    # takes the steps y alone takes; only the passenger is new
-    seg = np.array([0.0, 0.5, 2.0])
-    y_end = np.array([np.exp(-2.0), np.exp(1.0 - 4.5)])
-    y_start = np.array([1.0, 1.0]) if direction == "forward" else y_end
-    alone = integrate_piecewise(PiecewiseOde(2, seg, _decay_pair), y_start,
-                                direction, _tight())
-    carried = integrate_piecewise(
-        PiecewiseOde(3, seg, lambda j, t, w: np.append(
-            _decay_pair(j, t, w[:2]), w[0] * w[1]), quadratures=1),
-        np.append(y_start, 0.0), direction, _tight())
-    assert carried.steps == alone.steps
-    assert np.array_equal(carried.step_times, alone.step_times)
-    for got, want in zip(carried.breakpoint_states, alone.breakpoint_states):
-        assert np.array_equal(got[:2], want)
-    exact = np.exp(0.5) - 1.0 + np.exp(2.5) * (np.exp(-2.0) - np.exp(-8.0)) / 4
-    quad = carried.breakpoint_states[-1][2] - carried.breakpoint_states[0][2]
-    assert quad == pytest.approx(exact, abs=1e-9)
-
-
-def test_quadratures_must_leave_a_tested_component():
-    with pytest.raises(ValueError):
-        PiecewiseOde(dim=1, segments=[0.0, 1.0],
-                     rhs=lambda j, t, x: x, quadratures=1)
-
-
 def test_tolerance_tightening_reduces_error():
     ode = PiecewiseOde(dim=1, segments=np.array([0.0, 5.0]),
                        rhs=lambda j, t, x: np.array([x[0] * np.cos(t)]))
@@ -202,6 +170,21 @@ def test_blowup_raises():
             integrate_piecewise(ode, np.array([10.0]))
 
 
+@pytest.mark.parametrize("loop", ["scalar", "lanes"])
+def test_non_finite_first_derivative_raises_without_warning(loop):
+    # 0 / 0 in the first RHS call of a segment: the error, not a warning
+    rhs = lambda j, t, x: x / x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            if loop == "scalar":
+                integrate_piecewise(PiecewiseOde(1, [0.0, 1.0], rhs),
+                                    np.zeros(1))
+            else:
+                integrate_lanes(PiecewiseOde(1, [[0.0, 0.0], [1.0, 1.0]], rhs),
+                                np.zeros((1, 2)))
+
+
 def test_step_budget_enforced():
     st = IntegratorSettings(rel_tol=1e-12, abs_tol=1e-12, max_steps=5)
     ode = PiecewiseOde(dim=1, segments=np.array([0.0, 10.0]),
@@ -211,8 +194,11 @@ def test_step_budget_enforced():
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        IntegratorSettings(rel_tol=-1.0)
+    for tol in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            IntegratorSettings(rel_tol=tol)
+        with pytest.raises(ValueError):
+            IntegratorSettings(abs_tol=tol)
     with pytest.raises(ValueError):
         IntegratorSettings(max_steps=0)
 

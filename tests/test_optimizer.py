@@ -472,5 +472,6 @@ def test_profile_failing_point_raises_its_scalar_exception():
 def test_settings_validation():
     with pytest.raises(ValueError):
         OptimizeSettings(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizeSettings(stat_tol=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            OptimizeSettings(stat_tol=tol)
