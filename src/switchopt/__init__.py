@@ -9,7 +9,7 @@ backward costate sweep per evaluation.
 
 from .exceptions import (
     SwitchOptError, StepLimitExceeded, StepUnderflow, NonFiniteState,
-    MissingCostate, NonFiniteDerivative, InvalidSwitchOrder,
+    MissingCostate, InvalidSwitchOrder,
     InfeasiblePolytope, MaxItersExceeded, LineSearchFailure,
     SecantDivergence, NoStructure,
 )
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SwitchOptError", "StepLimitExceeded", "StepUnderflow", "NonFiniteState",
-    "MissingCostate", "NonFiniteDerivative", "InvalidSwitchOrder",
+    "MissingCostate", "InvalidSwitchOrder",
     "InfeasiblePolytope", "MaxItersExceeded", "LineSearchFailure",
     "SecantDivergence", "NoStructure",
     "IntegratorSettings", "PiecewiseOde", "DenseTrajectory",

@@ -90,19 +90,31 @@ def _config(prob, s, p0, alternatives=""):
     return cfg
 
 
+def _one_start(args):
+    """Refuse a solve given two starts: --s0 (with --p0), --secant (with
+    --bracket) or --warmstart."""
+    given = [o for o in ("s0", "p0", "secant", "warmstart")
+             if getattr(args, o) not in (None, False)]
+    starts = [o for o in given if o != "p0" or "s0" not in given]
+    if len(starts) > 1:
+        raise InvalidSwitchOrder(f"--{starts[0]} and --{starts[1]} are two "
+                                 "starts; a solve takes exactly one")
+    if args.secant != (args.bracket is not None):
+        raise InvalidSwitchOrder("--secant and --bracket lo,hi go together")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args):
+    _one_start(args)
     out = _out_dir(args)
     prob = build_problem(args.problem, T=args.T)
     ode = _ode_settings(args)
     opt = OptimizeSettings(stat_tol=args.opt_tol)
 
     if args.secant:
-        if args.bracket is None:
-            raise InvalidSwitchOrder("--secant requires --bracket lo,hi")
         lo, hi = _parse_list(args.bracket)
         s_root, iters = secant_switch(prob, (lo, hi), opt, ode)
         cfg = SwitchConfig(s=np.array([s_root]))

@@ -25,10 +25,6 @@ class MissingCostate(SwitchOptError):
     """A costate-feedback control law was invoked without a costate."""
 
 
-class NonFiniteDerivative(SwitchOptError):
-    """Finite-difference derivative evaluation produced NaN or Inf."""
-
-
 class InvalidSwitchOrder(SwitchOptError):
     """Switch points violate 0 < s_1 < ... < s_k < T with the minimum gap,
     or a p0 does not fit the problem."""

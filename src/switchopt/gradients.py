@@ -27,8 +27,8 @@ import numpy as np
 
 from .odeint import PiecewiseOde, integrate_piecewise, \
     integrate_with_quadrature  # noqa: F401 (patched here by perfbench)
-from .problem import phase_adjoint, phase_feasibility, phase_flow, \
-    phase_law, validate_config
+from .problem import horizon, phase_adjoint, phase_feasibility, \
+    phase_flow, phase_law, validate_config
 
 __all__ = [
     "TrajectoryRecord",
@@ -82,10 +82,6 @@ class GradientBundle:
     bwd: BackwardRecord = field(repr=False)
 
 
-def _horizon(prob, cfg):
-    return float(cfg.T) if cfg.T is not None else float(prob.T)
-
-
 def _resolved(make, prob):
     """One closure per phase, e.g. ``_resolved(phase_law, prob)``."""
     return [make(prob, j) for j in range(prob.k + 1)]
@@ -94,7 +90,7 @@ def _resolved(make, prob):
 def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
     """Integrate the sweep state z forward and evaluate the objective."""
     validate_config(prob, cfg)
-    T = _horizon(prob, cfg)
+    T = horizon(prob, cfg)
     sigma = np.concatenate(([0.0], cfg.s / T, [1.0]))
     n, flows = prob.n, _resolved(phase_flow, prob)
     z0 = prob.x0 if cfg.p0 is None else np.concatenate((prob.x0, cfg.p0))
@@ -226,7 +222,7 @@ def _central_difference(prob, settings, bumped, delta):
 def _fd_d_T(prob, cfg, settings, delta=None):
     """Central difference in T, step 1e-6 max(1, |T|) by default, holding
     sigma = s / T fixed as the unit-interval reformulation of dC/dT does."""
-    T = _horizon(prob, cfg)
+    T = horizon(prob, cfg)
     delta = delta if delta is not None else 1e-6 * max(1.0, abs(T))
     sigma = cfg.s / T
 

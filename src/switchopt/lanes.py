@@ -22,10 +22,10 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import NonFiniteState, StepLimitExceeded, StepUnderflow
-from .gradients import GradientBundle, _adjoint_rhs, _horizon, _resolved
+from .gradients import GradientBundle, _adjoint_rhs, _resolved
 from .odeint import _A, _ALPHA, _B5, _BETA, _C, _E, _FAC_MAX, _FAC_MIN, \
     _H_INIT, _H_MIN, _SAFETY, IntegratorSettings, PiecewiseOde, _reflect
-from .problem import validate_config
+from .problem import horizon, validate_config
 
 __all__ = [
     "integrate_lanes",
@@ -236,7 +236,7 @@ def forward_lanes(prob, cfgs, settings=None):
     configuration is validated before any lane is integrated."""
     for cfg in cfgs:
         validate_config(prob, cfg)
-    T = np.array([_horizon(prob, cfg) for cfg in cfgs])
+    T = np.array([horizon(prob, cfg) for cfg in cfgs])
     sigma = np.column_stack([np.concatenate(([0.0], cfg.s / t, [1.0]))
                              for cfg, t in zip(cfgs, T)])
     flows = _resolved(lane_flow, prob)

@@ -113,8 +113,9 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
 
     Returns (y_end, steps_used).  ``nodes`` receives (t, y, rhs(j, t, y))
     triples including the segment start.  No RHS call warns about overflow
-    or division: a non-finite stage halves the step, down to
-    ``NonFiniteState`` at _H_MIN, and a non-finite first call raises it.
+    or division: an attempt with a non-finite stage or state, tested once
+    after all six stages, halves the step, down to ``NonFiniteState`` at
+    _H_MIN, and a non-finite first call raises it.
     """
     t, y = t0, np.array(y0, dtype=float)
     h = min(_H_INIT, t1 - t0)
@@ -137,19 +138,13 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
             h_try = t1 - t if clipped else h
 
             k[0] = k1
-            failed = False
             for i in range(1, 7):
                 k[i] = rhs(j, t + _C[i] * h_try,
                            y + h_try * (k_cols[i] @ _A[i]))
-                if not np.isfinite(k[i]).all():
-                    failed = True
-                    break
-            if not failed:
-                y_new = y + h_try * (_B5 @ k)
-                failed = not np.isfinite(y_new).all()
+            y_new = y + h_try * (_B5 @ k)
 
             steps += 1
-            if failed:
+            if not (np.isfinite(k[1:]).all() and np.isfinite(y_new).all()):
                 h = 0.5 * h_try
                 if h < _H_MIN:
                     raise NonFiniteState(f"non-finite state near t={t}")

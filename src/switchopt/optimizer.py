@@ -18,12 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InfeasiblePolytope, LineSearchFailure, \
-    MaxItersExceeded, NonFiniteDerivative, NonFiniteState, SecantDivergence, \
-    StepLimitExceeded, StepUnderflow
+    MaxItersExceeded, NonFiniteState, SecantDivergence, StepLimitExceeded, \
+    StepUnderflow
 from .gradients import GradientBundle, evaluate_gradient, \
     feasibility_margins, forward_sweep
 from .odeint import IntegratorSettings
-from .problem import SwitchConfig
+from .problem import SwitchConfig, horizon
 
 __all__ = [
     "OptimizeSettings",
@@ -48,8 +48,7 @@ _MEMORY = 10         # L-BFGS correction pairs kept
 
 # Failures that make a trial point non-integrable.  Anything else (a bad
 # configuration, say) is a fault and propagates.
-_TRIAL_FAILURES = (StepLimitExceeded, StepUnderflow, NonFiniteState,
-                   NonFiniteDerivative)
+_TRIAL_FAILURES = (StepLimitExceeded, StepUnderflow, NonFiniteState)
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ class _Vars:
         self.free_time = prob.free_time
         self.k = prob.k
         self.np0 = 0 if cfg0.p0 is None else cfg0.p0.size
-        self.T0 = float(cfg0.T) if cfg0.T is not None else float(prob.T)
+        self.T0 = horizon(prob, cfg0)
         self.eps_gap = prob.eps_gap
 
     def pack(self, cfg):

@@ -17,18 +17,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import InvalidSwitchOrder, MissingCostate, NonFiniteDerivative
+from .exceptions import InvalidSwitchOrder, MissingCostate
 
 __all__ = [
     "ControlPhase",
     "ProblemDef",
     "SwitchConfig",
+    "horizon",
     "phase_law", "phase_law_jacobian", "phase_feasibility",
     "phase_flow", "phase_adjoint",
     "validate_config",
 ]
 
-DEFAULT_FD_STEP = 1e-6
+FD_STEP = 1e-6  # relative step of the central difference, read at call time
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,10 @@ class ControlPhase:
 
     law_kind is "constant", "state" (u = law(t, x)), or "state_costate"
     (u = law(t, x, p)).  lower/upper map t to the control box bounds.
-    law_x, when given, is the m-by-n Jacobian of the law with respect to x
-    (same call signature as law); without it a central finite difference
-    is used wherever the Jacobian of the closed-loop dynamics is needed.
+    law_x(t, x), read only for a state law, is its m-by-n Jacobian in x.
+    A phase without analytic derivatives (a state law without law_x, a
+    Case-2 problem without case2_derivs) takes a central difference of
+    lam . F: 2 dim(z) + 1 flow calls per adjoint call.
     """
 
     law_kind: str
@@ -114,11 +116,19 @@ class SwitchConfig:
             T=self.T)
 
 
+def horizon(prob: ProblemDef, cfg: SwitchConfig) -> float:
+    """cfg's T on a free-time problem, else prob.T, which cfg may not set."""
+    if cfg.T is not None and not prob.free_time:
+        raise InvalidSwitchOrder(f"{prob.name}: the horizon is fixed at "
+                                 f"{prob.T:g}; the configuration sets T")
+    return float(prob.T if cfg.T is None else cfg.T)
+
+
 def validate_config(prob: ProblemDef, cfg: SwitchConfig):
-    """Check that s, T and p0 are finite, the ordering 0 < s_1 < ... <
-    s_k < T with the configured gap, and that cfg has a p0, of the state's
-    size, exactly in Case 2."""
-    T = cfg.T if cfg.T is not None else prob.T
+    """Check the horizon, that s, T and p0 are finite, the ordering 0 < s_1
+    < ... < s_k < T with the configured gap, and that cfg has a p0, of the
+    state's size, exactly in Case 2."""
+    T = horizon(prob, cfg)
     if cfg.s.size != prob.k:
         raise InvalidSwitchOrder(
             f"{prob.name}: expected {prob.k} switch points, got {cfg.s.size}")
@@ -145,18 +155,6 @@ def _vector(v):
     return u if u.ndim else u.reshape(1)
 
 
-def _central_differences(g, v, h_fd):
-    """Central differences [dg/dv_i], step h_fd * max(1, |v_i|)."""
-    cols = []
-    for i in range(v.size):
-        h = h_fd * max(1.0, abs(v[i]))
-        vp, vm = v.copy(), v.copy()
-        vp[i] += h
-        vm[i] -= h
-        cols.append((g(vp) - g(vm)) / (2 * h))
-    return cols
-
-
 def phase_law(prob, j):
     """Phase j's control law as u(t, x, p=None), a 1-d float array."""
     law, kind = prob.phases[j].law, prob.phases[j].law_kind
@@ -173,26 +171,15 @@ def phase_law(prob, j):
     return control
 
 
-def phase_law_jacobian(prob, j, h_fd=DEFAULT_FD_STEP):
-    """Phase j's closed-loop state Jacobian as J(t, x, u, p=None), u the
-    control there: f_x + f_u @ (d law / d x), with the phase's law_x when
-    given, else a central finite difference of the law."""
+def phase_law_jacobian(prob, j):
+    """Phase j's closed-loop state Jacobian J(t, x, u) at control u: f_x,
+    plus f_u @ law_x(t, x) for a state law."""
     ph, f_x, f_u = prob.phases[j], prob.f_x, prob.f_u
     if ph.law_kind == "constant":
-        return lambda t, x, u, p=None: np.asarray(f_x(x, u), dtype=float)
-    law_x = ph.law_x
-    if law_x is None:
-        control = phase_law(prob, j)
-        law_x = lambda t, x, p: np.column_stack(_central_differences(
-            lambda xq: control(t, xq, p), x, h_fd))
-    elif ph.law_kind == "state":
-        law_x = lambda t, x, p, state_law_x=law_x: state_law_x(t, x)
-
-    def jacobian(t, x, u, p=None):
-        return (np.asarray(f_x(x, u), dtype=float)
-                + np.asarray(f_u(x, u), dtype=float)
-                @ np.atleast_2d(law_x(t, x, p)))
-    return jacobian
+        return lambda t, x, u: np.asarray(f_x(x, u), dtype=float)
+    return lambda t, x, u: (np.asarray(f_x(x, u), dtype=float)
+                            + np.asarray(f_u(x, u), dtype=float)
+                            @ np.atleast_2d(ph.law_x(t, x)))
 
 
 def phase_feasibility(prob, j):
@@ -220,29 +207,31 @@ def phase_flow(prob, j):
     return flow
 
 
-def phase_adjoint(prob, j, h_fd=DEFAULT_FD_STEP):
+def phase_adjoint(prob, j):
     """Phase j's adjoint A(t, z, lam) -> (F, lam . dF/dz): the row from the
     closed-loop Jacobian (Case 1) or case2_derivs (Case 2), sharing F's
     model evaluation, else a central difference of lam . F over z."""
-    n, derivs = prob.n, prob.case2_derivs
-    if prob.case == 1:
+    n, derivs, ph = prob.n, prob.case2_derivs, prob.phases[j]
+    if prob.case == 1 and (ph.law_x is not None or ph.law_kind == "constant"):
         f, control = prob.f, phase_law(prob, j)
-        jacobian = phase_law_jacobian(prob, j, h_fd)
+        jacobian = phase_law_jacobian(prob, j)
 
         def adjoint(t, z, lam):
             u = control(t, z)
             return f(z, u), lam @ jacobian(t, z, u)
         return adjoint
     flow = phase_flow(prob, j)
-    if derivs is not None:
+    if prob.case == 2 and derivs is not None:
         return lambda t, z, lam: (flow(t, z), np.concatenate(
             derivs(j, t, z[:n], z[n:], lam[:n], lam[n:])))
 
     def adjoint(t, z, lam):
-        g = np.array(_central_differences(
-            lambda zq: lam @ flow(t, zq), z, h_fd))
-        if not np.isfinite(g).all():
-            raise NonFiniteDerivative(
-                f"{prob.name}: non-finite adjoint in phase {j} at t={t}")
+        g = np.empty(z.size)
+        for i in range(z.size):
+            h = FD_STEP * max(1.0, abs(z[i]))
+            zp, zm = z.copy(), z.copy()
+            zp[i] += h
+            zm[i] -= h
+            g[i] = (lam @ flow(t, zp) - lam @ flow(t, zm)) / (2 * h)
         return flow(t, z), g
     return adjoint

@@ -272,6 +272,35 @@ def test_non_finite_tolerance_exits_config(tmp_path, capsys, flag, value):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv, first, second", [
+    pytest.param(["--problem", "catalyst2", "--warmstart", "--p0", "5,5"],
+                 "--p0", "--warmstart", id="p0-warmstart"),
+    pytest.param(["--problem", "catalyst1", "--warmstart", "--s0", "0.1,0.7"],
+                 "--s0", "--warmstart", id="s0-warmstart"),
+    pytest.param(["--problem", "jacobson", "--secant", "--bracket",
+                  "1.41,1.42", "--s0", "1.4"], "--s0", "--secant",
+                 id="s0-secant"),
+    pytest.param(["--problem", "jacobson", "--secant", "--bracket",
+                  "1.41,1.42", "--p0", "1,1"], "--p0", "--secant",
+                 id="p0-secant"),
+    pytest.param(["--problem", "jacobson", "--secant", "--bracket",
+                  "1.41,1.42", "--warmstart"], "--secant", "--warmstart",
+                 id="secant-warmstart"),
+    pytest.param(["--problem", "catalyst1", "--s0", "0.1,0.7", "--bracket",
+                  "0.1,0.2"], "--secant", "--bracket", id="bracket-alone"),
+    pytest.param(["--problem", "jacobson", "--secant"], "--secant",
+                 "--bracket", id="secant-alone"),
+])
+def test_solve_takes_exactly_one_start(tmp_path, capsys, argv, first,
+                                       second):
+    # these used to run from one of the starts and ignore the other
+    code = main(["solve", *argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert "configuration error" in err and first in err and second in err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("command, alternatives", [
     ("solve", True), ("gradcheck", False)])
 def test_missing_s0_names_the_commands_options(capsys, command,

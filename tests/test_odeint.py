@@ -1,8 +1,10 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchopt import odeint
 
@@ -183,6 +185,156 @@ def test_non_finite_first_derivative_raises_without_warning(loop):
             else:
                 integrate_lanes(PiecewiseOde(1, [[0.0, 0.0], [1.0, 1.0]], rhs),
                                 np.zeros((1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# one finiteness test per step attempt
+# ---------------------------------------------------------------------------
+
+def _per_stage_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
+    """The segment loop that tests each stage for finiteness and stops an
+    attempt at the first non-finite one (reference)."""
+    t, y = t0, np.array(y0, dtype=float)
+    h = min(odeint._H_INIT, t1 - t0)
+    err_prev = 1.0
+    steps = 0
+    k = np.empty((7, y.size))
+    k_cols = [k[:i].T for i in range(7)]
+    abs_y = np.abs(y)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k1 = rhs(j, t, y)
+        if not np.isfinite(k1).all():
+            raise NonFiniteState(f"non-finite derivative at t={t}")
+        nodes.append((t, y, k1.copy()))
+
+        while t < t1:
+            if steps >= budget:
+                raise StepLimitExceeded(f"exceeded {settings.max_steps} steps")
+            clipped = h >= t1 - t
+            h_try = t1 - t if clipped else h
+
+            k[0] = k1
+            failed = False
+            for i in range(1, 7):
+                k[i] = rhs(j, t + odeint._C[i] * h_try,
+                           y + h_try * (k_cols[i] @ odeint._A[i]))
+                if not np.isfinite(k[i]).all():
+                    failed = True
+                    break
+            if not failed:
+                y_new = y + h_try * (odeint._B5 @ k)
+                failed = not np.isfinite(y_new).all()
+
+            steps += 1
+            if failed:
+                h = 0.5 * h_try
+                if h < odeint._H_MIN:
+                    raise NonFiniteState(f"non-finite state near t={t}")
+                continue
+
+            abs_new = np.abs(y_new)
+            w = (h_try * (odeint._E @ k) / (settings.abs_tol + settings.rel_tol
+                                            * np.maximum(abs_y, abs_new)))
+            err = math.sqrt(float(np.add.reduce(w * w)) / w.size)
+            if err <= 1.0:
+                t = t1 if clipped else t + h_try
+                y, abs_y = y_new, abs_new
+                k1 = k[6].copy()
+                nodes.append((t, y, k1))
+                fac = odeint._FAC_MAX if err == 0.0 else (
+                    odeint._SAFETY * err ** (-odeint._ALPHA)
+                    * err_prev ** odeint._BETA)
+                err_prev = max(err, 1e-10)
+                h = h_try * min(odeint._FAC_MAX, max(odeint._FAC_MIN, fac))
+            else:
+                fac = max(odeint._FAC_MIN, odeint._SAFETY * err ** (-odeint._ALPHA))
+                h = h_try * min(1.0, fac)
+                if h < odeint._H_MIN:
+                    raise StepUnderflow(f"step size {h:.3e} below h_min")
+    return y, steps
+
+
+def _outcome(ode, y_start, direction, settings):
+    """(breakpoint states, step_times, steps) of integrate_piecewise, or
+    the type of the exception it raises."""
+    try:
+        traj = integrate_piecewise(ode, y_start, direction, settings)
+    except SwitchOptError as exc:
+        return type(exc)
+    return np.array(traj.breakpoint_states), traj.step_times, traj.steps
+
+
+def test_non_finite_seventh_stage_halves_the_step():
+    # a non-finite seventh stage (the FSAL derivative at t + h, weight 0
+    # in y_new) fails the attempt and halves the step; it does not reach
+    # the error test, whose rejection would cut the step to 0.2 h
+    calls = []
+
+    def rhs(j, t, y):
+        calls.append(t)
+        return np.full(1, np.nan) if len(calls) == 7 else -y
+
+    ode = PiecewiseOde(dim=1, segments=np.array([0.0, 0.01]), rhs=rhs)
+    traj = integrate_piecewise(ode, np.ones(1), settings=_tight())
+    assert calls[6] == odeint._H_INIT
+    assert traj.step_times[1] == 0.5 * odeint._H_INIT
+    assert traj.steps == traj.step_times.size  # one attempt more than steps
+    calls.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(odeint, "_integrate_segment", _per_stage_segment)
+        ref = _outcome(ode, np.ones(1), "forward", _tight())
+    calls.clear()
+    got = _outcome(ode, np.ones(1), "forward", _tight())
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def _toy(kind, rate, band):
+    """(rhs, start state at t) of a toy whose trial stages fail.  "band":
+    y1 = sin(rate t) exactly, and a stage farther than ``band`` from it is
+    NaN.  "overflow": y2 is driven by exp(deviation / band), which
+    overflows to inf far from the solution.  "wall": y1 = t, and the RHS
+    is NaN beyond y1 = 1e5 band rate, which the solution may run into."""
+    def rhs(j, t, y):
+        if kind == "wall":
+            return np.where(y[0] > 1e5 * band * rate, np.nan,
+                            np.array([1.0, -(j + 1) * y[1]]))
+        dev = np.abs(y[0] - np.sin(rate * t))
+        y2 = (j + 1) * (y[0] - y[1] if kind == "band"
+                        else np.exp(dev / band) - 1.0 - y[1])
+        return np.where(kind == "band" and dev > band, np.nan,
+                        np.array([rate * np.cos(rate * t), y2]))
+    if kind == "wall":
+        return rhs, lambda t: np.array([t, 1.0])
+    return rhs, lambda t: np.array([np.sin(rate * t), 0.5])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["band", "overflow", "wall"]),
+       rate=st.floats(0.3, 8.0),
+       band=st.integers(-8, -4).map(lambda e: 10.0 ** e),
+       ends=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3,
+                     unique=True),
+       direction=st.sampled_from(["forward", "backward"]),
+       tol=st.sampled_from([1e-6, 1e-9, 1e-11]))
+def test_one_test_per_attempt_matches_per_stage_loop(kind, rate, band, ends,
+                                                     direction, tol):
+    # the once-per-attempt test fails the attempts the per-stage test
+    # fails, so the steps, nodes and states are the same bits, or both
+    # raise the same exception
+    rhs, start = _toy(kind, rate, band)
+    seg = np.concatenate(([0.0], np.cumsum(sorted(ends))))
+    ode = PiecewiseOde(dim=2, segments=seg, rhs=rhs)
+    y_start = start(seg[0] if direction == "forward" else seg[-1])
+    settings = IntegratorSettings(rel_tol=tol, abs_tol=tol, max_steps=1000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(odeint, "_integrate_segment", _per_stage_segment)
+        ref = _outcome(ode, y_start, direction, settings)
+    got = _outcome(ode, y_start, direction, settings)
+    if isinstance(ref, type):
+        assert got is ref
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_step_budget_enforced():

@@ -11,8 +11,8 @@ from switchopt.benchmarks import (
     JACOBSON_S1,
 )
 from switchopt.exceptions import InfeasiblePolytope, InvalidSwitchOrder, \
-    LineSearchFailure, NonFiniteDerivative, NonFiniteState, \
-    SecantDivergence, StepLimitExceeded, StepUnderflow
+    LineSearchFailure, NonFiniteState, SecantDivergence, StepLimitExceeded, \
+    StepUnderflow
 from switchopt.gradients import evaluate_gradient, forward_sweep
 from switchopt.odeint import IntegratorSettings
 from switchopt.optimizer import (
@@ -275,7 +275,7 @@ def _first_trial_raises(monkeypatch, failure):
 
 
 @pytest.mark.parametrize("failure", [StepLimitExceeded, StepUnderflow,
-                                     NonFiniteState, NonFiniteDerivative])
+                                     NonFiniteState])
 def test_integration_failure_of_a_trial_is_backed_off(monkeypatch, failure):
     calls = _first_trial_raises(monkeypatch, failure)
     rep = minimize(build_problem("catalyst1", T=1.0),
