@@ -3,8 +3,8 @@
 The control problem is reduced to a finite-dimensional minimization over
 the switching times of the control structure (plus the initial costate
 when the singular feedback needs it, and the horizon when terminal time is
-free).  Objective derivatives come from one forward state sweep and one
-backward costate sweep per evaluation.
+free).  Objective derivatives come from one forward state sweep and the
+reverse pass of its steps (the discrete adjoint) per evaluation.
 """
 
 from .exceptions import (

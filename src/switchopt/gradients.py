@@ -1,10 +1,12 @@
-"""Objective value and exact derivatives from one forward and one backward sweep.
+"""Objective value and exact derivatives from one forward sweep and its
+reverse pass.
 
 The forward sweep integrates the sweep state z: the state x in Case 1, the
 state and costate (x, p) in Case 2, each phase j with its flow F_j (see
-``problem.phase_flow``).  The backward sweep integrates the adjoint lam of z
-from lam(T) = (grad C, 0), re-integrating z alongside with a reset to the
-forward checkpoint at each switch point.  That one adjoint gives every
+``problem.phase_flow``).  The backward sweep is the discrete adjoint of the
+forward sweep's accepted DOPRI5 steps: it walks them in reverse from
+lam(T) = (grad C, 0) and gives, at every node z_n of the forward mesh,
+lam_n = dC(z_N)/dz_n of the computed solution.  That one adjoint gives every
 derivative:
 
 - dC/ds_j = lam . (F_{j-1} - F_j) at s_j, the jump of the Hamiltonian lam . F;
@@ -25,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .odeint import PiecewiseOde, integrate_piecewise, \
+from .odeint import _A, _B5, _C, PiecewiseOde, _hermite_resample, \
+    integrate_piecewise, \
     integrate_with_quadrature  # noqa: F401 (patched here by perfbench)
 from .problem import horizon, phase_adjoint, phase_feasibility, \
     phase_flow, phase_law, validate_config
@@ -59,14 +62,17 @@ class TrajectoryRecord:
     sigma: np.ndarray                 # switch points in tau units, incl. 0 and 1
     T: float
     steps: int                        # integrator step attempts of the sweep
+    # the accepted-step nodes (tau, z, K, h), see odeint.DenseTrajectory
+    nodes: list = field(repr=False)
 
 
 @dataclass
 class BackwardRecord:
-    """Backward-sweep output: adjoint checkpoints and samples."""
+    """Backward-sweep output: the adjoint lam of z on the forward mesh."""
 
-    costates: list                    # adjoint lam of z at 0, s_1..s_k, T
-    samples: np.ndarray               # lam at the forward dense samples
+    costates: list                    # lam at 0, s_1..s_k, T
+    nodal: np.ndarray                 # (len(fwd.nodes), dim z): lam at each node
+    steps: int                        # reverse steps: the forward's accepted ones
 
 
 @dataclass
@@ -115,63 +121,81 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
         objective=float(prob.C(ckpt[-1, :n])),
         sigma=sigma,
         T=T,
-        steps=traj.steps)
+        steps=traj.steps,
+        nodes=traj.nodes)
 
 
-def _adjoint_rhs(T, adjoint, d):
-    """RHS of (z, lam) on tau for one phase's ``adjoint``, z of size d.
-    The lanes pass T of shape (B,) and w of shape (2d, B)."""
-    def rhs(j, tau, w):
-        F, lam_F_z = adjoint(tau * T, w[:d], w[d:])
-        return T * np.concatenate((F, -lam_F_z))
-    return rhs
+# The reverse pass's tableau.  Lam_i = _W[i] @ S for the stack S of lam_{n+1}
+# and the theta_l of stages l = 1..6: _W[i] holds b_i and the weights a_li
+# of stage i in the later stages l that enter y_{n+1}.  The seventh stage
+# has weight 0 there, so lam does not depend on it.
+_W = np.zeros((6, 7))
+for _i in range(6):
+    _W[_i, 0] = _B5[_i]
+    _W[_i, _i + 2:] = [_A[_l][_i] for _l in range(_i + 1, 6)]
 
 
-def backward_sweep(prob, fwd, settings=None):
-    """Integrate the adjoint lam of z backward with checkpoint resets.
+def _node_phases(fwd):
+    """Phase of each node of ``fwd``: a phase starts at a node with h = 0."""
+    return np.cumsum([node[3] == 0.0 for node in fwd.nodes]) - 1
 
-    z is re-integrated jointly and reset to the forward checkpoint at each
-    switch point, which bounds backward drift per phase.  lam is also
-    resampled at the forward record's dense samples of each phase.
+
+def backward_sweep(prob, fwd):
+    """lam_n = dC(z_N)/dz_n at every node of the forward record ``fwd``.
+
+    The reverse pass of the accepted DOPRI5 steps: step n, from node n with
+    length h and stages K, takes for i = 6, ..., 1
+    Lam_i = b_i lam_{n+1} + sum_{l>i} a_li theta_l and
+    theta_i = h T (Lam_i . dF/dz)(tau_i T, Y_i), and then
+    lam_n = lam_{n+1} + sum_i theta_i.  The stage points (tau_i, Y_i) are
+    rebuilt from node n and K by the forward loop's own tableau products,
+    for all steps at once.  It has no tolerance and no error test; lam
+    passes a switch point unchanged.
     """
-    sigma, T, k = fwd.sigma, fwd.T, prob.k
-    d = fwd.checkpoints.shape[1]
+    T, d, nodes = fwd.T, fwd.checkpoints.shape[1], fwd.nodes
+    h_node = [node[3] for node in nodes]
+    step = np.flatnonzero(h_node)         # the node each step ends at
+    h = np.array(h_node)[step]
+    K = np.array([nodes[m][2] for m in step])
+    tau = np.array([nodes[m - 1][0] for m in step])
+    Y = np.empty((step.size, 6, d))
+    Y[:, 0] = [nodes[m - 1][1] for m in step]
+    for i in range(1, 6):
+        Y[:, i] = Y[:, 0] + h[:, None] * (K[:, :i].transpose(0, 2, 1) @ _A[i])
+    t = (tau[:, None] + np.array(_C[:6]) * h[:, None]) * T
+
+    rows = _resolved(phase_adjoint, prob)
+    phases = _node_phases(fwd)
     lam = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
                           np.zeros(d - prob.n)))
-    adjoints = _resolved(phase_adjoint, prob)
-    tau = fwd.times / T
-    samples = np.empty((tau.size, d))
-
-    costates = [None] * (k + 2)
-    costates[k + 1] = lam
-    for j in range(k, -1, -1):
-        w_end = np.concatenate((fwd.checkpoints[j + 1], lam))
-        ode = PiecewiseOde(dim=w_end.size, segments=sigma[j:j + 2],
-                           rhs=_adjoint_rhs(T, adjoints[j], d))
-        here = fwd.phase == j
-        back = integrate_piecewise(ode, w_end, "backward", settings,
-                                   tau[here])
-        samples[here] = back.sample_states[:, d:]
-        lam = costates[j] = back.breakpoint_states[0][d:]
-    return BackwardRecord(costates=costates, samples=samples)
+    nodal = []
+    costates = [None] * (prob.k + 2)
+    costates[-1] = lam
+    S = np.zeros((7, d))                  # lam_{n+1}, theta_1, ..., theta_6
+    n = step.size
+    for m in range(len(nodes) - 1, -1, -1):
+        nodal.append(lam)
+        if not h_node[m]:                 # a phase's first node
+            costates[phases[m]] = lam
+            continue
+        n -= 1
+        row, hT, t_n, Y_n = rows[phases[m]], h[n] * T, t[n], Y[n]
+        S[0] = lam
+        for i in range(5, -1, -1):
+            S[i + 1] = hT * row(t_n[i], Y_n[i], _W[i] @ S)
+        lam = S.sum(axis=0)
+    return BackwardRecord(costates=costates, nodal=np.array(nodal[::-1]),
+                          steps=step.size)
 
 
 def feasibility_margins(prob, fwd):
     """Worst control-box margin of each phase of the forward record ``fwd``
-    along its dense samples and at the phase's two checkpoints, so that a
-    phase between samples has one too."""
+    at its accepted-step nodes, the phase's two checkpoints included."""
     n, worst = prob.n, np.full(prob.k + 1, np.inf)
     margins = _resolved(phase_feasibility, prob)
-    points = [(fwd.phase[i], t, fwd.states[i],
-               None if fwd.costates is None else fwd.costates[i])
-              for i, t in enumerate(fwd.times)]
-    for j in range(prob.k + 1):
-        for c in (j, j + 1):
-            z = fwd.checkpoints[c]
-            points.append((j, fwd.sigma[c] * fwd.T, z[:n],
-                           z[n:] if z.size > n else None))
-    for j, t, x, p in points:
-        worst[j] = min(worst[j], float(np.min(margins[j](t, x, p))))
+    for j, (tau, z, _, _) in zip(_node_phases(fwd), fwd.nodes):
+        m = margins[j](tau * fwd.T, z[:n], z[n:] if z.size > n else None)
+        worst[j] = min(worst[j], float(np.min(m)))
     return worst
 
 
@@ -183,7 +207,7 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
     """
     if fwd is None:
         fwd = forward_sweep(prob, cfg, settings)
-    bwd = backward_sweep(prob, fwd, settings)
+    bwd = backward_sweep(prob, fwd)
 
     d_s = np.empty(prob.k)
     flows = _resolved(phase_flow, prob)
@@ -261,23 +285,35 @@ def gradcheck(prob, cfg, settings=None):
     return rows
 
 
+def _costate_samples(prob, fwd, bwd):
+    """lam of z at the dense samples of ``fwd``: cubic Hermite interpolation
+    of the nodal lam of ``bwd``, with dlam/dtau = -T lam . dF/dz at each
+    node, one adjoint-row call per node."""
+    rows, T = _resolved(phase_adjoint, prob), fwd.T
+    nodes = [(tau, lam, -T * rows[j](tau * T, z, lam)[None])
+             for j, (tau, z, _, _), lam in zip(_node_phases(fwd), fwd.nodes,
+                                               bwd.nodal)]
+    return _hermite_resample(nodes, fwd.times / T)[1]
+
+
 def dense_trajectory(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,
                      bundle=None):
     """Aligned dense samples of (t, x, u, p) for reporting.
 
     In Case 2 the forward sweep carries the costate p.  In Case 1 p is the
-    adjoint lam of z = x, sampled by the backward sweep whose Hamiltonian
-    jumps give the gradient.  ``bundle`` is the gradient of ``cfg`` when
-    it is already computed; then no sweep runs and ``sample_count`` is
-    unused.
+    adjoint lam of z = x from the backward sweep whose Hamiltonian jumps
+    give the gradient, interpolated between the forward mesh's nodes.
+    ``bundle`` is the gradient of ``cfg`` when it is already computed;
+    then no sweep runs and ``sample_count`` is unused.
     """
     if bundle is not None:
         fwd, bwd = bundle.fwd, bundle.bwd
     else:
         fwd = forward_sweep(prob, cfg, settings, sample_count)
         bwd = None if fwd.costates is not None \
-            else backward_sweep(prob, fwd, settings)
-    costates = bwd.samples if fwd.costates is None else fwd.costates
+            else backward_sweep(prob, fwd)
+    costates = fwd.costates if fwd.costates is not None \
+        else _costate_samples(prob, fwd, bwd)
     laws = _resolved(phase_law, prob)
     controls = np.empty((fwd.times.size, prob.m))
     for i, t in enumerate(fwd.times):

@@ -1,12 +1,15 @@
 """Lockstep lanes: B fixed-time Case-1 configurations swept as one.
 
-The lanes of a sweep are integrated by one masked, segment-synchronous
-DOPRI5 loop.  Each lane keeps its own t, h, error history, step budget
-and breakpoints, and applies exactly the rules of the scalar loop in
-``odeint``, so it takes the steps of the scalar sweep of its
+The lanes of a forward sweep are integrated by one masked,
+segment-synchronous DOPRI5 loop.  Each lane keeps its own t, h, error
+history, step budget and breakpoints, and applies exactly the rules of the
+scalar loop in ``odeint``, so it takes the steps of the scalar sweep of its
 configuration.  All lanes work on the same segment, so every RHS call
 evaluates one phase's law for all of them, and the interpreter's cost per
-call is paid once per B lanes.  Arrays carry the lane axis last: states
+call is paid once per B lanes.  The backward sweep is the reverse pass of
+those lockstep iterations, the discrete adjoint that
+``gradients.backward_sweep`` runs for one configuration, with its stages
+recomputed as batched calls.  Arrays carry the lane axis last: states
 (n, B), times (B,).  The model callbacks must accept that layout, as
 jacobson's and bressan's do.
 
@@ -22,15 +25,15 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import NonFiniteState, StepLimitExceeded, StepUnderflow
-from .gradients import GradientBundle, _adjoint_rhs, _resolved
+from .gradients import _W, GradientBundle, _resolved
 from .odeint import _A, _ALPHA, _B5, _BETA, _C, _E, _FAC_MAX, _FAC_MIN, \
-    _H_INIT, _H_MIN, _SAFETY, IntegratorSettings, PiecewiseOde, _reflect
+    _H_INIT, _H_MIN, _SAFETY, IntegratorSettings, PiecewiseOde
 from .problem import horizon, validate_config
 
 __all__ = [
     "integrate_lanes",
     "lane_flow",
-    "lane_adjoint",
+    "lane_linearization",
     "LaneRecord",
     "forward_lanes",
     "backward_lanes",
@@ -48,8 +51,9 @@ def _lane_error(kind, failing, message):
     return kind(f"lane {b}: {message(b)}")
 
 
-def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
-    """``_integrate_segment`` for B lanes in lockstep, without nodes.
+def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget,
+                            record=None):
+    """``_integrate_segment`` for B lanes in lockstep.
 
     t0, t1 and budget have shape (B,) and y0 shape (dim, B).  Every lane
     applies the scalar rules with its own t, h, error history and budget.
@@ -60,7 +64,10 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
     A lane that has reached t1 is frozen, trying steps of length 0, until
     all have.
     The first failure raises, naming its lane.  Returns (y_end,
-    steps_used), the steps per lane.
+    steps_used), the steps per lane.  ``record``, when given, receives
+    (t, h, y) of each attempt in which a lane accepted a step: the times
+    (B,) and lane-major states (B, dim) it started from, and the step
+    lengths, 0 for a lane that accepted none.
     """
     def f(t, y):
         return rhs(j, t, y.T).T
@@ -112,6 +119,8 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
             h = np.where(reject, h_try * np.minimum(
                 1.0, np.maximum(_FAC_MIN, shrink)), h)
             h = np.where(failed, 0.5 * h_try, h)
+            if record is not None and accept.any():
+                record.append((t, np.where(accept, h_try, 0.0), y))
 
             t = np.where(accept, np.where(clipped, t1, t + h_try), t)
             y = np.where(accept[:, None], y_new, y)
@@ -131,16 +140,18 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
     return y.T, steps
 
 
-def integrate_lanes(ode, y_start, direction="forward", settings=None):
-    """Integrate the B lanes of ``ode`` in lockstep, segment by segment.
+def integrate_lanes(ode, y_start, settings=None, record=None):
+    """Integrate the B lanes of ``ode`` forward in lockstep, segment by
+    segment.
 
     ``ode.segments`` has shape (nseg+1, B) and ``y_start`` shape (dim, B).
     All lanes work on the same segment j, so every RHS call evaluates
     segment j's law for all of them; within it each lane steps exactly as
     ``integrate_piecewise`` would, under its own ``max_steps`` budget.
     Returns (breakpoint_states, steps): breakpoint_states[i] is the
-    (dim, B) state at ode.segments[i] in original time, and steps the
-    (B,) step attempts of each lane.
+    (dim, B) state at ode.segments[i], and steps the (B,) step attempts
+    of each lane.  ``record``, when given, receives one list per segment
+    of the accepted steps as ``_integrate_lane_segment`` records them.
     """
     settings = settings or IntegratorSettings()
     y = np.array(y_start, dtype=float)
@@ -149,19 +160,18 @@ def integrate_lanes(ode, y_start, direction="forward", settings=None):
     if y.shape != (ode.dim, ode.segments.shape[1]):
         raise ValueError(f"y_start has shape {y.shape}, expected "
                          f"{(ode.dim, ode.segments.shape[1])}")
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
 
-    work = _reflect(ode) if direction == "backward" else ode
     bp_states = [y]
     used = np.zeros(y.shape[1], dtype=int)
-    for j in range(len(work.segments) - 1):
+    for j in range(len(ode.segments) - 1):
+        if record is not None:
+            record.append([])
         y, steps = _integrate_lane_segment(
-            work.rhs, j, work.segments[j], work.segments[j + 1], y, settings,
-            settings.max_steps - used)
+            ode.rhs, j, ode.segments[j], ode.segments[j + 1], y, settings,
+            settings.max_steps - used, None if record is None else record[j])
         used += steps
         bp_states.append(y)
-    return (bp_states[::-1] if direction == "backward" else bp_states), used
+    return bp_states, used
 
 
 # ---------------------------------------------------------------------------
@@ -190,29 +200,30 @@ def lane_flow(prob, j):
     return lambda t, x: f(x, control(t, x))
 
 
-def lane_adjoint(prob, j):
-    """``phase_adjoint`` of a Case-1 problem on B lanes: A(t, x, lam) ->
-    (F, lam . dF/dx), each (n, B).  f_x, f_u and a state law's law_x,
-    which must be given, return their lane axis last."""
+def lane_linearization(prob, j):
+    """Phase j of a Case-1 problem on B lanes, linearized: L(t, x) ->
+    (F, dF/dx), of shapes (n, B) and (n, n, B), F as ``lane_flow`` gives
+    it.  f_x, f_u and a state law's law_x, which must be given, return
+    their lane axis last."""
     ph, f, f_x, f_u = prob.phases[j], prob.f, prob.f_x, prob.f_u
     control, feedback = _lane_law(prob, j), ph.law_kind != "constant"
     if feedback and ph.law_x is None:
         raise ValueError(f"{prob.name}: lane sweeps need phase {j}'s law_x")
 
-    def adjoint(t, x, lam):
+    def linearization(t, x):
         u = control(t, x)
         J = f_x(x, u)
         if feedback:
             J = J + np.einsum("imb,mjb->ijb", f_u(x, u), ph.law_x(t, x))
-        return f(x, u), _lane_vecmat(lam, J)
-    return adjoint
+        return f(x, u), J
+    return linearization
 
 
 def _lane_vecmat(lam, J):
-    """lam @ J per lane, lam (n, B) and J (n, n, B), through the BLAS call
-    of the scalar ``lam @ J``, so that each lane gets the scalar bits."""
-    J = np.ascontiguousarray(np.moveaxis(J, -1, 0))
-    return np.matmul(lam.T[:, None, :], J)[:, 0].T
+    """lam @ J per lane, lane-major lam (B, n) and J (B, n, n), through the
+    BLAS call of the scalar ``lam @ J``, so that each lane gets the scalar
+    bits."""
+    return np.matmul(lam[:, None, :], J)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +237,12 @@ class LaneRecord:
     checkpoints: np.ndarray           # (k+2, n, B): x or lam at 0, s_1.., T
     sigma: np.ndarray                 # (k+2, B): switch points in tau units
     T: np.ndarray                     # (B,)
-    steps: np.ndarray                 # (B,) integrator step attempts
+    steps: np.ndarray                 # (B,) integrator step attempts, or
+    #                                   the reverse steps of a backward sweep
     objective: Optional[np.ndarray] = None   # (B,), forward sweeps only
+    # forward sweeps: per phase, the (tau, h, x) of each lockstep iteration
+    # in which a lane accepted a step (see _integrate_lane_segment)
+    iterations: Optional[list] = None
 
 
 def forward_lanes(prob, cfgs, settings=None):
@@ -245,33 +260,48 @@ def forward_lanes(prob, cfgs, settings=None):
         return T * flows[j](tau * T, x)
 
     ode = PiecewiseOde(dim=prob.n, segments=sigma, rhs=rhs)
+    iterations = []
     states, steps = integrate_lanes(
-        ode, np.repeat(prob.x0[:, None], T.size, axis=1), "forward", settings)
+        ode, np.repeat(prob.x0[:, None], T.size, axis=1), settings,
+        iterations)
     ckpt = np.array(states)
     return LaneRecord(checkpoints=ckpt, sigma=sigma, T=T, steps=steps,
-                      objective=np.asarray(prob.C(ckpt[-1]), dtype=float))
+                      objective=np.asarray(prob.C(ckpt[-1]), dtype=float),
+                      iterations=iterations)
 
 
-def backward_lanes(prob, fwd, settings=None):
-    """``backward_sweep`` of the lanes of ``fwd``, with x reset to the
-    forward checkpoint at each switch point and each phase under its own
-    step budget.  It samples no dense lam: a fixed-time profile reads
-    only the Hamiltonian jumps."""
-    n, B = prob.n, fwd.T.size
-    adjoints = _resolved(lane_adjoint, prob)
-    lam = np.broadcast_to(
-        np.reshape(prob.grad_C(fwd.checkpoints[-1]), (n, -1)), (n, B))
+def backward_lanes(prob, fwd):
+    """``backward_sweep`` of the lanes of ``fwd``: the reverse pass of its
+    recorded lockstep iterations.  Each iteration's six stages are
+    recomputed from (tau, h, x) as batched calls of the phase's
+    linearization; a lane whose h is 0 keeps its lam.  It keeps lam at the
+    checkpoints only: a fixed-time profile reads only the Hamiltonian
+    jumps."""
+    n, T = prob.n, fwd.T
+    lins = _resolved(lane_linearization, prob)
+    lam = np.array(np.broadcast_to(
+        np.reshape(prob.grad_C(fwd.checkpoints[-1]), (n, -1)),
+        (n, T.size)).T)                   # lane-major (B, n) from here on
     costates = [None] * (prob.k + 2)
-    costates[-1] = lam
-    steps = np.zeros(B, dtype=int)
+    costates[-1] = lam.T
+    steps = np.zeros(T.size, dtype=int)
+    K = np.empty((T.size, 6, n))
+    S = np.zeros((T.size, 7, n))          # lam_{n+1}, theta_1, ..., theta_6
     for j in range(prob.k, -1, -1):
-        ode = PiecewiseOde(dim=2 * n, segments=fwd.sigma[j:j + 2],
-                           rhs=_adjoint_rhs(fwd.T, adjoints[j], n))
-        states, used = integrate_lanes(
-            ode, np.concatenate((fwd.checkpoints[j + 1], lam)), "backward",
-            settings)
-        lam = costates[j] = states[0][n:]
-        steps += used
+        for tau, h, y in reversed(fwd.iterations[j]):
+            J, hT = [], (h * T)[:, None]
+            for i in range(6):
+                Y = y + h[:, None] * (K[:, :i].transpose(0, 2, 1) @ _A[i]) \
+                    if i else y
+                F, Ji = lins[j]((tau + _C[i] * h) * T, Y.T)
+                K[:, i] = (T * F).T
+                J.append(np.ascontiguousarray(np.moveaxis(Ji, -1, 0)))
+            S[:, 0] = lam
+            for i in range(5, -1, -1):
+                S[:, i + 1] = hT * _lane_vecmat(_W[i] @ S, J[i])
+            lam = S.sum(axis=1)
+            steps += h > 0.0
+        costates[j] = lam.T
     return LaneRecord(checkpoints=np.array(costates), sigma=fwd.sigma,
                       T=fwd.T, steps=steps)
 
@@ -287,7 +317,7 @@ def evaluate_lanes(prob, cfgs, settings=None):
     objective has shape (B,), d_s shape (k, B), d_p0 and d_T are None, and
     fwd and bwd are the two LaneRecords."""
     fwd = forward_lanes(prob, cfgs, settings)
-    bwd = backward_lanes(prob, fwd, settings)
+    bwd = backward_lanes(prob, fwd)
     flows = _resolved(lane_flow, prob)
     d_s = np.empty((prob.k, fwd.T.size))
     for j in range(1, prob.k + 1):

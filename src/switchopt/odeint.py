@@ -99,6 +99,12 @@ class DenseTrajectory:
     nodes at the requested times, intended for reports and plots.
     ``steps`` counts the step attempts (accepted, rejected and non-finite)
     charged against ``IntegratorSettings.max_steps``.
+
+    ``nodes`` holds the nodes in the order integrated, each (t, y, K, h):
+    K is the (7, dim) stage array and h the length of the accepted step
+    that ends at the node, so that K[6] = rhs(j, t, y).  A segment's first
+    node has h = 0 and K = rhs(j, t, y)[None].  For a backward integration
+    t is reflected time.
     """
 
     sample_times: np.ndarray
@@ -106,13 +112,15 @@ class DenseTrajectory:
     breakpoint_states: list[np.ndarray]
     steps: int = 0
     step_times: np.ndarray = field(repr=False, default=None)
+    nodes: list = field(repr=False, default=None)
 
 
 def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
     """Integrate dy/dt = rhs(j, t, y) over [t0, t1], appending accepted nodes.
 
-    Returns (y_end, steps_used).  ``nodes`` receives (t, y, rhs(j, t, y))
-    triples including the segment start.  No RHS call warns about overflow
+    Returns (y_end, steps_used).  ``nodes`` receives the (t, y, K, h) of
+    each accepted step (see ``DenseTrajectory``), and (t0, y0, rhs(j, t0,
+    y0)[None], 0.0) first.  No RHS call warns about overflow
     or division: an attempt with a non-finite stage or state, tested once
     after all six stages, halves the step, down to ``NonFiniteState`` at
     _H_MIN, and a non-finite first call raises it.
@@ -129,7 +137,7 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
         k1 = rhs(j, t, y)
         if not np.isfinite(k1).all():
             raise NonFiniteState(f"non-finite derivative at t={t}")
-        nodes.append((t, y, k1.copy()))
+        nodes.append((t, y, k1.copy()[None], 0.0))
 
         while t < t1:
             if steps >= budget:
@@ -157,8 +165,9 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
             if err <= 1.0:
                 t = t1 if clipped else t + h_try
                 y, abs_y = y_new, abs_new
-                k1 = k[6].copy()  # FSAL; the next attempt overwrites k[6]
-                nodes.append((t, y, k1))
+                K = k.copy()  # the next attempt overwrites k
+                k1 = K[6]     # FSAL
+                nodes.append((t, y, K, h_try))
                 fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
                 err_prev = max(err, 1e-10)
                 h = h_try * min(_FAC_MAX, max(_FAC_MIN, fac))
@@ -174,14 +183,15 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
 
 
 def _hermite_resample(nodes, sample_times):
-    """Cubic Hermite interpolation of accepted-step nodes at given times.
+    """Cubic Hermite interpolation of nodes (t, y, K, ...) at given times,
+    with dy/dt = K[-1] at each node.
 
     ``np.float_power`` is the C ``pow`` of a float64 scalar ``** 2``; an
     array ``** 2`` multiplies instead, which can differ in the last bit.
     """
     times = np.array([n[0] for n in nodes])
     states = np.array([n[1] for n in nodes])
-    derivs = np.array([n[2] for n in nodes])
+    derivs = np.array([n[2][-1] for n in nodes])
     idx = np.searchsorted(times, sample_times, side="right") - 1
     idx = np.clip(idx, 0, times.size - 2)
     h = times[idx + 1] - times[idx]
@@ -251,7 +261,8 @@ def integrate_piecewise(ode, x_start, direction="forward", settings=None,
 
     return DenseTrajectory(
         sample_times=samp_t, sample_states=samp_x,
-        breakpoint_states=bp_states, steps=used, step_times=times)
+        breakpoint_states=bp_states, steps=used, step_times=times,
+        nodes=nodes)
 
 
 def integrate_with_quadrature(ode, x_start, integrand, direction="forward",

@@ -41,7 +41,7 @@ class ControlPhase:
     law_x(t, x), read only for a state law, is its m-by-n Jacobian in x.
     A phase without analytic derivatives (a state law without law_x, a
     Case-2 problem without case2_derivs) takes a central difference of
-    lam . F: 2 dim(z) + 1 flow calls per adjoint call.
+    lam . F: 2 dim(z) flow calls per adjoint call.
     """
 
     law_kind: str
@@ -208,22 +208,17 @@ def phase_flow(prob, j):
 
 
 def phase_adjoint(prob, j):
-    """Phase j's adjoint A(t, z, lam) -> (F, lam . dF/dz): the row from the
-    closed-loop Jacobian (Case 1) or case2_derivs (Case 2), sharing F's
-    model evaluation, else a central difference of lam . F over z."""
+    """Phase j's adjoint row A(t, z, lam) -> lam . dF/dz of its flow F: from
+    the closed-loop Jacobian (Case 1) or case2_derivs (Case 2), else a
+    central difference of lam . F over z."""
     n, derivs, ph = prob.n, prob.case2_derivs, prob.phases[j]
     if prob.case == 1 and (ph.law_x is not None or ph.law_kind == "constant"):
-        f, control = prob.f, phase_law(prob, j)
-        jacobian = phase_law_jacobian(prob, j)
-
-        def adjoint(t, z, lam):
-            u = control(t, z)
-            return f(z, u), lam @ jacobian(t, z, u)
-        return adjoint
-    flow = phase_flow(prob, j)
+        control, jacobian = phase_law(prob, j), phase_law_jacobian(prob, j)
+        return lambda t, z, lam: lam @ jacobian(t, z, control(t, z))
     if prob.case == 2 and derivs is not None:
-        return lambda t, z, lam: (flow(t, z), np.concatenate(
-            derivs(j, t, z[:n], z[n:], lam[:n], lam[n:])))
+        return lambda t, z, lam: np.concatenate(
+            derivs(j, t, z[:n], z[n:], lam[:n], lam[n:]))
+    flow = phase_flow(prob, j)
 
     def adjoint(t, z, lam):
         g = np.empty(z.size)
@@ -233,5 +228,5 @@ def phase_adjoint(prob, j):
             zp[i] += h
             zm[i] -= h
             g[i] = (lam @ flow(t, zp) - lam @ flow(t, zm)) / (2 * h)
-        return flow(t, z), g
+        return g
     return adjoint

@@ -15,10 +15,11 @@ from switchopt.gradients import (
     forward_sweep, free_time_gradient_check, gradcheck,
 )
 from switchopt.lanes import evaluate_lanes
-from switchopt.odeint import IntegratorSettings, PiecewiseOde, \
+from switchopt.odeint import _A, _B5, _C, IntegratorSettings, PiecewiseOde, \
     integrate_piecewise, integrate_with_quadrature
 from switchopt.optimizer import minimize
-from switchopt.problem import SwitchConfig, phase_adjoint, phase_flow
+from switchopt.problem import ControlPhase, ProblemDef, SwitchConfig, \
+    phase_adjoint, phase_flow
 
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 
@@ -191,8 +192,7 @@ def test_d_T_matches_hamiltonian_quadrature(name):
     for j in range(prob.k + 1):
         flow = phase_flow(prob, j)
         ode = PiecewiseOde(dim=2 * d, segments=fwd.sigma[j:j + 2],
-                           rhs=gradients._adjoint_rhs(
-                               T, phase_adjoint(prob, j), d))
+                           rhs=_adjoint_rhs(prob, j, T, d))
         _, q = integrate_with_quadrature(
             ode, np.concatenate((fwd.checkpoints[j + 1],
                                  bundle.bwd.costates[j + 1])),
@@ -267,24 +267,171 @@ def test_phase_between_dense_samples_has_finite_margin():
                                [0.0, min(u, 1.0 - u), 0.0], atol=1e-9)
 
 
-def test_goddard_backward_steps_track_forward_at_optimum(monkeypatch):
-    # the backward sweep integrates (z, lam) with no passenger, so at a
-    # free-time optimum its steps stay close to the forward sweep's
+def test_goddard_backward_steps_track_forward_at_optimum():
+    # the backward sweep is the reverse pass of the forward sweep's
+    # accepted steps: at a free-time optimum it takes exactly those
     prob = build_problem("goddard")
     cfg = SwitchConfig(s=np.array(GODDARD_REFERENCE.s_star),
                        T=GODDARD_REFERENCE.T_star)
     fwd = forward_sweep(prob, cfg, TIGHT)
-    steps = []
+    bwd = evaluate_gradient(prob, cfg, TIGHT, fwd=fwd).bwd
+    assert bwd.steps == len(fwd.nodes) - (prob.k + 1)
+    assert bwd.steps <= 1.1 * fwd.steps
 
-    def counted(*args, **kwargs):
-        traj = integrate_piecewise(*args, **kwargs)
-        steps.append(traj.steps)
+
+# ---------------------------------------------------------------------------
+# the reverse pass against independent references
+# ---------------------------------------------------------------------------
+
+def _adjoint_rhs(prob, j, T, d):
+    """RHS of (z, lam) on tau for phase j, z of size d: the adjoint ODE of
+    the sweep state."""
+    flow, row = phase_flow(prob, j), phase_adjoint(prob, j)
+
+    def rhs(_, tau, w):
+        z, lam = w[:d], w[d:]
+        return T * np.concatenate((flow(tau * T, z), -row(tau * T, z, lam)))
+    return rhs
+
+
+def _adaptive_backward(prob, fwd, settings):
+    """lam at 0, s_1, .., T from an adaptive DOPRI5 integration of (z, lam)
+    backward, phase by phase, with z reset to the forward checkpoint at
+    each switch point: the backward sweep before the reverse pass."""
+    T, d = fwd.T, fwd.checkpoints.shape[1]
+    lam = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
+                          np.zeros(d - prob.n)))
+    costates = [lam]
+    for j in range(prob.k, -1, -1):
+        ode = PiecewiseOde(dim=2 * d, segments=fwd.sigma[j:j + 2],
+                           rhs=_adjoint_rhs(prob, j, T, d))
+        back = integrate_piecewise(
+            ode, np.concatenate((fwd.checkpoints[j + 1], lam)), "backward",
+            settings)
+        lam = back.breakpoint_states[0][d:]
+        costates.insert(0, lam)
+    return costates
+
+
+def _replayed_objective(prob, fwd, m, z):
+    """C at T of the forward record's accepted steps replayed from z at node
+    m: the same step lengths, stage times and tableau, with no error test."""
+    T, phase = fwd.T, -1
+    flows = [phase_flow(prob, j) for j in range(prob.k + 1)]
+    for q, (tau, _, _, h) in enumerate(fwd.nodes):
+        phase += h == 0.0
+        if q <= m or h == 0.0:
+            continue
+        t0 = fwd.nodes[q - 1][0]
+        k = np.zeros((7, z.size))
+        for i in range(6):
+            k[i] = T * flows[phase]((t0 + _C[i] * h) * T,
+                                    z + h * (_A[i] @ k[:i]))
+        z = z + h * (_B5 @ k)
+    return prob.C(z[:prob.n])
+
+
+# one off-optimum configuration per problem, and the tolerance of its sweep
+FROZEN_CASES = {
+    "catalyst1": SwitchConfig(s=np.array([0.15, 0.7])),
+    "catalyst2": SwitchConfig(s=np.array([0.14, 0.72]),
+                              p0=np.array([0.87, 0.83])),
+    "jacobson": SwitchConfig(s=np.array([1.3])),
+    "bressan": SwitchConfig(s=np.array([3.1])),
+    "goddard": SwitchConfig(s=np.array([13.9, 21.7]), T=43.1),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_CASES))
+def test_reverse_pass_is_the_frozen_mesh_derivative(name):
+    # lam_n = dC(z_N)/dz_n of the computed solution on its own mesh: a
+    # central difference of C over z_n, with the forward's step sequence
+    # replayed, at the first node, inside each phase and at each switch
+    prob = build_problem(name)
+    bundle = evaluate_gradient(prob, FROZEN_CASES[name])
+    fwd, nodal = bundle.fwd, bundle.bwd.nodal
+    starts = [m for m, node in enumerate(fwd.nodes) if node[3] == 0.0]
+    ends = starts[1:] + [len(fwd.nodes)]
+    picks = {0} | {(a + b) // 2 for a, b in zip(starts, ends)} \
+        | set(starts[1:])
+    for m in sorted(picks):
+        z = fwd.nodes[m][1]
+        fd = np.empty(z.size)
+        for i in range(z.size):
+            dz = np.zeros(z.size)
+            dz[i] = 1e-5 * max(1.0, abs(z[i]))
+            fd[i] = (_replayed_objective(prob, fwd, m, z + dz)
+                     - _replayed_objective(prob, fwd, m, z - dz)) \
+                / (2 * dz[i])
+        assert np.max(np.abs(fd - nodal[m])) <= 1e-7 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("name", list(FROZEN_CASES))
+def test_reverse_pass_matches_adaptive_adjoint_integration(name):
+    # at tol 1e-11 both give lam at every checkpoint to O(tol)
+    prob = build_problem(name)
+    bundle = evaluate_gradient(prob, FROZEN_CASES[name], TIGHT)
+    ref = _adaptive_backward(prob, bundle.fwd, TIGHT)
+    for got, want in zip(bundle.bwd.costates, ref):
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", list(FROZEN_CASES))
+def test_one_integration_and_six_adjoint_rows_per_step(monkeypatch, name):
+    # the reverse pass integrates nothing, and calls each phase's adjoint
+    # row once per stage of each accepted forward step, stage 7 excluded
+    prob = build_problem(name)
+    accepted, rows = [], []
+
+    def integrate(ode, *args, **kwargs):
+        traj = integrate_piecewise(ode, *args, **kwargs)
+        accepted.append(traj.step_times.size - (len(ode.segments) - 1))
         return traj
 
-    monkeypatch.setattr(gradients, "integrate_piecewise", counted)
-    evaluate_gradient(prob, cfg, TIGHT, fwd=fwd)
-    assert len(steps) == prob.k + 1
-    assert sum(steps) <= 1.1 * fwd.steps
+    def adjoint(prob, j):
+        row = phase_adjoint(prob, j)
+
+        def counted(*args):
+            rows.append(j)
+            return row(*args)
+        return counted
+
+    monkeypatch.setattr(gradients, "integrate_piecewise", integrate)
+    monkeypatch.setattr(gradients, "phase_adjoint", adjoint)
+    bundle = evaluate_gradient(prob, FROZEN_CASES[name], TIGHT,
+                               with_d_T=True)
+    assert len(accepted) == 1
+    assert bundle.bwd.steps == accepted[0]
+    assert len(rows) == 6 * accepted[0]
+
+
+def _bump_problem(c, w):
+    """x1' = 1, x2' = u with the state feedback u = 1 / (1 + ((x1 - c) /
+    w)^2) in a box [0, 0.5] on phase 0, and u = 0 after s_1: u leaves its
+    box only for |t - c| < w."""
+    lower, upper = (lambda t: np.zeros(1)), (lambda t: np.full(1, 0.5))
+    return ProblemDef(
+        name="bump", n=2, m=1, x0=np.zeros(2), T=1.0, free_time=False,
+        case=1,
+        phases=(ControlPhase("state", lambda t, x: np.array(
+                    [1.0 / (1.0 + ((x[0] - c) / w) ** 2)]), lower, upper),
+                ControlPhase("constant", lambda t: np.zeros(1), lower,
+                             upper)),
+        f=lambda x, u: np.array([1.0, u[0]]),
+        f_x=lambda x, u: np.zeros((2, 2)),
+        f_u=lambda x, u: np.array([[0.0], [1.0]]),
+        C=lambda x: x[1], grad_C=lambda x: np.array([0.0, 1.0]))
+
+
+def test_margin_sees_a_violation_between_dense_samples():
+    # the dense samples lie 0.005 apart, at 0.5 and 0.505, where u is 0.025;
+    # the accepted steps resolve the peak u = 1 between them
+    prob = _bump_problem(c=0.5025, w=4e-4)
+    fwd = forward_sweep(prob, SwitchConfig(s=np.array([0.9])))
+    assert np.all(np.abs(fwd.times - 0.5025) > 6 * 4e-4)
+    margins = feasibility_margins(prob, fwd)
+    assert margins[0] < -0.4
+    assert margins[1] == 0.0
 
 
 # The sweeps resolve each phase once into closures; the finite-difference
@@ -377,29 +524,27 @@ def test_dense_trajectory_from_bundle_integrates_nothing(monkeypatch, name,
         assert np.array_equal(g, w)
     if prob.case == 1:
         # the reported costate is the lam whose jumps gave d_s
-        assert np.array_equal(got[3], bundle.bwd.samples)
+        assert np.array_equal(got[3][[0, -1]],
+                              np.array(bundle.bwd.costates)[[0, -1]])
 
 
-def _whole_horizon_costate(prob, fwd, settings):
-    """lam of z at the forward samples from one backward integration of
+def _whole_horizon_costate(prob, fwd, settings, tau):
+    """lam of z at the times ``tau`` from one backward integration of
     (z, lam) over all phases, with no reset of z at the switch points.
 
     This is how the Case-1 reported costate used to be computed, kept as an
-    independent reference for the backward sweep's samples.
+    independent reference for the backward sweep's lam.
     """
     T, d = fwd.T, fwd.checkpoints.shape[1]
-    adjoints = [phase_adjoint(prob, j) for j in range(prob.k + 1)]
-
-    def rhs(j, tau, w):
-        F, lam_F_z = adjoints[j](tau * T, w[:d], w[d:])
-        return T * np.concatenate((F, -lam_F_z))
+    phases = [_adjoint_rhs(prob, j, T, d) for j in range(prob.k + 1)]
 
     lam_end = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
                               np.zeros(d - prob.n)))
     back = integrate_piecewise(
-        PiecewiseOde(dim=2 * d, segments=fwd.sigma, rhs=rhs),
+        PiecewiseOde(dim=2 * d, segments=fwd.sigma,
+                     rhs=lambda j, tau, w: phases[j](j, tau, w)),
         np.concatenate((fwd.checkpoints[-1], lam_end)), "backward",
-        settings, fwd.times / T)
+        settings, tau)
     return back.sample_states[:, d:]
 
 
@@ -423,9 +568,15 @@ def test_sampled_costate_matches_whole_horizon_integration(name, T, cfg):
     empty = np.bincount(fwd.phase, minlength=prob.k + 1) == 0
     assert empty.tolist() == ([False, True, False] if cfg is EMPTY_MIDDLE_CFG
                               else [False] * (prob.k + 1))
-    ref = _whole_horizon_costate(prob, fwd, TIGHT)
-    err = np.max(np.abs(bundle.bwd.samples - ref))
-    assert err <= 1e-8 * np.max(np.abs(ref))
+    # lam at the nodes of the forward mesh, where the backward sweep gives it
+    ref = _whole_horizon_costate(prob, fwd, TIGHT,
+                                 [node[0] for node in fwd.nodes])
+    assert np.max(np.abs(bundle.bwd.nodal - ref)) <= 1e-8 * np.max(np.abs(ref))
+    if prob.case == 1:
+        # the reported costate, interpolated between the nodes
+        ref = _whole_horizon_costate(prob, fwd, TIGHT, fwd.times / fwd.T)
+        got = dense_trajectory(prob, cfg, TIGHT, bundle=bundle)[3]
+        assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 # one off-optimum configuration per problem
@@ -502,20 +653,11 @@ def test_gradcheck_evaluates_gradient_once(monkeypatch, name):
 # lockstep lanes against evaluate_gradient, point by point
 # ---------------------------------------------------------------------------
 
-def _scalar_point(monkeypatch, prob, s, settings):
-    """evaluate_gradient at s, and the step attempts of its forward sweep
-    and of its backward sweep (all phases)."""
-    steps = []
-    integrate = gradients.integrate_piecewise
-
-    def counting(*args, **kwargs):
-        traj = integrate(*args, **kwargs)
-        steps.append(traj.steps)
-        return traj
-    monkeypatch.setattr(gradients, "integrate_piecewise", counting)
+def _scalar_point(prob, s, settings):
+    """evaluate_gradient at s, the step attempts of its forward sweep, and
+    the steps of its backward sweep: the forward's accepted steps."""
     bundle = evaluate_gradient(prob, SwitchConfig(s=np.array([s])), settings)
-    monkeypatch.setattr(gradients, "integrate_piecewise", integrate)
-    return bundle, steps[0], sum(steps[1:])
+    return bundle, bundle.fwd.steps, bundle.bwd.steps
 
 
 @pytest.mark.parametrize("tol", [None, 1e-11], ids=["default", "tol1e-11"])
@@ -523,7 +665,7 @@ def _scalar_point(monkeypatch, prob, s, settings):
     ("jacobson", np.linspace(1.38, 1.48, 200), 13),   # the README profile
     ("bressan", np.linspace(3.0, 3.7, 15), 1),
 ])
-def test_lanes_match_scalar_sweeps(monkeypatch, name, grid, stride, tol):
+def test_lanes_match_scalar_sweeps(name, grid, stride, tol):
     prob = build_problem(name)
     settings = IntegratorSettings() if tol is None \
         else IntegratorSettings(rel_tol=tol, abs_tol=tol)
@@ -531,8 +673,7 @@ def test_lanes_match_scalar_sweeps(monkeypatch, name, grid, stride, tol):
                            settings)
     assert lanes.d_s.shape == (1, grid.size)
     for b in range(0, grid.size, stride):
-        bundle, fwd_steps, bwd_steps = _scalar_point(monkeypatch, prob,
-                                                     grid[b], settings)
+        bundle, fwd_steps, bwd_steps = _scalar_point(prob, grid[b], settings)
         assert abs(lanes.d_s[0, b] - bundle.d_s[0]) <= 1e-12
         assert abs(lanes.objective[b] - bundle.objective) <= 1e-12
         assert lanes.fwd.steps[b] == fwd_steps
