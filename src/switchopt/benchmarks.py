@@ -44,6 +44,21 @@ class ReferenceSolution:
     C_star: Optional[float] = None
 
 
+# Every problem's callbacks also take B lanes of states, x of shape (n, B)
+# and u of shape (m, B), and then return arrays whose trailing axis is the
+# lane axis (``ProblemDef.lanes``).
+
+def _lane_zeros(shape, x):
+    """Zeros of ``shape``, with x's lane axis appended when it has one."""
+    return np.zeros(shape + x.shape[1:])
+
+
+def _exp(v):
+    """exp of a float by ``math.exp``, the cheap call on the one-point
+    path of the forward sweep, and of a lane array by ``np.exp``."""
+    return math.exp(v) if isinstance(v, float) else np.exp(v)
+
+
 # ---------------------------------------------------------------------------
 # catalyst mixing
 # ---------------------------------------------------------------------------
@@ -137,27 +152,33 @@ def _catalyst_singular_feedback(params):
     return law, grads
 
 
-def _catalyst_case2_derivs(params, prob_phases, f, f_x, f_u, sing_grads):
-    """Analytic gradients of the generalized Hamiltonian for every phase."""
+def _catalyst_case2_derivs(params, prob_phases, f_x, f_u, sing_grads):
+    """Analytic Jacobian of the Case-2 flow F = (f, -p f_x) in z = (x, p)
+    for every phase.  f_x is linear in the scalar control u with slope M
+    and does not depend on x, so with u = u(x, p) on the singular arc it is
+    [[f_x + f_u du_x, f_u du_p], [-(pM)^T du_x, -f_x^T - (pM)^T du_p]],
+    and a constant-control phase drops the du terms."""
     k1, k2, k3 = params.k1, params.k2, params.k3
     # derivative of the state Jacobian with respect to the scalar control
     M = np.array([[-k1, k2], [k1, -k2 + k3]])
 
-    def derivs(j, t, x, p, y1, y2):
+    def derivs(j, t, x, p):
         ph = prob_phases[j]
-        if ph.law_kind == "constant":
-            u = np.atleast_1d(ph.law(t))
-        else:
-            u = np.atleast_1d(ph.law(t, x, p))
+        feedback = ph.law_kind == "state_costate"
+        u = np.broadcast_to(ph.law(t, x, p) if feedback else ph.law(t),
+                            (1,) + np.shape(t))
         fx = f_x(x, u)
-        gx = y1 @ fx
-        gp = -(fx @ y2)
-        if ph.law_kind == "state_costate":
-            dH_du = float(y1 @ f_u(x, u)[:, 0] - p @ (M @ y2))
+        J = _lane_zeros((4, 4), x)
+        J[:2, :2] = fx
+        J[2:, 2:] = -np.swapaxes(fx, 0, 1)
+        if feedback:
             du_x, du_p = sing_grads(x, p)
-            gx = gx + dH_du * du_x
-            gp = gp + dH_du * du_p
-        return gx, gp
+            fu, pM = f_u(x, u)[:, 0], M.T @ p
+            J[:2, :2] += fu[:, None] * du_x[None]
+            J[:2, 2:] = fu[:, None] * du_p[None]
+            J[2:, :2] = -pM[:, None] * du_x[None]
+            J[2:, 2:] -= pM[:, None] * du_p[None]
+        return J
 
     return derivs
 
@@ -192,7 +213,7 @@ def build_catalyst(params: CatalystParams = CatalystParams(),
     )
     case2_derivs = None
     if case2:
-        case2_derivs = _catalyst_case2_derivs(params, phases, f, f_x, f_u,
+        case2_derivs = _catalyst_case2_derivs(params, phases, f_x, f_u,
                                               sing_grads)
 
     standard = (params.k1, params.k2, params.k3) == (1.0, 10.0, 1.0)
@@ -206,22 +227,12 @@ def build_catalyst(params: CatalystParams = CatalystParams(),
         case=params.case, phases=phases, f=f, f_x=f_x, f_u=f_u,
         C=lambda x: x[0] + x[1] - 1.0,
         grad_C=lambda x: np.array([1.0, 1.0]),
-        case2_derivs=case2_derivs, reference=reference)
+        case2_derivs=case2_derivs, reference=reference, lanes=True)
 
 
 # ---------------------------------------------------------------------------
 # Jacobson-Gershwin-Lele
 # ---------------------------------------------------------------------------
-
-# Jacobson's and Bressan's callbacks also take B lanes of states, x of
-# shape (n, B) and u of shape (m, B), and then return arrays whose
-# trailing axis is the lane axis, as the lane sweeps of
-# ``derivative_profile`` need.
-
-def _lane_zeros(shape, x):
-    """Zeros of ``shape``, with x's lane axis appended when it has one."""
-    return np.zeros(shape + x.shape[1:])
-
 
 JACOBSON_S1 = 1.41376408763006415924
 
@@ -268,7 +279,8 @@ def build_jacobson() -> ProblemDef:
         T=5.0, free_time=False, case=1, phases=phases,
         f=f, f_x=f_x, f_u=f_u,
         C=lambda x: x[2], grad_C=lambda x: np.array([0.0, 0.0, 1.0]),
-        reference=ReferenceSolution(s_star=np.array([JACOBSON_S1])))
+        reference=ReferenceSolution(s_star=np.array([JACOBSON_S1])),
+        lanes=True)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +314,7 @@ def build_bressan(T: float = 10.0) -> ProblemDef:
         T=T, free_time=False, case=1, phases=phases,
         f=f, f_x=f_x, f_u=f_u,
         C=lambda x: x[2], grad_C=lambda x: np.array([0.0, 0.0, 1.0]),
-        reference=ReferenceSolution(s_star=np.array([T / 3.0])))
+        reference=ReferenceSolution(s_star=np.array([T / 3.0])), lanes=True)
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +355,26 @@ def build_goddard(params: GoddardParams = GoddardParams(),
 
     def f(x, u):
         h, v, m = x
-        drag = sig * v * v * math.exp(-h / h0)
+        drag = sig * v * v * _exp(-h / h0)
         return np.array([v, (u[0] - drag) / m - g, -u[0] / c])
 
     def f_x(x, u):
         h, v, m = x
-        E = math.exp(-h / h0)
+        E = _exp(-h / h0)
         drag = sig * v * v * E
-        return np.array([
-            [0.0, 1.0, 0.0],
-            [drag / (m * h0), -2 * sig * v * E / m, -(u[0] - drag) / m ** 2],
-            [0.0, 0.0, 0.0]])
+        J = _lane_zeros((3, 3), x)
+        J[0, 1] = 1.0
+        J[1] = drag / (m * h0), -2 * sig * v * E / m, -(u[0] - drag) / m ** 2
+        return J
 
     def f_u(x, u):
-        return np.array([[0.0], [1.0 / x[2]], [-1.0 / c]])
+        J = _lane_zeros((3, 1), x)
+        J[1, 0], J[2, 0] = 1.0 / x[2], -1.0 / c
+        return J
 
     def u_sing(t, x):
         h, v, m = x
-        E = math.exp(-h / h0)
+        E = _exp(-h / h0)
         kap = c / v
         A = 1 + 4 * kap + 2 * kap ** 2
         B = (c ** 2 / (h0 * g)) * (1 + v / c) - 1 - 2 * kap
@@ -368,7 +382,7 @@ def build_goddard(params: GoddardParams = GoddardParams(),
 
     def u_sing_x(t, x):
         h, v, m = x
-        E = math.exp(-h / h0)
+        E = _exp(-h / h0)
         kap = c / v
         dkap = -c / v ** 2
         A = 1 + 4 * kap + 2 * kap ** 2
@@ -401,7 +415,7 @@ def build_goddard(params: GoddardParams = GoddardParams(),
         name="goddard", n=3, m=1, x0=np.array([0.0, 0.0, 3.0]),
         T=T_init, free_time=True, case=1, phases=phases,
         f=f, f_x=f_x, f_u=f_u, C=C, grad_C=grad_C,
-        reference=GODDARD_REFERENCE)
+        reference=GODDARD_REFERENCE, lanes=True)
 
 
 # ---------------------------------------------------------------------------

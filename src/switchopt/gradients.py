@@ -4,8 +4,12 @@ reverse pass.
 The forward sweep integrates the sweep state z: the state x in Case 1, the
 state and costate (x, p) in Case 2, each phase j with its flow F_j (see
 ``problem.phase_flow``).  The backward sweep is the discrete adjoint of the
-forward sweep's accepted DOPRI5 steps: it walks them in reverse from
-lam(T) = (grad C, 0) and gives, at every node z_n of the forward mesh,
+forward sweep's accepted DOPRI5 steps.  Each phase's flow Jacobian dF/dz
+is evaluated at all the stage points of its steps in one
+``problem.phase_jacobian`` call, and each step is folded into its d-by-d
+transition matrix G_n = dz_{n+1}/dz_n.  The reverse pass is then one
+vector-matrix product per step, lam_n = lam_{n+1} G_n, from
+lam(T) = (grad C, 0), and gives at every node z_n of the forward mesh
 lam_n = dC(z_N)/dz_n of the computed solution.  That one adjoint gives every
 derivative:
 
@@ -30,8 +34,8 @@ import numpy as np
 from .odeint import _A, _B5, _C, PiecewiseOde, _hermite_resample, \
     integrate_piecewise, \
     integrate_with_quadrature  # noqa: F401 (patched here by perfbench)
-from .problem import horizon, phase_adjoint, phase_feasibility, \
-    phase_flow, phase_law, validate_config
+from .problem import horizon, phase_feasibility, phase_flow, \
+    phase_jacobian, phase_law, validate_config
 
 __all__ = [
     "TrajectoryRecord",
@@ -125,37 +129,64 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
         nodes=traj.nodes)
 
 
-# The reverse pass's tableau.  Lam_i = _W[i] @ S for the stack S of lam_{n+1}
-# and the theta_l of stages l = 1..6: _W[i] holds b_i and the weights a_li
-# of stage i in the later stages l that enter y_{n+1}.  The seventh stage
-# has weight 0 there, so lam does not depend on it.
-_W = np.zeros((6, 7))
-for _i in range(6):
-    _W[_i, 0] = _B5[_i]
-    _W[_i, _i + 2:] = [_A[_l][_i] for _l in range(_i + 1, 6)]
-
-
 def _node_phases(fwd):
     """Phase of each node of ``fwd``: a phase starts at a node with h = 0."""
     return np.cumsum([node[3] == 0.0 for node in fwd.nodes]) - 1
 
 
+def _jacobians(prob, phase, t, Z):
+    """dF/dz at the points (t[i], Z[i]) of phase ``phase[i]``, sorted, as
+    (M, d, d), from one ``phase_jacobian`` call per phase."""
+    J = np.empty(Z.shape + Z.shape[-1:])
+    ends = np.searchsorted(phase, np.arange(prob.k + 2))
+    for j, jacobian in enumerate(_resolved(phase_jacobian, prob)):
+        at = slice(ends[j], ends[j + 1])
+        J[at] = jacobian(t[at], Z[at].T).transpose(2, 0, 1)
+    return J
+
+
+# _A_ROWS[i, l] = a_li, the weight of stage i in stage l > i
+_A_ROWS = np.zeros((6, 6))
+for _l in range(1, 6):
+    _A_ROWS[:_l, _l] = _A[_l]
+
+
+def _step_matrices(J, hT):
+    """D = G - I for the transition matrices G = dz_{n+1}/dz_n of N DOPRI5
+    steps, (N, d, d), from the stage Jacobians J (N, 6, d, d) and the
+    steps' h T (N,).
+
+    Walking the stages back, P_i = b_i I + sum_{l>i} a_li Theta_l and
+    Theta_i = h T P_i J_i; then D = sum_i Theta_i.  So the reverse pass's
+    Lam_i = lam_{n+1} P_i and theta_i = lam_{n+1} Theta_i, and
+    lam_n = lam_{n+1} + lam_{n+1} D.  D is kept apart from I so that its
+    O(h) entries are not rounded against 1.  The seventh stage has weight
+    0 in z_{n+1}.
+    """
+    N, d = J.shape[0], J.shape[-1]
+    eye = np.eye(d)
+    hTJ = hT[:, None, None, None] * J
+    theta = np.zeros((6, N * d * d))
+    for i in range(5, -1, -1):
+        P = (_A_ROWS[i] @ theta).reshape(N, d, d) + _B5[i] * eye
+        theta[i] = (P @ hTJ[:, i]).reshape(-1)
+    return theta.sum(axis=0).reshape(N, d, d)
+
+
 def backward_sweep(prob, fwd):
     """lam_n = dC(z_N)/dz_n at every node of the forward record ``fwd``.
 
-    The reverse pass of the accepted DOPRI5 steps: step n, from node n with
-    length h and stages K, takes for i = 6, ..., 1
-    Lam_i = b_i lam_{n+1} + sum_{l>i} a_li theta_l and
-    theta_i = h T (Lam_i . dF/dz)(tau_i T, Y_i), and then
-    lam_n = lam_{n+1} + sum_i theta_i.  The stage points (tau_i, Y_i) are
-    rebuilt from node n and K by the forward loop's own tableau products,
-    for all steps at once.  It has no tolerance and no error test; lam
-    passes a switch point unchanged.
+    The reverse pass of the accepted DOPRI5 steps: lam_n = lam_{n+1} G_n
+    with G_n = dz_{n+1}/dz_n of step n (see ``_step_matrices``).  The
+    steps' stage points (tau_i, Y_i) are rebuilt from the nodes and their
+    stages K by the forward loop's own tableau products, and each phase's
+    stage Jacobians come from one call over all its stage points.  It has
+    no tolerance and no error test; lam passes a switch point unchanged.
     """
     T, d, nodes = fwd.T, fwd.checkpoints.shape[1], fwd.nodes
-    h_node = [node[3] for node in nodes]
+    h_node = np.array([node[3] for node in nodes])
     step = np.flatnonzero(h_node)         # the node each step ends at
-    h = np.array(h_node)[step]
+    h = h_node[step]
     K = np.array([nodes[m][2] for m in step])
     tau = np.array([nodes[m - 1][0] for m in step])
     Y = np.empty((step.size, 6, d))
@@ -164,27 +195,20 @@ def backward_sweep(prob, fwd):
         Y[:, i] = Y[:, 0] + h[:, None] * (K[:, :i].transpose(0, 2, 1) @ _A[i])
     t = (tau[:, None] + np.array(_C[:6]) * h[:, None]) * T
 
-    rows = _resolved(phase_adjoint, prob)
-    phases = _node_phases(fwd)
+    J = _jacobians(prob, np.repeat(_node_phases(fwd)[step], 6),
+                   t.reshape(-1), Y.reshape(-1, d))
+    D = _step_matrices(J.reshape(step.size, 6, d, d), h * T)
     lam = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
                           np.zeros(d - prob.n)))
-    nodal = []
-    costates = [None] * (prob.k + 2)
-    costates[-1] = lam
-    S = np.zeros((7, d))                  # lam_{n+1}, theta_1, ..., theta_6
-    n = step.size
-    for m in range(len(nodes) - 1, -1, -1):
-        nodal.append(lam)
-        if not h_node[m]:                 # a phase's first node
-            costates[phases[m]] = lam
-            continue
-        n -= 1
-        row, hT, t_n, Y_n = rows[phases[m]], h[n] * T, t[n], Y[n]
-        S[0] = lam
-        for i in range(5, -1, -1):
-            S[i + 1] = hT * row(t_n[i], Y_n[i], _W[i] @ S)
-        lam = S.sum(axis=0)
-    return BackwardRecord(costates=costates, nodal=np.array(nodal[::-1]),
+    chain = [lam]                         # lam before each step, reversed
+    for D_n in D[::-1]:
+        lam = lam + lam @ D_n
+        chain.append(lam)
+    # a node ending step n has lam_{n+1}; a phase's first node, where h
+    # is 0, has the lam of the step after it
+    nodal = np.array(chain[::-1])[np.cumsum(h_node != 0.0)]
+    costates = list(nodal[h_node == 0.0])
+    return BackwardRecord(costates=costates + [nodal[-1]], nodal=nodal,
                           steps=step.size)
 
 
@@ -213,8 +237,9 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
     flows = _resolved(phase_flow, prob)
     for j in range(1, prob.k + 1):
         t, z, lam = fwd.sigma[j] * fwd.T, fwd.checkpoints[j], bwd.costates[j]
-        d_s[j - 1] = float(lam @ flows[j - 1](t, z)) \
-            - float(lam @ flows[j](t, z))
+        # the flows' difference first: the terms both phases share cancel
+        # exactly, not after rounding in two dot products
+        d_s[j - 1] = float(lam @ (flows[j - 1](t, z) - flows[j](t, z)))
 
     if with_d_T is None:
         with_d_T = prob.free_time
@@ -288,11 +313,20 @@ def gradcheck(prob, cfg, settings=None):
 def _costate_samples(prob, fwd, bwd):
     """lam of z at the dense samples of ``fwd``: cubic Hermite interpolation
     of the nodal lam of ``bwd``, with dlam/dtau = -T lam . dF/dz at each
-    node, one adjoint-row call per node."""
-    rows, T = _resolved(phase_adjoint, prob), fwd.T
-    nodes = [(tau, lam, -T * rows[j](tau * T, z, lam)[None])
-             for j, (tau, z, _, _), lam in zip(_node_phases(fwd), fwd.nodes,
-                                               bwd.nodal)]
+    node from one ``phase_jacobian`` call per phase.
+
+    Between the nodes its error is O(h^4) of the forward step, not O(tol).
+    Interpolated so on catalyst2's forward mesh at tol 1e-11, whose steps
+    reach 0.06, lam is 2.1e-8 off a whole-horizon (z, lam) integration
+    where the nodal lam is within 9.4e-10.  The forward state samples are
+    the same kind of interpolant.
+    """
+    T, lam = fwd.T, bwd.nodal
+    tau = np.array([node[0] for node in fwd.nodes])
+    J = _jacobians(prob, _node_phases(fwd), tau * T,
+                   np.array([node[1] for node in fwd.nodes]))
+    dlam = -T * np.einsum("mi,mij->mj", lam, J)
+    nodes = list(zip(tau, lam, dlam[:, None]))
     return _hermite_resample(nodes, fwd.times / T)[1]
 
 

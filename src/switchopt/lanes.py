@@ -8,10 +8,11 @@ configuration.  All lanes work on the same segment, so every RHS call
 evaluates one phase's law for all of them, and the interpreter's cost per
 call is paid once per B lanes.  The backward sweep is the reverse pass of
 those lockstep iterations, the discrete adjoint that
-``gradients.backward_sweep`` runs for one configuration, with its stages
-recomputed as batched calls.  Arrays carry the lane axis last: states
-(n, B), times (B,).  The model callbacks must accept that layout, as
-jacobson's and bressan's do.
+``gradients.backward_sweep`` runs for one configuration: each iteration's
+stages are recomputed as batched calls and folded into one transition
+matrix per lane.  Arrays carry the lane axis last: states (n, B), times
+(B,).  The model callbacks must accept that layout, which a problem
+declares with ``ProblemDef.lanes``; every built-in problem does.
 
 ``optimizer.derivative_profile`` imports this module on first use, so that
 importing the package does not compile it.
@@ -25,15 +26,14 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import NonFiniteState, StepLimitExceeded, StepUnderflow
-from .gradients import _W, GradientBundle, _resolved
+from .gradients import GradientBundle, _resolved, _step_matrices
 from .odeint import _A, _ALPHA, _B5, _BETA, _C, _E, _FAC_MAX, _FAC_MIN, \
     _H_INIT, _H_MIN, _SAFETY, IntegratorSettings, PiecewiseOde
-from .problem import horizon, validate_config
+from .problem import horizon, lane_law, phase_jacobian, validate_config
 
 __all__ = [
     "integrate_lanes",
     "lane_flow",
-    "lane_linearization",
     "LaneRecord",
     "forward_lanes",
     "backward_lanes",
@@ -178,52 +178,25 @@ def integrate_lanes(ode, y_start, settings=None, record=None):
 # model
 # ---------------------------------------------------------------------------
 
-def _lane_law(prob, j):
-    """Phase j's control law on B lanes as u(t, x) of shape (m, B), for t
-    of shape (B,) and x of shape (n, B); a constant law is broadcast."""
-    ph, m = prob.phases[j], prob.m
-    if prob.case != 1 or ph.law_kind == "state_costate":
+def _require_lanes(prob):
+    """Raise ValueError unless the lane sweeps can take ``prob``: callbacks
+    that take lanes, Case 1, and an analytic law_x for every state law."""
+    if not prob.lanes:
+        raise ValueError(f"{prob.name}: lane sweeps need callbacks that take "
+                         "lanes, and the problem does not declare lanes")
+    if prob.case != 1:
         raise ValueError(f"{prob.name}: lane sweeps take Case-1 problems")
-    law = (lambda t, x: ph.law(t)) if ph.law_kind == "constant" else ph.law
-
-    def control(t, x):
-        u = np.empty((m, t.size))
-        u[:] = np.reshape(law(t, x), (m, -1))
-        return u
-    return control
+    for j, ph in enumerate(prob.phases):
+        if ph.law_kind == "state" and ph.law_x is None:
+            raise ValueError(f"{prob.name}: lane sweeps need phase {j}'s "
+                             "law_x")
 
 
 def lane_flow(prob, j):
     """``phase_flow`` of a Case-1 problem on B lanes: F(t, x) of shape
     (n, B).  The model callbacks must take x of shape (n, B)."""
-    f, control = prob.f, _lane_law(prob, j)
+    f, control = prob.f, lane_law(prob, j)
     return lambda t, x: f(x, control(t, x))
-
-
-def lane_linearization(prob, j):
-    """Phase j of a Case-1 problem on B lanes, linearized: L(t, x) ->
-    (F, dF/dx), of shapes (n, B) and (n, n, B), F as ``lane_flow`` gives
-    it.  f_x, f_u and a state law's law_x, which must be given, return
-    their lane axis last."""
-    ph, f, f_x, f_u = prob.phases[j], prob.f, prob.f_x, prob.f_u
-    control, feedback = _lane_law(prob, j), ph.law_kind != "constant"
-    if feedback and ph.law_x is None:
-        raise ValueError(f"{prob.name}: lane sweeps need phase {j}'s law_x")
-
-    def linearization(t, x):
-        u = control(t, x)
-        J = f_x(x, u)
-        if feedback:
-            J = J + np.einsum("imb,mjb->ijb", f_u(x, u), ph.law_x(t, x))
-        return f(x, u), J
-    return linearization
-
-
-def _lane_vecmat(lam, J):
-    """lam @ J per lane, lane-major lam (B, n) and J (B, n, n), through the
-    BLAS call of the scalar ``lam @ J``, so that each lane gets the scalar
-    bits."""
-    return np.matmul(lam[:, None, :], J)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +220,9 @@ class LaneRecord:
 
 def forward_lanes(prob, cfgs, settings=None):
     """``forward_sweep`` of the Case-1 configurations ``cfgs`` as the lanes
-    of one lockstep integration, without dense samples.  Every
-    configuration is validated before any lane is integrated."""
+    of one lockstep integration, without dense samples.  The problem and
+    every configuration are checked before any lane is integrated."""
+    _require_lanes(prob)
     for cfg in cfgs:
         validate_config(prob, cfg)
     T = np.array([horizon(prob, cfg) for cfg in cfgs])
@@ -273,33 +247,31 @@ def forward_lanes(prob, cfgs, settings=None):
 def backward_lanes(prob, fwd):
     """``backward_sweep`` of the lanes of ``fwd``: the reverse pass of its
     recorded lockstep iterations.  Each iteration's six stages are
-    recomputed from (tau, h, x) as batched calls of the phase's
-    linearization; a lane whose h is 0 keeps its lam.  It keeps lam at the
-    checkpoints only: a fixed-time profile reads only the Hamiltonian
-    jumps."""
-    n, T = prob.n, fwd.T
-    lins = _resolved(lane_linearization, prob)
+    recomputed from (tau, h, x) as batched flow calls, their Jacobians come
+    from one ``phase_jacobian`` call over all 6 B stage points, and each
+    lane's step folds into its transition matrix (``_step_matrices``); a
+    lane whose h is 0 keeps its lam.  It keeps lam at the checkpoints only:
+    a fixed-time profile reads only the Hamiltonian jumps."""
+    n, T, B = prob.n, fwd.T, fwd.T.size
     lam = np.array(np.broadcast_to(
         np.reshape(prob.grad_C(fwd.checkpoints[-1]), (n, -1)),
-        (n, T.size)).T)                   # lane-major (B, n) from here on
+        (n, B)).T)                        # lane-major (B, n) from here on
     costates = [None] * (prob.k + 2)
     costates[-1] = lam.T
-    steps = np.zeros(T.size, dtype=int)
-    K = np.empty((T.size, 6, n))
-    S = np.zeros((T.size, 7, n))          # lam_{n+1}, theta_1, ..., theta_6
+    steps = np.zeros(B, dtype=int)
+    K = np.empty((B, 6, n))
+    Y = np.empty((6, B, n))
+    c = np.array(_C[:6])[:, None]
     for j in range(prob.k, -1, -1):
+        flow, jacobian = lane_flow(prob, j), phase_jacobian(prob, j)
         for tau, h, y in reversed(fwd.iterations[j]):
-            J, hT = [], (h * T)[:, None]
+            t = (tau + c * h) * T         # (6, B)
             for i in range(6):
-                Y = y + h[:, None] * (K[:, :i].transpose(0, 2, 1) @ _A[i]) \
-                    if i else y
-                F, Ji = lins[j]((tau + _C[i] * h) * T, Y.T)
-                K[:, i] = (T * F).T
-                J.append(np.ascontiguousarray(np.moveaxis(Ji, -1, 0)))
-            S[:, 0] = lam
-            for i in range(5, -1, -1):
-                S[:, i + 1] = hT * _lane_vecmat(_W[i] @ S, J[i])
-            lam = S.sum(axis=1)
+                Y[i] = y + h[:, None] * (K[:, :i].transpose(0, 2, 1) @ _A[i])
+                K[:, i] = (T * flow(t[i], Y[i].T)).T
+            J = jacobian(t.reshape(-1), Y.reshape(-1, n).T)
+            J = np.moveaxis(J.reshape(n, n, 6, B), (2, 3), (1, 0))
+            lam = lam + (lam[:, None] @ _step_matrices(J, h * T))[:, 0]
             steps += h > 0.0
         costates[j] = lam.T
     return LaneRecord(checkpoints=np.array(costates), sigma=fwd.sigma,
@@ -323,7 +295,6 @@ def evaluate_lanes(prob, cfgs, settings=None):
     for j in range(1, prob.k + 1):
         t, x, lam = fwd.sigma[j] * fwd.T, fwd.checkpoints[j], \
             bwd.checkpoints[j]
-        d_s[j - 1] = _lane_dot(lam, flows[j - 1](t, x)) \
-            - _lane_dot(lam, flows[j](t, x))
+        d_s[j - 1] = _lane_dot(lam, flows[j - 1](t, x) - flows[j](t, x))
     return GradientBundle(objective=fwd.objective, d_s=d_s, d_p0=None,
                           d_T=None, fwd=fwd, bwd=bwd)

@@ -5,8 +5,8 @@ ordered list of phases.  Each phase carries a control law: a constant
 vector, a state feedback u = law(t, x), or a state-costate feedback
 u = law(t, x, p) (Case 2).  Phase j is active on (s_j, s_{j+1}) once a
 switch configuration fixes the s_j.  The sweeps integrate z = x (Case 1)
-or z = (x, p) (Case 2); each phase gives its flow F(t, z) and the adjoint
-row lam . dF/dz of that flow.
+or z = (x, p) (Case 2); each phase gives its flow F(t, z) and the
+Jacobian dF/dz of that flow, at many points per call.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ __all__ = [
     "SwitchConfig",
     "horizon",
     "phase_law", "phase_law_jacobian", "phase_feasibility",
-    "phase_flow", "phase_adjoint",
+    "phase_flow", "phase_jacobian", "lane_law",
     "validate_config",
 ]
 
@@ -41,7 +41,7 @@ class ControlPhase:
     law_x(t, x), read only for a state law, is its m-by-n Jacobian in x.
     A phase without analytic derivatives (a state law without law_x, a
     Case-2 problem without case2_derivs) takes a central difference of
-    lam . F: 2 dim(z) flow calls per adjoint call.
+    F: 2 dim(z) flow calls per point of its Jacobian.
     """
 
     law_kind: str
@@ -57,7 +57,16 @@ class ControlPhase:
 
 @dataclass(frozen=True)
 class ProblemDef:
-    """Immutable definition of a multi-phase control problem."""
+    """Immutable definition of a multi-phase control problem.
+
+    ``lanes`` declares that the model callbacks (f, f_x, f_u, C, grad_C,
+    every law and law_x, case2_derivs) also take B points at once: t of
+    shape (B,), x and p of shape (n, B), u of shape (m, B), and return
+    arrays whose trailing axis is that lane axis.  Then each phase's
+    Jacobian at all the stage points of a sweep costs one call, and the
+    lane sweeps (module ``lanes``) accept the problem.  Without it every
+    callback sees one point at a time.
+    """
 
     name: str
     n: int
@@ -72,9 +81,11 @@ class ProblemDef:
     f_u: Callable        # (x, u) -> (n, m)
     C: Callable          # x_T -> scalar
     grad_C: Callable     # x_T -> (n,) row
-    # (j, t, x, p, y1, y2) -> (gx, gp), the row (y1, y2) . dF/d(x, p)
+    # (j, t, x, p) -> (2n, 2n), phase j's flow Jacobian dF/d(x, p), with
+    # the lane axis last on lanes
     case2_derivs: Optional[Callable] = None
     reference: object = None
+    lanes: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
@@ -171,15 +182,30 @@ def phase_law(prob, j):
     return control
 
 
+def lane_law(prob, j):
+    """Phase j's constant or state law on B lanes as u(t, x) of shape
+    (m, B), for t of shape (B,) and x of shape (n, B); a constant law is
+    broadcast."""
+    ph, m = prob.phases[j], prob.m
+    law = (lambda t, x: ph.law(t)) if ph.law_kind == "constant" else ph.law
+
+    def control(t, x):
+        u = np.empty((m, t.size))
+        u[:] = np.reshape(law(t, x), (m, -1))
+        return u
+    return control
+
+
 def phase_law_jacobian(prob, j):
     """Phase j's closed-loop state Jacobian J(t, x, u) at control u: f_x,
-    plus f_u @ law_x(t, x) for a state law."""
+    plus f_u law_x(t, x) for a state law.  On lanes x, u and J carry the
+    trailing lane axis."""
     ph, f_x, f_u = prob.phases[j], prob.f_x, prob.f_u
     if ph.law_kind == "constant":
         return lambda t, x, u: np.asarray(f_x(x, u), dtype=float)
     return lambda t, x, u: (np.asarray(f_x(x, u), dtype=float)
-                            + np.asarray(f_u(x, u), dtype=float)
-                            @ np.atleast_2d(ph.law_x(t, x)))
+                            + np.einsum("im...,mj...->ij...", f_u(x, u),
+                                        np.atleast_2d(ph.law_x(t, x))))
 
 
 def phase_feasibility(prob, j):
@@ -207,26 +233,45 @@ def phase_flow(prob, j):
     return flow
 
 
-def phase_adjoint(prob, j):
-    """Phase j's adjoint row A(t, z, lam) -> lam . dF/dz of its flow F: from
-    the closed-loop Jacobian (Case 1) or case2_derivs (Case 2), else a
-    central difference of lam . F over z."""
+def _pointwise(jacobian):
+    """A Jacobian of one point, (t, z) -> (d, d), applied to M points:
+    (t of shape (M,), z of shape (d, M)) -> (d, d, M)."""
+    return lambda t, z: np.stack(
+        [np.asarray(jacobian(t[i], z[:, i]), dtype=float)
+         for i in range(t.size)], axis=-1)
+
+
+def phase_jacobian(prob, j):
+    """Phase j's flow Jacobian at M points: J(t, z) of shape (d, d, M) for
+    t of shape (M,) and z of shape (d, M), J[..., i] = dF/dz(t_i, z_i).
+
+    It comes from the closed-loop Jacobian (Case 1) or case2_derivs
+    (Case 2), in one call when ``prob.lanes`` is set and one call per
+    point otherwise.  A phase without them takes a central difference of
+    F, column by column and point by point: 2 dim(z) flow calls per
+    point.
+    """
     n, derivs, ph = prob.n, prob.case2_derivs, prob.phases[j]
     if prob.case == 1 and (ph.law_x is not None or ph.law_kind == "constant"):
-        control, jacobian = phase_law(prob, j), phase_law_jacobian(prob, j)
-        return lambda t, z, lam: lam @ jacobian(t, z, control(t, z))
-    if prob.case == 2 and derivs is not None:
-        return lambda t, z, lam: np.concatenate(
-            derivs(j, t, z[:n], z[n:], lam[:n], lam[n:]))
-    flow = phase_flow(prob, j)
+        jacobian = phase_law_jacobian(prob, j)
+        control = lane_law(prob, j) if prob.lanes else phase_law(prob, j)
 
-    def adjoint(t, z, lam):
-        g = np.empty(z.size)
-        for i in range(z.size):
-            h = FD_STEP * max(1.0, abs(z[i]))
-            zp, zm = z.copy(), z.copy()
-            zp[i] += h
-            zm[i] -= h
-            g[i] = (lam @ flow(t, zp) - lam @ flow(t, zm)) / (2 * h)
-        return g
-    return adjoint
+        def at(t, z):
+            return jacobian(t, z, control(t, z))
+    elif prob.case == 2 and derivs is not None:
+        def at(t, z):
+            return derivs(j, t, z[:n], z[n:])
+    else:
+        flow = phase_flow(prob, j)
+
+        def central(t, z):
+            J = np.empty((z.size, z.size))
+            for i in range(z.size):
+                h = FD_STEP * max(1.0, abs(z[i]))
+                zp, zm = z.copy(), z.copy()
+                zp[i] += h
+                zm[i] -= h
+                J[:, i] = (flow(t, zp) - flow(t, zm)) / (2 * h)
+            return J
+        return _pointwise(central)
+    return at if prob.lanes else _pointwise(at)

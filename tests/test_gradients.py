@@ -19,7 +19,7 @@ from switchopt.odeint import _A, _B5, _C, IntegratorSettings, PiecewiseOde, \
     integrate_piecewise, integrate_with_quadrature
 from switchopt.optimizer import minimize
 from switchopt.problem import ControlPhase, ProblemDef, SwitchConfig, \
-    phase_adjoint, phase_flow
+    phase_flow, phase_jacobian
 
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 
@@ -286,11 +286,12 @@ def test_goddard_backward_steps_track_forward_at_optimum():
 def _adjoint_rhs(prob, j, T, d):
     """RHS of (z, lam) on tau for phase j, z of size d: the adjoint ODE of
     the sweep state."""
-    flow, row = phase_flow(prob, j), phase_adjoint(prob, j)
+    flow, jacobian = phase_flow(prob, j), phase_jacobian(prob, j)
 
     def rhs(_, tau, w):
         z, lam = w[:d], w[d:]
-        return T * np.concatenate((flow(tau * T, z), -row(tau * T, z, lam)))
+        J = jacobian(np.array([tau * T]), z[:, None])[:, :, 0]
+        return T * np.concatenate((flow(tau * T, z), -(lam @ J)))
     return rhs
 
 
@@ -378,31 +379,51 @@ def test_reverse_pass_matches_adaptive_adjoint_integration(name):
 
 @pytest.mark.parametrize("name", list(FROZEN_CASES))
 def test_one_integration_and_six_adjoint_rows_per_step(monkeypatch, name):
-    # the reverse pass integrates nothing, and calls each phase's adjoint
-    # row once per stage of each accepted forward step, stage 7 excluded
+    # the reverse pass integrates nothing, and takes the six stage
+    # Jacobians of every accepted forward step, stage 7 excluded, from one
+    # phase_jacobian call per phase
     prob = build_problem(name)
-    accepted, rows = [], []
+    accepted, calls = [], []
 
     def integrate(ode, *args, **kwargs):
         traj = integrate_piecewise(ode, *args, **kwargs)
         accepted.append(traj.step_times.size - (len(ode.segments) - 1))
         return traj
 
-    def adjoint(prob, j):
-        row = phase_adjoint(prob, j)
+    def jacobian(prob, j):
+        batched = phase_jacobian(prob, j)
 
-        def counted(*args):
-            rows.append(j)
-            return row(*args)
+        def counted(t, z):
+            calls.append((j, t.size))
+            return batched(t, z)
         return counted
 
     monkeypatch.setattr(gradients, "integrate_piecewise", integrate)
-    monkeypatch.setattr(gradients, "phase_adjoint", adjoint)
+    monkeypatch.setattr(gradients, "phase_jacobian", jacobian)
     bundle = evaluate_gradient(prob, FROZEN_CASES[name], TIGHT,
                                with_d_T=True)
     assert len(accepted) == 1
     assert bundle.bwd.steps == accepted[0]
-    assert len(rows) == 6 * accepted[0]
+    assert [j for j, _ in calls] == list(range(prob.k + 1))
+    assert sum(size for _, size in calls) == 6 * accepted[0]
+
+
+@pytest.mark.parametrize("name", list(FROZEN_CASES))
+def test_per_point_jacobians_match_lanes(name):
+    # the problem's callbacks called once per phase on all stage points,
+    # and once per point with lanes off: the same derivatives
+    prob = build_problem(name)
+    assert prob.lanes
+    cfg = FROZEN_CASES[name]
+    want = evaluate_gradient(prob, cfg, TIGHT, with_d_T=True)
+    got = evaluate_gradient(dataclasses.replace(prob, lanes=False), cfg,
+                            TIGHT, with_d_T=True)
+    assert got.objective == want.objective
+    np.testing.assert_allclose(got.d_s, want.d_s, rtol=1e-12, atol=0.0)
+    if want.d_p0 is not None:
+        np.testing.assert_allclose(got.d_p0, want.d_p0, rtol=1e-12,
+                                   atol=0.0)
+    assert got.d_T == pytest.approx(want.d_T, rel=1e-12, abs=0.0)
 
 
 def _bump_problem(c, w):
@@ -488,7 +509,9 @@ def _float_law(ph):
 @pytest.mark.parametrize("name, cfg", [("goddard", GODDARD_CFG),
                                        ("catalyst2", CATALYST2_CFG)])
 def test_scalar_float_law_integrates(name, cfg):
-    prob = build_problem(name)
+    # a law that returns a float takes no lanes: both problems call their
+    # callbacks one point at a time
+    prob = dataclasses.replace(build_problem(name), lanes=False)
     floats = dataclasses.replace(prob, phases=tuple(
         dataclasses.replace(ph, law=_float_law(ph)) for ph in prob.phases))
     want = evaluate_gradient(prob, cfg, TIGHT)
@@ -678,6 +701,30 @@ def test_lanes_match_scalar_sweeps(name, grid, stride, tol):
         assert abs(lanes.objective[b] - bundle.objective) <= 1e-12
         assert lanes.fwd.steps[b] == fwd_steps
         assert lanes.bwd.steps[b] == bwd_steps
+
+
+def test_lanes_refuse_a_problem_without_lanes(monkeypatch, tmp_path):
+    # the bump toy's callbacks take one point; every lane entry point
+    # refuses it by name before it integrates anything, and the profile
+    # command exits 3
+    from switchopt import cli, lanes
+    from switchopt.optimizer import derivative_profile
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a lane sweep ran")
+
+    monkeypatch.setattr(lanes, "integrate_lanes", forbidden)
+    prob = _bump_problem(c=0.5, w=0.1)
+    assert not prob.lanes
+    cfgs = [SwitchConfig(s=np.array([s])) for s in (0.3, 0.6)]
+    for run in (lanes.forward_lanes, lanes.evaluate_lanes):
+        with pytest.raises(ValueError, match="bump: lane sweeps need"):
+            run(prob, cfgs)
+    with pytest.raises(ValueError, match="bump: lane sweeps need"):
+        derivative_profile(prob, [0.3, 0.6])
+    monkeypatch.setattr(cli, "build_problem", lambda name, T=None: prob)
+    assert cli.main(["profile", "--problem", "bump", "--grid", "0.2,0.8,4",
+                     "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("name", ["catalyst2", "jacobson"])

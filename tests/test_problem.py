@@ -9,18 +9,22 @@ from switchopt.benchmarks import PROBLEM_NAMES, build_problem
 from switchopt.exceptions import InvalidSwitchOrder, MissingCostate
 from switchopt import gradients, lanes, problem
 from switchopt.gradients import evaluate_gradient, forward_sweep
-from switchopt.lanes import _lane_vecmat, evaluate_lanes, forward_lanes, \
-    lane_flow, lane_linearization
+from switchopt.lanes import evaluate_lanes, forward_lanes, lane_flow
 from switchopt.optimizer import minimize
 from switchopt.problem import (
-    SwitchConfig, phase_adjoint, phase_feasibility, phase_flow, phase_law,
-    phase_law_jacobian, validate_config,
+    SwitchConfig, lane_law, phase_feasibility, phase_flow, phase_jacobian,
+    phase_law, phase_law_jacobian, validate_config,
 )
 
 
 def _jacobian(prob, j, t, x):
     """Closed-loop state Jacobian of phase j at (t, x)."""
     return phase_law_jacobian(prob, j)(t, x, phase_law(prob, j)(t, x))
+
+
+def _row(prob, j, t, z, lam):
+    """The adjoint row lam . dF/dz of phase j at one point (t, z)."""
+    return lam @ phase_jacobian(prob, j)(np.array([t]), z[:, None])[:, :, 0]
 
 
 @pytest.fixture
@@ -123,15 +127,14 @@ def test_fd_jacobian_halving_quadratic(monkeypatch):
     _, points = _phase_points("goddard", 1)
     t, z = points[len(points) // 2]
     lam = np.array([-1.0, 0.3, 2.0e3])
-    exact = phase_adjoint(prob, 1)(t, z, lam)   # analytic law_x path
+    exact = _row(prob, 1, t, z, lam)   # analytic law_x path
     stripped = dataclasses.replace(prob, phases=tuple(
         dataclasses.replace(ph, law_x=None) for ph in prob.phases))
 
     errs = []
     for h in (2e-3, 1e-3):
         monkeypatch.setattr(problem, "FD_STEP", h)
-        errs.append(np.max(np.abs(phase_adjoint(stripped, 1)(t, z, lam)
-                                  - exact)))
+        errs.append(np.max(np.abs(_row(stripped, 1, t, z, lam) - exact)))
     assert 3.5 < errs[0] / errs[1] < 4.5
 
 
@@ -139,7 +142,7 @@ def test_generalized_hamiltonian_zero_at_zero_costate(catalyst2):
     # the generalized Hamiltonian is lam . F for the sweep state z = (x, p)
     z = np.array([0.8, 0.15, 1.1, 0.9])
     lam = np.zeros(4)
-    g = phase_adjoint(catalyst2, 1)(0.3, z, lam)
+    g = _row(catalyst2, 1, 0.3, z, lam)
     assert float(lam @ phase_flow(catalyst2, 1)(0.3, z)) == 0.0
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
@@ -154,8 +157,8 @@ def test_case2_analytic_matches_fd(catalyst2):
         y1 = rng.normal(size=2)
         y2 = rng.normal(size=2)
         z, lam = np.concatenate((x, p)), np.concatenate((y1, y2))
-        g = phase_adjoint(catalyst2, 1)(0.4, z, lam)
-        fd = phase_adjoint(numeric, 1)(0.4, z, lam)
+        g = _row(catalyst2, 1, 0.4, z, lam)
+        fd = _row(numeric, 1, 0.4, z, lam)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-6)
 
 
@@ -197,7 +200,7 @@ def test_phase_adjoint_matches_central_differences(name, j, data):
     lam = np.array(data.draw(st.lists(st.floats(-10.0, 10.0),
                                       min_size=z.size, max_size=z.size)))
     flow = phase_flow(prob, j)
-    g = phase_adjoint(prob, j)(t, z, lam)
+    g = _row(prob, j, t, z, lam)
     fd = np.empty(z.size)
     for i in range(z.size):
         h = 1e-6 * max(1.0, abs(z[i]))
@@ -239,8 +242,8 @@ def test_case2_sympy_oracle(catalyst2):
     gx_o = [float(sympy.diff(H, v).subs(syms)) for v in (a, b)]
     gp_o = [float(sympy.diff(H, v).subs(syms)) for v in (p1, p2)]
 
-    g = phase_adjoint(catalyst2, 1)(
-        0.5, np.array([0.7, 0.2, 1.05, 0.92]), np.array([0.3, -0.4, 0.22, 0.11]))
+    g = _row(catalyst2, 1, 0.5, np.array([0.7, 0.2, 1.05, 0.92]),
+             np.array([0.3, -0.4, 0.22, 0.11]))
     gx, gp = g[:2], g[2:]
     np.testing.assert_allclose(gx, gx_o, rtol=1e-10)
     np.testing.assert_allclose(gp, gp_o, rtol=1e-10)
@@ -302,31 +305,78 @@ def test_non_finite_configuration_raises_before_any_sweep(name, data):
 # lane callbacks
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["jacobson", "bressan"])
+# states and controls inside each model's domain: goddard divides by v
+# and m
+LANE_BOXES = {
+    "catalyst1": ([0.0, 0.0], [1.0, 1.0], 0.0, 1.0),
+    "jacobson": ([-2.0] * 3, [2.0] * 3, -1.0, 1.0),
+    "bressan": ([-2.0] * 3, [2.0] * 3, -1.0, 1.0),
+    "goddard": ([0.0, 100.0, 1.0], [2.0e4, 800.0, 3.0], 0.0, 193.0),
+}
+
+
+@pytest.mark.parametrize("name", list(LANE_BOXES))
 def test_lane_callbacks_match_scalar_calls(name):
     # x of shape (n, B) gives the scalar results of each column, with the
     # lane axis last: the Jacobians bit for bit, f to rounding, as a
-    # float64 scalar's ** 2 is C pow and an array's multiplies
+    # float64 scalar's ** 2 is C pow and an array's multiplies.  goddard's
+    # exp is math.exp on a float and np.exp on lanes, so its Jacobians
+    # agree to rounding too
     prob = build_problem(name)
+    lo, hi, u_lo, u_hi = LANE_BOXES[name]
     rng = np.random.default_rng(3)
-    x = rng.uniform(-2.0, 2.0, (prob.n, 5))
-    lam = rng.uniform(-2.0, 2.0, (prob.n, 5))
+    x = rng.uniform(lo, hi, (5, prob.n)).T
     t = rng.uniform(0.0, prob.T, 5)
-    u = rng.uniform(-1.0, 1.0, (prob.m, 5))
+    u = rng.uniform(u_lo, u_hi, (prob.m, 5))
+    exact = name != "goddard"
     for fn in (prob.f, prob.f_x, prob.f_u):
         out = fn(x, u)
         assert out.shape[-1] == 5
         for b in range(5):
             np.testing.assert_allclose(out[..., b], fn(x[:, b], u[:, b]),
                                        rtol=1e-15, atol=1e-15)
-            if fn is not prob.f:
+            if exact and fn is not prob.f:
                 assert np.array_equal(out[..., b], fn(x[:, b], u[:, b]))
+    per_point = dataclasses.replace(prob, lanes=False)
     for j in range(prob.k + 1):
-        F, J = lane_linearization(prob, j)(t, x)
-        assert np.array_equal(F, lane_flow(prob, j)(t, x))
-        g = _lane_vecmat(lam.T, np.ascontiguousarray(np.moveaxis(J, -1, 0)))
+        u_j = lane_law(prob, j)(t, x)
+        F = lane_flow(prob, j)(t, x)
+        J = phase_jacobian(prob, j)(t, x)
+        J_points = phase_jacobian(per_point, j)(t, x)
         for b in range(5):
-            F_b = phase_flow(prob, j)(t[b], x[:, b])
-            g_b = phase_adjoint(prob, j)(t[b], x[:, b], lam[:, b])
-            np.testing.assert_allclose(F[:, b], F_b, rtol=1e-15, atol=1e-15)
-            assert np.array_equal(g[b], g_b)
+            np.testing.assert_allclose(u_j[:, b],
+                                       phase_law(prob, j)(t[b], x[:, b]),
+                                       rtol=1e-15)
+            np.testing.assert_allclose(F[:, b],
+                                       phase_flow(prob, j)(t[b], x[:, b]),
+                                       rtol=1e-15, atol=1e-15)
+            if exact:
+                assert np.array_equal(J[..., b], J_points[..., b])
+            else:
+                np.testing.assert_allclose(J[..., b], J_points[..., b],
+                                           rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("name, j", [
+    (name, j) for name in PROBLEM_NAMES
+    for j in range(build_problem(name).k + 1)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batched_phase_jacobian_matches_per_point(name, j, data):
+    # one call over M points of the phase (the lanes path) against the
+    # per-point path of the same problem, lane by lane; the points are
+    # forward-sweep samples of the phase, each moved by up to 1e-3
+    # relative
+    prob, points = _phase_points(name, j)
+    picks = data.draw(st.lists(st.sampled_from(points), min_size=1,
+                               max_size=8))
+    moves = data.draw(st.lists(st.floats(-1e-3, 1e-3), min_size=len(picks),
+                               max_size=len(picks)))
+    t = np.array([p[0] for p in picks])
+    z = np.array([p[1] * (1.0 + m) for p, m in zip(picks, moves)]).T
+    J = phase_jacobian(prob, j)(t, z)
+    want = phase_jacobian(dataclasses.replace(prob, lanes=False), j)(t, z)
+    assert J.shape == want.shape == (z.shape[0], z.shape[0], t.size)
+    for b in range(t.size):
+        scale = max(1.0, np.max(np.abs(want[..., b])))
+        assert np.max(np.abs(J[..., b] - want[..., b])) <= 1e-14 * scale
