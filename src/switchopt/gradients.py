@@ -136,12 +136,13 @@ def _node_phases(fwd):
 
 def _jacobians(prob, phase, t, Z):
     """dF/dz at the points (t[i], Z[i]) of phase ``phase[i]``, sorted, as
-    (M, d, d), from one ``phase_jacobian`` call per phase."""
+    (M, d, d), from one ``phase_jacobian`` call per phase present."""
     J = np.empty(Z.shape + Z.shape[-1:])
     ends = np.searchsorted(phase, np.arange(prob.k + 2))
-    for j, jacobian in enumerate(_resolved(phase_jacobian, prob)):
+    for j in range(prob.k + 1):
         at = slice(ends[j], ends[j + 1])
-        J[at] = jacobian(t[at], Z[at].T).transpose(2, 0, 1)
+        if ends[j] < ends[j + 1]:
+            J[at] = phase_jacobian(prob, j)(t[at], Z[at].T).transpose(2, 0, 1)
     return J
 
 
@@ -173,31 +174,37 @@ def _step_matrices(J, hT):
     return theta.sum(axis=0).reshape(N, d, d)
 
 
+def _fold(prob, phase, T, tau, h, y, K):
+    """``_step_matrices`` of N forward steps: step n, of phase ``phase[n]``
+    (sorted) and horizon T (or T[n]), starts at (tau[n], y[n]) with length
+    h[n] and stages K[n], of which 0-4 are read.  The stage points are
+    rebuilt by the forward loop's own tableau products."""
+    N, d = y.shape
+    Y = np.empty((N, 6, d))
+    Y[:, 0] = y
+    for i in range(1, 6):
+        Y[:, i] = y + h[:, None] * (K[:, :i].transpose(0, 2, 1) @ _A[i])
+    # stage times (6, N) first, so that T may be one horizon or one per step
+    t = ((tau + np.array(_C[:6])[:, None] * h) * T).T
+    J = _jacobians(prob, np.repeat(phase, 6), t.reshape(-1), Y.reshape(-1, d))
+    return _step_matrices(J.reshape(N, 6, d, d), h * T)
+
+
 def backward_sweep(prob, fwd):
     """lam_n = dC(z_N)/dz_n at every node of the forward record ``fwd``.
 
     The reverse pass of the accepted DOPRI5 steps: lam_n = lam_{n+1} G_n
-    with G_n = dz_{n+1}/dz_n of step n (see ``_step_matrices``).  The
-    steps' stage points (tau_i, Y_i) are rebuilt from the nodes and their
-    stages K by the forward loop's own tableau products, and each phase's
-    stage Jacobians come from one call over all its stage points.  It has
-    no tolerance and no error test; lam passes a switch point unchanged.
+    with G_n = dz_{n+1}/dz_n of step n, all folded by one ``_fold`` from
+    the nodes and their stages K.  It has no tolerance and no error test;
+    lam passes a switch point unchanged.
     """
-    T, d, nodes = fwd.T, fwd.checkpoints.shape[1], fwd.nodes
+    d, nodes = fwd.checkpoints.shape[1], fwd.nodes
     h_node = np.array([node[3] for node in nodes])
     step = np.flatnonzero(h_node)         # the node each step ends at
-    h = h_node[step]
-    K = np.array([nodes[m][2] for m in step])
-    tau = np.array([nodes[m - 1][0] for m in step])
-    Y = np.empty((step.size, 6, d))
-    Y[:, 0] = [nodes[m - 1][1] for m in step]
-    for i in range(1, 6):
-        Y[:, i] = Y[:, 0] + h[:, None] * (K[:, :i].transpose(0, 2, 1) @ _A[i])
-    t = (tau[:, None] + np.array(_C[:6]) * h[:, None]) * T
-
-    J = _jacobians(prob, np.repeat(_node_phases(fwd)[step], 6),
-                   t.reshape(-1), Y.reshape(-1, d))
-    D = _step_matrices(J.reshape(step.size, 6, d, d), h * T)
+    D = _fold(prob, _node_phases(fwd)[step], fwd.T,
+              np.array([nodes[m - 1][0] for m in step]), h_node[step],
+              np.array([nodes[m - 1][1] for m in step]),
+              np.array([nodes[m][2] for m in step]))
     lam = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
                           np.zeros(d - prob.n)))
     chain = [lam]                         # lam before each step, reversed
@@ -223,6 +230,18 @@ def feasibility_margins(prob, fwd):
     return worst
 
 
+def _switch_jumps(flows, fwd, costates, dot):
+    """dC/ds_j = lam . (F_{j-1} - F_j), the Hamiltonian's jump at each s_j
+    of the record ``fwd``, by dot(lam, v): (k,), or (k, B) on B lanes."""
+    k, d_s = len(flows) - 1, []
+    for j in range(1, k + 1):
+        t, z = fwd.sigma[j] * fwd.T, fwd.checkpoints[j]
+        # the flows' difference first: the terms both phases share cancel
+        # exactly, not after rounding in two dot products
+        d_s.append(dot(costates[j], flows[j - 1](t, z) - flows[j](t, z)))
+    return np.reshape(d_s, (k,) + np.shape(fwd.T))
+
+
 def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
     """Objective plus exact gradient w.r.t. switch points, p0, and T.
 
@@ -233,13 +252,8 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
         fwd = forward_sweep(prob, cfg, settings)
     bwd = backward_sweep(prob, fwd)
 
-    d_s = np.empty(prob.k)
     flows = _resolved(phase_flow, prob)
-    for j in range(1, prob.k + 1):
-        t, z, lam = fwd.sigma[j] * fwd.T, fwd.checkpoints[j], bwd.costates[j]
-        # the flows' difference first: the terms both phases share cancel
-        # exactly, not after rounding in two dot products
-        d_s[j - 1] = float(lam @ (flows[j - 1](t, z) - flows[j](t, z)))
+    d_s = _switch_jumps(flows, fwd, bwd.costates, np.matmul)
 
     if with_d_T is None:
         with_d_T = prob.free_time
@@ -294,7 +308,7 @@ def gradcheck(prob, cfg, settings=None):
     """Rows (label, analytic, central difference) from one evaluation: d_s1..,
     d_p01.. when cfg has a p0, and d_T on free-time problems.  The steps are
     1e-6 in s and p0 and 1e-6 max(1, |T|) in T."""
-    bundle = evaluate_gradient(prob, cfg, settings, with_d_T=prob.free_time)
+    bundle = evaluate_gradient(prob, cfg, settings)
     rows = []
     for name in ("s", "p0"):
         derivs = getattr(bundle, "d_" + name)

@@ -6,13 +6,14 @@ history, step budget and breakpoints, and applies exactly the rules of the
 scalar loop in ``odeint``, so it takes the steps of the scalar sweep of its
 configuration.  All lanes work on the same segment, so every RHS call
 evaluates one phase's law for all of them, and the interpreter's cost per
-call is paid once per B lanes.  The backward sweep is the reverse pass of
-those lockstep iterations, the discrete adjoint that
-``gradients.backward_sweep`` runs for one configuration: each iteration's
-stages are recomputed as batched calls and folded into one transition
-matrix per lane.  Arrays carry the lane axis last: states (n, B), times
-(B,).  The model callbacks must accept that layout, which a problem
-declares with ``ProblemDef.lanes``; every built-in problem does.
+call is paid once per B lanes.  The loop records the stages of each
+iteration in which a lane accepts, and the backward sweep is the reverse
+pass of those iterations, the discrete adjoint that
+``gradients.backward_sweep`` runs for one configuration: each iteration
+folds into one transition matrix per lane by the same ``gradients._fold``.
+Arrays carry the lane axis last: states (n, B), times (B,).  The model
+callbacks must accept that layout, which a problem declares with
+``ProblemDef.lanes``; every built-in problem does.
 
 ``optimizer.derivative_profile`` imports this module on first use, so that
 importing the package does not compile it.
@@ -26,10 +27,10 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import NonFiniteState, StepLimitExceeded, StepUnderflow
-from .gradients import GradientBundle, _resolved, _step_matrices
+from .gradients import GradientBundle, _fold, _resolved, _switch_jumps
 from .odeint import _A, _ALPHA, _B5, _BETA, _C, _E, _FAC_MAX, _FAC_MIN, \
     _H_INIT, _H_MIN, _SAFETY, IntegratorSettings, PiecewiseOde
-from .problem import horizon, lane_law, phase_jacobian, validate_config
+from .problem import horizon, lane_law, validate_config
 
 __all__ = [
     "integrate_lanes",
@@ -51,8 +52,7 @@ def _lane_error(kind, failing, message):
     return kind(f"lane {b}: {message(b)}")
 
 
-def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget,
-                            record=None):
+def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
     """``_integrate_segment`` for B lanes in lockstep.
 
     t0, t1 and budget have shape (B,) and y0 shape (dim, B).  Every lane
@@ -64,10 +64,12 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget,
     A lane that has reached t1 is frozen, trying steps of length 0, until
     all have.
     The first failure raises, naming its lane.  Returns (y_end,
-    steps_used), the steps per lane.  ``record``, when given, receives
-    (t, h, y) of each attempt in which a lane accepted a step: the times
-    (B,) and lane-major states (B, dim) it started from, and the step
-    lengths, 0 for a lane that accepted none.
+    steps_used, record): the steps per lane, and (t, h, y, K) of each
+    attempt in which some lane accepted a step.  t (B,) and the lane-major
+    y (B, dim) are where it started, h (B,) the step lengths and K (B, 5,
+    dim) stages 0-4, the ones a reverse pass reads.  A lane that accepted
+    none has h = 0 and K = 0, so that its step folds to the identity even
+    when its attempt went non-finite.
     """
     def f(t, y):
         return rhs(j, t, y.T).T
@@ -76,6 +78,7 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget,
     h = np.minimum(_H_INIT, t1 - t0)
     err_prev = np.ones(t.shape)
     steps = np.zeros(t.shape, dtype=int)
+    record = []
     k = np.empty((t.size, 7, y.shape[1]))
     k_cols = [k[:, :i].transpose(0, 2, 1) for i in range(7)]
     active = t < t1
@@ -119,8 +122,9 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget,
             h = np.where(reject, h_try * np.minimum(
                 1.0, np.maximum(_FAC_MIN, shrink)), h)
             h = np.where(failed, 0.5 * h_try, h)
-            if record is not None and accept.any():
-                record.append((t, np.where(accept, h_try, 0.0), y))
+            if accept.any():
+                record.append((t, np.where(accept, h_try, 0.0), y,
+                               np.where(accept[:, None, None], k[:, :5], 0.0)))
 
             t = np.where(accept, np.where(clipped, t1, t + h_try), t)
             y = np.where(accept[:, None], y_new, y)
@@ -137,10 +141,10 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget,
                     f"step size {h[b]:.3e} below h_min at t={t[b]}; "
                     "the problem may be stiff or blowing up"))
             active = t < t1
-    return y.T, steps
+    return y.T, steps, record
 
 
-def integrate_lanes(ode, y_start, settings=None, record=None):
+def integrate_lanes(ode, y_start, settings=None):
     """Integrate the B lanes of ``ode`` forward in lockstep, segment by
     segment.
 
@@ -148,10 +152,10 @@ def integrate_lanes(ode, y_start, settings=None, record=None):
     All lanes work on the same segment j, so every RHS call evaluates
     segment j's law for all of them; within it each lane steps exactly as
     ``integrate_piecewise`` would, under its own ``max_steps`` budget.
-    Returns (breakpoint_states, steps): breakpoint_states[i] is the
-    (dim, B) state at ode.segments[i], and steps the (B,) step attempts
-    of each lane.  ``record``, when given, receives one list per segment
-    of the accepted steps as ``_integrate_lane_segment`` records them.
+    Returns (breakpoint_states, steps, records): breakpoint_states[i] is
+    the (dim, B) state at ode.segments[i], steps the (B,) step attempts of
+    each lane, and records[j] segment j's accepted steps as
+    ``_integrate_lane_segment`` records them.
     """
     settings = settings or IntegratorSettings()
     y = np.array(y_start, dtype=float)
@@ -161,17 +165,16 @@ def integrate_lanes(ode, y_start, settings=None, record=None):
         raise ValueError(f"y_start has shape {y.shape}, expected "
                          f"{(ode.dim, ode.segments.shape[1])}")
 
-    bp_states = [y]
+    bp_states, records = [y], []
     used = np.zeros(y.shape[1], dtype=int)
     for j in range(len(ode.segments) - 1):
-        if record is not None:
-            record.append([])
-        y, steps = _integrate_lane_segment(
+        y, steps, record = _integrate_lane_segment(
             ode.rhs, j, ode.segments[j], ode.segments[j + 1], y, settings,
-            settings.max_steps - used, None if record is None else record[j])
+            settings.max_steps - used)
         used += steps
         bp_states.append(y)
-    return bp_states, used
+        records.append(record)
+    return bp_states, used, records
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +216,8 @@ class LaneRecord:
     steps: np.ndarray                 # (B,) integrator step attempts, or
     #                                   the reverse steps of a backward sweep
     objective: Optional[np.ndarray] = None   # (B,), forward sweeps only
-    # forward sweeps: per phase, the (tau, h, x) of each lockstep iteration
-    # in which a lane accepted a step (see _integrate_lane_segment)
+    # forward sweeps: per phase, the (tau, h, x, K) of each lockstep
+    # iteration in which a lane accepted a step (see _integrate_lane_segment)
     iterations: Optional[list] = None
 
 
@@ -234,10 +237,8 @@ def forward_lanes(prob, cfgs, settings=None):
         return T * flows[j](tau * T, x)
 
     ode = PiecewiseOde(dim=prob.n, segments=sigma, rhs=rhs)
-    iterations = []
-    states, steps = integrate_lanes(
-        ode, np.repeat(prob.x0[:, None], T.size, axis=1), settings,
-        iterations)
+    states, steps, iterations = integrate_lanes(
+        ode, np.repeat(prob.x0[:, None], T.size, axis=1), settings)
     ckpt = np.array(states)
     return LaneRecord(checkpoints=ckpt, sigma=sigma, T=T, steps=steps,
                       objective=np.asarray(prob.C(ckpt[-1]), dtype=float),
@@ -246,32 +247,21 @@ def forward_lanes(prob, cfgs, settings=None):
 
 def backward_lanes(prob, fwd):
     """``backward_sweep`` of the lanes of ``fwd``: the reverse pass of its
-    recorded lockstep iterations.  Each iteration's six stages are
-    recomputed from (tau, h, x) as batched flow calls, their Jacobians come
-    from one ``phase_jacobian`` call over all 6 B stage points, and each
-    lane's step folds into its transition matrix (``_step_matrices``); a
+    recorded lockstep iterations, each folded by ``gradients._fold`` from
+    its recorded stages with one Jacobian call, and no flow or law call; a
     lane whose h is 0 keeps its lam.  It keeps lam at the checkpoints only:
     a fixed-time profile reads only the Hamiltonian jumps."""
-    n, T, B = prob.n, fwd.T, fwd.T.size
+    n, B = prob.n, fwd.T.size
     lam = np.array(np.broadcast_to(
         np.reshape(prob.grad_C(fwd.checkpoints[-1]), (n, -1)),
         (n, B)).T)                        # lane-major (B, n) from here on
     costates = [None] * (prob.k + 2)
     costates[-1] = lam.T
     steps = np.zeros(B, dtype=int)
-    K = np.empty((B, 6, n))
-    Y = np.empty((6, B, n))
-    c = np.array(_C[:6])[:, None]
     for j in range(prob.k, -1, -1):
-        flow, jacobian = lane_flow(prob, j), phase_jacobian(prob, j)
-        for tau, h, y in reversed(fwd.iterations[j]):
-            t = (tau + c * h) * T         # (6, B)
-            for i in range(6):
-                Y[i] = y + h[:, None] * (K[:, :i].transpose(0, 2, 1) @ _A[i])
-                K[:, i] = (T * flow(t[i], Y[i].T)).T
-            J = jacobian(t.reshape(-1), Y.reshape(-1, n).T)
-            J = np.moveaxis(J.reshape(n, n, 6, B), (2, 3), (1, 0))
-            lam = lam + (lam[:, None] @ _step_matrices(J, h * T))[:, 0]
+        for tau, h, y, K in reversed(fwd.iterations[j]):
+            D = _fold(prob, np.full(B, j), fwd.T, tau, h, y, K)
+            lam = lam + (lam[:, None] @ D)[:, 0]
             steps += h > 0.0
         costates[j] = lam.T
     return LaneRecord(checkpoints=np.array(costates), sigma=fwd.sigma,
@@ -290,11 +280,7 @@ def evaluate_lanes(prob, cfgs, settings=None):
     fwd and bwd are the two LaneRecords."""
     fwd = forward_lanes(prob, cfgs, settings)
     bwd = backward_lanes(prob, fwd)
-    flows = _resolved(lane_flow, prob)
-    d_s = np.empty((prob.k, fwd.T.size))
-    for j in range(1, prob.k + 1):
-        t, x, lam = fwd.sigma[j] * fwd.T, fwd.checkpoints[j], \
-            bwd.checkpoints[j]
-        d_s[j - 1] = _lane_dot(lam, flows[j - 1](t, x) - flows[j](t, x))
+    d_s = _switch_jumps(_resolved(lane_flow, prob), fwd, bwd.checkpoints,
+                        _lane_dot)
     return GradientBundle(objective=fwd.objective, d_s=d_s, d_p0=None,
                           d_T=None, fwd=fwd, bwd=bwd)

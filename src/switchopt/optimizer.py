@@ -252,8 +252,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
     def gradient_at(zq, fwd):
         nonlocal n_backward
         n_backward += 1
-        return evaluate_gradient(prob, var.unpack(zq), ode_settings,
-                                 with_d_T=prob.free_time, fwd=fwd)
+        return evaluate_gradient(prob, var.unpack(zq), ode_settings, fwd=fwd)
 
     fwd = objective_at(z, ode_settings.max_steps)
     bundle = gradient_at(z, fwd)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchopt.benchmarks import (
     PROBLEM_NAMES, build_catalyst, build_problem, catalyst_singular_value,
@@ -14,7 +15,7 @@ from switchopt.gradients import (
     DEFAULT_SAMPLES, dense_trajectory, evaluate_gradient, feasibility_margins,
     forward_sweep, free_time_gradient_check, gradcheck,
 )
-from switchopt.lanes import evaluate_lanes
+from switchopt.lanes import backward_lanes, evaluate_lanes, forward_lanes
 from switchopt.odeint import _A, _B5, _C, IntegratorSettings, PiecewiseOde, \
     integrate_piecewise, integrate_with_quadrature
 from switchopt.optimizer import minimize
@@ -676,11 +677,22 @@ def test_gradcheck_evaluates_gradient_once(monkeypatch, name):
 # lockstep lanes against evaluate_gradient, point by point
 # ---------------------------------------------------------------------------
 
-def _scalar_point(prob, s, settings):
-    """evaluate_gradient at s, the step attempts of its forward sweep, and
-    the steps of its backward sweep: the forward's accepted steps."""
-    bundle = evaluate_gradient(prob, SwitchConfig(s=np.array([s])), settings)
-    return bundle, bundle.fwd.steps, bundle.bwd.steps
+def _assert_lanes_match_scalar(prob, cfgs, settings, stride=1,
+                               relative=False):
+    """evaluate_lanes over cfgs against evaluate_gradient at every stride-th
+    one: the same step attempts forward, the forward's accepted steps
+    backward, and objective and d_s to 1e-12, times max(1, |value|) when
+    ``relative``."""
+    lanes = evaluate_lanes(prob, cfgs, settings)
+    assert lanes.d_s.shape == (prob.k, len(cfgs))
+    for b in range(0, len(cfgs), stride):
+        bundle = evaluate_gradient(prob, cfgs[b], settings)
+        for got, want in [(lanes.objective[b], bundle.objective),
+                          *zip(lanes.d_s[:, b], bundle.d_s)]:
+            scale = max(1.0, abs(want)) if relative else 1.0
+            assert abs(got - want) <= 1e-12 * scale
+        assert lanes.fwd.steps[b] == bundle.fwd.steps
+        assert lanes.bwd.steps[b] == bundle.bwd.steps
 
 
 @pytest.mark.parametrize("tol", [None, 1e-11], ids=["default", "tol1e-11"])
@@ -689,18 +701,143 @@ def _scalar_point(prob, s, settings):
     ("bressan", np.linspace(3.0, 3.7, 15), 1),
 ])
 def test_lanes_match_scalar_sweeps(name, grid, stride, tol):
-    prob = build_problem(name)
     settings = IntegratorSettings() if tol is None \
         else IntegratorSettings(rel_tol=tol, abs_tol=tol)
-    lanes = evaluate_lanes(prob, [SwitchConfig(s=np.array([s])) for s in grid],
-                           settings)
-    assert lanes.d_s.shape == (1, grid.size)
-    for b in range(0, grid.size, stride):
-        bundle, fwd_steps, bwd_steps = _scalar_point(prob, grid[b], settings)
-        assert abs(lanes.d_s[0, b] - bundle.d_s[0]) <= 1e-12
-        assert abs(lanes.objective[b] - bundle.objective) <= 1e-12
-        assert lanes.fwd.steps[b] == fwd_steps
-        assert lanes.bwd.steps[b] == bwd_steps
+    _assert_lanes_match_scalar(
+        build_problem(name), [SwitchConfig(s=np.array([s])) for s in grid],
+        settings, stride)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["jacobson", "bressan", "catalyst1"]),
+       data=st.data())
+def test_lanes_match_scalar_sweeps_on_drawn_grids(name, data):
+    # 1-8 configurations that validate_config accepts, as the lanes of one
+    # sweep, each against its own scalar sweep at the default tolerance;
+    # relative, because far from the optimum jacobson's C and d_s reach
+    # 1e3-1e4, where lanes and scalar sweep can differ in the last bits
+    prob = build_problem(name)
+    gap = prob.eps_gap
+    point = st.lists(st.floats(gap, prob.T - gap), min_size=prob.k,
+                     max_size=prob.k).map(sorted).filter(
+        lambda s: np.min(np.diff([0.0, *s, prob.T])) >= gap)
+    grid = data.draw(st.lists(point, min_size=1, max_size=8))
+    _assert_lanes_match_scalar(
+        prob, [SwitchConfig(s=np.array(s)) for s in grid],
+        IntegratorSettings(), relative=True)
+
+
+def _band_problem(log):
+    """x1' = u1, x2' = u2, x3' = x1^2 on [0, 1], Case 1.  Phase 0 holds u =
+    (2 cos 2t + 1, 1).  Phase 1 holds u2 = 0 and u1 = 2 cos 2t, which keeps
+    x1 - x2 = sin 2t, at a stage point within 3e-5 of that and NaN
+    elsewhere, so that oversized trial steps go non-finite and halve.
+    ``log`` receives (t, NaN lanes) of each phase-1 law call."""
+    def band(t, x):
+        off = np.abs(x[0] - x[1] - np.sin(2.0 * t)) > 3e-5
+        u1 = np.where(off, np.nan, 2.0 * np.cos(2.0 * t))
+        log.append((t, off))
+        return np.array([u1, 0.0 * u1])
+
+    def f_x(x, u):
+        J = np.zeros((3, 3) + np.shape(x[0]))
+        J[2, 0] = 2.0 * x[0]
+        return J
+
+    def f_u(x, u):
+        J = np.zeros((3, 2) + np.shape(x[0]))
+        J[0, 0] = J[1, 1] = 1.0
+        return J
+
+    box = (lambda t: np.full(2, -5.0)), (lambda t: np.full(2, 5.0))
+    return ProblemDef(
+        name="band", n=3, m=2, x0=np.zeros(3), T=1.0, free_time=False,
+        case=1,
+        phases=(ControlPhase("constant", lambda t: np.array(
+                    [2.0 * np.cos(2.0 * t) + 1.0, 1.0 + 0.0 * t]), *box),
+                ControlPhase("state", band, *box,
+                             law_x=lambda t, x: np.zeros((2,) + x.shape))),
+        f=lambda x, u: np.array([u[0], u[1], x[0] ** 2]),
+        f_x=f_x, f_u=f_u, C=lambda x: x[0] + x[1] + x[2],
+        grad_C=lambda x: np.ones(3), lanes=True)
+
+
+def test_lanes_fold_no_stage_of_an_attempt_that_failed():
+    # a lane whose attempt goes non-finite while another lane accepts
+    # records h = 0 and zero stages: its step folds to the identity, where
+    # 0 * NaN would make its lam NaN
+    log = []
+    prob = _band_problem(log)
+    cfgs = [SwitchConfig(s=np.array([s])) for s in np.linspace(0.3, 0.6, 6)]
+    lanes = evaluate_lanes(prob, cfgs)
+    # the forward's phase-1 law calls (the Jacobian's take 6 B points): one
+    # at the segment start, then six per attempt
+    calls = [c for c in log if np.size(c[0]) == len(cfgs)]
+    attempts = [calls[i:i + 6] for i in range(1, len(calls), 6)]
+    assert np.isfinite(lanes.d_s).all()
+    for b, cfg in enumerate(cfgs):
+        assert abs(lanes.d_s[0, b] - evaluate_gradient(prob, cfg).d_s[0]) \
+            <= 1e-12
+
+    # each recorded phase-1 iteration's attempt, found by the stage-1 times
+    # of its accepting lanes (T = 1, so tau is t)
+    failed_beside_an_accept = 0
+    for iterations in lanes.fwd.iterations:
+        for tau, h, y, K in iterations:
+            idle = h == 0.0
+            assert not K[idle].any()
+            if iterations is lanes.fwd.iterations[1]:
+                stages = next(a for a in attempts if np.array_equal(
+                    a[0][0][~idle], (tau + _C[1] * h)[~idle]))
+                failed_beside_an_accept += any(
+                    off[idle].any() for _, off in stages[:4])
+    assert failed_beside_an_accept > 0
+
+
+@pytest.mark.parametrize("name", ["jacobson", "bressan", "catalyst1"])
+def test_lanes_reverse_pass_takes_one_jacobian_per_iteration(monkeypatch,
+                                                            name):
+    # the lanes' counterpart of test_one_integration_and_six_adjoint_rows_
+    # per_step: the reverse pass reads the stages the forward loop
+    # recorded, so it calls f and the laws only inside the Jacobian, and
+    # the Jacobian once per recorded iteration, over its 6 B stage points
+    prob = build_problem(name)
+    if prob.k == 1:
+        grid = np.linspace(0.28, 0.34, 5) * prob.T
+        cfgs = [SwitchConfig(s=np.array([s])) for s in grid]
+    else:
+        cfgs = [SwitchConfig(s=np.array([a, 0.72])) for a in (0.1, 0.13, 0.16)]
+    fwd = forward_lanes(prob, cfgs)
+    want = backward_lanes(prob, fwd)
+    sizes, inside = [], []
+
+    def jacobian(prob, j):
+        batched = phase_jacobian(prob, j)
+
+        def counted(t, z):
+            sizes.append(t.size)
+            inside.append(j)
+            try:
+                return batched(t, z)
+            finally:
+                inside.pop()
+        return counted
+
+    def guarded(callback):
+        def call(*args):
+            assert inside, "a flow or law call outside the Jacobian"
+            return callback(*args)
+        return call
+
+    guarded_prob = dataclasses.replace(
+        prob, f=guarded(prob.f), phases=tuple(
+            dataclasses.replace(ph, law=guarded(ph.law))
+            for ph in prob.phases))
+    monkeypatch.setattr(gradients, "phase_jacobian", jacobian)
+    got = backward_lanes(guarded_prob, fwd)
+    assert sizes == [6 * len(cfgs)] * sum(map(len, fwd.iterations))
+    assert np.array_equal(got.checkpoints, want.checkpoints)
+    assert np.array_equal(got.steps, want.steps)
 
 
 def test_lanes_refuse_a_problem_without_lanes(monkeypatch, tmp_path):

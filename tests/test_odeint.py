@@ -451,7 +451,7 @@ def test_lanes_take_the_scalar_steps():
     ode = _banded_ode(seg)
     y_start = np.vstack([np.zeros(lanes), np.linspace(-1, 1, lanes)])
     st = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-9)
-    states, steps = integrate_lanes(ode, y_start, st)
+    states, steps, _ = integrate_lanes(ode, y_start, st)
 
     repeated = 0
     for b in range(lanes):
