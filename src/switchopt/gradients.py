@@ -4,10 +4,11 @@ reverse pass.
 The forward sweep integrates the sweep state z: the state x in Case 1, the
 state and costate (x, p) in Case 2, each phase j with its flow F_j (see
 ``problem.phase_flow``).  The backward sweep is the discrete adjoint of the
-forward sweep's accepted DOPRI5 steps.  Each phase's flow Jacobian dF/dz
-is evaluated at all the stage points of its steps in one
-``problem.phase_jacobian`` call, and each step is folded into its d-by-d
-transition matrix G_n = dz_{n+1}/dz_n.  The reverse pass is then one
+forward sweep's accepted steps.  ``odeint``, which alone knows the method,
+folds each step into its d-by-d transition matrix G_n = dz_{n+1}/dz_n;
+this module supplies the stage Jacobians, each phase's flow Jacobian dF/dz
+at all the stage points of its steps from one ``problem.phase_jacobian``
+call.  The reverse pass is then one
 vector-matrix product per step, lam_n = lam_{n+1} G_n, from
 lam(T) = (grad C, 0), and gives at every node z_n of the forward mesh
 lam_n = dC(z_N)/dz_n of the computed solution.  That one adjoint gives every
@@ -31,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .odeint import _A, _B5, _C, PiecewiseOde, _hermite_resample, \
+from .odeint import PiecewiseOde, _fold_steps, _hermite_resample, \
     integrate_piecewise, \
     integrate_with_quadrature  # noqa: F401 (patched here by perfbench)
 from .problem import horizon, phase_feasibility, phase_flow, \
@@ -146,54 +147,22 @@ def _jacobians(prob, phase, t, Z):
     return J
 
 
-# _A_ROWS[i, l] = a_li, the weight of stage i in stage l > i
-_A_ROWS = np.zeros((6, 6))
-for _l in range(1, 6):
-    _A_ROWS[:_l, _l] = _A[_l]
-
-
-def _step_matrices(J, hT):
-    """D = G - I for the transition matrices G = dz_{n+1}/dz_n of N DOPRI5
-    steps, (N, d, d), from the stage Jacobians J (N, 6, d, d) and the
-    steps' h T (N,).
-
-    Walking the stages back, P_i = b_i I + sum_{l>i} a_li Theta_l and
-    Theta_i = h T P_i J_i; then D = sum_i Theta_i.  So the reverse pass's
-    Lam_i = lam_{n+1} P_i and theta_i = lam_{n+1} Theta_i, and
-    lam_n = lam_{n+1} + lam_{n+1} D.  D is kept apart from I so that its
-    O(h) entries are not rounded against 1.  The seventh stage has weight
-    0 in z_{n+1}.
-    """
-    N, d = J.shape[0], J.shape[-1]
-    eye = np.eye(d)
-    hTJ = hT[:, None, None, None] * J
-    theta = np.zeros((6, N * d * d))
-    for i in range(5, -1, -1):
-        P = (_A_ROWS[i] @ theta).reshape(N, d, d) + _B5[i] * eye
-        theta[i] = (P @ hTJ[:, i]).reshape(-1)
-    return theta.sum(axis=0).reshape(N, d, d)
-
-
 def _fold(prob, phase, T, tau, h, y, K):
-    """``_step_matrices`` of N forward steps: step n, of phase ``phase[n]``
-    (sorted) and horizon T (or T[n]), starts at (tau[n], y[n]) with length
-    h[n] and stages K[n], of which 0-4 are read.  The stage points are
-    rebuilt by the forward loop's own tableau products."""
-    N, d = y.shape
-    Y = np.empty((N, 6, d))
-    Y[:, 0] = y
-    for i in range(1, 6):
-        Y[:, i] = y + h[:, None] * (K[:, :i].transpose(0, 2, 1) @ _A[i])
-    # stage times (6, N) first, so that T may be one horizon or one per step
-    t = ((tau + np.array(_C[:6])[:, None] * h) * T).T
-    J = _jacobians(prob, np.repeat(phase, 6), t.reshape(-1), Y.reshape(-1, d))
-    return _step_matrices(J.reshape(N, 6, d, d), h * T)
+    """``odeint._fold_steps`` of N forward steps of the sweep state z: step
+    n, of phase ``phase[n]`` (sorted) and horizon T (or T[n]), starts at
+    (tau[n], y[n]) with length h[n] and stages K[n].  The stage Jacobians
+    come from one ``phase_jacobian`` call per phase present."""
+    def jacobian(t, Y):
+        N, S, d = Y.shape
+        return _jacobians(prob, np.repeat(phase, S), t.reshape(-1),
+                          Y.reshape(-1, d)).reshape(N, S, d, d)
+    return _fold_steps(jacobian, T, tau, h, y, K)
 
 
 def backward_sweep(prob, fwd):
     """lam_n = dC(z_N)/dz_n at every node of the forward record ``fwd``.
 
-    The reverse pass of the accepted DOPRI5 steps: lam_n = lam_{n+1} G_n
+    The reverse pass of the accepted steps: lam_n = lam_{n+1} G_n
     with G_n = dz_{n+1}/dz_n of step n, all folded by one ``_fold`` from
     the nodes and their stages K.  It has no tolerance and no error test;
     lam passes a switch point unchanged.

@@ -1,10 +1,14 @@
-"""Adaptive Dormand-Prince (4,5) integration of piecewise-smooth ODE systems.
+"""The Dormand-Prince (4,5) method on piecewise-smooth ODE systems.
 
 The right-hand side may change discontinuously at a known, ordered list of
 breakpoints.  Integration is hard-restarted at every breakpoint: no accepted
 step straddles a segment boundary and the step-size controller is reset, so
 fifth-order accuracy is retained on each smooth piece.  Backward integration
 is implemented by time reflection, giving a single forward code path.
+
+The module holds the whole method, and no other reads its tableau: the
+scalar loop, the lockstep loop of B lanes, and the fold of accepted steps
+into the transition matrices of the reverse pass.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "DenseTrajectory",
     "integrate_piecewise",
     "integrate_with_quadrature",
+    "integrate_lanes",
 ]
 
 # Dormand-Prince 5(4) tableau (7 stages, FSAL).
@@ -39,10 +44,18 @@ _A = [
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b5 - b4: coefficients of the embedded error estimate
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_Q = 4            # order of the embedded solution b5 - e behind the estimate
+_STAGES = len(_C)
+# the stages that enter y_{n+1}; the last one, FSAL, enters only the error
+_WEIGHTED = int(np.flatnonzero(_B5)[-1]) + 1
+# _A_ROWS[i, l] = a_li, the weight of stage i in stage l > i
+_A_ROWS = np.zeros((_WEIGHTED, _WEIGHTED))
+for _l in range(1, _WEIGHTED):
+    _A_ROWS[:_l, _l] = _A[_l]
 
 _SAFETY = 0.9
-_ALPHA = 0.7 / 5  # PI controller: proportional exponent
-_BETA = 0.4 / 5   # PI controller: integral exponent
+_ALPHA = 0.7 / (_Q + 1)  # PI controller: proportional exponent
+_BETA = 0.4 / (_Q + 1)   # PI controller: integral exponent
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _H_INIT = 1e-3    # first trial step of every segment
@@ -73,7 +86,7 @@ class PiecewiseOde:
     with t inside that closed interval.
 
     ``segments`` of shape (nseg+1, B) describes B lanes for
-    ``lanes.integrate_lanes``: column b holds lane b's breakpoints, and
+    ``integrate_lanes``: column b holds lane b's breakpoints, and
     ``rhs`` takes t of shape (B,) and states of shape (dim, B).
     """
 
@@ -101,8 +114,8 @@ class DenseTrajectory:
     charged against ``IntegratorSettings.max_steps``.
 
     ``nodes`` holds the nodes in the order integrated, each (t, y, K, h):
-    K is the (7, dim) stage array and h the length of the accepted step
-    that ends at the node, so that K[6] = rhs(j, t, y).  A segment's first
+    K is the (stages, dim) stage array and h the length of the accepted step
+    that ends at the node, so that K[-1] = rhs(j, t, y) (FSAL).  A segment's first
     node has h = 0 and K = rhs(j, t, y)[None].  For a backward integration
     t is reflected time.
     """
@@ -122,15 +135,15 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
     each accepted step (see ``DenseTrajectory``), and (t0, y0, rhs(j, t0,
     y0)[None], 0.0) first.  No RHS call warns about overflow
     or division: an attempt with a non-finite stage or state, tested once
-    after all six stages, halves the step, down to ``NonFiniteState`` at
+    after all its stages, halves the step, down to ``NonFiniteState`` at
     _H_MIN, and a non-finite first call raises it.
     """
     t, y = t0, np.array(y0, dtype=float)
     h = min(_H_INIT, t1 - t0)
     err_prev = 1.0
     steps = 0
-    k = np.empty((7, y.size))
-    k_cols = [k[:i].T for i in range(7)]
+    k = np.empty((_STAGES, y.size))
+    k_cols = [k[:i].T for i in range(_STAGES)]
     abs_y = np.abs(y)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -146,7 +159,7 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
             h_try = t1 - t if clipped else h
 
             k[0] = k1
-            for i in range(1, 7):
+            for i in range(1, _STAGES):
                 k[i] = rhs(j, t + _C[i] * h_try,
                            y + h_try * (k_cols[i] @ _A[i]))
             y_new = y + h_try * (_B5 @ k)
@@ -166,7 +179,7 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
                 t = t1 if clipped else t + h_try
                 y, abs_y = y_new, abs_new
                 K = k.copy()  # the next attempt overwrites k
-                k1 = K[6]     # FSAL
+                k1 = K[-1]    # FSAL
                 nodes.append((t, y, K, h_try))
                 fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
                 err_prev = max(err, 1e-10)
@@ -293,3 +306,166 @@ def integrate_with_quadrature(ode, x_start, integrand, direction="forward",
     traj.sample_states = traj.sample_states[:, :-1]
     traj.breakpoint_states = [s[:-1] for s in traj.breakpoint_states]
     return traj, float(quad)
+
+
+def _lane_error(kind, failing, message):
+    """``kind`` for the lowest failing lane, its message from message(b)."""
+    b = int(np.argmax(failing))
+    return kind(f"lane {b}: {message(b)}")
+
+
+def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
+    """``_integrate_segment`` for B lanes in lockstep.
+
+    t0, t1 and budget have shape (B,) and y0 shape (dim, B).  Every lane
+    applies the scalar rules with its own t, h, error history and budget.
+    The stages are held lane-major, (B, stages, dim), so that each lane's
+    tableau products are the scalar loop's own BLAS calls: given the same
+    RHS values, a lane repeats its scalar integration bit for bit, which
+    keeps step counts equal where the error estimate is rounding noise.
+    A lane that has reached t1 is frozen, trying steps of length 0, until
+    all have.
+    The first failure raises, naming its lane.  Returns (y_end,
+    steps_used, record): the steps per lane, and (t, h, y, K) of each
+    attempt in which some lane accepted a step.  t (B,) and the lane-major
+    y (B, dim) are where it started, h (B,) the step lengths and K the
+    stages ``_fold_steps`` reads, (B, _WEIGHTED - 1, dim).  A lane that
+    accepted none has h = 0 and K = 0, so that its step folds to the
+    identity even when its attempt went non-finite.
+    """
+    def f(t, y):
+        return rhs(j, t, y.T).T
+
+    t, y = t0, np.array(y0.T, dtype=float)
+    h = np.minimum(_H_INIT, t1 - t0)
+    err_prev = np.ones(t.shape)
+    steps = np.zeros(t.shape, dtype=int)
+    record = []
+    k = np.empty((t.size, _STAGES, y.shape[1]))
+    k_cols = [k[:, :i].transpose(0, 2, 1) for i in range(_STAGES)]
+    active = t < t1
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k1 = f(t, y)
+        bad = ~np.isfinite(k1).all(axis=1)
+        if bad.any():
+            raise _lane_error(NonFiniteState, bad,
+                              lambda b: f"non-finite derivative at t={t[b]}")
+
+        while active.any():
+            over = active & (steps >= budget)
+            if over.any():
+                raise _lane_error(StepLimitExceeded, over, lambda b:
+                                  f"exceeded {settings.max_steps} steps")
+            clipped = h >= t1 - t
+            h_try = np.where(active, np.where(clipped, t1 - t, h), 0.0)
+            h_col = h_try[:, None]
+
+            k[:, 0] = k1
+            for i in range(1, _STAGES):
+                k[:, i] = f(t + _C[i] * h_try, y + h_col * (k_cols[i] @ _A[i]))
+            y_new = y + h_col * (_B5 @ k)
+            failed = active & ~(np.isfinite(k[:, 1:]).all(axis=(1, 2))
+                                & np.isfinite(y_new).all(axis=1))
+            steps += active
+
+            w = (h_col * (_E @ k) / (settings.abs_tol + settings.rel_tol
+                                     * np.maximum(np.abs(y), np.abs(y_new))))
+            err = np.sqrt(np.add.reduce(w * w, axis=1) / w.shape[1])
+            tested = active & ~failed
+            accept = tested & (err <= 1.0)
+            reject = tested & ~accept
+            # float_power is the C pow of the scalar loop's float ** float
+            shrink = _SAFETY * np.float_power(err, -_ALPHA)
+            fac = np.where(err == 0.0, _FAC_MAX,
+                           shrink * np.float_power(err_prev, _BETA))
+            h = np.where(accept, h_try * np.minimum(
+                _FAC_MAX, np.maximum(_FAC_MIN, fac)), h)
+            h = np.where(reject, h_try * np.minimum(
+                1.0, np.maximum(_FAC_MIN, shrink)), h)
+            h = np.where(failed, 0.5 * h_try, h)
+            if accept.any():
+                record.append((t, np.where(accept, h_try, 0.0), y, np.where(
+                    accept[:, None, None], k[:, :_WEIGHTED - 1], 0.0)))
+
+            t = np.where(accept, np.where(clipped, t1, t + h_try), t)
+            y = np.where(accept[:, None], y_new, y)
+            k1 = np.where(accept[:, None], k[:, -1], k1)   # FSAL
+            err_prev = np.where(accept, np.maximum(err, 1e-10), err_prev)
+
+            dead = (failed | reject) & (h < _H_MIN)
+            if dead.any():
+                b = int(np.argmax(dead))
+                if failed[b]:
+                    raise _lane_error(NonFiniteState, dead, lambda b:
+                                      f"non-finite state near t={t[b]}")
+                raise _lane_error(StepUnderflow, dead, lambda b: (
+                    f"step size {h[b]:.3e} below h_min at t={t[b]}; "
+                    "the problem may be stiff or blowing up"))
+            active = t < t1
+    return y.T, steps, record
+
+
+def integrate_lanes(ode, y_start, settings=None):
+    """Integrate the B lanes of ``ode`` forward in lockstep, segment by
+    segment.
+
+    ``ode.segments`` has shape (nseg+1, B) and ``y_start`` shape (dim, B).
+    All lanes work on the same segment j, so every RHS call evaluates
+    segment j's law for all of them, and the interpreter's cost per call
+    is paid once per B lanes; within it each lane steps exactly as
+    ``integrate_piecewise`` would, under its own ``max_steps`` budget.
+    Returns (breakpoint_states, steps, records): breakpoint_states[i] is
+    the (dim, B) state at ode.segments[i], steps the (B,) step attempts of
+    each lane, and records[j] segment j's accepted steps as
+    ``_integrate_lane_segment`` records them.
+    """
+    settings = settings or IntegratorSettings()
+    y = np.array(y_start, dtype=float)
+    if ode.segments.ndim != 2:
+        raise ValueError("lanes need segments of shape (nseg+1, B)")
+    if y.shape != (ode.dim, ode.segments.shape[1]):
+        raise ValueError(f"y_start has shape {y.shape}, expected "
+                         f"{(ode.dim, ode.segments.shape[1])}")
+
+    bp_states, records = [y], []
+    used = np.zeros(y.shape[1], dtype=int)
+    for j in range(len(ode.segments) - 1):
+        y, steps, record = _integrate_lane_segment(
+            ode.rhs, j, ode.segments[j], ode.segments[j + 1], y, settings,
+            settings.max_steps - used)
+        used += steps
+        bp_states.append(y)
+        records.append(record)
+    return bp_states, used, records
+
+
+def _fold_steps(jacobian, T, tau, h, y, K):
+    """D = G - I for the transition matrices G = dz_{n+1}/dz_n of N steps
+    of dz/dtau = T F(tau T, z), (N, d, d).  Step n starts at (tau[n],
+    y[n]) with length h[n], horizon T (or T[n]) and stages K[n], of which
+    the first _WEIGHTED - 1 are read; the stage points are rebuilt by the
+    forward loops' own tableau products.  jacobian(t, Y) gives dF/dz at
+    the stage times t (N, S) and points Y (N, S, d) as (N, S, d, d).
+
+    Walking the stages back, P_i = b_i I + sum_{l>i} a_li Theta_l and
+    Theta_i = h T P_i J_i; then D = sum_i Theta_i.  So the reverse pass's
+    Lam_i = lam_{n+1} P_i and theta_i = lam_{n+1} Theta_i, and
+    lam_n = lam_{n+1} + lam_{n+1} D.  D is kept apart from I so that its
+    O(h) entries are not rounded against 1.  The stages past _WEIGHTED
+    have weight 0 in z_{n+1}.
+    """
+    (N, d), S = y.shape, _WEIGHTED
+    Y = np.empty((N, S, d))
+    Y[:, 0] = y
+    for i in range(1, S):
+        Y[:, i] = y + h[:, None] * (K[:, :i].transpose(0, 2, 1) @ _A[i])
+    # stage times (S, N) first, so that T may be one horizon or one per step
+    t = ((tau + np.array(_C[:S])[:, None] * h) * T).T
+    hTJ = (h * T)[:, None, None, None] * jacobian(t, Y)
+    eye = np.eye(d)
+    theta = np.zeros((S, N * d * d))
+    for i in range(S - 1, -1, -1):
+        P = (_A_ROWS[i] @ theta).reshape(N, d, d) + _B5[i] * eye
+        theta[i] = (P @ hTJ[:, i]).reshape(-1)
+    return theta.sum(axis=0).reshape(N, d, d)

@@ -22,6 +22,7 @@ from .exceptions import InfeasiblePolytope, LineSearchFailure, \
     StepUnderflow
 from .gradients import GradientBundle, evaluate_gradient, \
     feasibility_margins, forward_sweep
+from .lanes import evaluate_lanes
 from .odeint import IntegratorSettings
 from .problem import SwitchConfig, horizon
 
@@ -423,8 +424,6 @@ def derivative_profile(prob, s_grid, ode_settings=None):
     ``evaluate_gradient`` at s_grid[b].  A failing point raises, its
     message naming the lane.
     """
-    from .lanes import evaluate_lanes  # compiled only when a profile runs
-
     if prob.k != 1:
         raise ValueError("derivative_profile requires a single-switch problem")
     s = np.array(s_grid, dtype=float).reshape(-1)

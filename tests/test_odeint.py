@@ -10,15 +10,69 @@ from switchopt import odeint
 
 from switchopt.exceptions import NonFiniteState, StepLimitExceeded, \
     StepUnderflow, SwitchOptError
-from switchopt.lanes import integrate_lanes
 from switchopt.odeint import (
-    IntegratorSettings, PiecewiseOde, integrate_piecewise,
+    IntegratorSettings, PiecewiseOde, integrate_lanes, integrate_piecewise,
     integrate_with_quadrature,
 )
 
 
 def _tight(**kw):
     return IntegratorSettings(rel_tol=1e-10, abs_tol=1e-10, **kw)
+
+
+# ---------------------------------------------------------------------------
+# the tableau
+# ---------------------------------------------------------------------------
+
+def _grow(tree):
+    """Each rooted tree made by hanging one more leaf under a vertex of
+    ``tree``; a tree is the sorted tuple of its children's subtrees."""
+    yield tuple(sorted(tree + ((),)))
+    for i, child in enumerate(tree):
+        for grown in _grow(child):
+            yield tuple(sorted(tree[:i] + (grown,) + tree[i + 1:]))
+
+
+def _order_residuals(b, A, order):
+    """|b . Phi(t) - 1/gamma(t)| over the rooted trees t with ``order``
+    vertices: the Runge-Kutta order conditions of that order."""
+    trees = {()}
+    for _ in range(order - 1):
+        trees = {grown for tree in trees for grown in _grow(tree)}
+
+    def weights(tree):            # (Phi(tree), gamma(tree), vertices)
+        phi, gamma, size = np.ones(len(b)), 1, 1
+        for child in tree:
+            w, g, s = weights(child)
+            phi, gamma, size = phi * (A @ w), gamma * g, size + s
+        return phi, gamma * size, size
+
+    return [abs(b @ phi - 1 / gamma) for phi, gamma, _ in map(weights, trees)]
+
+
+def test_tableau_order_conditions():
+    S = odeint._STAGES
+    A = np.zeros((S, S))
+    for i, row in enumerate(odeint._A):
+        A[i, :i] = row
+    c, b = np.array(odeint._C), odeint._B5
+    b_hat = b - odeint._E
+    np.testing.assert_allclose(A.sum(axis=1), c, rtol=0, atol=1e-15)
+    # 1 + 1 + 2 + 4 + 9 = 17 conditions up to order 5 for b
+    residuals = [_order_residuals(b, A, q) for q in range(1, 6)]
+    assert [len(r) for r in residuals] == [1, 1, 2, 4, 9]
+    assert max(map(max, residuals)) <= 1e-15
+    # the embedded b_hat has order q = 4, the order behind the PI exponents
+    assert odeint._Q == 4
+    for q in range(1, odeint._Q + 1):
+        assert max(_order_residuals(b_hat, A, q)) <= 1e-15
+    assert max(_order_residuals(b_hat, A, odeint._Q + 1)) \
+        == pytest.approx(8.1e-4, rel=0.01)
+    assert odeint._ALPHA == 0.7 / 5 and odeint._BETA == 0.4 / 5
+    # FSAL: the last stage is y_{n+1}'s derivative, weighted 0 in y_{n+1}
+    np.testing.assert_array_equal(A[-1, :-1], b[:-1])
+    assert c[-1] == 1.0 and b[-1] == 0.0
+    assert (S, odeint._WEIGHTED) == (7, 6)
 
 
 def test_exponential_decay():
