@@ -114,10 +114,10 @@ class DenseTrajectory:
     charged against ``IntegratorSettings.max_steps``.
 
     ``nodes`` holds the nodes in the order integrated, each (t, y, K, h):
-    K is the (stages, dim) stage array and h the length of the accepted step
-    that ends at the node, so that K[-1] = rhs(j, t, y) (FSAL).  A segment's first
-    node has h = 0 and K = rhs(j, t, y)[None].  For a backward integration
-    t is reflected time.
+    K is the (stages, dim) stage array and h the length of the accepted
+    step that ends at the node, so that K[-1] = rhs(j, t, y) (FSAL).  A
+    segment's first node has h = 0 and K = rhs(j, t, y)[None].  For a
+    backward integration t is reflected time.
     """
 
     sample_times: np.ndarray
