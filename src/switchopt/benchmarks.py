@@ -249,7 +249,7 @@ def build_jacobson() -> ProblemDef:
     terminal value of that state.
     """
     def f(x, u):
-        return np.array([x[1], u[0], 0.5 * (x[0] ** 2 + x[1] ** 2)])
+        return np.array([x[1], u[0], 0.5 * (x[0] * x[0] + x[1] * x[1])])
 
     def f_x(x, u):
         J = _lane_zeros((3, 3), x)
@@ -290,7 +290,7 @@ def build_jacobson() -> ProblemDef:
 def build_bressan(T: float = 10.0) -> ProblemDef:
     """Bressan's problem on [0, T]: bang u=-1 then singular u=1/2; s_1 = T/3."""
     def f(x, u):
-        return np.array([u[0], -x[0], x[0] ** 2 - x[1]])
+        return np.array([u[0], -x[0], x[0] * x[0] - x[1]])
 
     def f_x(x, u):
         J = _lane_zeros((3, 3), x)
