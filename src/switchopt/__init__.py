@@ -14,7 +14,7 @@ from .exceptions import (
     SecantDivergence, NoStructure,
 )
 from .odeint import IntegratorSettings, PiecewiseOde, DenseTrajectory, \
-    integrate_piecewise, integrate_with_quadrature
+    integrate_piecewise
 from .problem import ControlPhase, ProblemDef, SwitchConfig, validate_config
 from .gradients import GradientBundle, TrajectoryRecord, evaluate_gradient, \
     forward_sweep, backward_sweep, dense_trajectory, feasibility_margins, \
@@ -33,7 +33,7 @@ __all__ = [
     "InfeasiblePolytope", "MaxItersExceeded", "LineSearchFailure",
     "SecantDivergence", "NoStructure",
     "IntegratorSettings", "PiecewiseOde", "DenseTrajectory",
-    "integrate_piecewise", "integrate_with_quadrature",
+    "integrate_piecewise",
     "ControlPhase", "ProblemDef", "SwitchConfig", "validate_config",
     "GradientBundle", "TrajectoryRecord", "evaluate_gradient",
     "forward_sweep", "backward_sweep", "dense_trajectory",

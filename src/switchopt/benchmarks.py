@@ -46,7 +46,7 @@ class ReferenceSolution:
 
 # Every problem's callbacks also take B lanes of states, x of shape (n, B)
 # and u of shape (m, B), and then return arrays whose trailing axis is the
-# lane axis (``ProblemDef.lanes``).
+# lane axis, as ``ProblemDef`` requires.
 
 def _lane_zeros(shape, x):
     """Zeros of ``shape``, with x's lane axis appended when it has one."""
@@ -227,7 +227,7 @@ def build_catalyst(params: CatalystParams = CatalystParams(),
         case=params.case, phases=phases, f=f, f_x=f_x, f_u=f_u,
         C=lambda x: x[0] + x[1] - 1.0,
         grad_C=lambda x: np.array([1.0, 1.0]),
-        case2_derivs=case2_derivs, reference=reference, lanes=True)
+        case2_derivs=case2_derivs, reference=reference)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +279,7 @@ def build_jacobson() -> ProblemDef:
         T=5.0, free_time=False, case=1, phases=phases,
         f=f, f_x=f_x, f_u=f_u,
         C=lambda x: x[2], grad_C=lambda x: np.array([0.0, 0.0, 1.0]),
-        reference=ReferenceSolution(s_star=np.array([JACOBSON_S1])),
-        lanes=True)
+        reference=ReferenceSolution(s_star=np.array([JACOBSON_S1])))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,7 @@ def build_bressan(T: float = 10.0) -> ProblemDef:
         T=T, free_time=False, case=1, phases=phases,
         f=f, f_x=f_x, f_u=f_u,
         C=lambda x: x[2], grad_C=lambda x: np.array([0.0, 0.0, 1.0]),
-        reference=ReferenceSolution(s_star=np.array([T / 3.0])), lanes=True)
+        reference=ReferenceSolution(s_star=np.array([T / 3.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +414,7 @@ def build_goddard(params: GoddardParams = GoddardParams(),
         name="goddard", n=3, m=1, x0=np.array([0.0, 0.0, 3.0]),
         T=T_init, free_time=True, case=1, phases=phases,
         f=f, f_x=f_x, f_u=f_u, C=C, grad_C=grad_C,
-        reference=GODDARD_REFERENCE, lanes=True)
+        reference=GODDARD_REFERENCE)
 
 
 # ---------------------------------------------------------------------------

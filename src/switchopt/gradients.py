@@ -34,7 +34,7 @@ import numpy as np
 
 from .odeint import PiecewiseOde, _fold_steps, _hermite_resample, \
     integrate_piecewise, \
-    integrate_with_quadrature  # noqa: F401 (patched here by perfbench)
+    integrate_with_quadrature  # noqa: F401 (read only by perfbench's tracer)
 from .problem import horizon, phase_feasibility, phase_flow, \
     phase_jacobian, phase_law, validate_config
 
@@ -110,8 +110,9 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
         return T * flows[j](tau * T, z)
 
     ode = PiecewiseOde(dim=z0.size, segments=sigma, rhs=rhs)
-    traj = integrate_piecewise(ode, z0, "forward", settings,
-                               np.linspace(0.0, 1.0, max(2, sample_count)))
+    traj = integrate_piecewise(
+        ode, z0, settings=settings,
+        sample_times=np.linspace(0.0, 1.0, max(2, sample_count)))
     ckpt = np.array(traj.breakpoint_states)
     times = traj.sample_times * T
     # a sample at a switch point belongs to the phase that starts there

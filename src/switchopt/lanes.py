@@ -7,8 +7,7 @@ backward sweep is the reverse pass of those iterations, the discrete
 adjoint that ``gradients.backward_sweep`` runs for one configuration: each
 iteration folds into one transition matrix per lane by the same
 ``gradients._fold``.  Arrays carry the lane axis last: states (n, B), times
-(B,).  The model callbacks must accept that layout, which a problem
-declares with ``ProblemDef.lanes``; every built-in problem does.
+(B,), the layout every model callback takes (see ``ProblemDef``).
 """
 
 from __future__ import annotations
@@ -36,11 +35,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _require_lanes(prob):
-    """Raise ValueError unless the lane sweeps can take ``prob``: callbacks
-    that take lanes, Case 1, and an analytic law_x for every state law."""
-    if not prob.lanes:
-        raise ValueError(f"{prob.name}: lane sweeps need callbacks that take "
-                         "lanes, and the problem does not declare lanes")
+    """Raise ValueError unless the lane sweeps can take ``prob``: Case 1,
+    and an analytic law_x for every state law."""
     if prob.case != 1:
         raise ValueError(f"{prob.name}: lane sweeps take Case-1 problems")
     for j, ph in enumerate(prob.phases):
@@ -51,7 +47,7 @@ def _require_lanes(prob):
 
 def lane_flow(prob, j):
     """``phase_flow`` of a Case-1 problem on B lanes: F(t, x) of shape
-    (n, B).  The model callbacks must take x of shape (n, B)."""
+    (n, B)."""
     f, control = prob.f, lane_law(prob, j)
     return lambda t, x: f(x, control(t, x))
 

@@ -3,8 +3,7 @@
 The right-hand side may change discontinuously at a known, ordered list of
 breakpoints.  Integration is hard-restarted at every breakpoint: no accepted
 step straddles a segment boundary and the step-size controller is reset, so
-fifth-order accuracy is retained on each smooth piece.  Backward integration
-is implemented by time reflection, giving a single forward code path.
+fifth-order accuracy is retained on each smooth piece.
 
 The module holds the whole method, and no other reads its tableau: the
 scalar loop, the lockstep loop of B lanes, and the fold of accepted steps
@@ -26,7 +25,6 @@ __all__ = [
     "PiecewiseOde",
     "DenseTrajectory",
     "integrate_piecewise",
-    "integrate_with_quadrature",
     "integrate_lanes",
 ]
 
@@ -116,8 +114,7 @@ class DenseTrajectory:
     ``nodes`` holds the nodes in the order integrated, each (t, y, K, h):
     K is the (stages, dim) stage array and h the length of the accepted
     step that ends at the node, so that K[-1] = rhs(j, t, y) (FSAL).  A
-    segment's first node has h = 0 and K = rhs(j, t, y)[None].  For a
-    backward integration t is reflected time.
+    segment's first node has h = 0 and K = rhs(j, t, y)[None].
     """
 
     sample_times: np.ndarray
@@ -221,70 +218,46 @@ def _hermite_resample(nodes, sample_times):
     return times, out
 
 
-def _reflect(ode: PiecewiseOde) -> PiecewiseOde:
-    a, b = ode.segments[0], ode.segments[-1]
-    mirrored = (a + b) - ode.segments[::-1]
-    nseg = len(ode.segments) - 1
+def integrate_piecewise(ode, x_start, *, settings=None, sample_times=None):
+    """Integrate a piecewise ODE forward across all segments with hard
+    restarts.
 
-    def rhs(j, t, x):
-        return -ode.rhs(nseg - 1 - j, (a + b) - t, x)
-
-    return PiecewiseOde(dim=ode.dim, segments=mirrored, rhs=rhs)
-
-
-def integrate_piecewise(ode, x_start, direction="forward", settings=None,
-                        sample_times=None):
-    """Integrate a piecewise ODE across all segments with hard restarts.
-
-    ``direction`` is "forward" (from segments[0]) or "backward" (from
-    segments[-1], realized by time reflection).  The returned trajectory is
-    always expressed in original time: the states are resampled at
-    ``sample_times`` (default: the two ends of the interval), in the order
-    given, and breakpoint_states[i] is the state at ode.segments[i].
+    The states are resampled at ``sample_times`` (default: the two ends of
+    the interval), in the order given, and breakpoint_states[i] is the
+    state at ode.segments[i].
     """
     settings = settings or IntegratorSettings()
     x_start = np.asarray(x_start, dtype=float)
     if x_start.size != ode.dim:
         raise ValueError(f"x_start has dimension {x_start.size}, expected {ode.dim}")
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
 
-    work = _reflect(ode) if direction == "backward" else ode
     nodes: list[tuple] = []
     bp_states = [x_start.copy()]
     y = x_start
     budget = settings.max_steps
     used = 0
-    for j in range(len(work.segments) - 1):
+    for j in range(len(ode.segments) - 1):
         y, steps = _integrate_segment(
-            work.rhs, j, work.segments[j], work.segments[j + 1], y, settings,
+            ode.rhs, j, ode.segments[j], ode.segments[j + 1], y, settings,
             nodes, budget - used)
         used += steps
         bp_states.append(y.copy())
 
-    a, b = ode.segments[0], ode.segments[-1]
-    samp_t = np.asarray([a, b] if sample_times is None else sample_times,
-                        dtype=float)
-    backward = direction == "backward"
-    times, samp_x = _hermite_resample(
-        nodes, (a + b) - samp_t if backward else samp_t)
-    if backward:
-        times = ((a + b) - times)[::-1]
-        bp_states = bp_states[::-1]
-
+    samp_t = np.asarray([ode.segments[0], ode.segments[-1]]
+                        if sample_times is None else sample_times, dtype=float)
+    times, samp_x = _hermite_resample(nodes, samp_t)
     return DenseTrajectory(
         sample_times=samp_t, sample_states=samp_x,
         breakpoint_states=bp_states, steps=used, step_times=times,
         nodes=nodes)
 
 
-def integrate_with_quadrature(ode, x_start, integrand, direction="forward",
-                              settings=None, sample_times=None):
+def integrate_with_quadrature(ode, x_start, integrand, *, settings=None,
+                              sample_times=None):
     """Integrate the ODE while accumulating a scalar quadrature state.
 
     Returns (trajectory, value) where value = integral of integrand(j, t, x)
-    over the full interval (with respect to increasing t, regardless of the
-    traversal direction).  The quadrature is one more component of the
+    over the full interval.  The quadrature is one more component of the
     state and enters the error test like the others.  The gradient sweeps
     do not use it; the tests integrate the paper's dC/dT quadrature with
     it as an oracle.
@@ -295,14 +268,9 @@ def integrate_with_quadrature(ode, x_start, integrand, direction="forward",
 
     aug = PiecewiseOde(dim=ode.dim + 1, segments=ode.segments, rhs=rhs)
     z0 = np.append(np.asarray(x_start, dtype=float), 0.0)
-    traj = integrate_piecewise(aug, z0, direction, settings, sample_times)
-
-    if direction == "backward":
-        # reflection negates the quadrature rate; start value sits at t = b
-        quad = traj.breakpoint_states[-1][-1] - traj.breakpoint_states[0][-1]
-    else:
-        quad = traj.breakpoint_states[-1][-1]
-
+    traj = integrate_piecewise(aug, z0, settings=settings,
+                               sample_times=sample_times)
+    quad = traj.breakpoint_states[-1][-1]
     traj.sample_states = traj.sample_states[:, :-1]
     traj.breakpoint_states = [s[:-1] for s in traj.breakpoint_states]
     return traj, float(quad)

@@ -59,13 +59,11 @@ class ControlPhase:
 class ProblemDef:
     """Immutable definition of a multi-phase control problem.
 
-    ``lanes`` declares that the model callbacks (f, f_x, f_u, C, grad_C,
-    every law and law_x, case2_derivs) also take B points at once: t of
-    shape (B,), x and p of shape (n, B), u of shape (m, B), and return
-    arrays whose trailing axis is that lane axis.  Then each phase's
-    Jacobian at all the stage points of a sweep costs one call, and the
-    lane sweeps (module ``lanes``) accept the problem.  Without it every
-    callback sees one point at a time.
+    The model callbacks (f, f_x, f_u, C, grad_C, every law and law_x,
+    case2_derivs) take one point or B points at once: t of shape (B,), x
+    and p of shape (n, B), u of shape (m, B), returning arrays whose
+    trailing axis is that lane axis.  So each phase's Jacobian at all the
+    stage points of a sweep costs one call.
     """
 
     name: str
@@ -85,7 +83,6 @@ class ProblemDef:
     # the lane axis last on lanes
     case2_derivs: Optional[Callable] = None
     reference: object = None
-    lanes: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
@@ -233,45 +230,32 @@ def phase_flow(prob, j):
     return flow
 
 
-def _pointwise(jacobian):
-    """A Jacobian of one point, (t, z) -> (d, d), applied to M points:
-    (t of shape (M,), z of shape (d, M)) -> (d, d, M)."""
-    return lambda t, z: np.stack(
-        [np.asarray(jacobian(t[i], z[:, i]), dtype=float)
-         for i in range(t.size)], axis=-1)
-
-
 def phase_jacobian(prob, j):
     """Phase j's flow Jacobian at M points: J(t, z) of shape (d, d, M) for
     t of shape (M,) and z of shape (d, M), J[..., i] = dF/dz(t_i, z_i).
 
     It comes from the closed-loop Jacobian (Case 1) or case2_derivs
-    (Case 2), in one call when ``prob.lanes`` is set and one call per
-    point otherwise.  A phase without them takes a central difference of
-    F, column by column and point by point: 2 dim(z) flow calls per
+    (Case 2) in one call.  A phase without them takes a central difference
+    of F, column by column and point by point: 2 dim(z) flow calls per
     point.
     """
     n, derivs, ph = prob.n, prob.case2_derivs, prob.phases[j]
     if prob.case == 1 and (ph.law_x is not None or ph.law_kind == "constant"):
-        jacobian = phase_law_jacobian(prob, j)
-        control = lane_law(prob, j) if prob.lanes else phase_law(prob, j)
+        jacobian, control = phase_law_jacobian(prob, j), lane_law(prob, j)
+        return lambda t, z: jacobian(t, z, control(t, z))
+    if prob.case == 2 and derivs is not None:
+        return lambda t, z: derivs(j, t, z[:n], z[n:])
+    flow = phase_flow(prob, j)
 
-        def at(t, z):
-            return jacobian(t, z, control(t, z))
-    elif prob.case == 2 and derivs is not None:
-        def at(t, z):
-            return derivs(j, t, z[:n], z[n:])
-    else:
-        flow = phase_flow(prob, j)
-
-        def central(t, z):
-            J = np.empty((z.size, z.size))
-            for i in range(z.size):
-                h = FD_STEP * max(1.0, abs(z[i]))
-                zp, zm = z.copy(), z.copy()
+    def central(t, z):
+        d = z.shape[0]
+        J = np.empty((d, d, t.size))
+        for m in range(t.size):
+            for i in range(d):
+                h = FD_STEP * max(1.0, abs(z[i, m]))
+                zp, zm = z[:, m].copy(), z[:, m].copy()
                 zp[i] += h
                 zm[i] -= h
-                J[:, i] = (flow(t, zp) - flow(t, zm)) / (2 * h)
-            return J
-        return _pointwise(central)
-    return at if prob.lanes else _pointwise(at)
+                J[:, i, m] = (flow(t[m], zp) - flow(t[m], zm)) / (2 * h)
+        return J
+    return central

@@ -12,15 +12,17 @@ from switchopt.benchmarks import (
 from switchopt import gradients
 from switchopt.exceptions import NonFiniteState
 from switchopt.gradients import (
-    DEFAULT_SAMPLES, dense_trajectory, evaluate_gradient, feasibility_margins,
-    forward_sweep, free_time_gradient_check, gradcheck,
+    dense_trajectory, evaluate_gradient, feasibility_margins, forward_sweep,
+    free_time_gradient_check, gradcheck,
 )
 from switchopt.lanes import backward_lanes, evaluate_lanes, forward_lanes
 from switchopt.odeint import _A, _B5, _C, IntegratorSettings, PiecewiseOde, \
-    integrate_piecewise, integrate_with_quadrature
+    integrate_piecewise
 from switchopt.optimizer import minimize
 from switchopt.problem import ControlPhase, ProblemDef, SwitchConfig, \
     phase_flow, phase_jacobian
+
+from oracles import integrate_backward, quadrature_backward
 
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 
@@ -194,12 +196,10 @@ def test_d_T_matches_hamiltonian_quadrature(name):
         flow = phase_flow(prob, j)
         ode = PiecewiseOde(dim=2 * d, segments=fwd.sigma[j:j + 2],
                            rhs=_adjoint_rhs(prob, j, T, d))
-        _, q = integrate_with_quadrature(
+        quad += quadrature_backward(
             ode, np.concatenate((fwd.checkpoints[j + 1],
                                  bundle.bwd.costates[j + 1])),
-            lambda j_, tau, w: w[d:] @ flow(tau * T, w[:d]), "backward",
-            TIGHT)
-        quad += q
+            lambda j_, tau, w: w[d:] @ flow(tau * T, w[:d]), settings=TIGHT)
     assert bundle.d_T == pytest.approx(quad, rel=1e-9)
 
 
@@ -307,9 +307,9 @@ def _adaptive_backward(prob, fwd, settings):
     for j in range(prob.k, -1, -1):
         ode = PiecewiseOde(dim=2 * d, segments=fwd.sigma[j:j + 2],
                            rhs=_adjoint_rhs(prob, j, T, d))
-        back = integrate_piecewise(
-            ode, np.concatenate((fwd.checkpoints[j + 1], lam)), "backward",
-            settings)
+        back = integrate_backward(
+            ode, np.concatenate((fwd.checkpoints[j + 1], lam)),
+            settings=settings)
         lam = back.breakpoint_states[0][d:]
         costates.insert(0, lam)
     return costates
@@ -409,24 +409,6 @@ def test_one_integration_and_six_adjoint_rows_per_step(monkeypatch, name):
     assert sum(size for _, size in calls) == 6 * accepted[0]
 
 
-@pytest.mark.parametrize("name", list(FROZEN_CASES))
-def test_per_point_jacobians_match_lanes(name):
-    # the problem's callbacks called once per phase on all stage points,
-    # and once per point with lanes off: the same derivatives
-    prob = build_problem(name)
-    assert prob.lanes
-    cfg = FROZEN_CASES[name]
-    want = evaluate_gradient(prob, cfg, TIGHT, with_d_T=True)
-    got = evaluate_gradient(dataclasses.replace(prob, lanes=False), cfg,
-                            TIGHT, with_d_T=True)
-    assert got.objective == want.objective
-    np.testing.assert_allclose(got.d_s, want.d_s, rtol=1e-12, atol=0.0)
-    if want.d_p0 is not None:
-        np.testing.assert_allclose(got.d_p0, want.d_p0, rtol=1e-12,
-                                   atol=0.0)
-    assert got.d_T == pytest.approx(want.d_T, rel=1e-12, abs=0.0)
-
-
 def _bump_problem(c, w):
     """x1' = 1, x2' = u with the state feedback u = 1 / (1 + ((x1 - c) /
     w)^2) in a box [0, 0.5] on phase 0, and u = 0 after s_1: u leaves its
@@ -510,16 +492,15 @@ def _float_law(ph):
 @pytest.mark.parametrize("name, cfg", [("goddard", GODDARD_CFG),
                                        ("catalyst2", CATALYST2_CFG)])
 def test_scalar_float_law_integrates(name, cfg):
-    # a law that returns a float takes no lanes: both problems call their
-    # callbacks one point at a time
-    prob = dataclasses.replace(build_problem(name), lanes=False)
+    # a law that returns a float serves one point at a time: the forward
+    # sweep, which calls the laws so, integrates it to the very bits
+    prob = build_problem(name)
     floats = dataclasses.replace(prob, phases=tuple(
         dataclasses.replace(ph, law=_float_law(ph)) for ph in prob.phases))
-    want = evaluate_gradient(prob, cfg, TIGHT)
-    got = evaluate_gradient(floats, cfg, TIGHT)
-    _assert_bundles_close(floats, got, prob, want, 0.0)
-    _, _, us, _ = dense_trajectory(floats, cfg, TIGHT)
-    assert us.shape == (DEFAULT_SAMPLES, 1)
+    want = forward_sweep(prob, cfg, TIGHT)
+    got = forward_sweep(floats, cfg, TIGHT)
+    assert got.objective == want.objective
+    assert np.array_equal(got.checkpoints, want.checkpoints)
 
 
 def test_dense_trajectory_reuses_forward_record():
@@ -564,11 +545,11 @@ def _whole_horizon_costate(prob, fwd, settings, tau):
 
     lam_end = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
                               np.zeros(d - prob.n)))
-    back = integrate_piecewise(
+    back = integrate_backward(
         PiecewiseOde(dim=2 * d, segments=fwd.sigma,
                      rhs=lambda j, tau, w: phases[j](j, tau, w)),
-        np.concatenate((fwd.checkpoints[-1], lam_end)), "backward",
-        settings, tau)
+        np.concatenate((fwd.checkpoints[-1], lam_end)), settings=settings,
+        sample_times=tau)
     return back.sample_states[:, d:]
 
 
@@ -770,7 +751,7 @@ def _band_problem(log):
                              law_x=lambda t, x: np.zeros((2,) + x.shape))),
         f=lambda x, u: np.array([u[0], u[1], x[0] ** 2]),
         f_x=f_x, f_u=f_u, C=lambda x: x[0] + x[1] + x[2],
-        grad_C=lambda x: np.ones(3), lanes=True)
+        grad_C=lambda x: np.ones(3))
 
 
 def test_lanes_fold_no_stage_of_an_attempt_that_failed():
@@ -852,7 +833,7 @@ def test_lanes_reverse_pass_takes_one_jacobian_per_iteration(monkeypatch,
 
 
 def test_lanes_refuse_a_problem_without_lanes(monkeypatch, tmp_path):
-    # the bump toy's callbacks take one point; every lane entry point
+    # the bump toy's state law has no law_x; every lane entry point
     # refuses it by name before it integrates anything, and the profile
     # command exits 3
     from switchopt import cli, lanes
@@ -863,7 +844,6 @@ def test_lanes_refuse_a_problem_without_lanes(monkeypatch, tmp_path):
 
     monkeypatch.setattr(lanes, "integrate_lanes", forbidden)
     prob = _bump_problem(c=0.5, w=0.1)
-    assert not prob.lanes
     cfgs = [SwitchConfig(s=np.array([s])) for s in (0.3, 0.6)]
     for run in (lanes.forward_lanes, lanes.evaluate_lanes):
         with pytest.raises(ValueError, match="bump: lane sweeps need"):

@@ -15,6 +15,11 @@ from switchopt.odeint import (
     integrate_with_quadrature,
 )
 
+from oracles import integrate_backward, quadrature_backward
+
+# the library integrates forward; the oracles reflect time to go back
+INTEGRATE = {"forward": integrate_piecewise, "backward": integrate_backward}
+
 
 def _tight(**kw):
     return IntegratorSettings(rel_tol=1e-10, abs_tol=1e-10, **kw)
@@ -142,10 +147,9 @@ def test_quadrature_backward_matches_forward():
                        rhs=lambda j, t, x: np.array([np.cos(t)]))
     integrand = lambda j, t, x: float(x[0])
     fw, qf = integrate_with_quadrature(ode, np.zeros(1), integrand,
-                                       "forward", _tight())
+                                       settings=_tight())
     end = fw.breakpoint_states[-1]
-    _, qb = integrate_with_quadrature(ode, end, integrand, "backward",
-                                      _tight())
+    qb = quadrature_backward(ode, end, integrand, settings=_tight())
     # integral of sin(t) over [0,2]
     assert qf == pytest.approx(1 - np.cos(2.0), abs=1e-8)
     assert qb == pytest.approx(qf, abs=1e-8)
@@ -189,10 +193,21 @@ def test_backward_round_trip():
     ode = PiecewiseOde(dim=3, segments=np.array([0.0, 0.4, 1.0]),
                        rhs=lambda j, t, x: A @ x)
     x0 = rng.normal(size=3)
-    fw = integrate_piecewise(ode, x0, "forward", _tight())
-    bw = integrate_piecewise(ode, fw.breakpoint_states[-1], "backward",
-                             _tight())
+    fw = integrate_piecewise(ode, x0, settings=_tight())
+    bw = integrate_backward(ode, fw.breakpoint_states[-1], settings=_tight())
     np.testing.assert_allclose(bw.breakpoint_states[0], x0, atol=1e-8)
+
+
+def test_direction_is_no_argument():
+    # the integrators run forward only, and take their settings by
+    # keyword: a positional direction fails at the call
+    ode = PiecewiseOde(dim=1, segments=np.array([0.0, 1.0]),
+                       rhs=lambda j, t, x: -x)
+    with pytest.raises(TypeError):
+        integrate_piecewise(ode, np.ones(1), "backward")
+    with pytest.raises(TypeError):
+        integrate_with_quadrature(ode, np.ones(1), lambda j, t, x: 1.0,
+                                  "backward")
 
 
 def test_no_step_straddles_breakpoint():
@@ -311,10 +326,10 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
 
 
 def _outcome(ode, y_start, direction, settings):
-    """(breakpoint states, step_times, steps) of integrate_piecewise, or
-    the type of the exception it raises."""
+    """(breakpoint states, step_times, steps) of the integration in
+    ``direction``, or the type of the exception it raises."""
     try:
-        traj = integrate_piecewise(ode, y_start, direction, settings)
+        traj = INTEGRATE[direction](ode, y_start, settings=settings)
     except SwitchOptError as exc:
         return type(exc)
     return np.array(traj.breakpoint_states), traj.step_times, traj.steps
@@ -454,9 +469,8 @@ def test_hermite_resample_matches_loop_exactly(monkeypatch, direction):
     ode = _piecewise_oscillator()
     # samples 2**-10 apart land on both breakpoints, where nodes are
     # duplicated
-    traj = integrate_piecewise(ode, np.array([1.0, 0.0]), direction,
-                               settings=_tight(),
-                               sample_times=np.linspace(0.0, 2.0, 2049))
+    traj = INTEGRATE[direction](ode, np.array([1.0, 0.0]), settings=_tight(),
+                                sample_times=np.linspace(0.0, 2.0, 2049))
     (nodes, sample_times), = calls
     node_times = np.array([n[0] for n in nodes])
     assert np.any(np.diff(node_times) == 0)

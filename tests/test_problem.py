@@ -337,13 +337,12 @@ def test_lane_callbacks_match_scalar_calls(name):
                                        rtol=1e-15, atol=1e-15)
             if exact and fn is not prob.f:
                 assert np.array_equal(out[..., b], fn(x[:, b], u[:, b]))
-    per_point = dataclasses.replace(prob, lanes=False)
     for j in range(prob.k + 1):
         u_j = lane_law(prob, j)(t, x)
         F = lane_flow(prob, j)(t, x)
         J = phase_jacobian(prob, j)(t, x)
-        J_points = phase_jacobian(per_point, j)(t, x)
         for b in range(5):
+            J_point = phase_jacobian(prob, j)(t[b:b + 1], x[:, b:b + 1])
             np.testing.assert_allclose(u_j[:, b],
                                        phase_law(prob, j)(t[b], x[:, b]),
                                        rtol=1e-15)
@@ -351,9 +350,9 @@ def test_lane_callbacks_match_scalar_calls(name):
                                        phase_flow(prob, j)(t[b], x[:, b]),
                                        rtol=1e-15, atol=1e-15)
             if exact:
-                assert np.array_equal(J[..., b], J_points[..., b])
+                assert np.array_equal(J[..., b], J_point[..., 0])
             else:
-                np.testing.assert_allclose(J[..., b], J_points[..., b],
+                np.testing.assert_allclose(J[..., b], J_point[..., 0],
                                            rtol=1e-15, atol=1e-15)
 
 
@@ -363,10 +362,9 @@ def test_lane_callbacks_match_scalar_calls(name):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_batched_phase_jacobian_matches_per_point(name, j, data):
-    # one call over M points of the phase (the lanes path) against the
-    # per-point path of the same problem, lane by lane; the points are
-    # forward-sweep samples of the phase, each moved by up to 1e-3
-    # relative
+    # one call over M points of the phase against M one-point calls,
+    # lane by lane; the points are forward-sweep samples of the phase,
+    # each moved by up to 1e-3 relative
     prob, points = _phase_points(name, j)
     picks = data.draw(st.lists(st.sampled_from(points), min_size=1,
                                max_size=8))
@@ -374,8 +372,10 @@ def test_batched_phase_jacobian_matches_per_point(name, j, data):
                                max_size=len(picks)))
     t = np.array([p[0] for p in picks])
     z = np.array([p[1] * (1.0 + m) for p, m in zip(picks, moves)]).T
-    J = phase_jacobian(prob, j)(t, z)
-    want = phase_jacobian(dataclasses.replace(prob, lanes=False), j)(t, z)
+    jacobian = phase_jacobian(prob, j)
+    J = jacobian(t, z)
+    want = np.concatenate([jacobian(t[b:b + 1], z[:, b:b + 1])
+                           for b in range(t.size)], axis=-1)
     assert J.shape == want.shape == (z.shape[0], z.shape[0], t.size)
     for b in range(t.size):
         scale = max(1.0, np.max(np.abs(want[..., b])))
