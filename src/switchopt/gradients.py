@@ -4,15 +4,15 @@ reverse pass.
 The forward sweep integrates the sweep state z: the state x in Case 1, the
 state and costate (x, p) in Case 2, each phase j with its flow F_j (see
 ``problem.phase_flow``).  The backward sweep is the discrete adjoint of the
-forward sweep's accepted steps.  ``odeint``, which alone knows the method,
-folds each step into its d-by-d transition matrix G_n = dz_{n+1}/dz_n;
-this module supplies the stage Jacobians, each phase's flow Jacobian dF/dz
-at all the stage points of its steps from one ``problem.phase_jacobian``
-call.  The reverse pass is then one
-vector-matrix product per step, lam_n = lam_{n+1} G_n, from
-lam(T) = (grad C, 0), and gives at every node z_n of the forward mesh
-lam_n = dC(z_N)/dz_n of the computed solution.  That one adjoint gives every
-derivative:
+forward sweep's accepted steps, phase by phase from the last, for one sweep
+or B lanes.  ``odeint``, which alone knows the method, folds each step into
+its d-by-d transition matrix G_n = dz_{n+1}/dz_n; this module supplies the
+stage Jacobians, dF/dz of the phase at the stage points of up to
+``odeint._FOLD_BLOCK`` steps per ``problem.phase_jacobian`` call.  The
+reverse pass is then one vector-matrix product per step, lam_n = lam_{n+1}
+G_n, from lam(T) = (grad C, 0), and gives at every node z_n of the forward
+mesh lam_n = dC(z_N)/dz_n of the computed solution.  That one adjoint gives
+every derivative:
 
 - dC/ds_j = lam . (F_{j-1} - F_j) at s_j, the jump of the Hamiltonian lam . F;
 - dC/dp0 is the p-block of lam(0) (Case 2);
@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .odeint import PiecewiseOde, _fold_steps, _hermite_resample, \
-    integrate_piecewise, \
+    _segment_nodes, integrate_piecewise, \
     integrate_with_quadrature  # noqa: F401 (read only by perfbench's tracer)
 from .problem import horizon, phase_feasibility, phase_flow, \
     phase_jacobian, phase_law, validate_config
@@ -67,8 +67,8 @@ class TrajectoryRecord:
     sigma: np.ndarray                 # switch points in tau units, incl. 0 and 1
     T: float
     steps: int                        # integrator step attempts of the sweep
-    # the accepted-step nodes (tau, z, K, h), see odeint.DenseTrajectory
-    nodes: list = field(repr=False)
+    # per phase, the accepted steps (tau, h, z, K): odeint.DenseTrajectory
+    records: list = field(repr=False)
 
 
 @dataclass
@@ -76,7 +76,7 @@ class BackwardRecord:
     """Backward-sweep output: the adjoint lam of z on the forward mesh."""
 
     costates: list                    # lam at 0, s_1..s_k, T
-    nodal: np.ndarray                 # (len(fwd.nodes), dim z): lam at each node
+    nodal: np.ndarray                 # lam at each node of _phase_nodes
     steps: int                        # reverse steps: the forward's accepted ones
 
 
@@ -128,65 +128,49 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
         sigma=sigma,
         T=T,
         steps=traj.steps,
-        nodes=traj.nodes)
+        records=traj.records)
 
 
-def _node_phases(fwd):
-    """Phase of each node of ``fwd``: a phase starts at a node with h = 0."""
-    return np.cumsum([node[3] == 0.0 for node in fwd.nodes]) - 1
+def _phase_nodes(fwd):
+    """(tau, z) of the nodes of each phase of the forward record ``fwd``:
+    its steps' starts, then its end."""
+    return [_segment_nodes(record, fwd.sigma[j + 1], fwd.checkpoints[j + 1])
+            [:2] for j, record in enumerate(fwd.records)]
 
 
-def _jacobians(prob, phase, t, Z):
-    """dF/dz at the points (t[i], Z[i]) of phase ``phase[i]``, sorted, as
-    (M, d, d), from one ``phase_jacobian`` call per phase present."""
-    J = np.empty(Z.shape + Z.shape[-1:])
-    ends = np.searchsorted(phase, np.arange(prob.k + 2))
-    for j in range(prob.k + 1):
-        at = slice(ends[j], ends[j + 1])
-        if ends[j] < ends[j + 1]:
-            J[at] = phase_jacobian(prob, j)(t[at], Z[at].T).transpose(2, 0, 1)
-    return J
-
-
-def _fold(prob, phase, T, tau, h, y, K):
-    """``odeint._fold_steps`` of N forward steps of the sweep state z: step
-    n, of phase ``phase[n]`` (sorted) and horizon T (or T[n]), starts at
-    (tau[n], y[n]) with length h[n] and stages K[n].  The stage Jacobians
-    come from one ``phase_jacobian`` call per phase present."""
-    def jacobian(t, Y):
-        N, S, d = Y.shape
-        return _jacobians(prob, np.repeat(phase, S), t.reshape(-1),
-                          Y.reshape(-1, d)).reshape(N, S, d, d)
-    return _fold_steps(jacobian, T, tau, h, y, K)
+def _reverse_pass(prob, j, T, record, lam):
+    """lam before each step of phase j's record (tau, h, z, K), steps (N,)
+    or (I, B) on B lanes, from lam (d,) or (B, d) at the phase's end:
+    lam_n = lam_{n+1} (I + D_n), D_n from ``odeint._fold_steps``."""
+    jacobian = phase_jacobian(prob, j)
+    D = _fold_steps(lambda t, Y: jacobian(t, Y.T).transpose(2, 0, 1),
+                    T, *record)
+    chain = np.empty(D.shape[:-1])
+    for n in range(len(D) - 1, -1, -1):
+        lam = lam + (lam[..., None, :] @ D[n])[..., 0, :]
+        chain[n] = lam
+    return chain
 
 
 def backward_sweep(prob, fwd):
     """lam_n = dC(z_N)/dz_n at every node of the forward record ``fwd``.
 
-    The reverse pass of the accepted steps: lam_n = lam_{n+1} G_n
-    with G_n = dz_{n+1}/dz_n of step n, all folded by one ``_fold`` from
-    the nodes and their stages K.  It has no tolerance and no error test;
-    lam passes a switch point unchanged.
+    The reverse pass of the accepted steps, phase by phase from the last,
+    lam_n = lam_{n+1} G_n with G_n = dz_{n+1}/dz_n of step n: no tolerance
+    and no error test, and lam passes a switch point unchanged.
     """
-    d, nodes = fwd.checkpoints.shape[1], fwd.nodes
-    h_node = np.array([node[3] for node in nodes])
-    step = np.flatnonzero(h_node)         # the node each step ends at
-    D = _fold(prob, _node_phases(fwd)[step], fwd.T,
-              np.array([nodes[m - 1][0] for m in step]), h_node[step],
-              np.array([nodes[m - 1][1] for m in step]),
-              np.array([nodes[m][2] for m in step]))
+    d = fwd.checkpoints.shape[1]
     lam = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
                           np.zeros(d - prob.n)))
-    chain = [lam]                         # lam before each step, reversed
-    for D_n in D[::-1]:
-        lam = lam + lam @ D_n
-        chain.append(lam)
-    # a node ending step n has lam_{n+1}; a phase's first node, where h
-    # is 0, has the lam of the step after it
-    nodal = np.array(chain[::-1])[np.cumsum(h_node != 0.0)]
-    costates = list(nodal[h_node == 0.0])
-    return BackwardRecord(costates=costates + [nodal[-1]], nodal=nodal,
-                          steps=step.size)
+    costates, nodal = [lam], []
+    for j in range(prob.k, -1, -1):
+        chain = _reverse_pass(prob, j, fwd.T, fwd.records[j], lam)
+        nodal[:0] = [chain, lam[None]]
+        lam = chain[0]
+        costates.insert(0, lam)
+    nodal = np.concatenate(nodal)
+    return BackwardRecord(costates=costates, nodal=nodal,
+                          steps=len(nodal) - (prob.k + 1))
 
 
 def feasibility_margins(prob, fwd):
@@ -194,9 +178,10 @@ def feasibility_margins(prob, fwd):
     at its accepted-step nodes, the phase's two checkpoints included."""
     n, worst = prob.n, np.full(prob.k + 1, np.inf)
     margins = _resolved(phase_feasibility, prob)
-    for j, (tau, z, _, _) in zip(_node_phases(fwd), fwd.nodes):
-        m = margins[j](tau * fwd.T, z[:n], z[n:] if z.size > n else None)
-        worst[j] = min(worst[j], float(np.min(m)))
+    for j, nodes in enumerate(_phase_nodes(fwd)):
+        for tau, z in zip(*nodes):
+            m = margins[j](tau * fwd.T, z[:n], z[n:] if z.size > n else None)
+            worst[j] = min(worst[j], float(np.min(m)))
     return worst
 
 
@@ -305,13 +290,12 @@ def _costate_samples(prob, fwd, bwd):
     where the nodal lam is within 9.4e-10.  The forward state samples are
     the same kind of interpolant.
     """
-    T, lam = fwd.T, bwd.nodal
-    tau = np.array([node[0] for node in fwd.nodes])
-    J = _jacobians(prob, _node_phases(fwd), tau * T,
-                   np.array([node[1] for node in fwd.nodes]))
-    dlam = -T * np.einsum("mi,mij->mj", lam, J)
-    nodes = list(zip(tau, lam, dlam[:, None]))
-    return _hermite_resample(nodes, fwd.times / T)[1]
+    T, nodes = fwd.T, _phase_nodes(fwd)
+    J = np.concatenate([phase_jacobian(prob, j)(tau * T, z.T).transpose(
+        2, 0, 1) for j, (tau, z) in enumerate(nodes)])
+    dlam = -T * np.einsum("mi,mij->mj", bwd.nodal, J)
+    tau = np.concatenate([tau for tau, _ in nodes])
+    return _hermite_resample(tau, bwd.nodal, dlam, fwd.times / T)
 
 
 def dense_trajectory(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,

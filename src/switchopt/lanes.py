@@ -2,12 +2,11 @@
 
 The forward sweep integrates the lanes with ``odeint.integrate_lanes``, in
 which each lane takes the steps of the scalar sweep of its configuration,
-and records the stages of each iteration in which a lane accepts.  The
-backward sweep is the reverse pass of those iterations, the discrete
-adjoint that ``gradients.backward_sweep`` runs for one configuration: each
-iteration folds into one transition matrix per lane by the same
-``gradients._fold``.  Arrays carry the lane axis last: states (n, B), times
-(B,), the layout every model callback takes (see ``ProblemDef``).
+and records each phase's accepted steps as the scalar sweep does, with a
+lane axis after the step axis.  The backward sweep is the scalar sweep's
+reverse pass, ``gradients._reverse_pass`` phase by phase.  Arrays carry
+the lane axis last: states (n, B), times (B,), the layout every model
+callback takes (see ``ProblemDef``).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gradients import GradientBundle, _fold, _resolved, _switch_jumps
+from .gradients import GradientBundle, _resolved, _reverse_pass, _switch_jumps
 from .odeint import PiecewiseOde, integrate_lanes
 from .problem import horizon, lane_law, validate_config
 
@@ -66,9 +65,8 @@ class LaneRecord:
     steps: np.ndarray                 # (B,) integrator step attempts, or
     #                                   the reverse steps of a backward sweep
     objective: Optional[np.ndarray] = None   # (B,), forward sweeps only
-    # forward sweeps: per phase, the (tau, h, x, K) of each lockstep
-    # iteration in which a lane accepted a step (see odeint.integrate_lanes)
-    iterations: Optional[list] = None
+    # forward sweeps: per phase, the (I, B) accepted steps (tau, h, x, K)
+    records: Optional[list] = None
 
 
 def forward_lanes(prob, cfgs, settings=None):
@@ -87,33 +85,29 @@ def forward_lanes(prob, cfgs, settings=None):
         return T * flows[j](tau * T, x)
 
     ode = PiecewiseOde(dim=prob.n, segments=sigma, rhs=rhs)
-    states, steps, iterations = integrate_lanes(
+    states, steps, records = integrate_lanes(
         ode, np.repeat(prob.x0[:, None], T.size, axis=1), settings)
     ckpt = np.array(states)
     return LaneRecord(checkpoints=ckpt, sigma=sigma, T=T, steps=steps,
                       objective=np.asarray(prob.C(ckpt[-1]), dtype=float),
-                      iterations=iterations)
+                      records=records)
 
 
 def backward_lanes(prob, fwd):
     """``backward_sweep`` of the lanes of ``fwd``: the reverse pass of its
-    recorded lockstep iterations, each folded by ``gradients._fold`` from
-    its recorded stages with one Jacobian call, and no flow or law call; a
-    lane whose h is 0 keeps its lam.  It keeps lam at the checkpoints only:
-    a fixed-time profile reads only the Hamiltonian jumps."""
+    recorded steps by ``gradients._reverse_pass``, phase by phase, with
+    no flow or law call outside the stage Jacobians; a lane whose h is 0
+    keeps its lam.  It keeps lam at the checkpoints only: a fixed-time
+    profile reads only the Hamiltonian jumps."""
     n, B = prob.n, fwd.T.size
     lam = np.array(np.broadcast_to(
         np.reshape(prob.grad_C(fwd.checkpoints[-1]), (n, -1)),
         (n, B)).T)                        # lane-major (B, n) from here on
-    costates = [None] * (prob.k + 2)
-    costates[-1] = lam.T
-    steps = np.zeros(B, dtype=int)
+    costates, steps = [lam.T], 0
     for j in range(prob.k, -1, -1):
-        for tau, h, y, K in reversed(fwd.iterations[j]):
-            D = _fold(prob, np.full(B, j), fwd.T, tau, h, y, K)
-            lam = lam + (lam[:, None] @ D)[:, 0]
-            steps += h > 0.0
-        costates[j] = lam.T
+        lam = _reverse_pass(prob, j, fwd.T, fwd.records[j], lam)[0]
+        steps = steps + np.count_nonzero(fwd.records[j][1], axis=0)
+        costates.insert(0, lam.T)
     return LaneRecord(checkpoints=np.array(costates), sigma=fwd.sigma,
                       T=fwd.T, steps=steps)
 

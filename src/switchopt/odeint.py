@@ -7,7 +7,8 @@ fifth-order accuracy is retained on each smooth piece.
 
 The module holds the whole method, and no other reads its tableau: the
 scalar loop, the lockstep loop of B lanes, and the fold of accepted steps
-into the transition matrices of the reverse pass.
+into the transition matrices of the reverse pass.  Both loops record a
+segment's accepted steps as arrays (t, h, y, K), the step axis first.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _H_INIT = 1e-3    # first trial step of every segment
 _H_MIN = 1e-14    # below this step size a segment gives up
+_FOLD_BLOCK = 256  # steps per fold: bounds its arrays on many lanes
 
 
 @dataclass(frozen=True)
@@ -105,16 +107,16 @@ class PiecewiseOde:
 class DenseTrajectory:
     """Integration output: samples plus segment-boundary states.
 
-    ``step_times`` holds the times of the accepted-step nodes, segment
-    starts included; the samples are a Hermite re-interpolation of those
-    nodes at the requested times, intended for reports and plots.
-    ``steps`` counts the step attempts (accepted, rejected and non-finite)
-    charged against ``IntegratorSettings.max_steps``.
+    ``step_times`` holds the times of the nodes, each accepted step's
+    start and each segment's end; the samples are a Hermite
+    re-interpolation of those nodes at the requested times, intended for
+    reports and plots.  ``steps`` counts the step attempts (accepted,
+    rejected and non-finite) charged against ``IntegratorSettings.max_steps``.
 
-    ``nodes`` holds the nodes in the order integrated, each (t, y, K, h):
-    K is the (stages, dim) stage array and h the length of the accepted
-    step that ends at the node, so that K[-1] = rhs(j, t, y) (FSAL).  A
-    segment's first node has h = 0 and K = rhs(j, t, y)[None].
+    ``records[j]`` holds segment j's N accepted steps as arrays (t, h, y,
+    K) of shapes (N,), (N,), (N, dim), (N, stages, dim): step n starts at
+    (t[n], y[n]) with length h[n], K[n, 0] = rhs(j, t[n], y[n]), and
+    K[n, -1] is the derivative at its end (FSAL).
     """
 
     sample_times: np.ndarray
@@ -122,15 +124,14 @@ class DenseTrajectory:
     breakpoint_states: list[np.ndarray]
     steps: int = 0
     step_times: np.ndarray = field(repr=False, default=None)
-    nodes: list = field(repr=False, default=None)
+    records: list = field(repr=False, default=None)
 
 
-def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
-    """Integrate dy/dt = rhs(j, t, y) over [t0, t1], appending accepted nodes.
+def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
+    """Integrate dy/dt = rhs(j, t, y) over [t0, t1].
 
-    Returns (y_end, steps_used).  ``nodes`` receives the (t, y, K, h) of
-    each accepted step (see ``DenseTrajectory``), and (t0, y0, rhs(j, t0,
-    y0)[None], 0.0) first.  No RHS call warns about overflow
+    Returns (y_end, steps_used, record), the record of its N accepted
+    steps as ``DenseTrajectory`` holds it.  No RHS call warns about overflow
     or division: an attempt with a non-finite stage or state, tested once
     after all its stages, halves the step, down to ``NonFiniteState`` at
     _H_MIN, and a non-finite first call raises it.
@@ -139,6 +140,7 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
     h = min(_H_INIT, t1 - t0)
     err_prev = 1.0
     steps = 0
+    record = []
     k = np.empty((_STAGES, y.size))
     k_cols = [k[:i].T for i in range(_STAGES)]
     abs_y = np.abs(y)
@@ -147,7 +149,6 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
         k1 = rhs(j, t, y)
         if not np.isfinite(k1).all():
             raise NonFiniteState(f"non-finite derivative at t={t}")
-        nodes.append((t, y, k1.copy()[None], 0.0))
 
         while t < t1:
             if steps >= budget:
@@ -173,11 +174,11 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
                                      * np.maximum(abs_y, abs_new)))
             err = math.sqrt(float(np.add.reduce(w * w)) / w.size)
             if err <= 1.0:
+                K = k.copy()  # the next attempt overwrites k
+                record.append((t, h_try, y, K))
                 t = t1 if clipped else t + h_try
                 y, abs_y = y_new, abs_new
-                K = k.copy()  # the next attempt overwrites k
                 k1 = K[-1]    # FSAL
-                nodes.append((t, y, K, h_try))
                 fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
                 err_prev = max(err, 1e-10)
                 h = h_try * min(_FAC_MAX, max(_FAC_MIN, fac))
@@ -189,19 +190,25 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
                         f"step size {h:.3e} below h_min at t={t}; "
                         "the problem may be stiff or blowing up"
                     )
-    return y, steps
+    return y, steps, tuple(np.array(a) for a in zip(*record))
 
 
-def _hermite_resample(nodes, sample_times):
-    """Cubic Hermite interpolation of nodes (t, y, K, ...) at given times,
-    with dy/dt = K[-1] at each node.
+def _segment_nodes(record, t_end, y_end):
+    """(times, states, derivatives) of the nodes of a scalar segment
+    record: each step's start, then the end (t_end, y_end) with FSAL."""
+    t, _, y, K = record
+    return (np.append(t, t_end), np.vstack((y, y_end)),
+            np.vstack((K[:, 0], K[-1, -1])))
+
+
+def _hermite_resample(times, states, derivs, sample_times):
+    """Cubic Hermite interpolation at ``sample_times`` of the nodes at
+    ``times`` (sorted, a restart's node duplicated) with the given states
+    and derivatives.
 
     ``np.float_power`` is the C ``pow`` of a float64 scalar ``** 2``; an
     array ``** 2`` multiplies instead, which can differ in the last bit.
     """
-    times = np.array([n[0] for n in nodes])
-    states = np.array([n[1] for n in nodes])
-    derivs = np.array([n[2][-1] for n in nodes])
     idx = np.searchsorted(times, sample_times, side="right") - 1
     idx = np.clip(idx, 0, times.size - 2)
     h = times[idx + 1] - times[idx]
@@ -215,7 +222,21 @@ def _hermite_resample(nodes, sample_times):
            + h[:, None] * (h10[:, None] * derivs[idx]
                            + h11[:, None] * derivs[idx + 1]))
     out[dup] = states[idx[dup] + 1]
-    return times, out
+    return out
+
+
+def _integrate_segments(segment_loop, rhs, segments, y, settings):
+    """Run ``segment_loop`` over each segment in turn under one
+    ``max_steps`` budget.  Returns (breakpoint_states, steps, records)."""
+    bp_states, records, used = [y], [], 0
+    for j in range(len(segments) - 1):
+        y, steps, record = segment_loop(
+            rhs, j, segments[j], segments[j + 1], y, settings,
+            settings.max_steps - used)
+        used = used + steps
+        bp_states.append(y)
+        records.append(record)
+    return bp_states, used, records
 
 
 def integrate_piecewise(ode, x_start, *, settings=None, sample_times=None):
@@ -231,25 +252,18 @@ def integrate_piecewise(ode, x_start, *, settings=None, sample_times=None):
     if x_start.size != ode.dim:
         raise ValueError(f"x_start has dimension {x_start.size}, expected {ode.dim}")
 
-    nodes: list[tuple] = []
-    bp_states = [x_start.copy()]
-    y = x_start
-    budget = settings.max_steps
-    used = 0
-    for j in range(len(ode.segments) - 1):
-        y, steps = _integrate_segment(
-            ode.rhs, j, ode.segments[j], ode.segments[j + 1], y, settings,
-            nodes, budget - used)
-        used += steps
-        bp_states.append(y.copy())
+    bp_states, used, records = _integrate_segments(
+        _integrate_segment, ode.rhs, ode.segments, x_start.copy(), settings)
 
     samp_t = np.asarray([ode.segments[0], ode.segments[-1]]
                         if sample_times is None else sample_times, dtype=float)
-    times, samp_x = _hermite_resample(nodes, samp_t)
+    times, states, derivs = (np.concatenate(a) for a in zip(*map(
+        _segment_nodes, records, ode.segments[1:], bp_states[1:])))
     return DenseTrajectory(
-        sample_times=samp_t, sample_states=samp_x,
+        sample_times=samp_t,
+        sample_states=_hermite_resample(times, states, derivs, samp_t),
         breakpoint_states=bp_states, steps=used, step_times=times,
-        nodes=nodes)
+        records=records)
 
 
 def integrate_with_quadrature(ode, x_start, integrand, *, settings=None,
@@ -294,12 +308,11 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
     A lane that has reached t1 is frozen, trying steps of length 0, until
     all have.
     The first failure raises, naming its lane.  Returns (y_end,
-    steps_used, record): the steps per lane, and (t, h, y, K) of each
-    attempt in which some lane accepted a step.  t (B,) and the lane-major
-    y (B, dim) are where it started, h (B,) the step lengths and K the
-    stages ``_fold_steps`` reads, (B, _WEIGHTED - 1, dim).  A lane that
-    accepted none has h = 0 and K = 0, so that its step folds to the
-    identity even when its attempt went non-finite.
+    steps_used, record): the steps per lane, and the scalar loop's record
+    with a lane axis after the step axis, over the I attempts in which
+    some lane accepted a step: t and h (I, B), y (I, B, dim), K (I, B,
+    stages, dim).  A lane that accepted none there has h = 0 and K = 0,
+    so that its step folds to the identity even if it went non-finite.
     """
     def f(t, y):
         return rhs(j, t, y.T).T
@@ -353,8 +366,8 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
                 1.0, np.maximum(_FAC_MIN, shrink)), h)
             h = np.where(failed, 0.5 * h_try, h)
             if accept.any():
-                record.append((t, np.where(accept, h_try, 0.0), y, np.where(
-                    accept[:, None, None], k[:, :_WEIGHTED - 1], 0.0)))
+                record.append((t, np.where(accept, h_try, 0.0), y,
+                               np.where(accept[:, None, None], k, 0.0)))
 
             t = np.where(accept, np.where(clipped, t1, t + h_try), t)
             y = np.where(accept[:, None], y_new, y)
@@ -371,7 +384,7 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
                     f"step size {h[b]:.3e} below h_min at t={t[b]}; "
                     "the problem may be stiff or blowing up"))
             active = t < t1
-    return y.T, steps, record
+    return y.T, steps, tuple(np.array(a) for a in zip(*record))
 
 
 def integrate_lanes(ode, y_start, settings=None):
@@ -386,7 +399,7 @@ def integrate_lanes(ode, y_start, settings=None):
     Returns (breakpoint_states, steps, records): breakpoint_states[i] is
     the (dim, B) state at ode.segments[i], steps the (B,) step attempts of
     each lane, and records[j] segment j's accepted steps as
-    ``_integrate_lane_segment`` records them.
+    ``_integrate_lane_segment`` records them, (I, B) steps.
     """
     settings = settings or IntegratorSettings()
     y = np.array(y_start, dtype=float)
@@ -395,26 +408,18 @@ def integrate_lanes(ode, y_start, settings=None):
     if y.shape != (ode.dim, ode.segments.shape[1]):
         raise ValueError(f"y_start has shape {y.shape}, expected "
                          f"{(ode.dim, ode.segments.shape[1])}")
-
-    bp_states, records = [y], []
-    used = np.zeros(y.shape[1], dtype=int)
-    for j in range(len(ode.segments) - 1):
-        y, steps, record = _integrate_lane_segment(
-            ode.rhs, j, ode.segments[j], ode.segments[j + 1], y, settings,
-            settings.max_steps - used)
-        used += steps
-        bp_states.append(y)
-        records.append(record)
-    return bp_states, used, records
+    return _integrate_segments(_integrate_lane_segment, ode.rhs,
+                               ode.segments, y, settings)
 
 
 def _fold_steps(jacobian, T, tau, h, y, K):
-    """D = G - I for the transition matrices G = dz_{n+1}/dz_n of N steps
-    of dz/dtau = T F(tau T, z), (N, d, d).  Step n starts at (tau[n],
-    y[n]) with length h[n], horizon T (or T[n]) and stages K[n], of which
-    the first _WEIGHTED - 1 are read; the stage points are rebuilt by the
-    forward loops' own tableau products.  jacobian(t, Y) gives dF/dz at
-    the stage times t (N, S) and points Y (N, S, d) as (N, S, d, d).
+    """D = G - I, h.shape + (d, d), for the transition matrices G =
+    dz_{n+1}/dz_n of the steps of a record (tau, h, y, K) of any leading
+    shape, of dz/dtau = T F(tau T, z), T broadcast against h.  The stage
+    points are rebuilt from the first _WEIGHTED - 1 stages by the forward
+    loops' own tableau products, _FOLD_BLOCK steps at a time, and
+    jacobian(t, Y) gives dF/dz at their flat times t (M,) and points Y
+    (M, d) as (M, d, d).
 
     Walking the stages back, P_i = b_i I + sum_{l>i} a_li Theta_l and
     Theta_i = h T P_i J_i; then D = sum_i Theta_i.  So the reverse pass's
@@ -423,17 +428,25 @@ def _fold_steps(jacobian, T, tau, h, y, K):
     O(h) entries are not rounded against 1.  The stages past _WEIGHTED
     have weight 0 in z_{n+1}.
     """
-    (N, d), S = y.shape, _WEIGHTED
-    Y = np.empty((N, S, d))
-    Y[:, 0] = y
-    for i in range(1, S):
-        Y[:, i] = y + h[:, None] * (K[:, :i].transpose(0, 2, 1) @ _A[i])
-    # stage times (S, N) first, so that T may be one horizon or one per step
-    t = ((tau + np.array(_C[:S])[:, None] * h) * T).T
-    hTJ = (h * T)[:, None, None, None] * jacobian(t, Y)
-    eye = np.eye(d)
-    theta = np.zeros((S, N * d * d))
-    for i in range(S - 1, -1, -1):
-        P = (_A_ROWS[i] @ theta).reshape(N, d, d) + _B5[i] * eye
-        theta[i] = (P @ hTJ[:, i]).reshape(-1)
-    return theta.sum(axis=0).reshape(N, d, d)
+    shape, d, S = h.shape, y.shape[-1], _WEIGHTED
+    T = np.broadcast_to(T, shape).reshape(-1)
+    tau, h = tau.reshape(-1), h.reshape(-1)
+    y, K = y.reshape(-1, d), K.reshape((-1,) + K.shape[-2:])
+    D, eye = np.empty((h.size, d, d)), np.eye(d)
+    for a in range(0, h.size, _FOLD_BLOCK):
+        at = slice(a, a + _FOLD_BLOCK)
+        hb, N = h[at], h[at].size
+        Y = np.empty((N, S, d))
+        Y[:, 0] = y[at]
+        for i in range(1, S):
+            Y[:, i] = y[at] + hb[:, None] * (
+                K[at, :i].transpose(0, 2, 1) @ _A[i])
+        t = ((tau[at] + np.array(_C[:S])[:, None] * hb) * T[at]).T
+        hTJ = (hb * T[at])[:, None, None, None] * jacobian(
+            t.reshape(-1), Y.reshape(-1, d)).reshape(N, S, d, d)
+        theta = np.zeros((S, N * d * d))
+        for i in range(S - 1, -1, -1):
+            P = (_A_ROWS[i] @ theta).reshape(N, d, d) + _B5[i] * eye
+            theta[i] = (P @ hTJ[:, i]).reshape(-1)
+        D[at] = theta.sum(axis=0).reshape(N, d, d)
+    return D.reshape(shape + (d, d))

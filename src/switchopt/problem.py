@@ -237,25 +237,34 @@ def phase_jacobian(prob, j):
     It comes from the closed-loop Jacobian (Case 1) or case2_derivs
     (Case 2) in one call.  A phase without them takes a central difference
     of F, column by column and point by point: 2 dim(z) flow calls per
-    point.
+    point.  A result of another shape than (d, d, M) raises ValueError.
     """
     n, derivs, ph = prob.n, prob.case2_derivs, prob.phases[j]
     if prob.case == 1 and (ph.law_x is not None or ph.law_kind == "constant"):
         jacobian, control = phase_law_jacobian(prob, j), lane_law(prob, j)
-        return lambda t, z: jacobian(t, z, control(t, z))
-    if prob.case == 2 and derivs is not None:
-        return lambda t, z: derivs(j, t, z[:n], z[n:])
-    flow = phase_flow(prob, j)
+        batched = lambda t, z: jacobian(t, z, control(t, z))
+    elif prob.case == 2 and derivs is not None:
+        batched = lambda t, z: derivs(j, t, z[:n], z[n:])
+    else:
+        flow = phase_flow(prob, j)
 
-    def central(t, z):
-        d = z.shape[0]
-        J = np.empty((d, d, t.size))
-        for m in range(t.size):
-            for i in range(d):
-                h = FD_STEP * max(1.0, abs(z[i, m]))
-                zp, zm = z[:, m].copy(), z[:, m].copy()
-                zp[i] += h
-                zm[i] -= h
-                J[:, i, m] = (flow(t[m], zp) - flow(t[m], zm)) / (2 * h)
+        def batched(t, z):
+            d = z.shape[0]
+            J = np.empty((d, d, t.size))
+            for m in range(t.size):
+                for i in range(d):
+                    h = FD_STEP * max(1.0, abs(z[i, m]))
+                    zp, zm = z[:, m].copy(), z[:, m].copy()
+                    zp[i] += h
+                    zm[i] -= h
+                    J[:, i, m] = (flow(t[m], zp) - flow(t[m], zm)) / (2 * h)
+            return J
+
+    def checked(t, z):
+        J, want = batched(t, z), z.shape[:1] * 2 + t.shape
+        if np.shape(J) != want:
+            raise ValueError(f"{prob.name}: phase {j}'s flow Jacobian has "
+                             f"shape {np.shape(J)}, not {want}: the model "
+                             "callbacks must keep the lane axis last")
         return J
-    return central
+    return checked

@@ -29,7 +29,7 @@ def reflect(ode):
 def integrate_backward(ode, x_end, *, settings=None, sample_times=None):
     """``integrate_piecewise`` from x_end at ode.segments[-1] back to
     ode.segments[0].  The samples, step_times and breakpoint_states are in
-    original time and order; the nodes stay in reflected time."""
+    original time and order; the records stay in reflected time."""
     a, b = ode.segments[0], ode.segments[-1]
     samp_t = np.asarray([a, b] if sample_times is None else sample_times,
                         dtype=float)

@@ -276,7 +276,7 @@ def test_goddard_backward_steps_track_forward_at_optimum():
                        T=GODDARD_REFERENCE.T_star)
     fwd = forward_sweep(prob, cfg, TIGHT)
     bwd = evaluate_gradient(prob, cfg, TIGHT, fwd=fwd).bwd
-    assert bwd.steps == len(fwd.nodes) - (prob.k + 1)
+    assert bwd.steps == sum(h.size for _, h, _, _ in fwd.records)
     assert bwd.steps <= 1.1 * fwd.steps
 
 
@@ -315,21 +315,20 @@ def _adaptive_backward(prob, fwd, settings):
     return costates
 
 
-def _replayed_objective(prob, fwd, m, z):
-    """C at T of the forward record's accepted steps replayed from z at node
-    m: the same step lengths, stage times and tableau, with no error test."""
-    T, phase = fwd.T, -1
-    flows = [phase_flow(prob, j) for j in range(prob.k + 1)]
-    for q, (tau, _, _, h) in enumerate(fwd.nodes):
-        phase += h == 0.0
-        if q <= m or h == 0.0:
-            continue
-        t0 = fwd.nodes[q - 1][0]
-        k = np.zeros((7, z.size))
-        for i in range(6):
-            k[i] = T * flows[phase]((t0 + _C[i] * h) * T,
-                                    z + h * (_A[i] @ k[:i]))
-        z = z + h * (_B5 @ k)
+def _replayed_objective(prob, fwd, j0, n0, z):
+    """C at T of the forward record's accepted steps replayed from z at the
+    start of step n0 of phase j0: the same step lengths, stage times and
+    tableau, with no error test."""
+    T = fwd.T
+    for j, (taus, hs, _, _) in enumerate(fwd.records[j0:], j0):
+        flow = phase_flow(prob, j)
+        for t0, h in zip(taus[n0 if j == j0 else 0:],
+                         hs[n0 if j == j0 else 0:]):
+            k = np.zeros((7, z.size))
+            for i in range(6):
+                k[i] = T * flow((t0 + _C[i] * h) * T,
+                                z + h * (_A[i] @ k[:i]))
+            z = z + h * (_B5 @ k)
     return prob.C(z[:prob.n])
 
 
@@ -348,24 +347,25 @@ FROZEN_CASES = {
 def test_reverse_pass_is_the_frozen_mesh_derivative(name):
     # lam_n = dC(z_N)/dz_n of the computed solution on its own mesh: a
     # central difference of C over z_n, with the forward's step sequence
-    # replayed, at the first node, inside each phase and at each switch
+    # replayed, at each phase's first node (the first node and each
+    # switch) and at a step start inside each phase
     prob = build_problem(name)
     bundle = evaluate_gradient(prob, FROZEN_CASES[name])
     fwd, nodal = bundle.fwd, bundle.bwd.nodal
-    starts = [m for m, node in enumerate(fwd.nodes) if node[3] == 0.0]
-    ends = starts[1:] + [len(fwd.nodes)]
-    picks = {0} | {(a + b) // 2 for a, b in zip(starts, ends)} \
-        | set(starts[1:])
-    for m in sorted(picks):
-        z = fwd.nodes[m][1]
-        fd = np.empty(z.size)
-        for i in range(z.size):
-            dz = np.zeros(z.size)
-            dz[i] = 1e-5 * max(1.0, abs(z[i]))
-            fd[i] = (_replayed_objective(prob, fwd, m, z + dz)
-                     - _replayed_objective(prob, fwd, m, z - dz)) \
-                / (2 * dz[i])
-        assert np.max(np.abs(fd - nodal[m])) <= 1e-7 * np.max(np.abs(fd))
+    first = 0                             # the phase's first row of nodal
+    for j, (_, hs, zs, _) in enumerate(fwd.records):
+        for n in sorted({0, hs.size // 2}):
+            z = zs[n]
+            fd = np.empty(z.size)
+            for i in range(z.size):
+                dz = np.zeros(z.size)
+                dz[i] = 1e-5 * max(1.0, abs(z[i]))
+                fd[i] = (_replayed_objective(prob, fwd, j, n, z + dz)
+                         - _replayed_objective(prob, fwd, j, n, z - dz)) \
+                    / (2 * dz[i])
+            assert np.max(np.abs(fd - nodal[first + n])) \
+                <= 1e-7 * np.max(np.abs(fd))
+        first += hs.size + 1
 
 
 @pytest.mark.parametrize("name", list(FROZEN_CASES))
@@ -382,7 +382,7 @@ def test_reverse_pass_matches_adaptive_adjoint_integration(name):
 def test_one_integration_and_six_adjoint_rows_per_step(monkeypatch, name):
     # the reverse pass integrates nothing, and takes the six stage
     # Jacobians of every accepted forward step, stage 7 excluded, from one
-    # phase_jacobian call per phase
+    # phase_jacobian call per phase, the phases in any order
     prob = build_problem(name)
     accepted, calls = [], []
 
@@ -405,7 +405,7 @@ def test_one_integration_and_six_adjoint_rows_per_step(monkeypatch, name):
                                with_d_T=True)
     assert len(accepted) == 1
     assert bundle.bwd.steps == accepted[0]
-    assert [j for j, _ in calls] == list(range(prob.k + 1))
+    assert sorted(j for j, _ in calls) == list(range(prob.k + 1))
     assert sum(size for _, size in calls) == 6 * accepted[0]
 
 
@@ -436,6 +436,17 @@ def test_margin_sees_a_violation_between_dense_samples():
     margins = feasibility_margins(prob, fwd)
     assert margins[0] < -0.4
     assert margins[1] == 0.0
+
+
+def test_one_point_jacobian_is_refused_by_name():
+    # the bump toy's f_x returns one (2, 2) matrix whatever the number of
+    # points: the backward sweep's Jacobian call on its constant phase
+    # names the problem, the phase and the lane-axis contract
+    prob = _bump_problem(c=0.5, w=0.1)
+    with pytest.raises(ValueError, match=r"bump: phase 1's flow Jacobian "
+                       r"has shape \(2, 2\), not \(2, 2, \d+\): .* lane "
+                       r"axis last"):
+        evaluate_gradient(prob, SwitchConfig(s=np.array([0.9])))
 
 
 # The sweeps resolve each phase once into closures; the finite-difference
@@ -574,8 +585,8 @@ def test_sampled_costate_matches_whole_horizon_integration(name, T, cfg):
     assert empty.tolist() == ([False, True, False] if cfg is EMPTY_MIDDLE_CFG
                               else [False] * (prob.k + 1))
     # lam at the nodes of the forward mesh, where the backward sweep gives it
-    ref = _whole_horizon_costate(prob, fwd, TIGHT,
-                                 [node[0] for node in fwd.nodes])
+    ref = _whole_horizon_costate(prob, fwd, TIGHT, np.concatenate(
+        [tau for tau, _ in gradients._phase_nodes(fwd)]))
     assert np.max(np.abs(bundle.bwd.nodal - ref)) <= 1e-8 * np.max(np.abs(ref))
     if prob.case == 1:
         # the reported costate, interpolated between the nodes
@@ -684,13 +695,17 @@ def _assert_lanes_match_scalar(prob, cfgs, settings, stride=1,
 @pytest.mark.parametrize("name, grid, stride", [
     ("jacobson", np.linspace(1.38, 1.48, 200), 13),   # the README profile
     ("bressan", np.linspace(3.0, 3.7, 15), 1),
+    # 64 lanes: a phase's recorded steps span several 256-step fold blocks
+    ("jacobson", np.linspace(1.2, 1.6, 64), 5),
+    ("bressan", np.linspace(3.0, 3.7, 64), 3),
 ])
 def test_lanes_match_scalar_sweeps(name, grid, stride, tol):
+    # a lane repeats its scalar sweep's forward integration bit for bit
     settings = IntegratorSettings() if tol is None \
         else IntegratorSettings(rel_tol=tol, abs_tol=tol)
     _assert_lanes_match_scalar(
         build_problem(name), [SwitchConfig(s=np.array([s])) for s in grid],
-        settings, stride)
+        settings, stride, exact=True)
 
 
 def _drawn_grid(name):
@@ -712,7 +727,8 @@ def test_lanes_match_scalar_sweeps_on_drawn_grids(case):
     # scalar sweep at the default tolerance.  On jacobson and bressan a
     # lane repeats its scalar sweep's forward integration bit for bit; d_s
     # is relative, because far from the optimum jacobson's C and d_s reach
-    # 1e3-1e4, and the lanes fold per iteration, the scalar pass per sweep
+    # 1e3-1e4, and the lanes fold their steps in other blocks than the
+    # scalar pass
     name, grid = case
     _assert_lanes_match_scalar(
         build_problem(name), [SwitchConfig(s=np.array(s)) for s in grid],
@@ -774,11 +790,11 @@ def test_lanes_fold_no_stage_of_an_attempt_that_failed():
     # each recorded phase-1 iteration's attempt, found by the stage-1 times
     # of its accepting lanes (T = 1, so tau is t)
     failed_beside_an_accept = 0
-    for iterations in lanes.fwd.iterations:
-        for tau, h, y, K in iterations:
+    for j, (taus, hs, _, Ks) in enumerate(lanes.fwd.records):
+        for tau, h, K in zip(taus, hs, Ks):
             idle = h == 0.0
             assert not K[idle].any()
-            if iterations is lanes.fwd.iterations[1]:
+            if j == 1:
                 stages = next(a for a in attempts if np.array_equal(
                     a[0][0][~idle], (tau + _C[1] * h)[~idle]))
                 failed_beside_an_accept += any(
@@ -786,28 +802,30 @@ def test_lanes_fold_no_stage_of_an_attempt_that_failed():
     assert failed_beside_an_accept > 0
 
 
+@pytest.mark.parametrize("B", [1, 200])
 @pytest.mark.parametrize("name", ["jacobson", "bressan", "catalyst1"])
-def test_lanes_reverse_pass_takes_one_jacobian_per_iteration(monkeypatch,
-                                                            name):
+def test_lanes_reverse_pass_folds_each_phase_in_bounded_blocks(monkeypatch,
+                                                              name, B):
     # the lanes' counterpart of test_one_integration_and_six_adjoint_rows_
     # per_step: the reverse pass reads the stages the forward loop
-    # recorded, so it calls f and the laws only inside the Jacobian, and
-    # the Jacobian once per recorded iteration, over its 6 B stage points
+    # recorded, so it calls f and the laws only inside the Jacobian.  It
+    # folds each phase's record whole: at B = 1 one Jacobian call per
+    # phase, and at B = 200 calls of at most 6 * 256 stage points, which
+    # together cover the 6 stage points of every recorded step once
     prob = build_problem(name)
-    if prob.k == 1:
-        grid = np.linspace(0.28, 0.34, 5) * prob.T
-        cfgs = [SwitchConfig(s=np.array([s])) for s in grid]
-    else:
-        cfgs = [SwitchConfig(s=np.array([a, 0.72])) for a in (0.1, 0.13, 0.16)]
+    grid = np.linspace(0.28, 0.34, B)
+    cfgs = [SwitchConfig(s=np.array([s * prob.T])) for s in grid] \
+        if prob.k == 1 else \
+        [SwitchConfig(s=np.array([a, 0.72])) for a in 0.1 + grid - 0.28]
     fwd = forward_lanes(prob, cfgs)
     want = backward_lanes(prob, fwd)
-    sizes, inside = [], []
+    calls, inside = [], []
 
     def jacobian(prob, j):
         batched = phase_jacobian(prob, j)
 
         def counted(t, z):
-            sizes.append(t.size)
+            calls.append((j, t.size))
             inside.append(j)
             try:
                 return batched(t, z)
@@ -827,7 +845,14 @@ def test_lanes_reverse_pass_takes_one_jacobian_per_iteration(monkeypatch,
             for ph in prob.phases))
     monkeypatch.setattr(gradients, "phase_jacobian", jacobian)
     got = backward_lanes(guarded_prob, fwd)
-    assert sizes == [6 * len(cfgs)] * sum(map(len, fwd.iterations))
+    phases = [j for j, _ in calls]
+    if B == 1:
+        assert sorted(phases) == list(range(prob.k + 1))
+    else:
+        assert sorted(set(phases)) == list(range(prob.k + 1))
+        assert max(size for _, size in calls) <= 6 * 256
+    for j, (_, h, _, _) in enumerate(fwd.records):
+        assert sum(size for i, size in calls if i == j) == 6 * h.size
     assert np.array_equal(got.checkpoints, want.checkpoints)
     assert np.array_equal(got.steps, want.steps)
 

@@ -260,13 +260,14 @@ def test_non_finite_first_derivative_raises_without_warning(loop):
 # one finiteness test per step attempt
 # ---------------------------------------------------------------------------
 
-def _per_stage_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
+def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget):
     """The segment loop that tests each stage for finiteness and stops an
     attempt at the first non-finite one (reference)."""
     t, y = t0, np.array(y0, dtype=float)
     h = min(odeint._H_INIT, t1 - t0)
     err_prev = 1.0
     steps = 0
+    record = []
     k = np.empty((7, y.size))
     k_cols = [k[:i].T for i in range(7)]
     abs_y = np.abs(y)
@@ -275,7 +276,6 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
         k1 = rhs(j, t, y)
         if not np.isfinite(k1).all():
             raise NonFiniteState(f"non-finite derivative at t={t}")
-        nodes.append((t, y, k1.copy()[None], 0.0))
 
         while t < t1:
             if steps >= budget:
@@ -307,11 +307,11 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
                                             * np.maximum(abs_y, abs_new)))
             err = math.sqrt(float(np.add.reduce(w * w)) / w.size)
             if err <= 1.0:
+                K = k.copy()
+                record.append((t, h_try, y, K))
                 t = t1 if clipped else t + h_try
                 y, abs_y = y_new, abs_new
-                K = k.copy()
                 k1 = K[6]
-                nodes.append((t, y, K, h_try))
                 fac = odeint._FAC_MAX if err == 0.0 else (
                     odeint._SAFETY * err ** (-odeint._ALPHA)
                     * err_prev ** odeint._BETA)
@@ -322,7 +322,7 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, nodes, budget):
                 h = h_try * min(1.0, fac)
                 if h < odeint._H_MIN:
                     raise StepUnderflow(f"step size {h:.3e} below h_min")
-    return y, steps
+    return y, steps, tuple(np.array(a) for a in zip(*record))
 
 
 def _outcome(ode, y_start, direction, settings):
@@ -425,11 +425,8 @@ def test_settings_validation():
         IntegratorSettings(max_steps=0)
 
 
-def _hermite_loop(nodes, sample_times):
+def _hermite_loop(times, states, derivs, sample_times):
     """Sample-by-sample cubic Hermite interpolation (reference)."""
-    times = np.array([n[0] for n in nodes])
-    states = np.array([n[1] for n in nodes])
-    derivs = np.array([n[2][-1] for n in nodes])
     out = np.empty((sample_times.size, states.shape[1]))
     idx = np.searchsorted(times, sample_times, side="right") - 1
     idx = np.clip(idx, 0, times.size - 2)
@@ -461,9 +458,9 @@ def test_hermite_resample_matches_loop_exactly(monkeypatch, direction):
     calls = []
     vectorised = odeint._hermite_resample
 
-    def spy(nodes, sample_times):
-        calls.append((list(nodes), sample_times.copy()))
-        return vectorised(nodes, sample_times)
+    def spy(*nodes):
+        calls.append(tuple(a.copy() for a in nodes))
+        return vectorised(*nodes)
 
     monkeypatch.setattr(odeint, "_hermite_resample", spy)
     ode = _piecewise_oscillator()
@@ -471,13 +468,13 @@ def test_hermite_resample_matches_loop_exactly(monkeypatch, direction):
     # duplicated
     traj = INTEGRATE[direction](ode, np.array([1.0, 0.0]), settings=_tight(),
                                 sample_times=np.linspace(0.0, 2.0, 2049))
-    (nodes, sample_times), = calls
-    node_times = np.array([n[0] for n in nodes])
+    (node_times, states, derivs, sample_times), = calls
     assert np.any(np.diff(node_times) == 0)
     assert np.isin(node_times[np.diff(node_times, append=np.inf) == 0],
                    sample_times).all()
-    ref = _hermite_loop(nodes, sample_times)
-    assert np.array_equal(vectorised(nodes, sample_times)[1], ref)
+    ref = _hermite_loop(node_times, states, derivs, sample_times)
+    assert np.array_equal(
+        vectorised(node_times, states, derivs, sample_times), ref)
     # samples come back in the order asked for, in original time, in
     # either direction
     assert np.array_equal(traj.sample_times, np.linspace(0.0, 2.0, 2049))
@@ -486,12 +483,11 @@ def test_hermite_resample_matches_loop_exactly(monkeypatch, direction):
 
 def test_hermite_resample_duplicated_last_node():
     # a query past a trailing duplicate falls on the zero-length interval
-    nodes = [(0.0, np.array([1.0]), np.array([[2.0]])),
-             (1.0, np.array([3.0]), np.array([[-1.0]])),
-             (1.0, np.array([4.0]), np.array([[0.5]]))]
+    nodes = (np.array([0.0, 1.0, 1.0]), np.array([[1.0], [3.0], [4.0]]),
+             np.array([[2.0], [-1.0], [0.5]]))
     sample_times = np.array([0.0, 0.25, 0.999, 1.0, 1.5])
-    out = odeint._hermite_resample(nodes, sample_times)[1]
-    assert np.array_equal(out, _hermite_loop(nodes, sample_times))
+    out = odeint._hermite_resample(*nodes, sample_times)
+    assert np.array_equal(out, _hermite_loop(*nodes, sample_times))
     assert out[-1, 0] == 4.0 and out[-2, 0] == 4.0
 
 
