@@ -28,13 +28,15 @@ produces every derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
-from .odeint import PiecewiseOde, _fold_steps, _hermite_resample, \
-    _segment_nodes, integrate_piecewise, \
-    integrate_with_quadrature  # noqa: F401 (read only by perfbench's tracer)
+from .odeint import PiecewiseOde, _fold_steps, _node_before, \
+    _segment_nodes, _stage_points, _step, integrate_piecewise, sample_states
+# read only by perfbench's tracer, which patches it here
+from .odeint import integrate_with_quadrature  # noqa: F401
 from .problem import horizon, phase_feasibility, phase_flow, \
     phase_jacobian, phase_law, validate_config
 
@@ -55,12 +57,11 @@ DEFAULT_SAMPLES = 201
 
 @dataclass
 class TrajectoryRecord:
-    """Forward-sweep output: dense samples plus switch-point checkpoints."""
+    """Forward-sweep output: switch-point checkpoints and accepted steps,
+    with report samples of z taken when first read."""
 
-    times: np.ndarray                 # physical time at dense samples
-    phase: np.ndarray                 # phase index of each dense sample
-    states: np.ndarray                # (n_samples, n)
-    costates: Optional[np.ndarray]    # (n_samples, n), Case 2 only
+    times: np.ndarray                 # physical time at the report samples
+    phase: np.ndarray                 # phase index of each sample
     checkpoint_states: np.ndarray     # (k+2, n) at 0, s_1..s_k, T
     checkpoints: np.ndarray           # (k+2, dim z): z at the same points
     objective: float
@@ -69,6 +70,28 @@ class TrajectoryRecord:
     steps: int                        # integrator step attempts of the sweep
     # per phase, the accepted steps (tau, h, z, K): odeint.DenseTrajectory
     records: list = field(repr=False)
+    # the sweep's rhs(j, tau, z), at a point or on lanes
+    rhs: Callable = field(repr=False)
+
+    @cached_property
+    def _samples(self):
+        """z at the samples by ``odeint.sample_states``: one step of the
+        method from the node before each, computed on first use, so that a
+        gradient evaluation pays for none."""
+        return sample_states(self.rhs, self.sigma, self.records,
+                             self.checkpoints, self.times / self.T)
+
+    @property
+    def states(self):
+        """x at the samples, (n_samples, n)."""
+        return self._samples[:, :self.checkpoint_states.shape[1]]
+
+    @property
+    def costates(self):
+        """p at the samples, (n_samples, n), in Case 2; else None."""
+        n = self.checkpoint_states.shape[1]
+        return self._samples[:, n:] if self.checkpoints.shape[1] > n \
+            else None
 
 
 @dataclass
@@ -110,41 +133,44 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
         return T * flows[j](tau * T, z)
 
     ode = PiecewiseOde(dim=z0.size, segments=sigma, rhs=rhs)
-    traj = integrate_piecewise(
-        ode, z0, settings=settings,
-        sample_times=np.linspace(0.0, 1.0, max(2, sample_count)))
+    traj = integrate_piecewise(ode, z0, settings=settings)
     ckpt = np.array(traj.breakpoint_states)
-    times = traj.sample_times * T
+    times = np.linspace(0.0, 1.0, max(2, sample_count)) * T
     # a sample at a switch point belongs to the phase that starts there
     phase = np.searchsorted(sigma, times / T, side="right") - 1
     return TrajectoryRecord(
         times=times,
         phase=np.clip(phase, 0, prob.k),
-        states=traj.sample_states[:, :n],
-        costates=traj.sample_states[:, n:] if z0.size > n else None,
         checkpoint_states=ckpt[:, :n],
         checkpoints=ckpt,
         objective=float(prob.C(ckpt[-1, :n])),
         sigma=sigma,
         T=T,
         steps=traj.steps,
-        records=traj.records)
+        records=traj.records,
+        rhs=rhs)
 
 
 def _phase_nodes(fwd):
     """(tau, z) of the nodes of each phase of the forward record ``fwd``:
     its steps' starts, then its end."""
     return [_segment_nodes(record, fwd.sigma[j + 1], fwd.checkpoints[j + 1])
-            [:2] for j, record in enumerate(fwd.records)]
+            for j, record in enumerate(fwd.records)]
+
+
+def _fold(prob, j, T, record):
+    """``odeint._fold_steps`` of phase j's steps (tau, h, z, K) with the
+    phase's stage Jacobians."""
+    jacobian = phase_jacobian(prob, j)
+    return _fold_steps(lambda t, Y: jacobian(t, Y.T).transpose(2, 0, 1),
+                       T, *record)
 
 
 def _reverse_pass(prob, j, T, record, lam):
     """lam before each step of phase j's record (tau, h, z, K), steps (N,)
     or (I, B) on B lanes, from lam (d,) or (B, d) at the phase's end:
     lam_n = lam_{n+1} (I + D_n), D_n from ``odeint._fold_steps``."""
-    jacobian = phase_jacobian(prob, j)
-    D = _fold_steps(lambda t, Y: jacobian(t, Y.T).transpose(2, 0, 1),
-                    T, *record)
+    D = _fold(prob, j, T, record)
     chain = np.empty(D.shape[:-1])
     for n in range(len(D) - 1, -1, -1):
         lam = lam + (lam[..., None, :] @ D[n])[..., 0, :]
@@ -175,13 +201,16 @@ def backward_sweep(prob, fwd):
 
 def feasibility_margins(prob, fwd):
     """Worst control-box margin of each phase of the forward record ``fwd``
-    at its accepted-step nodes, the phase's two checkpoints included."""
-    n, worst = prob.n, np.full(prob.k + 1, np.inf)
-    margins = _resolved(phase_feasibility, prob)
-    for j, nodes in enumerate(_phase_nodes(fwd)):
-        for tau, z in zip(*nodes):
-            m = margins[j](tau * fwd.T, z[:n], z[n:] if z.size > n else None)
-            worst[j] = min(worst[j], float(np.min(m)))
+    at the stage points of its accepted steps, which include each step's
+    start, and at the phase's end: one margin call per phase, on lanes."""
+    n, worst = prob.n, np.empty(prob.k + 1)
+    for j, record in enumerate(fwd.records):
+        tau, Y = _stage_points(*record)
+        tau = np.append(tau, fwd.sigma[j + 1])
+        z = np.vstack((Y.reshape(-1, Y.shape[-1]), fwd.checkpoints[j + 1])).T
+        m = phase_feasibility(prob, j)(tau * fwd.T, z[:n],
+                                       z[n:] if len(z) > n else None)
+        worst[j] = float(np.min(m))
     return worst
 
 
@@ -279,32 +308,37 @@ def gradcheck(prob, cfg, settings=None):
     return rows
 
 
-def _costate_samples(prob, fwd, bwd):
-    """lam of z at the dense samples of ``fwd``: cubic Hermite interpolation
-    of the nodal lam of ``bwd``, with dlam/dtau = -T lam . dF/dz at each
-    node from one ``phase_jacobian`` call per phase.
-
-    Between the nodes its error is O(h^4) of the forward step, not O(tol).
-    Interpolated so on catalyst2's forward mesh at tol 1e-11, whose steps
-    reach 0.06, lam is 2.1e-8 off a whole-horizon (z, lam) integration
-    where the nodal lam is within 9.4e-10.  The forward state samples are
-    the same kind of interpolant.
-    """
-    T, nodes = fwd.T, _phase_nodes(fwd)
-    J = np.concatenate([phase_jacobian(prob, j)(tau * T, z.T).transpose(
-        2, 0, 1) for j, (tau, z) in enumerate(nodes)])
-    dlam = -T * np.einsum("mi,mij->mj", bwd.nodal, J)
-    tau = np.concatenate([tau for tau, _ in nodes])
-    return _hermite_resample(tau, bwd.nodal, dlam, fwd.times / T)
+def _lam_at_samples(prob, fwd, bwd):
+    """lam of z = x at the samples of the Case-1 forward record ``fwd``,
+    from the nodal lam of its backward sweep ``bwd``: at a node its lam,
+    else lam_{n+1} (I + D), the reverse pass of one step of the method from
+    the sample to the next node n + 1."""
+    tau, x = fwd.times / fwd.T, fwd.states
+    lam, first = np.empty(x.shape), 0
+    for j, (times, _) in enumerate(_phase_nodes(fwd)):
+        nodal = bwd.nodal[first:first + times.size]
+        first += times.size
+        at = np.flatnonzero(fwd.phase == j)
+        n, off = _node_before(times, tau[at])
+        lam[at] = nodal[n]
+        if off.any():
+            a, after = at[off], nodal[n[off] + 1]
+            h = times[n[off] + 1] - tau[a]
+            _, K = _step(lambda t, y: fwd.rhs(j, t, y.T).T, tau[a], h, x[a])
+            D = _fold(prob, j, fwd.T, (tau[a], h, x[a], K))
+            lam[a] = after + (after[:, None, :] @ D)[:, 0, :]
+    return lam
 
 
 def dense_trajectory(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,
                      bundle=None):
     """Aligned dense samples of (t, x, u, p) for reporting.
 
-    In Case 2 the forward sweep carries the costate p.  In Case 1 p is the
-    adjoint lam of z = x from the backward sweep whose Hamiltonian jumps
-    give the gradient, interpolated between the forward mesh's nodes.
+    Each sample of x (and of p in Case 2, where the forward sweep carries
+    it) is one step of the method from the forward mesh's node before it.
+    In Case 1 p is the adjoint lam of z = x from the backward sweep whose
+    Hamiltonian jumps give the gradient, carried from the node after each
+    sample back to it by the reverse pass of one step.
     ``bundle`` is the gradient of ``cfg`` when it is already computed;
     then no sweep runs and ``sample_count`` is unused.
     """
@@ -315,7 +349,7 @@ def dense_trajectory(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,
         bwd = None if fwd.costates is not None \
             else backward_sweep(prob, fwd)
     costates = fwd.costates if fwd.costates is not None \
-        else _costate_samples(prob, fwd, bwd)
+        else _lam_at_samples(prob, fwd, bwd)
     laws = _resolved(phase_law, prob)
     controls = np.empty((fwd.times.size, prob.m))
     for i, t in enumerate(fwd.times):

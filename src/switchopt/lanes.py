@@ -18,10 +18,9 @@ import numpy as np
 
 from .gradients import GradientBundle, _resolved, _reverse_pass, _switch_jumps
 from .odeint import PiecewiseOde, integrate_lanes
-from .problem import horizon, lane_law, validate_config
+from .problem import horizon, phase_flow, validate_config
 
 __all__ = [
-    "lane_flow",
     "LaneRecord",
     "forward_lanes",
     "backward_lanes",
@@ -42,13 +41,6 @@ def _require_lanes(prob):
         if ph.law_kind == "state" and ph.law_x is None:
             raise ValueError(f"{prob.name}: lane sweeps need phase {j}'s "
                              "law_x")
-
-
-def lane_flow(prob, j):
-    """``phase_flow`` of a Case-1 problem on B lanes: F(t, x) of shape
-    (n, B)."""
-    f, control = prob.f, lane_law(prob, j)
-    return lambda t, x: f(x, control(t, x))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +71,7 @@ def forward_lanes(prob, cfgs, settings=None):
     T = np.array([horizon(prob, cfg) for cfg in cfgs])
     sigma = np.column_stack([np.concatenate(([0.0], cfg.s / t, [1.0]))
                              for cfg, t in zip(cfgs, T)])
-    flows = _resolved(lane_flow, prob)
+    flows = _resolved(phase_flow, prob)
 
     def rhs(j, tau, x):
         return T * flows[j](tau * T, x)
@@ -124,7 +116,7 @@ def evaluate_lanes(prob, cfgs, settings=None):
     fwd and bwd are the two LaneRecords."""
     fwd = forward_lanes(prob, cfgs, settings)
     bwd = backward_lanes(prob, fwd)
-    d_s = _switch_jumps(_resolved(lane_flow, prob), fwd, bwd.checkpoints,
+    d_s = _switch_jumps(_resolved(phase_flow, prob), fwd, bwd.checkpoints,
                         _lane_dot)
     return GradientBundle(objective=fwd.objective, d_s=d_s, d_p0=None,
                           d_T=None, fwd=fwd, bwd=bwd)

@@ -1,14 +1,17 @@
-"""The Dormand-Prince (4,5) method on piecewise-smooth ODE systems.
+"""Prince & Dormand's 8th-order method, DOP853, on piecewise-smooth ODE
+systems.
 
 The right-hand side may change discontinuously at a known, ordered list of
 breakpoints.  Integration is hard-restarted at every breakpoint: no accepted
 step straddles a segment boundary and the step-size controller is reset, so
-fifth-order accuracy is retained on each smooth piece.
+eighth-order accuracy is retained on each smooth piece.
 
-The module holds the whole method, and no other reads its tableau: the
-scalar loop, the lockstep loop of B lanes, and the fold of accepted steps
-into the transition matrices of the reverse pass.  Both loops record a
-segment's accepted steps as arrays (t, h, y, K), the step axis first.
+The module holds the whole method, one ``Tableau`` record, and no other
+reads it: the scalar loop, the lockstep loop of B lanes, the samples,
+each one step of the method from the node before it, and the fold of
+accepted steps into the transition matrices of the reverse pass.  Both
+loops record a segment's accepted steps as arrays (t, h, y, K), the step
+axis first.
 """
 
 from __future__ import annotations
@@ -27,34 +30,130 @@ __all__ = [
     "DenseTrajectory",
     "integrate_piecewise",
     "integrate_lanes",
+    "sample_states",
 ]
 
-# Dormand-Prince 5(4) tableau (7 stages, FSAL).
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# b5 - b4: coefficients of the embedded error estimate
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-_Q = 4            # order of the embedded solution b5 - e behind the estimate
+@dataclass(frozen=True)
+class Tableau:
+    """An explicit Runge-Kutta method with two embedded error estimates.
+
+    Stage i of a step of length h from (t, y) is k_i = f(t + c_i h, y +
+    h sum_{l<i} a_il k_l), row i of ``a`` holding a_i0 .. a_i,i-1, and the
+    step ends at y + h sum_i b_i k_i.  ``e5`` and ``e3`` weight the stages
+    into the error estimates of orders 5 and 3 that ``_error_norm``
+    combines.  With ``fsal`` the last stage is the derivative at the step's
+    end, weighted 0 in it, and serves as the next step's first.  ``q`` is
+    the order of the combined estimate, which sets the controller's
+    exponents.
+    """
+
+    c: tuple
+    a: tuple
+    b: np.ndarray
+    e5: np.ndarray
+    e3: np.ndarray
+    fsal: bool
+    q: int
+
+
+# Prince & Dormand's RK8(7)13M in Hairer's DOP853 form, with its 5th/3rd-
+# order error estimator: Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, 2nd ed., Springer 1993, section II.10; Prince &
+# Dormand, J. Comput. Appl. Math. 7 (1981) 67-75.  12 stages plus FSAL.
+_B_DOP853 = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2)
+_DOP853 = Tableau(
+    c=(0.0, 0.526001519587677318785587544488e-01,
+       0.789002279381515978178381316732e-01,
+       0.118350341907227396726757197510, 0.281649658092772603273242802490,
+       0.333333333333333333333333333333, 0.25,
+       0.307692307692307692307692307692, 0.651282051282051282051282051282,
+       0.6, 0.857142857142857142857142857142, 1.0, 1.0),
+    a=(
+        (),
+        (5.26001519587677318785587544488e-2,),
+        (1.97250569845378994544595329183e-2,
+         5.91751709536136983633785987549e-2),
+        (2.95875854768068491816892993775e-2, 0.0,
+         8.87627564304205475450678981324e-2),
+        (2.41365134159266685502369798665e-1, 0.0,
+         -8.84549479328286085344864962717e-1,
+         9.24834003261792003115737966543e-1),
+        (3.7037037037037037037037037037e-2, 0.0, 0.0,
+         1.70828608729473871279604482173e-1,
+         1.25467687566822425016691814123e-1),
+        (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+         6.02165389804559606850219397283e-2, -1.7578125e-2),
+        (3.70920001185047927108779319836e-2, 0.0, 0.0,
+         1.70383925712239993810214054705e-1,
+         1.07262030446373284651809199168e-1,
+         -1.53194377486244017527936158236e-2,
+         8.27378916381402288758473766002e-3),
+        (6.24110958716075717114429577812e-1, 0.0, 0.0,
+         -3.36089262944694129406857109825,
+         -8.68219346841726006818189891453e-1,
+         2.75920996994467083049415600797e1,
+         2.01540675504778934086186788979e1,
+         -4.34898841810699588477366255144e1),
+        (4.77662536438264365890433908527e-1, 0.0, 0.0,
+         -2.48811461997166764192642586468,
+         -5.90290826836842996371446475743e-1,
+         2.12300514481811942347288949897e1,
+         1.52792336328824235832596922938e1,
+         -3.32882109689848629194453265587e1,
+         -2.03312017085086261358222928593e-2),
+        (-9.3714243008598732571704021658e-1, 0.0, 0.0,
+         5.18637242884406370830023853209, 1.09143734899672957818500254654,
+         -8.14978701074692612513997267357,
+         -1.85200656599969598641566180701e1,
+         2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+         -3.0467644718982195003823669022),
+        (2.27331014751653820792359768449, 0.0, 0.0,
+         -1.05344954667372501984066689879e1,
+         -2.00087205822486249909675718444,
+         -1.79589318631187989172765950534e1,
+         2.79488845294199600508499808837e1,
+         -2.85899827713502369474065508674,
+         -8.87285693353062954433549289258,
+         1.23605671757943030647266201528e1,
+         6.43392746015763530355970484046e-1),
+        _B_DOP853,                       # FSAL: the stage at the step's end
+    ),
+    b=np.array(_B_DOP853 + (0.0,)),
+    e5=np.array((
+        0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+        -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+        0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+        0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+        -0.2235530786388629525884427845e-1, 0.0)),
+    # b less the 3rd-order weights bhh at stages 0, 8 and 11
+    e3=np.array(_B_DOP853 + (0.0,)) - np.array((
+        0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.733846688281611857341361741547, 0.0, 0.0,
+        0.220588235294117647058823529412e-1, 0.0)),
+    fsal=True,
+    q=7,
+)
+
+_C, _B = _DOP853.c, _DOP853.b
+_A = [np.array(row) for row in _DOP853.a]
 _STAGES = len(_C)
 # the stages that enter y_{n+1}; the last one, FSAL, enters only the error
-_WEIGHTED = int(np.flatnonzero(_B5)[-1]) + 1
+_WEIGHTED = int(np.flatnonzero(_B)[-1]) + 1
+# the stages a record keeps: they rebuild the points of the weighted ones
+_RECORDED = _WEIGHTED - 1
 # _A_ROWS[i, l] = a_li, the weight of stage i in stage l > i
 _A_ROWS = np.zeros((_WEIGHTED, _WEIGHTED))
 for _l in range(1, _WEIGHTED):
     _A_ROWS[:_l, _l] = _A[_l]
 
 _SAFETY = 0.9
-_ALPHA = 0.7 / (_Q + 1)  # PI controller: proportional exponent
-_BETA = 0.4 / (_Q + 1)   # PI controller: integral exponent
+_ALPHA = 0.7 / (_DOP853.q + 1)  # PI controller: proportional exponent
+_BETA = 0.4 / (_DOP853.q + 1)   # PI controller: integral exponent
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _H_INIT = 1e-3    # first trial step of every segment
@@ -108,15 +207,15 @@ class DenseTrajectory:
     """Integration output: samples plus segment-boundary states.
 
     ``step_times`` holds the times of the nodes, each accepted step's
-    start and each segment's end; the samples are a Hermite
-    re-interpolation of those nodes at the requested times, intended for
-    reports and plots.  ``steps`` counts the step attempts (accepted,
+    start and each segment's end; the samples at ``sample_times`` are taken
+    by ``sample_states``.  ``steps`` counts the step attempts (accepted,
     rejected and non-finite) charged against ``IntegratorSettings.max_steps``.
 
     ``records[j]`` holds segment j's N accepted steps as arrays (t, h, y,
-    K) of shapes (N,), (N,), (N, dim), (N, stages, dim): step n starts at
-    (t[n], y[n]) with length h[n], K[n, 0] = rhs(j, t[n], y[n]), and
-    K[n, -1] is the derivative at its end (FSAL).
+    K) of shapes (N,), (N,), (N, dim), (N, _RECORDED, dim): step n starts
+    at (t[n], y[n]) with length h[n], and K[n] holds its first _RECORDED
+    stages, K[n, 0] = rhs(j, t[n], y[n]), which rebuild the points of all
+    the stages that enter y_{n+1}.
     """
 
     sample_times: np.ndarray
@@ -125,6 +224,21 @@ class DenseTrajectory:
     steps: int = 0
     step_times: np.ndarray = field(repr=False, default=None)
     records: list = field(repr=False, default=None)
+
+
+def _error_norm(h, k, scale):
+    """The error norm of steps of length h with stages k, (stages, dim), or
+    on B lanes h (B,) and k (B, stages, dim), for the error weights
+    ``scale`` of the states' shape: |h| err5^2 / sqrt(dim (err5^2 + 0.01
+    err3^2)), err5 and err3 the squared weighted 2-norms of the 5th- and
+    3rd-order estimates (Hairer, Norsett & Wanner, section II.10).  Both
+    loops call it, so that a lane's norm is its scalar loop's.
+    """
+    err5 = np.add.reduce(np.square((_DOP853.e5 @ k) / scale), axis=-1)
+    err3 = np.add.reduce(np.square((_DOP853.e3 @ k) / scale), axis=-1)
+    den = err5 + 0.01 * err3
+    return np.abs(h) * err5 / np.sqrt(np.where(den > 0.0, den, 1.0)
+                                      * scale.shape[-1])
 
 
 def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
@@ -160,7 +274,7 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
             for i in range(1, _STAGES):
                 k[i] = rhs(j, t + _C[i] * h_try,
                            y + h_try * (k_cols[i] @ _A[i]))
-            y_new = y + h_try * (_B5 @ k)
+            y_new = y + h_try * (_B @ k)
 
             steps += 1
             if not (np.isfinite(k[1:]).all() and np.isfinite(y_new).all()):
@@ -170,12 +284,12 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
                 continue
 
             abs_new = np.abs(y_new)
-            w = (h_try * (_E @ k) / (settings.abs_tol + settings.rel_tol
-                                     * np.maximum(abs_y, abs_new)))
-            err = math.sqrt(float(np.add.reduce(w * w)) / w.size)
+            err = float(_error_norm(h_try, k, settings.abs_tol
+                                    + settings.rel_tol
+                                    * np.maximum(abs_y, abs_new)))
             if err <= 1.0:
                 K = k.copy()  # the next attempt overwrites k
-                record.append((t, h_try, y, K))
+                record.append((t, h_try, y, K[:_RECORDED]))
                 t = t1 if clipped else t + h_try
                 y, abs_y = y_new, abs_new
                 k1 = K[-1]    # FSAL
@@ -194,34 +308,66 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
 
 
 def _segment_nodes(record, t_end, y_end):
-    """(times, states, derivatives) of the nodes of a scalar segment
-    record: each step's start, then the end (t_end, y_end) with FSAL."""
-    t, _, y, K = record
-    return (np.append(t, t_end), np.vstack((y, y_end)),
-            np.vstack((K[:, 0], K[-1, -1])))
+    """(times, states) of the nodes of a scalar segment record: each
+    step's start, then the end (t_end, y_end)."""
+    t, _, y, _ = record
+    return np.append(t, t_end), np.vstack((y, y_end))
 
 
-def _hermite_resample(times, states, derivs, sample_times):
-    """Cubic Hermite interpolation at ``sample_times`` of the nodes at
-    ``times`` (sorted, a restart's node duplicated) with the given states
-    and derivatives.
+def _node_before(times, sample_times):
+    """(n, off): the index of the last of the sorted node ``times`` at or
+    before each sample time, and whether the sample lies past it."""
+    n = np.searchsorted(times, sample_times, side="right") - 1
+    return n, sample_times != times[n]
 
-    ``np.float_power`` is the C ``pow`` of a float64 scalar ``** 2``; an
-    array ``** 2`` multiplies instead, which can differ in the last bit.
+
+def _stage_point(y, h, k, i):
+    """y + h sum_{l<i} a_il k_l, the point of stage i of steps from y over
+    h, lane-major: y (M, dim), h (M,), k (M, >= i, dim)."""
+    return y + h[:, None] * (k[:, :i].transpose(0, 2, 1) @ _A[i])
+
+
+def _step(f, t, h, y):
+    """One step of the method from (t, y) over h at M points at once,
+    lane-major: t and h (M,), y (M, dim), and f maps t (M,) and states (M,
+    dim) to (M, dim).  Returns the end state and the _WEIGHTED stages that
+    enter it, (M, _WEIGHTED, dim); the FSAL stage is not evaluated."""
+    k = np.empty(y.shape[:1] + (_WEIGHTED,) + y.shape[1:])
+    k[:, 0] = f(t, y)
+    for i in range(1, _WEIGHTED):
+        k[:, i] = f(t + _C[i] * h, _stage_point(y, h, k, i))
+    return y + h[:, None] * (_B[:_WEIGHTED] @ k), k
+
+
+def sample_states(rhs, segments, records, breakpoint_states, sample_times):
+    """The states at ``sample_times``, in the order given, of the
+    integration with these segment records and breakpoint states.
+
+    A sample takes the state of the last node at or before it, advanced
+    by one step of the method to the sample, so it has the accuracy of the
+    steps and there is no interpolant.  A sample at a node is that node's
+    state; one at a breakpoint belongs to the segment that starts there.
+    Each segment's samples are one batch: ``rhs(j, t, y)`` is called on
+    lanes, t of shape (M,) and y of shape (dim, M).
     """
-    idx = np.searchsorted(times, sample_times, side="right") - 1
-    idx = np.clip(idx, 0, times.size - 2)
-    h = times[idx + 1] - times[idx]
-    dup = h <= 0  # duplicated node at a restart
-    s = (sample_times - times[idx]) / np.where(dup, 1.0, h)
-    h00 = (1 + 2 * s) * np.float_power(1 - s, 2)
-    h10 = s * np.float_power(1 - s, 2)
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    out = (h00[:, None] * states[idx] + h01[:, None] * states[idx + 1]
-           + h[:, None] * (h10[:, None] * derivs[idx]
-                           + h11[:, None] * derivs[idx + 1]))
-    out[dup] = states[idx[dup] + 1]
+    sample_times = np.asarray(sample_times, dtype=float)
+    if not np.all((sample_times >= segments[0])
+                  & (sample_times <= segments[-1])):
+        raise ValueError(f"sample times must lie in [{segments[0]}, "
+                         f"{segments[-1]}]")
+    seg = np.minimum(np.searchsorted(segments, sample_times, side="right")
+                     - 1, len(records) - 1)
+    out = np.empty((sample_times.size, np.size(breakpoint_states[0])))
+    for j, record in enumerate(records):
+        at = np.flatnonzero(seg == j)
+        times, states = _segment_nodes(record, segments[j + 1],
+                                       breakpoint_states[j + 1])
+        n, off = _node_before(times, sample_times[at])
+        out[at] = states[n]
+        if off.any():
+            a, n = at[off], n[off]
+            out[a] = _step(lambda t, y: rhs(j, t, y.T).T, times[n],
+                           sample_times[a] - times[n], states[n])[0]
     return out
 
 
@@ -243,9 +389,10 @@ def integrate_piecewise(ode, x_start, *, settings=None, sample_times=None):
     """Integrate a piecewise ODE forward across all segments with hard
     restarts.
 
-    The states are resampled at ``sample_times`` (default: the two ends of
-    the interval), in the order given, and breakpoint_states[i] is the
-    state at ode.segments[i].
+    The states are sampled at ``sample_times`` (default: the two ends of
+    the interval) by ``sample_states``, which calls ``ode.rhs`` on lanes
+    for samples between nodes, and breakpoint_states[i] is the state at
+    ode.segments[i].
     """
     settings = settings or IntegratorSettings()
     x_start = np.asarray(x_start, dtype=float)
@@ -257,11 +404,13 @@ def integrate_piecewise(ode, x_start, *, settings=None, sample_times=None):
 
     samp_t = np.asarray([ode.segments[0], ode.segments[-1]]
                         if sample_times is None else sample_times, dtype=float)
-    times, states, derivs = (np.concatenate(a) for a in zip(*map(
-        _segment_nodes, records, ode.segments[1:], bp_states[1:])))
+    times = np.concatenate([_segment_nodes(*a)[0] for a in zip(
+        records, ode.segments[1:], bp_states[1:])])
     return DenseTrajectory(
         sample_times=samp_t,
-        sample_states=_hermite_resample(times, states, derivs, samp_t),
+        sample_states=np.array([bp_states[0], bp_states[-1]])
+        if sample_times is None else sample_states(
+            ode.rhs, ode.segments, records, bp_states, samp_t),
         breakpoint_states=bp_states, steps=used, step_times=times,
         records=records)
 
@@ -278,7 +427,8 @@ def integrate_with_quadrature(ode, x_start, integrand, *, settings=None,
     """
     def rhs(j, t, z):
         dx = ode.rhs(j, t, z[:-1])
-        return np.append(dx, integrand(j, t, z[:-1]))
+        return np.concatenate((dx, np.reshape(integrand(j, t, z[:-1]),
+                                              (1,) + np.shape(t))))
 
     aug = PiecewiseOde(dim=ode.dim + 1, segments=ode.segments, rhs=rhs)
     z0 = np.append(np.asarray(x_start, dtype=float), 0.0)
@@ -302,16 +452,16 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
     t0, t1 and budget have shape (B,) and y0 shape (dim, B).  Every lane
     applies the scalar rules with its own t, h, error history and budget.
     The stages are held lane-major, (B, stages, dim), so that each lane's
-    tableau products are the scalar loop's own BLAS calls: given the same
-    RHS values, a lane repeats its scalar integration bit for bit, which
-    keeps step counts equal where the error estimate is rounding noise.
-    A lane that has reached t1 is frozen, trying steps of length 0, until
-    all have.
+    tableau products are the scalar loop's own BLAS calls and its error
+    norm the scalar loop's formula: given the same RHS values, a lane
+    repeats its scalar integration bit for bit, which keeps step counts
+    equal where the error estimate is rounding noise.  A lane that has
+    reached t1 is frozen, trying steps of length 0, until all have.
     The first failure raises, naming its lane.  Returns (y_end,
     steps_used, record): the steps per lane, and the scalar loop's record
     with a lane axis after the step axis, over the I attempts in which
     some lane accepted a step: t and h (I, B), y (I, B, dim), K (I, B,
-    stages, dim).  A lane that accepted none there has h = 0 and K = 0,
+    _RECORDED, dim).  A lane that accepted none there has h = 0 and K = 0,
     so that its step folds to the identity even if it went non-finite.
     """
     def f(t, y):
@@ -323,7 +473,6 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
     steps = np.zeros(t.shape, dtype=int)
     record = []
     k = np.empty((t.size, _STAGES, y.shape[1]))
-    k_cols = [k[:, :i].transpose(0, 2, 1) for i in range(_STAGES)]
     active = t < t1
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -340,19 +489,17 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
                                   f"exceeded {settings.max_steps} steps")
             clipped = h >= t1 - t
             h_try = np.where(active, np.where(clipped, t1 - t, h), 0.0)
-            h_col = h_try[:, None]
 
             k[:, 0] = k1
             for i in range(1, _STAGES):
-                k[:, i] = f(t + _C[i] * h_try, y + h_col * (k_cols[i] @ _A[i]))
-            y_new = y + h_col * (_B5 @ k)
+                k[:, i] = f(t + _C[i] * h_try, _stage_point(y, h_try, k, i))
+            y_new = y + h_try[:, None] * (_B @ k)
             failed = active & ~(np.isfinite(k[:, 1:]).all(axis=(1, 2))
                                 & np.isfinite(y_new).all(axis=1))
             steps += active
 
-            w = (h_col * (_E @ k) / (settings.abs_tol + settings.rel_tol
-                                     * np.maximum(np.abs(y), np.abs(y_new))))
-            err = np.sqrt(np.add.reduce(w * w, axis=1) / w.shape[1])
+            err = _error_norm(h_try, k, settings.abs_tol + settings.rel_tol
+                              * np.maximum(np.abs(y), np.abs(y_new)))
             tested = active & ~failed
             accept = tested & (err <= 1.0)
             reject = tested & ~accept
@@ -367,7 +514,8 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
             h = np.where(failed, 0.5 * h_try, h)
             if accept.any():
                 record.append((t, np.where(accept, h_try, 0.0), y,
-                               np.where(accept[:, None, None], k, 0.0)))
+                               np.where(accept[:, None, None],
+                                        k[:, :_RECORDED], 0.0)))
 
             t = np.where(accept, np.where(clipped, t1, t + h_try), t)
             y = np.where(accept[:, None], y_new, y)
@@ -412,13 +560,24 @@ def integrate_lanes(ode, y_start, settings=None):
                                ode.segments, y, settings)
 
 
+def _stage_points(tau, h, y, K):
+    """(times, points) of the _WEIGHTED stages of steps (tau, h, y, K),
+    the step axis first, (N,), (N,), (N, d) and (N, >= _RECORDED, d), by
+    the loops' own tableau products: shapes (N, _WEIGHTED) and (N,
+    _WEIGHTED, d).  Stage 0's point is the step's start."""
+    Y = np.empty(y.shape[:1] + (_WEIGHTED,) + y.shape[1:])
+    Y[:, 0] = y
+    for i in range(1, _WEIGHTED):
+        Y[:, i] = _stage_point(y, h, K, i)
+    return tau[:, None] + np.array(_C[:_WEIGHTED]) * h[:, None], Y
+
+
 def _fold_steps(jacobian, T, tau, h, y, K):
     """D = G - I, h.shape + (d, d), for the transition matrices G =
     dz_{n+1}/dz_n of the steps of a record (tau, h, y, K) of any leading
     shape, of dz/dtau = T F(tau T, z), T broadcast against h.  The stage
-    points are rebuilt from the first _WEIGHTED - 1 stages by the forward
-    loops' own tableau products, _FOLD_BLOCK steps at a time, and
-    jacobian(t, Y) gives dF/dz at their flat times t (M,) and points Y
+    points are rebuilt by ``_stage_points``, _FOLD_BLOCK steps at a time,
+    and jacobian(t, Y) gives dF/dz at their flat times t (M,) and points Y
     (M, d) as (M, d, d).
 
     Walking the stages back, P_i = b_i I + sum_{l>i} a_li Theta_l and
@@ -426,7 +585,8 @@ def _fold_steps(jacobian, T, tau, h, y, K):
     Lam_i = lam_{n+1} P_i and theta_i = lam_{n+1} Theta_i, and
     lam_n = lam_{n+1} + lam_{n+1} D.  D is kept apart from I so that its
     O(h) entries are not rounded against 1.  The stages past _WEIGHTED
-    have weight 0 in z_{n+1}.
+    have weight 0 in z_{n+1}.  The recursion holds for any explicit
+    Runge-Kutta method (Hager, Numer. Math. 87 (2000) 247-282).
     """
     shape, d, S = h.shape, y.shape[-1], _WEIGHTED
     T = np.broadcast_to(T, shape).reshape(-1)
@@ -436,17 +596,13 @@ def _fold_steps(jacobian, T, tau, h, y, K):
     for a in range(0, h.size, _FOLD_BLOCK):
         at = slice(a, a + _FOLD_BLOCK)
         hb, N = h[at], h[at].size
-        Y = np.empty((N, S, d))
-        Y[:, 0] = y[at]
-        for i in range(1, S):
-            Y[:, i] = y[at] + hb[:, None] * (
-                K[at, :i].transpose(0, 2, 1) @ _A[i])
-        t = ((tau[at] + np.array(_C[:S])[:, None] * hb) * T[at]).T
+        t, Y = _stage_points(tau[at], hb, y[at], K[at])
         hTJ = (hb * T[at])[:, None, None, None] * jacobian(
-            t.reshape(-1), Y.reshape(-1, d)).reshape(N, S, d, d)
+            (t * T[at, None]).reshape(-1), Y.reshape(-1, d)).reshape(
+                N, S, d, d)
         theta = np.zeros((S, N * d * d))
         for i in range(S - 1, -1, -1):
-            P = (_A_ROWS[i] @ theta).reshape(N, d, d) + _B5[i] * eye
+            P = (_A_ROWS[i] @ theta).reshape(N, d, d) + _B[i] * eye
             theta[i] = (P @ hTJ[:, i]).reshape(-1)
         D[at] = theta.sum(axis=0).reshape(N, d, d)
     return D.reshape(shape + (d, d))

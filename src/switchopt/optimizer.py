@@ -287,7 +287,10 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
         for _ in range(60):
             z_new = var.project(z + alpha * d)
             step = z_new - z
-            if np.max(np.abs(step)) < 1e-16:
+            # a trial within a few ulps of z is z itself: its objective
+            # differs from f only by integration noise
+            if np.all(np.abs(step) <= np.maximum(
+                    1e-16, 4 * np.spacing(np.abs(z)))):
                 break
             pred = g @ step
             shrink = _LS_SHRINK

@@ -180,15 +180,14 @@ def phase_law(prob, j):
 
 
 def lane_law(prob, j):
-    """Phase j's constant or state law on B lanes as u(t, x) of shape
-    (m, B), for t of shape (B,) and x of shape (n, B); a constant law is
+    """Phase j's control law on B lanes as u(t, x, p=None) of shape (m,
+    B), for t of shape (B,) and x and p of shape (n, B); a constant law is
     broadcast."""
-    ph, m = prob.phases[j], prob.m
-    law = (lambda t, x: ph.law(t)) if ph.law_kind == "constant" else ph.law
+    m, law = prob.m, phase_law(prob, j)
 
-    def control(t, x):
+    def control(t, x, p=None):
         u = np.empty((m, t.size))
-        u[:] = np.reshape(law(t, x), (m, -1))
+        u[:] = np.reshape(law(t, x, p), (m, -1))
         return u
     return control
 
@@ -206,26 +205,34 @@ def phase_law_jacobian(prob, j):
 
 
 def phase_feasibility(prob, j):
-    """Phase j's control-box margin as m(t, x, p=None)."""
-    ph, control = prob.phases[j], phase_law(prob, j)
+    """Phase j's control-box margin as m(t, x, p=None): (m,) at a point,
+    (m, B) on B lanes."""
+    ph, m = prob.phases[j], prob.m
+    point, lanes = phase_law(prob, j), lane_law(prob, j)
 
     def margin(t, x, p=None):
-        u = control(t, x, p)
+        if np.ndim(x) == 2:
+            u = lanes(t, x, p)
+            return np.minimum(u - np.reshape(ph.lower(t), (m, -1)),
+                              np.reshape(ph.upper(t), (m, -1)) - u)
+        u = point(t, x, p)
         return np.minimum(u - _vector(ph.lower(t)), _vector(ph.upper(t)) - u)
     return margin
 
 
 def phase_flow(prob, j):
     """Phase j's flow F(t, z) of the sweep state: z = x and F = f in Case 1,
-    z = (x, p) and F = (f, -p f_x) in Case 2."""
-    n, f, f_x, control = prob.n, prob.f, prob.f_x, phase_law(prob, j)
+    z = (x, p) and F = (f, -p f_x) in Case 2.  It takes one point, or B
+    lanes: t of shape (B,) and z of shape (d, B)."""
+    n, f, f_x = prob.n, prob.f, prob.f_x
+    point, lanes = phase_law(prob, j), lane_law(prob, j)
     if prob.case == 1:
-        return lambda t, z: f(z, control(t, z))
+        return lambda t, z: f(z, (lanes if z.ndim == 2 else point)(t, z))
 
     def flow(t, z):
         x, p = z[:n], z[n:]
-        u = control(t, x, p)
-        dp = -p @ np.asarray(f_x(x, u), dtype=float)
+        u = (lanes if z.ndim == 2 else point)(t, x, p)
+        dp = -np.einsum("i...,ij...->j...", p, f_x(x, u))
         return np.concatenate((f(x, u), dp))
     return flow
 

@@ -2,8 +2,8 @@
 
 The library integrates forward only.  The oracles integrate an ODE back
 from the end of its interval: on t' = a + b - t the reflected system runs
-forward through the same DOPRI5 loop, and the results are mapped back to
-original time here.
+forward through the same integration loop, and the results are mapped back
+to original time here.
 """
 
 import numpy as np

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import switchopt
-from switchopt.benchmarks import CatalystParams, catalyst_switch_times
+from switchopt.benchmarks import CatalystParams, build_problem, \
+    catalyst_switch_times
 from switchopt.odeint import IntegratorSettings
 from switchopt.cli import main, EXIT_OK, EXIT_CHECK_FAILED, EXIT_SOLVER, \
     EXIT_CONFIG
@@ -40,6 +41,39 @@ def test_solve_catalyst_writes_report(tmp_path):
     # control starts at the upper bound, ends at the lower one
     assert rows[0, 3] == 1.0
     assert rows[-1, 3] == 0.0
+
+
+def _hamiltonian(name, path):
+    """H = p . f(x, u) at every row of a trajectory.csv."""
+    header, rows = _read_csv(path)
+    cols = {c: [i for i, h in enumerate(header) if h.startswith(c)]
+            for c in "xup"}
+    f = build_problem(name).f
+    return np.array([row[cols["p"]] @ f(row[cols["x"]], row[cols["u"]])
+                     for row in rows])
+
+
+@pytest.mark.parametrize("tol", [None, "1e-10"], ids=["default", "tol1e-10"])
+@pytest.mark.parametrize("name, argv", [
+    ("catalyst1", ["--s0", "0.1,0.7"]),
+    ("goddard", ["--s0", "13,21", "--T", "42"]),
+])
+def test_readme_solve_trajectory_holds_its_hamiltonian(tmp_path, name, argv,
+                                                       tol):
+    # the benchmark's trajectory checks, at the README command's tolerance
+    # and the benchmark's: H is constant along catalyst1's optimal
+    # autonomous trajectory (spread <= 1e-7) and vanishes along goddard's
+    # free-time one (max |H| <= 1e-3), between the nodes too
+    argv = ["solve", "--problem", name, *argv]
+    assert argv in README_COMMANDS
+    code = main(argv + ([] if tol is None else ["--ode-tol", tol])
+                + ["--out", str(tmp_path)])
+    assert code == EXIT_OK
+    H = _hamiltonian(name, tmp_path / "trajectory.csv")
+    if name == "catalyst1":
+        assert np.ptp(H) <= 1e-7
+    else:
+        assert np.max(np.abs(H)) <= 1e-3
 
 
 def _readme_commands():

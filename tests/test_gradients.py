@@ -16,11 +16,12 @@ from switchopt.gradients import (
     free_time_gradient_check, gradcheck,
 )
 from switchopt.lanes import backward_lanes, evaluate_lanes, forward_lanes
-from switchopt.odeint import _A, _B5, _C, IntegratorSettings, PiecewiseOde, \
+from switchopt import odeint
+from switchopt.odeint import _A, _B, _C, IntegratorSettings, PiecewiseOde, \
     integrate_piecewise
 from switchopt.optimizer import minimize
 from switchopt.problem import ControlPhase, ProblemDef, SwitchConfig, \
-    phase_flow, phase_jacobian
+    phase_feasibility, phase_flow, phase_jacobian
 
 from oracles import integrate_backward, quadrature_backward
 
@@ -286,18 +287,21 @@ def test_goddard_backward_steps_track_forward_at_optimum():
 
 def _adjoint_rhs(prob, j, T, d):
     """RHS of (z, lam) on tau for phase j, z of size d: the adjoint ODE of
-    the sweep state."""
+    the sweep state, at a point or on lanes (tau (M,), w (2 d, M)), the
+    layout in which the integrator takes samples."""
     flow, jacobian = phase_flow(prob, j), phase_jacobian(prob, j)
 
     def rhs(_, tau, w):
         z, lam = w[:d], w[d:]
-        J = jacobian(np.array([tau * T]), z[:, None])[:, :, 0]
-        return T * np.concatenate((flow(tau * T, z), -(lam @ J)))
+        J = jacobian(np.reshape(tau * T, -1), z.reshape(d, -1))
+        dlam = -np.einsum("i...,ij...->j...", lam, J.reshape(
+            (d, d) + np.shape(tau)))
+        return T * np.concatenate((flow(tau * T, z), dlam))
     return rhs
 
 
 def _adaptive_backward(prob, fwd, settings):
-    """lam at 0, s_1, .., T from an adaptive DOPRI5 integration of (z, lam)
+    """lam at 0, s_1, .., T from an adaptive integration of (z, lam)
     backward, phase by phase, with z reset to the forward checkpoint at
     each switch point: the backward sweep before the reverse pass."""
     T, d = fwd.T, fwd.checkpoints.shape[1]
@@ -324,11 +328,11 @@ def _replayed_objective(prob, fwd, j0, n0, z):
         flow = phase_flow(prob, j)
         for t0, h in zip(taus[n0 if j == j0 else 0:],
                          hs[n0 if j == j0 else 0:]):
-            k = np.zeros((7, z.size))
-            for i in range(6):
+            k = np.zeros((odeint._STAGES, z.size))
+            for i in range(odeint._WEIGHTED):
                 k[i] = T * flow((t0 + _C[i] * h) * T,
                                 z + h * (_A[i] @ k[:i]))
-            z = z + h * (_B5 @ k)
+            z = z + h * (_B @ k)
     return prob.C(z[:prob.n])
 
 
@@ -380,9 +384,10 @@ def test_reverse_pass_matches_adaptive_adjoint_integration(name):
 
 @pytest.mark.parametrize("name", list(FROZEN_CASES))
 def test_one_integration_and_six_adjoint_rows_per_step(monkeypatch, name):
-    # the reverse pass integrates nothing, and takes the six stage
-    # Jacobians of every accepted forward step, stage 7 excluded, from one
-    # phase_jacobian call per phase, the phases in any order
+    # the reverse pass integrates nothing, and takes the stage Jacobians
+    # of every accepted forward step at the _WEIGHTED stages that enter
+    # its end, the FSAL stage excluded, from one phase_jacobian call per
+    # phase, the phases in any order
     prob = build_problem(name)
     accepted, calls = [], []
 
@@ -406,7 +411,7 @@ def test_one_integration_and_six_adjoint_rows_per_step(monkeypatch, name):
     assert len(accepted) == 1
     assert bundle.bwd.steps == accepted[0]
     assert sorted(j for j, _ in calls) == list(range(prob.k + 1))
-    assert sum(size for _, size in calls) == 6 * accepted[0]
+    assert sum(size for _, size in calls) == odeint._WEIGHTED * accepted[0]
 
 
 def _bump_problem(c, w):
@@ -436,6 +441,19 @@ def test_margin_sees_a_violation_between_dense_samples():
     margins = feasibility_margins(prob, fwd)
     assert margins[0] < -0.4
     assert margins[1] == 0.0
+
+
+def test_margin_sees_a_violation_between_nodes():
+    # u leaves its box [0, 0.5] only for |t - 0.5| < 0.05 and enters no
+    # state, so the steps grow geometrically from the first, and phase 0
+    # has no node there; stage points of the step across it do
+    prob = dataclasses.replace(_bump_problem(c=0.5, w=0.05),
+                               f=lambda x, u: np.array([1.0, 0.0]))
+    fwd = forward_sweep(prob, SwitchConfig(s=np.array([0.9])))
+    margin = phase_feasibility(prob, 0)
+    tau, z = gradients._phase_nodes(fwd)[0]
+    assert min(np.min(margin(t, x)) for t, x in zip(tau * fwd.T, z)) >= 0.0
+    assert feasibility_margins(prob, fwd)[0] < -0.05
 
 
 def test_one_point_jacobian_is_refused_by_name():
@@ -778,10 +796,11 @@ def test_lanes_fold_no_stage_of_an_attempt_that_failed():
     prob = _band_problem(log)
     cfgs = [SwitchConfig(s=np.array([s])) for s in np.linspace(0.3, 0.6, 6)]
     lanes = evaluate_lanes(prob, cfgs)
-    # the forward's phase-1 law calls (the Jacobian's take 6 B points): one
-    # at the segment start, then six per attempt
+    # the forward's phase-1 law calls (the Jacobian's take _WEIGHTED B
+    # points): one at the segment start, then _STAGES - 1 per attempt
     calls = [c for c in log if np.size(c[0]) == len(cfgs)]
-    attempts = [calls[i:i + 6] for i in range(1, len(calls), 6)]
+    per = odeint._STAGES - 1
+    attempts = [calls[i:i + per] for i in range(1, len(calls), per)]
     assert np.isfinite(lanes.d_s).all()
     for b, cfg in enumerate(cfgs):
         assert abs(lanes.d_s[0, b] - evaluate_gradient(prob, cfg).d_s[0]) \
@@ -810,8 +829,9 @@ def test_lanes_reverse_pass_folds_each_phase_in_bounded_blocks(monkeypatch,
     # per_step: the reverse pass reads the stages the forward loop
     # recorded, so it calls f and the laws only inside the Jacobian.  It
     # folds each phase's record whole: at B = 1 one Jacobian call per
-    # phase, and at B = 200 calls of at most 6 * 256 stage points, which
-    # together cover the 6 stage points of every recorded step once
+    # phase, and at B = 200 calls of at most _WEIGHTED * _FOLD_BLOCK stage
+    # points, which together cover the _WEIGHTED stage points of every
+    # recorded step once
     prob = build_problem(name)
     grid = np.linspace(0.28, 0.34, B)
     cfgs = [SwitchConfig(s=np.array([s * prob.T])) for s in grid] \
@@ -850,9 +870,11 @@ def test_lanes_reverse_pass_folds_each_phase_in_bounded_blocks(monkeypatch,
         assert sorted(phases) == list(range(prob.k + 1))
     else:
         assert sorted(set(phases)) == list(range(prob.k + 1))
-        assert max(size for _, size in calls) <= 6 * 256
+        assert max(size for _, size in calls) \
+            <= odeint._WEIGHTED * odeint._FOLD_BLOCK
     for j, (_, h, _, _) in enumerate(fwd.records):
-        assert sum(size for i, size in calls if i == j) == 6 * h.size
+        assert sum(size for i, size in calls if i == j) \
+            == odeint._WEIGHTED * h.size
     assert np.array_equal(got.checkpoints, want.checkpoints)
     assert np.array_equal(got.steps, want.steps)
 

@@ -15,7 +15,7 @@ from switchopt.odeint import (
     integrate_with_quadrature,
 )
 
-from oracles import integrate_backward, quadrature_backward
+from oracles import integrate_backward, quadrature_backward, reflect
 
 # the library integrates forward; the oracles reflect time to go back
 INTEGRATE = {"forward": integrate_piecewise, "backward": integrate_backward}
@@ -56,28 +56,57 @@ def _order_residuals(b, A, order):
 
 
 def test_tableau_order_conditions():
-    S = odeint._STAGES
+    tab = odeint._DOP853
+    S = len(tab.c)
     A = np.zeros((S, S))
-    for i, row in enumerate(odeint._A):
+    for i, row in enumerate(tab.a):
         A[i, :i] = row
-    c, b = np.array(odeint._C), odeint._B5
-    b_hat = b - odeint._E
+    c, b = np.array(tab.c), tab.b
     np.testing.assert_allclose(A.sum(axis=1), c, rtol=0, atol=1e-15)
-    # 1 + 1 + 2 + 4 + 9 = 17 conditions up to order 5 for b
-    residuals = [_order_residuals(b, A, q) for q in range(1, 6)]
-    assert [len(r) for r in residuals] == [1, 1, 2, 4, 9]
+    assert abs(b.sum() - 1.0) <= 1e-15
+    # 1 + 1 + 2 + 4 + 9 + 20 + 48 + 115 = 200 conditions up to order 8
+    # for b, which misses order 9
+    residuals = [_order_residuals(b, A, q) for q in range(1, 9)]
+    assert [len(r) for r in residuals] == [1, 1, 2, 4, 9, 20, 48, 115]
     assert max(map(max, residuals)) <= 1e-15
-    # the embedded b_hat has order q = 4, the order behind the PI exponents
-    assert odeint._Q == 4
-    for q in range(1, odeint._Q + 1):
-        assert max(_order_residuals(b_hat, A, q)) <= 1e-15
-    assert max(_order_residuals(b_hat, A, odeint._Q + 1)) \
-        == pytest.approx(8.1e-4, rel=0.01)
-    assert odeint._ALPHA == 0.7 / 5 and odeint._BETA == 0.4 / 5
+    assert max(_order_residuals(b, A, 9)) == pytest.approx(2.68e-5, rel=0.01)
+    # the embedded solutions b - e5 and b - e3 have orders 5 and 3
+    for e, order, miss in ((tab.e5, 5, 4.53e-4), (tab.e3, 3, 2.52e-2)):
+        for q in range(1, order + 1):
+            assert max(_order_residuals(b - e, A, q)) <= 1e-14
+        assert max(_order_residuals(b - e, A, order + 1)) \
+            == pytest.approx(miss, rel=0.01)
+    # the combined estimate err5^2 / sqrt(err5^2 + 0.01 err3^2) is O(h^8):
+    # order q = 7, behind the PI exponents
+    assert tab.q == 7
+    assert odeint._ALPHA == 0.7 / 8 and odeint._BETA == 0.4 / 8
     # FSAL: the last stage is y_{n+1}'s derivative, weighted 0 in y_{n+1}
+    assert tab.fsal
     np.testing.assert_array_equal(A[-1, :-1], b[:-1])
     assert c[-1] == 1.0 and b[-1] == 0.0
-    assert (S, odeint._WEIGHTED) == (7, 6)
+    assert (len(tab.e5), len(tab.e3)) == (S, S)
+    assert (odeint._STAGES, odeint._WEIGHTED, odeint._RECORDED) \
+        == (13, 12, 11)
+
+
+def test_step_converges_at_order_eight():
+    # one step of the method, on lanes, from y(0) = 1 of y' = y cos t,
+    # whose solution is exp(sin t): halving h cuts the error at t = 2 by
+    # at least 2^7.5
+    def f(t, y):
+        return y * np.cos(t)[:, None]
+
+    errs = []
+    for n in (8, 16):
+        t, y = np.zeros(1), np.ones((1, 1))
+        h = np.full(1, 2.0 / n)
+        for _ in range(n):
+            y, K = odeint._step(f, t, h, y)
+            t = t + h
+        assert K.shape == (1, odeint._WEIGHTED, 1)
+        errs.append(abs(y[0, 0] - np.exp(np.sin(2.0))))
+    assert errs[1] > 1e-13
+    assert errs[0] / errs[1] >= 2 ** 7.5
 
 
 def test_exponential_decay():
@@ -233,12 +262,17 @@ def test_dense_samples_interpolate():
 
 
 def test_blowup_raises():
+    # x' = x^2 blows up at t = 1 / x0.  From x0 = 10 the steps close in on
+    # the pole until they fall below h_min.  From 1e100 the pole lies
+    # nearer than h_min, so every trial's stages overflow and halve it
     ode = PiecewiseOde(dim=1, segments=np.array([0.0, 2.0]),
                        rhs=lambda j, t, x: x * x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # overflowing stages are not warned
-        with pytest.raises(NonFiniteState):
+        with pytest.raises(StepUnderflow):
             integrate_piecewise(ode, np.array([10.0]))
+        with pytest.raises(NonFiniteState):
+            integrate_piecewise(ode, np.array([1e100]))
 
 
 @pytest.mark.parametrize("loop", ["scalar", "lanes"])
@@ -263,13 +297,14 @@ def test_non_finite_first_derivative_raises_without_warning(loop):
 def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget):
     """The segment loop that tests each stage for finiteness and stops an
     attempt at the first non-finite one (reference)."""
+    S = odeint._STAGES
     t, y = t0, np.array(y0, dtype=float)
     h = min(odeint._H_INIT, t1 - t0)
     err_prev = 1.0
     steps = 0
     record = []
-    k = np.empty((7, y.size))
-    k_cols = [k[:i].T for i in range(7)]
+    k = np.empty((S, y.size))
+    k_cols = [k[:i].T for i in range(S)]
     abs_y = np.abs(y)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -285,14 +320,14 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget):
 
             k[0] = k1
             failed = False
-            for i in range(1, 7):
+            for i in range(1, S):
                 k[i] = rhs(j, t + odeint._C[i] * h_try,
                            y + h_try * (k_cols[i] @ odeint._A[i]))
                 if not np.isfinite(k[i]).all():
                     failed = True
                     break
             if not failed:
-                y_new = y + h_try * (odeint._B5 @ k)
+                y_new = y + h_try * (odeint._B @ k)
                 failed = not np.isfinite(y_new).all()
 
             steps += 1
@@ -303,15 +338,15 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget):
                 continue
 
             abs_new = np.abs(y_new)
-            w = (h_try * (odeint._E @ k) / (settings.abs_tol + settings.rel_tol
-                                            * np.maximum(abs_y, abs_new)))
-            err = math.sqrt(float(np.add.reduce(w * w)) / w.size)
+            err = float(odeint._error_norm(
+                h_try, k, settings.abs_tol
+                + settings.rel_tol * np.maximum(abs_y, abs_new)))
             if err <= 1.0:
                 K = k.copy()
-                record.append((t, h_try, y, K))
+                record.append((t, h_try, y, K[:odeint._RECORDED]))
                 t = t1 if clipped else t + h_try
                 y, abs_y = y_new, abs_new
-                k1 = K[6]
+                k1 = K[S - 1]
                 fac = odeint._FAC_MAX if err == 0.0 else (
                     odeint._SAFETY * err ** (-odeint._ALPHA)
                     * err_prev ** odeint._BETA)
@@ -336,18 +371,19 @@ def _outcome(ode, y_start, direction, settings):
 
 
 def test_non_finite_seventh_stage_halves_the_step():
-    # a non-finite seventh stage (the FSAL derivative at t + h, weight 0
-    # in y_new) fails the attempt and halves the step; it does not reach
-    # the error test, whose rejection would cut the step to 0.2 h
-    calls = []
+    # a non-finite last stage (the FSAL derivative at t + h, weight 0 in
+    # y_new, the _STAGES-th call of the first attempt) fails the attempt
+    # and halves the step; it does not reach the error test, whose
+    # rejection would cut the step to 0.2 h
+    S, calls = odeint._STAGES, []
 
     def rhs(j, t, y):
         calls.append(t)
-        return np.full(1, np.nan) if len(calls) == 7 else -y
+        return np.full(1, np.nan) if len(calls) == S else -y
 
     ode = PiecewiseOde(dim=1, segments=np.array([0.0, 0.01]), rhs=rhs)
     traj = integrate_piecewise(ode, np.ones(1), settings=_tight())
-    assert calls[6] == odeint._H_INIT
+    assert calls[S - 1] == odeint._H_INIT
     assert traj.step_times[1] == 0.5 * odeint._H_INIT
     assert traj.steps == traj.step_times.size  # one attempt more than steps
     calls.clear()
@@ -425,26 +461,6 @@ def test_settings_validation():
         IntegratorSettings(max_steps=0)
 
 
-def _hermite_loop(times, states, derivs, sample_times):
-    """Sample-by-sample cubic Hermite interpolation (reference)."""
-    out = np.empty((sample_times.size, states.shape[1]))
-    idx = np.searchsorted(times, sample_times, side="right") - 1
-    idx = np.clip(idx, 0, times.size - 2)
-    for m, (tq, i) in enumerate(zip(sample_times, idx)):
-        h = times[i + 1] - times[i]
-        if h <= 0:  # duplicated node at a restart
-            out[m] = states[i + 1]
-            continue
-        s = (tq - times[i]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out[m] = (h00 * states[i] + h01 * states[i + 1]
-                  + h * (h10 * derivs[i] + h11 * derivs[i + 1]))
-    return out
-
-
 def _piecewise_oscillator():
     def rhs(j, t, x):
         w = (1.0, 3.0, 0.5)[j]
@@ -453,42 +469,76 @@ def _piecewise_oscillator():
                         rhs=rhs)
 
 
+def _scalar_step(rhs, j, t, y, h):
+    """One step of the tableau from (t, y) over h by the scalar loop's
+    products (reference)."""
+    k = np.empty((odeint._WEIGHTED, y.size))
+    k[0] = rhs(j, t, y)
+    for i in range(1, odeint._WEIGHTED):
+        k[i] = rhs(j, t + odeint._C[i] * h, y + h * (k[:i].T @ odeint._A[i]))
+    return y + h * (odeint._B[:odeint._WEIGHTED] @ k)
+
+
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_hermite_resample_matches_loop_exactly(monkeypatch, direction):
-    calls = []
-    vectorised = odeint._hermite_resample
-
-    def spy(*nodes):
-        calls.append(tuple(a.copy() for a in nodes))
-        return vectorised(*nodes)
-
-    monkeypatch.setattr(odeint, "_hermite_resample", spy)
+def test_samples_are_one_step_from_the_node_before(direction):
+    # samples 2**-10 apart land on both breakpoints; each sample is the
+    # state of the last node at or before it (in the integration's own
+    # time), advanced by one step to it, or that node's state when it
+    # lies on it, and the samples come back in the order asked for, in
+    # original time
     ode = _piecewise_oscillator()
-    # samples 2**-10 apart land on both breakpoints, where nodes are
-    # duplicated
+    want_t = np.linspace(0.0, 2.0, 2049)
     traj = INTEGRATE[direction](ode, np.array([1.0, 0.0]), settings=_tight(),
-                                sample_times=np.linspace(0.0, 2.0, 2049))
-    (node_times, states, derivs, sample_times), = calls
-    assert np.any(np.diff(node_times) == 0)
-    assert np.isin(node_times[np.diff(node_times, append=np.inf) == 0],
-                   sample_times).all()
-    ref = _hermite_loop(node_times, states, derivs, sample_times)
-    assert np.array_equal(
-        vectorised(node_times, states, derivs, sample_times), ref)
-    # samples come back in the order asked for, in original time, in
-    # either direction
-    assert np.array_equal(traj.sample_times, np.linspace(0.0, 2.0, 2049))
-    assert np.array_equal(traj.sample_states, ref)
+                                sample_times=want_t)
+    assert np.array_equal(traj.sample_times, want_t)
+    run = ode if direction == "forward" else reflect(ode)
+    t_run = want_t if direction == "forward" else 2.0 - want_t
+    seg, on_node = run.segments, 0
+    for m, tq in enumerate(t_run):
+        j = min(int(np.searchsorted(seg, tq, side="right")) - 1, 2)
+        t, _, y, _ = traj.records[j]
+        nodes = np.append(t, seg[j + 1])
+        states = np.vstack((y, traj.breakpoint_states[j + 1]
+                            if direction == "forward" else
+                            traj.breakpoint_states[::-1][j + 1]))
+        n = int(np.searchsorted(nodes, tq, side="right")) - 1
+        if nodes[n] == tq:
+            on_node += 1
+            want = states[n]
+        else:
+            want = _scalar_step(run.rhs, j, nodes[n], states[n], tq - nodes[n])
+        np.testing.assert_allclose(traj.sample_states[m], want, rtol=1e-14,
+                                   atol=1e-15)
+    assert on_node >= 4   # both ends and both breakpoints
 
 
-def test_hermite_resample_duplicated_last_node():
-    # a query past a trailing duplicate falls on the zero-length interval
-    nodes = (np.array([0.0, 1.0, 1.0]), np.array([[1.0], [3.0], [4.0]]),
-             np.array([[2.0], [-1.0], [0.5]]))
-    sample_times = np.array([0.0, 0.25, 0.999, 1.0, 1.5])
-    out = odeint._hermite_resample(*nodes, sample_times)
-    assert np.array_equal(out, _hermite_loop(*nodes, sample_times))
-    assert out[-1, 0] == 4.0 and out[-2, 0] == 4.0
+def test_samples_at_nodes_and_outside_the_interval():
+    # a sample at a node takes its state with no RHS call; a sample time
+    # outside the interval is refused
+    calls = []
+
+    def rhs(j, t, x):
+        calls.append(np.shape(t))
+        return -x
+
+    ode = PiecewiseOde(dim=1, segments=np.array([0.0, 0.5, 1.0]), rhs=rhs)
+    traj = integrate_piecewise(ode, np.ones(1), settings=_tight())
+    n_calls = len(calls)
+    again = odeint.sample_states(rhs, ode.segments, traj.records,
+                                 traj.breakpoint_states, traj.step_times)
+    assert len(calls) == n_calls
+    assert np.array_equal(again, np.vstack(
+        [np.vstack((r[2], x)) for r, x in zip(traj.records,
+                                               traj.breakpoint_states[1:])]))
+    mid = odeint.sample_states(rhs, ode.segments, traj.records,
+                               traj.breakpoint_states, [0.25, 0.75])
+    assert calls[n_calls:] == [(1,)] * 2 * odeint._WEIGHTED
+    np.testing.assert_allclose(mid[:, 0], np.exp(-np.array([0.25, 0.75])),
+                               rtol=1e-12)
+    for bad in ([-0.1], [1.0 + 1e-12], [np.nan]):
+        with pytest.raises(ValueError):
+            odeint.sample_states(rhs, ode.segments, traj.records,
+                                 traj.breakpoint_states, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +547,14 @@ def test_hermite_resample_duplicated_last_node():
 
 def _banded_ode(segments):
     """y1 = sin(2t) exactly, and a stage that strays from it by more than
-    3e-5 lands where the law is undefined (NaN), so that oversized trial
-    steps fail and halve; on segment 1, y2 relaxes at rate 400 toward
+    1e-5 lands where the law is undefined (NaN), so that oversized trial
+    steps fail and halve; on segment 1, y2 relaxes at rate 2000 toward
     y1^2, which makes the error test reject steps."""
     def rhs(j, t, y):
         slow = y[0] - y[1]
         dy = np.array([2.0 * np.cos(2.0 * t),
-                       slow if j == 0 else 400.0 * (y[0] ** 2 - y[1])])
-        return np.where(np.abs(y[0] - np.sin(2.0 * t)) > 3e-5, np.nan, dy)
+                       slow if j == 0 else 2000.0 * (y[0] * y[0] - y[1])])
+        return np.where(np.abs(y[0] - np.sin(2.0 * t)) > 1e-5, np.nan, dy)
     return PiecewiseOde(dim=2, segments=segments, rhs=rhs)
 
 
@@ -553,8 +603,9 @@ def test_failing_lane_raises_its_scalar_exception(kind):
     seg = np.vstack([np.zeros(lanes), np.full(lanes, 0.5), np.ones(lanes)])
     settings = IntegratorSettings()
     if kind is NonFiniteState:
-        # dy/dt = y^2 blows up at t = 1 / y0, inside the interval for lane 2
-        rhs = lambda j, t, y: y * y
+        # dy/dt = y^2 blows up at t = 1 / y0, inside the interval for lane
+        # 2, and the law is undefined (NaN) past y = 1e3
+        rhs = lambda j, t, y: np.where(y > 1e3, np.nan, y * y)
         y_start = np.array([[0.2, 0.5, 4.0, 0.1]])
     elif kind is StepUnderflow:
         # an amplitude-y2 law that no step size resolves, in lane 1 only
@@ -565,7 +616,7 @@ def test_failing_lane_raises_its_scalar_exception(kind):
         # the fastest oscillation needs the most steps
         rhs = lambda j, t, y: np.cos(y[1] * t) + 0.0 * y
         y_start = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 5.0, 60.0, 2.0]])
-        settings = IntegratorSettings(max_steps=100)
+        settings = IntegratorSettings(max_steps=40)
     exc, scalar = _lanes_and_scalar(rhs, seg, y_start, settings)
     b = int(str(exc).split(":")[0].removeprefix("lane "))
     assert type(exc) is kind and scalar[b] is kind

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -14,6 +15,7 @@ from switchopt.exceptions import InfeasiblePolytope, InvalidSwitchOrder, \
     LineSearchFailure, NonFiniteState, SecantDivergence, StepLimitExceeded, \
     StepUnderflow
 from switchopt.gradients import evaluate_gradient, forward_sweep
+from switchopt import odeint
 from switchopt.odeint import IntegratorSettings
 from switchopt.optimizer import (
     OptimizeSettings, _Vars, derivative_profile, minimize, project_ordered,
@@ -260,6 +262,43 @@ def test_trial_over_step_budget_is_backed_off(monkeypatch):
     assert over, "no trial ran over its step budget"
 
 
+def test_trial_into_the_singular_pole_fails_within_its_budget(monkeypatch):
+    # the catalyst2 README start's early trials run into the singular
+    # feedback's pole; each stops within its step budget, _TRIAL_STEP_
+    # FACTOR times the steps of an iterate, so it costs at most that many
+    # attempts of _STAGES - 1 flow calls, plus each segment's first call
+    prob, cfg = _catalyst2_readme_start()
+    calls, log = [0], []
+    f = prob.f
+
+    def counted(x, u):
+        calls[0] += 1
+        return f(x, u)
+
+    original = optimizer.forward_sweep
+
+    def sweep(*args):
+        before = calls[0]
+        try:
+            out = original(*args)
+        except optimizer._TRIAL_FAILURES as exc:
+            log.append((exc, args[2].max_steps, calls[0] - before))
+            raise
+        log.append((out, args[2].max_steps, calls[0] - before))
+        return out
+
+    monkeypatch.setattr(optimizer, "forward_sweep", sweep)
+    rep = minimize(dataclasses.replace(prob, f=counted), cfg)
+    assert rep.converged
+    failed = [(budget, n) for out, budget, n in log
+              if isinstance(out, Exception)]
+    steps = [out.steps for out, _, _ in log if not isinstance(out, Exception)]
+    assert failed
+    for budget, n in failed:
+        assert budget <= optimizer._TRIAL_STEP_FACTOR * max(steps)
+        assert n <= prob.k + 1 + (odeint._STAGES - 1) * budget
+
+
 def _first_trial_raises(monkeypatch, failure):
     """Make the forward sweep of minimize's first trial raise ``failure``."""
     original = optimizer.forward_sweep
@@ -455,12 +494,12 @@ def test_profile_step_budget_raises_like_the_scalar_sweep():
 
 
 def test_profile_failing_point_raises_its_scalar_exception():
-    # forward sweeps take 70 steps at s = 0.5 down to 46 at s = 4.5, so a
-    # budget of 56 fails some grid points and not others; the lane the
+    # forward sweeps take 25 steps at s = 0.5 down to 13 at s = 4.5, so a
+    # budget of 20 fails some grid points and not others; the lane the
     # error names fails alone too
     prob = build_problem("jacobson")
     grid = np.linspace(0.5, 4.5, 9)
-    budget = IntegratorSettings(max_steps=56)
+    budget = IntegratorSettings(max_steps=20)
     with pytest.raises(StepLimitExceeded) as info:
         derivative_profile(prob, grid, budget)
     b = int(str(info.value).split(":")[0].removeprefix("lane "))

@@ -9,7 +9,7 @@ from switchopt.benchmarks import PROBLEM_NAMES, build_problem
 from switchopt.exceptions import InvalidSwitchOrder, MissingCostate
 from switchopt import gradients, lanes, problem
 from switchopt.gradients import evaluate_gradient, forward_sweep
-from switchopt.lanes import evaluate_lanes, forward_lanes, lane_flow
+from switchopt.lanes import evaluate_lanes, forward_lanes
 from switchopt.optimizer import minimize
 from switchopt.problem import (
     SwitchConfig, lane_law, phase_feasibility, phase_flow, phase_jacobian,
@@ -339,7 +339,7 @@ def test_lane_callbacks_match_scalar_calls(name):
                 assert np.array_equal(out[..., b], fn(x[:, b], u[:, b]))
     for j in range(prob.k + 1):
         u_j = lane_law(prob, j)(t, x)
-        F = lane_flow(prob, j)(t, x)
+        F = phase_flow(prob, j)(t, x)
         J = phase_jacobian(prob, j)(t, x)
         for b in range(5):
             J_point = phase_jacobian(prob, j)(t[b:b + 1], x[:, b:b + 1])
