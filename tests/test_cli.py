@@ -56,21 +56,24 @@ def _hamiltonian(name, path):
 @pytest.mark.parametrize("tol", [None, "1e-10"], ids=["default", "tol1e-10"])
 @pytest.mark.parametrize("name, argv", [
     ("catalyst1", ["--s0", "0.1,0.7"]),
+    ("catalyst2", ["--s0", "0.1,0.7", "--p0", "0.9,0.8"]),
     ("goddard", ["--s0", "13,21", "--T", "42"]),
 ])
 def test_readme_solve_trajectory_holds_its_hamiltonian(tmp_path, name, argv,
                                                        tol):
     # the benchmark's trajectory checks, at the README command's tolerance
-    # and the benchmark's: H is constant along catalyst1's optimal
-    # autonomous trajectory (spread <= 1e-7) and vanishes along goddard's
-    # free-time one (max |H| <= 1e-3), between the nodes too
+    # and the benchmark's: H is constant along the catalyst problems'
+    # optimal autonomous trajectories (spread <= 1e-7; catalyst2's p comes
+    # from the forward sweep, catalyst1's from the backward one) and
+    # vanishes along goddard's free-time one (max |H| <= 1e-3), between
+    # the nodes too
     argv = ["solve", "--problem", name, *argv]
     assert argv in README_COMMANDS
     code = main(argv + ([] if tol is None else ["--ode-tol", tol])
                 + ["--out", str(tmp_path)])
     assert code == EXIT_OK
     H = _hamiltonian(name, tmp_path / "trajectory.csv")
-    if name == "catalyst1":
+    if name.startswith("catalyst"):
         assert np.ptp(H) <= 1e-7
     else:
         assert np.max(np.abs(H)) <= 1e-3

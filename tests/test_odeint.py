@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import warnings
 
 import numpy as np
