@@ -259,9 +259,8 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
 
 def _central_difference(prob, settings, bumped, delta):
     """(C(bumped(delta)) - C(bumped(-delta))) / (2 delta), each objective
-    from a forward sweep without dense samples."""
-    f_hi, f_lo = (forward_sweep(prob, bumped(d), settings,
-                                sample_count=2).objective
+    from a forward sweep."""
+    f_hi, f_lo = (forward_sweep(prob, bumped(d), settings).objective
                   for d in (delta, -delta))
     return (f_hi - f_lo) / (2 * delta)
 

@@ -607,7 +607,8 @@ def test_sampled_costate_matches_whole_horizon_integration(name, T, cfg):
         [tau for tau, _ in gradients._phase_nodes(fwd)]))
     assert np.max(np.abs(bundle.bwd.nodal - ref)) <= 1e-8 * np.max(np.abs(ref))
     if prob.case == 1:
-        # the reported costate, interpolated between the nodes
+        # the reported costate, carried from the next node to each sample
+        # by the reverse pass of one step
         ref = _whole_horizon_costate(prob, fwd, TIGHT, fwd.times / fwd.T)
         got = dense_trajectory(prob, cfg, TIGHT, bundle=bundle)[3]
         assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
