@@ -33,6 +33,7 @@ __all__ = [
     "sample_states",
 ]
 
+
 @dataclass(frozen=True)
 class Tableau:
     """An explicit Runge-Kutta method with two embedded error estimates.
