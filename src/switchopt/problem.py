@@ -25,7 +25,7 @@ __all__ = [
     "SwitchConfig",
     "horizon",
     "phase_law", "phase_law_jacobian", "phase_feasibility",
-    "phase_flow", "phase_jacobian", "lane_law",
+    "phase_flow", "phase_jacobian", "lane_law", "lane_shaped",
     "validate_config",
 ]
 
@@ -267,11 +267,14 @@ def phase_jacobian(prob, j):
                     J[:, i, m] = (flow(t[m], zp) - flow(t[m], zm)) / (2 * h)
             return J
 
-    def checked(t, z):
-        J, want = batched(t, z), z.shape[:1] * 2 + t.shape
-        if np.shape(J) != want:
-            raise ValueError(f"{prob.name}: phase {j}'s flow Jacobian has "
-                             f"shape {np.shape(J)}, not {want}: the model "
-                             "callbacks must keep the lane axis last")
-        return J
-    return checked
+    return lambda t, z: lane_shaped(prob, f"phase {j}'s flow Jacobian",
+                                    batched(t, z), z.shape[:1] * 2 + t.shape)
+
+
+def lane_shaped(prob, what, J, want):
+    """J, or a ValueError naming prob and what if J's shape is not want."""
+    if np.shape(J) != want:
+        raise ValueError(f"{prob.name}: {what} has shape {np.shape(J)}, not "
+                         f"{want}: the model callbacks must keep the lane "
+                         "axis last")
+    return J

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NoStructure
-from .problem import ProblemDef
+from .problem import ProblemDef, lane_shaped
 
 __all__ = [
     "DiscreteControlProblem",
@@ -59,7 +59,6 @@ class DiscreteControlProblem:
 
     def __post_init__(self):
         _check_mesh(self.N, self.rho_tv)
-
 
 
 @dataclass
@@ -158,31 +157,31 @@ def tv_prox(signal, weight):
 
 def _rollout(prob, u, h):
     """Forward Euler states x_0..x_N for control matrix u (m, N)."""
-    N = u.shape[1]
-    xs = np.empty((N + 1, prob.n))
-    xs[0] = prob.x0
-    for j in range(N):
-        xs[j + 1] = xs[j] + h * prob.f(xs[j], u[:, j])
+    xs = np.empty((u.shape[1] + 1, prob.n))
+    xs[0] = x = prob.x0
+    for j, uj in enumerate(u.T, 1):
+        xs[j] = x = x + h * prob.f(x, uj)
     return xs
 
 
 def _adjoint(prob, xs, u, h):
     """Discrete costates p_0..p_{N-1} and the gradient of C wrt each u_j.
 
-    One backward pass: p_{j-1} = p_j (I + h f_x(x_j, u_j)) and
-    dC/du_j = h p_j f_u(x_j, u_j).
+    One lane call each of f_x and f_u on the N mesh points, then the
+    backward pass p_{j-1} = p_j G_j, G_j = I + h f_x(x_j, u_j), and the
+    stacked product dC/du_j = h p_j f_u(x_j, u_j).  Both stacks are
+    C-contiguous, mesh axis first, so each product rounds as on one point.
     """
-    N = u.shape[1]
-    eye = np.eye(prob.n)
-    ps = np.empty((N, prob.n))
-    grad = np.empty_like(u)
+    n, (m, N), x = prob.n, u.shape, xs[:-1].T
+    F_x = lane_shaped(prob, "f_x", prob.f_x(x, u), (n, n, N))
+    F_u = lane_shaped(prob, "f_u", prob.f_u(x, u), (n, m, N))
+    G = np.ascontiguousarray(np.moveaxis(np.eye(n)[..., None] + h * F_x, 2, 0))
+    F_u = np.ascontiguousarray(np.moveaxis(F_u, 2, 0))
+    ps = np.empty((N, n))
     ps[N - 1] = prob.grad_C(xs[N])
-    for j in range(N - 1, -1, -1):
-        x, uj, p = xs[j], u[:, j], ps[j]
-        grad[:, j] = h * (p @ prob.f_u(x, uj))
-        if j:
-            ps[j - 1] = p @ (eye + h * prob.f_x(x, uj))
-    return ps, grad
+    for j in range(N - 1, 0, -1):
+        ps[j - 1] = ps[j] @ G[j]
+    return ps, h * np.matmul(ps[:, None, :], F_u)[:, 0, :].T
 
 
 def _tv_value(u, rho):
@@ -229,11 +228,8 @@ def solve_tv_euler(prob, N=100, rho_tv=1e-3, max_iters=2000):
     for it in range(1, max_iters + 1):
         # backtrack until the quadratic upper bound holds
         while True:
-            v = u - step * g
-            u_new = np.empty_like(u)
-            for i in range(u.shape[0]):
-                u_new[i] = tv_prox(v[i], step * rho_tv)
-            u_new = np.clip(u_new, lower, upper)
+            u_new = np.clip([tv_prox(v, step * rho_tv) for v in u - step * g],
+                            lower, upper)
             d = u_new - u
             f_new, xs_new = smooth(u_new)
             if f_new <= f_s + np.sum(g * d) + np.sum(d * d) / (2 * step) \
