@@ -408,7 +408,9 @@ def build_goddard(params: GoddardParams = GoddardParams(),
         return -x[0] + beta * dm + 0.5 * rho * dm * dm
 
     def grad_C(x):
-        return np.array([-1.0, 0.0, beta + rho * (x[2] - 1.0)])
+        g = _lane_zeros((3,), x)
+        g[0], g[2] = -1.0, beta + rho * (x[2] - 1.0)
+        return g
 
     return ProblemDef(
         name="goddard", n=3, m=1, x0=np.array([0.0, 0.0, 3.0]),

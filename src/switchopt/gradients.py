@@ -23,6 +23,10 @@ every derivative:
 All integrations here run on tau in [0, 1] with the horizon T as a dynamics
 parameter, for fixed- and free-time problems alike, so the same code path
 produces every derivative.
+
+A list of B configurations is swept as the lanes of one lockstep
+``odeint.integrate_lanes``, each lane taking its own scalar sweep's steps,
+into the same records with the lane axis last (see ``ProblemDef``).
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .odeint import PiecewiseOde, _fold_steps, _node_before, \
-    _segment_nodes, _stage_points, _step, integrate_piecewise, sample_states
+    _segment_nodes, _stage_points, _step, integrate_lanes, \
+    integrate_piecewise, sample_states
 # read only by perfbench's tracer, which patches it here
 from .odeint import integrate_with_quadrature  # noqa: F401
-from .problem import horizon, phase_feasibility, phase_flow, \
-    phase_jacobian, phase_law, validate_config
+from .problem import SwitchConfig, horizon, lane_shaped, \
+    phase_feasibility, phase_flow, phase_jacobian, phase_law, validate_config
 
 __all__ = [
     "TrajectoryRecord",
@@ -58,17 +63,19 @@ DEFAULT_SAMPLES = 201
 @dataclass
 class TrajectoryRecord:
     """Forward-sweep output: switch-point checkpoints and accepted steps,
-    with report samples of z taken when first read."""
+    with report samples of z taken when first read.  On B lanes each array
+    gains a trailing lane axis, and there are no samples."""
 
-    times: np.ndarray                 # physical time at the report samples
-    phase: np.ndarray                 # phase index of each sample
+    times: Optional[np.ndarray]       # physical time at the report samples
+    phase: Optional[np.ndarray]       # phase index of each sample
     checkpoint_states: np.ndarray     # (k+2, n) at 0, s_1..s_k, T
     checkpoints: np.ndarray           # (k+2, dim z): z at the same points
     objective: float
     sigma: np.ndarray                 # switch points in tau units, incl. 0 and 1
     T: float
     steps: int                        # integrator step attempts of the sweep
-    # per phase, the accepted steps (tau, h, z, K): odeint.DenseTrajectory
+    # per phase, the accepted steps (tau, h, z, K): odeint.DenseTrajectory,
+    # on lanes with a lane axis after the step axis
     records: list = field(repr=False)
     # the sweep's rhs(j, tau, z), at a point or on lanes
     rhs: Callable = field(repr=False)
@@ -98,14 +105,16 @@ class TrajectoryRecord:
 class BackwardRecord:
     """Backward-sweep output: the adjoint lam of z on the forward mesh."""
 
-    costates: list                    # lam at 0, s_1..s_k, T
-    nodal: np.ndarray                 # lam at each node of _phase_nodes
+    costates: list                    # lam at 0, s_1..s_k, T: (d,) or (d, B)
+    # lam at each node of _phase_nodes; on lanes at each iteration's start
+    nodal: np.ndarray
     steps: int                        # reverse steps: the forward's accepted ones
 
 
 @dataclass
 class GradientBundle:
-    """Objective value and its exact derivatives at one configuration."""
+    """Objective value and its exact derivatives at one configuration, or
+    on B lanes with a trailing lane axis."""
 
     objective: float
     d_s: np.ndarray
@@ -122,33 +131,45 @@ def _resolved(make, prob):
 
 
 def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
-    """Integrate the sweep state z forward and evaluate the objective."""
-    validate_config(prob, cfg)
-    T = horizon(prob, cfg)
-    sigma = np.concatenate(([0.0], cfg.s / T, [1.0]))
+    """Integrate the sweep state z forward and evaluate the objective.
+
+    ``cfg`` is one SwitchConfig, or a list of them swept as the lanes of
+    one lockstep integration, without report samples; every configuration
+    is checked before any lane is integrated.
+    """
+    lanes, starts = not isinstance(cfg, SwitchConfig), []
+    for c in cfg if lanes else [cfg]:
+        validate_config(prob, c)
+        t = horizon(prob, c)
+        starts.append((t, np.concatenate(([0.0], c.s / t, [1.0])), prob.x0
+                       if c.p0 is None else np.concatenate((prob.x0, c.p0))))
+    # T, sigma and z0 of one configuration, or stacked along a lane axis
+    T, sigma, z0 = (np.stack(v, axis=-1) if lanes else v[0]
+                    for v in zip(*starts))
     n, flows = prob.n, _resolved(phase_flow, prob)
-    z0 = prob.x0 if cfg.p0 is None else np.concatenate((prob.x0, cfg.p0))
 
     def rhs(j, tau, z):
         return T * flows[j](tau * T, z)
 
-    ode = PiecewiseOde(dim=z0.size, segments=sigma, rhs=rhs)
-    traj = integrate_piecewise(ode, z0, settings=settings)
-    ckpt = np.array(traj.breakpoint_states)
-    times = np.linspace(0.0, 1.0, max(2, sample_count)) * T
-    # a sample at a switch point belongs to the phase that starts there
-    phase = np.searchsorted(sigma, times / T, side="right") - 1
+    ode = PiecewiseOde(dim=len(z0), segments=sigma, rhs=rhs)
+    times = phase = None
+    if lanes:
+        ckpt, steps, records = integrate_lanes(ode, z0, settings)
+    else:
+        traj = integrate_piecewise(ode, z0, settings=settings)
+        ckpt, steps, records = traj.breakpoint_states, traj.steps, \
+            traj.records
+        times = np.linspace(0.0, 1.0, max(2, sample_count)) * T
+        # a sample at a switch point belongs to the phase that starts there
+        phase = np.clip(np.searchsorted(sigma, times / T, side="right") - 1,
+                        0, prob.k)
+    ckpt = np.array(ckpt)
+    objective = lane_shaped(prob, "C", np.asarray(
+        prob.C(ckpt[-1, :n]), dtype=float), ckpt.shape[2:])
     return TrajectoryRecord(
-        times=times,
-        phase=np.clip(phase, 0, prob.k),
-        checkpoint_states=ckpt[:, :n],
-        checkpoints=ckpt,
-        objective=float(prob.C(ckpt[-1, :n])),
-        sigma=sigma,
-        T=T,
-        steps=traj.steps,
-        records=traj.records,
-        rhs=rhs)
+        times=times, phase=phase, checkpoint_states=ckpt[:, :n],
+        checkpoints=ckpt, objective=objective if lanes else float(objective),
+        sigma=sigma, T=T, steps=steps, records=records, rhs=rhs)
 
 
 def _phase_nodes(fwd):
@@ -183,20 +204,26 @@ def backward_sweep(prob, fwd):
 
     The reverse pass of the accepted steps, phase by phase from the last,
     lam_n = lam_{n+1} G_n with G_n = dz_{n+1}/dz_n of step n: no tolerance
-    and no error test, and lam passes a switch point unchanged.
+    and no error test, and lam passes a switch point unchanged.  On lanes
+    a lane whose h is 0 keeps its lam, and a constant grad C of shape (n,)
+    serves every lane.
     """
-    d = fwd.checkpoints.shape[1]
-    lam = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
-                          np.zeros(d - prob.n)))
-    costates, nodal = [lam], []
+    x_T = fwd.checkpoint_states[-1]
+    grad = np.asarray(prob.grad_C(x_T), dtype=float)
+    # lane-major from here on: lam (d,), or (B, d) on lanes
+    lam = np.zeros(fwd.checkpoints[-1].T.shape)
+    want = x_T.shape if grad.ndim > 1 else x_T.shape[:1]
+    lam[..., :prob.n] = lane_shaped(prob, "grad_C", grad, want).T
+    costates, nodal, steps = [lam], [], 0
     for j in range(prob.k, -1, -1):
         chain = _reverse_pass(prob, j, fwd.T, fwd.records[j], lam)
         nodal[:0] = [chain, lam[None]]
         lam = chain[0]
         costates.insert(0, lam)
-    nodal = np.concatenate(nodal)
-    return BackwardRecord(costates=costates, nodal=nodal,
-                          steps=len(nodal) - (prob.k + 1))
+        steps = steps + np.count_nonzero(fwd.records[j][1], axis=0)
+    return BackwardRecord(costates=[lam.T for lam in costates],
+                          nodal=np.concatenate(nodal).swapaxes(1, -1),
+                          steps=steps)
 
 
 def feasibility_margins(prob, fwd):
@@ -214,30 +241,38 @@ def feasibility_margins(prob, fwd):
     return worst
 
 
-def _switch_jumps(flows, fwd, costates, dot):
+def _lane_dot(a, b):
+    """a . b of two (d,) arrays, or per lane of two (d, B) arrays, each by
+    the call of the one-configuration ``a @ b``."""
+    return np.matmul(a.T[..., None, :], b.T[..., :, None])[..., 0, 0]
+
+
+def _switch_jumps(flows, fwd, costates):
     """dC/ds_j = lam . (F_{j-1} - F_j), the Hamiltonian's jump at each s_j
-    of the record ``fwd``, by dot(lam, v): (k,), or (k, B) on B lanes."""
+    of the record ``fwd``: (k,), or (k, B) on B lanes."""
     k, d_s = len(flows) - 1, []
     for j in range(1, k + 1):
         t, z = fwd.sigma[j] * fwd.T, fwd.checkpoints[j]
         # the flows' difference first: the terms both phases share cancel
         # exactly, not after rounding in two dot products
-        d_s.append(dot(costates[j], flows[j - 1](t, z) - flows[j](t, z)))
+        d_s.append(_lane_dot(costates[j], flows[j - 1](t, z) - flows[j](t, z)))
     return np.reshape(d_s, (k,) + np.shape(fwd.T))
 
 
 def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
     """Objective plus exact gradient w.r.t. switch points, p0, and T.
 
-    ``fwd`` is the forward record of ``cfg`` when it is already computed;
-    then only the backward sweep runs.
+    ``cfg`` is one SwitchConfig, or a list of B swept as lanes (see
+    ``forward_sweep``): then the objective has shape (B,), d_s (k, B), d_p0
+    (n, B) and d_T (B,).  ``fwd`` is the forward record of ``cfg`` when it
+    is already computed; then only the backward sweep runs.
     """
     if fwd is None:
         fwd = forward_sweep(prob, cfg, settings)
     bwd = backward_sweep(prob, fwd)
 
     flows = _resolved(phase_flow, prob)
-    d_s = _switch_jumps(flows, fwd, bwd.costates, np.matmul)
+    d_s = _switch_jumps(flows, fwd, bwd.costates)
 
     if with_d_T is None:
         with_d_T = prob.free_time
@@ -246,13 +281,14 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
         # dC/dT at fixed s from the terminal Hamiltonian, plus the chain
         # rule through s = sigma T
         lam, z = bwd.costates[-1], fwd.checkpoints[-1]
-        d_T = float(lam @ flows[prob.k](fwd.T, z)) \
-            + float(fwd.sigma[1:-1] @ d_s)
+        d_T = _lane_dot(lam, flows[prob.k](fwd.T, z)) \
+            + _lane_dot(fwd.sigma[1:-1], d_s)
+        d_T = d_T if np.ndim(d_T) else float(d_T)
     lam0 = bwd.costates[0]
     return GradientBundle(
         objective=fwd.objective,
         d_s=d_s,
-        d_p0=lam0[prob.n:].copy() if lam0.size > prob.n else None,
+        d_p0=lam0[prob.n:].copy() if len(lam0) > prob.n else None,
         d_T=d_T,
         fwd=fwd, bwd=bwd)
 

@@ -187,7 +187,8 @@ class PiecewiseOde:
 
     ``segments`` of shape (nseg+1, B) describes B lanes for
     ``integrate_lanes``: column b holds lane b's breakpoints, and
-    ``rhs`` takes t of shape (B,) and states of shape (dim, B).
+    ``rhs`` takes t of shape (B,) and states of shape (dim, B), as in
+    ``gradients.forward_sweep`` of a list of configurations.
     """
 
     dim: int
@@ -548,7 +549,8 @@ def integrate_lanes(ode, y_start, settings=None):
     Returns (breakpoint_states, steps, records): breakpoint_states[i] is
     the (dim, B) state at ode.segments[i], steps the (B,) step attempts of
     each lane, and records[j] segment j's accepted steps as
-    ``_integrate_lane_segment`` records them, (I, B) steps.
+    ``_integrate_lane_segment`` records them, (I, B) steps, which
+    ``gradients.backward_sweep`` folds as it folds a scalar record.
     """
     settings = settings or IntegratorSettings()
     y = np.array(y_start, dtype=float)

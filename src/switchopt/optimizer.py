@@ -22,7 +22,6 @@ from .exceptions import InfeasiblePolytope, LineSearchFailure, \
     StepUnderflow
 from .gradients import GradientBundle, evaluate_gradient, \
     feasibility_margins, forward_sweep
-from .lanes import evaluate_lanes
 from .odeint import IntegratorSettings
 from .problem import SwitchConfig, horizon
 
@@ -423,8 +422,8 @@ def derivative_profile(prob, s_grid, ode_settings=None):
     """Table of (s, dC/ds_1) over a grid, for single-switch problems.
 
     The grid points are the lanes of one lockstep forward and backward
-    sweep (``evaluate_lanes``); lane b takes the steps of
-    ``evaluate_gradient`` at s_grid[b].  A failing point raises, its
+    sweep, ``evaluate_gradient`` of their list; lane b takes the steps of
+    ``evaluate_gradient`` at s_grid[b] alone.  A failing point raises, its
     message naming the lane.
     """
     if prob.k != 1:
@@ -432,6 +431,6 @@ def derivative_profile(prob, s_grid, ode_settings=None):
     s = np.array(s_grid, dtype=float).reshape(-1)
     if s.size == 0:
         raise ValueError("derivative_profile needs at least one grid point")
-    bundle = evaluate_lanes(prob, [SwitchConfig(s=v[None]) for v in s],
-                            ode_settings)
+    bundle = evaluate_gradient(prob, [SwitchConfig(s=v[None]) for v in s],
+                               ode_settings)
     return np.column_stack((s, bundle.d_s[0]))

@@ -77,8 +77,8 @@ class ProblemDef:
     f: Callable          # (x, u) -> xdot (n,)
     f_x: Callable        # (x, u) -> (n, n)
     f_u: Callable        # (x, u) -> (n, m)
-    C: Callable          # x_T -> scalar
-    grad_C: Callable     # x_T -> (n,) row
+    C: Callable          # x_T -> scalar, (B,) on lanes
+    grad_C: Callable     # x_T -> (n,) row, (n, B) on lanes unless constant
     # (j, t, x, p) -> (2n, 2n), phase j's flow Jacobian dF/d(x, p), with
     # the lane axis last on lanes
     case2_derivs: Optional[Callable] = None

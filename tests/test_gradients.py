@@ -12,10 +12,9 @@ from switchopt.benchmarks import (
 from switchopt import gradients
 from switchopt.exceptions import NonFiniteState
 from switchopt.gradients import (
-    dense_trajectory, evaluate_gradient, feasibility_margins, forward_sweep,
-    free_time_gradient_check, gradcheck,
+    backward_sweep, dense_trajectory, evaluate_gradient, feasibility_margins,
+    forward_sweep, free_time_gradient_check, gradcheck,
 )
-from switchopt.lanes import backward_lanes, evaluate_lanes, forward_lanes
 from switchopt import odeint
 from switchopt.odeint import _A, _B, _C, IntegratorSettings, PiecewiseOde, \
     integrate_piecewise
@@ -689,25 +688,53 @@ def test_gradcheck_evaluates_gradient_once(monkeypatch, name):
 # ---------------------------------------------------------------------------
 
 def _assert_lanes_match_scalar(prob, cfgs, settings, stride=1,
-                               relative=False, exact=False):
-    """evaluate_lanes over cfgs against evaluate_gradient at every stride-th
-    one: the same step attempts forward, the forward's accepted steps
-    backward, and objective and d_s to 1e-12, times max(1, |value|) when
-    ``relative``; when ``exact``, also the very objective and checkpoints."""
-    lanes = evaluate_lanes(prob, cfgs, settings)
-    assert lanes.d_s.shape == (prob.k, len(cfgs))
-    for b in range(0, len(cfgs), stride):
+                               relative=False, exact=False,
+                               to_objective=False):
+    """evaluate_gradient over the list cfgs against evaluate_gradient at
+    every stride-th one: the same step attempts forward, the forward's
+    accepted steps backward, and objective, d_s, d_p0 and d_T to 1e-12,
+    times max(1, |value|) when ``relative`` and max(1, |C|, |value|) when
+    ``to_objective``; when ``exact``, also the very objective and
+    checkpoints."""
+    lanes = evaluate_gradient(prob, cfgs, settings)
+    B = len(cfgs)
+    assert lanes.objective.shape == (B,)
+    assert lanes.d_s.shape == (prob.k, B)
+    assert lanes.fwd.checkpoints.shape[::2] == (prob.k + 2, B)
+    for b in range(0, B, stride):
         bundle = evaluate_gradient(prob, cfgs[b], settings)
         if exact:
             assert lanes.objective[b] == bundle.objective
             assert np.array_equal(lanes.fwd.checkpoints[..., b],
                                   bundle.fwd.checkpoints)
-        for got, want in [(lanes.objective[b], bundle.objective),
-                          *zip(lanes.d_s[:, b], bundle.d_s)]:
-            scale = max(1.0, abs(want)) if relative else 1.0
+        pairs = [(lanes.objective[b], bundle.objective),
+                 *zip(lanes.d_s[:, b], bundle.d_s)]
+        for name in ("d_p0", "d_T"):
+            want = getattr(bundle, name)
+            got = getattr(lanes, name)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.shape(got) == np.shape(want) + (B,)
+                pairs += zip(np.reshape(got[..., b], -1), np.reshape(want, -1))
+        floor = max(1.0, abs(bundle.objective)) if to_objective else 1.0
+        for got, want in pairs:
+            scale = max(floor, abs(want)) if relative or to_objective \
+                else 1.0
             assert abs(got - want) <= 1e-12 * scale
         assert lanes.fwd.steps[b] == bundle.fwd.steps
         assert lanes.bwd.steps[b] == bundle.bwd.steps
+
+
+# a grid value v as a configuration near the README start: catalyst2's p0
+# and goddard's horizon move with v
+GRID_CONFIGS = {
+    "jacobson": lambda v: SwitchConfig(s=np.array([v])),
+    "bressan": lambda v: SwitchConfig(s=np.array([v])),
+    "catalyst2": lambda v: SwitchConfig(s=np.array([0.1 * v, 0.7]),
+                                        p0=np.array([0.9 * v, 0.8])),
+    "goddard": lambda v: SwitchConfig(s=np.array([13.0 * v, 21.0]),
+                                      T=42.0 / v),
+}
 
 
 @pytest.mark.parametrize("tol", [None, 1e-11], ids=["default", "tol1e-11"])
@@ -717,41 +744,89 @@ def _assert_lanes_match_scalar(prob, cfgs, settings, stride=1,
     # 64 lanes: a phase's recorded steps span several 256-step fold blocks
     ("jacobson", np.linspace(1.2, 1.6, 64), 5),
     ("bressan", np.linspace(3.0, 3.7, 64), 3),
+    ("catalyst2", np.linspace(0.99, 1.01, 16), 1),
+    ("goddard", np.linspace(0.99, 1.01, 16), 1),
 ])
 def test_lanes_match_scalar_sweeps(name, grid, stride, tol):
-    # a lane repeats its scalar sweep's forward integration bit for bit
+    # a lane repeats its scalar sweep's forward integration bit for bit,
+    # except on goddard, whose lanes take exp by np.exp and a point by
+    # math.exp: there the lanes agree to 1e-12 relative
     settings = IntegratorSettings() if tol is None \
         else IntegratorSettings(rel_tol=tol, abs_tol=tol)
     _assert_lanes_match_scalar(
-        build_problem(name), [SwitchConfig(s=np.array([s])) for s in grid],
-        settings, stride, exact=True)
+        build_problem(name), [GRID_CONFIGS[name](v) for v in grid],
+        settings, stride, relative=name == "goddard",
+        exact=name != "goddard")
+
+
+# the centres of the problems drawn near a configuration: the README
+# starts, and goddard's optimum.  catalyst2's singular-feedback pole and
+# goddard's burn-out leave no region at large in which every draw
+# integrates
+DRAWN_CENTRES = {
+    "catalyst2": [SwitchConfig(s=np.array([0.1, 0.7]),
+                               p0=np.array([0.9, 0.8]))],
+    "goddard": [SwitchConfig(s=np.array([13.0, 21.0]), T=42.0),
+                SwitchConfig(s=GODDARD_REFERENCE.s_star,
+                             T=GODDARD_REFERENCE.T_star)],
+}
+
+
+def _size(cfg):
+    """The number of values of cfg: s, p0 and T."""
+    return cfg.s.size + (0 if cfg.p0 is None else cfg.p0.size) \
+        + (cfg.T is not None)
+
+
+def _moved(cfg, moves):
+    """cfg with s, then p0, then T each scaled by 1 + its move."""
+    moves, out = 1.0 + np.asarray(moves), cfg.copy()
+    out.s = out.s * moves[:out.s.size]
+    if out.p0 is not None:
+        out.p0 = out.p0 * moves[out.s.size:out.s.size + out.p0.size]
+    if out.T is not None:
+        out.T = out.T * moves[-1]
+    return out
 
 
 def _drawn_grid(name):
-    """(name, 1-8 switch-point lists that validate_config accepts)."""
+    """(name, 1-8 configurations that validate_config accepts): switch
+    points anywhere, or within 1 % relative of a centre of
+    DRAWN_CENTRES, with its p0 and T."""
     prob = build_problem(name)
-    gap = prob.eps_gap
-    point = st.lists(st.floats(gap, prob.T - gap), min_size=prob.k,
-                     max_size=prob.k).map(sorted).filter(
-        lambda s: np.min(np.diff([0.0, *s, prob.T])) >= gap)
+    if name in DRAWN_CENTRES:
+        point = st.sampled_from(DRAWN_CENTRES[name]).flatmap(
+            lambda c: st.lists(st.floats(-1e-2, 1e-2), min_size=_size(c),
+                               max_size=_size(c)).map(
+                lambda m: _moved(c, m)))
+    else:
+        gap = prob.eps_gap
+        point = st.lists(st.floats(gap, prob.T - gap), min_size=prob.k,
+                         max_size=prob.k).map(sorted).filter(
+            lambda s: np.min(np.diff([0.0, *s, prob.T])) >= gap).map(
+            lambda s: SwitchConfig(s=np.array(s)))
     return st.tuples(st.just(name), st.lists(point, min_size=1, max_size=8))
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=st.sampled_from(["jacobson", "bressan", "catalyst1"]).flatmap(
-    _drawn_grid))
-@example(case=("jacobson", [[0.189453125]]))
+@given(case=st.sampled_from(["jacobson", "bressan", "catalyst1", "catalyst2",
+                             "goddard"]).flatmap(_drawn_grid))
+@example(case=("jacobson", [SwitchConfig(s=np.array([0.189453125]))]))
 def test_lanes_match_scalar_sweeps_on_drawn_grids(case):
     # the configurations as the lanes of one sweep, each against its own
-    # scalar sweep at the default tolerance.  On jacobson and bressan a
-    # lane repeats its scalar sweep's forward integration bit for bit; d_s
-    # is relative, because far from the optimum jacobson's C and d_s reach
-    # 1e3-1e4, and the lanes fold their steps in other blocks than the
-    # scalar pass
+    # scalar sweep at the default tolerance.  Except on catalyst1 and
+    # goddard a lane repeats its scalar sweep's forward integration bit
+    # for bit; d_s is relative, because far from the optimum jacobson's C
+    # and d_s reach 1e3-1e4, and the lanes fold their steps in other
+    # blocks than the scalar pass.  Near its optimum goddard's d_s and d_T
+    # are O(1) differences of Hamiltonian terms far larger than its C of
+    # -1.85e4, rounded apart by np.exp against math.exp, so they are taken
+    # relative to C
     name, grid = case
     _assert_lanes_match_scalar(
-        build_problem(name), [SwitchConfig(s=np.array(s)) for s in grid],
-        IntegratorSettings(), relative=True, exact=name != "catalyst1")
+        build_problem(name), grid, IntegratorSettings(), relative=True,
+        exact=name not in ("catalyst1", "goddard"),
+        to_objective=name == "goddard")
 
 
 def _band_problem(log):
@@ -796,7 +871,7 @@ def test_lanes_fold_no_stage_of_an_attempt_that_failed():
     log = []
     prob = _band_problem(log)
     cfgs = [SwitchConfig(s=np.array([s])) for s in np.linspace(0.3, 0.6, 6)]
-    lanes = evaluate_lanes(prob, cfgs)
+    lanes = evaluate_gradient(prob, cfgs)
     # the forward's phase-1 law calls (the Jacobian's take _WEIGHTED B
     # points): one at the segment start, then _STAGES - 1 per attempt
     calls = [c for c in log if np.size(c[0]) == len(cfgs)]
@@ -838,8 +913,8 @@ def test_lanes_reverse_pass_folds_each_phase_in_bounded_blocks(monkeypatch,
     cfgs = [SwitchConfig(s=np.array([s * prob.T])) for s in grid] \
         if prob.k == 1 else \
         [SwitchConfig(s=np.array([a, 0.72])) for a in 0.1 + grid - 0.28]
-    fwd = forward_lanes(prob, cfgs)
-    want = backward_lanes(prob, fwd)
+    fwd = forward_sweep(prob, cfgs)
+    want = backward_sweep(prob, fwd)
     calls, inside = [], []
 
     def jacobian(prob, j):
@@ -865,7 +940,7 @@ def test_lanes_reverse_pass_folds_each_phase_in_bounded_blocks(monkeypatch,
             dataclasses.replace(ph, law=guarded(ph.law))
             for ph in prob.phases))
     monkeypatch.setattr(gradients, "phase_jacobian", jacobian)
-    got = backward_lanes(guarded_prob, fwd)
+    got = backward_sweep(guarded_prob, fwd)
     phases = [j for j, _ in calls]
     if B == 1:
         assert sorted(phases) == list(range(prob.k + 1))
@@ -876,27 +951,19 @@ def test_lanes_reverse_pass_folds_each_phase_in_bounded_blocks(monkeypatch,
     for j, (_, h, _, _) in enumerate(fwd.records):
         assert sum(size for i, size in calls if i == j) \
             == odeint._WEIGHTED * h.size
-    assert np.array_equal(got.checkpoints, want.checkpoints)
+    assert np.array_equal(got.costates, want.costates)
+    assert np.array_equal(got.nodal, want.nodal)
     assert np.array_equal(got.steps, want.steps)
 
 
 def test_lanes_refuse_a_problem_without_lanes(monkeypatch, tmp_path):
-    # the bump toy's state law has no law_x; every lane entry point
-    # refuses it by name before it integrates anything, and the profile
-    # command exits 3
-    from switchopt import cli, lanes
+    # the bump toy's f drops the lane axis: its lane sweep raises
+    # ValueError, and the profile command exits 3
+    from switchopt import cli
     from switchopt.optimizer import derivative_profile
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a lane sweep ran")
-
-    monkeypatch.setattr(lanes, "integrate_lanes", forbidden)
     prob = _bump_problem(c=0.5, w=0.1)
-    cfgs = [SwitchConfig(s=np.array([s])) for s in (0.3, 0.6)]
-    for run in (lanes.forward_lanes, lanes.evaluate_lanes):
-        with pytest.raises(ValueError, match="bump: lane sweeps need"):
-            run(prob, cfgs)
-    with pytest.raises(ValueError, match="bump: lane sweeps need"):
+    with pytest.raises(ValueError):
         derivative_profile(prob, [0.3, 0.6])
     monkeypatch.setattr(cli, "build_problem", lambda name, T=None: prob)
     assert cli.main(["profile", "--problem", "bump", "--grid", "0.2,0.8,4",
@@ -904,14 +971,34 @@ def test_lanes_refuse_a_problem_without_lanes(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["catalyst2", "jacobson"])
-def test_lanes_refuse_problems_they_cannot_batch(name):
-    # a Case-2 problem, and a state-feedback phase without law_x
+def test_lanes_match_scalar_on_case2_and_without_law_x(name):
+    # a Case-2 problem, and a state-feedback phase without law_x, whose
+    # flow Jacobian is a central difference of F, point by point
     prob = build_problem(name)
     if name == "jacobson":
         prob = dataclasses.replace(prob, phases=tuple(
             dataclasses.replace(ph, law_x=None) for ph in prob.phases))
-        cfg = SwitchConfig(s=np.array([1.4]))
-    else:
-        cfg = SwitchConfig(s=np.array([0.1, 0.7]), p0=np.ones(2))
-    with pytest.raises(ValueError, match="lane sweeps"):
-        evaluate_lanes(prob, [cfg])
+    cfgs = [GRID_CONFIGS[name](v) for v in (
+        np.linspace(1.38, 1.48, 5) if name == "jacobson"
+        else np.linspace(0.99, 1.01, 5))]
+    _assert_lanes_match_scalar(prob, cfgs, IntegratorSettings(), exact=True)
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_one_configuration_and_a_list_take_their_own_loops(monkeypatch,
+                                                          name):
+    # the argument's type alone selects the loop: one SwitchConfig never
+    # reaches integrate_lanes, and a list never integrate_piecewise
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the other loop ran")
+
+    T, cfg = CONFIGS[name]
+    prob = build_problem(name, T=T)
+    with monkeypatch.context() as m:
+        m.setattr(gradients, "integrate_lanes", forbidden)
+        one = evaluate_gradient(prob, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(gradients, "integrate_piecewise", forbidden)
+        lanes = evaluate_gradient(prob, [cfg, cfg])
+    assert np.shape(one.objective) == ()
+    assert lanes.objective.shape == (2,)

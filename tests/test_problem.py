@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from switchopt.benchmarks import PROBLEM_NAMES, build_problem
 from switchopt.exceptions import InvalidSwitchOrder, MissingCostate
-from switchopt import gradients, lanes, problem
+from switchopt import gradients, problem
 from switchopt.gradients import evaluate_gradient, forward_sweep
-from switchopt.lanes import evaluate_lanes, forward_lanes
 from switchopt.optimizer import minimize
 from switchopt.problem import (
     SwitchConfig, lane_law, phase_feasibility, phase_flow, phase_jacobian,
@@ -60,8 +59,9 @@ def test_validate_rejects_costate_on_case1(catalyst):
 
 
 @pytest.mark.parametrize("run", [
-    minimize, evaluate_gradient, lambda prob, cfg: evaluate_lanes(prob, [cfg]),
-], ids=["minimize", "evaluate_gradient", "evaluate_lanes"])
+    minimize, evaluate_gradient,
+    lambda prob, cfg: evaluate_gradient(prob, [cfg]),
+], ids=["minimize", "evaluate_gradient", "evaluate_gradient_list"])
 def test_fixed_time_configuration_cannot_set_T(run):
     # bressan's horizon is 10; minimize used to project onto (0, 3) but
     # sweep at T = 10, and report s = 2.99999 as converged
@@ -186,6 +186,42 @@ def _phase_points(name, j):
     return prob, [(fwd.times[i], zs[i]) for i in np.flatnonzero(seg == j)]
 
 
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_terminal_callbacks_match_scalar_calls(name):
+    # C and grad_C on x_T of shape (n, B) give the one-point results
+    # column by column: C of shape (B,), grad_C of shape (n, B), or (n,)
+    # when it is constant, which the backward sweep broadcasts
+    prob = build_problem(name)
+    lo, hi = LANE_BOXES["catalyst1" if name == "catalyst2" else name][:2]
+    x = np.random.default_rng(5).uniform(lo, hi, (5, prob.n)).T
+    C, grad = prob.C(x), np.asarray(prob.grad_C(x))
+    assert C.shape == (5,)
+    assert grad.shape in ((prob.n, 5), (prob.n,))
+    grad = np.broadcast_to(np.reshape(grad, (prob.n, -1)), x.shape)
+    for b in range(5):
+        assert C[b] == prob.C(x[:, b])
+        assert np.array_equal(grad[:, b], prob.grad_C(x[:, b]))
+
+
+def test_terminal_callbacks_without_the_lane_axis_are_refused_by_name():
+    # a C that sums over the lanes, and a grad_C that flattens them, work
+    # on one configuration and are refused on lanes, naming the callback
+    prob = build_problem("bressan")
+    cfgs = [SwitchConfig(s=np.array([3.0])), SwitchConfig(s=np.array([3.2]))]
+    summed = dataclasses.replace(prob, C=lambda x: np.sum(x[2]))
+    flat = dataclasses.replace(prob, grad_C=lambda x: np.ravel(
+        [0.0 * x[0], 0.0 * x[0], 1.0 + 0.0 * x[0]]))
+    for bad in (summed, flat):
+        assert evaluate_gradient(bad, cfgs[0]).d_s \
+            == evaluate_gradient(prob, cfgs[0]).d_s
+    with pytest.raises(ValueError, match=r"bressan: C has shape \(\), not "
+                       r"\(2,\): .* lane axis last"):
+        evaluate_gradient(summed, cfgs)
+    with pytest.raises(ValueError, match=r"bressan: grad_C has shape "
+                       r"\(6,\), not \(3,\)"):
+        evaluate_gradient(flat, cfgs)
+
+
 @pytest.mark.parametrize("name, j", [
     (name, j) for name in PROBLEM_NAMES
     for j in range(build_problem(name).k + 1)])
@@ -287,8 +323,8 @@ def test_non_finite_configuration_raises_before_any_sweep(name, data):
     with pytest.raises(InvalidSwitchOrder, match="non-finite"):
         validate_config(prob, cfg)
 
-    sweeps = gradients.integrate_piecewise, lanes.integrate_lanes
-    gradients.integrate_piecewise = lanes.integrate_lanes = _no_sweep
+    sweeps = gradients.integrate_piecewise, gradients.integrate_lanes
+    gradients.integrate_piecewise = gradients.integrate_lanes = _no_sweep
     try:
         with pytest.raises(InvalidSwitchOrder):
             forward_sweep(prob, cfg)
@@ -296,9 +332,9 @@ def test_non_finite_configuration_raises_before_any_sweep(name, data):
             # the lane sweep checks every lane before it integrates any
             good = SwitchConfig(s=np.array([0.3 * prob.T]))
             with pytest.raises(InvalidSwitchOrder):
-                forward_lanes(prob, [good, cfg, good])
+                forward_sweep(prob, [good, cfg, good])
     finally:
-        gradients.integrate_piecewise, lanes.integrate_lanes = sweeps
+        gradients.integrate_piecewise, gradients.integrate_lanes = sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +390,42 @@ def test_lane_callbacks_match_scalar_calls(name):
             else:
                 np.testing.assert_allclose(J[..., b], J_point[..., 0],
                                            rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_terminal_callbacks_match_scalar_calls(name):
+    # C and grad_C on x_T of shape (n, B) give the one-point results
+    # column by column: C of shape (B,), grad_C of shape (n, B), or (n,)
+    # when it is constant, which the backward sweep broadcasts
+    prob = build_problem(name)
+    lo, hi = LANE_BOXES["catalyst1" if name == "catalyst2" else name][:2]
+    x = np.random.default_rng(5).uniform(lo, hi, (5, prob.n)).T
+    C, grad = prob.C(x), np.asarray(prob.grad_C(x))
+    assert C.shape == (5,)
+    assert grad.shape in ((prob.n, 5), (prob.n,))
+    grad = np.broadcast_to(np.reshape(grad, (prob.n, -1)), x.shape)
+    for b in range(5):
+        assert C[b] == prob.C(x[:, b])
+        assert np.array_equal(grad[:, b], prob.grad_C(x[:, b]))
+
+
+def test_terminal_callbacks_without_the_lane_axis_are_refused_by_name():
+    # a C that sums over the lanes, and a grad_C that flattens them, work
+    # on one configuration and are refused on lanes, naming the callback
+    prob = build_problem("bressan")
+    cfgs = [SwitchConfig(s=np.array([3.0])), SwitchConfig(s=np.array([3.2]))]
+    summed = dataclasses.replace(prob, C=lambda x: np.sum(x[2]))
+    flat = dataclasses.replace(prob, grad_C=lambda x: np.ravel(
+        [0.0 * x[0], 0.0 * x[0], 1.0 + 0.0 * x[0]]))
+    for bad in (summed, flat):
+        assert evaluate_gradient(bad, cfgs[0]).d_s \
+            == evaluate_gradient(prob, cfgs[0]).d_s
+    with pytest.raises(ValueError, match=r"bressan: C has shape \(\), not "
+                       r"\(2,\): .* lane axis last"):
+        evaluate_gradient(summed, cfgs)
+    with pytest.raises(ValueError, match=r"bressan: grad_C has shape "
+                       r"\(6,\), not \(3,\)"):
+        evaluate_gradient(flat, cfgs)
 
 
 @pytest.mark.parametrize("name, j", [
