@@ -730,6 +730,7 @@ def _assert_lanes_match_scalar(prob, cfgs, settings, stride=1,
 GRID_CONFIGS = {
     "jacobson": lambda v: SwitchConfig(s=np.array([v])),
     "bressan": lambda v: SwitchConfig(s=np.array([v])),
+    "catalyst1": lambda v: SwitchConfig(s=np.array([0.1 * v, 0.7])),
     "catalyst2": lambda v: SwitchConfig(s=np.array([0.1 * v, 0.7]),
                                         p0=np.array([0.9 * v, 0.8])),
     "goddard": lambda v: SwitchConfig(s=np.array([13.0 * v, 21.0]),
@@ -746,6 +747,7 @@ GRID_CONFIGS = {
     ("bressan", np.linspace(3.0, 3.7, 64), 3),
     ("catalyst2", np.linspace(0.99, 1.01, 16), 1),
     ("goddard", np.linspace(0.99, 1.01, 16), 1),
+    ("catalyst1", np.linspace(0.99, 1.01, 16), 1),
 ])
 def test_lanes_match_scalar_sweeps(name, grid, stride, tol):
     # a lane repeats its scalar sweep's forward integration bit for bit,
