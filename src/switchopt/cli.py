@@ -138,7 +138,7 @@ def cmd_solve(args):
                     f"warm start proposed {est.switch_times.size} switches "
                     f"but {prob.name} has {prob.k}")
             cfg0 = _config(prob, est.switch_times,
-                           est.p0_estimate if prob.case == 2 else None)
+                           est.p0_estimate if prob.p0_size else None)
         else:
             cfg0 = _config(prob, _parse_list(args.s0), _parse_list(args.p0),
                            " (or use --secant/--warmstart)")
@@ -179,6 +179,8 @@ def cmd_warmstart(args):
             "N": dcp.N,
             "rho_tv": dcp.rho_tv,
             "converged": dcp.converged,
+            "iterations": dcp.iterations,
+            "passes": dcp.passes,
             "switch_times": [float(v) for v in est.switch_times],
             "phase_kinds": list(est.phase_kinds),
             "p0_estimate": [float(v) for v in est.p0_estimate],

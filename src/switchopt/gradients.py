@@ -85,6 +85,7 @@ class TrajectoryRecord:
         """z at the samples by ``odeint.sample_states``: one step of the
         method from the node before each, computed on first use, so that a
         gradient evaluation pays for none."""
+        _one_configuration(self, "states and costates")
         return sample_states(self.rhs, self.sigma, self.records,
                              self.checkpoints, self.times / self.T)
 
@@ -123,6 +124,12 @@ class GradientBundle:
     # the sweeps the bundle comes from, for reuse; not part of any output
     fwd: TrajectoryRecord = field(repr=False)
     bwd: BackwardRecord = field(repr=False)
+
+
+def _one_configuration(fwd, what):
+    """Refuse ``what`` of the forward record of a list of configurations."""
+    if fwd.times is None:
+        raise ValueError(f"{what}: a list record carries no report samples")
 
 
 def _resolved(make, prob):
@@ -230,6 +237,7 @@ def feasibility_margins(prob, fwd):
     """Worst control-box margin of each phase of the forward record ``fwd``
     at the stage points of its accepted steps, which include each step's
     start, and at the phase's end: one margin call per phase, on lanes."""
+    _one_configuration(fwd, "feasibility_margins")
     n, worst = prob.n, np.empty(prob.k + 1)
     for j, record in enumerate(fwd.records):
         tau, Y = _stage_points(*record)

@@ -98,6 +98,11 @@ class ProblemDef:
         return len(self.phases) - 1
 
     @property
+    def p0_size(self) -> int:
+        """Size of a configuration's p0: n in Case 2, 0 (no p0) in Case 1."""
+        return self.n if self.case == 2 else 0
+
+    @property
     def eps_gap(self) -> float:
         """Smallest spacing of 0, s_1, ..., s_k, T that validate_config
         accepts."""
@@ -150,12 +155,11 @@ def validate_config(prob: ProblemDef, cfg: SwitchConfig):
         raise InvalidSwitchOrder(
             f"{prob.name}: switch points {cfg.s} violate the ordering "
             f"0 < s_1 < ... < s_k < {T} with gap {prob.eps_gap:g}")
-    if prob.case == 2 and cfg.p0 is None:
+    if prob.p0_size and cfg.p0 is None:
         raise MissingCostate(f"{prob.name}: Case-2 problem requires p0")
-    np0 = prob.n if prob.case == 2 else 0
-    if cfg.p0 is not None and cfg.p0.size != np0:
+    if cfg.p0 is not None and cfg.p0.size != prob.p0_size:
         raise InvalidSwitchOrder(f"{prob.name}: p0 has size {cfg.p0.size}, "
-                                 f"Case {prob.case} takes {np0}")
+                                 f"Case {prob.case} takes {prob.p0_size}")
 
 
 def _vector(v):

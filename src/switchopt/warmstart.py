@@ -2,11 +2,12 @@
 
 Discretize the control on a uniform mesh, add a TV penalty that promotes
 piecewise-constant controls, and solve the resulting problem by proximal
-gradient: the smooth part's gradient comes from a discrete adjoint
-recursion, the TV part's proximal map is computed exactly by the
-taut-string method, and box bounds are enforced by clipping.  The
-converged profile is then scanned for jumps to propose switch times, a
-phase pattern, and an initial-costate estimate for the main solver.
+gradient with nonmonotone Barzilai-Borwein steps: the smooth part's
+gradient comes from a discrete adjoint recursion, the TV part's proximal
+map is computed exactly by the taut-string method, and box bounds are
+enforced by clipping.  The converged profile is then scanned for jumps to
+propose switch times, a phase pattern, and an initial-costate estimate
+for the main solver.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class DiscreteControlProblem:
     upper: np.ndarray
     objective: float
     iterations: int
+    passes: int             # prox passes: iterations plus backtracks
     converged: bool
     p0_estimate: np.ndarray
 
@@ -191,67 +193,71 @@ def _tv_value(u, rho):
 def solve_tv_euler(prob, N=100, rho_tv=1e-3, max_iters=2000):
     """Proximal-gradient solve of the TV-penalized Euler discretization.
 
-    Minimizes C(x_N) + rho_tv * sum_j |u_{j+1} - u_j| over box-constrained
-    mesh controls.  The step size backtracks from an initial Lipschitz
-    probe; each step applies tv_prox per channel and clips to the bounds.
-    Terminates on a relative objective change below 1e-8.  Running out of
-    iterations emits a warning and returns the best iterate rather than
-    raising.  N must be at least 2 and rho_tv finite and nonnegative.
+    Minimizes F = C(x_N) + rho_tv * sum_j |u_{j+1} - u_j| over box-bounded
+    mesh controls; a pass applies tv_prox per channel to u - step * g and
+    clips.  Nonmonotone Barzilai-Borwein steps as in SpaRSA (Wright, Nowak
+    & Figueiredo, IEEE TSP 57 (2009) 2479-2493): step = d.d / d.y for the
+    last move d and its gradient change y, within [1e-3, 1e3] / L_hat of a
+    curvature probe.  A trial is accepted when F is 1e-4 |d|^2 / (2 step)
+    below the largest of the last 5 accepted F, else the step halves.  The
+    solve stops after three consecutive iterations that change F by at most
+    1e-8 relative; running out of iterations warns and returns the last
+    iterate.  N must be at least 2 and rho_tv finite and nonnegative.
 
     Each trial point is rolled out once: the accepted trial's states feed
     the next gradient and, at the end, the costate estimate.
     """
     _check_mesh(N, rho_tv)
-    T = float(prob.T)
-    h = T / N
+    h = float(prob.T) / N
     mids = (np.arange(N) + 0.5) * h
     lower = np.stack([prob.phases[0].lower(t) for t in mids], axis=1)
     upper = np.stack([prob.phases[0].upper(t) for t in mids], axis=1)
 
-    def smooth(uq):
+    def objective(uq):
         xq = _rollout(prob, uq, h)
-        return float(prob.C(xq[-1])), xq
+        return float(prob.C(xq[-1])) + _tv_value(uq, rho_tv), xq
 
     u = 0.5 * (lower + upper)
-    f_s, xs = smooth(u)
+    obj, xs = objective(u)
     ps, g = _adjoint(prob, xs, u, h)
 
-    # crude curvature probe for the initial step size
+    # crude curvature probe for the step bounds
     du = 1e-4 * np.maximum(1.0, np.abs(u))
     _, g2 = _adjoint(prob, _rollout(prob, u + du, h), u + du, h)
-    L_hat = np.linalg.norm(g2 - g) / np.linalg.norm(du)
-    step = 1.0 / max(L_hat, 1e-12)
+    L_hat = max(np.linalg.norm(g2 - g) / np.linalg.norm(du), 1e-12)
+    step, lo, hi = 1.0 / L_hat, 1e-3 / L_hat, 1e3 / L_hat
 
-    obj = f_s + _tv_value(u, rho_tv)
-    converged = False
-    it = 0
+    recent = [obj]          # the last 5 accepted F, for the GLL test
+    it = passes = flat = 0
     for it in range(1, max_iters + 1):
-        # backtrack until the quadratic upper bound holds
         while True:
+            passes += 1
             u_new = np.clip([tv_prox(v, step * rho_tv) for v in u - step * g],
                             lower, upper)
             d = u_new - u
-            f_new, xs_new = smooth(u_new)
-            if f_new <= f_s + np.sum(g * d) + np.sum(d * d) / (2 * step) \
+            dd = np.sum(d * d)
+            obj_new, xs_new = objective(u_new)
+            if obj_new <= max(recent) - 1e-4 / (2 * step) * dd \
                     or np.max(np.abs(d)) < 1e-15:
                 break
             step *= 0.5
-        obj_new = f_new + _tv_value(u_new, rho_tv)
         rel = abs(obj - obj_new) / max(1.0, abs(obj))
-        u, f_s = u_new, f_new
-        obj = obj_new
-        ps, g = _adjoint(prob, xs_new, u, h)
-        step *= 1.2    # allow recovery after conservative backtracks
-        if rel <= 1e-8:
-            converged = True
+        flat = flat + 1 if rel <= 1e-8 else 0
+        u, obj = u_new, obj_new
+        recent = recent[-4:] + [obj]
+        g_old, (ps, g) = g, _adjoint(prob, xs_new, u, h)
+        dy = np.sum(d * (g - g_old))
+        step = min(max(dd / dy, lo), hi) if dy > 0 else hi
+        if flat == 3:
             break
-    if not converged:
+    if flat < 3:
         warnings.warn(f"{prob.name}: TV warm start hit {max_iters} "
-                      "iterations without settling; returning best iterate")
+                      "iterations without settling; returning last iterate")
 
     return DiscreteControlProblem(
         prob=prob, N=N, h=h, rho_tv=rho_tv, u=u, lower=lower, upper=upper,
-        objective=obj, iterations=it, converged=converged, p0_estimate=ps[0])
+        objective=obj, iterations=it, passes=passes, converged=flat == 3,
+        p0_estimate=ps[0])
 
 
 # ---------------------------------------------------------------------------

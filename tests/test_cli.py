@@ -207,6 +207,14 @@ def test_solve_with_warmstart_chain(tmp_path):
     assert report["reference_errors"]["s1"] <= 1e-6
 
 
+def test_solve_with_warmstart_seeds_p0_on_case2(tmp_path):
+    code = main(["solve", "--problem", "catalyst2", "--warmstart",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert max(report["reference_errors"].values()) <= 1e-6
+
+
 def test_report_json_round_trips(tmp_path):
     main(["solve", "--problem", "catalyst1", "--T", "1",
           "--s0", "0.1,0.7", "--out", str(tmp_path)])
@@ -220,6 +228,8 @@ def test_warmstart_command(tmp_path):
                  "--N", "100", "--rho-tv", "1e-3", "--out", str(tmp_path)])
     assert code == EXIT_OK
     structure = json.loads((tmp_path / "structure.json").read_text())
+    assert structure["converged"] is True
+    assert 1 <= structure["iterations"] <= structure["passes"]
     assert len(structure["switch_times"]) == 2
     assert structure["phase_kinds"] == ["bang-high", "singular", "bang-low"]
     header, rows = _read_csv(tmp_path / "u_profile.csv")

@@ -1004,3 +1004,17 @@ def test_one_configuration_and_a_list_take_their_own_loops(monkeypatch,
         lanes = evaluate_gradient(prob, [cfg, cfg])
     assert np.shape(one.objective) == ()
     assert lanes.objective.shape == (2,)
+
+
+@pytest.mark.parametrize("name", ["jacobson", "catalyst2"])
+def test_list_record_refuses_samples_and_margins_by_name(name):
+    T, cfg = CONFIGS[name]
+    prob = build_problem(name, T=T)
+    fwd = forward_sweep(prob, [cfg, cfg])
+    reads = [lambda: fwd.states, lambda: feasibility_margins(prob, fwd)]
+    if prob.case == 2:
+        reads.append(lambda: fwd.costates)
+    for read in reads:
+        with pytest.raises(ValueError,
+                           match="a list record carries no report samples"):
+            read()
