@@ -5,9 +5,10 @@ piecewise-constant controls, and solve the resulting problem by proximal
 gradient with nonmonotone Barzilai-Borwein steps: the smooth part's
 gradient comes from a discrete adjoint recursion, the TV part's proximal
 map is computed exactly by the taut-string method, and box bounds are
-enforced by clipping.  The converged profile is then scanned for jumps to
-propose switch times, a phase pattern, and an initial-costate estimate
-for the main solver.
+enforced by clipping.  The converged profile is then split into runs at
+the lower bound, at the upper bound and between them, which propose
+switch times, a phase pattern, and an initial-costate estimate for the
+main solver.
 """
 
 from __future__ import annotations
@@ -264,74 +265,51 @@ def solve_tv_euler(prob, N=100, rho_tv=1e-3, max_iters=2000):
 # structure detection
 # ---------------------------------------------------------------------------
 
-# Fractions of each control channel's range: the smallest change across one
-# mesh edge that counts as a jump, and the largest distance of a segment
-# mean from a bound that still counts as bang.  More than _K_MAX jumps means
-# the control oscillates rather than switches.
-_JUMP_TOL = 0.1
-_BOUND_TOL = 0.05
+# An interval is at a bound when every channel lies within _AT_BOUND of its
+# range from it.  Interior runs shorter than _MIN_RUN intervals are jumps
+# smeared by the mesh.  More than _K_MAX switches means the control
+# oscillates rather than switches.
+_AT_BOUND = 1e-6
+_MIN_RUN = 3
 _K_MAX = 6
+_KINDS = ("singular", "bang-low", "bang-high")
 
 
 def detect_structure(dcp):
-    """Scan a converged discrete control for jumps and classify segments.
+    """Split a converged discrete control into bound runs.
 
-    A mesh edge is a jump candidate when the control changes by more than
-    _JUMP_TOL of its range in some channel; consecutive candidates merge
-    into one switch at their jump-weighted mean edge time.  Segments are
-    bang-low/bang-high when the segment-mean control sits within _BOUND_TOL
-    of the range from a bound, else singular.  Raises NoStructure when
-    nothing is detected or the count exceeds _K_MAX.
+    Each mesh interval is labelled bang-low or bang-high when every channel
+    sits within _AT_BOUND of its range from that bound, else singular.
+    Singular runs shorter than _MIN_RUN intervals are dropped, and
+    neighbouring runs of one label merge.  Each run is a phase of that
+    kind, and each switch lies midway between two consecutive runs.
+    Raises NoStructure when there is no switch or more than _K_MAX.
     """
-    u, h, N = dcp.u, dcp.h, dcp.N
-    rng_ch = np.max(dcp.upper - dcp.lower, axis=1)
-    jump_tol = _JUMP_TOL * rng_ch
-    bound_tol = _BOUND_TOL * rng_ch
-
-    diffs = np.abs(np.diff(u, axis=1))                     # (m, N-1)
-    hit = np.any(diffs > jump_tol[:, None], axis=0)        # (N-1,)
-    edge_t = (np.arange(1, N)) * h
-    mag = np.max(diffs, axis=0)
-
-    switches = []
-    j = 0
-    while j < N - 1:
-        if not hit[j]:
-            j += 1
+    u, lo, hi, N = dcp.u, dcp.lower, dcp.upper, dcp.N
+    tol = _AT_BOUND * np.max(hi - lo, axis=1, keepdims=True)
+    label = np.where(np.all(u - lo <= tol, axis=0), 1,
+                     np.where(np.all(hi - u <= tol, axis=0), 2, 0))
+    cuts = [0, *(np.flatnonzero(np.diff(label)) + 1), N]
+    runs = []                                       # [label, start, end]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if label[a] == 0 and b - a < _MIN_RUN:
             continue
-        j2 = j
-        while j2 + 1 < N - 1 and hit[j2 + 1]:
-            j2 += 1
-        w = mag[j:j2 + 1]
-        switches.append(float(np.sum(w * edge_t[j:j2 + 1]) / np.sum(w)))
-        j = j2 + 1
+        if runs and runs[-1][0] == label[a]:
+            runs[-1][2] = b
+        else:
+            runs.append([label[a], a, b])
 
-    if not switches:
+    k = len(runs) - 1
+    if k < 1:
         raise NoStructure(
-            f"no jumps above tolerance in the {N}-interval control")
-    if len(switches) > _K_MAX:
+            f"no switch between bound runs in the {N}-interval control")
+    if k > _K_MAX:
         raise NoStructure(
-            f"{len(switches)} jumps detected, more than {_K_MAX}; "
+            f"{k} jumps between bound runs, more than {_K_MAX}; "
             "the control is likely oscillatory (try a larger rho_tv)")
 
-    # classify segments between detected switches
-    edges = [0.0] + switches + [N * h]
-    kinds = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        ja, jb = int(np.ceil(a / h)), max(int(np.floor(b / h)), 1)
-        jb = max(jb, ja + 1)
-        seg = u[:, ja:min(jb, N)]
-        lo = dcp.lower[:, ja:min(jb, N)].mean(axis=1)
-        hi = dcp.upper[:, ja:min(jb, N)].mean(axis=1)
-        mean = seg.mean(axis=1)
-        if np.all(np.abs(mean - lo) <= bound_tol):
-            kinds.append("bang-low")
-        elif np.all(np.abs(mean - hi) <= bound_tol):
-            kinds.append("bang-high")
-        else:
-            kinds.append("singular")
-
     return StructureEstimate(
-        switch_times=np.array(switches),
-        phase_kinds=tuple(kinds),
+        switch_times=np.array([0.5 * (r[2] + q[1]) * dcp.h
+                               for r, q in zip(runs[:-1], runs[1:])]),
+        phase_kinds=tuple(_KINDS[r[0]] for r in runs),
         p0_estimate=dcp.p0_estimate.copy())

@@ -215,6 +215,20 @@ def test_solve_with_warmstart_seeds_p0_on_case2(tmp_path):
     assert max(report["reference_errors"].values()) <= 1e-6
 
 
+def test_solve_with_warmstart_reaches_goddard(tmp_path, capsys):
+    # the bound runs give goddard's two switches, from which the solve
+    # reaches the reference (measured 1.3e-6, stalled at the default tol
+    # like the README goddard solve)
+    code = main(["solve", "--problem", "goddard", "--warmstart",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert max(report["reference_errors"].values()) <= 1e-5
+    code = main(["warmstart", "--problem", "goddard", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert "2 switches" in capsys.readouterr().out
+
+
 def test_report_json_round_trips(tmp_path):
     main(["solve", "--problem", "catalyst1", "--T", "1",
           "--s0", "0.1,0.7", "--out", str(tmp_path)])

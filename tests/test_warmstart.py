@@ -317,6 +317,32 @@ def test_warm_start_finds_the_two_switch_structure(name, N, rho_tv):
     assert est.phase_kinds == ("bang-high", "singular", "bang-low")
 
 
+def _reference_kinds(prob):
+    """A constant law at a bound of its box is bang, any other singular."""
+    kinds = []
+    for ph in prob.phases:
+        u = ph.law(0.0) if ph.law_kind == "constant" else np.nan
+        kinds.append("bang-low" if np.all(u == ph.lower(0.0)) else
+                     "bang-high" if np.all(u == ph.upper(0.0)) else
+                     "singular")
+    return tuple(kinds)
+
+
+# the bound runs at rho_tv = 1e-3 give each problem's reference structure;
+# goddard's singular arc decays smoothly to 0, and a scan for single-edge
+# jumps found only its first switch
+@pytest.mark.parametrize("name,N", [
+    ("catalyst1", 100), ("catalyst1", 400), ("catalyst2", 250),
+    ("jacobson", 100), ("bressan", 100), ("goddard", 100), ("goddard", 250)])
+def test_warm_start_finds_the_reference_structure(name, N):
+    prob = build_problem(name)
+    est = detect_structure(solve_tv_euler(prob, N=N, rho_tv=1e-3))
+    assert est.switch_times.size == prob.k
+    assert est.phase_kinds == _reference_kinds(prob)
+    assert np.all(np.abs(est.switch_times - prob.reference.s_star)
+                  <= 0.05 * prob.T)
+
+
 def _box(prob, N):
     """The control box of prob's first phase at the N mesh midpoints."""
     mids = (np.arange(N) + 0.5) * (prob.T / N)
@@ -506,6 +532,17 @@ def test_detect_merges_smeared_jump():
     est = detect_structure(dcp)
     assert est.switch_times.size == 1
     assert abs(est.switch_times[0] - 20.5 / 50) < 1.0 / 50
+
+
+def test_detect_smooth_ramp_to_a_bound():
+    # bang-high, a cosine ramp down to the lower bound over 20 intervals,
+    # then bang-low: no mesh edge changes the control by a tenth of its range
+    ramp = 0.5 * (1 + np.cos(np.pi * np.arange(1, 21) / 21))
+    dcp = _synthetic_dcp([1.0, *ramp, 0.0], edges=list(range(15, 36)))
+    est = detect_structure(dcp)
+    np.testing.assert_allclose(est.switch_times, [15 / 50, 35 / 50],
+                               atol=1e-12)
+    assert est.phase_kinds == ("bang-high", "singular", "bang-low")
 
 
 def test_detect_too_many_jumps():
