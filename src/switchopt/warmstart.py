@@ -265,10 +265,9 @@ def solve_tv_euler(prob, N=100, rho_tv=1e-3, max_iters=2000):
 # structure detection
 # ---------------------------------------------------------------------------
 
-# An interval is at a bound when every channel lies within _AT_BOUND of its
-# range from it.  Interior runs shorter than _MIN_RUN intervals are jumps
-# smeared by the mesh.  More than _K_MAX switches means the control
-# oscillates rather than switches.
+# _AT_BOUND is a fraction of each channel's range.  Interior runs shorter
+# than _MIN_RUN intervals are jumps smeared by the mesh; more than _K_MAX
+# switches means the control oscillates rather than switches.
 _AT_BOUND = 1e-6
 _MIN_RUN = 3
 _K_MAX = 6

@@ -329,8 +329,8 @@ def _reference_kinds(prob):
 
 
 # the bound runs at rho_tv = 1e-3 give each problem's reference structure;
-# goddard's singular arc decays smoothly to 0, and a scan for single-edge
-# jumps found only its first switch
+# goddard's singular arc decays smoothly to 0, so no single mesh edge
+# carries its second switch
 @pytest.mark.parametrize("name,N", [
     ("catalyst1", 100), ("catalyst1", 400), ("catalyst2", 250),
     ("jacobson", 100), ("bressan", 100), ("goddard", 100), ("goddard", 250)])
