@@ -234,12 +234,14 @@ def cmd_profile(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
+def _add_common(sp, *tols):
+    """The options every subcommand takes, and the tolerances ``tols``
+    ("ode", "opt") that it reads."""
     sp.add_argument("--problem", required=True,
                     help="catalyst1 | catalyst2 | jacobson | bressan | goddard")
     sp.add_argument("--T", type=float, default=None, help="horizon override")
-    sp.add_argument("--ode-tol", type=float, default=1e-8)
-    sp.add_argument("--opt-tol", type=float, default=1e-8)
+    for tol in tols:
+        sp.add_argument(f"--{tol}-tol", type=float, default=1e-8)
     sp.add_argument("--out", default=None, help="output directory "
                     "(default $SPA_OUT_DIR or cwd)")
 
@@ -251,7 +253,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="optimize switch points")
-    _add_common(sp)
+    _add_common(sp, "ode", "opt")
     sp.add_argument("--s0", default=None, help="comma list of switch times")
     sp.add_argument("--p0", default=None, help="comma list, initial costate")
     sp.add_argument("--secant", action="store_true",
@@ -268,12 +270,12 @@ def build_parser():
     sp.add_argument("--rho-tv", type=float, default=1e-3)
 
     sp = sub.add_parser("gradcheck", help="analytic vs finite-difference")
-    _add_common(sp)
+    _add_common(sp, "ode")
     sp.add_argument("--s0", default=None)
     sp.add_argument("--p0", default=None)
 
     sp = sub.add_parser("profile", help="dC/ds1 over a grid (k=1 problems)")
-    _add_common(sp)
+    _add_common(sp, "ode")
     sp.add_argument("--grid", default=None, help="lo,hi,npoints")
     return ap
 

@@ -6,10 +6,10 @@ breakpoints.  Integration is hard-restarted at every breakpoint: no accepted
 step straddles a segment boundary and the step-size controller is reset, so
 eighth-order accuracy is retained on each smooth piece.
 
-The module holds the whole method, one ``Tableau`` record, and no other
-reads it: the scalar loop, the lockstep loop of B lanes, the samples,
-each one step of the method from the node before it, and the fold of
-accepted steps into the transition matrices of the reverse pass.  Both
+The module holds the whole method, whose coefficients no other module
+reads: the scalar loop, the lockstep loop of B lanes, ``sample_states``,
+each sample one step of the method from the node before it, and the fold
+of accepted steps into the transition matrices of the reverse pass.  Both
 loops record a segment's accepted steps as arrays (t, h, y, K), the step
 axis first.
 """
@@ -34,114 +34,92 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """An explicit Runge-Kutta method with two embedded error estimates.
-
-    Stage i of a step of length h from (t, y) is k_i = f(t + c_i h, y +
-    h sum_{l<i} a_il k_l), row i of ``a`` holding a_i0 .. a_i,i-1, and the
-    step ends at y + h sum_i b_i k_i.  ``e5`` and ``e3`` weight the stages
-    into the error estimates of orders 5 and 3 that ``_error_norm``
-    combines.  With ``fsal`` the last stage is the derivative at the step's
-    end, weighted 0 in it, and serves as the next step's first.  ``q`` is
-    the order of the combined estimate, which sets the controller's
-    exponents.
-    """
-
-    c: tuple
-    a: tuple
-    b: np.ndarray
-    e5: np.ndarray
-    e3: np.ndarray
-    fsal: bool
-    q: int
-
-
 # Prince & Dormand's RK8(7)13M in Hairer's DOP853 form, with its 5th/3rd-
 # order error estimator: Hairer, Norsett & Wanner, Solving Ordinary
 # Differential Equations I, 2nd ed., Springer 1993, section II.10; Prince &
 # Dormand, J. Comput. Appl. Math. 7 (1981) 67-75.  12 stages plus FSAL.
-_B_DOP853 = (
+#
+# Stage i of a step of length h from (t, y) is k_i = f(t + c_i h, y +
+# h sum_{l<i} a_il k_l), _A[i] holding a_i0 .. a_i,i-1, and the step ends
+# at y + h sum_i b_i k_i.  The last stage, whose row of _A is b, is the
+# derivative at the step's end, weighted 0 in it, and serves as the next
+# step's first (FSAL).  _E5 and _E3 weight the stages into the error
+# estimates of orders 5 and 3 that ``_error_norm`` combines into one of
+# order _Q, which sets the controller's exponents.
+_C = (0.0, 0.526001519587677318785587544488e-01,
+      0.789002279381515978178381316732e-01,
+      0.118350341907227396726757197510, 0.281649658092772603273242802490,
+      0.333333333333333333333333333333, 0.25,
+      0.307692307692307692307692307692, 0.651282051282051282051282051282,
+      0.6, 0.857142857142857142857142857142, 1.0, 1.0)
+_B = np.array((
     5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
     4.45031289275240888144113950566, 1.89151789931450038304281599044,
     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
-    4.47106157277725905176885569043e-2)
-_DOP853 = Tableau(
-    c=(0.0, 0.526001519587677318785587544488e-01,
-       0.789002279381515978178381316732e-01,
-       0.118350341907227396726757197510, 0.281649658092772603273242802490,
-       0.333333333333333333333333333333, 0.25,
-       0.307692307692307692307692307692, 0.651282051282051282051282051282,
-       0.6, 0.857142857142857142857142857142, 1.0, 1.0),
-    a=(
-        (),
-        (5.26001519587677318785587544488e-2,),
-        (1.97250569845378994544595329183e-2,
-         5.91751709536136983633785987549e-2),
-        (2.95875854768068491816892993775e-2, 0.0,
-         8.87627564304205475450678981324e-2),
-        (2.41365134159266685502369798665e-1, 0.0,
-         -8.84549479328286085344864962717e-1,
-         9.24834003261792003115737966543e-1),
-        (3.7037037037037037037037037037e-2, 0.0, 0.0,
-         1.70828608729473871279604482173e-1,
-         1.25467687566822425016691814123e-1),
-        (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
-         6.02165389804559606850219397283e-2, -1.7578125e-2),
-        (3.70920001185047927108779319836e-2, 0.0, 0.0,
-         1.70383925712239993810214054705e-1,
-         1.07262030446373284651809199168e-1,
-         -1.53194377486244017527936158236e-2,
-         8.27378916381402288758473766002e-3),
-        (6.24110958716075717114429577812e-1, 0.0, 0.0,
-         -3.36089262944694129406857109825,
-         -8.68219346841726006818189891453e-1,
-         2.75920996994467083049415600797e1,
-         2.01540675504778934086186788979e1,
-         -4.34898841810699588477366255144e1),
-        (4.77662536438264365890433908527e-1, 0.0, 0.0,
-         -2.48811461997166764192642586468,
-         -5.90290826836842996371446475743e-1,
-         2.12300514481811942347288949897e1,
-         1.52792336328824235832596922938e1,
-         -3.32882109689848629194453265587e1,
-         -2.03312017085086261358222928593e-2),
-        (-9.3714243008598732571704021658e-1, 0.0, 0.0,
-         5.18637242884406370830023853209, 1.09143734899672957818500254654,
-         -8.14978701074692612513997267357,
-         -1.85200656599969598641566180701e1,
-         2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
-         -3.0467644718982195003823669022),
-        (2.27331014751653820792359768449, 0.0, 0.0,
-         -1.05344954667372501984066689879e1,
-         -2.00087205822486249909675718444,
-         -1.79589318631187989172765950534e1,
-         2.79488845294199600508499808837e1,
-         -2.85899827713502369474065508674,
-         -8.87285693353062954433549289258,
-         1.23605671757943030647266201528e1,
-         6.43392746015763530355970484046e-1),
-        _B_DOP853,                       # FSAL: the stage at the step's end
-    ),
-    b=np.array(_B_DOP853 + (0.0,)),
-    e5=np.array((
-        0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
-        -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
-        0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
-        0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
-        -0.2235530786388629525884427845e-1, 0.0)),
-    # b less the 3rd-order weights bhh at stages 0, 8 and 11
-    e3=np.array(_B_DOP853 + (0.0,)) - np.array((
-        0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-        0.733846688281611857341361741547, 0.0, 0.0,
-        0.220588235294117647058823529412e-1, 0.0)),
-    fsal=True,
-    q=7,
-)
-
-_C, _B = _DOP853.c, _DOP853.b
-_A = [np.array(row) for row in _DOP853.a]
+    4.47106157277725905176885569043e-2, 0.0))
+_A = [np.array(row) for row in (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2,
+     5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0,
+     8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0,
+     -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0,
+     1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0,
+     1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1,
+     -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0,
+     -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1,
+     2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1,
+     -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0,
+     -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1,
+     2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1,
+     -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0,
+     5.18637242884406370830023853209, 1.09143734899672957818500254654,
+     -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1,
+     2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+     -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0,
+     -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444,
+     -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1,
+     -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258,
+     1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+    _B[:-1],                     # FSAL: the stage at the step's end
+)]
+_E5 = np.array((
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1, 0.0))
+# b less the 3rd-order weights bhh at stages 0, 8 and 11
+_E3 = _B - np.array((
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0,
+    0.220588235294117647058823529412e-1, 0.0))
+_Q = 7  # order of the combined error estimate
 _STAGES = len(_C)
 # the stages that enter y_{n+1}; the last one, FSAL, enters only the error
 _WEIGHTED = int(np.flatnonzero(_B)[-1]) + 1
@@ -153,8 +131,8 @@ for _l in range(1, _WEIGHTED):
     _A_ROWS[:_l, _l] = _A[_l]
 
 _SAFETY = 0.9
-_ALPHA = 0.7 / (_DOP853.q + 1)  # PI controller: proportional exponent
-_BETA = 0.4 / (_DOP853.q + 1)   # PI controller: integral exponent
+_ALPHA = 0.7 / (_Q + 1)  # PI controller: proportional exponent
+_BETA = 0.4 / (_Q + 1)   # PI controller: integral exponent
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _H_INIT = 1e-3    # first trial step of every segment
@@ -206,11 +184,11 @@ class PiecewiseOde:
 
 @dataclass
 class DenseTrajectory:
-    """Integration output: samples plus segment-boundary states.
+    """Integration output: segment-boundary states and accepted steps.
 
     ``step_times`` holds the times of the nodes, each accepted step's
-    start and each segment's end; the samples at ``sample_times`` are taken
-    by ``sample_states``.  ``steps`` counts the step attempts (accepted,
+    start and each segment's end; ``sample_states`` takes states between
+    them from the records.  ``steps`` counts the step attempts (accepted,
     rejected and non-finite) charged against ``IntegratorSettings.max_steps``.
 
     ``records[j]`` holds segment j's N accepted steps as arrays (t, h, y,
@@ -220,8 +198,6 @@ class DenseTrajectory:
     the stages that enter y_{n+1}.
     """
 
-    sample_times: np.ndarray
-    sample_states: np.ndarray
     breakpoint_states: list[np.ndarray]
     steps: int = 0
     step_times: np.ndarray = field(repr=False, default=None)
@@ -236,8 +212,8 @@ def _error_norm(h, k, scale):
     3rd-order estimates (Hairer, Norsett & Wanner, section II.10).  Both
     loops call it, so that a lane's norm is its scalar loop's.
     """
-    err5 = np.add.reduce(np.square((_DOP853.e5 @ k) / scale), axis=-1)
-    err3 = np.add.reduce(np.square((_DOP853.e3 @ k) / scale), axis=-1)
+    err5 = np.add.reduce(np.square((_E5 @ k) / scale), axis=-1)
+    err3 = np.add.reduce(np.square((_E3 @ k) / scale), axis=-1)
     den = err5 + 0.01 * err3
     return np.abs(h) * err5 / np.sqrt(np.where(den > 0.0, den, 1.0)
                                       * scale.shape[-1])
@@ -387,14 +363,9 @@ def _integrate_segments(segment_loop, rhs, segments, y, settings):
     return bp_states, used, records
 
 
-def integrate_piecewise(ode, x_start, *, settings=None, sample_times=None):
+def integrate_piecewise(ode, x_start, *, settings=None):
     """Integrate a piecewise ODE forward across all segments with hard
-    restarts.
-
-    The states are sampled at ``sample_times`` (default: the two ends of
-    the interval) by ``sample_states``, which calls ``ode.rhs`` on lanes
-    for samples between nodes, and breakpoint_states[i] is the state at
-    ode.segments[i].
+    restarts; breakpoint_states[i] is the state at ode.segments[i].
     """
     settings = settings or IntegratorSettings()
     x_start = np.asarray(x_start, dtype=float)
@@ -404,21 +375,13 @@ def integrate_piecewise(ode, x_start, *, settings=None, sample_times=None):
     bp_states, used, records = _integrate_segments(
         _integrate_segment, ode.rhs, ode.segments, x_start.copy(), settings)
 
-    samp_t = np.asarray([ode.segments[0], ode.segments[-1]]
-                        if sample_times is None else sample_times, dtype=float)
     times = np.concatenate([_segment_nodes(*a)[0] for a in zip(
         records, ode.segments[1:], bp_states[1:])])
-    return DenseTrajectory(
-        sample_times=samp_t,
-        sample_states=np.array([bp_states[0], bp_states[-1]])
-        if sample_times is None else sample_states(
-            ode.rhs, ode.segments, records, bp_states, samp_t),
-        breakpoint_states=bp_states, steps=used, step_times=times,
-        records=records)
+    return DenseTrajectory(breakpoint_states=bp_states, steps=used,
+                           step_times=times, records=records)
 
 
-def integrate_with_quadrature(ode, x_start, integrand, *, settings=None,
-                              sample_times=None):
+def integrate_with_quadrature(ode, x_start, integrand, *, settings=None):
     """Integrate the ODE while accumulating a scalar quadrature state.
 
     Returns (trajectory, value) where value = integral of integrand(j, t, x)
@@ -434,10 +397,8 @@ def integrate_with_quadrature(ode, x_start, integrand, *, settings=None,
 
     aug = PiecewiseOde(dim=ode.dim + 1, segments=ode.segments, rhs=rhs)
     z0 = np.append(np.asarray(x_start, dtype=float), 0.0)
-    traj = integrate_piecewise(aug, z0, settings=settings,
-                               sample_times=sample_times)
+    traj = integrate_piecewise(aug, z0, settings=settings)
     quad = traj.breakpoint_states[-1][-1]
-    traj.sample_states = traj.sample_states[:, :-1]
     traj.breakpoint_states = [s[:-1] for s in traj.breakpoint_states]
     return traj, float(quad)
 

@@ -25,7 +25,7 @@ __all__ = [
     "SwitchConfig",
     "horizon",
     "phase_law", "phase_law_jacobian", "phase_feasibility",
-    "phase_flow", "phase_jacobian", "lane_law", "lane_shaped",
+    "phase_flow", "phase_jacobian", "lane_shaped",
     "validate_config",
 ]
 
@@ -41,7 +41,7 @@ class ControlPhase:
     law_x(t, x), read only for a state law, is its m-by-n Jacobian in x.
     A phase without analytic derivatives (a state law without law_x, a
     Case-2 problem without case2_derivs) takes a central difference of
-    F: 2 dim(z) flow calls per point of its Jacobian.
+    F: its Jacobian at M points is one flow call on 2 dim(z) M lanes.
     """
 
     law_kind: str
@@ -59,10 +59,11 @@ class ControlPhase:
 class ProblemDef:
     """Immutable definition of a multi-phase control problem.
 
-    The model callbacks (f, f_x, f_u, C, grad_C, every law and law_x,
-    case2_derivs) take one point or B points at once: t of shape (B,), x
-    and p of shape (n, B), u of shape (m, B), returning arrays whose
-    trailing axis is that lane axis.  So each phase's Jacobian at all the
+    The model callbacks (f, f_x, f_u, C, grad_C, every law, law_x, lower
+    and upper, case2_derivs) take one point or B points at once: t of
+    shape (B,), x and p of shape (n, B), u of shape (m, B), returning
+    arrays whose trailing axis is that lane axis; a law or a bound may
+    return one value for all lanes.  So each phase's Jacobian at all the
     stage points of a sweep costs one call.
     """
 
@@ -162,37 +163,31 @@ def validate_config(prob: ProblemDef, cfg: SwitchConfig):
                                  f"Case {prob.case} takes {prob.p0_size}")
 
 
-def _vector(v):
+def _shaped(v, t, m):
+    """v, the value of a law or a bound, as floats of shape (m,) at a point
+    or (m, B) on the B lanes of t (B,); a constant is broadcast."""
+    if isinstance(t, np.ndarray):
+        u = np.empty((m, t.size))
+        u[:] = np.reshape(v, (m, -1))
+        return u
     u = np.asarray(v, dtype=float)
     return u if u.ndim else u.reshape(1)
 
 
 def phase_law(prob, j):
-    """Phase j's control law as u(t, x, p=None), a 1-d float array."""
-    law, kind = prob.phases[j].law, prob.phases[j].law_kind
+    """Phase j's control law as u(t, x, p=None): (m,) at a point, (m, B) on
+    B lanes, t of shape (B,) and x and p of shape (n, B)."""
+    law, kind, m = prob.phases[j].law, prob.phases[j].law_kind, prob.m
     if kind == "constant":
-        return lambda t, x, p=None: _vector(law(t))
+        return lambda t, x, p=None: _shaped(law(t), t, m)
     if kind == "state":
-        return lambda t, x, p=None: _vector(law(t, x))
+        return lambda t, x, p=None: _shaped(law(t, x), t, m)
 
     def control(t, x, p=None):
         if p is None:
             raise MissingCostate(
                 f"{prob.name}: phase {j} law needs the costate")
-        return _vector(law(t, x, p))
-    return control
-
-
-def lane_law(prob, j):
-    """Phase j's control law on B lanes as u(t, x, p=None) of shape (m,
-    B), for t of shape (B,) and x and p of shape (n, B); a constant law is
-    broadcast."""
-    m, law = prob.m, phase_law(prob, j)
-
-    def control(t, x, p=None):
-        u = np.empty((m, t.size))
-        u[:] = np.reshape(law(t, x, p), (m, -1))
-        return u
+        return _shaped(law(t, x, p), t, m)
     return control
 
 
@@ -211,16 +206,12 @@ def phase_law_jacobian(prob, j):
 def phase_feasibility(prob, j):
     """Phase j's control-box margin as m(t, x, p=None): (m,) at a point,
     (m, B) on B lanes."""
-    ph, m = prob.phases[j], prob.m
-    point, lanes = phase_law(prob, j), lane_law(prob, j)
+    ph, m, law = prob.phases[j], prob.m, phase_law(prob, j)
 
     def margin(t, x, p=None):
-        if np.ndim(x) == 2:
-            u = lanes(t, x, p)
-            return np.minimum(u - np.reshape(ph.lower(t), (m, -1)),
-                              np.reshape(ph.upper(t), (m, -1)) - u)
-        u = point(t, x, p)
-        return np.minimum(u - _vector(ph.lower(t)), _vector(ph.upper(t)) - u)
+        u = law(t, x, p)
+        return np.minimum(u - _shaped(ph.lower(t), t, m),
+                          _shaped(ph.upper(t), t, m) - u)
     return margin
 
 
@@ -228,14 +219,13 @@ def phase_flow(prob, j):
     """Phase j's flow F(t, z) of the sweep state: z = x and F = f in Case 1,
     z = (x, p) and F = (f, -p f_x) in Case 2.  It takes one point, or B
     lanes: t of shape (B,) and z of shape (d, B)."""
-    n, f, f_x = prob.n, prob.f, prob.f_x
-    point, lanes = phase_law(prob, j), lane_law(prob, j)
+    n, f, f_x, law = prob.n, prob.f, prob.f_x, phase_law(prob, j)
     if prob.case == 1:
-        return lambda t, z: f(z, (lanes if z.ndim == 2 else point)(t, z))
+        return lambda t, z: f(z, law(t, z))
 
     def flow(t, z):
         x, p = z[:n], z[n:]
-        u = (lanes if z.ndim == 2 else point)(t, x, p)
+        u = law(t, x, p)
         dp = -np.einsum("i...,ij...->j...", p, f_x(x, u))
         return np.concatenate((f(x, u), dp))
     return flow
@@ -247,12 +237,13 @@ def phase_jacobian(prob, j):
 
     It comes from the closed-loop Jacobian (Case 1) or case2_derivs
     (Case 2) in one call.  A phase without them takes a central difference
-    of F, column by column and point by point: 2 dim(z) flow calls per
-    point.  A result of another shape than (d, d, M) raises ValueError.
+    of F with step FD_STEP max(1, |z_i|) in each z_i: one flow call on
+    2 d M lanes, which refuses a flow without the lane axis by name.  A
+    result of another shape than (d, d, M) raises ValueError.
     """
     n, derivs, ph = prob.n, prob.case2_derivs, prob.phases[j]
     if prob.case == 1 and (ph.law_x is not None or ph.law_kind == "constant"):
-        jacobian, control = phase_law_jacobian(prob, j), lane_law(prob, j)
+        jacobian, control = phase_law_jacobian(prob, j), phase_law(prob, j)
         batched = lambda t, z: jacobian(t, z, control(t, z))
     elif prob.case == 2 and derivs is not None:
         batched = lambda t, z: derivs(j, t, z[:n], z[n:])
@@ -260,16 +251,16 @@ def phase_jacobian(prob, j):
         flow = phase_flow(prob, j)
 
         def batched(t, z):
-            d = z.shape[0]
-            J = np.empty((d, d, t.size))
-            for m in range(t.size):
-                for i in range(d):
-                    h = FD_STEP * max(1.0, abs(z[i, m]))
-                    zp, zm = z[:, m].copy(), z[:, m].copy()
-                    zp[i] += h
-                    zm[i] -= h
-                    J[:, i, m] = (flow(t[m], zp) - flow(t[m], zm)) / (2 * h)
-            return J
+            # lane (sign, i, m) is point m with z_i moved by +h or -h
+            d = len(z)
+            h = FD_STEP * np.maximum(1.0, np.abs(z))
+            step = np.eye(d)[:, :, None] * h
+            lanes = (z[:, None, None]
+                     + np.stack((step, -step), axis=1)).reshape(d, -1)
+            F = lane_shaped(prob, f"phase {j}'s flow",
+                            flow(np.tile(t, 2 * d), lanes), lanes.shape)
+            F = F.reshape(d, 2, d, -1)
+            return (F[:, 0] - F[:, 1]) / (2 * h)
 
     return lambda t, z: lane_shaped(prob, f"phase {j}'s flow Jacobian",
                                     batched(t, z), z.shape[:1] * 2 + t.shape)

@@ -9,7 +9,7 @@ to original time here.
 import numpy as np
 
 from switchopt.odeint import PiecewiseOde, integrate_piecewise, \
-    integrate_with_quadrature
+    integrate_with_quadrature, sample_states
 
 
 def reflect(ode):
@@ -26,19 +26,26 @@ def reflect(ode):
                         rhs=rhs)
 
 
-def integrate_backward(ode, x_end, *, settings=None, sample_times=None):
+def integrate_backward(ode, x_end, *, settings=None):
     """``integrate_piecewise`` from x_end at ode.segments[-1] back to
-    ode.segments[0].  The samples, step_times and breakpoint_states are in
-    original time and order; the records stay in reflected time."""
+    ode.segments[0].  The step_times and breakpoint_states are in original
+    time and order; the records stay in reflected time."""
     a, b = ode.segments[0], ode.segments[-1]
-    samp_t = np.asarray([a, b] if sample_times is None else sample_times,
-                        dtype=float)
-    traj = integrate_piecewise(reflect(ode), x_end, settings=settings,
-                               sample_times=(a + b) - samp_t)
-    traj.sample_times = samp_t
+    traj = integrate_piecewise(reflect(ode), x_end, settings=settings)
     traj.step_times = ((a + b) - traj.step_times)[::-1]
     traj.breakpoint_states = traj.breakpoint_states[::-1]
     return traj
+
+
+def sample_backward(ode, traj, sample_times):
+    """The states at ``sample_times``, in original time, of the
+    ``integrate_backward`` result ``traj`` of ``ode``: ``sample_states`` on
+    its reflected records."""
+    a, b = ode.segments[0], ode.segments[-1]
+    run = reflect(ode)
+    return sample_states(run.rhs, run.segments, traj.records,
+                         traj.breakpoint_states[::-1],
+                         (a + b) - np.asarray(sample_times, dtype=float))
 
 
 def quadrature_backward(ode, x_end, integrand, *, settings=None):

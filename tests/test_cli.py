@@ -333,6 +333,23 @@ def test_non_finite_tolerance_exits_config(tmp_path, capsys, flag, value):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["warmstart", "--problem", "catalyst1"], "--ode-tol"),
+    (["warmstart", "--problem", "catalyst1"], "--opt-tol"),
+    (["gradcheck", "--problem", "jacobson", "--s0", "1.4"], "--opt-tol"),
+    (["profile", "--problem", "jacobson", "--grid", "1.38,1.48,3"],
+     "--opt-tol"),
+], ids=["warmstart-ode-tol", "warmstart-opt-tol", "gradcheck-opt-tol",
+        "profile-opt-tol"])
+def test_a_command_refuses_a_tolerance_it_does_not_read(tmp_path, capsys,
+                                                        argv, flag):
+    # these were accepted and ignored, whatever their value
+    code = main([*argv, flag, "nan", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} nan" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, first, second", [
     pytest.param(["--problem", "catalyst2", "--warmstart", "--p0", "5,5"],
                  "--p0", "--warmstart", id="p0-warmstart"),

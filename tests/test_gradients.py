@@ -22,7 +22,8 @@ from switchopt.optimizer import minimize
 from switchopt.problem import ControlPhase, ProblemDef, SwitchConfig, \
     phase_feasibility, phase_flow, phase_jacobian
 
-from oracles import integrate_backward, quadrature_backward
+from oracles import integrate_backward, quadrature_backward, \
+    sample_backward
 
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 
@@ -466,6 +467,20 @@ def test_one_point_jacobian_is_refused_by_name():
         evaluate_gradient(prob, SwitchConfig(s=np.array([0.9])))
 
 
+def test_one_point_flow_is_refused_by_the_fallback_jacobian():
+    # the bump toy's state law has no law_x, so its Jacobian is a central
+    # difference of the flow on lanes; an f that sums over the lanes works
+    # one point at a time in the forward sweep and is refused there,
+    # naming the problem and the phase
+    prob = dataclasses.replace(
+        _bump_problem(c=0.5, w=0.1),
+        f=lambda x, u: np.array([1.0, np.sum(u)]),
+        f_x=lambda x, u: np.zeros((2, 2) + np.shape(x)[1:]))
+    with pytest.raises(ValueError, match=r"bump: phase 0's flow has shape "
+                       r"\(2,\), not \(2, \d+\): .* lane axis last"):
+        evaluate_gradient(prob, SwitchConfig(s=np.array([0.9])))
+
+
 # The sweeps resolve each phase once into closures; the finite-difference
 # law Jacobian and the numeric Case-2 Hamiltonian gradients are their
 # fallback paths when a problem gives no analytic derivative.
@@ -573,12 +588,11 @@ def _whole_horizon_costate(prob, fwd, settings, tau):
 
     lam_end = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
                               np.zeros(d - prob.n)))
+    ode = PiecewiseOde(dim=2 * d, segments=fwd.sigma,
+                       rhs=lambda j, tau, w: phases[j](j, tau, w))
     back = integrate_backward(
-        PiecewiseOde(dim=2 * d, segments=fwd.sigma,
-                     rhs=lambda j, tau, w: phases[j](j, tau, w)),
-        np.concatenate((fwd.checkpoints[-1], lam_end)), settings=settings,
-        sample_times=tau)
-    return back.sample_states[:, d:]
+        ode, np.concatenate((fwd.checkpoints[-1], lam_end)), settings=settings)
+    return sample_backward(ode, back, tau)[:, d:]
 
 
 # at T = 1 the dense samples are 0.005 apart: none falls in the middle phase

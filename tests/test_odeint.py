@@ -14,7 +14,8 @@ from switchopt.odeint import (
     integrate_with_quadrature,
 )
 
-from oracles import integrate_backward, quadrature_backward, reflect
+from oracles import integrate_backward, quadrature_backward, reflect, \
+    sample_backward
 
 # the library integrates forward; the oracles reflect time to go back
 INTEGRATE = {"forward": integrate_piecewise, "backward": integrate_backward}
@@ -55,12 +56,11 @@ def _order_residuals(b, A, order):
 
 
 def test_tableau_order_conditions():
-    tab = odeint._DOP853
-    S = len(tab.c)
+    S = len(odeint._C)
     A = np.zeros((S, S))
-    for i, row in enumerate(tab.a):
+    for i, row in enumerate(odeint._A):
         A[i, :i] = row
-    c, b = np.array(tab.c), tab.b
+    c, b = np.array(odeint._C), odeint._B
     np.testing.assert_allclose(A.sum(axis=1), c, rtol=0, atol=1e-15)
     assert abs(b.sum() - 1.0) <= 1e-15
     # 1 + 1 + 2 + 4 + 9 + 20 + 48 + 115 = 200 conditions up to order 8
@@ -70,20 +70,20 @@ def test_tableau_order_conditions():
     assert max(map(max, residuals)) <= 1e-15
     assert max(_order_residuals(b, A, 9)) == pytest.approx(2.68e-5, rel=0.01)
     # the embedded solutions b - e5 and b - e3 have orders 5 and 3
-    for e, order, miss in ((tab.e5, 5, 4.53e-4), (tab.e3, 3, 2.52e-2)):
+    for e, order, miss in ((odeint._E5, 5, 4.53e-4),
+                           (odeint._E3, 3, 2.52e-2)):
         for q in range(1, order + 1):
             assert max(_order_residuals(b - e, A, q)) <= 1e-14
         assert max(_order_residuals(b - e, A, order + 1)) \
             == pytest.approx(miss, rel=0.01)
     # the combined estimate err5^2 / sqrt(err5^2 + 0.01 err3^2) is O(h^8):
     # order q = 7, behind the PI exponents
-    assert tab.q == 7
+    assert odeint._Q == 7
     assert odeint._ALPHA == 0.7 / 8 and odeint._BETA == 0.4 / 8
     # FSAL: the last stage is y_{n+1}'s derivative, weighted 0 in y_{n+1}
-    assert tab.fsal
     np.testing.assert_array_equal(A[-1, :-1], b[:-1])
     assert c[-1] == 1.0 and b[-1] == 0.0
-    assert (len(tab.e5), len(tab.e3)) == (S, S)
+    assert (len(odeint._E5), len(odeint._E3)) == (S, S)
     assert (odeint._STAGES, odeint._WEIGHTED, odeint._RECORDED) \
         == (13, 12, 11)
 
@@ -253,10 +253,12 @@ def test_no_step_straddles_breakpoint():
 def test_dense_samples_interpolate():
     ode = PiecewiseOde(dim=1, segments=np.array([0.0, 2.0]),
                        rhs=lambda j, t, x: np.array([np.exp(t) - x[0]]))
-    traj = integrate_piecewise(ode, np.array([0.5]), settings=_tight(),
-                               sample_times=np.linspace(0.0, 2.0, 101))
+    traj = integrate_piecewise(ode, np.array([0.5]), settings=_tight())
+    t = np.linspace(0.0, 2.0, 101)
+    states = odeint.sample_states(ode.rhs, ode.segments, traj.records,
+                                  traj.breakpoint_states, t)
     exact = lambda t: np.sinh(t) + 0.5 * np.exp(-t)
-    err = np.abs(traj.sample_states[:, 0] - exact(traj.sample_times))
+    err = np.abs(states[:, 0] - exact(t))
     assert err.max() < 1e-7
 
 
@@ -487,9 +489,11 @@ def test_samples_are_one_step_from_the_node_before(direction):
     # original time
     ode = _piecewise_oscillator()
     want_t = np.linspace(0.0, 2.0, 2049)
-    traj = INTEGRATE[direction](ode, np.array([1.0, 0.0]), settings=_tight(),
-                                sample_times=want_t)
-    assert np.array_equal(traj.sample_times, want_t)
+    traj = INTEGRATE[direction](ode, np.array([1.0, 0.0]), settings=_tight())
+    samples = odeint.sample_states(
+        ode.rhs, ode.segments, traj.records, traj.breakpoint_states, want_t) \
+        if direction == "forward" else sample_backward(ode, traj, want_t)
+    assert samples.shape == (want_t.size, 2)
     run = ode if direction == "forward" else reflect(ode)
     t_run = want_t if direction == "forward" else 2.0 - want_t
     seg, on_node = run.segments, 0
@@ -506,7 +510,7 @@ def test_samples_are_one_step_from_the_node_before(direction):
             want = states[n]
         else:
             want = _scalar_step(run.rhs, j, nodes[n], states[n], tq - nodes[n])
-        np.testing.assert_allclose(traj.sample_states[m], want, rtol=1e-14,
+        np.testing.assert_allclose(samples[m], want, rtol=1e-14,
                                    atol=1e-15)
     assert on_node >= 4   # both ends and both breakpoints
 

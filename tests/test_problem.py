@@ -11,7 +11,7 @@ from switchopt import gradients, problem
 from switchopt.gradients import evaluate_gradient, forward_sweep
 from switchopt.optimizer import minimize
 from switchopt.problem import (
-    SwitchConfig, lane_law, phase_feasibility, phase_flow, phase_jacobian,
+    SwitchConfig, phase_feasibility, phase_flow, phase_jacobian,
     phase_law, phase_law_jacobian, validate_config,
 )
 
@@ -186,42 +186,6 @@ def _phase_points(name, j):
     return prob, [(fwd.times[i], zs[i]) for i in np.flatnonzero(seg == j)]
 
 
-@pytest.mark.parametrize("name", PROBLEM_NAMES)
-def test_terminal_callbacks_match_scalar_calls(name):
-    # C and grad_C on x_T of shape (n, B) give the one-point results
-    # column by column: C of shape (B,), grad_C of shape (n, B), or (n,)
-    # when it is constant, which the backward sweep broadcasts
-    prob = build_problem(name)
-    lo, hi = LANE_BOXES["catalyst1" if name == "catalyst2" else name][:2]
-    x = np.random.default_rng(5).uniform(lo, hi, (5, prob.n)).T
-    C, grad = prob.C(x), np.asarray(prob.grad_C(x))
-    assert C.shape == (5,)
-    assert grad.shape in ((prob.n, 5), (prob.n,))
-    grad = np.broadcast_to(np.reshape(grad, (prob.n, -1)), x.shape)
-    for b in range(5):
-        assert C[b] == prob.C(x[:, b])
-        assert np.array_equal(grad[:, b], prob.grad_C(x[:, b]))
-
-
-def test_terminal_callbacks_without_the_lane_axis_are_refused_by_name():
-    # a C that sums over the lanes, and a grad_C that flattens them, work
-    # on one configuration and are refused on lanes, naming the callback
-    prob = build_problem("bressan")
-    cfgs = [SwitchConfig(s=np.array([3.0])), SwitchConfig(s=np.array([3.2]))]
-    summed = dataclasses.replace(prob, C=lambda x: np.sum(x[2]))
-    flat = dataclasses.replace(prob, grad_C=lambda x: np.ravel(
-        [0.0 * x[0], 0.0 * x[0], 1.0 + 0.0 * x[0]]))
-    for bad in (summed, flat):
-        assert evaluate_gradient(bad, cfgs[0]).d_s \
-            == evaluate_gradient(prob, cfgs[0]).d_s
-    with pytest.raises(ValueError, match=r"bressan: C has shape \(\), not "
-                       r"\(2,\): .* lane axis last"):
-        evaluate_gradient(summed, cfgs)
-    with pytest.raises(ValueError, match=r"bressan: grad_C has shape "
-                       r"\(6,\), not \(3,\)"):
-        evaluate_gradient(flat, cfgs)
-
-
 @pytest.mark.parametrize("name, j", [
     (name, j) for name in PROBLEM_NAMES
     for j in range(build_problem(name).k + 1)])
@@ -351,19 +315,41 @@ LANE_BOXES = {
 }
 
 
-@pytest.mark.parametrize("name", list(LANE_BOXES))
-def test_lane_callbacks_match_scalar_calls(name):
+def _without(prob, derivs):
+    """prob without its analytic ``derivs``: "law_x" or "case2_derivs"."""
+    if derivs == "law_x":
+        return dataclasses.replace(prob, phases=tuple(
+            dataclasses.replace(ph, law_x=None) for ph in prob.phases))
+    return dataclasses.replace(prob, **{derivs: None}) if derivs else prob
+
+
+# the problems whose Jacobians take the central-difference fallback
+FALLBACKS = [("jacobson", "law_x"), ("goddard", "law_x"),
+             ("catalyst2", "case2_derivs")]
+
+
+@pytest.mark.parametrize("name, derivs", [
+    *[pytest.param(name, None, id=name) for name in LANE_BOXES],
+    *[pytest.param(name, derivs, id=f"{name}-{derivs}=None")
+      for name, derivs in FALLBACKS]])
+def test_lane_callbacks_match_scalar_calls(name, derivs):
     # x of shape (n, B) gives the scalar results of each column, with the
     # lane axis last: the Jacobians bit for bit, f to rounding, as a
     # float64 scalar's ** 2 is C pow and an array's multiplies.  goddard's
     # exp is math.exp on a float and np.exp on lanes, so its Jacobians
-    # agree to rounding too
-    prob = build_problem(name)
-    lo, hi, u_lo, u_hi = LANE_BOXES[name]
+    # agree to rounding too.  The laws and margins take one closure per
+    # phase at a point and on lanes, and a phase without analytic
+    # derivatives differences its flow on the lanes of every point at once
+    prob = _without(build_problem(name), derivs)
+    lo, hi, u_lo, u_hi = LANE_BOXES["catalyst1" if name == "catalyst2"
+                                    else name]
     rng = np.random.default_rng(3)
     x = rng.uniform(lo, hi, (5, prob.n)).T
     t = rng.uniform(0.0, prob.T, 5)
     u = rng.uniform(u_lo, u_hi, (prob.m, 5))
+    # Case 2 sweeps z = (x, p)
+    p = rng.uniform(0.5, 1.5, (5, prob.n)).T if prob.p0_size else None
+    z = x if p is None else np.vstack((x, p))
     exact = name != "goddard"
     for fn in (prob.f, prob.f_x, prob.f_u):
         out = fn(x, u)
@@ -374,22 +360,48 @@ def test_lane_callbacks_match_scalar_calls(name):
             if exact and fn is not prob.f:
                 assert np.array_equal(out[..., b], fn(x[:, b], u[:, b]))
     for j in range(prob.k + 1):
-        u_j = lane_law(prob, j)(t, x)
-        F = phase_flow(prob, j)(t, x)
-        J = phase_jacobian(prob, j)(t, x)
+        u_j = phase_law(prob, j)(t, x, p)
+        m_j = phase_feasibility(prob, j)(t, x, p)
+        F = phase_flow(prob, j)(t, z)
+        J = phase_jacobian(prob, j)(t, z)
+        assert u_j.shape == m_j.shape == (prob.m, 5)
         for b in range(5):
-            J_point = phase_jacobian(prob, j)(t[b:b + 1], x[:, b:b + 1])
+            p_b = None if p is None else p[:, b]
+            J_point = phase_jacobian(prob, j)(t[b:b + 1], z[:, b:b + 1])
             np.testing.assert_allclose(u_j[:, b],
-                                       phase_law(prob, j)(t[b], x[:, b]),
+                                       phase_law(prob, j)(t[b], x[:, b], p_b),
                                        rtol=1e-15)
+            np.testing.assert_allclose(
+                m_j[:, b], phase_feasibility(prob, j)(t[b], x[:, b], p_b),
+                rtol=1e-15)
             np.testing.assert_allclose(F[:, b],
-                                       phase_flow(prob, j)(t[b], x[:, b]),
+                                       phase_flow(prob, j)(t[b], z[:, b]),
                                        rtol=1e-15, atol=1e-15)
             if exact:
                 assert np.array_equal(J[..., b], J_point[..., 0])
             else:
                 np.testing.assert_allclose(J[..., b], J_point[..., 0],
                                            rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("name, derivs", FALLBACKS)
+def test_fallback_jacobian_is_one_flow_call(name, derivs):
+    # the central difference moves each z_i of each of the M points by +-h:
+    # one call of f on 2 d M lanes
+    prob = _without(build_problem(name), derivs)
+    calls = []
+
+    def f(x, u):
+        calls.append(np.shape(x))
+        return prob.f(x, u)
+
+    _, points = _phase_points(name, 1)
+    t = np.array([pt[0] for pt in points[:4]])
+    z = np.array([pt[1] for pt in points[:4]]).T
+    d = len(z)
+    J = phase_jacobian(dataclasses.replace(prob, f=f), 1)(t, z)
+    assert J.shape == (d, d, 4)
+    assert calls == [(prob.n, 2 * d * 4)]
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
