@@ -11,7 +11,7 @@ reads: the scalar loop, the lockstep loop of B lanes, ``sample_states``,
 each sample one step of the method from the node before it, and the fold
 of accepted steps into the transition matrices of the reverse pass.  Both
 loops record a segment's accepted steps as arrays (t, h, y, K), the step
-axis first.
+axis first, test each attempt's new state once and share one error norm.
 """
 
 from __future__ import annotations
@@ -210,13 +210,13 @@ def _error_norm(h, k, scale):
     ``scale`` of the states' shape: |h| err5^2 / sqrt(dim (err5^2 + 0.01
     err3^2)), err5 and err3 the squared weighted 2-norms of the 5th- and
     3rd-order estimates (Hairer, Norsett & Wanner, section II.10).  Both
-    loops call it, so that a lane's norm is its scalar loop's.
+    loops call it, so that a lane's norm is its scalar loop's; on a point
+    it makes no 0-d array.  den + (den == 0) is den, or 1 where den = 0.
     """
     err5 = np.add.reduce(np.square((_E5 @ k) / scale), axis=-1)
     err3 = np.add.reduce(np.square((_E3 @ k) / scale), axis=-1)
     den = err5 + 0.01 * err3
-    return np.abs(h) * err5 / np.sqrt(np.where(den > 0.0, den, 1.0)
-                                      * scale.shape[-1])
+    return abs(h) * err5 / np.sqrt((den + (den == 0.0)) * scale.shape[-1])
 
 
 def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
@@ -224,9 +224,10 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
 
     Returns (y_end, steps_used, record), the record of its N accepted
     steps as ``DenseTrajectory`` holds it.  No RHS call warns about overflow
-    or division: an attempt with a non-finite stage or state, tested once
-    after all its stages, halves the step, down to ``NonFiniteState`` at
-    _H_MIN, and a non-finite first call raises it.
+    or division: an attempt with a non-finite new state, tested once after
+    all its stages, halves the step, down to ``NonFiniteState`` at _H_MIN,
+    and a non-finite first call raises it.  Every stage enters that state:
+    0 inf and 0 NaN are NaN in ``np.dot(_B, k)``, whose bits are ``@``'s.
     """
     t, y = t0, np.array(y0, dtype=float)
     h = min(_H_INIT, t1 - t0)
@@ -236,6 +237,7 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
     k = np.empty((_STAGES, y.size))
     k_cols = [k[:i].T for i in range(_STAGES)]
     abs_y = np.abs(y)
+    abs_tol, rel_tol = settings.abs_tol, settings.rel_tol
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k1 = rhs(j, t, y)
@@ -251,19 +253,18 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
             k[0] = k1
             for i in range(1, _STAGES):
                 k[i] = rhs(j, t + _C[i] * h_try,
-                           y + h_try * (k_cols[i] @ _A[i]))
-            y_new = y + h_try * (_B @ k)
+                           y + h_try * np.dot(k_cols[i], _A[i]))
+            y_new = y + h_try * np.dot(_B, k)
 
             steps += 1
-            if not (np.isfinite(k[1:]).all() and np.isfinite(y_new).all()):
+            if not np.isfinite(y_new).all():
                 h = 0.5 * h_try
                 if h < _H_MIN:
                     raise NonFiniteState(f"non-finite state near t={t}")
                 continue
 
             abs_new = np.abs(y_new)
-            err = float(_error_norm(h_try, k, settings.abs_tol
-                                    + settings.rel_tol
+            err = float(_error_norm(h_try, k, abs_tol + rel_tol
                                     * np.maximum(abs_y, abs_new)))
             if err <= 1.0:
                 K = k.copy()  # the next attempt overwrites k
@@ -457,8 +458,7 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
             for i in range(1, _STAGES):
                 k[:, i] = f(t + _C[i] * h_try, _stage_point(y, h_try, k, i))
             y_new = y + h_try[:, None] * (_B @ k)
-            failed = active & ~(np.isfinite(k[:, 1:]).all(axis=(1, 2))
-                                & np.isfinite(y_new).all(axis=1))
+            failed = active & ~np.isfinite(y_new).all(axis=1)
             steps += active
 
             err = _error_norm(h_try, k, settings.abs_tol + settings.rel_tol

@@ -257,8 +257,12 @@ def phase_jacobian(prob, j):
             step = np.eye(d)[:, :, None] * h
             lanes = (z[:, None, None]
                      + np.stack((step, -step), axis=1)).reshape(d, -1)
-            F = lane_shaped(prob, f"phase {j}'s flow",
-                            flow(np.tile(t, 2 * d), lanes), lanes.shape)
+            try:
+                F = flow(np.tile(t, 2 * d), lanes)
+            except ValueError as exc:   # e.g. np.array([1.0, u[0]]) on lanes
+                raise ValueError(f"{prob.name}: phase {j}'s flow fails on "
+                                 f"lanes ({exc}): {_LANE_AXIS}") from exc
+            F = lane_shaped(prob, f"phase {j}'s flow", F, lanes.shape)
             F = F.reshape(d, 2, d, -1)
             return (F[:, 0] - F[:, 1]) / (2 * h)
 
@@ -266,10 +270,12 @@ def phase_jacobian(prob, j):
                                     batched(t, z), z.shape[:1] * 2 + t.shape)
 
 
+_LANE_AXIS = "the model callbacks must keep the lane axis last"
+
+
 def lane_shaped(prob, what, J, want):
     """J, or a ValueError naming prob and what if J's shape is not want."""
     if np.shape(J) != want:
         raise ValueError(f"{prob.name}: {what} has shape {np.shape(J)}, not "
-                         f"{want}: the model callbacks must keep the lane "
-                         "axis last")
+                         f"{want}: {_LANE_AXIS}")
     return J

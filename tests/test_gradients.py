@@ -481,6 +481,19 @@ def test_one_point_flow_is_refused_by_the_fallback_jacobian():
         evaluate_gradient(prob, SwitchConfig(s=np.array([0.9])))
 
 
+def test_lane_free_flow_part_is_refused_by_the_fallback_jacobian():
+    # the bump toy's f builds np.array([1.0, u[0]]), whose first component
+    # has no lane axis: fine at a point, so the forward sweep runs, but on
+    # the fallback Jacobian's lanes NumPy's own inhomogeneous-shape error,
+    # which the refusal names with the problem, the phase and the contract
+    prob = dataclasses.replace(
+        _bump_problem(c=0.5, w=0.1),
+        f_x=lambda x, u: np.zeros((2, 2) + np.shape(x)[1:]))
+    with pytest.raises(ValueError, match=r"bump: phase 0's flow fails on "
+                       r"lanes \(.*inhomogeneous.*\): .* lane axis last"):
+        evaluate_gradient(prob, SwitchConfig(s=np.array([0.9])))
+
+
 # The sweeps resolve each phase once into closures; the finite-difference
 # law Jacobian and the numeric Case-2 Hamiltonian gradients are their
 # fallback paths when a problem gives no analytic derivative.
@@ -635,6 +648,45 @@ CONFIGS = {
     "bressan": (10.0, SwitchConfig(s=np.array([3.1]))),
     "goddard": (None, GODDARD_CFG),
 }
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-11])
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_stage_points_are_where_the_scalar_loop_called_the_rhs(name, tol):
+    # the fold and the margins rebuild each accepted step's stage points
+    # from the record by odeint._stage_points; they are the points at which
+    # the scalar loop evaluated them, bit for bit: stages 1 .. _WEIGHTED - 1
+    # in the step's attempt, stage 0 in the FSAL call of the step before or
+    # the segment's first call.  This pins the loop's tableau products to
+    # _stage_point's
+    T, cfg = CONFIGS[name]
+    settings = IntegratorSettings(rel_tol=tol, abs_tol=tol)
+    fwd = forward_sweep(build_problem(name, T=T), cfg, settings)
+    calls = [[] for _ in fwd.records]
+
+    def rhs(j, tau, z):
+        calls[j].append((tau, z.copy()))
+        return fwd.rhs(j, tau, z)
+
+    traj = integrate_piecewise(PiecewiseOde(len(fwd.checkpoints[0]),
+                                            fwd.sigma, rhs),
+                               fwd.checkpoints[0], settings=settings)
+    per, W = odeint._STAGES - 1, odeint._WEIGHTED
+    for j, record in enumerate(traj.records):
+        tau, Y = odeint._stage_points(*record)
+        times = np.array([c[0] for c in calls[j]])
+        points = np.array([c[1] for c in calls[j]])
+        # the segment's first call, then stages 1 .. _STAGES - 1 per attempt
+        start = times[0], points[0]
+        times, points = times[1:].reshape(-1, per), \
+            points[1:].reshape(-1, per, points.shape[1])
+        for n in range(len(tau)):
+            a, = np.flatnonzero((times[:, 0] == tau[n, 1])
+                                & (points[:, 0] == Y[n, 1]).all(axis=1))
+            assert start[0] == tau[n, 0] and np.array_equal(start[1], Y[n, 0])
+            assert np.array_equal(times[a, :W - 1], tau[n, 1:])
+            assert np.array_equal(points[a, :W - 1], Y[n, 1:])
+            start = times[a, -1], points[a, -1]
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from switchopt import odeint
 
@@ -106,6 +107,27 @@ def test_step_converges_at_order_eight():
         errs.append(abs(y[0, 0] - np.exp(np.sin(2.0))))
     assert errs[1] > 1e-13
     assert errs[0] / errs[1] >= 2 ** 7.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), lanes=st.integers(1, 6), dim=st.integers(1, 5))
+def test_error_norm_of_a_point_is_its_lane(data, lanes, dim):
+    # stage values of magnitude 1e-300 .. 1e10 and either sign, exact
+    # zeros, and lanes of zero stages only, whose den is 0
+    shape = (lanes, odeint._STAGES, dim)
+    k = 10.0 ** data.draw(arrays(float, shape, elements=st.floats(-300, 10)))
+    k[data.draw(arrays(bool, shape))] *= -1.0
+    k[data.draw(arrays(bool, shape))] = 0.0
+    zero = data.draw(arrays(bool, lanes))
+    k[zero] = 0.0
+    h = data.draw(arrays(float, lanes, elements=st.floats(-1.0, 1.0)))
+    scale = 10.0 ** data.draw(arrays(float, (lanes, dim),
+                                     elements=st.floats(-12, 4)))
+    on_lanes = odeint._error_norm(h, k, scale)
+    for b in range(lanes):
+        point = odeint._error_norm(float(h[b]), k[b], scale[b])
+        assert np.float64(point).tobytes() == on_lanes[b].tobytes()
+    assert np.all(on_lanes[zero] == 0.0)
 
 
 def test_exponential_decay():
@@ -371,29 +393,61 @@ def _outcome(ode, y_start, direction, settings):
     return np.array(traj.breakpoint_states), traj.step_times, traj.steps
 
 
-def test_non_finite_seventh_stage_halves_the_step():
-    # a non-finite last stage (the FSAL derivative at t + h, weight 0 in
-    # y_new, the _STAGES-th call of the first attempt) fails the attempt
-    # and halves the step; it does not reach the error test, whose
-    # rejection would cut the step to 0.2 h
-    S, calls = odeint._STAGES, []
+# the stages of weight 0 in y_new: FSAL, the derivative at t + h, and the
+# ones that enter only later stages
+ZERO_WEIGHT = [int(i) for i in np.flatnonzero(odeint._B == 0)]
+
+
+def _nan_at_call(call=None, lane=None):
+    """(rhs, calls): -y, but NaN at RHS call number ``call`` (1 the first;
+    None for none), in lane ``lane`` only on lanes; ``calls`` logs each
+    call's t."""
+    calls = []
 
     def rhs(j, t, y):
         calls.append(t)
-        return np.full(1, np.nan) if len(calls) == S else -y
+        if len(calls) != call:
+            return -y
+        return np.full(np.shape(y), np.nan) if lane is None else \
+            np.where(np.arange(y.shape[1]) == lane, np.nan, -y)
+    return rhs, calls
 
-    ode = PiecewiseOde(dim=1, segments=np.array([0.0, 0.01]), rhs=rhs)
-    traj = integrate_piecewise(ode, np.ones(1), settings=_tight())
-    assert calls[S - 1] == odeint._H_INIT
-    assert traj.step_times[1] == 0.5 * odeint._H_INIT
-    assert traj.steps == traj.step_times.size  # one attempt more than steps
-    calls.clear()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(odeint, "_integrate_segment", _per_stage_segment)
-        ref = _outcome(ode, np.ones(1), "forward", _tight())
-    calls.clear()
-    got = _outcome(ode, np.ones(1), "forward", _tight())
-    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+@pytest.mark.parametrize("loop", ["scalar", "lanes"])
+@pytest.mark.parametrize("stage", ZERO_WEIGHT)
+def test_non_finite_zero_weight_stage_halves_the_step(stage, loop):
+    # a non-finite stage of weight 0 in y_new, in the first attempt, fails
+    # that attempt by y_new alone (0 * NaN is NaN) and halves the step; it
+    # does not reach the error test, whose rejection would cut the step to
+    # 0.2 h.  The outcome is the reference loop's, which tests each stage;
+    # on lanes, lane 1 of 2 takes the NaN, and each lane's is its own
+    settings = _tight()
+    refs = []
+    for lane in (0, 1):
+        rhs, _ = _nan_at_call(stage + 1 if lane == 1 else None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(odeint, "_integrate_segment", _per_stage_segment)
+            refs.append(_outcome(PiecewiseOde(1, [0.0, 0.01], rhs),
+                                 np.ones(1), "forward", settings))
+    if loop == "scalar":
+        rhs, calls = _nan_at_call(stage + 1)
+        got = [_outcome(PiecewiseOde(1, [0.0, 0.01], rhs), np.ones(1),
+                        "forward", settings)]
+        refs = refs[1:]
+    else:
+        rhs, calls = _nan_at_call(stage + 1, lane=1)
+        seg = np.array([[0.0, 0.0], [0.01, 0.01]])
+        states, steps, records = integrate_lanes(
+            PiecewiseOde(1, seg, rhs), np.ones((1, 2)), settings)
+        t, h = records[0][:2]
+        got = [(np.array(states)[:, :, b], np.append(t[h[:, b] > 0, b], 0.01),
+                steps[b]) for b in (0, 1)]
+    assert np.all(calls[stage] == odeint._C[stage] * odeint._H_INIT)
+    _, step_times, steps = got[-1]
+    assert step_times[1] == 0.5 * odeint._H_INIT
+    assert steps == step_times.size  # one attempt more than steps
+    for g, ref in zip(got, refs):
+        assert all(np.array_equal(a, b) for a, b in zip(g, ref))
 
 
 def _toy(kind, rate, band):

@@ -16,8 +16,12 @@ the Python and NumPy versions, the core count and the seeds.
 
 ``compare`` prints, for each workload recorded under both labels and each
 end-to-end metric, the median change, the share of runs (paired by seed)
-that moved the same way, and whether the change is within the metric's
-bound in ``BENCHMARK.json``; a change for the better always is.
+that moved the same way, the pairs the new label won (a tie wins for
+neither side but counts as a pair), and whether the change is within the
+metric's bound in ``BENCHMARK.json``; a change for the better always is.
+It also says whether the new label shows a gain by the rule of at least
+nine tenths of the pairs won and a median that moves the better way by
+more than the base's quartile distance, (q3 - q1) / median of the base.
 
 ``check`` validates the files' schema, at least ``MIN_RUNS`` runs per file,
 and the SHA and versions; it exits 1 on the first file that fails.
@@ -117,17 +121,24 @@ def compare(args):
                  if b["seed"] == n["seed"]]
         for m in spec["end_to_end"]:
             name, sign = m["name"], 1 if m["better"] == "lower" else -1
-            b_med = base["summary"][name]["median"]
+            b_sum = base["summary"][name]
+            b_med = b_sum["median"]
             change = new["summary"][name]["median"] / b_med - 1.0
             moved = [n["metrics"][name]["value"] - b["metrics"][name]["value"]
                      for b, n in pairs]
             same = sum(d * change > 0 for d in moved) / max(1, len(moved))
+            won = sum(sign * d < 0 for d in moved)
+            spread = (b_sum["q3"] - b_sum["q1"]) / b_med
+            gain = moved and 10 * won >= 9 * len(moved) \
+                and -sign * change > spread
             ok = sign * change <= m["bound"]
             print(f"  {name:13s} {b_med:10.4g} -> "
                   f"{new['summary'][name]['median']:10.4g} {m['unit']:5s} "
                   f"{100 * change:+6.1f} %  same way in {100 * same:3.0f} % "
-                  f"of {len(moved)} pairs  "
-                  f"{'within' if ok else 'OUTSIDE'} bound {m['bound']:g}")
+                  f"of {len(moved)} pairs, won {won}  "
+                  f"{'within' if ok else 'OUTSIDE'} bound {m['bound']:g}  "
+                  f"{'gain' if gain else 'no gain'} (spread "
+                  f"{100 * spread:.1f} %)")
         print(f"  failed share  {base['failed_share']:.4f} -> "
               f"{new['failed_share']:.4f}")
     return 0
