@@ -422,19 +422,21 @@ def test_non_finite_zero_weight_stage_halves_the_step(stage, loop):
     # 0.2 h.  The outcome is the reference loop's, which tests each stage;
     # on lanes, lane 1 of 2 takes the NaN, and each lane's is its own
     settings = _tight()
-    refs = []
-    for lane in (0, 1):
-        rhs, _ = _nan_at_call(stage + 1 if lane == 1 else None)
+
+    def reference(call):
+        rhs, _ = _nan_at_call(call)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(odeint, "_integrate_segment", _per_stage_segment)
-            refs.append(_outcome(PiecewiseOde(1, [0.0, 0.01], rhs),
-                                 np.ones(1), "forward", settings))
+            return _outcome(PiecewiseOde(1, [0.0, 0.01], rhs), np.ones(1),
+                            "forward", settings)
+
     if loop == "scalar":
         rhs, calls = _nan_at_call(stage + 1)
         got = [_outcome(PiecewiseOde(1, [0.0, 0.01], rhs), np.ones(1),
                         "forward", settings)]
-        refs = refs[1:]
+        refs = [reference(stage + 1)]
     else:
+        refs = [reference(None), reference(stage + 1)]
         rhs, calls = _nan_at_call(stage + 1, lane=1)
         seg = np.array([[0.0, 0.0], [0.01, 0.01]])
         states, steps, records = integrate_lanes(

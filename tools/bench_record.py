@@ -22,6 +22,7 @@ metric's bound in ``BENCHMARK.json``; a change for the better always is.
 It also says whether the new label shows a gain by the rule of at least
 nine tenths of the pairs won and a median that moves the better way by
 more than the base's quartile distance, (q3 - q1) / median of the base.
+It exits 1 when no workload is recorded under both labels.
 
 ``check`` validates the files' schema, at least ``MIN_RUNS`` runs per file,
 and the SHA and versions; it exits 1 on the first file that fails.
@@ -108,10 +109,12 @@ def record(args):
 
 def compare(args):
     spec = _spec()
+    compared = 0
     for wl in (w["name"] for w in spec["workloads"]):
         if not all(os.path.exists(_path(lb, wl))
                    for lb in (args.base, args.new)):
             continue
+        compared += 1
         base, new = (json.load(open(_path(lb, wl)))
                      for lb in (args.base, args.new))
         print(f"{wl}: {args.base} ({base['git_sha'][:7]}, {len(base['runs'])}"
@@ -141,7 +144,10 @@ def compare(args):
                   f"{100 * spread:.1f} %)")
         print(f"  failed share  {base['failed_share']:.4f} -> "
               f"{new['failed_share']:.4f}")
-    return 0
+    if not compared:
+        print(f"no workload is recorded under both {args.base} and "
+              f"{args.new}")
+    return 0 if compared else 1
 
 
 def _problems(doc, names):
