@@ -22,11 +22,10 @@ import numpy as np
 from .benchmarks import build_problem
 from .exceptions import SwitchOptError, InvalidSwitchOrder, MissingCostate, \
     InfeasiblePolytope, NoStructure
-from .gradients import dense_trajectory, evaluate_gradient, \
-    feasibility_margins, gradcheck
+from .gradients import dense_trajectory, evaluate_gradient, gradcheck
 from .odeint import IntegratorSettings
 from .optimizer import OptimizeSettings, SolveReport, derivative_profile, \
-    minimize, reference_errors, secant_switch
+    minimize, secant_switch
 from .problem import SwitchConfig, validate_config
 from .warmstart import detect_structure, solve_tv_euler
 
@@ -120,15 +119,10 @@ def cmd_solve(args):
         cfg = SwitchConfig(s=np.array([s_root]))
         bundle = evaluate_gradient(prob, cfg, ode)
         stationarity = float(abs(bundle.d_s[0]))
-        report = SolveReport(
-            final_cfg=cfg, objective=bundle.objective, iterations=iters,
-            objective_evals=iters, gradient_evals=iters,
-            converged=stationarity <= opt.stat_tol,
-            stationarity=stationarity,
-            worst_margin=float(np.min(feasibility_margins(prob,
-                                                          bundle.fwd))),
-            reference_errors=reference_errors(prob, cfg, bundle.objective),
-            message="secant", final_bundle=bundle)
+        report = SolveReport.at(
+            prob, cfg, bundle, iterations=iters, objective_evals=iters,
+            gradient_evals=iters, converged=stationarity <= opt.stat_tol,
+            stationarity=stationarity, message="secant")
     else:
         if args.warmstart:
             dcp = solve_tv_euler(prob, N=args.N, rho_tv=args.rho_tv)

@@ -301,54 +301,53 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
         fwd=fwd, bwd=bwd)
 
 
-def _central_difference(prob, settings, bumped, delta):
-    """(C(bumped(delta)) - C(bumped(-delta))) / (2 delta), each objective
-    from a forward sweep."""
-    f_hi, f_lo = (forward_sweep(prob, bumped(d), settings).objective
-                  for d in (delta, -delta))
-    return (f_hi - f_lo) / (2 * delta)
-
-
-def _fd_d_T(prob, cfg, settings, delta=None):
-    """Central difference in T, step 1e-6 max(1, |T|) by default, holding
-    sigma = s / T fixed as the unit-interval reformulation of dC/dT does."""
+def _difference(prob, cfg, settings, name, i=0, delta=None):
+    """(C(+delta) - C(-delta)) / (2 delta) for a bump of cfg.s[i] or
+    cfg.p0[i] (``name`` "s" or "p0"), or of T holding s / T fixed as the
+    unit-interval reformulation of dC/dT does (``name`` "T"); each side is
+    one forward sweep.  The step is 1e-6 by default, 1e-6 max(1, |T|) in T;
+    after the configuration, a step that is not finite and positive is
+    refused before any sweep."""
+    validate_config(prob, cfg)
     T = horizon(prob, cfg)
-    delta = delta if delta is not None else 1e-6 * max(1.0, abs(T))
-    sigma = cfg.s / T
-
-    def bumped(d):
+    if delta is None:
+        delta = 1e-6 * max(1.0, abs(T)) if name == "T" else 1e-6
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"{prob.name}: the central-difference step in "
+                         f"{name} is {delta!r}; it must be finite and > 0")
+    objectives = []
+    for d in (delta, -delta):
         cq = cfg.copy()
-        cq.T = T + d
-        cq.s = sigma * cq.T
-        return cq
-    return _central_difference(prob, settings, bumped, delta)
+        if name == "T":
+            cq.T = T + d
+            cq.s = cfg.s / T * cq.T
+        else:
+            getattr(cq, name)[i] += d
+        objectives.append(forward_sweep(prob, cq, settings).objective)
+    return (objectives[0] - objectives[1]) / (2 * delta)
 
 
 def free_time_gradient_check(prob, cfg, settings=None, delta=None):
     """(dC/dT from the terminal Hamiltonian and the switch-point jumps,
-    its central difference)."""
-    return (evaluate_gradient(prob, cfg, settings, with_d_T=True).d_T,
-            _fd_d_T(prob, cfg, settings, delta))
+    its central difference with s / T fixed, step ``delta``, by default
+    1e-6 max(1, |T|)).  A step that is not finite and positive raises
+    ValueError before any sweep."""
+    fd = _difference(prob, cfg, settings, "T", delta=delta)
+    return evaluate_gradient(prob, cfg, settings, with_d_T=True).d_T, fd
 
 
 def gradcheck(prob, cfg, settings=None):
     """Rows (label, analytic, central difference) from one evaluation: d_s1..,
     d_p01.. when cfg has a p0, and d_T on free-time problems.  The steps are
-    1e-6 in s and p0 and 1e-6 max(1, |T|) in T."""
+    1e-6 in s and p0 and 1e-6 max(1, |T|) in T, with s / T held fixed."""
     bundle = evaluate_gradient(prob, cfg, settings)
-    rows = []
-    for name in ("s", "p0"):
-        derivs = getattr(bundle, "d_" + name)
-        for i in range(0 if derivs is None else derivs.size):
-            def bumped(d, name=name, i=i):
-                cq = cfg.copy()
-                getattr(cq, name)[i] += d
-                return cq
-            rows.append((f"d_{name}{i + 1}", derivs[i], _central_difference(
-                prob, settings, bumped, 1e-6)))
+    d_p0 = () if bundle.d_p0 is None else bundle.d_p0
+    rows = [(f"d_s{i + 1}", d, "s", i) for i, d in enumerate(bundle.d_s)]
+    rows += [(f"d_p0{i + 1}", d, "p0", i) for i, d in enumerate(d_p0)]
     if prob.free_time:
-        rows.append(("d_T", bundle.d_T, _fd_d_T(prob, cfg, settings)))
-    return rows
+        rows.append(("d_T", bundle.d_T, "T", 0))
+    return [(label, d, _difference(prob, cfg, settings, name, i))
+            for label, d, name, i in rows]
 
 
 def _lam_at_samples(prob, fwd, bwd):

@@ -81,6 +81,18 @@ class SolveReport:
     # gradient of final_cfg and its sweeps, for reuse; not part of to_dict
     final_bundle: Optional[GradientBundle] = field(default=None, repr=False)
 
+    @classmethod
+    def at(cls, prob, cfg, bundle, **fields):
+        """The report of a solve that ends at ``cfg`` with the gradient
+        ``bundle``: its objective, worst control-box margin and reference
+        errors come from the bundle, and ``fields`` give the rest."""
+        return cls(final_cfg=cfg, objective=bundle.objective,
+                   worst_margin=float(np.min(feasibility_margins(
+                       prob, bundle.fwd))),
+                   reference_errors=reference_errors(prob, cfg,
+                                                     bundle.objective),
+                   final_bundle=bundle, **fields)
+
     def to_dict(self) -> dict:
         cfg = self.final_cfg
         return {
@@ -338,19 +350,10 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
             f"{prob.name}: {settings.max_iters} iterations, "
             f"projected gradient {pg:.3e} > {settings.stat_tol:.3e}")
 
-    cfg = var.unpack(z)
-    pg = float(np.max(np.abs(z - var.project(z - g))))
-    return SolveReport(
-        final_cfg=cfg,
-        objective=fwd.objective,
-        iterations=it,
-        objective_evals=n_forward,
-        gradient_evals=n_backward,
-        converged=converged,
-        stationarity=pg,
-        worst_margin=float(np.min(feasibility_margins(prob, bundle.fwd))),
-        reference_errors=reference_errors(prob, cfg, fwd.objective),
-        message=message, final_bundle=bundle)
+    return SolveReport.at(prob, var.unpack(z), bundle, iterations=it,
+                          objective_evals=n_forward,
+                          gradient_evals=n_backward, converged=converged,
+                          stationarity=float(pg), message=message)
 
 
 def reference_errors(prob, cfg, objective) -> Optional[dict]:

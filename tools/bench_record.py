@@ -2,17 +2,22 @@
 
 Usage, from the root of a source checkout:
 
-    python3 tools/bench_record.py record --label LABEL --workload W \\
-        [--seeds 1,2,3,4,5,6] [--checkout DIR]
+    python3 tools/bench_record.py record --workload W \\
+        [--seeds 1,2,3,4,5,6] LABEL[=DIR] [LABEL[=DIR] ...]
     python3 tools/bench_record.py compare BASE_LABEL NEW_LABEL
     python3 tools/bench_record.py check bench/BENCH_*.json
 
 ``record`` runs ``python3 perfbench/run.py --workload W --seed S --seconds
-20`` once per seed in the checkout DIR (default: this one), reads the JSON
-object on the last line of each run, and writes
-``bench/BENCH_<LABEL>_<W>.json``: every record, the median and quartiles of
-each end-to-end metric, the failed-operation share, the checkout's git SHA,
-the Python and NumPy versions, the core count and the seeds.
+20`` once per seed in each labelled checkout DIR (default: this one),
+reads the JSON object on the last line of each run, and writes
+``bench/BENCH_<LABEL>_<W>.json`` per label: every record with its seed and
+its turn (0 for the checkout that ran first on that seed), the median and
+quartiles of each end-to-end metric, the failed-operation share, the
+checkout's git SHA, the Python and NumPy versions, the core count and the
+seeds.  With several checkouts it runs them in turn, seed by seed, and the
+n-th seed starts with the checkout n places along the list: for a parent
+and a change, the side that runs first swaps on each seed, so that slow
+drift of the host falls on both sides alike.
 
 ``compare`` prints, for each workload recorded under both labels and each
 end-to-end metric, the median change, the share of runs (paired by seed)
@@ -64,46 +69,64 @@ def _git(checkout, *args):
                           capture_output=True, text=True).stdout.strip()
 
 
+def _side(text):
+    """LABEL or LABEL=DIR: a label and its checkout, by default this one."""
+    label, _, checkout = text.partition("=")
+    return label, os.path.abspath(checkout or ROOT)
+
+
+def _run(workload, seed, checkout):
+    cmd = ["python3", "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(SECONDS)]
+    out = subprocess.run(cmd, cwd=checkout, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
 def record(args):
     import numpy as np
 
-    checkout = os.path.abspath(args.checkout)
+    sides = [_side(s) for s in args.sides]
     seeds = [int(s) for s in args.seeds.split(",")]
-    runs = []
-    for seed in seeds:
-        cmd = ["python3", "perfbench/run.py", "--workload", args.workload,
-               "--seed", str(seed), "--seconds", str(SECONDS)]
-        out = subprocess.run(cmd, cwd=checkout, check=True,
-                             capture_output=True, text=True).stdout
-        rec = json.loads(out.strip().splitlines()[-1])
-        runs.append({"seed": seed, **rec})
-        print(f"{args.workload} seed {seed}: " + ", ".join(
-            f"{k} {v['value']:.4g}" for k, v in rec["metrics"].items()),
-            flush=True)
+    runs = {label: [] for label, _ in sides}
+    if len(runs) < len(sides):
+        raise SystemExit("record: each label names one checkout")
+    for i, seed in enumerate(seeds):
+        # seed i starts with side i mod n: with two sides, the one that
+        # runs first swaps on each seed
+        for turn, (label, checkout) in enumerate(
+                sides[i % len(sides):] + sides[:i % len(sides)]):
+            rec = _run(args.workload, seed, checkout)
+            runs[label].append({"seed": seed, "turn": turn, **rec})
+            print(f"{label} {args.workload} seed {seed}: " + ", ".join(
+                f"{k} {v['value']:.4g}" for k, v in rec["metrics"].items()),
+                flush=True)
 
     names = [m["name"] for m in _spec()["end_to_end"]]
-    doc = {
-        "schema": SCHEMA,
-        "label": args.label,
-        "workload": args.workload,
-        "git_sha": _git(checkout, "rev-parse", "HEAD"),
-        "git_dirty": bool(_git(checkout, "status", "--porcelain",
-                               "--untracked-files=no")),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-        "seconds": SECONDS,
-        "seeds": seeds,
-        "summary": {name: _quartiles([r["metrics"][name]["value"]
-                                      for r in runs]) for name in names},
-        "failed_share": sum(r["failed"] for r in runs)
-        / max(1, sum(r["attempted"] for r in runs)),
-        "runs": runs,
-    }
     os.makedirs(BENCH_DIR, exist_ok=True)
-    with open(_path(args.label, args.workload), "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    for label, checkout in sides:
+        doc = {
+            "schema": SCHEMA,
+            "label": label,
+            "workload": args.workload,
+            "git_sha": _git(checkout, "rev-parse", "HEAD"),
+            "git_dirty": bool(_git(checkout, "status", "--porcelain",
+                                   "--untracked-files=no")),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "seconds": SECONDS,
+            "seeds": seeds,
+            "summary": {name: _quartiles([r["metrics"][name]["value"]
+                                          for r in runs[label]])
+                        for name in names},
+            "failed_share": sum(r["failed"] for r in runs[label])
+            / max(1, sum(r["attempted"] for r in runs[label])),
+            "runs": runs[label],
+        }
+        with open(_path(label, args.workload), "w") as f:
+            json.dump(doc, f, indent=1)
+            f.write("\n")
     return 0
 
 
@@ -193,12 +216,13 @@ def check(args):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="mode", required=True)
-    sp = sub.add_parser("record", help="run perfbench and write a BENCH file")
-    sp.add_argument("--label", required=True)
+    sp = sub.add_parser("record", help="run perfbench and write a BENCH "
+                        "file per label")
     sp.add_argument("--workload", required=True,
                     choices=[w["name"] for w in _spec()["workloads"]])
     sp.add_argument("--seeds", default="1,2,3,4,5,6")
-    sp.add_argument("--checkout", default=ROOT)
+    sp.add_argument("sides", nargs="+", metavar="LABEL[=DIR]",
+                    help="a label and its checkout (default: this one)")
     sp.set_defaults(run=record)
     sp = sub.add_parser("compare", help="compare two labels' BENCH files")
     sp.add_argument("base")
