@@ -27,6 +27,10 @@ produces every derivative.
 A list of B configurations is swept as the lanes of one lockstep
 ``odeint.integrate_lanes``, each lane taking its own scalar sweep's steps,
 into the same records with the lane axis last (see ``ProblemDef``).
+
+``gradcheck`` and ``free_time_gradient_check`` set these derivatives
+against central differences of C, each side one scalar forward sweep, all
+through one helper.
 """
 
 from __future__ import annotations

@@ -749,6 +749,71 @@ def test_gradcheck_evaluates_gradient_once(monkeypatch, name):
         assert rows[-1][1:] == free_time_gradient_check(prob, cfg, TIGHT)
 
 
+# CI's `switchopt gradcheck` configurations, at each problem's own horizon
+GRADCHECK_CONFIGS = {
+    "goddard": SwitchConfig(s=np.array([13.0, 21.0]), T=42.0),
+    "catalyst2": SwitchConfig(s=np.array([0.1, 0.7]), p0=np.array([0.9, 0.8])),
+    "catalyst1": SwitchConfig(s=np.array([0.1, 0.7])),
+    "jacobson": SwitchConfig(s=np.array([1.4])),
+    "bressan": SwitchConfig(s=np.array([3.0])),
+}
+
+
+def _scalar_difference(prob, bump, delta):
+    """(C(bump(delta)) - C(bump(-delta))) / (2 delta), each C from one
+    scalar forward sweep."""
+    hi, lo = (forward_sweep(prob, bump(d), TIGHT).objective
+              for d in (delta, -delta))
+    return (hi - lo) / (2 * delta)
+
+
+def _bumped(cfg, name, i, d):
+    c = cfg.copy()
+    getattr(c, name)[i] += d
+    return c
+
+
+def _bumped_T(cfg, d):
+    # s / T held fixed, as the unit-interval reformulation of dC/dT does
+    return SwitchConfig(s=cfg.s / cfg.T * (cfg.T + d), p0=cfg.p0,
+                        T=cfg.T + d)
+
+
+@pytest.mark.parametrize("name", list(GRADCHECK_CONFIGS))
+def test_difference_columns_are_the_scalar_oracle(name):
+    # each gradcheck difference, and perfbench's free_time_gradient_check
+    # call, bit for bit against the scalar oracle above: steps 1e-6 in s
+    # and p0, 1e-6 max(1, |T|) in T
+    prob, cfg = build_problem(name), GRADCHECK_CONFIGS[name]
+    want = [_scalar_difference(prob, lambda d, i=i: _bumped(cfg, "s", i, d),
+                               1e-6) for i in range(prob.k)]
+    if cfg.p0 is not None:
+        want += [_scalar_difference(
+            prob, lambda d, i=i: _bumped(cfg, "p0", i, d), 1e-6)
+            for i in range(cfg.p0.size)]
+    if prob.free_time:
+        want.append(_scalar_difference(
+            prob, lambda d: _bumped_T(cfg, d), 1e-6 * max(1.0, cfg.T)))
+    assert [fd for _, _, fd in gradcheck(prob, cfg, TIGHT)] == want
+    if prob.free_time:
+        assert free_time_gradient_check(prob, cfg, TIGHT, delta=1e-6)[1] \
+            == _scalar_difference(prob, lambda d: _bumped_T(cfg, d), 1e-6)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-6, np.nan, np.inf])
+def test_bad_difference_step_is_refused_before_any_sweep(monkeypatch, delta):
+    prob = build_problem("goddard")
+    swept = []
+    for sweep in ("forward_sweep", "evaluate_gradient"):
+        monkeypatch.setattr(gradients, sweep,
+                            lambda *a, sweep=sweep, **k: swept.append(sweep))
+    with pytest.raises(ValueError, match=r"goddard: the central-difference "
+                       r"step in T is .*; it must be finite and > 0"):
+        free_time_gradient_check(prob, GRADCHECK_CONFIGS["goddard"], TIGHT,
+                                 delta=delta)
+    assert swept == []
+
+
 # ---------------------------------------------------------------------------
 # lockstep lanes against evaluate_gradient, point by point
 # ---------------------------------------------------------------------------
