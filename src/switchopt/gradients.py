@@ -27,10 +27,6 @@ produces every derivative.
 A list of B configurations is swept as the lanes of one lockstep
 ``odeint.integrate_lanes``, each lane taking its own scalar sweep's steps,
 into the same records with the lane axis last (see ``ProblemDef``).
-
-``gradcheck`` and ``free_time_gradient_check`` set these derivatives
-against central differences of C, each side one scalar forward sweep, all
-through one helper.
 """
 
 from __future__ import annotations
@@ -323,8 +319,7 @@ def _difference(prob, cfg, settings, name, i=0, delta=None):
     for d in (delta, -delta):
         cq = cfg.copy()
         if name == "T":
-            cq.T = T + d
-            cq.s = cfg.s / T * cq.T
+            cq.T, cq.s = T + d, cfg.s / T * (T + d)
         else:
             getattr(cq, name)[i] += d
         objectives.append(forward_sweep(prob, cq, settings).objective)
