@@ -25,8 +25,8 @@ parameter, for fixed- and free-time problems alike, so the same code path
 produces every derivative.
 
 A list of B configurations is swept as the lanes of one lockstep
-``odeint.integrate_lanes``, each lane taking its own scalar sweep's steps,
-into the same records with the lane axis last (see ``ProblemDef``).
+``odeint.integrate_piecewise``, each lane taking its own scalar sweep's
+steps, into the same records with the lane axis last (see ``ProblemDef``).
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .odeint import PiecewiseOde, _fold_steps, _node_before, \
-    _segment_nodes, _stage_points, _step, integrate_lanes, \
-    integrate_piecewise, sample_states
+    _segment_nodes, _stage_points, _step, integrate_piecewise, sample_states
 # read only by perfbench's tracer, which patches it here
 from .odeint import integrate_with_quadrature  # noqa: F401
 from .problem import SwitchConfig, horizon, lane_shaped, \
@@ -158,25 +157,21 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
     def rhs(j, tau, z):
         return T * flows[j](tau * T, z)
 
-    ode = PiecewiseOde(dim=len(z0), segments=sigma, rhs=rhs)
+    traj = integrate_piecewise(PiecewiseOde(dim=len(z0), segments=sigma,
+                                            rhs=rhs), z0, settings=settings)
     times = phase = None
-    if lanes:
-        ckpt, steps, records = integrate_lanes(ode, z0, settings)
-    else:
-        traj = integrate_piecewise(ode, z0, settings=settings)
-        ckpt, steps, records = traj.breakpoint_states, traj.steps, \
-            traj.records
+    if not lanes:
         times = np.linspace(0.0, 1.0, max(2, sample_count)) * T
         # a sample at a switch point belongs to the phase that starts there
         phase = np.clip(np.searchsorted(sigma, times / T, side="right") - 1,
                         0, prob.k)
-    ckpt = np.array(ckpt)
+    ckpt = np.array(traj.breakpoint_states)
     objective = lane_shaped(prob, "C", np.asarray(
         prob.C(ckpt[-1, :n]), dtype=float), ckpt.shape[2:])
     return TrajectoryRecord(
         times=times, phase=phase, checkpoint_states=ckpt[:, :n],
         checkpoints=ckpt, objective=objective if lanes else float(objective),
-        sigma=sigma, T=T, steps=steps, records=records, rhs=rhs)
+        sigma=sigma, T=T, steps=traj.steps, records=traj.records, rhs=rhs)
 
 
 def _phase_nodes(fwd):

@@ -9,9 +9,11 @@ eighth-order accuracy is retained on each smooth piece.
 The module holds the whole method, whose coefficients no other module
 reads: the scalar loop, the lockstep loop of B lanes, ``sample_states``,
 each sample one step of the method from the node before it, and the fold
-of accepted steps into the transition matrices of the reverse pass.  Both
-loops record a segment's accepted steps as arrays (t, h, y, K), the step
-axis first, test each attempt's new state once and share one error norm.
+of accepted steps into the transition matrices of the reverse pass.
+``integrate_piecewise`` runs the loop that the breakpoints' shape picks.
+Both loops record a segment's accepted steps as arrays (t, h, y, K), the
+step axis first, test each attempt's new state once and share one error
+norm.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "PiecewiseOde",
     "DenseTrajectory",
     "integrate_piecewise",
-    "integrate_lanes",
     "sample_states",
 ]
 
@@ -163,9 +164,9 @@ class PiecewiseOde:
     [segments[j], segments[j+1]] and ``rhs(j, t, x)`` is only evaluated
     with t inside that closed interval.
 
-    ``segments`` of shape (nseg+1, B) describes B lanes for
-    ``integrate_lanes``: column b holds lane b's breakpoints, and
-    ``rhs`` takes t of shape (B,) and states of shape (dim, B), as in
+    ``segments`` of shape (nseg+1, B) describes B lanes, stepped in
+    lockstep: column b holds lane b's breakpoints, and ``rhs`` takes t of
+    shape (B,) and states of shape (dim, B), as in
     ``gradients.forward_sweep`` of a list of configurations.
     """
 
@@ -196,10 +197,15 @@ class DenseTrajectory:
     at (t[n], y[n]) with length h[n], and K[n] holds its first _RECORDED
     stages, K[n, 0] = rhs(j, t[n], y[n]), which rebuild the points of all
     the stages that enter y_{n+1}.
+
+    On B lanes the states are (dim, B), ``steps`` (B,), ``step_times``
+    (nodes, B) and ``records[j]`` the lockstep loop's record, t and h (I,
+    B), y (I, B, dim), K (I, B, _RECORDED, dim), over segment j's I
+    iterations in which some lane accepted a step.
     """
 
     breakpoint_states: list[np.ndarray]
-    steps: int = 0
+    steps: int | np.ndarray = 0
     step_times: np.ndarray = field(repr=False, default=None)
     records: list = field(repr=False, default=None)
 
@@ -350,36 +356,32 @@ def sample_states(rhs, segments, records, breakpoint_states, sample_times):
     return out
 
 
-def _integrate_segments(segment_loop, rhs, segments, y, settings):
-    """Run ``segment_loop`` over each segment in turn under one
-    ``max_steps`` budget.  Returns (breakpoint_states, steps, records)."""
-    bp_states, records, used = [y], [], 0
+def integrate_piecewise(ode, x_start, *, settings=None):
+    """Integrate a piecewise ODE forward across all segments with hard
+    restarts under one ``max_steps`` budget; breakpoint_states[i] is the
+    state at ode.segments[i].  Breakpoints of shape (nseg+1,) run the
+    scalar loop on a (dim,) start, and of shape (nseg+1, B) the lockstep
+    loop on a (dim, B) start: each RHS call serves all B lanes, and each
+    lane steps as its scalar integration would, under its own budget.
+    """
+    settings = settings or IntegratorSettings()
+    segments, y = ode.segments, np.array(x_start, dtype=float)
+    if y.shape != (ode.dim,) + segments.shape[1:]:
+        raise ValueError(f"x_start has shape {y.shape}, expected "
+                         f"{(ode.dim,) + segments.shape[1:]}")
+    loop = _integrate_segment if segments.ndim == 1 \
+        else _integrate_lane_segment
+
+    bp_states, records, times, used = [y], [], [], 0
     for j in range(len(segments) - 1):
-        y, steps, record = segment_loop(
-            rhs, j, segments[j], segments[j + 1], y, settings,
-            settings.max_steps - used)
+        y, steps, record = loop(ode.rhs, j, segments[j], segments[j + 1], y,
+                                settings, settings.max_steps - used)
         used = used + steps
         bp_states.append(y)
         records.append(record)
-    return bp_states, used, records
-
-
-def integrate_piecewise(ode, x_start, *, settings=None):
-    """Integrate a piecewise ODE forward across all segments with hard
-    restarts; breakpoint_states[i] is the state at ode.segments[i].
-    """
-    settings = settings or IntegratorSettings()
-    x_start = np.asarray(x_start, dtype=float)
-    if x_start.size != ode.dim:
-        raise ValueError(f"x_start has dimension {x_start.size}, expected {ode.dim}")
-
-    bp_states, used, records = _integrate_segments(
-        _integrate_segment, ode.rhs, ode.segments, x_start.copy(), settings)
-
-    times = np.concatenate([_segment_nodes(*a)[0] for a in zip(
-        records, ode.segments[1:], bp_states[1:])])
+        times.append(np.concatenate((record[0], segments[j + 1][None])))
     return DenseTrajectory(breakpoint_states=bp_states, steps=used,
-                           step_times=times, records=records)
+                           step_times=np.concatenate(times), records=records)
 
 
 def integrate_with_quadrature(ode, x_start, integrand, *, settings=None):
@@ -496,32 +498,6 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
                     "the problem may be stiff or blowing up"))
             active = t < t1
     return y.T, steps, tuple(np.array(a) for a in zip(*record))
-
-
-def integrate_lanes(ode, y_start, settings=None):
-    """Integrate the B lanes of ``ode`` forward in lockstep, segment by
-    segment.
-
-    ``ode.segments`` has shape (nseg+1, B) and ``y_start`` shape (dim, B).
-    All lanes work on the same segment j, so every RHS call evaluates
-    segment j's law for all of them, and the interpreter's cost per call
-    is paid once per B lanes; within it each lane steps exactly as
-    ``integrate_piecewise`` would, under its own ``max_steps`` budget.
-    Returns (breakpoint_states, steps, records): breakpoint_states[i] is
-    the (dim, B) state at ode.segments[i], steps the (B,) step attempts of
-    each lane, and records[j] segment j's accepted steps as
-    ``_integrate_lane_segment`` records them, (I, B) steps, which
-    ``gradients.backward_sweep`` folds as it folds a scalar record.
-    """
-    settings = settings or IntegratorSettings()
-    y = np.array(y_start, dtype=float)
-    if ode.segments.ndim != 2:
-        raise ValueError("lanes need segments of shape (nseg+1, B)")
-    if y.shape != (ode.dim, ode.segments.shape[1]):
-        raise ValueError(f"y_start has shape {y.shape}, expected "
-                         f"{(ode.dim, ode.segments.shape[1])}")
-    return _integrate_segments(_integrate_lane_segment, ode.rhs,
-                               ode.segments, y, settings)
 
 
 def _stage_points(tau, h, y, K):

@@ -37,7 +37,7 @@ __all__ = [
 # A line-search trial's forward sweep may use at most this many times the
 # integrator steps of the current iterate's forward sweep.  A trial that
 # runs into a stiff or singular region then fails fast and is backed off.
-_TRIAL_STEP_FACTOR = 10
+_TRIAL_STEP_FACTOR = 2
 
 # Backtracking factor after a trial that fails to integrate, and the bounds
 # of the interpolated factor after one that fails Armijo.
@@ -237,7 +237,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
     Gradients come from the forward/backward sweep; feasibility of the
     switch ordering is maintained by chain projection at every trial point.
     A line-search trial runs only the forward sweep, with a step budget of
-    _TRIAL_STEP_FACTOR times the current iterate's; the Armijo test needs
+    twice the current iterate's (_TRIAL_STEP_FACTOR); the Armijo test needs
     nothing more, so the backward sweep runs only at accepted points.  A
     trial that integrates but fails Armijo backtracks to the minimizer of
     the quadratic through f, the predicted decrease and the trial's f,

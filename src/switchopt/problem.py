@@ -24,7 +24,7 @@ __all__ = [
     "ProblemDef",
     "SwitchConfig",
     "horizon",
-    "phase_law", "phase_law_jacobian", "phase_feasibility",
+    "phase_law", "phase_feasibility",
     "phase_flow", "phase_jacobian", "lane_shaped",
     "validate_config",
 ]
@@ -191,18 +191,6 @@ def phase_law(prob, j):
     return control
 
 
-def phase_law_jacobian(prob, j):
-    """Phase j's closed-loop state Jacobian J(t, x, u) at control u: f_x,
-    plus f_u law_x(t, x) for a state law.  On lanes x, u and J carry the
-    trailing lane axis."""
-    ph, f_x, f_u = prob.phases[j], prob.f_x, prob.f_u
-    if ph.law_kind == "constant":
-        return lambda t, x, u: np.asarray(f_x(x, u), dtype=float)
-    return lambda t, x, u: (np.asarray(f_x(x, u), dtype=float)
-                            + np.einsum("im...,mj...->ij...", f_u(x, u),
-                                        np.atleast_2d(ph.law_x(t, x))))
-
-
 def phase_feasibility(prob, j):
     """Phase j's control-box margin as m(t, x, p=None): (m,) at a point,
     (m, B) on B lanes."""
@@ -235,16 +223,22 @@ def phase_jacobian(prob, j):
     """Phase j's flow Jacobian at M points: J(t, z) of shape (d, d, M) for
     t of shape (M,) and z of shape (d, M), J[..., i] = dF/dz(t_i, z_i).
 
-    It comes from the closed-loop Jacobian (Case 1) or case2_derivs
-    (Case 2) in one call.  A phase without them takes a central difference
-    of F with step FD_STEP max(1, |z_i|) in each z_i: one flow call on
-    2 d M lanes, which refuses a flow without the lane axis by name.  A
-    result of another shape than (d, d, M) raises ValueError.
+    It comes from the closed loop's f_x + f_u law_x (Case 1, f_x alone
+    under a constant law) or case2_derivs (Case 2) in one call.  A phase
+    without them takes a central difference of F with step FD_STEP max(1,
+    |z_i|) in each z_i: one flow call on 2 d M lanes, which refuses a flow
+    without the lane axis by name.  A result of another shape than (d, d,
+    M) raises ValueError.
     """
     n, derivs, ph = prob.n, prob.case2_derivs, prob.phases[j]
     if prob.case == 1 and (ph.law_x is not None or ph.law_kind == "constant"):
-        jacobian, control = phase_law_jacobian(prob, j), phase_law(prob, j)
-        batched = lambda t, z: jacobian(t, z, control(t, z))
+        law, f_x, f_u = phase_law(prob, j), prob.f_x, prob.f_u
+
+        def batched(t, z):
+            u = law(t, z)
+            J = np.asarray(f_x(z, u), dtype=float)
+            return J if ph.law_kind == "constant" else J + np.einsum(
+                "im...,mj...->ij...", f_u(z, u), np.atleast_2d(ph.law_x(t, z)))
     elif prob.case == 2 and derivs is not None:
         batched = lambda t, z: derivs(j, t, z[:n], z[n:])
     else:

@@ -1121,17 +1121,17 @@ def test_lanes_match_scalar_on_case2_and_without_law_x(name):
 def test_one_configuration_and_a_list_take_their_own_loops(monkeypatch,
                                                           name):
     # the argument's type alone selects the loop: one SwitchConfig never
-    # reaches integrate_lanes, and a list never integrate_piecewise
+    # reaches the lockstep loop, and a list never the scalar one
     def forbidden(*args, **kwargs):
         raise AssertionError("the other loop ran")
 
     T, cfg = CONFIGS[name]
     prob = build_problem(name, T=T)
     with monkeypatch.context() as m:
-        m.setattr(gradients, "integrate_lanes", forbidden)
+        m.setattr(odeint, "_integrate_lane_segment", forbidden)
         one = evaluate_gradient(prob, cfg)
     with monkeypatch.context() as m:
-        m.setattr(gradients, "integrate_piecewise", forbidden)
+        m.setattr(odeint, "_integrate_segment", forbidden)
         lanes = evaluate_gradient(prob, [cfg, cfg])
     assert np.shape(one.objective) == ()
     assert lanes.objective.shape == (2,)

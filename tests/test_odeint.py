@@ -11,7 +11,7 @@ from switchopt import odeint
 from switchopt.exceptions import NonFiniteState, StepLimitExceeded, \
     StepUnderflow, SwitchOptError
 from switchopt.odeint import (
-    IntegratorSettings, PiecewiseOde, integrate_lanes, integrate_piecewise,
+    IntegratorSettings, PiecewiseOde, integrate_piecewise,
     integrate_with_quadrature,
 )
 
@@ -309,8 +309,9 @@ def test_non_finite_first_derivative_raises_without_warning(loop):
                 integrate_piecewise(PiecewiseOde(1, [0.0, 1.0], rhs),
                                     np.zeros(1))
             else:
-                integrate_lanes(PiecewiseOde(1, [[0.0, 0.0], [1.0, 1.0]], rhs),
-                                np.zeros((1, 2)))
+                integrate_piecewise(
+                    PiecewiseOde(1, [[0.0, 0.0], [1.0, 1.0]], rhs),
+                    np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +440,12 @@ def test_non_finite_zero_weight_stage_halves_the_step(stage, loop):
         refs = [reference(None), reference(stage + 1)]
         rhs, calls = _nan_at_call(stage + 1, lane=1)
         seg = np.array([[0.0, 0.0], [0.01, 0.01]])
-        states, steps, records = integrate_lanes(
-            PiecewiseOde(1, seg, rhs), np.ones((1, 2)), settings)
-        t, h = records[0][:2]
-        got = [(np.array(states)[:, :, b], np.append(t[h[:, b] > 0, b], 0.01),
-                steps[b]) for b in (0, 1)]
+        traj = integrate_piecewise(PiecewiseOde(1, seg, rhs), np.ones((1, 2)),
+                                   settings=settings)
+        t, h = traj.records[0][:2]
+        got = [(np.array(traj.breakpoint_states)[:, :, b],
+                np.append(t[h[:, b] > 0, b], 0.01), traj.steps[b])
+               for b in (0, 1)]
     assert np.all(calls[stage] == odeint._C[stage] * odeint._H_INIT)
     _, step_times, steps = got[-1]
     assert step_times[1] == 0.5 * odeint._H_INIT
@@ -624,7 +626,8 @@ def test_lanes_take_the_scalar_steps():
     ode = _banded_ode(seg)
     y_start = np.vstack([np.zeros(lanes), np.linspace(-1, 1, lanes)])
     st = IntegratorSettings(rel_tol=1e-9, abs_tol=1e-9)
-    states, steps, _ = integrate_lanes(ode, y_start, st)
+    run = integrate_piecewise(ode, y_start, settings=st)
+    states, steps = run.breakpoint_states, run.steps
 
     repeated = 0
     for b in range(lanes):
@@ -651,7 +654,7 @@ def _lanes_and_scalar(rhs, seg, y_start, settings):
         except SwitchOptError as exc:
             scalar.append(type(exc))
     with pytest.raises(SwitchOptError) as info:
-        integrate_lanes(ode, y_start, settings=settings)
+        integrate_piecewise(ode, y_start, settings=settings)
     return info.value, scalar
 
 
@@ -686,7 +689,33 @@ def test_lanes_need_lane_states():
     ode = PiecewiseOde(dim=1, segments=np.zeros((2, 3)) + [[0.0], [1.0]],
                        rhs=lambda j, t, y: -y)
     with pytest.raises(ValueError):
-        integrate_lanes(ode, np.ones(3))
+        integrate_piecewise(ode, np.ones(3))
     with pytest.raises(ValueError):
         PiecewiseOde(dim=1, segments=np.array([[0.0, 1.0], [1.0, 1.0]]),
                      rhs=lambda j, t, y: -y)
+
+
+def test_lane_step_times_have_a_node_per_lockstep_iteration():
+    # perfbench's tracer counts accepted steps as len(step_times) less the
+    # segments; on lanes a node is one lockstep iteration, whichever lanes
+    # accepted in it.  dy/dt = 1 has a zero error estimate, so every
+    # attempt is accepted, and a segment's iterations are its RHS calls
+    # less its first, over the calls per attempt
+    calls = []
+
+    def rhs(j, t, y):
+        calls.append(j)
+        return np.ones_like(y)
+
+    seg = np.array([[0.0, 0.0, 0.0], [0.3, 1.0, 4.0], [0.5, 3.0, 5.0]])
+    traj = integrate_piecewise(PiecewiseOde(1, seg, rhs), np.zeros((1, 3)))
+    iterations = [(calls.count(j) - 1) // (odeint._STAGES - 1)
+                  for j in range(2)]
+    assert len(traj.step_times) == sum(i + 1 for i in iterations)
+    assert traj.step_times.shape == (len(traj.step_times), 3)
+    for j, record in enumerate(traj.records):
+        accepted = np.count_nonzero(record[1], axis=0)
+        # the lanes take different steps, and the longest sets the count
+        assert len(set(accepted)) > 1 and accepted.max() == iterations[j]
+    assert np.array_equal(traj.steps, sum(
+        np.count_nonzero(r[1], axis=0) for r in traj.records))

@@ -262,12 +262,9 @@ def test_trial_over_step_budget_is_backed_off(monkeypatch):
     assert over, "no trial ran over its step budget"
 
 
-def test_trial_into_the_singular_pole_fails_within_its_budget(monkeypatch):
-    # the catalyst2 README start's early trials run into the singular
-    # feedback's pole; each stops within its step budget, _TRIAL_STEP_
-    # FACTOR times the steps of an iterate, so it costs at most that many
-    # attempts of _STAGES - 1 flow calls, plus each segment's first call
-    prob, cfg = _catalyst2_readme_start()
+def _counted_sweeps(monkeypatch, prob):
+    """(prob with a counted f, log): minimize's forward sweeps append
+    (record or exception, step budget, f calls) to the log."""
     calls, log = [0], []
     f = prob.f
 
@@ -288,7 +285,17 @@ def test_trial_into_the_singular_pole_fails_within_its_budget(monkeypatch):
         return out
 
     monkeypatch.setattr(optimizer, "forward_sweep", sweep)
-    rep = minimize(dataclasses.replace(prob, f=counted), cfg)
+    return dataclasses.replace(prob, f=counted), log
+
+
+def test_trial_into_the_singular_pole_fails_within_its_budget(monkeypatch):
+    # the catalyst2 README start's early trials run into the singular
+    # feedback's pole; each stops within its step budget, _TRIAL_STEP_
+    # FACTOR times the steps of an iterate, so it costs at most that many
+    # attempts of _STAGES - 1 flow calls, plus each segment's first call
+    prob, cfg = _catalyst2_readme_start()
+    prob, log = _counted_sweeps(monkeypatch, prob)
+    rep = minimize(prob, cfg)
     assert rep.converged
     failed = [(budget, n) for out, budget, n in log
               if isinstance(out, Exception)]
@@ -297,6 +304,19 @@ def test_trial_into_the_singular_pole_fails_within_its_budget(monkeypatch):
     for budget, n in failed:
         assert budget <= optimizer._TRIAL_STEP_FACTOR * max(steps)
         assert n <= prob.k + 1 + (odeint._STAGES - 1) * budget
+
+
+def test_trials_into_the_singular_pole_fail_fast(monkeypatch):
+    # at --ode-tol 1e-10, the README catalyst2 solve's failed trials make
+    # at most 2,000 flow calls in all (4,254 under a budget of ten times
+    # an iterate's steps), and the solve keeps its 15 iterations
+    prob, cfg = _catalyst2_readme_start()
+    prob, log = _counted_sweeps(monkeypatch, prob)
+    rep = minimize(prob, cfg, ode_settings=IntegratorSettings(
+        rel_tol=1e-10, abs_tol=1e-10))
+    assert rep.converged and rep.iterations == 15
+    failed = [n for out, _, n in log if isinstance(out, Exception)]
+    assert failed and sum(failed) <= 2000
 
 
 def _first_trial_raises(monkeypatch, failure):

@@ -12,18 +12,18 @@ from switchopt.gradients import evaluate_gradient, forward_sweep
 from switchopt.optimizer import minimize
 from switchopt.problem import (
     SwitchConfig, phase_feasibility, phase_flow, phase_jacobian,
-    phase_law, phase_law_jacobian, validate_config,
+    phase_law, validate_config,
 )
 
 
-def _jacobian(prob, j, t, x):
-    """Closed-loop state Jacobian of phase j at (t, x)."""
-    return phase_law_jacobian(prob, j)(t, x, phase_law(prob, j)(t, x))
+def _jacobian(prob, j, t, z):
+    """The flow Jacobian dF/dz of phase j at one point (t, z)."""
+    return phase_jacobian(prob, j)(np.array([t]), z[:, None])[:, :, 0]
 
 
 def _row(prob, j, t, z, lam):
     """The adjoint row lam . dF/dz of phase j at one point (t, z)."""
-    return lam @ phase_jacobian(prob, j)(np.array([t]), z[:, None])[:, :, 0]
+    return lam @ _jacobian(prob, j, t, z)
 
 
 @pytest.fixture
@@ -287,9 +287,8 @@ def test_non_finite_configuration_raises_before_any_sweep(name, data):
     with pytest.raises(InvalidSwitchOrder, match="non-finite"):
         validate_config(prob, cfg)
 
-    sweeps = gradients.integrate_piecewise, gradients.integrate_lanes
-    gradients.integrate_piecewise = gradients.integrate_lanes = _no_sweep
-    try:
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gradients, "integrate_piecewise", _no_sweep)
         with pytest.raises(InvalidSwitchOrder):
             forward_sweep(prob, cfg)
         if prob.k == 1:
@@ -297,8 +296,6 @@ def test_non_finite_configuration_raises_before_any_sweep(name, data):
             good = SwitchConfig(s=np.array([0.3 * prob.T]))
             with pytest.raises(InvalidSwitchOrder):
                 forward_sweep(prob, [good, cfg, good])
-    finally:
-        gradients.integrate_piecewise, gradients.integrate_lanes = sweeps
 
 
 # ---------------------------------------------------------------------------
