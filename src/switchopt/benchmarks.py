@@ -1,10 +1,11 @@
 """Benchmark control problems: catalyst mixing, Jacobson, Bressan, Goddard.
 
-Each builder returns an immutable ProblemDef with analytic dynamics
-Jacobians, phase control laws, and a ReferenceSolution carrying the known
-switch points (and objective / terminal time where available).  Integral
-objectives are reformulated to terminal form by augmenting a state whose
-dynamics is the integrand.
+Each builder returns an immutable ProblemDef with the paper's constants,
+in which only the horizon T varies: analytic dynamics Jacobians, phase
+control laws, and a ReferenceSolution carrying the known switch points (and
+objective / terminal time where available).  Integral objectives are
+reformulated to terminal form by augmenting a state whose dynamics is the
+integrand.
 """
 
 from __future__ import annotations
@@ -18,15 +19,13 @@ import numpy as np
 from .problem import ControlPhase, ProblemDef
 
 __all__ = [
-    "CatalystParams",
-    "GoddardParams",
+    "CATALYST_U_SINGULAR",
     "ReferenceSolution",
     "build_catalyst",
     "build_jacobson",
     "build_bressan",
     "build_goddard",
     "build_problem",
-    "catalyst_singular_value",
     "catalyst_switch_times",
     "jacobson_root_residual",
     "PROBLEM_NAMES",
@@ -63,42 +62,29 @@ def _exp(v):
 # catalyst mixing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalystParams:
-    k1: float = 1.0
-    k2: float = 10.0
-    k3: float = 1.0
-    T: float = 1.0
-    case: int = 1
+# the rate constants of the paper's catalyst mixing problem
+K1, K2, K3 = 1.0, 10.0, 1.0
+_A, _B = math.sqrt(K3 / K2), K1 / K2
 
-    def __post_init__(self):
-        if min(self.k1, self.k2, self.k3) <= 0:
-            raise ValueError("rate constants must be positive")
+# constant singular control a(1+a)/(b+(1+a)^2), a=sqrt(k3/k2), b=k1/k2
+CATALYST_U_SINGULAR = _A * (1 + _A) / (_B + (1 + _A) ** 2)
 
-
-# optimal objective values for the standard rates (1, 10, 1)
+# optimal objective values by horizon T
 _CATALYST_OBJECTIVES = {1.0: -0.048055685860877,
                         4.0: -0.191814356325161,
                         12.0: -0.477712020050041}
 
 
-def catalyst_singular_value(params: CatalystParams) -> float:
-    """Constant singular control a(1+a)/(b+(1+a)^2), a=sqrt(k3/k2), b=k1/k2."""
-    a = math.sqrt(params.k3 / params.k2)
-    b = params.k1 / params.k2
-    return a * (1 + a) / (b + (1 + a) ** 2)
-
-
-def catalyst_switch_times(params: CatalystParams) -> np.ndarray:
-    a = math.sqrt(params.k3 / params.k2)
-    b = params.k1 / params.k2
-    s1 = math.log((1 + a + b) / a) / (params.k2 * (1 + b))
-    s2 = params.T - math.log(1 + a) / params.k3
+def catalyst_switch_times(T: float) -> np.ndarray:
+    """Closed-form switch times of the bang-singular-bang solution on
+    [0, T]; they are in order, 0 < s1 < s2 < T, only for T > 0.41107."""
+    s1 = math.log((1 + _A + _B) / _A) / (K2 * (1 + _B))
+    s2 = T - math.log(1 + _A) / K3
     return np.array([s1, s2])
 
 
-def _catalyst_core(params):
-    k1, k2, k3 = params.k1, params.k2, params.k3
+def _catalyst_core():
+    k1, k2, k3 = K1, K2, K3
 
     def f(x, u):
         a, b = x
@@ -117,10 +103,10 @@ def _catalyst_core(params):
     return f, f_x, f_u
 
 
-def _catalyst_singular_feedback(params):
+def _catalyst_singular_feedback():
     """Costate-feedback singular law from the vanishing second derivative of
     the switching function, plus its x- and p-gradients."""
-    k1, k2, k3 = params.k1, params.k2, params.k3
+    k1, k2, k3 = K1, K2, K3
     gam = k2 - k3 - k1
 
     def parts(x, p):
@@ -152,15 +138,14 @@ def _catalyst_singular_feedback(params):
     return law, grads
 
 
-def _catalyst_case2_derivs(params, prob_phases, f_x, f_u, sing_grads):
+def _catalyst_case2_derivs(prob_phases, f_x, f_u, sing_grads):
     """Analytic Jacobian of the Case-2 flow F = (f, -p f_x) in z = (x, p)
     for every phase.  f_x is linear in the scalar control u with slope M
     and does not depend on x, so with u = u(x, p) on the singular arc it is
     [[f_x + f_u du_x, f_u du_p], [-(pM)^T du_x, -f_x^T - (pM)^T du_p]],
     and a constant-control phase drops the du terms."""
-    k1, k2, k3 = params.k1, params.k2, params.k3
     # derivative of the state Jacobian with respect to the scalar control
-    M = np.array([[-k1, k2], [k1, -k2 + k3]])
+    M = np.array([[-K1, K2], [K1, -K2 + K3]])
 
     def derivs(j, t, x, p):
         ph = prob_phases[j]
@@ -183,27 +168,27 @@ def _catalyst_case2_derivs(params, prob_phases, f_x, f_u, sing_grads):
     return derivs
 
 
-def build_catalyst(params: CatalystParams = CatalystParams(),
+def build_catalyst(T: float = 1.0, case: int = 1,
                    constant_singular: bool = False) -> ProblemDef:
-    """Catalyst mixing problem (bang-high, singular, bang-low).
+    """Catalyst mixing problem on [0, T] (bang-high, singular, bang-low).
 
     Case 1 uses the known constant singular control; Case 2 computes the
     singular control from the state-costate feedback law.  Setting
     ``constant_singular`` keeps the constant law in a Case-2 problem (the
-    p-independent reduction used for consistency checks).
+    p-independent reduction used for consistency checks).  The reference
+    is the closed form, given only where its switch times are in order.
     """
-    f, f_x, f_u = _catalyst_core(params)
+    f, f_x, f_u = _catalyst_core()
     lo = lambda t: np.array([0.0])
     hi = lambda t: np.array([1.0])
-    u_sing = catalyst_singular_value(params)
 
-    case2 = params.case == 2
+    case2 = case == 2
     if case2 and not constant_singular:
-        sing_law, sing_grads = _catalyst_singular_feedback(params)
+        sing_law, sing_grads = _catalyst_singular_feedback()
         singular = ControlPhase("state_costate", sing_law, lo, hi)
     else:
-        singular = ControlPhase("constant",
-                                lambda t, v=u_sing: np.array([v]), lo, hi)
+        singular = ControlPhase(
+            "constant", lambda t, v=CATALYST_U_SINGULAR: np.array([v]), lo, hi)
         sing_grads = None
 
     phases = (
@@ -213,18 +198,16 @@ def build_catalyst(params: CatalystParams = CatalystParams(),
     )
     case2_derivs = None
     if case2:
-        case2_derivs = _catalyst_case2_derivs(params, phases, f_x, f_u,
-                                              sing_grads)
+        case2_derivs = _catalyst_case2_derivs(phases, f_x, f_u, sing_grads)
 
-    standard = (params.k1, params.k2, params.k3) == (1.0, 10.0, 1.0)
-    reference = ReferenceSolution(
-        s_star=catalyst_switch_times(params),
-        C_star=_CATALYST_OBJECTIVES.get(params.T) if standard else None)
+    s_star = catalyst_switch_times(T)
+    reference = (ReferenceSolution(s_star, C_star=_CATALYST_OBJECTIVES.get(T))
+                 if 0 < s_star[0] < s_star[1] < T else None)
 
     return ProblemDef(
-        name=f"catalyst{params.case}", n=2, m=1,
-        x0=np.array([1.0, 0.0]), T=params.T, free_time=False,
-        case=params.case, phases=phases, f=f, f_x=f_x, f_u=f_u,
+        name=f"catalyst{case}", n=2, m=1,
+        x0=np.array([1.0, 0.0]), T=T, free_time=False,
+        case=case, phases=phases, f=f, f_x=f_x, f_u=f_u,
         C=lambda x: x[0] + x[1] - 1.0,
         grad_C=lambda x: np.array([1.0, 1.0]),
         case2_derivs=case2_derivs, reference=reference)
@@ -320,28 +303,18 @@ def build_bressan(T: float = 10.0) -> ProblemDef:
 # Goddard rocket (free terminal time, penalized terminal mass)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GoddardParams:
-    u_max: float = 193.0
-    g: float = 32.174
-    sigma: float = 5.4915e-5
-    c: float = 1580.9425
-    h0: float = 23800.0
-    beta_pen: float = -2.31774080357308e4
-    rho_pen: float = 1e5
-
-    def __post_init__(self):
-        if min(self.u_max, self.g, self.sigma, self.c, self.h0) <= 0:
-            raise ValueError("physical constants must be positive")
-
+# thrust bound, gravity, drag factor, exhaust speed, density scale height,
+# and the weights beta, rho of the terminal-mass penalty
+U_MAX, GRAVITY, SIGMA = 193.0, 32.174, 5.4915e-5
+EXHAUST, H0 = 1580.9425, 23800.0
+BETA, RHO = -2.31774080357308e4, 1e5
 
 GODDARD_REFERENCE = ReferenceSolution(
     s_star=np.array([13.75532627577406, 21.98890645593362]),
     T_star=42.88910958027504)
 
 
-def build_goddard(params: GoddardParams = GoddardParams(),
-                  T_init: float = 42.0) -> ProblemDef:
+def build_goddard(T: float = 42.0) -> ProblemDef:
     """Goddard rocket: full thrust, singular thrust, coast; free terminal time.
 
     The m >= 1 state constraint is replaced by the penalty
@@ -350,7 +323,7 @@ def build_goddard(params: GoddardParams = GoddardParams(),
     enters as the weight m*g (vdot = (u - drag)/m - g), which is the only
     form consistent with the m*g terms of the singular thrust law.
     """
-    g, sig, c, h0 = params.g, params.sigma, params.c, params.h0
+    u_max, g, sig, c, h0 = U_MAX, GRAVITY, SIGMA, EXHAUST, H0
 
     def f(x, u):
         h, v, m = x
@@ -394,27 +367,25 @@ def build_goddard(params: GoddardParams = GoddardParams(),
         return np.array([[du_h, du_v, du_m]])
 
     lo = lambda t: np.array([0.0])
-    hi = lambda t: np.array([params.u_max])
+    hi = lambda t: np.array([u_max])
     phases = (
-        ControlPhase("constant", lambda t: np.array([params.u_max]), lo, hi),
+        ControlPhase("constant", lambda t: np.array([u_max]), lo, hi),
         ControlPhase("state", u_sing, lo, hi, law_x=u_sing_x),
         ControlPhase("constant", lambda t: np.array([0.0]), lo, hi),
     )
 
-    beta, rho = params.beta_pen, params.rho_pen
-
     def C(x):
         dm = x[2] - 1.0
-        return -x[0] + beta * dm + 0.5 * rho * dm * dm
+        return -x[0] + BETA * dm + 0.5 * RHO * dm * dm
 
     def grad_C(x):
         g = _lane_zeros((3,), x)
-        g[0], g[2] = -1.0, beta + rho * (x[2] - 1.0)
+        g[0], g[2] = -1.0, BETA + RHO * (x[2] - 1.0)
         return g
 
     return ProblemDef(
         name="goddard", n=3, m=1, x0=np.array([0.0, 0.0, 3.0]),
-        T=T_init, free_time=True, case=1, phases=phases,
+        T=T, free_time=True, case=1, phases=phases,
         f=f, f_x=f_x, f_u=f_u, C=C, grad_C=grad_C,
         reference=GODDARD_REFERENCE)
 
@@ -426,11 +397,8 @@ def build_goddard(params: GoddardParams = GoddardParams(),
 def build_problem(name: str, T: Optional[float] = None) -> ProblemDef:
     """Build a benchmark by CLI name: catalyst1, catalyst2, jacobson,
     bressan, goddard."""
-    if name == "catalyst1":
-        return build_catalyst(CatalystParams(T=T if T is not None else 1.0))
-    if name == "catalyst2":
-        return build_catalyst(
-            CatalystParams(T=T if T is not None else 1.0, case=2))
+    if name in ("catalyst1", "catalyst2"):
+        return build_catalyst(T if T is not None else 1.0, case=int(name[-1]))
     if name == "jacobson":
         if T not in (None, 5.0):
             raise ValueError(f"jacobson's horizon is fixed at 5, got T={T}")
@@ -438,5 +406,5 @@ def build_problem(name: str, T: Optional[float] = None) -> ProblemDef:
     if name == "bressan":
         return build_bressan(T if T is not None else 10.0)
     if name == "goddard":
-        return build_goddard(T_init=T if T is not None else 42.0)
+        return build_goddard(T if T is not None else 42.0)
     raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")

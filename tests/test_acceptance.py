@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from switchopt.benchmarks import (
-    CatalystParams, GODDARD_REFERENCE, JACOBSON_S1, build_catalyst,
-    build_problem, catalyst_singular_value, catalyst_switch_times,
+    CATALYST_U_SINGULAR, GODDARD_REFERENCE, JACOBSON_S1, build_catalyst,
+    build_problem, catalyst_switch_times,
 )
 from switchopt.exceptions import NoStructure
 from switchopt.gradients import (
@@ -50,7 +50,7 @@ def test_criterion_1_catalyst_case1():
         rep = minimize(prob, SwitchConfig(s=np.array(g)),
                        OptimizeSettings(stat_tol=1e-8, max_iters=500), ode)
         worst_t = max(worst_t, time.time() - t0)
-        s_star = catalyst_switch_times(CatalystParams(T=T))
+        s_star = catalyst_switch_times(T)
         worst_s = max(worst_s, float(np.max(np.abs(rep.final_cfg.s - s_star))))
         worst_c = max(worst_c, abs(rep.objective - CATALYST_C[T]))
     ok = worst_s <= 1e-6 and worst_c <= 1e-8 and worst_t <= 10.0
@@ -67,7 +67,7 @@ def test_criterion_2_catalyst_case2():
                    SwitchConfig(s=np.array([0.1, 0.7]),
                                 p0=np.array([0.9, 0.8])),
                    OptimizeSettings(stat_tol=1e-9, max_iters=500), TIGHT)
-    s_star = catalyst_switch_times(CatalystParams(T=1.0))
+    s_star = catalyst_switch_times(1.0)
     s_err = float(np.max(np.abs(rep.final_cfg.s - s_star)))
     c_err = abs(rep.objective - CATALYST_C[1.0])
 
@@ -77,7 +77,7 @@ def test_criterion_2_catalyst_case2():
     s = rep.final_cfg.s
     on_arc = (times > s[0] + 1e-3) & (times < s[1] - 1e-3)
     u_err = float(np.max(np.abs(
-        us[on_arc, 0] - catalyst_singular_value(CatalystParams()))))
+        us[on_arc, 0] - CATALYST_U_SINGULAR)))
     ok = s_err <= 1e-6 and c_err <= 1e-8 and u_err <= 1e-4
     _verdict(2, ok, f"|s-s*| {s_err:.2e} (<=1e-6), |C-C*| {c_err:.2e} "
                     f"(<=1e-8), singular-law error {u_err:.2e} (<=1e-4)")
@@ -141,10 +141,10 @@ def test_criterion_6_gradient_oracle_suite():
     rng = np.random.default_rng(123)
     configs = {
         "catalyst1": lambda: SwitchConfig(
-            s=np.sort(catalyst_switch_times(CatalystParams(T=1.0))
+            s=np.sort(catalyst_switch_times(1.0)
                       + rng.uniform(-0.03, 0.03, 2))),
         "catalyst2": lambda: SwitchConfig(
-            s=np.sort(catalyst_switch_times(CatalystParams(T=1.0))
+            s=np.sort(catalyst_switch_times(1.0)
                       + rng.uniform(-0.03, 0.03, 2)),
             p0=np.array([1.0, 0.95]) + rng.uniform(-0.1, 0.1, 2)),
         "jacobson": lambda: SwitchConfig(
@@ -195,7 +195,7 @@ def test_criterion_6_gradient_oracle_suite():
 
 def test_criterion_7_case_reduction():
     case1 = build_problem("catalyst1", T=1.0)
-    case2 = build_catalyst(CatalystParams(case=2), constant_singular=True)
+    case2 = build_catalyst(case=2, constant_singular=True)
     s = np.array([0.14, 0.72])
     b1 = evaluate_gradient(case1, SwitchConfig(s=s), TIGHT)
     b2 = evaluate_gradient(case2, SwitchConfig(s=s, p0=np.array([1.0, 0.9])),
@@ -235,7 +235,7 @@ def test_criterion_9_warm_start():
     dcp = solve_tv_euler(prob, N=100, rho_tv=1e-3)
     est = detect_structure(dcp)
     errs = np.abs(est.switch_times
-                  - catalyst_switch_times(CatalystParams(T=1.0)))
+                  - catalyst_switch_times(1.0))
     kinds_ok = est.phase_kinds == ("bang-high", "singular", "bang-low")
 
     with warnings.catch_warnings():

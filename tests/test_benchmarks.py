@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from switchopt.benchmarks import (
-    CatalystParams, GODDARD_REFERENCE, GoddardParams, JACOBSON_S1,
-    build_catalyst, build_goddard, build_problem, catalyst_singular_value,
-    catalyst_switch_times, jacobson_root_residual,
+    CATALYST_U_SINGULAR, GODDARD_REFERENCE, JACOBSON_S1, build_catalyst,
+    build_problem, catalyst_switch_times, jacobson_root_residual,
 )
 from switchopt.gradients import dense_trajectory, forward_sweep
 from switchopt.odeint import IntegratorSettings
@@ -20,17 +19,34 @@ TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 # ---------------------------------------------------------------------------
 
 def test_catalyst_singular_value():
-    assert catalyst_singular_value(CatalystParams()) == pytest.approx(
+    assert CATALYST_U_SINGULAR == pytest.approx(
         0.227142082708498, abs=1e-14)
 
 
 def test_catalyst_switch_formulas():
-    s = catalyst_switch_times(CatalystParams(T=1.0))
+    s = catalyst_switch_times(1.0)
     assert s[0] == pytest.approx(0.136299034594555, abs=1e-14)
     assert s[1] == pytest.approx(1.0 - 0.274769892408345, abs=1e-14)
-    s12 = catalyst_switch_times(CatalystParams(T=12.0))
+    s12 = catalyst_switch_times(12.0)
     assert s12[0] == pytest.approx(s[0], abs=1e-14)     # entry is T-free
     assert s12[1] == pytest.approx(12.0 - 0.274769892408345, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["catalyst1", "catalyst2"])
+def test_catalyst_reference_only_where_its_switch_times_are_in_order(name):
+    # the closed form is bang, singular, bang: s1 < s2 needs T above
+    # s1 + log(1 + a) / k3 = 0.41107
+    s1, s2_at_0 = catalyst_switch_times(0.0)
+    shortest = s1 - s2_at_0
+    assert shortest == pytest.approx(0.41107, abs=1e-5)
+    for T in (0.3, shortest - 1e-9):
+        assert build_problem(name, T=T).reference is None
+    for T in (shortest + 1e-9, 0.42, 1.0, 4.0, 12.0):
+        ref = build_problem(name, T=T).reference
+        np.testing.assert_array_equal(ref.s_star, catalyst_switch_times(T))
+        assert 0 < ref.s_star[0] < ref.s_star[1] < T
+    assert build_problem(name, T=0.42).reference.C_star is None
+    assert build_problem(name, T=4.0).reference.C_star == -0.191814356325161
 
 
 def test_jacobson_root_equation():
@@ -55,13 +71,6 @@ def test_registry():
         assert prob.k == len(prob.phases) - 1
     with pytest.raises(ValueError):
         build_problem("nosuch")
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        CatalystParams(k1=-1.0)
-    with pytest.raises(ValueError):
-        GoddardParams(c=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +146,19 @@ def test_catalyst_case2_feedback_matches_constant_on_arc():
     # along the converged Case-2 extremal the p-dependent law must produce
     # the constant singular value of the state-only formulation
     prob = build_problem("catalyst2", T=1.0)
-    s_star = catalyst_switch_times(CatalystParams(T=1.0))
+    s_star = catalyst_switch_times(1.0)
     cfg = SwitchConfig(s=s_star, p0=np.array([1.0109, 0.9557]))
     times, xs, us, ps = dense_trajectory(prob, cfg, TIGHT, sample_count=400)
     on_arc = (times > s_star[0] + 0.02) & (times < s_star[1] - 0.02)
-    u_sing = catalyst_singular_value(CatalystParams())
+    u_sing = CATALYST_U_SINGULAR
     assert np.max(np.abs(us[on_arc, 0] - u_sing)) < 1e-3
 
 
 def test_constant_singular_variant():
-    prob = build_catalyst(CatalystParams(case=2), constant_singular=True)
+    prob = build_catalyst(case=2, constant_singular=True)
     assert prob.case == 2
     u = phase_law(prob, 1)(0.5, np.array([0.7, 0.2]), np.array([1.0, 1.0]))
-    assert u[0] == pytest.approx(catalyst_singular_value(CatalystParams()))
+    assert u[0] == pytest.approx(CATALYST_U_SINGULAR)
 
 
 def test_mayer_augmentation_starts_at_zero():

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import switchopt
-from switchopt.benchmarks import CatalystParams, build_problem, \
-    catalyst_switch_times
+from switchopt.benchmarks import build_problem, catalyst_switch_times
 from switchopt.odeint import IntegratorSettings
 from switchopt.cli import main, EXIT_OK, EXIT_CHECK_FAILED, EXIT_SOLVER, \
     EXIT_CONFIG
@@ -41,6 +40,23 @@ def test_solve_catalyst_writes_report(tmp_path):
     # control starts at the upper bound, ends at the lower one
     assert rows[0, 3] == 1.0
     assert rows[-1, 3] == 0.0
+
+
+@pytest.mark.parametrize("T", ["0.3", "0.42"])
+def test_catalyst_reports_reference_errors_only_above_0_41107(tmp_path,
+                                                                capsys, T):
+    # at T = 0.3 the closed-form switch times (0.136, 0.025) are out of
+    # order, so there is no reference to measure the solve against
+    code = main(["solve", "--problem", "catalyst1", "--T", T,
+                 "--s0", "0.1,0.2", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    errs = json.loads((tmp_path / "report.json").read_text())[
+        "reference_errors"]
+    printed = "reference error" in capsys.readouterr().out
+    if T == "0.3":
+        assert errs is None and not printed
+    else:
+        assert max(errs.values()) <= 1e-6 and printed
 
 
 def _hamiltonian(name, path):
@@ -109,7 +125,7 @@ def test_readme_catalyst2_solve_ends_in_bounded_time(tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     report = json.loads((tmp_path / "report.json").read_text())
     np.testing.assert_allclose(report["s"],
-                               catalyst_switch_times(CatalystParams(T=1.0)),
+                               catalyst_switch_times(1.0),
                                atol=1e-4)
     assert report["objective_evals"] > report["gradient_evals"]
 

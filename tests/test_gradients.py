@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from switchopt.benchmarks import (
-    PROBLEM_NAMES, build_catalyst, build_problem, catalyst_singular_value,
-    catalyst_switch_times, CatalystParams, GODDARD_REFERENCE, JACOBSON_S1,
+    CATALYST_U_SINGULAR, PROBLEM_NAMES, build_catalyst, build_problem,
+    catalyst_switch_times, GODDARD_REFERENCE, JACOBSON_S1,
 )
 from switchopt import gradients
 from switchopt.exceptions import NonFiniteState
@@ -35,7 +35,7 @@ CATALYST_C = {1.0: -0.048055685860877,
 @pytest.mark.parametrize("T", [1.0, 4.0, 12.0])
 def test_catalyst_objective_at_analytic_switches(T):
     prob = build_problem("catalyst1", T=T)
-    cfg = SwitchConfig(s=catalyst_switch_times(CatalystParams(T=T)))
+    cfg = SwitchConfig(s=catalyst_switch_times(T))
     fwd = forward_sweep(prob, cfg, TIGHT)
     assert fwd.objective == pytest.approx(CATALYST_C[T], abs=1e-10)
 
@@ -43,9 +43,8 @@ def test_catalyst_objective_at_analytic_switches(T):
 @pytest.mark.parametrize("T", [1.0, 4.0, 12.0])
 def test_catalyst_stationary_at_analytic_switches(T):
     prob = build_problem("catalyst1", T=T)
-    bundle = evaluate_gradient(prob,
-                               SwitchConfig(s=catalyst_switch_times(CatalystParams(T=T))),
-                               TIGHT)
+    bundle = evaluate_gradient(
+        prob, SwitchConfig(s=catalyst_switch_times(T)), TIGHT)
     np.testing.assert_allclose(bundle.d_s, 0.0, atol=1e-8)
 
 
@@ -139,7 +138,7 @@ def test_case2_reduces_to_case1_for_state_feedback():
     # with a p-independent singular law the generalized costate block
     # driving d_p0 must vanish and d_s must agree with the Case-1 sweep
     case1 = build_problem("catalyst1", T=1.0)
-    case2 = build_catalyst(CatalystParams(case=2), constant_singular=True)
+    case2 = build_catalyst(case=2, constant_singular=True)
     cfg1 = SwitchConfig(s=np.array([0.14, 0.72]))
     cfg2 = SwitchConfig(s=np.array([0.14, 0.72]), p0=np.array([1.0, 0.9]))
     b1 = evaluate_gradient(case1, cfg1, TIGHT)
@@ -264,7 +263,7 @@ def test_phase_between_dense_samples_has_finite_margin():
     bundle = evaluate_gradient(
         prob, SwitchConfig(s=np.array([0.1011, 0.1031])), TIGHT)
     assert not np.any(bundle.fwd.phase == 1)
-    u = catalyst_singular_value(CatalystParams())
+    u = CATALYST_U_SINGULAR
     np.testing.assert_allclose(feasibility_margins(prob, bundle.fwd),
                                [0.0, min(u, 1.0 - u), 0.0], atol=1e-9)
 

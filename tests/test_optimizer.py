@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import switchopt.gradients as gradients
 import switchopt.optimizer as optimizer
 from switchopt.benchmarks import (
-    build_problem, catalyst_switch_times, CatalystParams, GODDARD_REFERENCE,
+    build_problem, catalyst_switch_times, GODDARD_REFERENCE,
     JACOBSON_S1,
 )
 from switchopt.exceptions import InfeasiblePolytope, InvalidSwitchOrder, \
@@ -165,7 +165,7 @@ def test_minimize_catalyst_case1():
     prob = build_problem("catalyst1", T=1.0)
     rep = minimize(prob, SwitchConfig(s=np.array([0.1, 0.7])),
                    OptimizeSettings(stat_tol=1e-9), TIGHT)
-    s_star = catalyst_switch_times(CatalystParams(T=1.0))
+    s_star = catalyst_switch_times(1.0)
     assert rep.converged
     np.testing.assert_allclose(rep.final_cfg.s, s_star, atol=1e-6)
     assert rep.objective == pytest.approx(-0.048055685860877, abs=1e-8)
@@ -193,7 +193,7 @@ def test_minimize_case2():
                    SwitchConfig(s=np.array([0.1, 0.7]),
                                 p0=np.array([0.9, 0.8])),
                    OptimizeSettings(stat_tol=1e-9, max_iters=500), TIGHT)
-    s_star = catalyst_switch_times(CatalystParams(T=1.0))
+    s_star = catalyst_switch_times(1.0)
     np.testing.assert_allclose(rep.final_cfg.s, s_star, atol=1e-6)
 
 
@@ -247,7 +247,7 @@ def test_trial_over_step_budget_is_backed_off(monkeypatch):
     _recording(monkeypatch, optimizer, "forward_sweep", log)
     rep = minimize(*_catalyst2_readme_start())
     np.testing.assert_allclose(rep.final_cfg.s,
-                               catalyst_switch_times(CatalystParams(T=1.0)),
+                               catalyst_switch_times(1.0),
                                atol=1e-6)
     assert log[0][0][2].max_steps == IntegratorSettings().max_steps
     over, swept = 0, set()
