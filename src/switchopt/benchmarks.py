@@ -1,11 +1,11 @@
 """Benchmark control problems: catalyst mixing, Jacobson, Bressan, Goddard.
 
-Each builder returns an immutable ProblemDef with the paper's constants,
-in which only the horizon T varies: analytic dynamics Jacobians, phase
-control laws, and a ReferenceSolution carrying the known switch points (and
-objective / terminal time where available).  Integral objectives are
-reformulated to terminal form by augmenting a state whose dynamics is the
-integrand.
+Each builder returns an immutable ProblemDef with analytic dynamics
+Jacobians, phase control laws, and a ReferenceSolution carrying the known
+switch points (and objective / terminal time where available).  Integral
+objectives are reformulated to terminal form by augmenting a state whose
+dynamics is the integrand.  The problems carry the paper's constants; only
+the horizon T varies.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ import pytest
 
 import switchopt
 
-MODULES = ["switchopt"] + [
-    f"switchopt.{info.name}" for info in pkgutil.iter_modules(switchopt.__path__)]
+MODULES = ["switchopt"] + [f"switchopt.{info.name}" for info
+                           in pkgutil.iter_modules(switchopt.__path__)]
 
 
 @pytest.mark.parametrize("name", MODULES)
