@@ -4,7 +4,10 @@ systems.
 The right-hand side may change discontinuously at a known, ordered list of
 breakpoints.  Integration is hard-restarted at every breakpoint: no accepted
 step straddles a segment boundary and the step-size controller is reset, so
-eighth-order accuracy is retained on each smooth piece.
+eighth-order accuracy is retained on each smooth piece.  Each segment's
+first trial step is Hairer & Wanner's estimate from its first RHS value and
+one probe call, so that its attempts do not climb to the step the error
+test takes from a fixed small start.
 
 The module holds the whole method, whose coefficients no other module
 reads: the scalar loop, the lockstep loop of B lanes, ``sample_states``,
@@ -12,8 +15,8 @@ each sample one step of the method from the node before it, and the fold
 of accepted steps into the transition matrices of the reverse pass.
 ``integrate_piecewise`` runs the loop that the breakpoints' shape picks.
 Both loops record a segment's accepted steps as arrays (t, h, y, K), the
-step axis first, test each attempt's new state once and share one error
-norm.
+step axis first, test each attempt's new state once and share one
+starting step and one error norm.
 """
 
 from __future__ import annotations
@@ -136,7 +139,6 @@ _ALPHA = 0.7 / (_Q + 1)  # PI controller: proportional exponent
 _BETA = 0.4 / (_Q + 1)   # PI controller: integral exponent
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
-_H_INIT = 1e-3    # first trial step of every segment
 _H_MIN = 1e-14    # below this step size a segment gives up
 _FOLD_BLOCK = 256  # steps per fold: bounds its arrays on many lanes
 
@@ -225,18 +227,50 @@ def _error_norm(h, k, scale):
     return abs(h) * err5 / np.sqrt((den + (den == 0.0)) * scale.shape[-1])
 
 
+def _start_step(probe, y, f0, span, settings):
+    """The first trial step of a segment from y with derivative f0, on a
+    point, y (dim,), or on B lanes, y (B, dim), where span is the segment's
+    length: Hairer & Wanner's estimate (Solving ODEs I, section II.4, as
+    DOP853's HINIT computes it).  With sums of squares of y and f0 weighted
+    by abs_tol + rel_tol |y|, h0 = 0.01 sqrt(sum y^2 / sum f0^2), or 1e-6
+    where either sum is below 1e-10, and at most span; probe(h0) is the
+    RHS at the Euler step over h0, which gives a second derivative d2, and
+    h1 = (0.01 / max(d2, sqrt(sum f0^2)))^(1 / (_Q + 1)).  The step is
+    min(100 h0, h1, span).  A non-finite probe keeps h0, for the attempts
+    to halve, and a step below _H_MIN, or 0 or NaN from an overflowing
+    sum, is raised to _H_MIN.  Both loops call it, so that a lane's start
+    is its scalar loop's.
+    """
+    def sum_sq(x):  # C order: a lane's sum takes its point's order of terms
+        return np.add.reduce(np.square(x, order="C"), axis=-1)
+
+    scale = settings.abs_tol + settings.rel_tol * np.abs(y)
+    dnf, dny = sum_sq(f0 / scale), sum_sq(y / scale)
+    h0 = np.minimum(np.where((dnf <= 1e-10) | (dny <= 1e-10), 1e-6,
+                             0.01 * np.sqrt(dny / dnf)), span)
+    f1 = probe(h0)
+    d2 = np.sqrt(sum_sq((f1 - f0) / scale)) / h0
+    d12 = np.maximum(d2, np.sqrt(dnf))
+    h1 = np.where(d12 <= 1e-15, np.maximum(1e-6, 1e-3 * h0),
+                  np.float_power(0.01 / d12, 1.0 / (_Q + 1)))
+    h = np.where(np.isfinite(f1).all(axis=-1),
+                 np.minimum(np.minimum(100.0 * h0, h1), span), h0)
+    return np.where(h >= _H_MIN, h, _H_MIN)
+
+
 def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
     """Integrate dy/dt = rhs(j, t, y) over [t0, t1].
 
     Returns (y_end, steps_used, record), the record of its N accepted
-    steps as ``DenseTrajectory`` holds it.  No RHS call warns about overflow
+    steps as ``DenseTrajectory`` holds it.  The first attempt's step is
+    ``_start_step``'s, from the first RHS call and one probe call, which
+    is no attempt and no stage of one.  No RHS call warns about overflow
     or division: an attempt with a non-finite new state, tested once after
     all its stages, halves the step, down to ``NonFiniteState`` at _H_MIN,
     and a non-finite first call raises it.  Every stage enters that state:
     0 inf and 0 NaN are NaN in ``np.dot(_B, k)``, whose bits are ``@``'s.
     """
     t, y = t0, np.array(y0, dtype=float)
-    h = min(_H_INIT, t1 - t0)
     err_prev = 1.0
     steps = 0
     record = []
@@ -249,6 +283,9 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
         k1 = rhs(j, t, y)
         if not np.isfinite(k1).all():
             raise NonFiniteState(f"non-finite derivative at t={t}")
+        h = float(_start_step(lambda h0: rhs(j, t + float(h0),
+                                             y + float(h0) * k1),
+                              y, k1, t1 - t0, settings))
 
         while t < t1:
             if steps >= budget:
@@ -434,7 +471,6 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
         return rhs(j, t, y.T).T
 
     t, y = t0, np.array(y0.T, dtype=float)
-    h = np.minimum(_H_INIT, t1 - t0)
     err_prev = np.ones(t.shape)
     steps = np.zeros(t.shape, dtype=int)
     record = []
@@ -447,6 +483,8 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
         if bad.any():
             raise _lane_error(NonFiniteState, bad,
                               lambda b: f"non-finite derivative at t={t[b]}")
+        h = _start_step(lambda h0: f(t + h0, y + h0[:, None] * k1),
+                        y, k1, t1 - t0, settings)
 
         while active.any():
             over = active & (steps >= budget)

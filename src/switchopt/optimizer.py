@@ -5,8 +5,10 @@ s_{j+1}, s_k + eps <= T}, whose Euclidean projection reduces to bounded
 isotonic regression (pool-adjacent-violators then clipping).  A projected
 limited-memory quasi-Newton iteration with Armijo backtracking along the
 projected arc drives the switch points (plus the initial costate and, for
-free-time problems, the horizon) to stationarity.  Single-switch problems
-can instead use a secant iteration on the switch-point derivative.
+free-time problems, the horizon) to stationarity, and projected Newton
+steps on a Hessian differenced from gradients on lanes finish where the
+objective no longer resolves a decrease.  Single-switch problems can
+instead use a secant iteration on the switch-point derivative.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ _LS_SHRINK = 0.5
 _LS_MIN_SHRINK = 0.1
 _ARMIJO_C1 = 1e-4    # sufficient-decrease constant of the Armijo test
 _MEMORY = 10         # L-BFGS correction pairs kept
+
+# The Newton finish's lane Hessian: central differences of the gradient
+# over bumps of _HESSIAN_STEP max(1, |z_i|), its eigenvalues floored at
+# _EIGEN_FLOOR times the largest.
+_HESSIAN_STEP = 1e-7
+_EIGEN_FLOOR = 1e-8
 
 # Failures that make a trial point non-integrable.  Anything else (a bad
 # configuration, say) is a fault and propagates.
@@ -241,12 +249,22 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
     nothing more, so the backward sweep runs only at accepted points.  A
     trial that integrates but fails Armijo backtracks to the minimizer of
     the quadratic through f, the predicted decrease and the trial's f,
-    safeguarded to [_LS_MIN_SHRINK, _LS_SHRINK]; a failed trial halves.
-    Converges when the projected-gradient infinity norm drops below
-    stat_tol.  A line search that fails from a steepest-descent direction
-    reports "stalled" when the projected gradient is within 100 stat_tol
-    or the last accepted step lowered C by no more than rel_tol |C|, the
-    objective's resolution; otherwise it raises LineSearchFailure.
+    safeguarded to [_LS_MIN_SHRINK, _LS_SHRINK]; a failed trial halves.  A
+    trial within 1e-3 stat_tol max(1, |z_i|) of z in every coordinate ends
+    the line search: its objective differs from f by less than the sweep
+    resolves.  Converges when the projected-gradient infinity norm drops
+    below stat_tol.
+
+    A line search that fails from a steepest-descent direction, where the
+    projected gradient is within 100 stat_tol or the last accepted step
+    lowered C by no more than rel_tol |C|, the objective's resolution,
+    hands over to Newton steps, judged on the gradient alone: H is the
+    symmetrised central difference of the gradient over the 2 dim lanes z
+    +- _HESSIAN_STEP max(1, |z_i|) e_i, projected, swept as one list, with
+    its eigenvalues floored at _EIGEN_FLOOR of the largest, and each
+    projected step z - H^-1 g is taken while it lowers the projected
+    gradient.  The solve stops at its floor when a step does not; any
+    other failed line search raises LineSearchFailure.
     """
     settings = settings or OptimizeSettings()
     ode_settings = ode_settings or IntegratorSettings()
@@ -266,6 +284,41 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
         n_backward += 1
         return evaluate_gradient(prob, var.unpack(zq), ode_settings, fwd=fwd)
 
+    def projected(zq, gq):
+        return float(np.max(np.abs(zq - var.project(zq - gq))))
+
+    def newton_trial(zq, gq, max_steps):
+        """(z, fwd, bundle, g) at the projected Newton step from zq, or
+        None where a sweep fails or H has no positive eigenvalue."""
+        nonlocal n_forward, n_backward
+        dim = zq.size
+        bumps = np.diag(_HESSIAN_STEP * np.maximum(1.0, np.abs(zq)))
+        lanes = np.array([var.project(zq + b) for b in bumps]
+                         + [var.project(zq - b) for b in bumps])
+        n_forward, n_backward = n_forward + 2 * dim, n_backward + 2 * dim
+        try:
+            G = var.gradient(evaluate_gradient(
+                prob, [var.unpack(zl) for zl in lanes],
+                replace(ode_settings, max_steps=max_steps)),
+                lanes[:, -1] if var.free_time else var.T0)
+            # column i over the projected bumps' own width in z_i
+            H = (G[:, :dim] - G[:, dim:]) \
+                / np.diag(lanes[:dim] - lanes[dim:])
+            H = 0.5 * (H + H.T)
+            if not np.isfinite(H).all():
+                return None
+            w, V = np.linalg.eigh(H)
+            if not w[-1] > 0:
+                return None
+            w = np.maximum(w, _EIGEN_FLOOR * w[-1])
+            z_new = var.project(zq - V @ ((V.T @ gq) / w))
+            fwd_new = objective_at(z_new, max_steps)
+            bundle_new = gradient_at(z_new, fwd_new)
+        except _TRIAL_FAILURES:
+            return None
+        return (z_new, fwd_new, bundle_new,
+                var.gradient(bundle_new, var.unpack(z_new).T or var.T0))
+
     fwd = objective_at(z, ode_settings.max_steps)
     bundle = gradient_at(z, fwd)
     g = var.gradient(bundle, var.unpack(z).T or var.T0)
@@ -278,15 +331,27 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
 
     pairs = []
     gamma = 1.0
-    converged = False
+    converged = newton = False
     it = 0
     message = ""
     last_drop = np.inf  # decrease of C at the last accepted step
     for it in range(1, settings.max_iters + 1):
-        pg = np.max(np.abs(z - var.project(z - g)))
+        pg = projected(z, g)
         if pg <= settings.stat_tol:
             converged = True
             break
+        budget = min(ode_settings.max_steps, _TRIAL_STEP_FACTOR * fwd.steps)
+
+        if newton:
+            trial = newton_trial(z, g, budget)
+            pg_new = np.inf if trial is None else projected(trial[0],
+                                                            trial[3])
+            if not pg_new < pg:
+                message = (f"projected gradient floor {pg:.3e}: the Newton "
+                           f"step from it gave {pg_new:.3e}")
+                break
+            z, fwd, bundle, g = trial
+            continue
 
         d = _two_loop(-g, pairs, gamma, base)
         if d @ g >= 0:
@@ -294,14 +359,13 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
             d = -g * base
 
         alpha, accepted = 1.0, False
-        budget = min(ode_settings.max_steps, _TRIAL_STEP_FACTOR * fwd.steps)
         for _ in range(60):
             z_new = var.project(z + alpha * d)
             step = z_new - z
-            # a trial within a few ulps of z is z itself: its objective
-            # differs from f only by integration noise
-            if np.all(np.abs(step) <= np.maximum(
-                    1e-16, 4 * np.spacing(np.abs(z)))):
+            # a trial this close to z is z up to the sweep's resolution:
+            # its objective differs from f only by integration noise
+            if np.all(np.abs(step) <= 1e-3 * settings.stat_tol
+                      * np.maximum(1.0, np.abs(z))):
                 break
             pred = g @ step
             shrink = _LS_SHRINK
@@ -325,12 +389,9 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
                 continue
             resolution = ode_settings.rel_tol * abs(fwd.objective)
             if pg <= 100.0 * settings.stat_tol or last_drop <= resolution:
-                # no decrease possible at the integration accuracy
-                # floor; the iterate is stationary to working precision
-                message = (f"line search stalled at projected gradient "
-                           f"{pg:.3e}; the last step lowered C by "
-                           f"{last_drop:.3e}, resolution {resolution:.3e}")
-                break
+                # no decrease the objective resolves: finish on the gradient
+                newton = True
+                continue
             raise LineSearchFailure(
                 f"{prob.name}: no decrease at iteration {it} "
                 f"(projected gradient {pg:.3e})")

@@ -443,10 +443,11 @@ def test_margin_sees_a_violation_between_dense_samples():
 
 
 def test_margin_sees_a_violation_between_nodes():
-    # u leaves its box [0, 0.5] only for |t - 0.5| < 0.05 and enters no
+    # u leaves its box [0, 0.5] only for |t - 0.4| < 0.05 and enters no
     # state, so the steps grow geometrically from the first, and phase 0
-    # has no node there; stage points of the step across it do
-    prob = dataclasses.replace(_bump_problem(c=0.5, w=0.05),
+    # has no node there (its nodes 0.266 and 0.516 are the nearest); stage
+    # points of the step across it do
+    prob = dataclasses.replace(_bump_problem(c=0.4, w=0.05),
                                f=lambda x, u: np.array([1.0, 0.0]))
     fwd = forward_sweep(prob, SwitchConfig(s=np.array([0.9])))
     margin = phase_feasibility(prob, 0)
@@ -656,8 +657,9 @@ def test_stage_points_are_where_the_scalar_loop_called_the_rhs(name, tol):
     # from the record by odeint._stage_points; they are the points at which
     # the scalar loop evaluated them, bit for bit: stages 1 .. _WEIGHTED - 1
     # in the step's attempt, stage 0 in the FSAL call of the step before or
-    # the segment's first call.  This pins the loop's tableau products to
-    # _stage_point's
+    # the segment's first call.  The segment's second call, the starting
+    # step's probe, is the one RHS point that is no stage.  This pins the
+    # loop's tableau products to _stage_point's
     T, cfg = CONFIGS[name]
     settings = IntegratorSettings(rel_tol=tol, abs_tol=tol)
     fwd = forward_sweep(build_problem(name, T=T), cfg, settings)
@@ -675,10 +677,11 @@ def test_stage_points_are_where_the_scalar_loop_called_the_rhs(name, tol):
         tau, Y = odeint._stage_points(*record)
         times = np.array([c[0] for c in calls[j]])
         points = np.array([c[1] for c in calls[j]])
-        # the segment's first call, then stages 1 .. _STAGES - 1 per attempt
+        # the segment's first call, the probe, then stages 1 .. _STAGES - 1
+        # per attempt
         start = times[0], points[0]
-        times, points = times[1:].reshape(-1, per), \
-            points[1:].reshape(-1, per, points.shape[1])
+        times, points = times[2:].reshape(-1, per), \
+            points[2:].reshape(-1, per, points.shape[1])
         for n in range(len(tau)):
             a, = np.flatnonzero((times[:, 0] == tau[n, 1])
                                 & (points[:, 0] == Y[n, 1]).all(axis=1))
@@ -686,6 +689,17 @@ def test_stage_points_are_where_the_scalar_loop_called_the_rhs(name, tol):
             assert np.array_equal(times[a, :W - 1], tau[n, 1:])
             assert np.array_equal(points[a, :W - 1], Y[n, 1:])
             start = times[a, -1], points[a, -1]
+
+
+@pytest.mark.parametrize("cfg", [
+    SwitchConfig(s=np.array([0.1, 0.7]), p0=np.array([0.9, 0.8])),
+    SwitchConfig(s=catalyst_switch_times(1.0), p0=np.array([0.8736, 0.8259])),
+], ids=["readme-start", "optimum"])
+def test_catalyst2_sweep_starts_each_phase_at_its_estimate(cfg):
+    # each phase starts at the Hairer-Wanner estimate rather than climbing
+    # from a fixed first step: a catalyst2 forward sweep at tol 1e-11 takes
+    # at most 16 attempts (13 measured; 26-28 from a fixed 1e-3)
+    assert forward_sweep(build_problem("catalyst2"), cfg, TIGHT).steps <= 16
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
@@ -1005,10 +1019,11 @@ def test_lanes_fold_no_stage_of_an_attempt_that_failed():
     cfgs = [SwitchConfig(s=np.array([s])) for s in np.linspace(0.3, 0.6, 6)]
     lanes = evaluate_gradient(prob, cfgs)
     # the forward's phase-1 law calls (the Jacobian's take _WEIGHTED B
-    # points): one at the segment start, then _STAGES - 1 per attempt
+    # points): one at the segment start, the starting step's probe, then
+    # _STAGES - 1 per attempt
     calls = [c for c in log if np.size(c[0]) == len(cfgs)]
     per = odeint._STAGES - 1
-    attempts = [calls[i:i + per] for i in range(1, len(calls), per)]
+    attempts = [calls[i:i + per] for i in range(2, len(calls), per)]
     assert np.isfinite(lanes.d_s).all()
     for b, cfg in enumerate(cfgs):
         assert abs(lanes.d_s[0, b] - evaluate_gradient(prob, cfg).d_s[0]) \

@@ -315,6 +315,80 @@ def test_non_finite_first_derivative_raises_without_warning(loop):
 
 
 # ---------------------------------------------------------------------------
+# the starting step
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), lanes=st.integers(1, 6), dim=st.integers(1, 12),
+       tol=st.sampled_from([1e-6, 1e-8, 1e-11]))
+def test_start_step_of_a_point_is_its_lane(data, lanes, dim, tol):
+    # states and derivatives of magnitude 1e-12 .. 1e12 and either sign,
+    # exact zeros, probes with non-finite entries, and spans from 1e-16 on;
+    # the lane arrays are column-major, as the lockstep loop's RHS values
+    # are transposed views, and the point's start is its lane's, bit for bit
+    def draw(shape, lo=-12, hi=12):
+        x = 10.0 ** data.draw(arrays(float, shape, elements=st.floats(lo, hi)))
+        x[data.draw(arrays(bool, shape))] *= -1.0
+        x[data.draw(arrays(bool, shape))] = 0.0
+        return np.asfortranarray(x)
+
+    y, f0, f1 = draw((lanes, dim)), draw((lanes, dim)), draw((lanes, dim))
+    f1[data.draw(arrays(bool, (lanes, dim)))] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    span = 10.0 ** data.draw(arrays(float, lanes, elements=st.floats(-16, 2)))
+    st_ = IntegratorSettings(rel_tol=tol, abs_tol=tol)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        on_lanes = odeint._start_step(lambda h0: f1, y, f0, span, st_)
+        for b in range(lanes):
+            point = odeint._start_step(lambda h0: f1[b], y[b], f0[b],
+                                       span[b], st_)
+            assert np.float64(point).tobytes() == on_lanes[b].tobytes()
+    assert np.all(on_lanes >= odeint._H_MIN)
+
+
+def _first_steps(value, loop):
+    """The first accepted step of y' = -y from 1 over [0, 0.1] at tol 1e-10
+    when the probe, RHS call 2, returns ``value`` (in lane 1 of 2 on
+    lanes), and the end state."""
+    settings = _tight(max_steps=60)
+    if loop == "scalar":
+        ode = PiecewiseOde(1, [0.0, 0.1], _nan_at_call(2, None, value)[0])
+        y_start = np.ones(1)
+    else:
+        ode = PiecewiseOde(1, [[0.0, 0.0], [0.1, 0.1]],
+                           _nan_at_call(2, 1, value)[0])
+        y_start = np.ones((1, 2))
+    traj = integrate_piecewise(ode, y_start, settings=settings)
+    return traj.records[0][1][0], traj.breakpoint_states[-1]
+
+
+@pytest.mark.parametrize("loop", ["scalar", "lanes"])
+def test_non_finite_probe_keeps_the_first_guess(loop):
+    # a NaN probe gives no second derivative: the start is h0, 0.01 |y| /
+    # |y'| = 0.01 here, in place of the estimate, and the lane without it
+    # keeps its own estimate
+    estimate = float(odeint._start_step(lambda h0: -(1.0 - h0) * np.ones(1),
+                                        np.ones(1), -np.ones(1), 0.1,
+                                        _tight()))
+    assert estimate != 0.01
+    h, end = _first_steps(np.nan, loop)
+    assert np.array_equal(h, 0.01 if loop == "scalar" else [estimate, 0.01])
+    np.testing.assert_allclose(end, np.exp(-0.1), rtol=1e-9)
+
+
+@pytest.mark.parametrize("loop", ["scalar", "lanes"])
+def test_start_below_h_min_is_raised_to_it(loop):
+    # a probe of 1e300 overflows the second derivative, so the estimate is
+    # 0; a step of 0 would be accepted with err = 0 and stay 0 until the
+    # budget ran out.  The start is _H_MIN, from which the step grows
+    h, end = _first_steps(1e300, loop)
+    assert np.array_equal(h, odeint._H_MIN if loop == "scalar" else
+                          [h[0], odeint._H_MIN])
+    assert loop == "scalar" or h[0] > 1e-3
+    np.testing.assert_allclose(end, np.exp(-0.1), rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # one finiteness test per step attempt
 # ---------------------------------------------------------------------------
 
@@ -323,7 +397,6 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget):
     attempt at the first non-finite one (reference)."""
     S = odeint._STAGES
     t, y = t0, np.array(y0, dtype=float)
-    h = min(odeint._H_INIT, t1 - t0)
     err_prev = 1.0
     steps = 0
     record = []
@@ -335,6 +408,10 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget):
         k1 = rhs(j, t, y)
         if not np.isfinite(k1).all():
             raise NonFiniteState(f"non-finite derivative at t={t}")
+        # the library's starting step, from the same probe call
+        h = float(odeint._start_step(
+            lambda h0: rhs(j, t + float(h0), y + float(h0) * k1), y, k1,
+            t1 - t0, settings))
 
         while t < t1:
             if steps >= budget:
@@ -399,18 +476,18 @@ def _outcome(ode, y_start, direction, settings):
 ZERO_WEIGHT = [int(i) for i in np.flatnonzero(odeint._B == 0)]
 
 
-def _nan_at_call(call=None, lane=None):
-    """(rhs, calls): -y, but NaN at RHS call number ``call`` (1 the first;
-    None for none), in lane ``lane`` only on lanes; ``calls`` logs each
-    call's t."""
+def _nan_at_call(call=None, lane=None, value=np.nan):
+    """(rhs, calls): -y, but NaN (or ``value``) at RHS call number ``call``
+    (1 the first; None for none), in lane ``lane`` only on lanes; ``calls``
+    logs each call's t."""
     calls = []
 
     def rhs(j, t, y):
         calls.append(t)
         if len(calls) != call:
             return -y
-        return np.full(np.shape(y), np.nan) if lane is None else \
-            np.where(np.arange(y.shape[1]) == lane, np.nan, -y)
+        return np.full(np.shape(y), value) if lane is None else \
+            np.where(np.arange(y.shape[1]) == lane, value, -y)
     return rhs, calls
 
 
@@ -421,34 +498,42 @@ def test_non_finite_zero_weight_stage_halves_the_step(stage, loop):
     # that attempt by y_new alone (0 * NaN is NaN) and halves the step; it
     # does not reach the error test, whose rejection would cut the step to
     # 0.2 h.  The outcome is the reference loop's, which tests each stage;
-    # on lanes, lane 1 of 2 takes the NaN, and each lane's is its own
+    # on lanes, lane 1 of 2 takes the NaN, and each lane's is its own.
+    # Call 1 is the segment's first derivative and call 2 the starting
+    # step's probe, so stage i of the first attempt is call i + 2; that
+    # attempt's step is the estimate, short of the segment's length
     settings = _tight()
+    call = stage + 2
+    h_first = float(odeint._start_step(lambda h0: -(1.0 - h0) * np.ones(1),
+                                       np.ones(1), -np.ones(1), 0.1,
+                                       settings))
+    assert h_first < 0.1
 
     def reference(call):
         rhs, _ = _nan_at_call(call)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(odeint, "_integrate_segment", _per_stage_segment)
-            return _outcome(PiecewiseOde(1, [0.0, 0.01], rhs), np.ones(1),
+            return _outcome(PiecewiseOde(1, [0.0, 0.1], rhs), np.ones(1),
                             "forward", settings)
 
     if loop == "scalar":
-        rhs, calls = _nan_at_call(stage + 1)
-        got = [_outcome(PiecewiseOde(1, [0.0, 0.01], rhs), np.ones(1),
+        rhs, calls = _nan_at_call(call)
+        got = [_outcome(PiecewiseOde(1, [0.0, 0.1], rhs), np.ones(1),
                         "forward", settings)]
-        refs = [reference(stage + 1)]
+        refs = [reference(call)]
     else:
-        refs = [reference(None), reference(stage + 1)]
-        rhs, calls = _nan_at_call(stage + 1, lane=1)
-        seg = np.array([[0.0, 0.0], [0.01, 0.01]])
+        refs = [reference(None), reference(call)]
+        rhs, calls = _nan_at_call(call, lane=1)
+        seg = np.array([[0.0, 0.0], [0.1, 0.1]])
         traj = integrate_piecewise(PiecewiseOde(1, seg, rhs), np.ones((1, 2)),
                                    settings=settings)
         t, h = traj.records[0][:2]
         got = [(np.array(traj.breakpoint_states)[:, :, b],
-                np.append(t[h[:, b] > 0, b], 0.01), traj.steps[b])
+                np.append(t[h[:, b] > 0, b], 0.1), traj.steps[b])
                for b in (0, 1)]
-    assert np.all(calls[stage] == odeint._C[stage] * odeint._H_INIT)
+    assert np.all(calls[call - 1] == odeint._C[stage] * h_first)
     _, step_times, steps = got[-1]
-    assert step_times[1] == 0.5 * odeint._H_INIT
+    assert step_times[1] == 0.5 * h_first
     assert steps == step_times.size  # one attempt more than steps
     for g, ref in zip(got, refs):
         assert all(np.array_equal(a, b) for a, b in zip(g, ref))
