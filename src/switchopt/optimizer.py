@@ -289,33 +289,29 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
 
     def newton_trial(zq, gq, max_steps):
         """(z, fwd, bundle, g) at the projected Newton step from zq, or
-        None where a sweep fails or H has no positive eigenvalue."""
+        None where H has no positive eigenvalue; a failed sweep raises."""
         nonlocal n_forward, n_backward
         dim = zq.size
         bumps = np.diag(_HESSIAN_STEP * np.maximum(1.0, np.abs(zq)))
         lanes = np.array([var.project(zq + b) for b in bumps]
                          + [var.project(zq - b) for b in bumps])
         n_forward, n_backward = n_forward + 2 * dim, n_backward + 2 * dim
-        try:
-            G = var.gradient(evaluate_gradient(
-                prob, [var.unpack(zl) for zl in lanes],
-                replace(ode_settings, max_steps=max_steps)),
-                lanes[:, -1] if var.free_time else var.T0)
-            # column i over the projected bumps' own width in z_i
-            H = (G[:, :dim] - G[:, dim:]) \
-                / np.diag(lanes[:dim] - lanes[dim:])
-            H = 0.5 * (H + H.T)
-            if not np.isfinite(H).all():
-                return None
-            w, V = np.linalg.eigh(H)
-            if not w[-1] > 0:
-                return None
-            w = np.maximum(w, _EIGEN_FLOOR * w[-1])
-            z_new = var.project(zq - V @ ((V.T @ gq) / w))
-            fwd_new = objective_at(z_new, max_steps)
-            bundle_new = gradient_at(z_new, fwd_new)
-        except _TRIAL_FAILURES:
+        G = var.gradient(evaluate_gradient(
+            prob, [var.unpack(zl) for zl in lanes],
+            replace(ode_settings, max_steps=max_steps)),
+            lanes[:, -1] if var.free_time else var.T0)
+        # column i over the projected bumps' own width in z_i
+        H = (G[:, :dim] - G[:, dim:]) / np.diag(lanes[:dim] - lanes[dim:])
+        H = 0.5 * (H + H.T)
+        if not np.isfinite(H).all():
             return None
+        w, V = np.linalg.eigh(H)
+        if not w[-1] > 0:
+            return None
+        w = np.maximum(w, _EIGEN_FLOOR * w[-1])
+        z_new = var.project(zq - V @ ((V.T @ gq) / w))
+        fwd_new = objective_at(z_new, max_steps)
+        bundle_new = gradient_at(z_new, fwd_new)
         return (z_new, fwd_new, bundle_new,
                 var.gradient(bundle_new, var.unpack(z_new).T or var.T0))
 
@@ -343,7 +339,10 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
         budget = min(ode_settings.max_steps, _TRIAL_STEP_FACTOR * fwd.steps)
 
         if newton:
-            trial = newton_trial(z, g, budget)
+            try:
+                trial = newton_trial(z, g, budget)
+            except _TRIAL_FAILURES:
+                trial = None
             pg_new = np.inf if trial is None else projected(trial[0],
                                                             trial[3])
             if not pg_new < pg:
