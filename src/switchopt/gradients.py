@@ -76,7 +76,7 @@ class TrajectoryRecord:
     # per phase, the accepted steps (tau, h, z, K): odeint.DenseTrajectory,
     # on lanes with a lane axis after the step axis
     records: list = field(repr=False)
-    # the sweep's rhs(j, tau, z), at a point or on lanes
+    # the sweep's rhs(j, tau, z), at a point or on lanes: dz/dtau = T rhs
     rhs: Callable = field(repr=False)
 
     @cached_property
@@ -86,7 +86,7 @@ class TrajectoryRecord:
         gradient evaluation pays for none."""
         _one_configuration(self, "states and costates")
         return sample_states(self.rhs, self.sigma, self.records,
-                             self.checkpoints, self.times / self.T)
+                             self.checkpoints, self.times / self.T, self.T)
 
     @property
     def states(self):
@@ -155,10 +155,10 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
     n, flows = prob.n, _resolved(phase_flow, prob)
 
     def rhs(j, tau, z):
-        return T * flows[j](tau * T, z)
+        return flows[j](tau * T, z)
 
-    traj = integrate_piecewise(PiecewiseOde(dim=len(z0), segments=sigma,
-                                            rhs=rhs), z0, settings=settings)
+    traj = integrate_piecewise(PiecewiseOde(len(z0), sigma, rhs, scale=T),
+                               z0, settings=settings)
     times = phase = None
     if not lanes:
         times = np.linspace(0.0, 1.0, max(2, sample_count)) * T
@@ -360,7 +360,7 @@ def _lam_at_samples(prob, fwd, bwd):
         if off.any():
             a, after = at[off], nodal[n[off] + 1]
             h = times[n[off] + 1] - tau[a]
-            _, K = _step(lambda t, y: fwd.rhs(j, t, y.T).T, tau[a], h, x[a])
+            _, K = _step(fwd.rhs, j, tau[a], h, x[a], fwd.T)
             D = _fold(prob, j, fwd.T, (tau[a], h, x[a], K))
             lam[a] = after + (after[:, None, :] @ D)[:, 0, :]
     return lam

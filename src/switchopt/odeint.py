@@ -14,15 +14,16 @@ reads: the scalar loop, the lockstep loop of B lanes, ``sample_states``,
 each sample one step of the method from the node before it, and the fold
 of accepted steps into the transition matrices of the reverse pass.
 ``integrate_piecewise`` runs the loop that the breakpoints' shape picks.
-Both loops record a segment's accepted steps as arrays (t, h, y, K), the
-step axis first, test each attempt's new state once and share one
-starting step and one error norm.
+Both loops hold a step as Z = [y; h s k_0; ..], whose products give each
+stage point, the new state and the error estimates, record a segment's
+accepted steps as arrays (t, h, y, K), the step axis first, test each
+attempt's new state once and share one starting step and one error norm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,6 +130,10 @@ _STAGES = len(_C)
 _WEIGHTED = int(np.flatnonzero(_B)[-1]) + 1
 # the stages a record keeps: they rebuild the points of the weighted ones
 _RECORDED = _WEIGHTED - 1
+# the weights on Z of the stage points, the new state and the error estimates
+_A1 = [np.append(1.0, row) for row in _A]
+_B1 = np.append(1.0, _B)
+_ERR = np.vstack((_E5, _E3))
 # _A_ROWS[i, l] = a_li, the weight of stage i in stage l > i
 _A_ROWS = np.zeros((_WEIGHTED, _WEIGHTED))
 for _l in range(1, _WEIGHTED):
@@ -154,27 +159,30 @@ class IntegratorSettings:
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be finite and positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if type(self.max_steps) is bool or not isinstance(
+                self.max_steps, (int, np.integer)) or self.max_steps < 1:
+            raise ValueError("max_steps must be an integer >= 1")
 
 
 @dataclass(frozen=True)
 class PiecewiseOde:
-    """ODE whose right-hand side is selected by the active segment.
+    """dx/dt = scale rhs(j, t, x), the RHS selected by the active segment.
 
     ``segments`` is the ordered breakpoint list; segment j spans
     [segments[j], segments[j+1]] and ``rhs(j, t, x)`` is only evaluated
-    with t inside that closed interval.
+    with t inside that closed interval.  The positive ``scale`` enters the
+    steps' stage increments, not each RHS value.
 
     ``segments`` of shape (nseg+1, B) describes B lanes, stepped in
-    lockstep: column b holds lane b's breakpoints, and ``rhs`` takes t of
-    shape (B,) and states of shape (dim, B), as in
-    ``gradients.forward_sweep`` of a list of configurations.
+    lockstep: column b holds lane b's breakpoints, ``scale`` is a float or
+    (B,), and ``rhs`` takes t of shape (B,) and states of shape (dim, B),
+    as in ``gradients.forward_sweep`` of a list of configurations.
     """
 
     dim: int
     segments: Sequence[float]
     rhs: Callable[[int, float, np.ndarray], np.ndarray]
+    scale: float | np.ndarray = 1.0
 
     def __post_init__(self):
         seg = np.asarray(self.segments, dtype=float)
@@ -182,6 +190,9 @@ class PiecewiseOde:
             raise ValueError("need at least two breakpoints")
         if not np.all(np.diff(seg, axis=0) > 0):
             raise ValueError("breakpoints must be strictly increasing")
+        if np.shape(self.scale) not in ((), seg.shape[1:]) or not np.all(
+                np.isfinite(self.scale) & np.greater(self.scale, 0)):
+            raise ValueError("scale must be finite, positive and per lane")
         object.__setattr__(self, "segments", seg)
 
 
@@ -196,9 +207,9 @@ class DenseTrajectory:
 
     ``records[j]`` holds segment j's N accepted steps as arrays (t, h, y,
     K) of shapes (N,), (N,), (N, dim), (N, _RECORDED, dim): step n starts
-    at (t[n], y[n]) with length h[n], and K[n] holds its first _RECORDED
-    stages, K[n, 0] = rhs(j, t[n], y[n]), which rebuild the points of all
-    the stages that enter y_{n+1}.
+    at (t[n], y[n]) with length h[n], and K[n] holds the increments of its
+    first _RECORDED stages, K[n, 0] = h[n] scale rhs(j, t[n], y[n]), which
+    rebuild the points of all the stages that enter y_{n+1}.
 
     On B lanes the states are (dim, B), ``steps`` (B,), ``step_times``
     (nodes, B) and ``records[j]`` the lockstep loop's record, t and h (I,
@@ -212,19 +223,19 @@ class DenseTrajectory:
     records: list = field(repr=False, default=None)
 
 
-def _error_norm(h, k, scale):
-    """The error norm of steps of length h with stages k, (stages, dim), or
-    on B lanes h (B,) and k (B, stages, dim), for the error weights
-    ``scale`` of the states' shape: |h| err5^2 / sqrt(dim (err5^2 + 0.01
-    err3^2)), err5 and err3 the squared weighted 2-norms of the 5th- and
-    3rd-order estimates (Hairer, Norsett & Wanner, section II.10).  Both
-    loops call it, so that a lane's norm is its scalar loop's; on a point
-    it makes no 0-d array.  den + (den == 0) is den, or 1 where den = 0.
+def _error_norm(dk, weights):
+    """The error norm of steps with stage increments dk = h s k, (stages,
+    dim), or on B lanes (B, stages, dim), for error weights of the states'
+    shape: err5^2 / sqrt(dim (err5^2 + 0.01 err3^2)), err5 and err3 the
+    squared weighted 2-norms of the 5th- and 3rd-order estimates (E5; E3)
+    dk, which carry the factor |h| (Hairer, Norsett & Wanner, II.10).
+    Both loops call it, so that a lane's norm is its scalar loop's; on a
+    point it makes no 0-d array.  den + (den == 0) is den, or 1 at den = 0.
     """
-    err5 = np.add.reduce(np.square((_E5 @ k) / scale), axis=-1)
-    err3 = np.add.reduce(np.square((_E3 @ k) / scale), axis=-1)
+    err = np.square((_ERR @ dk) / weights[..., None, :])
+    err5, err3 = np.add.reduce(err, axis=-1).T
     den = err5 + 0.01 * err3
-    return abs(h) * err5 / np.sqrt((den + (den == 0.0)) * scale.shape[-1])
+    return err5 / np.sqrt((den + (den == 0.0)) * weights.shape[-1])
 
 
 def _start_step(probe, y, f0, span, settings):
@@ -258,8 +269,8 @@ def _start_step(probe, y, f0, span, settings):
     return np.where(h >= _H_MIN, h, _H_MIN)
 
 
-def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
-    """Integrate dy/dt = rhs(j, t, y) over [t0, t1].
+def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale):
+    """Integrate dy/dt = scale rhs(j, t, y) over [t0, t1].
 
     Returns (y_end, steps_used, record), the record of its N accepted
     steps as ``DenseTrajectory`` holds it.  The first attempt's step is
@@ -268,14 +279,15 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
     or division: an attempt with a non-finite new state, tested once after
     all its stages, halves the step, down to ``NonFiniteState`` at _H_MIN,
     and a non-finite first call raises it.  Every stage enters that state:
-    0 inf and 0 NaN are NaN in ``np.dot(_B, k)``, whose bits are ``@``'s.
+    0 inf and 0 NaN are NaN in ``_B1.dot(Z)``, whose bits are ``@``'s.
     """
     t, y = t0, np.array(y0, dtype=float)
     err_prev = 1.0
     steps = 0
     record = []
-    k = np.empty((_STAGES, y.size))
-    k_cols = [k[:i].T for i in range(_STAGES)]
+    Z = np.empty((_STAGES + 1, y.size))
+    stages = [(_C[i], Z[:i + 1].T, _A1[i], Z[i + 1])
+              for i in range(1, _STAGES)]
     abs_y = np.abs(y)
     abs_tol, rel_tol = settings.abs_tol, settings.rel_tol
 
@@ -283,9 +295,9 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
         k1 = rhs(j, t, y)
         if not np.isfinite(k1).all():
             raise NonFiniteState(f"non-finite derivative at t={t}")
-        h = float(_start_step(lambda h0: rhs(j, t + float(h0),
-                                             y + float(h0) * k1),
-                              y, k1, t1 - t0, settings))
+        sf = scale * k1
+        h = float(_start_step(lambda h0: scale * rhs(
+            j, t + float(h0), y + float(h0) * sf), y, sf, t1 - t0, settings))
 
         while t < t1:
             if steps >= budget:
@@ -293,11 +305,12 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
             clipped = h >= t1 - t
             h_try = t1 - t if clipped else h
 
-            k[0] = k1
-            for i in range(1, _STAGES):
-                k[i] = rhs(j, t + _C[i] * h_try,
-                           y + h_try * np.dot(k_cols[i], _A[i]))
-            y_new = y + h_try * np.dot(_B, k)
+            hs, Z[0] = h_try * scale, y
+            np.multiply(k1, hs, Z[1])
+            for c, columns, a, dk in stages:
+                fsal = rhs(j, t + c * h_try, columns.dot(a))
+                np.multiply(fsal, hs, dk)
+            y_new = _B1.dot(Z)
 
             steps += 1
             if not np.isfinite(y_new).all():
@@ -307,14 +320,12 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget):
                 continue
 
             abs_new = np.abs(y_new)
-            err = float(_error_norm(h_try, k, abs_tol + rel_tol
+            err = float(_error_norm(Z[1:], abs_tol + rel_tol
                                     * np.maximum(abs_y, abs_new)))
             if err <= 1.0:
-                K = k.copy()  # the next attempt overwrites k
-                record.append((t, h_try, y, K[:_RECORDED]))
+                record.append((t, h_try, y, Z[1:_RECORDED + 1].copy()))
                 t = t1 if clipped else t + h_try
-                y, abs_y = y_new, abs_new
-                k1 = K[-1]    # FSAL
+                y, abs_y, k1 = y_new, abs_new, fsal   # FSAL
                 fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
                 err_prev = max(err, 1e-10)
                 h = h_try * min(_FAC_MAX, max(_FAC_MIN, fac))
@@ -343,27 +354,29 @@ def _node_before(times, sample_times):
     return n, sample_times != times[n]
 
 
-def _stage_point(y, h, k, i):
-    """y + h sum_{l<i} a_il k_l, the point of stage i of steps from y over
-    h, lane-major: y (M, dim), h (M,), k (M, >= i, dim)."""
-    return y + h[:, None] * (k[:, :i].transpose(0, 2, 1) @ _A[i])
+def _stage_point(Z, i):
+    """y + sum_{l<i} a_il dk_l, the point of stage i of steps Z = [y; dk_0;
+    ..], lane-major (M, > i, dim), by the loops' product."""
+    return Z[:, :i + 1].transpose(0, 2, 1) @ _A1[i]
 
 
-def _step(f, t, h, y):
-    """One step of the method from (t, y) over h at M points at once,
-    lane-major: t and h (M,), y (M, dim), and f maps t (M,) and states (M,
-    dim) to (M, dim).  Returns the end state and the _WEIGHTED stages that
-    enter it, (M, _WEIGHTED, dim); the FSAL stage is not evaluated."""
-    k = np.empty(y.shape[:1] + (_WEIGHTED,) + y.shape[1:])
-    k[:, 0] = f(t, y)
-    for i in range(1, _WEIGHTED):
-        k[:, i] = f(t + _C[i] * h, _stage_point(y, h, k, i))
-    return y + h[:, None] * (_B[:_WEIGHTED] @ k), k
+def _step(rhs, j, t, h, y, scale):
+    """One step of dy/dt = scale rhs(j, t, y) from (t, y) over h at M points
+    at once: t and h (M,), y (M, dim), and rhs takes t (M,) and states (dim,
+    M).  Returns the end state and the increments of the _WEIGHTED stages
+    that enter it, (M, _WEIGHTED, dim); the FSAL stage is not evaluated."""
+    Z = np.empty(y.shape[:1] + (_WEIGHTED + 1,) + y.shape[1:])
+    Z[:, 0], hs = y, (h * scale)[:, None]
+    np.multiply(rhs(j, t, y.T).T, hs, Z[:, 1])
+    for i, c in enumerate(_C[1:_WEIGHTED], 1):
+        np.multiply(rhs(j, t + c * h, _stage_point(Z, i).T).T, hs, Z[:, i + 1])
+    return _B1[:_WEIGHTED + 1] @ Z, Z[:, 1:]
 
 
-def sample_states(rhs, segments, records, breakpoint_states, sample_times):
-    """The states at ``sample_times``, in the order given, of the
-    integration with these segment records and breakpoint states.
+def sample_states(rhs, segments, records, breakpoint_states, sample_times,
+                  scale=1.0):
+    """The states at ``sample_times``, in the order given, of dy/dt = scale
+    rhs(j, t, y) integrated with these records and breakpoint states.
 
     A sample takes the state of the last node at or before it, advanced
     by one step of the method to the sample, so it has the accuracy of the
@@ -388,8 +401,8 @@ def sample_states(rhs, segments, records, breakpoint_states, sample_times):
         out[at] = states[n]
         if off.any():
             a, n = at[off], n[off]
-            out[a] = _step(lambda t, y: rhs(j, t, y.T).T, times[n],
-                           sample_times[a] - times[n], states[n])[0]
+            out[a] = _step(rhs, j, times[n], sample_times[a] - times[n],
+                           states[n], scale)[0]
     return out
 
 
@@ -411,8 +424,8 @@ def integrate_piecewise(ode, x_start, *, settings=None):
 
     bp_states, records, times, used = [y], [], [], 0
     for j in range(len(segments) - 1):
-        y, steps, record = loop(ode.rhs, j, segments[j], segments[j + 1], y,
-                                settings, settings.max_steps - used)
+        y, steps, record = loop(ode.rhs, j, *segments[j:j + 2], y, settings,
+                                settings.max_steps - used, ode.scale)
         used = used + steps
         bp_states.append(y)
         records.append(record)
@@ -424,18 +437,18 @@ def integrate_piecewise(ode, x_start, *, settings=None):
 def integrate_with_quadrature(ode, x_start, integrand, *, settings=None):
     """Integrate the ODE while accumulating a scalar quadrature state.
 
-    Returns (trajectory, value) where value = integral of integrand(j, t, x)
-    over the full interval.  The quadrature is one more component of the
-    state and enters the error test like the others.  The gradient sweeps
-    do not use it; the tests integrate the paper's dC/dT quadrature with
-    it as an oracle.
+    Returns (trajectory, value) where value = integral of ode.scale
+    integrand(j, t, x) over the full interval.  The quadrature is one more
+    component of the state and enters the error test like the others.  The
+    gradient sweeps do not use it; the tests integrate the paper's dC/dT
+    quadrature with it as an oracle.
     """
     def rhs(j, t, z):
         dx = ode.rhs(j, t, z[:-1])
         return np.concatenate((dx, np.reshape(integrand(j, t, z[:-1]),
                                               (1,) + np.shape(t))))
 
-    aug = PiecewiseOde(dim=ode.dim + 1, segments=ode.segments, rhs=rhs)
+    aug = replace(ode, dim=ode.dim + 1, rhs=rhs)
     z0 = np.append(np.asarray(x_start, dtype=float), 0.0)
     traj = integrate_piecewise(aug, z0, settings=settings)
     quad = traj.breakpoint_states[-1][-1]
@@ -449,22 +462,20 @@ def _lane_error(kind, failing, message):
     return kind(f"lane {b}: {message(b)}")
 
 
-def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
+def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale):
     """``_integrate_segment`` for B lanes in lockstep.
 
-    t0, t1 and budget have shape (B,) and y0 shape (dim, B).  Every lane
-    applies the scalar rules with its own t, h, error history and budget.
-    The stages are held lane-major, (B, stages, dim), so that each lane's
-    tableau products are the scalar loop's own BLAS calls and its error
-    norm the scalar loop's formula: given the same RHS values, a lane
-    repeats its scalar integration bit for bit, which keeps step counts
+    t0, t1, budget and scale have shape (B,) and y0 shape (dim, B).  Every
+    lane applies the scalar rules with its own t, h, error history and
+    budget.  Z is lane-major, (B, 1 + stages, dim), so that a lane's
+    products are the scalar loop's BLAS calls: given the same RHS values, a
+    lane repeats its scalar integration bit for bit, which keeps step counts
     equal where the error estimate is rounding noise.  A lane that has
     reached t1 is frozen, trying steps of length 0, until all have.
     The first failure raises, naming its lane.  Returns (y_end,
-    steps_used, record): the steps per lane, and the scalar loop's record
-    with a lane axis after the step axis, over the I attempts in which
-    some lane accepted a step: t and h (I, B), y (I, B, dim), K (I, B,
-    _RECORDED, dim).  A lane that accepted none there has h = 0 and K = 0,
+    steps_used, record): the steps per lane, and the record of
+    ``DenseTrajectory`` on lanes, over the I attempts in which some lane
+    accepted a step.  A lane that accepted none there has h = 0 and K = 0,
     so that its step folds to the identity even if it went non-finite.
     """
     def f(t, y):
@@ -474,7 +485,8 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
     err_prev = np.ones(t.shape)
     steps = np.zeros(t.shape, dtype=int)
     record = []
-    k = np.empty((t.size, _STAGES, y.shape[1]))
+    Z = np.empty((t.size, _STAGES + 1, y.shape[1]))
+    scale = np.broadcast_to(scale, t.shape)[:, None]
     active = t < t1
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -483,8 +495,9 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
         if bad.any():
             raise _lane_error(NonFiniteState, bad,
                               lambda b: f"non-finite derivative at t={t[b]}")
-        h = _start_step(lambda h0: f(t + h0, y + h0[:, None] * k1),
-                        y, k1, t1 - t0, settings)
+        sf = scale * k1
+        h = _start_step(lambda h0: scale * f(t + h0, y + h0[:, None] * sf),
+                        y, sf, t1 - t0, settings)
 
         while active.any():
             over = active & (steps >= budget)
@@ -494,14 +507,16 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
             clipped = h >= t1 - t
             h_try = np.where(active, np.where(clipped, t1 - t, h), 0.0)
 
-            k[:, 0] = k1
+            hs, Z[:, 0] = h_try[:, None] * scale, y
+            np.multiply(k1, hs, out=Z[:, 1])
             for i in range(1, _STAGES):
-                k[:, i] = f(t + _C[i] * h_try, _stage_point(y, h_try, k, i))
-            y_new = y + h_try[:, None] * (_B @ k)
+                fsal = f(t + _C[i] * h_try, _stage_point(Z, i))
+                np.multiply(fsal, hs, out=Z[:, i + 1])
+            y_new = _B1 @ Z
             failed = active & ~np.isfinite(y_new).all(axis=1)
             steps += active
 
-            err = _error_norm(h_try, k, settings.abs_tol + settings.rel_tol
+            err = _error_norm(Z[:, 1:], settings.abs_tol + settings.rel_tol
                               * np.maximum(np.abs(y), np.abs(y_new)))
             tested = active & ~failed
             accept = tested & (err <= 1.0)
@@ -518,11 +533,11 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget):
             if accept.any():
                 record.append((t, np.where(accept, h_try, 0.0), y,
                                np.where(accept[:, None, None],
-                                        k[:, :_RECORDED], 0.0)))
+                                        Z[:, 1:_RECORDED + 1], 0.0)))
 
             t = np.where(accept, np.where(clipped, t1, t + h_try), t)
             y = np.where(accept[:, None], y_new, y)
-            k1 = np.where(accept[:, None], k[:, -1], k1)   # FSAL
+            k1 = np.where(accept[:, None], fsal, k1)   # FSAL
             err_prev = np.where(accept, np.maximum(err, 1e-10), err_prev)
 
             dead = (failed | reject) & (h < _H_MIN)
@@ -543,10 +558,8 @@ def _stage_points(tau, h, y, K):
     the step axis first, (N,), (N,), (N, d) and (N, >= _RECORDED, d), by
     the loops' own tableau products: shapes (N, _WEIGHTED) and (N,
     _WEIGHTED, d).  Stage 0's point is the step's start."""
-    Y = np.empty(y.shape[:1] + (_WEIGHTED,) + y.shape[1:])
-    Y[:, 0] = y
-    for i in range(1, _WEIGHTED):
-        Y[:, i] = _stage_point(y, h, K, i)
+    Z = np.concatenate((y[:, None], K[:, :_RECORDED]), axis=1)
+    Y = np.stack([y] + [_stage_point(Z, i) for i in range(1, _WEIGHTED)], 1)
     return tau[:, None] + np.array(_C[:_WEIGHTED]) * h[:, None], Y
 
 

@@ -67,9 +67,11 @@ class OptimizeSettings:
     max_iters: int = 300
 
     def __post_init__(self):
-        if not 0 < self.stat_tol < math.inf or self.max_iters < 1:
+        if not 0 < self.stat_tol < math.inf or type(self.max_iters) is bool \
+                or not isinstance(self.max_iters, (int, np.integer)) \
+                or self.max_iters < 1:
             raise ValueError("stat_tol must be finite and positive, and "
-                             "max_iters >= 1")
+                             "max_iters an integer >= 1")
 
 
 @dataclass

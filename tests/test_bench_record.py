@@ -49,6 +49,23 @@ def test_record_alternates_the_side_that_runs_first(bench):
     assert module.main(["compare", "base", "new"]) == 0
 
 
+def test_check_refuses_a_record_of_a_dirty_checkout(bench, capsys):
+    # a record whose checkout had uncommitted changes does not measure the
+    # commit it names
+    module, _, out = bench
+    assert module.main(["record", "--workload", "solve", "new=/x/change"]) \
+        == 0
+    path = out / "BENCH_new_solve.json"
+    doc = json.loads(path.read_text())
+    assert doc["git_dirty"] is False
+    assert module.main(["check", str(path)]) == 0
+    doc["git_dirty"] = True
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert module.main(["check", str(path)]) == 1
+    assert "git_dirty" in capsys.readouterr().out
+
+
 def test_record_refuses_a_label_given_twice(bench):
     module, calls, _ = bench
     with pytest.raises(SystemExit, match="each label names one checkout"):

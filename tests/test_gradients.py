@@ -654,12 +654,14 @@ CONFIGS = {
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_stage_points_are_where_the_scalar_loop_called_the_rhs(name, tol):
     # the fold and the margins rebuild each accepted step's stage points
-    # from the record by odeint._stage_points; they are the points at which
-    # the scalar loop evaluated them, bit for bit: stages 1 .. _WEIGHTED - 1
-    # in the step's attempt, stage 0 in the FSAL call of the step before or
-    # the segment's first call.  The segment's second call, the starting
+    # from the record, its start and stage increments, by
+    # odeint._stage_points; they are the points at which the scalar loop
+    # evaluated them, bit for bit: stages 1 .. _WEIGHTED - 1 in the step's
+    # attempt, stage 0 in the FSAL call of the step before or the
+    # segment's first call.  The segment's second call, the starting
     # step's probe, is the one RHS point that is no stage.  This pins the
-    # loop's tableau products to _stage_point's
+    # loop's tableau products to _stage_point's.  The sweep's ODE is
+    # dz/dtau = T rhs: with scale T the integration repeats the sweep's
     T, cfg = CONFIGS[name]
     settings = IntegratorSettings(rel_tol=tol, abs_tol=tol)
     fwd = forward_sweep(build_problem(name, T=T), cfg, settings)
@@ -670,8 +672,10 @@ def test_stage_points_are_where_the_scalar_loop_called_the_rhs(name, tol):
         return fwd.rhs(j, tau, z)
 
     traj = integrate_piecewise(PiecewiseOde(len(fwd.checkpoints[0]),
-                                            fwd.sigma, rhs),
+                                            fwd.sigma, rhs, scale=fwd.T),
                                fwd.checkpoints[0], settings=settings)
+    for got, want in zip(traj.records, fwd.records):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
     per, W = odeint._STAGES - 1, odeint._WEIGHTED
     for j, record in enumerate(traj.records):
         tau, Y = odeint._stage_points(*record)
@@ -700,6 +704,22 @@ def test_catalyst2_sweep_starts_each_phase_at_its_estimate(cfg):
     # from a fixed first step: a catalyst2 forward sweep at tol 1e-11 takes
     # at most 16 attempts (13 measured; 26 and 29 from a fixed 1e-3)
     assert forward_sweep(build_problem("catalyst2"), cfg, TIGHT).steps <= 16
+
+
+# forward-sweep attempts at tol 1e-11 at CONFIGS, measured before the loops
+# held stage increments h T k in place of the stages T k
+ATTEMPTS_TIGHT = {"catalyst1": 17, "catalyst2": 15, "jacobson": 25,
+                  "bressan": 23, "goddard": 33}
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_tight_sweep_attempts_stay_put(name):
+    # a reformulation of the sweep that inflates its mesh fails here: on
+    # physical time, where the Hairer-Wanner start is not the one on tau,
+    # jacobson, bressan and goddard take 4, 8 and 11 attempts more
+    T, cfg = CONFIGS[name]
+    steps = forward_sweep(build_problem(name, T=T), cfg, TIGHT).steps
+    assert steps <= ATTEMPTS_TIGHT[name] + 1
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))

@@ -93,15 +93,15 @@ def test_step_converges_at_order_eight():
     # one step of the method, on lanes, from y(0) = 1 of y' = y cos t,
     # whose solution is exp(sin t): halving h cuts the error at t = 2 by
     # at least 2^7.5
-    def f(t, y):
-        return y * np.cos(t)[:, None]
+    def f(j, t, y):
+        return y * np.cos(t)
 
     errs = []
     for n in (8, 16):
         t, y = np.zeros(1), np.ones((1, 1))
         h = np.full(1, 2.0 / n)
         for _ in range(n):
-            y, K = odeint._step(f, t, h, y)
+            y, K = odeint._step(f, 0, t, h, y, 1.0)
             t = t + h
         assert K.shape == (1, odeint._WEIGHTED, 1)
         errs.append(abs(y[0, 0] - np.exp(np.sin(2.0))))
@@ -112,22 +112,31 @@ def test_step_converges_at_order_eight():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), lanes=st.integers(1, 6), dim=st.integers(1, 5))
 def test_error_norm_of_a_point_is_its_lane(data, lanes, dim):
-    # stage values of magnitude 1e-300 .. 1e10 and either sign, exact
-    # zeros, and lanes of zero stages only, whose den is 0
+    # stage increments of magnitude 1e-300 .. 1e10 and either sign, exact
+    # zeros, and lanes of zero increments only, whose den is 0
     shape = (lanes, odeint._STAGES, dim)
-    k = 10.0 ** data.draw(arrays(float, shape, elements=st.floats(-300, 10)))
-    k[data.draw(arrays(bool, shape))] *= -1.0
-    k[data.draw(arrays(bool, shape))] = 0.0
+    dk = 10.0 ** data.draw(arrays(float, shape, elements=st.floats(-300, 10)))
+    dk[data.draw(arrays(bool, shape))] *= -1.0
+    dk[data.draw(arrays(bool, shape))] = 0.0
     zero = data.draw(arrays(bool, lanes))
-    k[zero] = 0.0
-    h = data.draw(arrays(float, lanes, elements=st.floats(-1.0, 1.0)))
-    scale = 10.0 ** data.draw(arrays(float, (lanes, dim),
-                                     elements=st.floats(-12, 4)))
-    on_lanes = odeint._error_norm(h, k, scale)
+    dk[zero] = 0.0
+    weights = 10.0 ** data.draw(arrays(float, (lanes, dim),
+                                       elements=st.floats(-12, 4)))
+    on_lanes = odeint._error_norm(dk, weights)
     for b in range(lanes):
-        point = odeint._error_norm(float(h[b]), k[b], scale[b])
+        point = odeint._error_norm(dk[b], weights[b])
         assert np.float64(point).tobytes() == on_lanes[b].tobytes()
     assert np.all(on_lanes[zero] == 0.0)
+
+
+def test_error_norm_of_increments_carries_the_step():
+    # the norm of the increments h k is |h| times the norm of the stages k,
+    # as the estimates are linear in them: no separate factor |h|
+    rng = np.random.default_rng(3)
+    k, weights = rng.normal(size=(odeint._STAGES, 3)), np.full(3, 1e-6)
+    for h in (1e-3, -0.25, 2.0):
+        assert odeint._error_norm(h * k, weights) == pytest.approx(
+            abs(h) * odeint._error_norm(k, weights), rel=1e-14)
 
 
 def test_exponential_decay():
@@ -392,16 +401,17 @@ def test_start_below_h_min_is_raised_to_it(loop):
 # one finiteness test per step attempt
 # ---------------------------------------------------------------------------
 
-def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget):
+def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget, scale):
     """The segment loop that tests each stage for finiteness and stops an
-    attempt at the first non-finite one (reference)."""
+    attempt at the first non-finite one (reference).  It holds a step as
+    the library does, Z = [y; dk_0; ..] with the stage increments dk_i = h
+    scale k_i, and takes the same products on it."""
     S = odeint._STAGES
     t, y = t0, np.array(y0, dtype=float)
     err_prev = 1.0
     steps = 0
     record = []
-    k = np.empty((S, y.size))
-    k_cols = [k[:i].T for i in range(S)]
+    Z = np.empty((S + 1, y.size))
     abs_y = np.abs(y)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -410,8 +420,9 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget):
             raise NonFiniteState(f"non-finite derivative at t={t}")
         # the library's starting step, from the same probe call
         h = float(odeint._start_step(
-            lambda h0: rhs(j, t + float(h0), y + float(h0) * k1), y, k1,
-            t1 - t0, settings))
+            lambda h0: scale * rhs(j, t + float(h0),
+                                   y + float(h0) * (scale * k1)),
+            y, scale * k1, t1 - t0, settings))
 
         while t < t1:
             if steps >= budget:
@@ -419,16 +430,17 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget):
             clipped = h >= t1 - t
             h_try = t1 - t if clipped else h
 
-            k[0] = k1
+            Z[0], Z[1] = y, k1 * (h_try * scale)
             failed = False
             for i in range(1, S):
-                k[i] = rhs(j, t + odeint._C[i] * h_try,
-                           y + h_try * (k_cols[i] @ odeint._A[i]))
-                if not np.isfinite(k[i]).all():
+                k = rhs(j, t + odeint._C[i] * h_try,
+                        Z[:i + 1].T @ odeint._A1[i])
+                Z[i + 1] = k * (h_try * scale)
+                if not np.isfinite(Z[i + 1]).all():
                     failed = True
                     break
             if not failed:
-                y_new = y + h_try * (odeint._B @ k)
+                y_new = odeint._B1 @ Z
                 failed = not np.isfinite(y_new).all()
 
             steps += 1
@@ -440,14 +452,13 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget):
 
             abs_new = np.abs(y_new)
             err = float(odeint._error_norm(
-                h_try, k, settings.abs_tol
+                Z[1:], settings.abs_tol
                 + settings.rel_tol * np.maximum(abs_y, abs_new)))
             if err <= 1.0:
-                K = k.copy()
-                record.append((t, h_try, y, K[:odeint._RECORDED]))
+                record.append((t, h_try, y, Z[1:odeint._RECORDED + 1].copy()))
                 t = t1 if clipped else t + h_try
                 y, abs_y = y_new, abs_new
-                k1 = K[S - 1]
+                k1 = k
                 fac = odeint._FAC_MAX if err == 0.0 else (
                     odeint._SAFETY * err ** (-odeint._ALPHA)
                     * err_prev ** odeint._BETA)
@@ -605,6 +616,15 @@ def test_settings_validation():
         IntegratorSettings(max_steps=0)
 
 
+@pytest.mark.parametrize("budget", [np.nan, np.inf, 2.5, 10.0, True, "10"])
+def test_step_budget_must_be_an_integer(budget):
+    # steps >= nan is never true, so a NaN budget would be no budget, and
+    # minimize's trial budget min(max_steps, 2 steps) would be NaN too
+    with pytest.raises(ValueError, match="max_steps must be an integer"):
+        IntegratorSettings(max_steps=budget)
+    assert IntegratorSettings(max_steps=np.int64(5)).max_steps == 5
+
+
 def _piecewise_oscillator():
     def rhs(j, t, x):
         w = (1.0, 3.0, 0.5)[j]
@@ -724,6 +744,68 @@ def test_lanes_take_the_scalar_steps():
         repeated += traj.steps - (traj.step_times.size - 2)
     # both the non-finite halving and the error test's rejection ran
     assert repeated > 2 * lanes
+
+
+def _rotation_decay(a, w):
+    """rhs of y' = (a_j I + w_j J) y on segment j, J the rotation by pi/2,
+    elementwise, so that a lane's values are its point's bits."""
+    def rhs(j, t, y):
+        return np.array([a[j] * y[0] - w[j] * y[1], w[j] * y[0] + a[j] * y[1]])
+    return rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), nseg=st.integers(1, 3), lanes=st.integers(1, 4),
+       tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+def test_scale_on_lanes_is_the_scalar_scale(data, nseg, lanes, tol):
+    # dy/dtau = s (a_j I + w_j J) y on random breakpoints per lane, with a
+    # decay a_j in [-1, 0], a turn rate w_j in [0, 2] and a scale s in
+    # [0.1, 50] per lane: each lane repeats its scalar integration bit for
+    # bit, and every breakpoint state is the closed form exp(a s d) R(w s d)
+    # to tol (1 + s (tau - tau_0)), the decay keeping the errors from growing
+    def draw(lo, hi, shape):
+        return data.draw(arrays(float, shape, elements=st.floats(lo, hi)))
+
+    a, w = draw(-1.0, 0.0, nseg), draw(0.0, 2.0, nseg)
+    seg = np.cumsum(np.vstack((draw(-1.0, 1.0, (1, lanes)),
+                               draw(0.05, 1.0, (nseg, lanes)))), axis=0)
+    scale, y_start = draw(0.1, 50.0, lanes), draw(-1.0, 1.0, (2, lanes))
+    rhs = _rotation_decay(a, w)
+    st_ = IntegratorSettings(rel_tol=tol, abs_tol=tol)
+    run = integrate_piecewise(PiecewiseOde(2, seg, rhs, scale=scale),
+                              y_start, settings=st_)
+    for b in range(lanes):
+        one = integrate_piecewise(PiecewiseOde(2, seg[:, b], rhs,
+                                               scale=scale[b]),
+                                  y_start[:, b], settings=st_)
+        assert one.steps == run.steps[b]
+        y = y_start[:, b]
+        for j, state in enumerate(one.breakpoint_states):
+            assert state.tobytes() == run.breakpoint_states[j][:, b].tobytes()
+            if j:
+                d = scale[b] * (seg[j, b] - seg[j - 1, b])
+                c, s = np.cos(w[j - 1] * d), np.sin(w[j - 1] * d)
+                y = np.exp(a[j - 1] * d) * np.array([c * y[0] - s * y[1],
+                                                     s * y[0] + c * y[1]])
+                span = scale[b] * (seg[j, b] - seg[0, b])
+                assert np.max(np.abs(state - y)) <= tol * (1.0 + span)
+
+
+def test_scale_is_one_float_or_one_per_lane():
+    # the scale multiplies each step's increments; it must be finite and
+    # positive, and one per lane only on lanes
+    rhs = lambda j, t, y: -y
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="scale"):
+            PiecewiseOde(1, [0.0, 1.0], rhs, scale=bad)
+    with pytest.raises(ValueError, match="scale"):
+        PiecewiseOde(1, [0.0, 1.0], rhs, scale=np.ones(2))
+    with pytest.raises(ValueError, match="scale"):
+        PiecewiseOde(1, [[0.0, 0.0], [1.0, 1.0]], rhs, scale=np.ones(3))
+    lanes = PiecewiseOde(1, [[0.0, 0.0], [1.0, 1.0]], rhs, scale=2.0)
+    end = integrate_piecewise(lanes, np.ones((1, 2)),
+                              settings=_tight()).breakpoint_states[-1]
+    np.testing.assert_allclose(end, np.exp(-2.0), rtol=1e-9)
 
 
 def _lanes_and_scalar(rhs, seg, y_start, settings):

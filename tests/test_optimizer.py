@@ -558,3 +558,11 @@ def test_settings_validation():
     for tol in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             OptimizeSettings(stat_tol=tol)
+
+
+@pytest.mark.parametrize("iters", [np.nan, np.inf, 2.5, 10.0, True])
+def test_iteration_budget_must_be_an_integer(iters):
+    # refused at construction, not by a TypeError from inside minimize
+    with pytest.raises(ValueError, match="max_iters an integer"):
+        OptimizeSettings(max_iters=iters)
+    assert OptimizeSettings(max_iters=np.int64(5)).max_iters == 5

@@ -30,7 +30,9 @@ more than the base's quartile distance, (q3 - q1) / median of the base.
 It exits 1 when no workload is recorded under both labels.
 
 ``check`` validates the files' schema, at least ``MIN_RUNS`` runs per file,
-and the SHA and versions; it exits 1 on the first file that fails.
+and the SHA and versions, and refuses a record with ``git_dirty`` true,
+which does not measure the commit it names; it exits 1 on the first file
+that fails.
 """
 
 from __future__ import annotations
@@ -186,6 +188,9 @@ def _problems(doc, names):
     sha = doc["git_sha"]
     if len(sha) != 40 or any(c not in "0123456789abcdef" for c in sha):
         bad.append(f"git_sha {sha!r} is not a full SHA")
+    if doc.get("git_dirty"):
+        bad.append("git_dirty: the checkout had uncommitted changes, so the "
+                   "record does not measure the commit it names")
     if not (doc["python"] and doc["numpy"] and doc["cpu_count"]):
         bad.append("python, numpy or cpu_count is empty")
     runs = doc["runs"]
