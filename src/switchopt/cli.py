@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -274,6 +275,21 @@ def build_parser():
     return ap
 
 
+_LISTS = ("--s0", "--p0", "--bracket", "--grid")
+
+
+def _joined(argv):
+    """argv with each list option and a value that starts with a minus sign
+    and a digit joined, ``--p0 -1,2`` as ``--p0=-1,2``: argparse takes
+    "-1,2" alone for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _LISTS and re.match(r"-\d", arg):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
+
+
 def _run_one(args):
     handler = {
         "solve": cmd_solve,
@@ -287,7 +303,8 @@ def _run_one(args):
 def main(argv=None):
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_joined(sys.argv[1:] if argv is None
+                                     else argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
 

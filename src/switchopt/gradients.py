@@ -4,14 +4,15 @@ reverse pass.
 The forward sweep integrates the sweep state z: the state x in Case 1, the
 state and costate (x, p) in Case 2, each phase j with its flow F_j (see
 ``problem.phase_flow``).  The backward sweep is the discrete adjoint of the
-forward sweep's accepted steps, phase by phase from the last, for one sweep
-or B lanes.  ``odeint``, which alone knows the method, folds each step into
-its d-by-d transition matrix G_n = dz_{n+1}/dz_n; this module supplies the
-stage Jacobians, dF/dz of the phase at the stage points of up to
-``odeint._FOLD_BLOCK`` steps per ``problem.phase_jacobian`` call.  The
-reverse pass is then one vector-matrix product per step, lam_n = lam_{n+1}
-G_n, from lam(T) = (grad C, 0), and gives at every node z_n of the forward
-mesh lam_n = dC(z_N)/dz_n of the computed solution.  That one adjoint gives
+forward sweep's accepted steps, for one sweep or B lanes.  ``odeint``,
+which alone knows the method and the records, folds every step of the
+sweep in one call into its d-by-d transition matrix G_n = dz_{n+1}/dz_n;
+this module supplies each phase's stage Jacobian, dF/dz at the stage points
+of a block of one phase's steps per ``problem.phase_jacobian`` call.  lam
+passes a switch point unchanged, so the reverse pass is one chain of
+vector-matrix products over the steps of all phases, lam_n = lam_{n+1} G_n,
+from lam(T) = (grad C, 0), and gives at every node z_n of the forward mesh
+lam_n = dC(z_N)/dz_n of the computed solution.  That one adjoint gives
 every derivative:
 
 - dC/ds_j = lam . (F_{j-1} - F_j) at s_j, the jump of the Hamiltonian lam . F;
@@ -181,51 +182,40 @@ def _phase_nodes(fwd):
             for j, record in enumerate(fwd.records)]
 
 
-def _fold(prob, j, T, record):
-    """``odeint._fold_steps`` of phase j's steps (tau, h, z, K) with the
-    phase's stage Jacobians."""
-    jacobian = phase_jacobian(prob, j)
-    return _fold_steps(lambda t, Y: jacobian(t, Y.T).transpose(2, 0, 1),
-                       T, *record)
-
-
-def _reverse_pass(prob, j, T, record, lam):
-    """lam before each step of phase j's record (tau, h, z, K), steps (N,)
-    or (I, B) on B lanes, from lam (d,) or (B, d) at the phase's end:
-    lam_n = lam_{n+1} (I + D_n), D_n from ``odeint._fold_steps``."""
-    D = _fold(prob, j, T, record)
-    chain = np.empty(D.shape[:-1])
-    for n in range(len(D) - 1, -1, -1):
-        lam = lam + (lam[..., None, :] @ D[n])[..., 0, :]
-        chain[n] = lam
-    return chain
+def _fold(prob, T, records):
+    """``odeint._fold_steps`` of one record (tau, h, z, K) per phase, with
+    the phases' stage Jacobians."""
+    jacobians = _resolved(phase_jacobian, prob)
+    return _fold_steps(lambda j, t, Y: jacobians[j](t, Y.T).transpose(
+        2, 0, 1), T, records)
 
 
 def backward_sweep(prob, fwd):
     """lam_n = dC(z_N)/dz_n at every node of the forward record ``fwd``.
 
-    The reverse pass of the accepted steps, phase by phase from the last,
-    lam_n = lam_{n+1} G_n with G_n = dz_{n+1}/dz_n of step n: no tolerance
-    and no error test, and lam passes a switch point unchanged.  On lanes
-    a lane whose h is 0 keeps its lam, and a constant grad C of shape (n,)
-    serves every lane.
+    The reverse pass of the accepted steps of all phases in one chain from
+    lam(T) = (grad C, 0), lam_n = lam_{n+1} (I + D_n) with D_n = G_n - I
+    from one ``_fold`` of the sweep: no tolerance and no error test, and
+    lam passes a switch point unchanged, so the chain runs straight across
+    it.  On lanes a lane whose h is 0 keeps its lam, and a constant grad C
+    of shape (n,) serves every lane.
     """
     x_T = fwd.checkpoint_states[-1]
     grad = np.asarray(prob.grad_C(x_T), dtype=float)
+    D = _fold(prob, fwd.T, fwd.records)
     # lane-major from here on: lam (d,), or (B, d) on lanes
-    lam = np.zeros(fwd.checkpoints[-1].T.shape)
+    lam = np.zeros((len(D) + 1,) + fwd.checkpoints[-1].T.shape)
     want = x_T.shape if grad.ndim > 1 else x_T.shape[:1]
-    lam[..., :prob.n] = lane_shaped(prob, "grad_C", grad, want).T
-    costates, nodal, steps = [lam], [], 0
-    for j in range(prob.k, -1, -1):
-        chain = _reverse_pass(prob, j, fwd.T, fwd.records[j], lam)
-        nodal[:0] = [chain, lam[None]]
-        lam = chain[0]
-        costates.insert(0, lam)
-        steps = steps + np.count_nonzero(fwd.records[j][1], axis=0)
-    return BackwardRecord(costates=[lam.T for lam in costates],
+    lam[-1, ..., :prob.n] = lane_shaped(prob, "grad_C", grad, want).T
+    for n in range(len(D) - 1, -1, -1):
+        lam[n] = lam[n + 1] + (lam[n + 1, ..., None, :] @ D[n])[..., 0, :]
+    # the chain's rows at each phase's first node, and at the end
+    h = [record[1] for record in fwd.records]
+    firsts = np.cumsum([0] + [len(v) for v in h])
+    nodal = [lam[a:b + 1] for a, b in zip(firsts, firsts[1:])]
+    return BackwardRecord(costates=[lam[n].T for n in firsts],
                           nodal=np.concatenate(nodal).swapaxes(1, -1),
-                          steps=steps)
+                          steps=np.count_nonzero(np.concatenate(h), axis=0))
 
 
 def feasibility_margins(prob, fwd):
@@ -348,21 +338,23 @@ def _lam_at_samples(prob, fwd, bwd):
     """lam of z = x at the samples of the Case-1 forward record ``fwd``,
     from the nodal lam of its backward sweep ``bwd``: at a node its lam,
     else lam_{n+1} (I + D), the reverse pass of one step of the method from
-    the sample to the next node n + 1."""
+    the sample to the next node n + 1, the steps of all phases (none where
+    a phase has no sample past a node) in one ``_fold``."""
     tau, x = fwd.times / fwd.T, fwd.states
-    lam, first = np.empty(x.shape), 0
+    lam, first, records, past = np.empty(x.shape), 0, [], []
     for j, (times, _) in enumerate(_phase_nodes(fwd)):
-        nodal = bwd.nodal[first:first + times.size]
-        first += times.size
         at = np.flatnonzero(fwd.phase == j)
         n, off = _node_before(times, tau[at])
-        lam[at] = nodal[n]
-        if off.any():
-            a, after = at[off], nodal[n[off] + 1]
-            h = times[n[off] + 1] - tau[a]
-            _, K = _step(fwd.rhs, j, tau[a], h, x[a], fwd.T)
-            D = _fold(prob, j, fwd.T, (tau[a], h, x[a], K))
-            lam[a] = after + (after[:, None, :] @ D)[:, 0, :]
+        lam[at] = bwd.nodal[first + n]
+        a, n = at[off], n[off] + 1
+        h = times[n] - tau[a]
+        records.append((tau[a], h, x[a], _step(
+            fwd.rhs, j, tau[a], h, x[a], fwd.T)[1] if a.size else x[a, None]))
+        past.append((a, first + n))
+        first += times.size
+    a, after = (np.concatenate(v) for v in zip(*past))
+    after = bwd.nodal[after]
+    lam[a] = after + (after[:, None, :] @ _fold(prob, fwd.T, records))[:, 0, :]
     return lam
 
 

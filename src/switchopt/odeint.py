@@ -563,13 +563,16 @@ def _stage_points(tau, h, y, K):
     return tau[:, None] + np.array(_C[:_WEIGHTED]) * h[:, None], Y
 
 
-def _fold_steps(jacobian, T, tau, h, y, K):
-    """D = G - I, h.shape + (d, d), for the transition matrices G =
-    dz_{n+1}/dz_n of the steps of a record (tau, h, y, K) of any leading
-    shape, of dz/dtau = T F(tau T, z), T broadcast against h.  The stage
-    points are rebuilt by ``_stage_points``, _FOLD_BLOCK steps at a time,
-    and jacobian(t, Y) gives dF/dz at their flat times t (M,) and points Y
-    (M, d) as (M, d, d).
+def _fold_steps(jacobian, T, records):
+    """D = G - I for the transition matrices G = dz_{n+1}/dz_n of the steps
+    of a sweep's segment records (t, h, y, K), of N steps or of (I, B) on B
+    lanes, of dz/dt = T F_j(t T, z), T broadcast against h: the segments'
+    steps in turn, (steps,) + lanes + (d, d).  The stage points are rebuilt
+    by ``_stage_points`` in blocks of at most _FOLD_BLOCK steps of one
+    segment, from the last segment to the first, and jacobian(j, t, Y)
+    gives segment j's dF/dz at their flat times t (M,) and points Y (M, d)
+    as (M, d, d).  ``_A_ROWS[i] @ theta`` rounds by the block's size, so
+    blocks that never cross a breakpoint keep each segment's bits.
 
     Walking the stages back, P_i = b_i I + sum_{l>i} a_li Theta_l and
     Theta_i = h T P_i J_i; then D = sum_i Theta_i.  So the reverse pass's
@@ -579,21 +582,25 @@ def _fold_steps(jacobian, T, tau, h, y, K):
     have weight 0 in z_{n+1}.  The recursion holds for any explicit
     Runge-Kutta method (Hager, Numer. Math. 87 (2000) 247-282).
     """
-    shape, d, S = h.shape, y.shape[-1], _WEIGHTED
-    T = np.broadcast_to(T, shape).reshape(-1)
-    tau, h = tau.reshape(-1), h.reshape(-1)
-    y, K = y.reshape(-1, d), K.reshape((-1,) + K.shape[-2:])
-    D, eye = np.empty((h.size, d, d)), np.eye(d)
-    for a in range(0, h.size, _FOLD_BLOCK):
-        at = slice(a, a + _FOLD_BLOCK)
-        hb, N = h[at], h[at].size
-        t, Y = _stage_points(tau[at], hb, y[at], K[at])
-        hTJ = (hb * T[at])[:, None, None, None] * jacobian(
-            (t * T[at, None]).reshape(-1), Y.reshape(-1, d)).reshape(
-                N, S, d, d)
-        theta = np.zeros((S, N * d * d))
-        for i in range(S - 1, -1, -1):
-            P = (_A_ROWS[i] @ theta).reshape(N, d, d) + _B[i] * eye
-            theta[i] = (P @ hTJ[:, i]).reshape(-1)
-        D[at] = theta.sum(axis=0).reshape(N, d, d)
-    return D.reshape(shape + (d, d))
+    d, S, folds = records[0][2].shape[-1], _WEIGHTED, []
+    eye = np.eye(d)
+    for j in range(len(records) - 1, -1, -1):
+        shape = records[j][1].shape
+        M, Ts = math.prod(shape), np.broadcast_to(T, shape).reshape(-1)
+        tau, h, y, K = (v.reshape((M,) + v.shape[len(shape):])
+                        for v in records[j])
+        D = np.empty((M, d, d))
+        for a in range(0, M, _FOLD_BLOCK):
+            at = slice(a, a + _FOLD_BLOCK)
+            hb, N = h[at], h[at].size
+            t, Y = _stage_points(tau[at], hb, y[at], K[at])
+            hTJ = (hb * Ts[at])[:, None, None, None] * jacobian(
+                j, (t * Ts[at, None]).reshape(-1),
+                Y.reshape(-1, d)).reshape(N, S, d, d)
+            theta = np.zeros((S, N * d * d))
+            for i in range(S - 1, -1, -1):
+                P = (_A_ROWS[i] @ theta).reshape(N, d, d) + _B[i] * eye
+                theta[i] = (P @ hTJ[:, i]).reshape(-1)
+            D[at] = theta.sum(axis=0).reshape(N, d, d)
+        folds.insert(0, D.reshape(shape + (d, d)))
+    return np.concatenate(folds)

@@ -12,7 +12,7 @@ import switchopt
 from switchopt.benchmarks import build_problem, catalyst_switch_times
 from switchopt.odeint import IntegratorSettings
 from switchopt.cli import main, EXIT_OK, EXIT_CHECK_FAILED, EXIT_SOLVER, \
-    EXIT_CONFIG
+    EXIT_CONFIG, _joined, build_parser
 
 
 def _read_csv(path):
@@ -306,6 +306,29 @@ def test_gradcheck_case2(capsys):
                  "--ode-tol", "1e-11"])
     assert code == EXIT_OK
     assert "d_p01" in capsys.readouterr().out
+
+
+def test_negative_list_value_after_a_space(capsys):
+    # argparse takes "-1,2" alone for an option; after a list option it is
+    # the value, as in the = form, and both print one table
+    tables = []
+    for p0 in (["--p0", "-1,2"], ["--p0=-1,2"]):
+        code = main(["gradcheck", "--problem", "catalyst2",
+                     "--s0", "0.1,0.7"] + p0)
+        assert code == EXIT_OK
+        tables.append(capsys.readouterr().out)
+    assert "d_p01" in tables[0] and tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("argv, dest", [
+    (["solve", "--problem", "x", "--s0", "-1,2"], "s0"),
+    (["solve", "--problem", "x", "--p0", "-1,2"], "p0"),
+    (["solve", "--problem", "x", "--bracket", "-1,2"], "bracket"),
+    (["profile", "--problem", "x", "--grid", "-1,2,3"], "grid"),
+])
+def test_list_options_take_a_leading_minus(argv, dest):
+    args = build_parser().parse_args(_joined(argv))
+    assert getattr(args, dest) == argv[-1]
 
 
 def test_gradcheck_goddard(capsys):

@@ -1123,6 +1123,113 @@ def test_lanes_reverse_pass_folds_each_phase_in_bounded_blocks(monkeypatch,
     assert np.array_equal(got.steps, want.steps)
 
 
+def _three_lanes(cfg):
+    """cfg with its switch points scaled by 0.99, 1 and 1.01, as lanes."""
+    return [SwitchConfig(s=cfg.s * v, p0=cfg.p0, T=cfg.T)
+            for v in (0.99, 1.0, 1.01)]
+
+
+@pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "lanes"])
+@pytest.mark.parametrize("name", ["catalyst1", "bressan", "goddard"])
+def test_no_fold_block_crosses_a_switch(monkeypatch, name, lanes):
+    # with blocks of 4 steps a phase may span several, none of which
+    # takes a step of another phase: the Jacobian calls run from the last
+    # phase to the first, and phase j's calls hold, in turn, the stage
+    # points of its steps, each once, in [sigma_j T, sigma_{j+1} T].  lam
+    # is the default blocks' bit for bit on catalyst1, whose d^2 = 4 leaves
+    # the fold's dgemv no tail, and within 1e-14 max|lam| where d = 3
+    T, cfg = CONFIGS[name]
+    prob = build_problem(name, T=T)
+    fwd = forward_sweep(prob, _three_lanes(cfg) if lanes else cfg, TIGHT)
+    want = backward_sweep(prob, fwd)
+    calls = []
+
+    def jacobian(prob, j):
+        batched = phase_jacobian(prob, j)
+
+        def logged(t, z):
+            calls.append((j, t))
+            return batched(t, z)
+        return logged
+
+    monkeypatch.setattr(gradients, "phase_jacobian", jacobian)
+    monkeypatch.setattr(odeint, "_FOLD_BLOCK", 4)
+    got = backward_sweep(prob, fwd)
+    phases = [j for j, _ in calls]
+    assert phases == sorted(phases, reverse=True)
+    assert len(phases) > prob.k + 1
+    S, d = odeint._WEIGHTED, fwd.checkpoints.shape[1]
+    for j, (tau, h, y, K) in enumerate(fwd.records):
+        T = np.broadcast_to(fwd.T, h.shape).reshape(-1)
+        t, _ = odeint._stage_points(tau.reshape(-1), h.reshape(-1),
+                                    y.reshape(-1, d),
+                                    K.reshape((h.size,) + K.shape[-2:]))
+        t = t * T[:, None]
+        mine = [tj for i, tj in calls if i == j]
+        assert len(mine) == -(-h.size // 4)
+        assert max(tj.size for tj in mine) <= 4 * S
+        assert np.array_equal(np.concatenate(mine), t.reshape(-1))
+        lo, hi = (np.broadcast_to(fwd.sigma[i], h.shape).reshape(-1) * T
+                  for i in (j, j + 1))
+        slack = 4 * np.spacing(hi)[:, None]
+        assert np.all((t >= lo[:, None] - slack) & (t <= hi[:, None] + slack))
+    if name == "catalyst1":
+        assert np.array_equal(got.nodal, want.nodal)
+    else:
+        assert np.max(np.abs(got.nodal - want.nodal)) \
+            <= 1e-14 * np.max(np.abs(want.nodal))
+    assert np.array_equal(got.steps, want.steps)
+
+
+@pytest.mark.parametrize("name", ["jacobson", "catalyst1"])
+def test_samples_only_at_nodes_fold_no_step(monkeypatch, name):
+    # two samples, at 0 and T, are both nodes of the forward mesh: the
+    # Case-1 costate there is the backward sweep's lam, and the sample
+    # fold, with an empty record in every phase, calls no Jacobian beyond
+    # the backward sweep's one per phase
+    T, cfg = CONFIGS[name]
+    prob = build_problem(name, T=T)
+    bwd = evaluate_gradient(prob, cfg).bwd
+    calls = []
+
+    def jacobian(prob, j):
+        batched = phase_jacobian(prob, j)
+
+        def counted(t, z):
+            calls.append(j)
+            return batched(t, z)
+        return counted
+
+    monkeypatch.setattr(gradients, "phase_jacobian", jacobian)
+    times, _, _, p = dense_trajectory(prob, cfg, sample_count=2)
+    assert times.size == 2
+    assert np.array_equal(p[0], bwd.costates[0])
+    assert np.array_equal(p[-1], bwd.costates[-1])
+    assert sorted(calls) == list(range(prob.k + 1))
+
+
+@pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "lanes"])
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_backward_record_layout(name, lanes):
+    # nodal holds each phase's N_j step starts and its end, sum_j (N_j + 1)
+    # rows (iterations I_j on lanes): the row that ends phase j - 1 is the
+    # row that starts phase j, and both are costates[j], bit for bit
+    T, cfg = CONFIGS[name]
+    prob = build_problem(name, T=T)
+    fwd = forward_sweep(prob, _three_lanes(cfg) if lanes else cfg)
+    bwd = backward_sweep(prob, fwd)
+    sizes = [len(h) + 1 for _, h, _, _ in fwd.records]
+    assert len(bwd.nodal) == sum(sizes)
+    assert len(bwd.costates) == prob.k + 2
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    assert np.array_equal(bwd.nodal[0], bwd.costates[0])
+    assert np.array_equal(bwd.nodal[-1], bwd.costates[-1])
+    for j in range(1, prob.k + 1):
+        assert np.array_equal(bwd.nodal[ends[j - 1] - 1], bwd.costates[j])
+        assert np.array_equal(bwd.nodal[starts[j]], bwd.costates[j])
+
+
 def test_lanes_refuse_a_problem_without_lanes(monkeypatch, tmp_path):
     # the bump toy's f drops the lane axis: its lane sweep raises
     # ValueError, and the profile command exits 3
