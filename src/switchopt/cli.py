@@ -11,6 +11,7 @@ digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -241,7 +242,11 @@ def _add_common(sp, *tols):
                     "(default $SPA_OUT_DIR or cwd)")
 
 
+@functools.cache
 def build_parser():
+    """The ``switchopt`` parser, built on the first call and shared after:
+    parsing leaves it unchanged, and a sweep of CLI solves in one process
+    builds it once."""
     ap = argparse.ArgumentParser(
         prog="switchopt",
         description="Switch-point optimal control solver")

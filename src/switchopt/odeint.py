@@ -18,6 +18,10 @@ Both loops hold a step as Z = [y; h s k_0; ..], whose products give each
 stage point, the new state and the error estimates, record a segment's
 accepted steps as arrays (t, h, y, K), the step axis first, test each
 attempt's new state once and share one starting step and one error norm.
+The scalar loop keeps its clock, its finiteness test and its error weights
+on Python floats; on a point of fewer than _IN_ORDER components the
+starting step and the error norm are taken on floats too, and elsewhere in
+NumPy, each bit-equal to a lane's, which the tests check.
 """
 
 from __future__ import annotations
@@ -146,6 +150,9 @@ _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _H_MIN = 1e-14    # below this step size a segment gives up
 _FOLD_BLOCK = 256  # steps per fold: bounds its arrays on many lanes
+# np.add.reduce adds fewer terms than this in order, and more in 8 partial
+# sums; a point of fewer components takes its norms on Python floats
+_IN_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -229,13 +236,39 @@ def _error_norm(dk, weights):
     shape: err5^2 / sqrt(dim (err5^2 + 0.01 err3^2)), err5 and err3 the
     squared weighted 2-norms of the 5th- and 3rd-order estimates (E5; E3)
     dk, which carry the factor |h| (Hairer, Norsett & Wanner, II.10).
-    Both loops call it, so that a lane's norm is its scalar loop's; on a
-    point it makes no 0-d array.  den + (den == 0) is den, or 1 at den = 0.
+    Both loops call it, so that a lane's norm is its scalar loop's; den +
+    (den == 0) is den, or 1 at den = 0.
+
+    A point of dim < _IN_ORDER takes the product (E5; E3) dk in NumPy and
+    the rest on Python floats, its weights a list or an array, and gives a
+    float; lanes and longer points take NumPy's reduction.  The float
+    path adds the squares in order, as ``np.add.reduce`` does below 8
+    terms, so ``test_error_norm_of_a_point_is_its_lane`` finds a point's
+    norm bit-equal to its lane's.  Its divisions cannot raise: the weights
+    are positive, and so is the root, unless it is NaN.
     """
+    if dk.ndim == 2 and dk.shape[1] < _IN_ORDER:
+        err5 = err3 = 0.0
+        for e5, e3, w in zip(*(_ERR @ dk).tolist(), weights):
+            e5, e3 = e5 / w, e3 / w
+            err5 += e5 * e5
+            err3 += e3 * e3
+        den = err5 + 0.01 * err3
+        return err5 / math.sqrt((den if den != 0.0 else 1.0) * len(weights))
+    weights = np.asarray(weights)
     err = np.square((_ERR @ dk) / weights[..., None, :])
     err5, err3 = np.add.reduce(err, axis=-1).T
     den = err5 + 0.01 * err3
     return err5 / np.sqrt((den + (den == 0.0)) * weights.shape[-1])
+
+
+def _sum_sq(xs):
+    """The sum of squares of the floats xs, added in order: not ``sum``,
+    which compensates float sums from Python 3.12 on."""
+    total = 0.0
+    for x in xs:
+        total += x * x
+    return total
 
 
 def _start_step(probe, y, f0, span, settings):
@@ -251,7 +284,36 @@ def _start_step(probe, y, f0, span, settings):
     to halve, and a step below _H_MIN, or 0 or NaN from an overflowing
     sum, is raised to _H_MIN.  Both loops call it, so that a lane's start
     is its scalar loop's.
+
+    A point of dim < _IN_ORDER is estimated on Python floats, with
+    ``math.sqrt``, ``**`` for ``np.float_power`` (both the C pow) and sums
+    in NumPy's order, and gives a float.  ``min`` and ``max`` return their
+    first argument when it is NaN, as ``np.minimum`` and ``np.maximum``
+    do, so the argument that can be NaN comes first: span never is, and
+    sqrt(dnf) is NaN only where d2 is.  Where NumPy divides by 0 it takes
+    NumPy's quotient, so an overflowing sum gives _H_MIN here too and
+    raises no ``ZeroDivisionError``.  ``test_start_step_of_a_point_is_its_lane``
+    and ``test_start_step_of_an_extreme_point_is_its_lane`` check it
+    against the lanes bit for bit.
     """
+    if y.ndim == 1 and y.size < _IN_ORDER:
+        tols = [settings.abs_tol + settings.rel_tol * abs(v)
+                for v in y.tolist()]
+        f0 = f0.tolist()
+        dnf = _sum_sq(f / s for f, s in zip(f0, tols))
+        dny = _sum_sq(v / s for v, s in zip(y.tolist(), tols))
+        h0 = min(1e-6 if dnf <= 1e-10 or dny <= 1e-10
+                 else 0.01 * math.sqrt(dny / dnf), span)
+        f1 = probe(h0).tolist()
+        d2 = math.sqrt(_sum_sq((a - b) / s for a, b, s in zip(f1, f0, tols)))
+        d2 = d2 / h0 if h0 != 0.0 else math.inf if d2 > 0.0 else math.nan
+        d12 = max(d2, math.sqrt(dnf))
+        h1 = max(1e-6, 1e-3 * h0) if d12 <= 1e-15 \
+            else (0.01 / d12) ** (1.0 / (_Q + 1))
+        h = min(min(h1, 100.0 * h0), span) \
+            if all(map(math.isfinite, f1)) else h0
+        return h if h >= _H_MIN else _H_MIN
+
     def sum_sq(x):  # C order: a lane's sum takes its point's order of terms
         return np.add.reduce(np.square(x, order="C"), axis=-1)
 
@@ -280,24 +342,32 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale):
     all its stages, halves the step, down to ``NonFiniteState`` at _H_MIN,
     and a non-finite first call raises it.  Every stage enters that state:
     0 inf and 0 NaN are NaN in ``_B1.dot(Z)``, whose bits are ``@``'s.
+
+    The stage products are NumPy's; the rest is on Python floats, which
+    round as NumPy's float64 does: t, t1, h and the scale are floats, and
+    one ``tolist`` of the new state gives its finiteness test and then,
+    the state being finite, its error weights.  The lockstep loop repeats
+    this loop bit for bit, which ``test_decoupled_lane_repeats_the_scalar_loop``
+    checks on dims on both sides of _IN_ORDER.
     """
-    t, y = t0, np.array(y0, dtype=float)
+    t, t1, scale = float(t0), float(t1), float(scale)
+    y = np.array(y0, dtype=float)
     err_prev = 1.0
     steps = 0
     record = []
     Z = np.empty((_STAGES + 1, y.size))
     stages = [(_C[i], Z[:i + 1].T, _A1[i], Z[i + 1])
               for i in range(1, _STAGES)]
-    abs_y = np.abs(y)
+    abs_y = np.abs(y).tolist()
     abs_tol, rel_tol = settings.abs_tol, settings.rel_tol
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k1 = rhs(j, t, y)
-        if not np.isfinite(k1).all():
+        if not all(map(math.isfinite, k1.tolist())):
             raise NonFiniteState(f"non-finite derivative at t={t}")
         sf = scale * k1
-        h = float(_start_step(lambda h0: scale * rhs(
-            j, t + float(h0), y + float(h0) * sf), y, sf, t1 - t0, settings))
+        h = float(_start_step(lambda h0: scale * rhs(j, t + h0, y + h0 * sf),
+                              y, sf, t1 - t, settings))
 
         while t < t1:
             if steps >= budget:
@@ -313,15 +383,17 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale):
             y_new = _B1.dot(Z)
 
             steps += 1
-            if not np.isfinite(y_new).all():
+            new = y_new.tolist()
+            if not all(map(math.isfinite, new)):
                 h = 0.5 * h_try
                 if h < _H_MIN:
                     raise NonFiniteState(f"non-finite state near t={t}")
                 continue
 
-            abs_new = np.abs(y_new)
-            err = float(_error_norm(Z[1:], abs_tol + rel_tol
-                                    * np.maximum(abs_y, abs_new)))
+            # y and y_new are finite here, so max is np.maximum
+            abs_new = [abs(v) for v in new]
+            err = float(_error_norm(Z[1:], [
+                abs_tol + rel_tol * max(a, b) for a, b in zip(abs_y, abs_new)]))
             if err <= 1.0:
                 record.append((t, h_try, y, Z[1:_RECORDED + 1].copy()))
                 t = t1 if clipped else t + h_try

@@ -110,10 +110,12 @@ def test_step_converges_at_order_eight():
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), lanes=st.integers(1, 6), dim=st.integers(1, 5))
+@given(data=st.data(), lanes=st.integers(1, 6), dim=st.integers(1, 12))
 def test_error_norm_of_a_point_is_its_lane(data, lanes, dim):
     # stage increments of magnitude 1e-300 .. 1e10 and either sign, exact
-    # zeros, and lanes of zero increments only, whose den is 0
+    # zeros, and lanes of zero increments only, whose den is 0; a point
+    # below dim _IN_ORDER takes the float path, with its weights an array
+    # or, as the scalar loop passes them, a list
     shape = (lanes, odeint._STAGES, dim)
     dk = 10.0 ** data.draw(arrays(float, shape, elements=st.floats(-300, 10)))
     dk[data.draw(arrays(bool, shape))] *= -1.0
@@ -124,8 +126,9 @@ def test_error_norm_of_a_point_is_its_lane(data, lanes, dim):
                                        elements=st.floats(-12, 4)))
     on_lanes = odeint._error_norm(dk, weights)
     for b in range(lanes):
-        point = odeint._error_norm(dk[b], weights[b])
-        assert np.float64(point).tobytes() == on_lanes[b].tobytes()
+        for w in (weights[b], weights[b].tolist()):
+            point = odeint._error_norm(dk[b], w)
+            assert np.float64(point).tobytes() == on_lanes[b].tobytes()
     assert np.all(on_lanes[zero] == 0.0)
 
 
@@ -353,6 +356,35 @@ def test_start_step_of_a_point_is_its_lane(data, lanes, dim, tol):
                                        span[b], tolerances)
             assert np.float64(point).tobytes() == on_lanes[b].tobytes()
     assert np.all(on_lanes >= odeint._H_MIN)
+
+
+EXTREMES = [0.0, 5e-324, 1e-160, 1.0, 1e160, 1e200, 1e308, np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), lanes=st.integers(1, 8), dim=st.integers(1, 3),
+       tol=st.sampled_from([1e-6, 1e-11]))
+def test_start_step_of_an_extreme_point_is_its_lane(data, lanes, dim, tol):
+    # states, derivatives and probes of either sign among subnormal, huge,
+    # infinite and NaN values, whose sums of squares underflow, overflow
+    # or are NaN and give h0 = 0 or NaN: the float path takes NumPy's
+    # quotients and NaN-propagating minimum and maximum, raises nothing,
+    # and gives the lane's start bit for bit
+    def draw(shape):
+        x = data.draw(arrays(float, shape, elements=st.sampled_from(EXTREMES)))
+        x[data.draw(arrays(bool, shape))] *= -1.0
+        return np.asfortranarray(x)
+
+    y, f0, f1 = draw((lanes, dim)), draw((lanes, dim)), draw((lanes, dim))
+    span = data.draw(arrays(float, lanes,
+                            elements=st.sampled_from([1e-16, 1.0, 1e300])))
+    tolerances = IntegratorSettings(rel_tol=tol, abs_tol=tol)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        on_lanes = odeint._start_step(lambda h0: f1, y, f0, span, tolerances)
+        for b in range(lanes):
+            point = odeint._start_step(lambda h0: f1[b], y[b], f0[b],
+                                       span[b], tolerances)
+            assert np.float64(point).tobytes() == on_lanes[b].tobytes()
 
 
 def _first_steps(value, loop):
@@ -789,6 +821,93 @@ def test_scale_on_lanes_is_the_scalar_scale(data, nseg, lanes, tol):
                                                      s * y[0] + c * y[1]])
                 span = scale[b] * (seg[j, b] - seg[0, b])
                 assert np.max(np.abs(state - y)) <= tol * (1.0 + span)
+
+
+def _decoupled(a, c, g):
+    """rhs of y_i' = a_ji y_i + c_ji t - g_ji y_i^3 on segment j, each
+    component apart and elementwise, so that a lane's values are its
+    point's bits."""
+    def rhs(j, t, y):
+        t, y = np.asarray(t)[..., None], y.T
+        return (a[j] * y + c[j] * t - g[j] * (y * y * y)).T
+    return rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 12), nseg=st.integers(1, 3),
+       lanes=st.integers(1, 3), tol=st.sampled_from([1e-6, 1e-8, 1e-11]))
+def test_decoupled_lane_repeats_the_scalar_loop(data, dim, nseg, lanes, tol):
+    # the scalar loop's norms on Python floats (dim < _IN_ORDER) or NumPy
+    # (from _IN_ORDER on) against the lockstep loop's: each lane's steps,
+    # breakpoint states and records (t, h, y, K) are its scalar
+    # integration's bits, the lane's accepted steps being those of h > 0
+    def draw(lo, hi, shape):
+        return data.draw(arrays(float, shape, elements=st.floats(lo, hi)))
+
+    rhs = _decoupled(draw(-2.0, 1.0, (nseg, dim)), draw(-1.0, 1.0, (nseg, dim)),
+                     draw(0.0, 1.0, (nseg, dim)))
+    seg = np.cumsum(np.vstack((draw(-1.0, 1.0, (1, lanes)),
+                               draw(0.05, 1.0, (nseg, lanes)))), axis=0)
+    scale, y_start = draw(0.1, 10.0, lanes), draw(-1.0, 1.0, (dim, lanes))
+    st_ = IntegratorSettings(rel_tol=tol, abs_tol=tol)
+    run = integrate_piecewise(PiecewiseOde(dim, seg, rhs, scale=scale),
+                              y_start, settings=st_)
+    for b in range(lanes):
+        one = integrate_piecewise(PiecewiseOde(dim, seg[:, b], rhs,
+                                               scale=scale[b]),
+                                  y_start[:, b], settings=st_)
+        assert one.steps == run.steps[b]
+        for x, on_lanes in zip(one.breakpoint_states, run.breakpoint_states):
+            assert x.tobytes() == on_lanes[:, b].tobytes()
+        for record, on_lanes in zip(one.records, run.records):
+            took = on_lanes[1][:, b] > 0.0
+            for x, lane in zip(record, on_lanes):
+                assert x.tobytes() == lane[took, b].tobytes()
+
+
+def _float_edge(kind):
+    """(dim, breakpoints, rhs, max_steps) of an ODE whose floats part from
+    NumPy's unless the scalar loop's float path copies NumPy.  "overflow":
+    y' = 1e200 from 1, whose starting step's sum of squares of f0 overflows,
+    so h0 = 0 and d2 = 0 / 0, which NumPy takes for NaN and the start for
+    _H_MIN.  "nan": y2' = -sqrt(y2), which reaches 0 at t = 2, so that
+    attempts whose state has a NaN component fail (max(a, NaN) is a, and
+    np.maximum NaN) until NonFiniteState.  "long": 9 components, whose sums
+    take NumPy's order of 8 partial sums."""
+    if kind == "overflow":
+        return 1, [0.0, 1e-190], lambda j, t, y: np.full(np.shape(y), 1e200), 50
+    if kind == "nan":
+        return 3, [0.0, 1.0, 2.5], lambda j, t, y: np.stack(
+            (-y[0], -np.sqrt(y[1]), 0.5 * y[2])), 2000
+    rate = np.arange(1.0, 10.0)
+    return 9, [0.0, 0.5, 1.0], lambda j, t, y: -(rate * y.T).T, 2000
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-11])
+@pytest.mark.parametrize("kind", ["overflow", "nan", "long"])
+def test_float_edges_give_the_lanes_outcome(kind, tol):
+    # the scalar loop and one lane of two give the same steps and states,
+    # or raise the same SwitchOptError; a ZeroDivisionError, OverflowError
+    # or ValueError of the float path would escape _outcome and fail here
+    dim, seg, rhs, max_steps = _float_edge(kind)
+    settings = IntegratorSettings(rel_tol=tol, abs_tol=tol,
+                                  max_steps=max_steps)
+    scalar = _outcome(PiecewiseOde(dim, seg, rhs), np.ones(dim), "forward",
+                      settings)
+    lanes = _outcome(PiecewiseOde(dim, np.repeat(np.array(seg)[:, None], 2, 1),
+                                  rhs), np.ones((dim, 2)), "forward", settings)
+    if isinstance(scalar, type):
+        assert lanes is scalar
+    else:
+        assert np.array_equal(lanes[0][..., 1], scalar[0])
+        assert np.array_equal(lanes[1][:, 1], scalar[1])
+        assert lanes[2][1] == scalar[2]
+    if kind == "overflow":
+        # one step over the segment from the start _H_MIN, as at y' = 1e200
+        assert scalar[2] == 1
+        np.testing.assert_allclose(scalar[0][-1], [1.0 + 1e10], rtol=1e-14)
+    if kind == "nan":
+        assert scalar is NonFiniteState
 
 
 def test_scale_is_one_float_or_one_per_lane():
