@@ -17,11 +17,8 @@ of accepted steps into the transition matrices of the reverse pass.
 Both loops hold a step as Z = [y; h s k_0; ..], whose products give each
 stage point, the new state and the error estimates, record a segment's
 accepted steps as arrays (t, h, y, K), the step axis first, test each
-attempt's new state once and share one starting step and one error norm.
-The scalar loop keeps its clock, its finiteness test and its error weights
-on Python floats; on a point of fewer than _IN_ORDER components the
-starting step and the error norm are taken on floats too, and elsewhere in
-NumPy, each bit-equal to a lane's, which the tests check.
+attempt's new state once and share one starting step and one error norm,
+which a point of dim < _IN_ORDER takes on Python floats, bit for bit.
 """
 
 from __future__ import annotations
@@ -239,13 +236,11 @@ def _error_norm(dk, weights):
     Both loops call it, so that a lane's norm is its scalar loop's; den +
     (den == 0) is den, or 1 at den = 0.
 
-    A point of dim < _IN_ORDER takes the product (E5; E3) dk in NumPy and
-    the rest on Python floats, its weights a list or an array, and gives a
-    float; lanes and longer points take NumPy's reduction.  The float
-    path adds the squares in order, as ``np.add.reduce`` does below 8
-    terms, so ``test_error_norm_of_a_point_is_its_lane`` finds a point's
-    norm bit-equal to its lane's.  Its divisions cannot raise: the weights
-    are positive, and so is the root, unless it is NaN.
+    A point of dim < _IN_ORDER, its weights a list or an array, takes
+    the rest after the product (E5; E3) dk on Python floats, adding the
+    squares in order as ``np.add.reduce`` does, bit-equal to its lane
+    (``test_error_norm_of_a_point_is_its_lane``).  Its divisors are
+    positive or NaN, so they raise nothing.
     """
     if dk.ndim == 2 and dk.shape[1] < _IN_ORDER:
         err5 = err3 = 0.0
@@ -285,16 +280,13 @@ def _start_step(probe, y, f0, span, settings):
     sum, is raised to _H_MIN.  Both loops call it, so that a lane's start
     is its scalar loop's.
 
-    A point of dim < _IN_ORDER is estimated on Python floats, with
-    ``math.sqrt``, ``**`` for ``np.float_power`` (both the C pow) and sums
-    in NumPy's order, and gives a float.  ``min`` and ``max`` return their
-    first argument when it is NaN, as ``np.minimum`` and ``np.maximum``
-    do, so the argument that can be NaN comes first: span never is, and
-    sqrt(dnf) is NaN only where d2 is.  Where NumPy divides by 0 it takes
-    NumPy's quotient, so an overflowing sum gives _H_MIN here too and
-    raises no ``ZeroDivisionError``.  ``test_start_step_of_a_point_is_its_lane``
-    and ``test_start_step_of_an_extreme_point_is_its_lane`` check it
-    against the lanes bit for bit.
+    A point of dim < _IN_ORDER takes it on Python floats, with sums in
+    NumPy's order and ``**`` for ``np.float_power`` (both the C pow).
+    ``min`` and ``max`` keep a NaN first argument, as NumPy's keep any, so
+    that argument comes first: span is never NaN, and sqrt(dnf) only where
+    d2 is.  A quotient by h0 = 0 is NumPy's, not ``ZeroDivisionError``.
+    ``test_start_step_of_a_point_is_its_lane`` and its extreme-value twin
+    check it against the lanes bit for bit.
     """
     if y.ndim == 1 and y.size < _IN_ORDER:
         tols = [settings.abs_tol + settings.rel_tol * abs(v)
@@ -343,12 +335,10 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale):
     and a non-finite first call raises it.  Every stage enters that state:
     0 inf and 0 NaN are NaN in ``_B1.dot(Z)``, whose bits are ``@``'s.
 
-    The stage products are NumPy's; the rest is on Python floats, which
-    round as NumPy's float64 does: t, t1, h and the scale are floats, and
-    one ``tolist`` of the new state gives its finiteness test and then,
-    the state being finite, its error weights.  The lockstep loop repeats
-    this loop bit for bit, which ``test_decoupled_lane_repeats_the_scalar_loop``
-    checks on dims on both sides of _IN_ORDER.
+    Besides the stage products it works on Python floats, which round as
+    float64 does: its clock, and one ``tolist`` of each new state for the
+    finiteness test and then the error weights.  A lane repeats it bit
+    for bit (``test_decoupled_lane_repeats_the_scalar_loop``).
     """
     t, t1, scale = float(t0), float(t1), float(scale)
     y = np.array(y0, dtype=float)

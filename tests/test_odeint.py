@@ -903,7 +903,7 @@ def test_float_edges_give_the_lanes_outcome(kind, tol):
         assert np.array_equal(lanes[1][:, 1], scalar[1])
         assert lanes[2][1] == scalar[2]
     if kind == "overflow":
-        # one step over the segment from the start _H_MIN, as at y' = 1e200
+        # one step over the whole segment, from the start _H_MIN
         assert scalar[2] == 1
         np.testing.assert_allclose(scalar[0][-1], [1.0 + 1e10], rtol=1e-14)
     if kind == "nan":
