@@ -6,10 +6,22 @@ switch points (and objective / terminal time where available).  Integral
 objectives are reformulated to terminal form by augmenting a state whose
 dynamics is the integrand.  The problems carry the paper's constants; only
 the horizon T varies.
+
+The callbacks still receive arrays, as ``ProblemDef`` says.  Those that a
+forward sweep calls at every RHS evaluation (each model's f, catalyst's
+f_x, the catalyst2, goddard and jacobson laws) compute a point on Python
+floats, from ``tolist()`` of their inputs, and build their array from
+those floats: float64 arithmetic on Python floats rounds as NumPy's does,
+bit for bit, at a fraction of the interpreter cost.  Lanes, and a point
+whose float arithmetic raises (a division by zero, or an overflowing
+``**`` or ``math.exp``), take the same body on the arrays, which is where
+a one-point NumPy computation would have gone.  A point on floats warns
+of no overflow, where NumPy's scalars would outside ``np.errstate``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -54,8 +66,44 @@ def _lane_zeros(shape, x):
 
 def _exp(v):
     """exp of a float by ``math.exp``, the cheap call on the one-point
-    path of the forward sweep, and of a lane array by ``np.exp``."""
+    path of the forward sweep (a Python float, or NumPy's float64 scalar
+    of a point given as an array), and of a lane array by ``np.exp``."""
     return math.exp(v) if isinstance(v, float) else np.exp(v)
+
+
+# what float arithmetic raises where NumPy's returns inf or NaN: a division
+# by zero, an overflowing ``**`` or ``math`` call, a ``math`` domain error
+_FLOAT_FAILS = (ArithmeticError, ValueError)
+
+
+def _on_floats(body):
+    """The model callback body(x, u), called at a point, x of shape (n,),
+    on the lists of floats of x and u, and on lanes or where that raises on
+    the arrays themselves; ``__wrapped__`` is body."""
+    @functools.wraps(body)
+    def call(x, u):
+        if x.ndim == 1:
+            try:
+                return body(x.tolist(), u.tolist())
+            except _FLOAT_FAILS:
+                pass
+        return body(x, u)
+    return call
+
+
+def _law_on_floats(body):
+    """``_on_floats`` for a law body(t, x) or body(t, x, p); t is passed on
+    as it comes."""
+    @functools.wraps(body)
+    def call(t, x, p=None):
+        if x.ndim == 1:
+            try:
+                return body(t, x.tolist()) if p is None \
+                    else body(t, x.tolist(), p.tolist())
+            except _FLOAT_FAILS:
+                pass
+        return body(t, x) if p is None else body(t, x, p)
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +148,7 @@ def _catalyst_core():
         r = k1 * a - k2 * b
         return np.array([[-r], [r + k3 * b]])
 
-    return f, f_x, f_u
+    return _on_floats(f), _on_floats(f_x), f_u
 
 
 def _catalyst_singular_feedback():
@@ -135,7 +183,7 @@ def _catalyst_singular_feedback():
         du_p = (dnum_p * den - num * dden_p) / den ** 2
         return du_x, du_p
 
-    return law, grads
+    return _law_on_floats(law), grads
 
 
 def _catalyst_case2_derivs(prob_phases, f_x, f_u, sing_grads):
@@ -231,6 +279,7 @@ def build_jacobson() -> ProblemDef:
     The running cost is absorbed into a third state, so the objective is the
     terminal value of that state.
     """
+    @_on_floats
     def f(x, u):
         return np.array([x[1], u[0], 0.5 * (x[0] * x[0] + x[1] * x[1])])
 
@@ -254,8 +303,8 @@ def build_jacobson() -> ProblemDef:
     hi = lambda t: np.array([1.0])
     phases = (
         ControlPhase("constant", lambda t: np.array([-1.0]), lo, hi),
-        ControlPhase("state", lambda t, x: np.array([x[0]]), lo, hi,
-                     law_x=law_x),
+        ControlPhase("state", _law_on_floats(lambda t, x: np.array([x[0]])),
+                     lo, hi, law_x=law_x),
     )
     return ProblemDef(
         name="jacobson", n=3, m=1, x0=np.array([0.0, 1.0, 0.0]),
@@ -271,6 +320,7 @@ def build_jacobson() -> ProblemDef:
 
 def build_bressan(T: float = 10.0) -> ProblemDef:
     """Bressan's problem on [0, T]: bang u=-1 then singular u=1/2; s_1 = T/3."""
+    @_on_floats
     def f(x, u):
         return np.array([u[0], -x[0], x[0] * x[0] - x[1]])
 
@@ -325,6 +375,7 @@ def build_goddard(T: float = 42.0) -> ProblemDef:
     """
     u_max, g, sig, c, h0 = U_MAX, GRAVITY, SIGMA, EXHAUST, H0
 
+    @_on_floats
     def f(x, u):
         h, v, m = x
         drag = sig * v * v * _exp(-h / h0)
@@ -344,6 +395,7 @@ def build_goddard(T: float = 42.0) -> ProblemDef:
         J[1, 0], J[2, 0] = 1.0 / x[2], -1.0 / c
         return J
 
+    @_law_on_floats
     def u_sing(t, x):
         h, v, m = x
         E = _exp(-h / h0)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -189,13 +190,22 @@ class PiecewiseOde:
     scale: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        seg = np.asarray(self.segments, dtype=float)
+        seg, scale = np.asarray(self.segments, dtype=float), self.scale
         if seg.ndim not in (1, 2) or len(seg) < 2:
             raise ValueError("need at least two breakpoints")
-        if not np.all(np.diff(seg, axis=0) > 0):
+        if seg.ndim == 1 and isinstance(scale, float):
+            # one integration: the same tests on Python floats, where a
+            # comparison with NaN is false as it is in NumPy
+            pts = seg.tolist()
+            increasing = all(a < b for a, b in zip(pts, pts[1:]))
+            scale_ok = 0.0 < scale < math.inf
+        else:
+            increasing = np.all(np.diff(seg, axis=0) > 0)
+            scale_ok = np.shape(scale) in ((), seg.shape[1:]) and np.all(
+                np.isfinite(scale) & np.greater(scale, 0))
+        if not increasing:
             raise ValueError("breakpoints must be strictly increasing")
-        if np.shape(self.scale) not in ((), seg.shape[1:]) or not np.all(
-                np.isfinite(self.scale) & np.greater(self.scale, 0)):
+        if not scale_ok:
             raise ValueError("scale must be finite, positive and per lane")
         object.__setattr__(self, "segments", seg)
 
@@ -205,9 +215,11 @@ class DenseTrajectory:
     """Integration output: segment-boundary states and accepted steps.
 
     ``step_times`` holds the times of the nodes, each accepted step's
-    start and each segment's end; ``sample_states`` takes states between
-    them from the records.  ``steps`` counts the step attempts (accepted,
-    rejected and non-finite) charged against ``IntegratorSettings.max_steps``.
+    start and each segment's end, taken from the records and ``segments``,
+    the breakpoints, when first read (and settable, as any attribute);
+    ``sample_states`` takes states between them from the records.
+    ``steps`` counts the step attempts (accepted, rejected and non-finite)
+    charged against ``IntegratorSettings.max_steps``.
 
     ``records[j]`` holds segment j's N accepted steps as arrays (t, h, y,
     K) of shapes (N,), (N,), (N, dim), (N, _RECORDED, dim): step n starts
@@ -223,8 +235,14 @@ class DenseTrajectory:
 
     breakpoint_states: list[np.ndarray]
     steps: int | np.ndarray = 0
-    step_times: np.ndarray = field(repr=False, default=None)
     records: list = field(repr=False, default=None)
+    segments: np.ndarray = field(repr=False, default=None)
+
+    @cached_property
+    def step_times(self):
+        """The node times, each record's t and then its segment's end."""
+        return np.concatenate([v for record, end in zip(
+            self.records, self.segments[1:]) for v in (record[0], end[None])])
 
 
 def _error_norm(dk, weights):
@@ -323,8 +341,21 @@ def _start_step(probe, y, f0, span, settings):
     return np.where(h >= _H_MIN, h, _H_MIN)
 
 
-def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale):
-    """Integrate dy/dt = scale rhs(j, t, y) over [t0, t1].
+def _stage_views(dim):
+    """(Z, stages): the buffer Z = [y; h s k_0; ..] of a scalar step, and
+    for each stage i >= 1 its (c_i, Z[:i + 1].T, [1; a_i], Z[i + 1]), the
+    views whose product is its point and where its increment goes.  One
+    integration builds them once for all its segments; a buffer of its
+    own, so that integrations in other threads, or nested in an RHS, share
+    none."""
+    Z = np.empty((_STAGES + 1, dim))
+    return Z, [(_C[i], Z[:i + 1].T, _A1[i], Z[i + 1])
+               for i in range(1, _STAGES)]
+
+
+def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
+    """Integrate dy/dt = scale rhs(j, t, y) over [t0, t1], in the buffer
+    and stage views ``work`` of ``_stage_views``.
 
     Returns (y_end, steps_used, record), the record of its N accepted
     steps as ``DenseTrajectory`` holds it.  The first attempt's step is
@@ -344,10 +375,8 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale):
     y = np.array(y0, dtype=float)
     err_prev = 1.0
     steps = 0
-    record = []
-    Z = np.empty((_STAGES + 1, y.size))
-    stages = [(_C[i], Z[:i + 1].T, _A1[i], Z[i + 1])
-              for i in range(1, _STAGES)]
+    t_rec, h_rec, y_rec, K_rec = [], [], [], []
+    Z, stages = work
     abs_y = np.abs(y).tolist()
     abs_tol, rel_tol = settings.abs_tol, settings.rel_tol
 
@@ -385,7 +414,10 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale):
             err = float(_error_norm(Z[1:], [
                 abs_tol + rel_tol * max(a, b) for a, b in zip(abs_y, abs_new)]))
             if err <= 1.0:
-                record.append((t, h_try, y, Z[1:_RECORDED + 1].copy()))
+                t_rec.append(t)
+                h_rec.append(h_try)
+                y_rec.append(y)
+                K_rec.append(Z[1:_RECORDED + 1].copy())
                 t = t1 if clipped else t + h_try
                 y, abs_y, k1 = y_new, abs_new, fsal   # FSAL
                 fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
@@ -399,7 +431,7 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale):
                         f"step size {h:.3e} below h_min at t={t}; "
                         "the problem may be stiff or blowing up"
                     )
-    return y, steps, tuple(np.array(a) for a in zip(*record))
+    return y, steps, tuple(map(np.array, (t_rec, h_rec, y_rec, K_rec)))
 
 
 def _segment_nodes(record, t_end, y_end):
@@ -481,19 +513,21 @@ def integrate_piecewise(ode, x_start, *, settings=None):
     if y.shape != (ode.dim,) + segments.shape[1:]:
         raise ValueError(f"x_start has shape {y.shape}, expected "
                          f"{(ode.dim,) + segments.shape[1:]}")
-    loop = _integrate_segment if segments.ndim == 1 \
-        else _integrate_lane_segment
+    if segments.ndim == 1:
+        loop, work = _integrate_segment, _stage_views(ode.dim)
+    else:
+        loop = _integrate_lane_segment
+        work = np.empty((segments.shape[1], _STAGES + 1, ode.dim))
 
-    bp_states, records, times, used = [y], [], [], 0
+    bp_states, records, used = [y], [], 0
     for j in range(len(segments) - 1):
         y, steps, record = loop(ode.rhs, j, *segments[j:j + 2], y, settings,
-                                settings.max_steps - used, ode.scale)
+                                settings.max_steps - used, ode.scale, work)
         used = used + steps
         bp_states.append(y)
         records.append(record)
-        times.append(np.concatenate((record[0], segments[j + 1][None])))
     return DenseTrajectory(breakpoint_states=bp_states, steps=used,
-                           step_times=np.concatenate(times), records=records)
+                           records=records, segments=segments)
 
 
 def integrate_with_quadrature(ode, x_start, integrand, *, settings=None):
@@ -524,15 +558,16 @@ def _lane_error(kind, failing, message):
     return kind(f"lane {b}: {message(b)}")
 
 
-def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale):
+def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale, Z):
     """``_integrate_segment`` for B lanes in lockstep.
 
     t0, t1, budget and scale have shape (B,) and y0 shape (dim, B).  Every
     lane applies the scalar rules with its own t, h, error history and
-    budget.  Z is lane-major, (B, 1 + stages, dim), so that a lane's
-    products are the scalar loop's BLAS calls: given the same RHS values, a
-    lane repeats its scalar integration bit for bit, which keeps step counts
-    equal where the error estimate is rounding noise.  A lane that has
+    budget.  The integration's step buffer Z is lane-major, (B, 1 +
+    stages, dim), so that a lane's products are the scalar loop's BLAS
+    calls: given the same RHS values, a lane repeats its scalar
+    integration bit for bit, which keeps step counts equal where the error
+    estimate is rounding noise.  A lane that has
     reached t1 is frozen, trying steps of length 0, until all have.
     The first failure raises, naming its lane.  Returns (y_end,
     steps_used, record): the steps per lane, and the record of
@@ -547,7 +582,6 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale):
     err_prev = np.ones(t.shape)
     steps = np.zeros(t.shape, dtype=int)
     record = []
-    Z = np.empty((t.size, _STAGES + 1, y.shape[1]))
     scale = np.broadcast_to(scale, t.shape)[:, None]
     active = t < t1
 

@@ -64,7 +64,10 @@ class ProblemDef:
     shape (B,), x and p of shape (n, B), u of shape (m, B), returning
     arrays whose trailing axis is that lane axis; a law or a bound may
     return one value for all lanes.  So each phase's Jacobian at all the
-    stage points of a sweep costs one call.
+    stage points of a sweep costs one call.  The callbacks always receive
+    arrays; the built-in problems compute a point on Python floats inside
+    their callbacks, with the same body on the arrays as the fallback (see
+    ``benchmarks``).
     """
 
     name: str
@@ -206,15 +209,40 @@ def phase_feasibility(prob, j):
 def phase_flow(prob, j):
     """Phase j's flow F(t, z) of the sweep state: z = x and F = f in Case 1,
     z = (x, p) and F = (f, -p f_x) in Case 2.  It takes one point, or B
-    lanes: t of shape (B,) and z of shape (d, B)."""
-    n, f, f_x, law = prob.n, prob.f, prob.f_x, phase_law(prob, j)
+    lanes: t of shape (B,) and z of shape (d, B).
+
+    The callbacks receive arrays either way.  At a Case-2 point with a
+    C-ordered f_x, -p f_x is summed on Python floats: each column in order
+    from +0.0, as ``np.einsum`` sums it there, so its bits and its signed
+    zeros are einsum's (``test_case2_point_flow_is_einsums``), and F is one
+    array of f's values and those sums.  Lanes, and an f_x of another
+    layout, whose einsum may sum in another order, keep einsum.
+    """
+    n, f, f_x, m = prob.n, prob.f, prob.f_x, prob.m
+    kind, raw, law = prob.phases[j].law_kind, prob.phases[j].law, \
+        phase_law(prob, j)
     if prob.case == 1:
-        return lambda t, z: f(z, law(t, z))
+        # the law called straight through _shaped, one frame less per call
+        if kind == "constant":
+            return lambda t, z: f(z, _shaped(raw(t), t, m))
+        if kind == "state":
+            return lambda t, z: f(z, _shaped(raw(t, z), t, m))
+        return lambda t, z: f(z, law(t, z))   # refuses p = None by name
 
     def flow(t, z):
         x, p = z[:n], z[n:]
         u = law(t, x, p)
-        dp = -np.einsum("i...,ij...->j...", p, f_x(x, u))
+        fx = f_x(x, u)
+        if z.ndim == 1 and isinstance(fx, np.ndarray) \
+                and fx.flags.c_contiguous:
+            costate, dp = p.tolist(), []
+            for column in zip(*fx.tolist()):
+                total = 0.0
+                for a, b in zip(costate, column):
+                    total += a * b
+                dp.append(-total)
+            return np.array([*np.asarray(f(x, u)).tolist(), *dp])
+        dp = -np.einsum("i...,ij...->j...", p, fx)
         return np.concatenate((f(x, u), dp))
     return flow
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchopt.benchmarks import (
     CATALYST_U_SINGULAR, GODDARD_REFERENCE, JACOBSON_S1, build_catalyst,
@@ -166,3 +167,114 @@ def test_mayer_augmentation_starts_at_zero():
         prob = build_problem(name)
         assert prob.x0[-1] == 0.0
         assert prob.grad_C(np.array([1.0, 2.0, 3.0]))[-1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# a point on Python floats
+# ---------------------------------------------------------------------------
+
+def _float_callbacks():
+    """(label, callback, arguments) of every built-in callback that computes
+    a point on floats: "xu" for (x, u), "tx" and "txp" for a law."""
+    out = []
+    for name in ("catalyst2", "jacobson", "bressan", "goddard"):
+        prob = build_problem(name)
+        out.append((f"{name} f", prob.f, "xu"))
+        if hasattr(prob.f_x, "__wrapped__"):
+            out.append((f"{name} f_x", prob.f_x, "xu"))
+        for j, ph in enumerate(prob.phases):
+            if hasattr(ph.law, "__wrapped__"):
+                out.append((f"{name} law {j}", ph.law, "txp"
+                            if ph.law_kind == "state_costate" else "tx"))
+    return out
+
+
+FLOAT_CALLBACKS = {label: (cb, args) for label, cb, args in _float_callbacks()}
+
+
+def test_the_float_path_covers_each_per_point_callback():
+    assert set(FLOAT_CALLBACKS) == {
+        "catalyst2 f", "catalyst2 f_x", "catalyst2 law 1", "jacobson f",
+        "jacobson law 1", "bressan f", "goddard f", "goddard law 1"}
+    # catalyst1 takes catalyst2's f and f_x
+    catalyst1 = build_problem("catalyst1")
+    for name in ("f", "f_x"):
+        body = getattr(catalyst1, name).__wrapped__
+        assert body.__code__ is \
+            FLOAT_CALLBACKS[f"catalyst2 {name}"][0].__wrapped__.__code__
+
+
+def _outcome(call, args, x, v):
+    """call's value at (x, v), v being u or p, with NumPy's warnings off
+    as in a sweep, or the type of the exception it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return call(x, v) if args == "xu" else \
+                call(0.5, x) if args == "tx" else call(0.5, x, v)
+        except Exception as exc:   # compared by type below
+            return type(exc)
+
+
+def _assert_float_path_is_the_arrays(label, x, v):
+    """The callback at the point (x, v) is its body on the arrays by
+    tobytes, or raises what that body raises; its body on the lists of
+    floats gives the same bits unless it raises what the wrapper catches."""
+    call, args = FLOAT_CALLBACKS[label]
+    x, v = np.array(x, dtype=float), np.array(v, dtype=float)
+    want = _outcome(call.__wrapped__, args, x, v)
+    got = _outcome(call, args, x, v)
+    on_floats = _outcome(call.__wrapped__, args, x.tolist(), v.tolist())
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if isinstance(on_floats, type):
+        assert issubclass(on_floats, (ArithmeticError, ValueError))
+    else:
+        assert on_floats.dtype == np.float64
+        assert on_floats.tobytes() == got.tobytes()
+
+
+def _width(label):
+    """(n, size of the second argument) of the callback ``label``."""
+    n = 2 if label.startswith("catalyst") else 3
+    return n, n if label.endswith("law 1") and n == 2 else 1
+
+
+values = st.one_of(st.floats(-1e3, 1e3), st.floats(),
+                   st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e200]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(label=st.sampled_from(sorted(FLOAT_CALLBACKS)), data=st.data())
+def test_a_point_on_floats_is_the_body_on_arrays(label, data):
+    n, k = _width(label)
+    x = data.draw(st.lists(values, min_size=n, max_size=n))
+    v = data.draw(st.lists(values, min_size=k, max_size=k))
+    _assert_float_path_is_the_arrays(label, x, v)
+
+
+@pytest.mark.parametrize("label, x, v", [
+    ("goddard law 1", [1000.0, 0.0, 2.5], [0.0]),       # kap = c / 0
+    ("goddard law 1", [1000.0, -0.0, 2.5], [0.0]),
+    ("goddard law 1", [1000.0, 1e-200, 2.5], [0.0]),    # kap ** 2 overflows
+    ("goddard law 1", [-1e8, 300.0, 2.5], [0.0]),       # math.exp overflows
+    ("goddard f", [1000.0, 300.0, 0.0], [100.0]),       # (u - drag) / 0
+    ("goddard f", [1000.0, 300.0, -0.0], [0.0]),
+    ("goddard f", [-1e8, 300.0, 2.5], [100.0]),
+    ("goddard f", [1000.0, 1e200, 2.5], [100.0]),       # drag overflows
+    ("catalyst2 law 1", [1.0, 0.0], [2.0, 5.0]),        # den = 0, num = -5
+    ("catalyst2 law 1", [0.0, 0.0], [1.0, 1.0]),        # 0 / 0
+    ("catalyst2 law 1", [np.nan, 0.5], [1.0, 1.0]),
+    ("catalyst2 law 1", [np.inf, 0.5], [1.0, -np.inf]),
+    ("catalyst2 f", [np.inf, -np.inf], [0.0]),
+    ("catalyst2 f_x", [0.5, 0.5], [np.nan]),
+    ("jacobson f", [1e200, -1e200, 0.0], [np.inf]),
+    ("jacobson law 1", [np.nan, 0.0, 0.0], [0.0]),
+    ("bressan f", [np.inf, np.nan, 1.0], [-0.0]),
+])
+def test_a_point_on_floats_at_the_edges(label, x, v):
+    # each edge point gives the array body's bits, or the exception type it
+    # raises: never a ZeroDivisionError or OverflowError of its own
+    _assert_float_path_is_the_arrays(label, x, v)

@@ -433,11 +433,12 @@ def test_start_below_h_min_is_raised_to_it(loop):
 # one finiteness test per step attempt
 # ---------------------------------------------------------------------------
 
-def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget, scale):
+def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     """The segment loop that tests each stage for finiteness and stops an
     attempt at the first non-finite one (reference).  It holds a step as
     the library does, Z = [y; dk_0; ..] with the stage increments dk_i = h
-    scale k_i, and takes the same products on it."""
+    scale k_i, and takes the same products on it, in a buffer of its own:
+    it ignores the library's ``work``."""
     S = odeint._STAGES
     t, y = t0, np.array(y0, dtype=float)
     err_prev = 1.0
@@ -908,6 +909,23 @@ def test_float_edges_give_the_lanes_outcome(kind, tol):
         np.testing.assert_allclose(scalar[0][-1], [1.0 + 1e10], rtol=1e-14)
     if kind == "nan":
         assert scalar is NonFiniteState
+
+
+@pytest.mark.parametrize("kind", [float, np.float64, np.array])
+def test_breakpoints_and_scale_are_refused_on_either_path(kind):
+    # 1-D breakpoints with a float scale are checked on Python floats, and
+    # with a 0-d array scale by NumPy: each refuses the same inputs
+    rhs = lambda j, t, y: -y
+    for bad in ([0.0, np.nan], [np.nan, 1.0], [0.0, 0.0], [1.0, 0.0],
+                [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PiecewiseOde(1, bad, rhs, scale=kind(2.0))
+    for bad in (0.0, -0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="scale"):
+            PiecewiseOde(1, [0.0, 1.0], rhs, scale=kind(bad))
+    for good in ([0.0, 1.0], [-np.inf, 0.0], [0.0, 0.5, np.inf]):
+        ode = PiecewiseOde(1, good, rhs, scale=kind(2.0))
+        assert ode.segments.tolist() == good
 
 
 def test_scale_is_one_float_or_one_per_lane():

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from switchopt.benchmarks import PROBLEM_NAMES, build_problem
 from switchopt.exceptions import InvalidSwitchOrder, MissingCostate
-from switchopt import gradients, problem
+from switchopt import gradients, odeint, problem
 from switchopt.gradients import evaluate_gradient, forward_sweep
 from switchopt.optimizer import minimize
 from switchopt.problem import (
-    SwitchConfig, phase_feasibility, phase_flow, phase_jacobian,
-    phase_law, validate_config,
+    ControlPhase, ProblemDef, SwitchConfig, phase_feasibility, phase_flow,
+    phase_jacobian, phase_law, validate_config,
 )
 
 
@@ -461,3 +461,57 @@ def test_batched_phase_jacobian_matches_per_point(name, j, data):
     for b in range(t.size):
         scale = max(1.0, np.max(np.abs(want[..., b])))
         assert np.max(np.abs(J[..., b] - want[..., b])) <= 1e-14 * scale
+
+
+def _einsum_flow(f, f_x, law, n, t, z):
+    """(f, -p f_x) at one point by ``np.concatenate`` and ``np.einsum``."""
+    x, p = z[:n], z[n:]
+    u = law(t, x, p)
+    dp = -np.einsum("i...,ij...->j...", p, f_x(x, u))
+    return np.concatenate((f(x, u), dp))
+
+
+_entries = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), fortran=st.booleans(), data=st.data())
+def test_case2_point_flow_is_einsums(n, fortran, data):
+    # a Case-2 point sums -p f_x on floats; its bits and signed zeros are
+    # einsum's, for an f_x in C order (the float sum) or not (einsum)
+    def draw(size):
+        return np.array(data.draw(st.lists(_entries, min_size=size,
+                                           max_size=size)))
+    fx, fval, z = draw(n * n).reshape(n, n), draw(n), draw(2 * n)
+    if fortran:
+        fx = np.asfortranarray(fx)
+    bound = lambda t: np.array([1.0])
+    prob = ProblemDef(
+        name="synthetic", n=n, m=1, x0=np.zeros(n), T=1.0, free_time=False,
+        case=2, phases=(ControlPhase("constant", bound, bound, bound),),
+        f=lambda x, u: fval, f_x=lambda x, u: fx, f_u=None,
+        C=lambda x: x[0], grad_C=None)
+    want = _einsum_flow(prob.f, prob.f_x, lambda t, x, p: bound(t), n,
+                        0.5, z)
+    got = phase_flow(prob, 0)(0.5, z)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    SwitchConfig(s=np.array([0.1, 0.7]), p0=np.array([0.9, 0.8])),
+    SwitchConfig(s=np.array([0.14, 0.72]), p0=np.array([0.87, 0.83]))])
+def test_catalyst2_point_flow_is_einsums_at_its_stage_points(catalyst2, cfg):
+    # at every stage point of the forward sweeps from the README start and
+    # near the optimum, each phase's flow is the einsum flow of the model
+    # bodies on the arrays, bit for bit
+    fwd = forward_sweep(catalyst2, cfg)
+    n = catalyst2.n
+    for j, record in enumerate(fwd.records):
+        raw = catalyst2.phases[j].law
+        law = getattr(raw, "__wrapped__", None) or (lambda t, x, p: raw(t))
+        flow = phase_flow(catalyst2, j)
+        taus, Y = odeint._stage_points(*record)
+        for t, z in zip((taus * fwd.T).ravel().tolist(), Y.reshape(-1, 2 * n)):
+            want = _einsum_flow(catalyst2.f.__wrapped__,
+                                catalyst2.f_x.__wrapped__, law, n, t, z)
+            assert flow(t, z).tobytes() == want.tobytes()
