@@ -7,28 +7,27 @@ objectives are reformulated to terminal form by augmenting a state whose
 dynamics is the integrand.  The problems carry the paper's constants; only
 the horizon T varies.
 
-The callbacks still receive arrays, as ``ProblemDef`` says.  Those that a
+The callbacks receive arrays, as ``ProblemDef`` says.  Those that a
 forward sweep calls at every RHS evaluation (each model's f, catalyst's
-f_x, the catalyst2, goddard and jacobson laws) compute a point on Python
-floats, from ``tolist()`` of their inputs, and build their array from
-those floats: float64 arithmetic on Python floats rounds as NumPy's does,
-bit for bit, at a fraction of the interpreter cost.  Lanes, and a point
-whose float arithmetic raises (a division by zero, or an overflowing
-``**`` or ``math.exp``), take the same body on the arrays, which is where
-a one-point NumPy computation would have gone.  A point on floats warns
-of no overflow, where NumPy's scalars would outside ``np.errstate``.
+f_x, and every law) are ``problem.on_floats`` or ``law_on_floats`` bodies
+that return lists: a point's flow runs them on Python floats from end to
+end, and each callback gives the same bits as an array.  Lanes, and a
+point whose float arithmetic raises (a division by zero, or an
+overflowing ``**`` or ``math.exp``), take the same bodies on the arrays,
+which is where a one-point NumPy computation would have gone.  A point on
+floats warns of no overflow, where NumPy's scalars would outside
+``np.errstate``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .problem import ControlPhase, ProblemDef
+from .problem import ControlPhase, ProblemDef, law_on_floats, on_floats
 
 __all__ = [
     "CATALYST_U_SINGULAR",
@@ -71,41 +70,6 @@ def _exp(v):
     return math.exp(v) if isinstance(v, float) else np.exp(v)
 
 
-# what float arithmetic raises where NumPy's returns inf or NaN: a division
-# by zero, an overflowing ``**`` or ``math`` call, a ``math`` domain error
-_FLOAT_FAILS = (ArithmeticError, ValueError)
-
-
-def _on_floats(body):
-    """The model callback body(x, u), called at a point, x of shape (n,),
-    on the lists of floats of x and u, and on lanes or where that raises on
-    the arrays themselves; ``__wrapped__`` is body."""
-    @functools.wraps(body)
-    def call(x, u):
-        if x.ndim == 1:
-            try:
-                return body(x.tolist(), u.tolist())
-            except _FLOAT_FAILS:
-                pass
-        return body(x, u)
-    return call
-
-
-def _law_on_floats(body):
-    """``_on_floats`` for a law body(t, x) or body(t, x, p); t is passed on
-    as it comes."""
-    @functools.wraps(body)
-    def call(t, x, p=None):
-        if x.ndim == 1:
-            try:
-                return body(t, x.tolist()) if p is None \
-                    else body(t, x.tolist(), p.tolist())
-            except _FLOAT_FAILS:
-                pass
-        return body(t, x) if p is None else body(t, x, p)
-    return call
-
-
 # ---------------------------------------------------------------------------
 # catalyst mixing
 # ---------------------------------------------------------------------------
@@ -137,18 +101,18 @@ def _catalyst_core():
     def f(x, u):
         a, b = x
         r = k1 * a - k2 * b
-        return np.array([-u[0] * r, u[0] * r - (1 - u[0]) * k3 * b])
+        return [-u[0] * r, u[0] * r - (1 - u[0]) * k3 * b]
 
     def f_x(x, u):
-        return np.array([[-u[0] * k1, u[0] * k2],
-                         [u[0] * k1, -u[0] * k2 - (1 - u[0]) * k3]])
+        return [[-u[0] * k1, u[0] * k2],
+                [u[0] * k1, -u[0] * k2 - (1 - u[0]) * k3]]
 
     def f_u(x, u):
         a, b = x
         r = k1 * a - k2 * b
         return np.array([[-r], [r + k3 * b]])
 
-    return _on_floats(f), _on_floats(f_x), f_u
+    return on_floats(f), on_floats(f_x), f_u
 
 
 def _catalyst_singular_feedback():
@@ -167,7 +131,7 @@ def _catalyst_singular_feedback():
 
     def law(t, x, p):
         num, den = parts(x, p)
-        return np.array([num / den])
+        return [num / den]
 
     def grads(x, p):
         a, b = x
@@ -183,7 +147,7 @@ def _catalyst_singular_feedback():
         du_p = (dnum_p * den - num * dden_p) / den ** 2
         return du_x, du_p
 
-    return _law_on_floats(law), grads
+    return law_on_floats(law), grads
 
 
 def _catalyst_case2_derivs(prob_phases, f_x, f_u, sing_grads):
@@ -236,13 +200,13 @@ def build_catalyst(T: float = 1.0, case: int = 1,
         singular = ControlPhase("state_costate", sing_law, lo, hi)
     else:
         singular = ControlPhase(
-            "constant", lambda t, v=CATALYST_U_SINGULAR: np.array([v]), lo, hi)
+            "constant", law_on_floats(lambda t: [CATALYST_U_SINGULAR]), lo, hi)
         sing_grads = None
 
     phases = (
-        ControlPhase("constant", lambda t: np.array([1.0]), lo, hi),
+        ControlPhase("constant", law_on_floats(lambda t: [1.0]), lo, hi),
         singular,
-        ControlPhase("constant", lambda t: np.array([0.0]), lo, hi),
+        ControlPhase("constant", law_on_floats(lambda t: [0.0]), lo, hi),
     )
     case2_derivs = None
     if case2:
@@ -279,9 +243,9 @@ def build_jacobson() -> ProblemDef:
     The running cost is absorbed into a third state, so the objective is the
     terminal value of that state.
     """
-    @_on_floats
+    @on_floats
     def f(x, u):
-        return np.array([x[1], u[0], 0.5 * (x[0] * x[0] + x[1] * x[1])])
+        return [x[1], u[0], 0.5 * (x[0] * x[0] + x[1] * x[1])]
 
     def f_x(x, u):
         J = _lane_zeros((3, 3), x)
@@ -302,9 +266,9 @@ def build_jacobson() -> ProblemDef:
     lo = lambda t: np.array([-1.0])
     hi = lambda t: np.array([1.0])
     phases = (
-        ControlPhase("constant", lambda t: np.array([-1.0]), lo, hi),
-        ControlPhase("state", _law_on_floats(lambda t, x: np.array([x[0]])),
-                     lo, hi, law_x=law_x),
+        ControlPhase("constant", law_on_floats(lambda t: [-1.0]), lo, hi),
+        ControlPhase("state", law_on_floats(lambda t, x: [x[0]]), lo, hi,
+                     law_x=law_x),
     )
     return ProblemDef(
         name="jacobson", n=3, m=1, x0=np.array([0.0, 1.0, 0.0]),
@@ -320,9 +284,9 @@ def build_jacobson() -> ProblemDef:
 
 def build_bressan(T: float = 10.0) -> ProblemDef:
     """Bressan's problem on [0, T]: bang u=-1 then singular u=1/2; s_1 = T/3."""
-    @_on_floats
+    @on_floats
     def f(x, u):
-        return np.array([u[0], -x[0], x[0] * x[0] - x[1]])
+        return [u[0], -x[0], x[0] * x[0] - x[1]]
 
     def f_x(x, u):
         J = _lane_zeros((3, 3), x)
@@ -338,8 +302,8 @@ def build_bressan(T: float = 10.0) -> ProblemDef:
     lo = lambda t: np.array([-1.0])
     hi = lambda t: np.array([1.0])
     phases = (
-        ControlPhase("constant", lambda t: np.array([-1.0]), lo, hi),
-        ControlPhase("constant", lambda t: np.array([0.5]), lo, hi),
+        ControlPhase("constant", law_on_floats(lambda t: [-1.0]), lo, hi),
+        ControlPhase("constant", law_on_floats(lambda t: [0.5]), lo, hi),
     )
     return ProblemDef(
         name="bressan", n=3, m=1, x0=np.zeros(3),
@@ -375,11 +339,11 @@ def build_goddard(T: float = 42.0) -> ProblemDef:
     """
     u_max, g, sig, c, h0 = U_MAX, GRAVITY, SIGMA, EXHAUST, H0
 
-    @_on_floats
+    @on_floats
     def f(x, u):
         h, v, m = x
         drag = sig * v * v * _exp(-h / h0)
-        return np.array([v, (u[0] - drag) / m - g, -u[0] / c])
+        return [v, (u[0] - drag) / m - g, -u[0] / c]
 
     def f_x(x, u):
         h, v, m = x
@@ -395,14 +359,14 @@ def build_goddard(T: float = 42.0) -> ProblemDef:
         J[1, 0], J[2, 0] = 1.0 / x[2], -1.0 / c
         return J
 
-    @_law_on_floats
+    @law_on_floats
     def u_sing(t, x):
         h, v, m = x
         E = _exp(-h / h0)
         kap = c / v
         A = 1 + 4 * kap + 2 * kap ** 2
         B = (c ** 2 / (h0 * g)) * (1 + v / c) - 1 - 2 * kap
-        return np.array([sig * v * v * E + m * g + (m * g / A) * B])
+        return [sig * v * v * E + m * g + (m * g / A) * B]
 
     def u_sing_x(t, x):
         h, v, m = x
@@ -421,9 +385,9 @@ def build_goddard(T: float = 42.0) -> ProblemDef:
     lo = lambda t: np.array([0.0])
     hi = lambda t: np.array([u_max])
     phases = (
-        ControlPhase("constant", lambda t: np.array([u_max]), lo, hi),
+        ControlPhase("constant", law_on_floats(lambda t: [u_max]), lo, hi),
         ControlPhase("state", u_sing, lo, hi, law_x=u_sing_x),
-        ControlPhase("constant", lambda t: np.array([0.0]), lo, hi),
+        ControlPhase("constant", law_on_floats(lambda t: [0.0]), lo, hi),
     )
 
     def C(x):

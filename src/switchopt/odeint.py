@@ -200,7 +200,7 @@ class PiecewiseOde:
             increasing = all(a < b for a, b in zip(pts, pts[1:]))
             scale_ok = 0.0 < scale < math.inf
         else:
-            increasing = np.all(np.diff(seg, axis=0) > 0)
+            increasing = np.all(seg[1:] > seg[:-1])   # no subtraction
             scale_ok = np.shape(scale) in ((), seg.shape[1:]) and np.all(
                 np.isfinite(scale) & np.greater(scale, 0))
         if not increasing:

@@ -7,6 +7,11 @@ u = law(t, x, p) (Case 2).  Phase j is active on (s_j, s_{j+1}) once a
 switch configuration fixes the s_j.  The sweeps integrate z = x (Case 1)
 or z = (x, p) (Case 2); each phase gives its flow F(t, z) and the
 Jacobian dF/dz of that flow, at many points per call.
+
+``on_floats`` and ``law_on_floats`` make a callback with the array contract
+from a body written once for a point's Python floats and for arrays; a
+point's flow runs such bodies on lists from end to end, as float64
+arithmetic on Python floats rounds as NumPy's does, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ __all__ = [
     "horizon",
     "phase_law", "phase_feasibility",
     "phase_flow", "phase_jacobian", "lane_shaped",
-    "validate_config",
+    "validate_config", "on_floats", "law_on_floats",
 ]
 
 FD_STEP = 1e-6  # relative step of the central difference, read at call time
@@ -65,9 +70,8 @@ class ProblemDef:
     arrays whose trailing axis is that lane axis; a law or a bound may
     return one value for all lanes.  So each phase's Jacobian at all the
     stage points of a sweep costs one call.  The callbacks always receive
-    arrays; the built-in problems compute a point on Python floats inside
-    their callbacks, with the same body on the arrays as the fallback (see
-    ``benchmarks``).
+    arrays; ``on_floats`` and ``law_on_floats`` callbacks also give
+    ``phase_flow`` a body to run on a point's floats.
     """
 
     name: str
@@ -166,6 +170,49 @@ def validate_config(prob: ProblemDef, cfg: SwitchConfig):
                                  f"Case {prob.case} takes {prob.p0_size}")
 
 
+# what float arithmetic raises where NumPy's returns inf or NaN: a division
+# by zero, an overflowing ``**`` or ``math`` call, a ``math`` domain error
+_FLOAT_FAILS = (ArithmeticError, ValueError)
+
+
+def on_floats(body):
+    """A model callback (x, u) from body(x, u), which returns a list of
+    floats (nested for f_x) on lists and of arrays on arrays.  It returns
+    ``np.array(body(...))``: at a point, x of shape (n,), on the lists of
+    floats of x and u, and on lanes or where that raises on the arrays."""
+    def call(x, u):
+        if x.ndim == 1:
+            try:
+                return np.array(body(x.tolist(), u.tolist()))
+            except _FLOAT_FAILS:
+                pass
+        return np.array(body(x, u))
+    call.float_body = body
+    return call
+
+
+def law_on_floats(body):
+    """``on_floats`` for a law body(t), body(t, x) or body(t, x, p), which
+    returns a list of m values; t is passed on as it comes."""
+    def call(t, *xp):
+        if not xp or xp[0].ndim == 1:
+            try:
+                return np.array(body(t, *[a.tolist() for a in xp]))
+            except _FLOAT_FAILS:
+                pass
+        return np.array(body(t, *xp))
+    call.float_body = body
+    return call
+
+
+def _float_body(cb):
+    """cb's body on floats when cb is an ``on_floats`` callback itself; a
+    function wrapping one, even by ``functools.wraps``, which copies the
+    attribute, is called as it is."""
+    return None if hasattr(cb, "__wrapped__") else getattr(
+        cb, "float_body", None)
+
+
 def _shaped(v, t, m):
     """v, the value of a law or a bound, as floats of shape (m,) at a point
     or (m, B) on the B lanes of t (B,); a constant is broadcast."""
@@ -211,39 +258,53 @@ def phase_flow(prob, j):
     z = (x, p) and F = (f, -p f_x) in Case 2.  It takes one point, or B
     lanes: t of shape (B,) and z of shape (d, B).
 
-    The callbacks receive arrays either way.  At a Case-2 point with a
-    C-ordered f_x, -p f_x is summed on Python floats: each column in order
-    from +0.0, as ``np.einsum`` sums it there, so its bits and its signed
-    zeros are einsum's (``test_case2_point_flow_is_einsums``), and F is one
-    array of f's values and those sums.  Lanes, and an f_x of another
-    layout, whose einsum may sum in another order, keep einsum.
+    The callbacks receive arrays.  At a point whose law, f and (Case 2)
+    f_x all carry a ``float_body``, F is their bodies' chain on the list
+    ``z.tolist()``, with -p f_x summed over each column in order from +0.0
+    as ``np.einsum`` sums it at a point, so its bits and signed zeros are
+    einsum's (``test_case2_point_flow_is_einsums``), and one ``np.array``
+    of the result.  Lanes, other callbacks, and a point where a body's
+    float arithmetic raises take the callbacks on arrays.
     """
     n, f, f_x, m = prob.n, prob.f, prob.f_x, prob.m
     kind, raw, law = prob.phases[j].law_kind, prob.phases[j].law, \
         phase_law(prob, j)
-    if prob.case == 1:
-        # the law called straight through _shaped, one frame less per call
-        if kind == "constant":
-            return lambda t, z: f(z, _shaped(raw(t), t, m))
-        if kind == "state":
-            return lambda t, z: f(z, _shaped(raw(t, z), t, m))
+    case2 = prob.case == 2
+    if case2:
+        def arrays(t, z):
+            x, p = z[:n], z[n:]
+            u = law(t, x, p)
+            dp = -np.einsum("i...,ij...->j...", p, f_x(x, u))
+            return np.concatenate((f(x, u), dp))
+    elif kind == "constant":   # the law straight through _shaped
+        arrays = lambda t, z: f(z, _shaped(raw(t), t, m))
+    elif kind == "state":
+        arrays = lambda t, z: f(z, _shaped(raw(t, z), t, m))
+    else:
         return lambda t, z: f(z, law(t, z))   # refuses p = None by name
+    law_b, f_b, fx_b = map(_float_body, (raw, f, f_x))
+    if law_b is None or f_b is None or case2 and fx_b is None:
+        return arrays
+    state, costate = kind != "constant", kind == "state_costate"
 
     def flow(t, z):
-        x, p = z[:n], z[n:]
-        u = law(t, x, p)
-        fx = f_x(x, u)
-        if z.ndim == 1 and isinstance(fx, np.ndarray) \
-                and fx.flags.c_contiguous:
-            costate, dp = p.tolist(), []
-            for column in zip(*fx.tolist()):
-                total = 0.0
-                for a, b in zip(costate, column):
-                    total += a * b
-                dp.append(-total)
-            return np.array([*np.asarray(f(x, u)).tolist(), *dp])
-        dp = -np.einsum("i...,ij...->j...", p, fx)
-        return np.concatenate((f(x, u), dp))
+        if z.ndim == 1:
+            try:
+                zl = z.tolist()
+                x, p = (zl[:n], zl[n:]) if case2 else (zl, None)
+                u = law_b(t, x, p) if costate else law_b(t, x) if state \
+                    else law_b(t)
+                dp = []
+                if case2:
+                    for column in zip(*fx_b(x, u)):
+                        total = 0.0
+                        for a, b in zip(p, column):
+                            total += a * b
+                        dp.append(-total)
+                return np.array(f_b(x, u) + dp)
+            except _FLOAT_FAILS:
+                pass
+        return arrays(t, z)
     return flow
 
 

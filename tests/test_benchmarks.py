@@ -175,17 +175,19 @@ def test_mayer_augmentation_starts_at_zero():
 
 def _float_callbacks():
     """(label, callback, arguments) of every built-in callback that computes
-    a point on floats: "xu" for (x, u), "tx" and "txp" for a law."""
+    a point on floats: "xu" for (x, u), "t", "tx" and "txp" for a law.
+    catalyst1's f and f_x are catalyst2's (see below)."""
     out = []
-    for name in ("catalyst2", "jacobson", "bressan", "goddard"):
+    for name in ("catalyst1", "catalyst2", "jacobson", "bressan", "goddard"):
         prob = build_problem(name)
-        out.append((f"{name} f", prob.f, "xu"))
-        if hasattr(prob.f_x, "__wrapped__"):
-            out.append((f"{name} f_x", prob.f_x, "xu"))
+        for cb in () if name == "catalyst1" else ("f", "f_x"):
+            if hasattr(getattr(prob, cb), "float_body"):
+                out.append((f"{name} {cb}", getattr(prob, cb), "xu"))
         for j, ph in enumerate(prob.phases):
-            if hasattr(ph.law, "__wrapped__"):
-                out.append((f"{name} law {j}", ph.law, "txp"
-                            if ph.law_kind == "state_costate" else "tx"))
+            if hasattr(ph.law, "float_body"):
+                out.append((f"{name} law {j}", ph.law, {
+                    "constant": "t", "state": "tx",
+                    "state_costate": "txp"}[ph.law_kind]))
     return out
 
 
@@ -193,15 +195,19 @@ FLOAT_CALLBACKS = {label: (cb, args) for label, cb, args in _float_callbacks()}
 
 
 def test_the_float_path_covers_each_per_point_callback():
+    # every law, the constant ones included, and each f and catalyst's f_x
     assert set(FLOAT_CALLBACKS) == {
-        "catalyst2 f", "catalyst2 f_x", "catalyst2 law 1", "jacobson f",
-        "jacobson law 1", "bressan f", "goddard f", "goddard law 1"}
+        "catalyst1 law 0", "catalyst1 law 1", "catalyst1 law 2",
+        "catalyst2 f", "catalyst2 f_x", "catalyst2 law 0", "catalyst2 law 1",
+        "catalyst2 law 2", "jacobson f", "jacobson law 0", "jacobson law 1",
+        "bressan f", "bressan law 0", "bressan law 1", "goddard f",
+        "goddard law 0", "goddard law 1", "goddard law 2"}
     # catalyst1 takes catalyst2's f and f_x
     catalyst1 = build_problem("catalyst1")
     for name in ("f", "f_x"):
-        body = getattr(catalyst1, name).__wrapped__
+        body = getattr(catalyst1, name).float_body
         assert body.__code__ is \
-            FLOAT_CALLBACKS[f"catalyst2 {name}"][0].__wrapped__.__code__
+            FLOAT_CALLBACKS[f"catalyst2 {name}"][0].float_body.__code__
 
 
 def _outcome(call, args, x, v):
@@ -209,21 +215,24 @@ def _outcome(call, args, x, v):
     as in a sweep, or the type of the exception it raises."""
     with np.errstate(all="ignore"):
         try:
-            return call(x, v) if args == "xu" else \
-                call(0.5, x) if args == "tx" else call(0.5, x, v)
+            return call(x, v) if args == "xu" else call(0.5) \
+                if args == "t" else call(0.5, x) if args == "tx" \
+                else call(0.5, x, v)
         except Exception as exc:   # compared by type below
             return type(exc)
 
 
 def _assert_float_path_is_the_arrays(label, x, v):
-    """The callback at the point (x, v) is its body on the arrays by
-    tobytes, or raises what that body raises; its body on the lists of
-    floats gives the same bits unless it raises what the wrapper catches."""
+    """The callback at the point (x, v) is ``np.array`` of its body on the
+    arrays by tobytes, or raises what that body raises; its body on the
+    lists of floats gives the same bits unless it raises what the wrapper
+    catches."""
     call, args = FLOAT_CALLBACKS[label]
+    body = lambda *a: np.array(call.float_body(*a))
     x, v = np.array(x, dtype=float), np.array(v, dtype=float)
-    want = _outcome(call.__wrapped__, args, x, v)
+    want = _outcome(body, args, x, v)
     got = _outcome(call, args, x, v)
-    on_floats = _outcome(call.__wrapped__, args, x.tolist(), v.tolist())
+    on_floats = _outcome(body, args, x.tolist(), v.tolist())
     if isinstance(want, type):
         assert got is want
     else:

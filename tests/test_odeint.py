@@ -914,12 +914,16 @@ def test_float_edges_give_the_lanes_outcome(kind, tol):
 @pytest.mark.parametrize("kind", [float, np.float64, np.array])
 def test_breakpoints_and_scale_are_refused_on_either_path(kind):
     # 1-D breakpoints with a float scale are checked on Python floats, and
-    # with a 0-d array scale by NumPy: each refuses the same inputs
+    # with a 0-d array scale, or as 2-D lanes, by NumPy: each refuses the
+    # same inputs, infinite ones too, with no RuntimeWarning
     rhs = lambda j, t, y: -y
     for bad in ([0.0, np.nan], [np.nan, 1.0], [0.0, 0.0], [1.0, 0.0],
-                [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+                [0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [np.inf, np.inf],
+                [-np.inf, -np.inf]):
         with pytest.raises(ValueError, match="strictly increasing"):
             PiecewiseOde(1, bad, rhs, scale=kind(2.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PiecewiseOde(1, np.array(bad)[:, None], rhs, scale=kind(2.0))
     for bad in (0.0, -0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="scale"):
             PiecewiseOde(1, [0.0, 1.0], rhs, scale=kind(bad))

@@ -11,8 +11,8 @@ from switchopt import gradients, odeint, problem
 from switchopt.gradients import evaluate_gradient, forward_sweep
 from switchopt.optimizer import minimize
 from switchopt.problem import (
-    ControlPhase, ProblemDef, SwitchConfig, phase_feasibility, phase_flow,
-    phase_jacobian, phase_law, validate_config,
+    ControlPhase, ProblemDef, SwitchConfig, on_floats, phase_feasibility,
+    phase_flow, phase_jacobian, phase_law, validate_config,
 )
 
 
@@ -475,10 +475,12 @@ _entries = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 12), fortran=st.booleans(), data=st.data())
-def test_case2_point_flow_is_einsums(n, fortran, data):
-    # a Case-2 point sums -p f_x on floats; its bits and signed zeros are
-    # einsum's, for an f_x in C order (the float sum) or not (einsum)
+@given(n=st.integers(1, 12), fortran=st.booleans(), fused=st.booleans(),
+       data=st.data())
+def test_case2_point_flow_is_einsums(n, fortran, fused, data):
+    # a Case-2 point with float bodies sums -p f_x on floats; its bits and
+    # signed zeros are einsum's on the C-ordered f_x the callback returns.
+    # Callbacks without float bodies take einsum, in C order or not
     def draw(size):
         return np.array(data.draw(st.lists(_entries, min_size=size,
                                            max_size=size)))
@@ -486,11 +488,15 @@ def test_case2_point_flow_is_einsums(n, fortran, data):
     if fortran:
         fx = np.asfortranarray(fx)
     bound = lambda t: np.array([1.0])
+    f, f_x, law = lambda x, u: fval, lambda x, u: fx, bound
+    if fused:
+        f, f_x = on_floats(lambda x, u: fval.tolist()), \
+            on_floats(lambda x, u: fx.tolist())
+        law = problem.law_on_floats(lambda t: [1.0])
     prob = ProblemDef(
         name="synthetic", n=n, m=1, x0=np.zeros(n), T=1.0, free_time=False,
-        case=2, phases=(ControlPhase("constant", bound, bound, bound),),
-        f=lambda x, u: fval, f_x=lambda x, u: fx, f_u=None,
-        C=lambda x: x[0], grad_C=None)
+        case=2, phases=(ControlPhase("constant", law, bound, bound),),
+        f=f, f_x=f_x, f_u=None, C=lambda x: x[0], grad_C=None)
     want = _einsum_flow(prob.f, prob.f_x, lambda t, x, p: bound(t), n,
                         0.5, z)
     got = phase_flow(prob, 0)(0.5, z)
@@ -502,16 +508,131 @@ def test_case2_point_flow_is_einsums(n, fortran, data):
     SwitchConfig(s=np.array([0.14, 0.72]), p0=np.array([0.87, 0.83]))])
 def test_catalyst2_point_flow_is_einsums_at_its_stage_points(catalyst2, cfg):
     # at every stage point of the forward sweeps from the README start and
-    # near the optimum, each phase's flow is the einsum flow of the model
-    # bodies on the arrays, bit for bit
+    # near the optimum, each phase's flow is the einsum flow of ``np.array``
+    # of the model bodies on the arrays, bit for bit
     fwd = forward_sweep(catalyst2, cfg)
     n = catalyst2.n
+    f, f_x = (lambda x, u, body=cb.float_body: np.array(body(x, u))
+              for cb in (catalyst2.f, catalyst2.f_x))
     for j, record in enumerate(fwd.records):
-        raw = catalyst2.phases[j].law
-        law = getattr(raw, "__wrapped__", None) or (lambda t, x, p: raw(t))
+        ph = catalyst2.phases[j]
+        body = ph.law.float_body
+        law = (lambda t, x, p: np.array(body(t, x, p))) \
+            if ph.law_kind == "state_costate" else \
+            (lambda t, x, p: np.array(body(t)))
         flow = phase_flow(catalyst2, j)
         taus, Y = odeint._stage_points(*record)
         for t, z in zip((taus * fwd.T).ravel().tolist(), Y.reshape(-1, 2 * n)):
-            want = _einsum_flow(catalyst2.f.__wrapped__,
-                                catalyst2.f_x.__wrapped__, law, n, t, z)
+            want = _einsum_flow(f, f_x, law, n, t, z)
             assert flow(t, z).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the fused point flow
+# ---------------------------------------------------------------------------
+
+def _counted(prob, wrap=lambda fn: lambda counting: counting):
+    """prob with each model callback and law behind a plain counting
+    function, as ``perfbench/tracing.py`` wraps them (``wrap`` may add
+    ``functools.wraps``), and the counter of calls by callback name."""
+    counts = {}
+
+    def cb(key, fn):
+        @wrap(fn)
+        def counting(*args):
+            counts[key] = counts.get(key, 0) + 1
+            return fn(*args)
+        return counting
+    phases = tuple(dataclasses.replace(ph, law=cb("law", ph.law))
+                   for ph in prob.phases)
+    return dataclasses.replace(prob, phases=phases, f=cb("f", prob.f),
+                               f_x=cb("f_x", prob.f_x)), counts
+
+
+def _flow_outcome(flow, t, z):
+    """flow(t, z) with NaN made NaN of one sign bit, or the type of the
+    exception it raises.  A NaN's sign is not reproducible: after a few
+    calls Python specialises its float operations, which can then carry
+    the other operand's NaN."""
+    with np.errstate(all="ignore"):   # as in a sweep
+        try:
+            F = flow(t, z)
+        except Exception as exc:   # compared by type
+            return type(exc)
+    assert F.dtype == np.float64
+    return np.where(np.isnan(F), np.nan, F)
+
+
+def _assert_fused_flow_is_the_array_path(name, j, t, z):
+    """The point flow of phase j is, by tobytes, the flow of the same
+    problem behind counting wrappers, which takes the array path (the
+    callbacks on arrays), or raises what that flow raises; the counter
+    sees each of its callback calls."""
+    prob = build_problem(name)
+    counted, counts = _counted(prob)
+    z = np.array(z, dtype=float)
+    got = _flow_outcome(phase_flow(prob, j), t, z)
+    want = _flow_outcome(phase_flow(counted, j), t, z)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert counts == dict(law=1, f=1, **({"f_x": 1} if prob.case == 2
+                                            else {}))
+
+
+_PHASES = [(name, j) for name in PROBLEM_NAMES
+           for j in range(build_problem(name).k + 1)]
+
+
+@pytest.mark.parametrize("name, j", _PHASES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fused_point_flow_is_the_array_path(name, j, data):
+    values = st.one_of(st.floats(-1e3, 1e3), st.floats(),
+                       st.sampled_from([0.0, -0.0, 1e-200, 1e200]))
+    prob = build_problem(name)
+    d = prob.n * prob.case   # z = x, or (x, p) in Case 2
+    z = data.draw(st.lists(values, min_size=d, max_size=d))
+    _assert_fused_flow_is_the_array_path(
+        name, j, data.draw(st.floats(0.0, 50.0)), z)
+
+
+@pytest.mark.parametrize("name, j, z", [
+    ("goddard", 1, [1000.0, 0.0, 2.5]),          # the law's c / v, v = 0
+    ("goddard", 1, [1000.0, -0.0, 2.5]),
+    ("goddard", 0, [1000.0, 300.0, 0.0]),        # f's (u - drag) / m, m = 0
+    ("goddard", 1, [1000.0, 300.0, 0.0]),
+    ("goddard", 2, [1000.0, 300.0, -0.0]),
+    ("goddard", 1, [-1e8, 300.0, 2.5]),          # math.exp overflows on
+    ("goddard", 0, [-1e8, 300.0, 2.5]),          # either path
+    ("catalyst2", 1, [1.0, 0.0, 2.0, 5.0]),      # den = 0, num = -5
+    ("catalyst2", 1, [0.0, 0.0, 1.0, 1.0]),      # 0 / 0
+])
+def test_fused_point_flow_at_points_where_a_float_body_raises(name, j, z):
+    _assert_fused_flow_is_the_array_path(name, j, 0.5, z)
+
+
+@pytest.mark.parametrize("wrap", [lambda fn: lambda counting: counting,
+                                  functools.wraps],
+                         ids=["plain", "functools.wraps"])
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_wrapped_callbacks_take_the_array_path(name, wrap):
+    # a wrapper hides the float bodies, even one that copies their
+    # attribute: every flow call of a whole forward sweep calls each
+    # wrapped callback once, and the sweep is the same bits
+    prob = build_problem(name)
+    counted, counts = _counted(prob, wrap)
+    cfg = SWEEP_CFGS[name]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        def spy(prob, j):
+            flow = phase_flow(prob, j)
+            return lambda t, z: calls.append(1) or flow(t, z)
+        mp.setattr(gradients, "phase_flow", spy)
+        got = forward_sweep(counted, cfg)
+    want = forward_sweep(prob, cfg)
+    assert got.objective == want.objective
+    assert got.checkpoints.tobytes() == want.checkpoints.tobytes()
+    assert counts["f"] == counts["law"] == len(calls) > 0
+    assert counts.get("f_x", 0) == (len(calls) if prob.case == 2 else 0)
