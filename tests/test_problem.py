@@ -11,8 +11,8 @@ from switchopt import gradients, odeint, problem
 from switchopt.gradients import evaluate_gradient, forward_sweep
 from switchopt.optimizer import minimize
 from switchopt.problem import (
-    ControlPhase, ProblemDef, SwitchConfig, on_floats, phase_feasibility,
-    phase_flow, phase_jacobian, phase_law, validate_config,
+    ControlPhase, ProblemDef, SwitchConfig, law_on_floats, on_floats,
+    phase_feasibility, phase_flow, phase_jacobian, phase_law, validate_config,
 )
 
 
@@ -492,7 +492,7 @@ def test_case2_point_flow_is_einsums(n, fortran, fused, data):
     if fused:
         f, f_x = on_floats(lambda x, u: fval.tolist()), \
             on_floats(lambda x, u: fx.tolist())
-        law = problem.law_on_floats(lambda t: [1.0])
+        law = law_on_floats(lambda t: [1.0])
     prob = ProblemDef(
         name="synthetic", n=n, m=1, x0=np.zeros(n), T=1.0, free_time=False,
         case=2, phases=(ControlPhase("constant", law, bound, bound),),
