@@ -13,10 +13,9 @@ f_x, and every law) are ``problem.on_floats`` or ``law_on_floats`` bodies
 that return lists: a point's flow runs them on Python floats from end to
 end, and each callback gives the same bits as an array.  Lanes, and a
 point whose float arithmetic raises (a division by zero, or an
-overflowing ``**`` or ``math.exp``), take the same bodies on the arrays,
-which is where a one-point NumPy computation would have gone.  A point on
-floats warns of no overflow, where NumPy's scalars would outside
-``np.errstate``.
+overflowing ``**``), take the same bodies on the arrays, which is where a
+one-point NumPy computation would have gone.  A point on floats warns of
+no overflow, where NumPy's scalars would outside ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -66,8 +65,11 @@ def _lane_zeros(shape, x):
 def _exp(v):
     """exp of a float by ``math.exp``, the cheap call on the one-point
     path of the forward sweep (a Python float, or NumPy's float64 scalar
-    of a point given as an array), and of a lane array by ``np.exp``."""
-    return math.exp(v) if isinstance(v, float) else np.exp(v)
+    of a point), inf where that overflows, and of lanes by ``np.exp``."""
+    try:
+        return math.exp(v) if isinstance(v, float) else np.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

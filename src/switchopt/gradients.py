@@ -154,12 +154,11 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
     T, sigma, z0 = (np.stack(v, axis=-1) if lanes else v[0]
                     for v in zip(*starts))
     n, flows = prob.n, _resolved(phase_flow, prob)
-
-    def rhs(j, tau, z):
-        return flows[j](tau * T, z)
-
-    traj = integrate_piecewise(PiecewiseOde(len(z0), sigma, rhs, scale=T),
-                               z0, settings=settings)
+    points = flows if lanes else [getattr(F, "point", F) for F in flows]
+    rhs = lambda j, tau, z: flows[j](tau * T, z)   # samples call it on lanes
+    traj = integrate_piecewise(PiecewiseOde(
+        len(z0), sigma, lambda j, tau, z: points[j](tau * T, z), scale=T),
+        z0, settings=settings)
     times = phase = None
     if not lanes:
         times = np.linspace(0.0, 1.0, max(2, sample_count)) * T

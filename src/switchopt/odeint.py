@@ -18,7 +18,8 @@ Both loops hold a step as Z = [y; h s k_0; ..], whose products give each
 stage point, the new state and the error estimates, record a segment's
 accepted steps as arrays (t, h, y, K), the step axis first, test each
 attempt's new state once and share one starting step and one error norm,
-which a point of dim < _IN_ORDER takes on Python floats, bit for bit.
+which a point of dim < _IN_ORDER takes on Python floats, bit for bit, as
+it does its stage increments from RHS values, lists or 1-D arrays.
 """
 
 from __future__ import annotations
@@ -176,7 +177,9 @@ class PiecewiseOde:
     ``segments`` is the ordered breakpoint list; segment j spans
     [segments[j], segments[j+1]] and ``rhs(j, t, x)`` is only evaluated
     with t inside that closed interval.  The positive ``scale`` enters the
-    steps' stage increments, not each RHS value.
+    steps' stage increments, not each RHS value.  At a point rhs returns
+    dim floats, a list, which saves an array per stage, or a 1-D array.
+    Each segment's first value must have the state's shape (ValueError).
 
     ``segments`` of shape (nseg+1, B) describes B lanes, stepped in
     lockstep: column b holds lane b's breakpoints, ``scale`` is a float or
@@ -343,14 +346,21 @@ def _start_step(probe, y, f0, span, settings):
 
 def _stage_views(dim):
     """(Z, stages): the buffer Z = [y; h s k_0; ..] of a scalar step, and
-    for each stage i >= 1 its (c_i, Z[:i + 1].T, [1; a_i], Z[i + 1]), the
-    views whose product is its point and where its increment goes.  One
-    integration builds them once for all its segments; a buffer of its
+    for each stage i >= 1 its (i + 1, c_i, Z[:i + 1].T, [1; a_i]): the row
+    of Z its increment goes to, and the views whose product is its point.
+    One integration builds them once for all its segments; a buffer of its
     own, so that integrations in other threads, or nested in an RHS, share
     none."""
     Z = np.empty((_STAGES + 1, dim))
-    return Z, [(_C[i], Z[:i + 1].T, _A1[i], Z[i + 1])
-               for i in range(1, _STAGES)]
+    return Z, [(i + 1, _C[i], Z[:i + 1].T, _A1[i]) for i in range(1, _STAGES)]
+
+
+def _first_value(rhs, j, t, y):
+    """A segment's first RHS value rhs(j, t, y) as an array of y's shape."""
+    F = np.asarray(rhs(j, t, y), dtype=float)
+    if F.shape != y.shape:
+        raise ValueError(f"segment {j}: RHS shape {F.shape}, state {y.shape}")
+    return F
 
 
 def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
@@ -367,9 +377,9 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     0 inf and 0 NaN are NaN in ``_B1.dot(Z)``, whose bits are ``@``'s.
 
     Besides the stage products it works on Python floats, which round as
-    float64 does: its clock, and one ``tolist`` of each new state for the
-    finiteness test and then the error weights.  A lane repeats it bit
-    for bit (``test_decoupled_lane_repeats_the_scalar_loop``).
+    float64 does: its clock, each stage's increments, one ``tolist`` of
+    each new state for the finiteness test and then the error weights.  A
+    lane repeats it (``test_decoupled_lane_repeats_the_scalar_loop``).
     """
     t, t1, scale = float(t0), float(t1), float(scale)
     y = np.array(y0, dtype=float)
@@ -381,12 +391,13 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     abs_tol, rel_tol = settings.abs_tol, settings.rel_tol
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k1 = rhs(j, t, y)
-        if not all(map(math.isfinite, k1.tolist())):
+        F = _first_value(rhs, j, t, y)
+        k1 = F.tolist()
+        if not all(map(math.isfinite, k1)):
             raise NonFiniteState(f"non-finite derivative at t={t}")
-        sf = scale * k1
-        h = float(_start_step(lambda h0: scale * rhs(j, t + h0, y + h0 * sf),
-                              y, sf, t1 - t, settings))
+        sf = scale * F
+        h = float(_start_step(lambda h0: np.multiply(scale, rhs(
+            j, t + h0, y + h0 * sf)), y, sf, t1 - t, settings))
 
         while t < t1:
             if steps >= budget:
@@ -395,10 +406,10 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
             h_try = t1 - t if clipped else h
 
             hs, Z[0] = h_try * scale, y
-            np.multiply(k1, hs, Z[1])
-            for c, columns, a, dk in stages:
+            Z[1] = [v * hs for v in k1]
+            for i, c, columns, a in stages:
                 fsal = rhs(j, t + c * h_try, columns.dot(a))
-                np.multiply(fsal, hs, dk)
+                Z[i] = [v * hs for v in fsal]
             y_new = _B1.dot(Z)
 
             steps += 1
@@ -586,7 +597,7 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale, Z):
     active = t < t1
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k1 = f(t, y)
+        k1 = _first_value(rhs, j, t, y.T).T
         bad = ~np.isfinite(k1).all(axis=1)
         if bad.any():
             raise _lane_error(NonFiniteState, bad,

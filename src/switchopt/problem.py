@@ -258,13 +258,14 @@ def phase_flow(prob, j):
     z = (x, p) and F = (f, -p f_x) in Case 2.  It takes one point, or B
     lanes: t of shape (B,) and z of shape (d, B).
 
-    The callbacks receive arrays.  At a point whose law, f and (Case 2)
-    f_x all carry a ``float_body``, F is their bodies' chain on the list
-    ``z.tolist()``, with -p f_x summed over each column in order from +0.0
-    as ``np.einsum`` sums it at a point, so its bits and signed zeros are
-    einsum's (``test_case2_point_flow_is_einsums``), and one ``np.array``
-    of the result.  Lanes, other callbacks, and a point where a body's
-    float arithmetic raises take the callbacks on arrays.
+    The callbacks receive arrays.  When law, f and (Case 2) f_x all carry
+    a ``float_body``, ``flow.point(t, z)`` is their bodies' chain on the
+    list ``z.tolist()`` of a point, -p f_x summed over each column in order
+    from +0.0 as ``np.einsum`` sums it at a point (its bits and signed
+    zeros: ``test_case2_point_flow_is_einsums``): the list of F, which a
+    sweep stores, and F at a point is ``np.array`` of it.  Lanes, other
+    callbacks, and a point where a body's float arithmetic raises take the
+    callbacks on arrays.
     """
     n, f, f_x, m = prob.n, prob.f, prob.f_x, prob.m
     kind, raw, law = prob.phases[j].law_kind, prob.phases[j].law, \
@@ -287,24 +288,24 @@ def phase_flow(prob, j):
         return arrays
     state, costate = kind != "constant", kind == "state_costate"
 
-    def flow(t, z):
-        if z.ndim == 1:
-            try:
-                zl = z.tolist()
-                x, p = (zl[:n], zl[n:]) if case2 else (zl, None)
-                u = law_b(t, x, p) if costate else law_b(t, x) if state \
-                    else law_b(t)
-                dp = []
-                if case2:
-                    for column in zip(*fx_b(x, u)):
-                        total = 0.0
-                        for a, b in zip(p, column):
-                            total += a * b
-                        dp.append(-total)
-                return np.array(f_b(x, u) + dp)
-            except _FLOAT_FAILS:
-                pass
-        return arrays(t, z)
+    def point(t, z):
+        try:
+            zl = z.tolist()
+            x, p = (zl[:n], zl[n:]) if case2 else (zl, None)
+            u = law_b(t, x, p) if costate else law_b(t, x) if state \
+                else law_b(t)
+            dp = []
+            if case2:
+                for column in zip(*fx_b(x, u)):
+                    total = 0.0
+                    for a, b in zip(p, column):
+                        total += a * b
+                    dp.append(-total)
+            return f_b(x, u) + dp
+        except _FLOAT_FAILS:
+            return arrays(t, z)
+    flow = lambda t, z: np.array(point(t, z)) if z.ndim == 1 else arrays(t, z)
+    flow.point = point
     return flow
 
 

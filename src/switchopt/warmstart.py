@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NoStructure
-from .problem import ProblemDef, lane_shaped
+from .problem import _FLOAT_FAILS, ProblemDef, _float_body, lane_shaped
 
 __all__ = [
     "DiscreteControlProblem",
@@ -159,7 +159,19 @@ def tv_prox(signal, weight):
 # ---------------------------------------------------------------------------
 
 def _rollout(prob, u, h):
-    """Forward Euler states x_0..x_N for control matrix u (m, N)."""
+    """Forward Euler states x_0..x_N for control matrix u (m, N): on lists
+    of floats, with NumPy's bits, when prob.f has a ``float_body`` (see
+    ``problem.on_floats``) whose arithmetic raises nowhere, else on arrays."""
+    body = _float_body(prob.f)
+    if body is not None:
+        try:
+            x, rows = prob.x0.tolist(), []
+            for uj in u.T.tolist():
+                rows.append(x)
+                x = [a + h * b for a, b in zip(x, body(x, uj))]
+            return np.array(rows + [x])
+        except _FLOAT_FAILS:
+            pass
     xs = np.empty((u.shape[1] + 1, prob.n))
     xs[0] = x = prob.x0
     for j, uj in enumerate(u.T, 1):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -1028,3 +1029,59 @@ def test_lane_step_times_have_a_node_per_lockstep_iteration():
         assert len(set(accepted)) > 1 and accepted.max() == iterations[j]
     assert np.array_equal(traj.steps, sum(
         np.count_nonzero(r[1], axis=0) for r in traj.records))
+
+
+# ---------------------------------------------------------------------------
+# the RHS value at a point: a list or a 1-D array
+# ---------------------------------------------------------------------------
+
+def _pendulum(as_list):
+    """A damped pendulum whose segments change the damping, its RHS value
+    a list of floats or a 1-D array of the same floats."""
+    def rhs(j, t, y):
+        a, b = y.tolist()
+        F = [b, -math.sin(a) - 0.1 * (j + 1) * b + math.cos(3.0 * t)]
+        return F if as_list else np.array(F)
+    return PiecewiseOde(2, [0.0, 0.7, 2.0, 3.5], rhs)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-11])
+def test_a_list_rhs_value_gives_the_records_of_an_array(tol):
+    # the scalar loop reads both values through the same code, and each
+    # stage's increments are the bits of NumPy's product
+    settings = IntegratorSettings(rel_tol=tol, abs_tol=tol)
+    got, want = (integrate_piecewise(_pendulum(as_list), np.array([1.0, 0.0]),
+                                     settings=settings)
+                 for as_list in (True, False))
+    assert got.steps == want.steps
+    for a, b in zip(got.breakpoint_states, want.breakpoint_states):
+        assert a.tobytes() == b.tobytes()
+    for rg, rw in zip(got.records, want.records):
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                   for a, b in zip(rg, rw))
+
+
+@pytest.mark.parametrize("value", [
+    lambda y: -y[0],                 # NumPy's scalar, which would broadcast
+    lambda y: -float(y[0]),          # a float
+    lambda y: [-float(y[0])],        # a list of one float
+    lambda y: -y[:2],                # too few components
+    lambda y: -np.append(y, 1.0),    # too many
+])
+def test_a_mis_sized_rhs_value_is_refused_on_a_point(value):
+    ode = PiecewiseOde(3, [0.0, 1.0], lambda j, t, y: value(y))
+    with pytest.raises(ValueError, match=r"RHS shape \(.*\), state \(3,\)"):
+        integrate_piecewise(ode, np.ones(3))
+
+
+@pytest.mark.parametrize("value", [
+    lambda y: -y[0],                 # one value per lane
+    lambda y: -y[:2],                # too few components
+    lambda y: -y.T,                  # lane axis first
+    lambda y: 1.0,                   # one float for all
+])
+def test_a_mis_sized_rhs_value_is_refused_on_lanes(value):
+    ode = PiecewiseOde(3, np.array([[0.0] * 4, [1.0] * 4]),
+                       lambda j, t, y: value(y))
+    with pytest.raises(ValueError, match=r"RHS shape \(.*\), state \(3, 4\)"):
+        integrate_piecewise(ode, np.ones((3, 4)))

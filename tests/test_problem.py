@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from switchopt.benchmarks import PROBLEM_NAMES, build_problem
 from switchopt.exceptions import InvalidSwitchOrder, MissingCostate
-from switchopt import gradients, odeint, problem
+from switchopt import benchmarks, gradients, odeint, problem
 from switchopt.gradients import evaluate_gradient, forward_sweep
 from switchopt.optimizer import minimize
 from switchopt.problem import (
@@ -604,8 +605,8 @@ def test_fused_point_flow_is_the_array_path(name, j, data):
     ("goddard", 0, [1000.0, 300.0, 0.0]),        # f's (u - drag) / m, m = 0
     ("goddard", 1, [1000.0, 300.0, 0.0]),
     ("goddard", 2, [1000.0, 300.0, -0.0]),
-    ("goddard", 1, [-1e8, 300.0, 2.5]),          # math.exp overflows on
-    ("goddard", 0, [-1e8, 300.0, 2.5]),          # either path
+    ("goddard", 1, [-1e8, 300.0, 2.5]),          # exp overflows to inf
+    ("goddard", 0, [-1e8, 300.0, 2.5]),          # on either path
     ("catalyst2", 1, [1.0, 0.0, 2.0, 5.0]),      # den = 0, num = -5
     ("catalyst2", 1, [0.0, 0.0, 1.0, 1.0]),      # 0 / 0
 ])
@@ -634,5 +635,54 @@ def test_wrapped_callbacks_take_the_array_path(name, wrap):
     want = forward_sweep(prob, cfg)
     assert got.objective == want.objective
     assert got.checkpoints.tobytes() == want.checkpoints.tobytes()
+    _assert_same_records(got, want)
     assert counts["f"] == counts["law"] == len(calls) > 0
     assert counts.get("f_x", 0) == (len(calls) if prob.case == 2 else 0)
+
+
+def _assert_same_records(got, want):
+    """The forward records (tau, h, z, K) of every phase, by tobytes."""
+    assert got.steps == want.steps and len(got.records) == len(want.records)
+    for rg, rw in zip(got.records, want.records):
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                   for a, b in zip(rg, rw))
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_a_sweep_on_the_flows_lists_is_the_sweep_on_arrays(name):
+    # one configuration steps on each flow's ``point`` list; a spy that
+    # hides it sends the same problem's sweep through the array flow, and
+    # every record, checkpoint and count is the same bits
+    prob, cfg = build_problem(name), SWEEP_CFGS[name]
+    assert all(hasattr(phase_flow(prob, j), "point")
+               for j in range(prob.k + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradients, "phase_flow",
+                   lambda prob, j, flow=phase_flow: (
+                       lambda t, z, F=flow(prob, j): F(t, z)))
+        got = forward_sweep(prob, cfg)
+    want = forward_sweep(prob, cfg)
+    assert got.objective == want.objective
+    assert got.checkpoints.tobytes() == want.checkpoints.tobytes()
+    _assert_same_records(got, want)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_goddard_point_flow_where_exp_overflows_is_the_lanes(j):
+    # h = -1e8 makes exp(-h / h0) overflow: the point flow and its array
+    # fallback give the lanes' inf, with no warning, and NaN where the
+    # lanes' is NaN (compared as NaN: its sign bit is not reproducible)
+    prob = build_problem("goddard")
+    z, u = np.array([-1e8, 300.0, 2.5]), np.array([benchmarks.U_MAX])
+    with np.errstate(all="ignore"):
+        lane = phase_flow(prob, j)(np.array([0.5]), z[:, None])[:, 0]
+        lane_f = prob.f(z[:, None], u[:, None])[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = phase_flow(prob, j)(0.5, z)
+        fallback = np.array(prob.f.float_body(z, u))   # NumPy's scalars
+    assert np.isinf(lane).any()
+    for got, want in ((point, lane), (fallback, lane_f)):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.where(np.isnan(got), 0.0, got).tobytes() == \
+            np.where(np.isnan(want), 0.0, want).tobytes()

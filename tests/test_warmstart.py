@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from switchopt import warmstart
 from switchopt.benchmarks import build_problem
 from switchopt.exceptions import NoStructure
+from switchopt.problem import ControlPhase, ProblemDef, on_floats
 from switchopt.warmstart import (
     DiscreteControlProblem, detect_structure, solve_tv_euler, tv_prox,
 )
@@ -289,6 +290,48 @@ def test_one_rollout_per_trial(monkeypatch):
     assert dcp.passes == passes
     assert passes > dcp.iterations       # the run includes backtracks
     assert calls["f"] == N * (2 + passes)
+
+
+@pytest.mark.parametrize("N", [50, 100, 250])
+@pytest.mark.parametrize("name", ["catalyst1", "catalyst2", "jacobson",
+                                  "bressan", "goddard"])
+def test_float_rollout_is_the_reference_loop(name, N):
+    # a built-in f has a float body, so the rollout steps on lists of
+    # floats; its rows are the array loop's bits at the box's midpoint, at
+    # each bound and at random controls in the box
+    prob = build_problem(name)
+    lower, upper = _box(prob, N)
+    rng = np.random.default_rng(N)
+    h = prob.T / N
+    for u in (0.5 * (lower + upper), lower, upper,
+              lower + rng.random(lower.shape) * (upper - lower)):
+        got = warmstart._rollout(prob, u, h)
+        want = _rollout_ref(prob, u, h)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_float_rollout_reruns_on_arrays_where_a_float_step_raises():
+    # the float body refuses the points from x_0 = 0.5 on, as an
+    # overflowing float operation would: the rollout reruns on arrays and
+    # gives the array loop's rows
+    raised = []
+
+    def body(x, u):
+        if isinstance(x, list) and x[0] >= 0.5:
+            raised.append(x[0])
+            raise OverflowError
+        return [1.0 + 0.0 * x[1], u[0] * x[0] - x[1]]
+
+    box = lambda t: np.array([0.0])
+    prob = ProblemDef(
+        name="toy", n=2, m=1, x0=np.array([0.0, 1.0]), T=1.0,
+        free_time=False, case=1,
+        phases=(ControlPhase("constant", lambda t: [0.0], box, box),),
+        f=on_floats(body), f_x=None, f_u=None, C=lambda x: x[1],
+        grad_C=None)
+    u = np.linspace(-1.0, 2.0, 40)[None]
+    got = warmstart._rollout(prob, u, 1.0 / 40)
+    assert raised and got.tobytes() == _rollout_ref(prob, u, 1.0 / 40).tobytes()
 
 
 # prox passes per warm start at N = 100, rho_tv = 1e-3; the monotone step
