@@ -9,13 +9,12 @@ the horizon T varies.
 
 The callbacks receive arrays, as ``ProblemDef`` says.  Those that a
 forward sweep calls at every RHS evaluation (each model's f, catalyst's
-f_x, and every law) are ``problem.on_floats`` or ``law_on_floats`` bodies
-that return lists: a point's flow runs them on Python floats from end to
-end, and each callback gives the same bits as an array.  Lanes, and a
-point whose float arithmetic raises (a division by zero, or an
-overflowing ``**``), take the same bodies on the arrays, which is where a
-one-point NumPy computation would have gone.  A point on floats warns of
-no overflow, where NumPy's scalars would outside ``np.errstate``.
+f_x, and every law) are ``problem.on_floats`` bodies that return lists: a
+point's flow runs them on Python floats from end to end, with the bits of
+the arrays (see the ``problem`` module docstring).  Where a point's float
+arithmetic raises (a division by zero, or an overflowing ``**``), the flow
+takes the callbacks on the arrays.  A point on floats warns of no
+overflow, where NumPy's scalars would outside ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import ControlPhase, ProblemDef, law_on_floats, on_floats
+from .problem import ControlPhase, ProblemDef, on_floats
 
 __all__ = [
     "CATALYST_U_SINGULAR",
@@ -149,7 +148,7 @@ def _catalyst_singular_feedback():
         du_p = (dnum_p * den - num * dden_p) / den ** 2
         return du_x, du_p
 
-    return law_on_floats(law), grads
+    return on_floats(law), grads
 
 
 def _catalyst_case2_derivs(prob_phases, f_x, f_u, sing_grads):
@@ -202,13 +201,13 @@ def build_catalyst(T: float = 1.0, case: int = 1,
         singular = ControlPhase("state_costate", sing_law, lo, hi)
     else:
         singular = ControlPhase(
-            "constant", law_on_floats(lambda t: [CATALYST_U_SINGULAR]), lo, hi)
+            "constant", on_floats(lambda t: [CATALYST_U_SINGULAR]), lo, hi)
         sing_grads = None
 
     phases = (
-        ControlPhase("constant", law_on_floats(lambda t: [1.0]), lo, hi),
+        ControlPhase("constant", on_floats(lambda t: [1.0]), lo, hi),
         singular,
-        ControlPhase("constant", law_on_floats(lambda t: [0.0]), lo, hi),
+        ControlPhase("constant", on_floats(lambda t: [0.0]), lo, hi),
     )
     case2_derivs = None
     if case2:
@@ -268,8 +267,8 @@ def build_jacobson() -> ProblemDef:
     lo = lambda t: np.array([-1.0])
     hi = lambda t: np.array([1.0])
     phases = (
-        ControlPhase("constant", law_on_floats(lambda t: [-1.0]), lo, hi),
-        ControlPhase("state", law_on_floats(lambda t, x: [x[0]]), lo, hi,
+        ControlPhase("constant", on_floats(lambda t: [-1.0]), lo, hi),
+        ControlPhase("state", on_floats(lambda t, x: [x[0]]), lo, hi,
                      law_x=law_x),
     )
     return ProblemDef(
@@ -304,8 +303,8 @@ def build_bressan(T: float = 10.0) -> ProblemDef:
     lo = lambda t: np.array([-1.0])
     hi = lambda t: np.array([1.0])
     phases = (
-        ControlPhase("constant", law_on_floats(lambda t: [-1.0]), lo, hi),
-        ControlPhase("constant", law_on_floats(lambda t: [0.5]), lo, hi),
+        ControlPhase("constant", on_floats(lambda t: [-1.0]), lo, hi),
+        ControlPhase("constant", on_floats(lambda t: [0.5]), lo, hi),
     )
     return ProblemDef(
         name="bressan", n=3, m=1, x0=np.zeros(3),
@@ -361,7 +360,7 @@ def build_goddard(T: float = 42.0) -> ProblemDef:
         J[1, 0], J[2, 0] = 1.0 / x[2], -1.0 / c
         return J
 
-    @law_on_floats
+    @on_floats
     def u_sing(t, x):
         h, v, m = x
         E = _exp(-h / h0)
@@ -387,9 +386,9 @@ def build_goddard(T: float = 42.0) -> ProblemDef:
     lo = lambda t: np.array([0.0])
     hi = lambda t: np.array([u_max])
     phases = (
-        ControlPhase("constant", law_on_floats(lambda t: [u_max]), lo, hi),
+        ControlPhase("constant", on_floats(lambda t: [u_max]), lo, hi),
         ControlPhase("state", u_sing, lo, hi, law_x=u_sing_x),
-        ControlPhase("constant", law_on_floats(lambda t: [0.0]), lo, hi),
+        ControlPhase("constant", on_floats(lambda t: [0.0]), lo, hi),
     )
 
     def C(x):

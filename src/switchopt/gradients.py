@@ -154,7 +154,7 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
     T, sigma, z0 = (np.stack(v, axis=-1) if lanes else v[0]
                     for v in zip(*starts))
     n, flows = prob.n, _resolved(phase_flow, prob)
-    points = flows if lanes else [getattr(F, "point", F) for F in flows]
+    points = flows if lanes else [F.point for F in flows]
     rhs = lambda j, tau, z: flows[j](tau * T, z)   # samples call it on lanes
     traj = integrate_piecewise(PiecewiseOde(
         len(z0), sigma, lambda j, tau, z: points[j](tau * T, z), scale=T),

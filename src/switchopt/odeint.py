@@ -18,8 +18,9 @@ Both loops hold a step as Z = [y; h s k_0; ..], whose products give each
 stage point, the new state and the error estimates, record a segment's
 accepted steps as arrays (t, h, y, K), the step axis first, test each
 attempt's new state once and share one starting step and one error norm,
-which a point of dim < _IN_ORDER takes on Python floats, bit for bit, as
-it does its stage increments from RHS values, lists or 1-D arrays.
+which a point of dim < _IN_ORDER takes on Python floats, as it does its
+stage increments from RHS values, lists or 1-D arrays: float64 on Python
+floats rounds as NumPy's does, bit for bit.
 """
 
 from __future__ import annotations
@@ -257,11 +258,11 @@ def _error_norm(dk, weights):
     Both loops call it, so that a lane's norm is its scalar loop's; den +
     (den == 0) is den, or 1 at den = 0.
 
-    A point of dim < _IN_ORDER, its weights a list or an array, takes
-    the rest after the product (E5; E3) dk on Python floats, adding the
-    squares in order as ``np.add.reduce`` does, bit-equal to its lane
-    (``test_error_norm_of_a_point_is_its_lane``).  Its divisors are
-    positive or NaN, so they raise nothing.
+    A point of dim < _IN_ORDER, its weights a list or an array, takes the
+    rest after the product (E5; E3) dk on Python floats (see the module
+    docstring), adding the squares in order as ``np.add.reduce`` does,
+    bit-equal to its lane (``test_error_norm_of_a_point_is_its_lane``).
+    Its divisors are positive or NaN, so they raise nothing.
     """
     if dk.ndim == 2 and dk.shape[1] < _IN_ORDER:
         err5 = err3 = 0.0
@@ -301,13 +302,13 @@ def _start_step(probe, y, f0, span, settings):
     sum, is raised to _H_MIN.  Both loops call it, so that a lane's start
     is its scalar loop's.
 
-    A point of dim < _IN_ORDER takes it on Python floats, with sums in
-    NumPy's order and ``**`` for ``np.float_power`` (both the C pow).
-    ``min`` and ``max`` keep a NaN first argument, as NumPy's keep any, so
-    that argument comes first: span is never NaN, and sqrt(dnf) only where
-    d2 is.  A quotient by h0 = 0 is NumPy's, not ``ZeroDivisionError``.
-    ``test_start_step_of_a_point_is_its_lane`` and its extreme-value twin
-    check it against the lanes bit for bit.
+    A point of dim < _IN_ORDER takes it on Python floats (see the module
+    docstring), with sums in NumPy's order and ``**`` for ``np.float_power``
+    (both the C pow).  ``min`` and ``max`` keep a NaN first argument, as
+    NumPy's keep any, so that argument comes first: span is never NaN, and
+    sqrt(dnf) only where d2 is.  A quotient by h0 = 0 is NumPy's, not
+    ``ZeroDivisionError``.  ``test_start_step_of_a_point_is_its_lane`` and
+    its extreme-value twin check it against the lanes bit for bit.
     """
     if y.ndim == 1 and y.size < _IN_ORDER:
         tols = [settings.abs_tol + settings.rel_tol * abs(v)
@@ -376,9 +377,9 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     and a non-finite first call raises it.  Every stage enters that state:
     0 inf and 0 NaN are NaN in ``_B1.dot(Z)``, whose bits are ``@``'s.
 
-    Besides the stage products it works on Python floats, which round as
-    float64 does: its clock, each stage's increments, one ``tolist`` of
-    each new state for the finiteness test and then the error weights.  A
+    Besides the stage products it works on Python floats (see the module
+    docstring): its clock, each stage's increments, one ``tolist`` of each
+    new state for the finiteness test and then the error weights.  A
     lane repeats it (``test_decoupled_lane_repeats_the_scalar_loop``).
     """
     t, t1, scale = float(t0), float(t1), float(scale)

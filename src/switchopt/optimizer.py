@@ -317,7 +317,15 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
         return (z_new, fwd_new, bundle_new,
                 var.gradient(bundle_new, var.unpack(z_new).T or var.T0))
 
-    fwd = objective_at(z, ode_settings.max_steps)
+    try:
+        fwd = objective_at(z, ode_settings.max_steps)
+    except _TRIAL_FAILURES as exc:   # the same exception, naming the start
+        start = "; ".join(f"{k} = {','.join(f'{x:.6g}' for x in np.ravel(v))}"
+                          for k, v in vars(var.unpack(z)).items()
+                          if v is not None)
+        exc.args = (f"{prob.name}: the start ({start}) is not integrable: "
+                    f"{exc}",)
+        raise
     bundle = gradient_at(z, fwd)
     g = var.gradient(bundle, var.unpack(z).T or var.T0)
     # diagonal pre-scaling: cap the first trial step at ~1% of the variable

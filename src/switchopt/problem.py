@@ -8,10 +8,10 @@ switch configuration fixes the s_j.  The sweeps integrate z = x (Case 1)
 or z = (x, p) (Case 2); each phase gives its flow F(t, z) and the
 Jacobian dF/dz of that flow, at many points per call.
 
-``on_floats`` and ``law_on_floats`` make a callback with the array contract
-from a body written once for a point's Python floats and for arrays; a
-point's flow runs such bodies on lists from end to end, as float64
-arithmetic on Python floats rounds as NumPy's does, bit for bit.
+``on_floats`` makes a callback with the array contract from a body written
+once for a point's Python floats and for arrays.  Float64 arithmetic on
+Python floats rounds as NumPy's does, bit for bit, so a point's flow runs
+such bodies on lists from end to end and gives the bits of the arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = [
     "horizon",
     "phase_law", "phase_feasibility",
     "phase_flow", "phase_jacobian", "lane_shaped",
-    "validate_config", "on_floats", "law_on_floats",
+    "validate_config", "on_floats",
 ]
 
 FD_STEP = 1e-6  # relative step of the central difference, read at call time
@@ -70,8 +70,8 @@ class ProblemDef:
     arrays whose trailing axis is that lane axis; a law or a bound may
     return one value for all lanes.  So each phase's Jacobian at all the
     stage points of a sweep costs one call.  The callbacks always receive
-    arrays; ``on_floats`` and ``law_on_floats`` callbacks also give
-    ``phase_flow`` a body to run on a point's floats.
+    arrays; ``on_floats`` callbacks also give ``phase_flow`` a body to run
+    on a point's floats.
     """
 
     name: str
@@ -176,31 +176,13 @@ _FLOAT_FAILS = (ArithmeticError, ValueError)
 
 
 def on_floats(body):
-    """A model callback (x, u) from body(x, u), which returns a list of
-    floats (nested for f_x) on lists and of arrays on arrays.  It returns
-    ``np.array(body(...))``: at a point, x of shape (n,), on the lists of
-    floats of x and u, and on lanes or where that raises on the arrays."""
-    def call(x, u):
-        if x.ndim == 1:
-            try:
-                return np.array(body(x.tolist(), u.tolist()))
-            except _FLOAT_FAILS:
-                pass
-        return np.array(body(x, u))
-    call.float_body = body
-    return call
-
-
-def law_on_floats(body):
-    """``on_floats`` for a law body(t), body(t, x) or body(t, x, p), which
-    returns a list of m values; t is passed on as it comes."""
-    def call(t, *xp):
-        if not xp or xp[0].ndim == 1:
-            try:
-                return np.array(body(t, *[a.tolist() for a in xp]))
-            except _FLOAT_FAILS:
-                pass
-        return np.array(body(t, *xp))
+    """A callback f(x, u), f_x(x, u) or a law (t), (t, x) or (t, x, p) from
+    body, which returns a list of floats (nested for f_x) on lists and of
+    arrays on arrays: ``np.array(body(...))`` of the arrays it is given.  It
+    carries body as ``float_body`` for ``phase_flow``'s point flow and the
+    warm start's rollout, which run it on floats (see the module docstring)."""
+    def call(*args):
+        return np.array(body(*args))
     call.float_body = body
     return call
 
@@ -258,35 +240,31 @@ def phase_flow(prob, j):
     z = (x, p) and F = (f, -p f_x) in Case 2.  It takes one point, or B
     lanes: t of shape (B,) and z of shape (d, B).
 
-    The callbacks receive arrays.  When law, f and (Case 2) f_x all carry
-    a ``float_body``, ``flow.point(t, z)`` is their bodies' chain on the
-    list ``z.tolist()`` of a point, -p f_x summed over each column in order
-    from +0.0 as ``np.einsum`` sums it at a point (its bits and signed
-    zeros: ``test_case2_point_flow_is_einsums``): the list of F, which a
-    sweep stores, and F at a point is ``np.array`` of it.  Lanes, other
-    callbacks, and a point where a body's float arithmetic raises take the
-    callbacks on arrays.
+    ``flow.point(t, z)`` is F at a point as a list, which a sweep stores.
+    When law, f and (Case 2) f_x all carry a ``float_body``, it is their
+    bodies' chain on the list ``z.tolist()``, with the callbacks' bits (see
+    the module docstring), -p f_x summed over each column in order from
+    +0.0 as ``np.einsum`` sums it at a point (its bits and signed zeros:
+    ``test_case2_point_flow_is_einsums``), and F at a point is ``np.array``
+    of it.  Lanes, a point where a body's float arithmetic raises, and a
+    flow without those bodies, whose point is the ``tolist`` of F, take
+    the callbacks on arrays.
     """
-    n, f, f_x, m = prob.n, prob.f, prob.f_x, prob.m
-    kind, raw, law = prob.phases[j].law_kind, prob.phases[j].law, \
-        phase_law(prob, j)
-    case2 = prob.case == 2
+    n, f, f_x, case2 = prob.n, prob.f, prob.f_x, prob.case == 2
+    kind, law = prob.phases[j].law_kind, phase_law(prob, j)
+    state, costate = kind != "constant", kind == "state_costate"
     if case2:
         def arrays(t, z):
             x, p = z[:n], z[n:]
             u = law(t, x, p)
             dp = -np.einsum("i...,ij...->j...", p, f_x(x, u))
             return np.concatenate((f(x, u), dp))
-    elif kind == "constant":   # the law straight through _shaped
-        arrays = lambda t, z: f(z, _shaped(raw(t), t, m))
-    elif kind == "state":
-        arrays = lambda t, z: f(z, _shaped(raw(t, z), t, m))
     else:
-        return lambda t, z: f(z, law(t, z))   # refuses p = None by name
-    law_b, f_b, fx_b = map(_float_body, (raw, f, f_x))
-    if law_b is None or f_b is None or case2 and fx_b is None:
+        arrays = lambda t, z: f(z, law(t, z))   # refuses p = None by name
+    law_b, f_b, fx_b = map(_float_body, (prob.phases[j].law, f, f_x))
+    if law_b is None or f_b is None or (fx_b is None if case2 else costate):
+        arrays.point = lambda t, z: arrays(t, z).tolist()
         return arrays
-    state, costate = kind != "constant", kind == "state_costate"
 
     def point(t, z):
         try:

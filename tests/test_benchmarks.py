@@ -174,9 +174,10 @@ def test_mayer_augmentation_starts_at_zero():
 # ---------------------------------------------------------------------------
 
 def _float_callbacks():
-    """(label, callback, arguments) of every built-in callback that computes
-    a point on floats: "xu" for (x, u), "t", "tx" and "txp" for a law.
-    catalyst1's f and f_x are catalyst2's (see below)."""
+    """(label, callback, arguments) of every built-in callback with a float
+    body, which a point's flow runs on floats: "xu" for (x, u), "t", "tx"
+    and "txp" for a law.  catalyst1's f and f_x are catalyst2's (see
+    below)."""
     out = []
     for name in ("catalyst1", "catalyst2", "jacobson", "bressan", "goddard"):
         prob = build_problem(name)
@@ -225,8 +226,8 @@ def _outcome(call, args, x, v):
 def _assert_float_path_is_the_arrays(label, x, v):
     """The callback at the point (x, v) is ``np.array`` of its body on the
     arrays by tobytes, or raises what that body raises; its body on the
-    lists of floats gives the same bits unless it raises what the wrapper
-    catches."""
+    lists of floats gives the same bits unless it raises what the point
+    flow catches before it calls the callbacks on arrays."""
     call, args = FLOAT_CALLBACKS[label]
     body = lambda *a: np.array(call.float_body(*a))
     x, v = np.array(x, dtype=float), np.array(v, dtype=float)

@@ -214,6 +214,19 @@ def test_solve_secant_divergence_exits_2(tmp_path, capsys):
     assert "SecantDivergence" in capsys.readouterr().err
 
 
+def test_solve_from_an_unintegrable_start_exits_2(tmp_path, capsys):
+    # p2 / p1 > 1: the first sweep underflows its step, and the message
+    # says that the start, not a trial, is not integrable
+    code = main(["solve", "--problem", "catalyst2", "--s0", "0.1,0.7",
+                 "--p0", "0.9,1.0", "--ode-tol", "1e-10",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
+    assert "solver failure: StepUnderflow: catalyst2: the start (s = " \
+        "0.1,0.7; p0 = 0.9,1) is not integrable: step size " \
+        in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_solve_with_warmstart_chain(tmp_path):
     code = main(["solve", "--problem", "catalyst1", "--T", "1",
                  "--warmstart", "--N", "100", "--rho-tv", "1e-3",

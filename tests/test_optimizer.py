@@ -344,6 +344,39 @@ def test_integration_failure_of_a_trial_is_backed_off(monkeypatch, failure):
     assert rep.objective_evals == len(calls)
 
 
+def test_an_unintegrable_start_says_so(monkeypatch):
+    # catalyst2 with p2 / p1 > 1 fails its first sweep at tol 1e-10: the
+    # sweep's own exception escapes, its message naming the start
+    log = []
+    _recording(monkeypatch, optimizer, "forward_sweep", log)
+    with pytest.raises(StepUnderflow) as info:
+        minimize(build_problem("catalyst2"),
+                 SwitchConfig(s=np.array([0.1, 0.7]), p0=np.array([0.9, 1.0])),
+                 ode_settings=IntegratorSettings(rel_tol=1e-10, abs_tol=1e-10))
+    assert len(log) == 1 and log[0][1] is info.value
+    message = str(info.value)
+    assert message.startswith("catalyst2: the start (s = 0.1,0.7; p0 = "
+                              "0.9,1) is not integrable: step size ")
+    assert message.endswith("the problem may be stiff or blowing up")
+
+
+@pytest.mark.parametrize("failure", [StepLimitExceeded, StepUnderflow,
+                                     NonFiniteState])
+def test_an_unintegrable_free_time_start_names_its_horizon(monkeypatch,
+                                                           failure):
+    raised = failure("injected")
+
+    def sweep(*args, **kwargs):
+        raise raised
+    monkeypatch.setattr(optimizer, "forward_sweep", sweep)
+    with pytest.raises(failure) as info:
+        minimize(build_problem("goddard"),
+                 SwitchConfig(s=np.array([13.0, 21.0]), T=42.0))
+    assert info.value is raised
+    assert str(info.value) == \
+        "goddard: the start (s = 13,21; T = 42) is not integrable: injected"
+
+
 def test_configuration_error_of_a_trial_propagates(monkeypatch):
     _first_trial_raises(monkeypatch, InvalidSwitchOrder)
     with pytest.raises(InvalidSwitchOrder):

@@ -12,7 +12,7 @@ from switchopt import benchmarks, gradients, odeint, problem
 from switchopt.gradients import evaluate_gradient, forward_sweep
 from switchopt.optimizer import minimize
 from switchopt.problem import (
-    ControlPhase, ProblemDef, SwitchConfig, law_on_floats, on_floats,
+    ControlPhase, ProblemDef, SwitchConfig, on_floats,
     phase_feasibility, phase_flow, phase_jacobian, phase_law, validate_config,
 )
 
@@ -493,7 +493,7 @@ def test_case2_point_flow_is_einsums(n, fortran, fused, data):
     if fused:
         f, f_x = on_floats(lambda x, u: fval.tolist()), \
             on_floats(lambda x, u: fx.tolist())
-        law = law_on_floats(lambda t: [1.0])
+        law = on_floats(lambda t: [1.0])
     prob = ProblemDef(
         name="synthetic", n=n, m=1, x0=np.zeros(n), T=1.0, free_time=False,
         case=2, phases=(ControlPhase("constant", law, bound, bound),),
@@ -614,6 +614,42 @@ def test_fused_point_flow_at_points_where_a_float_body_raises(name, j, z):
     _assert_fused_flow_is_the_array_path(name, j, 0.5, z)
 
 
+def test_a_decorated_callback_runs_its_body_once_per_call():
+    # where float arithmetic would raise, the callback does not retry: it
+    # runs its body once, on the arrays it is given
+    calls = []
+
+    @on_floats
+    def f(x, u):
+        calls.append(type(x))
+        return [1.0 / x[0]]
+    with np.errstate(divide="ignore"):
+        got = f(np.array([0.0]), np.array([1.0]))
+    assert calls == [np.ndarray] and got.tolist() == [np.inf]
+
+
+def test_goddard_point_flow_where_the_law_raises_calls_each_body_twice():
+    # at v = 0 the singular law's c / v raises on floats; the point flow
+    # then takes the callbacks on arrays, which run each body once more
+    prob, counts = build_problem("goddard"), {}
+
+    def counted(key, cb):
+        def body(*args):
+            counts[key] = counts.get(key, 0) + 1
+            return cb.float_body(*args)
+        return on_floats(body)
+    counted_prob = dataclasses.replace(prob, f=counted("f", prob.f), phases=(
+        prob.phases[0], dataclasses.replace(
+            prob.phases[1], law=counted("law", prob.phases[1].law)),
+        prob.phases[2]))
+    z = np.array([1000.0, 0.0, 2.5])
+    with np.errstate(all="ignore"):
+        got = phase_flow(counted_prob, 1).point(0.5, z)
+        want = phase_flow(prob, 1)(np.array([0.5]), z[:, None])[:, 0]
+    assert counts == {"law": 2, "f": 1}
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 @pytest.mark.parametrize("wrap", [lambda fn: lambda counting: counting,
                                   functools.wraps],
                          ids=["plain", "functools.wraps"])
@@ -629,7 +665,10 @@ def test_wrapped_callbacks_take_the_array_path(name, wrap):
     with pytest.MonkeyPatch.context() as mp:
         def spy(prob, j):
             flow = phase_flow(prob, j)
-            return lambda t, z: calls.append(1) or flow(t, z)
+            counted_flow = lambda t, z: calls.append(1) or flow(t, z)
+            counted_flow.point = \
+                lambda t, z: calls.append(1) or flow.point(t, z)
+            return counted_flow
         mp.setattr(gradients, "phase_flow", spy)
         got = forward_sweep(counted, cfg)
     want = forward_sweep(prob, cfg)
@@ -650,16 +689,21 @@ def _assert_same_records(got, want):
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_a_sweep_on_the_flows_lists_is_the_sweep_on_arrays(name):
-    # one configuration steps on each flow's ``point`` list; a spy that
-    # hides it sends the same problem's sweep through the array flow, and
-    # every record, checkpoint and count is the same bits
+    # one configuration steps on each flow's ``point`` list; a spy whose
+    # point returns the flow's array sends the same problem's sweep through
+    # the array values, and every record, checkpoint and count is the same
+    # bits
     prob, cfg = build_problem(name), SWEEP_CFGS[name]
     assert all(hasattr(phase_flow(prob, j), "point")
                for j in range(prob.k + 1))
+
+    def spy(prob, j, flow=phase_flow):
+        F = flow(prob, j)
+        array_flow = lambda t, z: F(t, z)
+        array_flow.point = array_flow
+        return array_flow
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gradients, "phase_flow",
-                   lambda prob, j, flow=phase_flow: (
-                       lambda t, z, F=flow(prob, j): F(t, z)))
+        mp.setattr(gradients, "phase_flow", spy)
         got = forward_sweep(prob, cfg)
     want = forward_sweep(prob, cfg)
     assert got.objective == want.objective
