@@ -628,7 +628,7 @@ def test_a_decorated_callback_runs_its_body_once_per_call():
     assert calls == [np.ndarray] and got.tolist() == [np.inf]
 
 
-def test_goddard_point_flow_where_the_law_raises_calls_each_body_twice():
+def test_goddard_point_flow_where_the_law_raises_calls_a_body_at_most_twice():
     # at v = 0 the singular law's c / v raises on floats; the point flow
     # then takes the callbacks on arrays, which run each body once more
     prob, counts = build_problem("goddard"), {}

@@ -12,6 +12,7 @@ prints each file's code lines and then the total.
 from __future__ import annotations
 
 import ast
+import io
 import sys
 import tokenize
 
@@ -37,10 +38,8 @@ def code_lines(path):
     """The number of code lines of the Python file ``path``."""
     with open(path, "rb") as f:
         source = f.read()
-    with open(path, "rb") as f:
-        tokens = list(tokenize.tokenize(f.readline))
     lines = set()
-    for tok in tokens:
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
         if tok.type not in _NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines - _docstring_lines(ast.parse(source)))
