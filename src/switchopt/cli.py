@@ -40,15 +40,12 @@ _GRADCHECK_RTOL = 1e-5
 _GRADCHECK_ATOL = 1e-8
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
-
-
 def _write_csv(path, header, rows):
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in rows.tolist():
+            fh.write(fmt % tuple(row))
 
 
 def _out_dir(args):
@@ -144,8 +141,7 @@ def cmd_solve(args):
         json.dump({"problem": prob.name, **report.to_dict()}, fh, indent=2)
         fh.write("\n")
 
-    times, xs, us, ps = dense_trajectory(prob, report.final_cfg, ode,
-                                         bundle=report.final_bundle)
+    times, xs, us, ps = dense_trajectory(prob, report.final_bundle)
     header = (["t"] + [f"x{i + 1}" for i in range(prob.n)]
               + [f"u{i + 1}" for i in range(prob.m)]
               + [f"p{i + 1}" for i in range(prob.n)])

@@ -33,7 +33,6 @@ steps, into the same records with the lane axis last (see ``ProblemDef``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,9 +61,9 @@ DEFAULT_SAMPLES = 201
 
 @dataclass
 class TrajectoryRecord:
-    """Forward-sweep output: switch-point checkpoints and accepted steps,
-    with report samples of z taken when first read.  On B lanes each array
-    gains a trailing lane axis, and there are no samples."""
+    """Forward-sweep output: switch-point checkpoints, accepted steps and
+    the report sample times.  On B lanes each array gains a trailing lane
+    axis, and there are no samples."""
 
     times: Optional[np.ndarray]       # physical time at the report samples
     phase: Optional[np.ndarray]       # phase index of each sample
@@ -79,27 +78,6 @@ class TrajectoryRecord:
     records: list = field(repr=False)
     # the sweep's rhs(j, tau, z), at a point or on lanes: dz/dtau = T rhs
     rhs: Callable = field(repr=False)
-
-    @cached_property
-    def _samples(self):
-        """z at the samples by ``odeint.sample_states``: one step of the
-        method from the node before each, computed on first use, so that a
-        gradient evaluation pays for none."""
-        _one_configuration(self, "states and costates")
-        return sample_states(self.rhs, self.sigma, self.records,
-                             self.checkpoints, self.times / self.T, self.T)
-
-    @property
-    def states(self):
-        """x at the samples, (n_samples, n)."""
-        return self._samples[:, :self.checkpoint_states.shape[1]]
-
-    @property
-    def costates(self):
-        """p at the samples, (n_samples, n), in Case 2; else None."""
-        n = self.checkpoint_states.shape[1]
-        return self._samples[:, n:] if self.checkpoints.shape[1] > n \
-            else None
 
 
 @dataclass
@@ -333,13 +311,13 @@ def gradcheck(prob, cfg, settings=None):
             for label, d, name, i in rows]
 
 
-def _lam_at_samples(prob, fwd, bwd):
-    """lam of z = x at the samples of the Case-1 forward record ``fwd``,
+def _lam_at_samples(prob, fwd, bwd, x):
+    """lam of z = x at the samples x of the Case-1 forward record ``fwd``,
     from the nodal lam of its backward sweep ``bwd``: at a node its lam,
     else lam_{n+1} (I + D), the reverse pass of one step of the method from
     the sample to the next node n + 1, the steps of all phases (none where
     a phase has no sample past a node) in one ``_fold``."""
-    tau, x = fwd.times / fwd.T, fwd.states
+    tau = fwd.times / fwd.T
     lam, first, records, past = np.empty(x.shape), 0, [], []
     for j, (times, _) in enumerate(_phase_nodes(fwd)):
         at = np.flatnonzero(fwd.phase == j)
@@ -357,28 +335,25 @@ def _lam_at_samples(prob, fwd, bwd):
     return lam
 
 
-def dense_trajectory(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,
-                     bundle=None):
-    """Aligned dense samples of (t, x, u, p) for reporting.
+def dense_trajectory(prob, bundle):
+    """Aligned dense samples of (t, x, u, p) for reporting, at the report
+    samples of the forward record of the gradient ``bundle``: no sweep runs.
 
-    Each sample of x (and of p in Case 2, where the forward sweep carries
-    it) is one step of the method from the forward mesh's node before it.
+    Each sample of the sweep state z (x, and p in Case 2) is one step of
+    the method from the forward mesh's node before it (``sample_states``).
     In Case 1 p is the adjoint lam of z = x from the backward sweep whose
     Hamiltonian jumps give the gradient, carried from the node after each
     sample back to it by the reverse pass of one step.
-    ``bundle`` is the gradient of ``cfg`` when it is already computed;
-    then no sweep runs and ``sample_count`` is unused.
     """
-    if bundle is not None:
-        fwd, bwd = bundle.fwd, bundle.bwd
-    else:
-        fwd = forward_sweep(prob, cfg, settings, sample_count)
-        bwd = None if fwd.costates is not None \
-            else backward_sweep(prob, fwd)
-    costates = fwd.costates if fwd.costates is not None \
-        else _lam_at_samples(prob, fwd, bwd)
+    fwd, n = bundle.fwd, prob.n
+    _one_configuration(fwd, "dense_trajectory")
+    z = sample_states(fwd.rhs, fwd.sigma, fwd.records, fwd.checkpoints,
+                      fwd.times / fwd.T, fwd.T)
+    x = z[:, :n]
+    p = z[:, n:] if z.shape[1] > n \
+        else _lam_at_samples(prob, fwd, bundle.bwd, x)
     laws = _resolved(phase_law, prob)
     controls = np.empty((fwd.times.size, prob.m))
     for i, t in enumerate(fwd.times):
-        controls[i] = laws[fwd.phase[i]](t, fwd.states[i], costates[i])
-    return fwd.times, fwd.states, controls, costates
+        controls[i] = laws[fwd.phase[i]](t, x[i], p[i])
+    return fwd.times, x, controls, p

@@ -218,8 +218,10 @@ class _Vars:
         takes."""
         return self.eps_gap + 8 * np.spacing(T)
 
-    def gradient(self, bundle, T):
-        parts = [bundle.d_s * T if self.free_time else bundle.d_s]
+    def gradient(self, bundle, z):
+        """The gradient in z of the ``bundle`` evaluated at z, or of lanes
+        z of shape (B, dim): on free-time problems d_s scales by T."""
+        parts = [bundle.d_s * z.T[-1] if self.free_time else bundle.d_s]
         if self.np0:
             parts.append(bundle.d_p0)
         if self.free_time:
@@ -300,8 +302,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
         n_forward, n_backward = n_forward + 2 * dim, n_backward + 2 * dim
         G = var.gradient(evaluate_gradient(
             prob, [var.unpack(zl) for zl in lanes],
-            replace(ode_settings, max_steps=max_steps)),
-            lanes[:, -1] if var.free_time else var.T0)
+            replace(ode_settings, max_steps=max_steps)), lanes)
         # column i over the projected bumps' own width in z_i
         H = (G[:, :dim] - G[:, dim:]) / np.diag(lanes[:dim] - lanes[dim:])
         H = 0.5 * (H + H.T)
@@ -314,8 +315,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
         z_new = var.project(zq - V @ ((V.T @ gq) / w))
         fwd_new = objective_at(z_new, max_steps)
         bundle_new = gradient_at(z_new, fwd_new)
-        return (z_new, fwd_new, bundle_new,
-                var.gradient(bundle_new, var.unpack(z_new).T or var.T0))
+        return z_new, fwd_new, bundle_new, var.gradient(bundle_new, z_new)
 
     try:
         fwd = objective_at(z, ode_settings.max_steps)
@@ -327,7 +327,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
                     f"{exc}",)
         raise
     bundle = gradient_at(z, fwd)
-    g = var.gradient(bundle, var.unpack(z).T or var.T0)
+    g = var.gradient(bundle, z)
     # diagonal pre-scaling: cap the first trial step at ~1% of the variable
     # scale per coordinate, so badly conditioned objectives (large penalty
     # weights) cannot fling the iterate out of the integrable region
@@ -405,7 +405,7 @@ def minimize(prob, cfg0, settings=None, ode_settings=None):
                 f"{prob.name}: no decrease at iteration {it} "
                 f"(projected gradient {pg:.3e})")
 
-        g_new = var.gradient(bundle_new, var.unpack(z_new).T or var.T0)
+        g_new = var.gradient(bundle_new, z_new)
         sk, yk = z_new - z, g_new - g
         sy = sk @ yk
         if sy > 1e-12 * np.linalg.norm(sk) * np.linalg.norm(yk):

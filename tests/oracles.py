@@ -1,4 +1,5 @@
-"""Backward integrations for the test oracles, by time reflection.
+"""Backward integrations for the test oracles, by time reflection, and
+gradient bundles with a chosen number of report samples.
 
 The library integrates forward only.  The oracles integrate an ODE back
 from the end of its interval: on t' = a + b - t the reflected system runs
@@ -8,8 +9,18 @@ to original time here.
 
 import numpy as np
 
+from switchopt.gradients import DEFAULT_SAMPLES, evaluate_gradient, \
+    forward_sweep
 from switchopt.odeint import PiecewiseOde, integrate_piecewise, \
     integrate_with_quadrature, sample_states
+
+
+def sampled_bundle(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,
+                   **kwargs):
+    """``evaluate_gradient`` of cfg whose forward record carries
+    ``sample_count`` report samples, for ``dense_trajectory``."""
+    return evaluate_gradient(prob, cfg, settings, fwd=forward_sweep(
+        prob, cfg, settings, sample_count), **kwargs)
 
 
 def reflect(ode):

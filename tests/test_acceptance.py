@@ -26,6 +26,8 @@ from switchopt.optimizer import (
 from switchopt.problem import SwitchConfig
 from switchopt.warmstart import detect_structure, solve_tv_euler, tv_prox
 
+from oracles import sampled_bundle
+
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 
 CATALYST_C = {1.0: -0.048055685860877,
@@ -72,8 +74,8 @@ def test_criterion_2_catalyst_case2():
     c_err = abs(rep.objective - CATALYST_C[1.0])
 
     # the p-dependent feedback evaluated along the converged singular arc
-    times, xs, us, _ = dense_trajectory(prob, rep.final_cfg, TIGHT,
-                                        sample_count=400)
+    times, xs, us, _ = dense_trajectory(
+        prob, sampled_bundle(prob, rep.final_cfg, TIGHT, 400))
     s = rep.final_cfg.s
     on_arc = (times > s[0] + 1e-3) & (times < s[1] - 1e-3)
     u_err = float(np.max(np.abs(

@@ -12,6 +12,8 @@ from switchopt.gradients import dense_trajectory, forward_sweep
 from switchopt.odeint import IntegratorSettings
 from switchopt.problem import SwitchConfig, phase_law
 
+from oracles import sampled_bundle
+
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 
 
@@ -109,7 +111,7 @@ def test_goddard_objective_baseline():
 def test_goddard_mass_monotone():
     prob = build_problem("goddard")
     cfg = SwitchConfig(s=np.array([13.0, 21.0]), T=42.0)
-    _, xs, _, _ = dense_trajectory(prob, cfg, TIGHT, sample_count=400)
+    _, xs, _, _ = dense_trajectory(prob, sampled_bundle(prob, cfg, TIGHT, 400))
     m = xs[:, 2]
     assert np.all(np.diff(m) <= 1e-12)
 
@@ -118,7 +120,8 @@ def test_goddard_singular_thrust_feasible_at_reference():
     prob = build_problem("goddard")
     cfg = SwitchConfig(s=np.array(GODDARD_REFERENCE.s_star),
                        T=GODDARD_REFERENCE.T_star)
-    times, xs, us, _ = dense_trajectory(prob, cfg, TIGHT, sample_count=600)
+    times, xs, us, _ = dense_trajectory(prob,
+                                        sampled_bundle(prob, cfg, TIGHT, 600))
     on_arc = (times > cfg.s[0]) & (times < cfg.s[1])
     assert np.all(us[on_arc, 0] > 0.0)
     assert np.all(us[on_arc, 0] < prob.phases[0].upper(0.0)[0])
@@ -149,7 +152,8 @@ def test_catalyst_case2_feedback_matches_constant_on_arc():
     prob = build_problem("catalyst2", T=1.0)
     s_star = catalyst_switch_times(1.0)
     cfg = SwitchConfig(s=s_star, p0=np.array([1.0109, 0.9557]))
-    times, xs, us, ps = dense_trajectory(prob, cfg, TIGHT, sample_count=400)
+    times, xs, us, ps = dense_trajectory(prob,
+                                         sampled_bundle(prob, cfg, TIGHT, 400))
     on_arc = (times > s_star[0] + 0.02) & (times < s_star[1] - 0.02)
     u_sing = CATALYST_U_SINGULAR
     assert np.max(np.abs(us[on_arc, 0] - u_sing)) < 1e-3

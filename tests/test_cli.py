@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -246,9 +247,10 @@ def test_solve_with_warmstart_seeds_p0_on_case2(tmp_path):
 
 @pytest.mark.parametrize("tol", [None, "1e-10"], ids=["default", "tol1e-10"])
 def test_readme_goddard_solve_finishes_on_the_gradient(tmp_path, tol):
-    # near goddard's optimum no line search resolves a decrease of C, and
-    # Newton steps on the lane Hessian finish the solve: it converges at
-    # the default tol (measured 8.5e-9) and at --ode-tol 1e-10 (6.7e-9).
+    # at the default tol no line search near goddard's optimum resolves a
+    # decrease of C, and Newton steps on the lane Hessian finish the solve
+    # (measured 8.5e-9); at --ode-tol 1e-10 L-BFGS converges by itself
+    # (6.7e-9).
     # Every reference error is <= 1e-6 (9.1e-7 in T).  The stop at the
     # projected gradient's floor is test_optimizer's
     argv = ["solve", "--problem", "goddard", "--s0", "13,21", "--T", "42"]
@@ -303,6 +305,46 @@ def test_warmstart_no_structure_exits_2(tmp_path, capsys):
                  "--N", "100", "--rho-tv", "0", "--out", str(tmp_path)])
     assert code == EXIT_SOLVER
     assert "NoStructure" in capsys.readouterr().err
+
+
+def test_warmstart_prints_tv_warnings_on_stderr(tmp_path, monkeypatch,
+                                                capsys):
+    # a TV solve stopped at its iteration budget warns; the command prints
+    # the warning and still writes the structure of the last iterate
+    from switchopt import cli
+    solve = cli.solve_tv_euler
+    monkeypatch.setattr(cli, "solve_tv_euler",
+                        lambda prob, **kw: solve(prob, max_iters=2, **kw))
+    code = main(["warmstart", "--problem", "catalyst1", "--T", "1",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: catalyst1: TV warm start hit 2 iterations without "
+        "settling; returning last iterate\n")
+    structure = json.loads((tmp_path / "structure.json").read_text())
+    assert structure["converged"] is False and structure["iterations"] == 2
+
+
+def test_solve_warmstart_of_another_switch_count_exits_2(tmp_path,
+                                                         monkeypatch, capsys):
+    # a warm start whose structure has fewer switches than the problem
+    # seeds no solve
+    from switchopt import cli
+    detect = cli.detect_structure
+
+    def one_switch(dcp):
+        est = detect(dcp)
+        return dataclasses.replace(est, switch_times=est.switch_times[:1],
+                                   phase_kinds=est.phase_kinds[:2])
+
+    monkeypatch.setattr(cli, "detect_structure", one_switch)
+    code = main(["solve", "--problem", "catalyst1", "--T", "1", "--warmstart",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
+    assert capsys.readouterr().err == (
+        "solver failure: NoStructure: warm start proposed 1 switches but "
+        "catalyst1 has 2\n")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_gradcheck_passes(capsys):
@@ -514,10 +556,9 @@ def test_solve_writes_trajectory_of_final_sweep(tmp_path, monkeypatch, argv):
     calls = []
     dense = gradients.dense_trajectory
 
-    def recording(prob, cfg, settings=None,
-                  sample_count=gradients.DEFAULT_SAMPLES, bundle=None):
+    def recording(prob, bundle):
         calls.append(bundle)
-        return dense(prob, cfg, settings, sample_count, bundle)
+        return dense(prob, bundle)
 
     monkeypatch.setattr(cli, "dense_trajectory", recording)
     assert main(["solve", *argv, "--out", str(tmp_path)]) == EXIT_OK
@@ -526,7 +567,8 @@ def test_solve_writes_trajectory_of_final_sweep(tmp_path, monkeypatch, argv):
     prob = cli.build_problem(report["problem"],
                              4.0 if report["problem"] == "catalyst1" else None)
     cfg = SwitchConfig(s=np.array(report["s"]))
-    times, xs, us, ps = dense(prob, cfg, IntegratorSettings())
+    times, xs, us, ps = dense(prob, gradients.evaluate_gradient(
+        prob, cfg, IntegratorSettings()))
     _, rows = _read_csv(tmp_path / "trajectory.csv")
     assert np.array_equal(rows, np.column_stack([times, xs, us, ps]))
 

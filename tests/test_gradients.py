@@ -23,7 +23,7 @@ from switchopt.problem import ControlPhase, ProblemDef, SwitchConfig, \
     phase_feasibility, phase_flow, phase_jacobian
 
 from oracles import integrate_backward, quadrature_backward, \
-    sample_backward
+    sample_backward, sampled_bundle
 
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 
@@ -65,7 +65,8 @@ def test_bressan_stationary_at_third():
 def test_terminal_costate_matches_objective_gradient():
     prob = build_problem("catalyst1", T=1.0)
     cfg = SwitchConfig(s=np.array([0.15, 0.7]))
-    times, xs, _, ps = dense_trajectory(prob, cfg, TIGHT)
+    times, xs, _, ps = dense_trajectory(prob, evaluate_gradient(prob, cfg,
+                                                                TIGHT))
     np.testing.assert_allclose(ps[-1], prob.grad_C(xs[-1]), atol=1e-9)
 
 
@@ -73,7 +74,8 @@ def test_bressan_second_costate_linear():
     # p2' = 1 with p2(T) = 0, so p2(t) = t - T along the whole trajectory
     prob = build_problem("bressan", T=10.0)
     cfg = SwitchConfig(s=np.array([3.1]))
-    times, _, _, ps = dense_trajectory(prob, cfg, TIGHT, sample_count=101)
+    times, _, _, ps = dense_trajectory(prob, sampled_bundle(prob, cfg, TIGHT,
+                                                            101))
     np.testing.assert_allclose(ps[:, 1], times - 10.0, atol=1e-8)
 
 
@@ -209,10 +211,10 @@ def test_bressan_hamiltonian_integral():
     # over the dense costate samples
     prob = build_problem("bressan", T=10.0)
     cfg = SwitchConfig(s=np.array([10.0 / 3.0]))
-    bundle = evaluate_gradient(prob, cfg, TIGHT, with_d_T=True)
+    bundle = sampled_bundle(prob, cfg, TIGHT, 2001, with_d_T=True)
     assert bundle.d_T == pytest.approx(-50.0 / 3.0, abs=1e-7)
 
-    times, xs, _, ps = dense_trajectory(prob, cfg, TIGHT, sample_count=2001)
+    times, xs, _, ps = dense_trajectory(prob, bundle)
     seg = (times > 10.0 / 3.0).astype(int)
     H = np.array([ps[i] @ phase_flow(prob, seg[i])(times[i], xs[i])
                   for i in range(times.size)])
@@ -559,28 +561,21 @@ def test_scalar_float_law_integrates(name, cfg):
     assert np.array_equal(got.checkpoints, want.checkpoints)
 
 
-def test_dense_trajectory_reuses_forward_record():
-    prob = build_problem("goddard")
-    bundle = evaluate_gradient(prob, GODDARD_CFG, TIGHT)
-    reused = dense_trajectory(prob, GODDARD_CFG, TIGHT, bundle=bundle)
-    for got, want in zip(reused, dense_trajectory(prob, GODDARD_CFG, TIGHT)):
-        assert np.array_equal(got, want)
-
-
 @pytest.mark.parametrize("name, cfg", [("goddard", GODDARD_CFG),
                                        ("catalyst2", CATALYST2_CFG)])
 def test_dense_trajectory_from_bundle_integrates_nothing(monkeypatch, name,
                                                          cfg):
     prob = build_problem(name)
     bundle = evaluate_gradient(prob, cfg, TIGHT)
-    want = dense_trajectory(prob, cfg, TIGHT)
+    # from a sweep of its own, the same trajectory bit for bit
+    want = dense_trajectory(prob, evaluate_gradient(prob, cfg, TIGHT))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense_trajectory integrated again")
 
     for fn in ("integrate_piecewise", "forward_sweep", "backward_sweep"):
         monkeypatch.setattr(gradients, fn, forbidden)
-    got = dense_trajectory(prob, cfg, TIGHT, bundle=bundle)
+    got = dense_trajectory(prob, bundle)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     if prob.case == 1:
@@ -636,7 +631,7 @@ def test_sampled_costate_matches_whole_horizon_integration(name, T, cfg):
         # the reported costate, carried from the next node to each sample
         # by the reverse pass of one step
         ref = _whole_horizon_costate(prob, fwd, TIGHT, fwd.times / fwd.T)
-        got = dense_trajectory(prob, cfg, TIGHT, bundle=bundle)[3]
+        got = dense_trajectory(prob, bundle)[3]
         assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
@@ -1186,11 +1181,11 @@ def test_no_fold_block_crosses_a_switch(monkeypatch, name, lanes):
 def test_samples_only_at_nodes_fold_no_step(monkeypatch, name):
     # two samples, at 0 and T, are both nodes of the forward mesh: the
     # Case-1 costate there is the backward sweep's lam, and the sample
-    # fold, with an empty record in every phase, calls no Jacobian beyond
-    # the backward sweep's one per phase
+    # fold, with an empty record in every phase, calls no Jacobian
     T, cfg = CONFIGS[name]
     prob = build_problem(name, T=T)
-    bwd = evaluate_gradient(prob, cfg).bwd
+    bundle = sampled_bundle(prob, cfg, sample_count=2)
+    bwd = bundle.bwd
     calls = []
 
     def jacobian(prob, j):
@@ -1202,11 +1197,11 @@ def test_samples_only_at_nodes_fold_no_step(monkeypatch, name):
         return counted
 
     monkeypatch.setattr(gradients, "phase_jacobian", jacobian)
-    times, _, _, p = dense_trajectory(prob, cfg, sample_count=2)
+    times, _, _, p = dense_trajectory(prob, bundle)
     assert times.size == 2
     assert np.array_equal(p[0], bwd.costates[0])
     assert np.array_equal(p[-1], bwd.costates[-1])
-    assert sorted(calls) == list(range(prob.k + 1))
+    assert calls == []
 
 
 @pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "lanes"])
@@ -1283,11 +1278,9 @@ def test_one_configuration_and_a_list_take_their_own_loops(monkeypatch,
 def test_list_record_refuses_samples_and_margins_by_name(name):
     T, cfg = CONFIGS[name]
     prob = build_problem(name, T=T)
-    fwd = forward_sweep(prob, [cfg, cfg])
-    reads = [lambda: fwd.states, lambda: feasibility_margins(prob, fwd)]
-    if prob.case == 2:
-        reads.append(lambda: fwd.costates)
-    for read in reads:
+    bundle = evaluate_gradient(prob, [cfg, cfg])
+    for read in (lambda: dense_trajectory(prob, bundle),
+                 lambda: feasibility_margins(prob, bundle.fwd)):
         with pytest.raises(ValueError,
                            match="a list record carries no report samples"):
             read()

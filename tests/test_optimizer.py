@@ -12,8 +12,8 @@ from switchopt.benchmarks import (
     JACOBSON_S1,
 )
 from switchopt.exceptions import InfeasiblePolytope, InvalidSwitchOrder, \
-    LineSearchFailure, NonFiniteState, SecantDivergence, StepLimitExceeded, \
-    StepUnderflow
+    LineSearchFailure, MaxItersExceeded, NonFiniteState, SecantDivergence, \
+    StepLimitExceeded, StepUnderflow
 from switchopt.gradients import evaluate_gradient, forward_sweep
 from switchopt import odeint
 from switchopt.odeint import IntegratorSettings
@@ -484,6 +484,18 @@ def test_secant_escapes_domain():
                       OptimizeSettings(stat_tol=1e-8, max_iters=4), TIGHT)
 
 
+def test_secant_refuses_a_root_of_negative_slope():
+    # with C negated, bressan's stationary point s = T/3 is a maximum: the
+    # secant finds the root of dC/ds1, whose slope there is negative
+    prob = build_problem("bressan", T=10.0)
+    flipped = dataclasses.replace(
+        prob, C=lambda x: -prob.C(x),
+        grad_C=lambda x: -np.asarray(prob.grad_C(x), dtype=float))
+    with pytest.raises(SecantDivergence, match="negative derivative slope"):
+        secant_switch(flipped, (3.0, 4.0),
+                      OptimizeSettings(stat_tol=1e-10), TIGHT)
+
+
 def test_secant_budget():
     prob = build_problem("bressan", T=10.0)
     with pytest.raises(SecantDivergence):
@@ -591,6 +603,15 @@ def test_settings_validation():
     for tol in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             OptimizeSettings(stat_tol=tol)
+
+
+def test_minimize_raises_when_its_iteration_budget_runs_out():
+    # one accepted step from catalyst1's README start is not stationary
+    prob = build_problem("catalyst1", T=1.0)
+    with pytest.raises(MaxItersExceeded,
+                       match=r"catalyst1: 1 iterations, projected gradient"):
+        minimize(prob, SwitchConfig(s=np.array([0.1, 0.7])),
+                 OptimizeSettings(max_iters=1))
 
 
 @pytest.mark.parametrize("iters", [np.nan, np.inf, 2.5, 10.0, True])

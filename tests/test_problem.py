@@ -10,6 +10,7 @@ from switchopt.benchmarks import PROBLEM_NAMES, build_problem
 from switchopt.exceptions import InvalidSwitchOrder, MissingCostate
 from switchopt import benchmarks, gradients, odeint, problem
 from switchopt.gradients import evaluate_gradient, forward_sweep
+from switchopt.odeint import sample_states
 from switchopt.optimizer import minimize
 from switchopt.problem import (
     ControlPhase, ProblemDef, SwitchConfig, on_floats,
@@ -182,8 +183,8 @@ def _phase_points(name, j):
     fwd = forward_sweep(prob, SWEEP_CFGS[name])
     seg = np.clip(np.searchsorted(fwd.sigma, fwd.times / fwd.T,
                                   side="right") - 1, 0, prob.k)
-    zs = (fwd.states if fwd.costates is None
-          else np.hstack((fwd.states, fwd.costates)))
+    zs = sample_states(fwd.rhs, fwd.sigma, fwd.records, fwd.checkpoints,
+                       fwd.times / fwd.T, fwd.T)
     return prob, [(fwd.times[i], zs[i]) for i in np.flatnonzero(seg == j)]
 
 

@@ -577,6 +577,15 @@ def test_detect_merges_smeared_jump():
     assert abs(est.switch_times[0] - 20.5 / 50) < 1.0 / 50
 
 
+def test_detect_merges_runs_around_a_dropped_short_run():
+    # a two-interval singular run inside a bang-high run is dropped, and
+    # the bang-high runs on either side of it merge into one phase
+    dcp = _synthetic_dcp([1.0, 0.5, 1.0, 0.0], edges=[20, 22, 35])
+    est = detect_structure(dcp)
+    np.testing.assert_allclose(est.switch_times, [35 / 50], atol=1e-12)
+    assert est.phase_kinds == ("bang-high", "bang-low")
+
+
 def test_detect_smooth_ramp_to_a_bound():
     # bang-high, a cosine ramp down to the lower bound over 20 intervals,
     # then bang-low: no mesh edge changes the control by a tenth of its range
