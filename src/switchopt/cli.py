@@ -60,6 +60,16 @@ def _parse_list(text):
         [float(v) for v in text.split(",")])
 
 
+def _bracket(text):
+    """The ends (lo, hi) of ``--bracket lo,hi``."""
+    try:
+        lo, hi = _parse_list(text)
+    except ValueError:
+        raise InvalidSwitchOrder(f"--bracket lo,hi takes two values, got "
+                                 f"{text!r}") from None
+    return lo, hi
+
+
 def _grid(text):
     """The points of ``--grid lo,hi,n``: n >= 1 points from lo to hi."""
     usage = f"--grid takes lo,hi,n with n >= 1, got {text!r}"
@@ -113,8 +123,7 @@ def cmd_solve(args):
     opt = OptimizeSettings(stat_tol=args.opt_tol)
 
     if args.secant:
-        lo, hi = _parse_list(args.bracket)
-        s_root, iters = secant_switch(prob, (lo, hi), opt, ode)
+        s_root, iters = secant_switch(prob, _bracket(args.bracket), opt, ode)
         cfg = SwitchConfig(s=np.array([s_root]))
         bundle = evaluate_gradient(prob, cfg, ode)
         stationarity = float(abs(bundle.d_s[0]))

@@ -32,13 +32,14 @@ steps, into the same records with the lane axis last (see ``ProblemDef``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .odeint import PiecewiseOde, _fold_steps, _node_before, \
-    _segment_nodes, _stage_points, _step, integrate_piecewise, sample_states
+    _stage_points, _step, integrate_piecewise, sample_states
 # read only by perfbench's tracer, which patches it here
 from .odeint import integrate_with_quadrature  # noqa: F401
 from .problem import SwitchConfig, horizon, lane_shaped, \
@@ -62,13 +63,12 @@ DEFAULT_SAMPLES = 201
 @dataclass
 class TrajectoryRecord:
     """Forward-sweep output: switch-point checkpoints, accepted steps and
-    the report sample times.  On B lanes each array gains a trailing lane
-    axis, and there are no samples."""
+    the number of report samples that ``dense_trajectory`` takes.  On B
+    lanes each array gains a trailing lane axis, and there are no samples;
+    the state x is ``checkpoints[:, :n]``."""
 
-    times: Optional[np.ndarray]       # physical time at the report samples
-    phase: Optional[np.ndarray]       # phase index of each sample
-    checkpoint_states: np.ndarray     # (k+2, n) at 0, s_1..s_k, T
-    checkpoints: np.ndarray           # (k+2, dim z): z at the same points
+    sample_count: Optional[int]       # report samples, >= 2; None on lanes
+    checkpoints: np.ndarray           # (k+2, dim z): z at 0, s_1..s_k, T
     objective: float
     sigma: np.ndarray                 # switch points in tau units, incl. 0 and 1
     T: float
@@ -85,8 +85,9 @@ class BackwardRecord:
     """Backward-sweep output: the adjoint lam of z on the forward mesh."""
 
     costates: list                    # lam at 0, s_1..s_k, T: (d,) or (d, B)
-    # lam at each node of _phase_nodes; on lanes at each iteration's start
-    nodal: np.ndarray
+    # the reverse chain: lam at each step's start of all phases, then at T;
+    # on lanes at each iteration's start, (iterations + 1, d, B)
+    lam: np.ndarray
     steps: int                        # reverse steps: the forward's accepted ones
 
 
@@ -106,7 +107,7 @@ class GradientBundle:
 
 def _one_configuration(fwd, what):
     """Refuse ``what`` of the forward record of a list of configurations."""
-    if fwd.times is None:
+    if fwd.sample_count is None:
         raise ValueError(f"{what}: a list record carries no report samples")
 
 
@@ -118,11 +119,14 @@ def _resolved(make, prob):
 def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
     """Integrate the sweep state z forward and evaluate the objective.
 
-    ``cfg`` is one SwitchConfig, or a list of them swept as the lanes of
-    one lockstep integration, without report samples; every configuration
-    is checked before any lane is integrated.
+    ``cfg`` is one SwitchConfig, whose record keeps ``sample_count`` (at
+    least 2) for ``dense_trajectory``, or a non-empty list of them swept as
+    lanes, without samples; each is checked before any lane is integrated.
     """
     lanes, starts = not isinstance(cfg, SwitchConfig), []
+    if lanes and not cfg:
+        raise ValueError(f"{prob.name}: the list of configurations is empty")
+    count = None if lanes else max(2, operator.index(sample_count))
     for c in cfg if lanes else [cfg]:
         validate_config(prob, c)
         t = horizon(prob, c)
@@ -137,26 +141,13 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
     traj = integrate_piecewise(PiecewiseOde(
         len(z0), sigma, lambda j, tau, z: points[j](tau * T, z), scale=T),
         z0, settings=settings)
-    times = phase = None
-    if not lanes:
-        times = np.linspace(0.0, 1.0, max(2, sample_count)) * T
-        # a sample at a switch point belongs to the phase that starts there
-        phase = np.clip(np.searchsorted(sigma, times / T, side="right") - 1,
-                        0, prob.k)
     ckpt = np.array(traj.breakpoint_states)
     objective = lane_shaped(prob, "C", np.asarray(
         prob.C(ckpt[-1, :n]), dtype=float), ckpt.shape[2:])
     return TrajectoryRecord(
-        times=times, phase=phase, checkpoint_states=ckpt[:, :n],
-        checkpoints=ckpt, objective=objective if lanes else float(objective),
+        sample_count=count, checkpoints=ckpt,
+        objective=objective if lanes else float(objective),
         sigma=sigma, T=T, steps=traj.steps, records=traj.records, rhs=rhs)
-
-
-def _phase_nodes(fwd):
-    """(tau, z) of the nodes of each phase of the forward record ``fwd``:
-    its steps' starts, then its end."""
-    return [_segment_nodes(record, fwd.sigma[j + 1], fwd.checkpoints[j + 1])
-            for j, record in enumerate(fwd.records)]
 
 
 def _fold(prob, T, records):
@@ -177,7 +168,7 @@ def backward_sweep(prob, fwd):
     it.  On lanes a lane whose h is 0 keeps its lam, and a constant grad C
     of shape (n,) serves every lane.
     """
-    x_T = fwd.checkpoint_states[-1]
+    x_T = fwd.checkpoints[-1, :prob.n]
     grad = np.asarray(prob.grad_C(x_T), dtype=float)
     D = _fold(prob, fwd.T, fwd.records)
     # lane-major from here on: lam (d,), or (B, d) on lanes
@@ -189,9 +180,8 @@ def backward_sweep(prob, fwd):
     # the chain's rows at each phase's first node, and at the end
     h = [record[1] for record in fwd.records]
     firsts = np.cumsum([0] + [len(v) for v in h])
-    nodal = [lam[a:b + 1] for a, b in zip(firsts, firsts[1:])]
     return BackwardRecord(costates=[lam[n].T for n in firsts],
-                          nodal=np.concatenate(nodal).swapaxes(1, -1),
+                          lam=lam.swapaxes(1, -1),
                           steps=np.count_nonzero(np.concatenate(h), axis=0))
 
 
@@ -217,18 +207,6 @@ def _lane_dot(a, b):
     return np.matmul(a.T[..., None, :], b.T[..., :, None])[..., 0, 0]
 
 
-def _switch_jumps(flows, fwd, costates):
-    """dC/ds_j = lam . (F_{j-1} - F_j), the Hamiltonian's jump at each s_j
-    of the record ``fwd``: (k,), or (k, B) on B lanes."""
-    k, d_s = len(flows) - 1, []
-    for j in range(1, k + 1):
-        t, z = fwd.sigma[j] * fwd.T, fwd.checkpoints[j]
-        # the flows' difference first: the terms both phases share cancel
-        # exactly, not after rounding in two dot products
-        d_s.append(_lane_dot(costates[j], flows[j - 1](t, z) - flows[j](t, z)))
-    return np.reshape(d_s, (k,) + np.shape(fwd.T))
-
-
 def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
     """Objective plus exact gradient w.r.t. switch points, p0, and T.
 
@@ -240,9 +218,15 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
     if fwd is None:
         fwd = forward_sweep(prob, cfg, settings)
     bwd = backward_sweep(prob, fwd)
-
-    flows = _resolved(phase_flow, prob)
-    d_s = _switch_jumps(flows, fwd, bwd.costates)
+    # the sweep's own flows, T F_j = rhs(j, tau, z), as F_j of the products
+    # sigma_j T and 1.0 T.  dC/ds_j = lam . (F_{j-1} - F_j) at s_j, the
+    # flows' difference first: the terms both phases share cancel exactly,
+    # not after rounding in two dot products
+    rhs, lam, sigma = fwd.rhs, bwd.costates, fwd.sigma
+    d_s = np.reshape([_lane_dot(lam[j], rhs(j - 1, sigma[j], z)
+                                - rhs(j, sigma[j], z))
+                      for j, z in enumerate(fwd.checkpoints[1:-1], 1)],
+                     (prob.k,) + np.shape(fwd.T))
 
     if with_d_T is None:
         with_d_T = prob.free_time
@@ -250,8 +234,7 @@ def evaluate_gradient(prob, cfg, settings=None, with_d_T=None, fwd=None):
     if with_d_T:
         # dC/dT at fixed s from the terminal Hamiltonian, plus the chain
         # rule through s = sigma T
-        lam, z = bwd.costates[-1], fwd.checkpoints[-1]
-        d_T = _lane_dot(lam, flows[prob.k](fwd.T, z)) \
+        d_T = _lane_dot(lam[-1], rhs(prob.k, 1.0, fwd.checkpoints[-1])) \
             + _lane_dot(fwd.sigma[1:-1], d_s)
         d_T = d_T if np.ndim(d_T) else float(d_T)
     lam0 = bwd.costates[0]
@@ -311,33 +294,31 @@ def gradcheck(prob, cfg, settings=None):
             for label, d, name, i in rows]
 
 
-def _lam_at_samples(prob, fwd, bwd, x):
-    """lam of z = x at the samples x of the Case-1 forward record ``fwd``,
-    from the nodal lam of its backward sweep ``bwd``: at a node its lam,
-    else lam_{n+1} (I + D), the reverse pass of one step of the method from
-    the sample to the next node n + 1, the steps of all phases (none where
-    a phase has no sample past a node) in one ``_fold``."""
-    tau = fwd.times / fwd.T
-    lam, first, records, past = np.empty(x.shape), 0, [], []
-    for j, (times, _) in enumerate(_phase_nodes(fwd)):
-        at = np.flatnonzero(fwd.phase == j)
-        n, off = _node_before(times, tau[at])
-        lam[at] = bwd.nodal[first + n]
-        a, n = at[off], n[off] + 1
-        h = times[n] - tau[a]
+def _lam_at_samples(prob, fwd, bwd, tau, phase, x):
+    """lam of z = x at the samples x, at tau in ``phase``, of the Case-1
+    forward record ``fwd``, from the reverse chain of its backward sweep
+    ``bwd``: at a node its lam, else lam_{n+1} (I + D), the reverse pass of
+    one step of the method from the sample to the next node n + 1, the
+    steps of all phases (none where a phase has no sample past a node) in
+    one ``_fold``.  The chain's nodes are the steps' starts, then 1."""
+    nodes = np.append(np.concatenate([record[0] for record in fwd.records]),
+                      1.0)
+    n, off = _node_before(nodes, tau)
+    lam, records = bwd.lam[n], []
+    for j in range(prob.k + 1):
+        a = np.flatnonzero(off & (phase == j))
+        h = nodes[n[a] + 1] - tau[a]
         records.append((tau[a], h, x[a], _step(
             fwd.rhs, j, tau[a], h, x[a], fwd.T)[1] if a.size else x[a, None]))
-        past.append((a, first + n))
-        first += times.size
-    a, after = (np.concatenate(v) for v in zip(*past))
-    after = bwd.nodal[after]
-    lam[a] = after + (after[:, None, :] @ _fold(prob, fwd.T, records))[:, 0, :]
+    after, D = bwd.lam[n[off] + 1], _fold(prob, fwd.T, records)
+    lam[off] = after + (after[:, None, :] @ D)[:, 0, :]
     return lam
 
 
 def dense_trajectory(prob, bundle):
-    """Aligned dense samples of (t, x, u, p) for reporting, at the report
-    samples of the forward record of the gradient ``bundle``: no sweep runs.
+    """Aligned dense samples of (t, x, u, p) for reporting, at ``sample_count``
+    even times in [0, T] of the forward record of the gradient ``bundle``:
+    no sweep runs.  A sample at s_j belongs to the phase that starts there.
 
     Each sample of the sweep state z (x, and p in Case 2) is one step of
     the method from the forward mesh's node before it (``sample_states``).
@@ -347,13 +328,17 @@ def dense_trajectory(prob, bundle):
     """
     fwd, n = bundle.fwd, prob.n
     _one_configuration(fwd, "dense_trajectory")
-    z = sample_states(fwd.rhs, fwd.sigma, fwd.records, fwd.checkpoints,
-                      fwd.times / fwd.T, fwd.T)
+    times = np.linspace(0.0, 1.0, fwd.sample_count) * fwd.T
+    tau = times / fwd.T
+    phase = np.clip(np.searchsorted(fwd.sigma, tau, side="right") - 1, 0,
+                    prob.k)
+    z = sample_states(fwd.rhs, fwd.sigma, fwd.records, fwd.checkpoints, tau,
+                      fwd.T)
     x = z[:, :n]
     p = z[:, n:] if z.shape[1] > n \
-        else _lam_at_samples(prob, fwd, bundle.bwd, x)
+        else _lam_at_samples(prob, fwd, bundle.bwd, tau, phase, x)
     laws = _resolved(phase_law, prob)
-    controls = np.empty((fwd.times.size, prob.m))
-    for i, t in enumerate(fwd.times):
-        controls[i] = laws[fwd.phase[i]](t, x[i], p[i])
-    return fwd.times, x, controls, p
+    controls = np.empty((times.size, prob.m))
+    for i, t in enumerate(times):
+        controls[i] = laws[phase[i]](t, x[i], p[i])
+    return times, x, controls, p

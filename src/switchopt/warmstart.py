@@ -32,8 +32,8 @@ __all__ = [
 
 
 def _check_mesh(N, rho_tv):
-    if N < 2:
-        raise ValueError(f"need at least 2 mesh intervals, got N={N}")
+    if type(N) is bool or not isinstance(N, (int, np.integer)) or N < 2:
+        raise ValueError(f"need an integer N >= 2 mesh intervals, got N={N}")
     if not (math.isfinite(rho_tv) and rho_tv >= 0):
         raise ValueError(f"rho_tv must be finite and >= 0, got {rho_tv}")
 

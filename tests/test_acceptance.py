@@ -119,7 +119,7 @@ def test_criterion_5_goddard():
                      abs(rep.final_cfg.s[1] - ref.s_star[1]),
                      abs(rep.final_cfg.T - ref.T_star)])
     fwd = forward_sweep(prob, rep.final_cfg, TIGHT)
-    m_err = abs(fwd.checkpoint_states[-1][2] - 1.0)
+    m_err = abs(fwd.checkpoints[-1, 2] - 1.0)
     ok = np.all(errs <= 1e-5) and m_err <= 1e-5
     _verdict(5, ok, f"(s1,s2,T) errors {errs[0]:.2e}/{errs[1]:.2e}/"
                     f"{errs[2]:.2e} (<=1e-5), |m(T)-1| {m_err:.2e} (<=1e-5)")

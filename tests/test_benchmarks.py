@@ -99,7 +99,7 @@ def test_goddard_objective_baseline():
     fwd = forward_sweep(prob, cfg, TIGHT)
     assert fwd.objective == pytest.approx(-18549.622800667294, abs=1e-4)
     # terminal constraint nearly met and the rocket coasts to apex
-    xT = fwd.checkpoint_states[-1]
+    xT = fwd.checkpoints[-1, :prob.n]
     assert abs(xT[2] - 1.0) < 1e-6
     assert abs(xT[1]) < 1e-3
 

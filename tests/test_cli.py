@@ -612,3 +612,15 @@ def test_solve_secant_degenerate_bracket_exits_3(tmp_path, capsys, bracket):
     assert code == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("bracket", ["3.0,3.5,4.0", "3.0", "3.0,x"])
+def test_solve_secant_bracket_takes_two_values(tmp_path, capsys, bracket):
+    # these exited 3 with "too many/not enough values to unpack" or the
+    # float conversion's own message
+    code = main(["solve", "--problem", "bressan", "--secant",
+                 "--bracket", bracket, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert (f"configuration error: --bracket lo,hi takes two values, got "
+            f"{bracket!r}") in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

@@ -264,7 +264,8 @@ def test_phase_between_dense_samples_has_finite_margin():
     prob = build_problem("catalyst1", T=1.0)
     bundle = evaluate_gradient(
         prob, SwitchConfig(s=np.array([0.1011, 0.1031])), TIGHT)
-    assert not np.any(bundle.fwd.phase == 1)
+    times = dense_trajectory(prob, bundle)[0]
+    assert not np.any((times >= 0.1011) & (times < 0.1031))
     u = CATALYST_U_SINGULAR
     np.testing.assert_allclose(feasibility_margins(prob, bundle.fwd),
                                [0.0, min(u, 1.0 - u), 0.0], atol=1e-9)
@@ -306,7 +307,7 @@ def _adaptive_backward(prob, fwd, settings):
     backward, phase by phase, with z reset to the forward checkpoint at
     each switch point: the backward sweep before the reverse pass."""
     T, d = fwd.T, fwd.checkpoints.shape[1]
-    lam = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
+    lam = np.concatenate((prob.grad_C(fwd.checkpoints[-1, :prob.n]),
                           np.zeros(d - prob.n)))
     costates = [lam]
     for j in range(prob.k, -1, -1):
@@ -356,8 +357,8 @@ def test_reverse_pass_is_the_frozen_mesh_derivative(name):
     # switch) and at a step start inside each phase
     prob = build_problem(name)
     bundle = evaluate_gradient(prob, FROZEN_CASES[name])
-    fwd, nodal = bundle.fwd, bundle.bwd.nodal
-    first = 0                             # the phase's first row of nodal
+    fwd, chain = bundle.fwd, bundle.bwd.lam
+    first = 0                             # the phase's first row of chain
     for j, (_, hs, zs, _) in enumerate(fwd.records):
         for n in sorted({0, hs.size // 2}):
             z = zs[n]
@@ -368,9 +369,9 @@ def test_reverse_pass_is_the_frozen_mesh_derivative(name):
                 fd[i] = (_replayed_objective(prob, fwd, j, n, z + dz)
                          - _replayed_objective(prob, fwd, j, n, z - dz)) \
                     / (2 * dz[i])
-            assert np.max(np.abs(fd - nodal[first + n])) \
+            assert np.max(np.abs(fd - chain[first + n])) \
                 <= 1e-7 * np.max(np.abs(fd))
-        first += hs.size + 1
+        first += hs.size
 
 
 @pytest.mark.parametrize("name", list(FROZEN_CASES))
@@ -438,7 +439,8 @@ def test_margin_sees_a_violation_between_dense_samples():
     # the accepted steps resolve the peak u = 1 between them
     prob = _bump_problem(c=0.5025, w=4e-4)
     fwd = forward_sweep(prob, SwitchConfig(s=np.array([0.9])))
-    assert np.all(np.abs(fwd.times - 0.5025) > 6 * 4e-4)
+    times = np.linspace(0.0, 1.0, fwd.sample_count) * fwd.T
+    assert np.all(np.abs(times - 0.5025) > 6 * 4e-4)
     margins = feasibility_margins(prob, fwd)
     assert margins[0] < -0.4
     assert margins[1] == 0.0
@@ -453,7 +455,8 @@ def test_margin_sees_a_violation_between_nodes():
                                f=lambda x, u: np.array([1.0, 0.0]))
     fwd = forward_sweep(prob, SwitchConfig(s=np.array([0.9])))
     margin = phase_feasibility(prob, 0)
-    tau, z = gradients._phase_nodes(fwd)[0]
+    tau, z = odeint._segment_nodes(fwd.records[0], fwd.sigma[1],
+                                   fwd.checkpoints[1])
     assert min(np.min(margin(t, x)) for t, x in zip(tau * fwd.T, z)) >= 0.0
     assert feasibility_margins(prob, fwd)[0] < -0.05
 
@@ -594,7 +597,7 @@ def _whole_horizon_costate(prob, fwd, settings, tau):
     T, d = fwd.T, fwd.checkpoints.shape[1]
     phases = [_adjoint_rhs(prob, j, T, d) for j in range(prob.k + 1)]
 
-    lam_end = np.concatenate((prob.grad_C(fwd.checkpoint_states[-1]),
+    lam_end = np.concatenate((prob.grad_C(fwd.checkpoints[-1, :prob.n]),
                               np.zeros(d - prob.n)))
     ode = PiecewiseOde(dim=2 * d, segments=fwd.sigma,
                        rhs=lambda j, tau, w: phases[j](j, tau, w))
@@ -620,18 +623,19 @@ def test_sampled_costate_matches_whole_horizon_integration(name, T, cfg):
     prob = build_problem(name, T=T)
     bundle = evaluate_gradient(prob, cfg, TIGHT)
     fwd = bundle.fwd
-    empty = np.bincount(fwd.phase, minlength=prob.k + 1) == 0
+    times, _, _, got = dense_trajectory(prob, bundle)
+    phase = np.searchsorted(fwd.sigma[1:-1] * fwd.T, times, side="right")
+    empty = np.bincount(phase, minlength=prob.k + 1) == 0
     assert empty.tolist() == ([False, True, False] if cfg is EMPTY_MIDDLE_CFG
                               else [False] * (prob.k + 1))
     # lam at the nodes of the forward mesh, where the backward sweep gives it
-    ref = _whole_horizon_costate(prob, fwd, TIGHT, np.concatenate(
-        [tau for tau, _ in gradients._phase_nodes(fwd)]))
-    assert np.max(np.abs(bundle.bwd.nodal - ref)) <= 1e-8 * np.max(np.abs(ref))
+    ref = _whole_horizon_costate(prob, fwd, TIGHT, np.append(
+        np.concatenate([tau for tau, _, _, _ in fwd.records]), 1.0))
+    assert np.max(np.abs(bundle.bwd.lam - ref)) <= 1e-8 * np.max(np.abs(ref))
     if prob.case == 1:
         # the reported costate, carried from the next node to each sample
         # by the reverse pass of one step
-        ref = _whole_horizon_costate(prob, fwd, TIGHT, fwd.times / fwd.T)
-        got = dense_trajectory(prob, bundle)[3]
+        ref = _whole_horizon_costate(prob, fwd, TIGHT, times / fwd.T)
         assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
@@ -1114,7 +1118,7 @@ def test_lanes_reverse_pass_folds_each_phase_in_bounded_blocks(monkeypatch,
         assert sum(size for i, size in calls if i == j) \
             == odeint._WEIGHTED * h.size
     assert np.array_equal(got.costates, want.costates)
-    assert np.array_equal(got.nodal, want.nodal)
+    assert np.array_equal(got.lam, want.lam)
     assert np.array_equal(got.steps, want.steps)
 
 
@@ -1170,10 +1174,10 @@ def test_no_fold_block_crosses_a_switch(monkeypatch, name, lanes):
         slack = 4 * np.spacing(hi)[:, None]
         assert np.all((t >= lo[:, None] - slack) & (t <= hi[:, None] + slack))
     if name == "catalyst1":
-        assert np.array_equal(got.nodal, want.nodal)
+        assert np.array_equal(got.lam, want.lam)
     else:
-        assert np.max(np.abs(got.nodal - want.nodal)) \
-            <= 1e-14 * np.max(np.abs(want.nodal))
+        assert np.max(np.abs(got.lam - want.lam)) \
+            <= 1e-14 * np.max(np.abs(want.lam))
     assert np.array_equal(got.steps, want.steps)
 
 
@@ -1207,23 +1211,22 @@ def test_samples_only_at_nodes_fold_no_step(monkeypatch, name):
 @pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "lanes"])
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_backward_record_layout(name, lanes):
-    # nodal holds each phase's N_j step starts and its end, sum_j (N_j + 1)
-    # rows (iterations I_j on lanes): the row that ends phase j - 1 is the
-    # row that starts phase j, and both are costates[j], bit for bit
+    # lam is the reverse chain, each node of the forward mesh once: each
+    # phase's N_j step starts (iterations I_j on lanes), then T, sum_j N_j
+    # + 1 rows.  The row that ends phase j - 1 is the row that starts phase
+    # j, costates[j], and the costates are rows of the chain, not copies
     T, cfg = CONFIGS[name]
     prob = build_problem(name, T=T)
     fwd = forward_sweep(prob, _three_lanes(cfg) if lanes else cfg)
     bwd = backward_sweep(prob, fwd)
-    sizes = [len(h) + 1 for _, h, _, _ in fwd.records]
-    assert len(bwd.nodal) == sum(sizes)
+    sizes = [len(h) for _, h, _, _ in fwd.records]
+    assert len(bwd.lam) == sum(sizes) + 1
     assert len(bwd.costates) == prob.k + 2
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    assert np.array_equal(bwd.nodal[0], bwd.costates[0])
-    assert np.array_equal(bwd.nodal[-1], bwd.costates[-1])
-    for j in range(1, prob.k + 1):
-        assert np.array_equal(bwd.nodal[ends[j - 1] - 1], bwd.costates[j])
-        assert np.array_equal(bwd.nodal[starts[j]], bwd.costates[j])
+    starts = np.cumsum([0] + sizes)
+    assert starts[-1] == len(bwd.lam) - 1
+    for j in range(prob.k + 2):
+        assert np.array_equal(bwd.lam[starts[j]], bwd.costates[j])
+        assert np.shares_memory(bwd.lam, bwd.costates[j])
 
 
 def test_lanes_refuse_a_problem_without_lanes(monkeypatch, tmp_path):
@@ -1284,3 +1287,63 @@ def test_list_record_refuses_samples_and_margins_by_name(name):
         with pytest.raises(ValueError,
                            match="a list record carries no report samples"):
             read()
+
+
+def _no_integration(monkeypatch):
+    """Make any forward integration of ``gradients`` fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep was integrated")
+    monkeypatch.setattr(gradients, "integrate_piecewise", forbidden)
+
+
+def test_empty_configuration_list_is_refused_before_any_sweep(monkeypatch):
+    prob = build_problem("jacobson")
+    _no_integration(monkeypatch)
+    for sweep in (forward_sweep, evaluate_gradient):
+        with pytest.raises(ValueError, match="jacobson: the list of "
+                           "configurations is empty"):
+            sweep(prob, [])
+
+
+def test_non_integer_sample_count_is_refused_at_the_sweep(monkeypatch):
+    # before the integration, not later in dense_trajectory
+    T, cfg = CONFIGS["jacobson"]
+    prob = build_problem("jacobson", T=T)
+    _no_integration(monkeypatch)
+    with pytest.raises(TypeError, match="'float' object cannot be "
+                       "interpreted as an integer"):
+        forward_sweep(prob, cfg, sample_count=2.5)
+
+
+@pytest.mark.parametrize("name", ["catalyst1", "goddard"])
+def test_forward_record_carries_no_sample_array(name):
+    # the sweep keeps the count of the report samples; dense_trajectory
+    # takes their times and phases
+    T, cfg = CONFIGS[name]
+    prob = build_problem(name, T=T)
+    fwd = forward_sweep(prob, cfg)
+    arrays = [f.name for f in dataclasses.fields(fwd)
+              if isinstance(getattr(fwd, f.name), np.ndarray)]
+    assert sorted(arrays) == ["checkpoints", "sigma"]
+    assert fwd.sample_count == gradients.DEFAULT_SAMPLES
+    assert forward_sweep(prob, [cfg, cfg]).sample_count is None
+    fwd = forward_sweep(prob, cfg, sample_count=np.int64(1))
+    assert fwd.sample_count == 2
+
+
+@pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "lanes"])
+@pytest.mark.parametrize("name", ["catalyst2", "goddard"])
+def test_one_evaluation_builds_each_phase_flow_once(monkeypatch, name,
+                                                    lanes):
+    # the Hamiltonian jumps and d_T take the forward record's own flows
+    T, cfg = CONFIGS[name]
+    prob = build_problem(name, T=T)
+    built = []
+
+    def flow(prob, j):
+        built.append(j)
+        return phase_flow(prob, j)
+
+    monkeypatch.setattr(gradients, "phase_flow", flow)
+    evaluate_gradient(prob, [cfg, cfg] if lanes else cfg, with_d_T=True)
+    assert sorted(built) == list(range(prob.k + 1))

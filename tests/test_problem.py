@@ -181,11 +181,12 @@ def _phase_points(name, j):
     """(problem, [(t, z)]) at the forward-sweep samples of phase j."""
     prob = build_problem(name)
     fwd = forward_sweep(prob, SWEEP_CFGS[name])
-    seg = np.clip(np.searchsorted(fwd.sigma, fwd.times / fwd.T,
+    times = np.linspace(0.0, 1.0, fwd.sample_count) * fwd.T
+    seg = np.clip(np.searchsorted(fwd.sigma, times / fwd.T,
                                   side="right") - 1, 0, prob.k)
     zs = sample_states(fwd.rhs, fwd.sigma, fwd.records, fwd.checkpoints,
-                       fwd.times / fwd.T, fwd.T)
-    return prob, [(fwd.times[i], zs[i]) for i in np.flatnonzero(seg == j)]
+                       times / fwd.T, fwd.T)
+    return prob, [(times[i], zs[i]) for i in np.flatnonzero(seg == j)]
 
 
 @pytest.mark.parametrize("name, j", [

@@ -501,8 +501,8 @@ def test_rho_sweep_tv_monotone():
 
 
 @pytest.mark.parametrize("N,rho_tv", [
-    (0, 1e-3), (1, 1e-3), (100, float("nan")), (100, float("inf")),
-    (100, -1.0)])
+    (0, 1e-3), (1, 1e-3), (2.5, 1e-3), (100.0, 1e-3), (True, 1e-3),
+    (100, float("nan")), (100, float("inf")), (100, -1.0)])
 def test_solve_rejects_bad_arguments_before_work(N, rho_tv):
     def f(x, u):
         raise AssertionError("the model ran")
@@ -622,3 +622,14 @@ def test_structure_estimate_validation():
         StructureEstimate(switch_times=np.array([0.5, 0.4]),
                           phase_kinds=("bang-high", "singular", "bang-low"),
                           p0_estimate=np.zeros(2))
+
+
+def test_mesh_size_must_be_an_integer():
+    # N = 2.5 on catalyst1 at T = 1 took h = 0.4 over 3 intervals, an Euler
+    # rollout to t = 1.2; as for IntegratorSettings.max_steps, a NumPy
+    # integer is one, a float or a bool is not
+    prob = build_problem("catalyst1", T=1.0)
+    dcp = solve_tv_euler(prob, N=np.int64(20))
+    assert dcp.u.shape == (1, 20)
+    with pytest.raises(ValueError, match="need an integer N >= 2"):
+        dataclasses.replace(dcp, N=2.5)

@@ -5,14 +5,18 @@ statement when it is a string) excluded.
 Usage, from the root of a source checkout:
 
     python3 tools/code_lines.py src/switchopt/*.py
+    python3 tools/code_lines.py src/switchopt
 
-prints each file's code lines and then the total.
+prints each file's code lines and then the total; a directory stands for
+its own .py files, in name order.  With no path it prints this usage and
+exits 2.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 
@@ -45,9 +49,22 @@ def code_lines(path):
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(paths):
-    total = 0
+def _files(paths):
+    """``paths`` with each directory in it replaced by its .py files."""
     for path in paths:
+        if os.path.isdir(path):
+            yield from (os.path.join(path, name) for name in sorted(
+                os.listdir(path)) if name.endswith(".py"))
+        else:
+            yield path
+
+
+def main(paths):
+    if not paths:
+        print(__doc__, file=sys.stderr)
+        return 2
+    total = 0
+    for path in _files(paths):
         count = code_lines(path)
         total += count
         print(f"{count:6d} {path}")
