@@ -258,6 +258,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="optimize switch points")
+    sp.set_defaults(run=cmd_solve)
     _add_common(sp, "ode", "opt")
     sp.add_argument("--s0", default=None, help="comma list of switch times")
     sp.add_argument("--p0", default=None, help="comma list, initial costate")
@@ -270,16 +271,19 @@ def build_parser():
     sp.add_argument("--rho-tv", type=float, default=1e-3)
 
     sp = sub.add_parser("warmstart", help="TV-regularized structure detection")
+    sp.set_defaults(run=cmd_warmstart)
     _add_common(sp)
     sp.add_argument("--N", type=int, default=100)
     sp.add_argument("--rho-tv", type=float, default=1e-3)
 
     sp = sub.add_parser("gradcheck", help="analytic vs finite-difference")
+    sp.set_defaults(run=cmd_gradcheck)
     _add_common(sp, "ode")
     sp.add_argument("--s0", default=None)
     sp.add_argument("--p0", default=None)
 
     sp = sub.add_parser("profile", help="dC/ds1 over a grid (k=1 problems)")
+    sp.set_defaults(run=cmd_profile)
     _add_common(sp, "ode")
     sp.add_argument("--grid", default=None, help="lo,hi,npoints")
     return ap
@@ -300,16 +304,6 @@ def _joined(argv):
     return out
 
 
-def _run_one(args):
-    handler = {
-        "solve": cmd_solve,
-        "warmstart": cmd_warmstart,
-        "gradcheck": cmd_gradcheck,
-        "profile": cmd_profile,
-    }[args.command]
-    return handler(args)
-
-
 def main(argv=None):
     ap = build_parser()
     try:
@@ -324,10 +318,10 @@ def main(argv=None):
             # a sweep, one problem after another, each in its own
             # output subdirectory
             base = _out_dir(args)
-            return max([_run_one(argparse.Namespace(**{
+            return max([args.run(argparse.Namespace(**{
                 **vars(args), "problem": name, "out": str(base / name)}))
                 for name in names])
-        return _run_one(args)
+        return args.run(args)
     except (InvalidSwitchOrder, MissingCostate, InfeasiblePolytope,
             KeyError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

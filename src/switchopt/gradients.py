@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .odeint import PiecewiseOde, _fold_steps, _node_before, \
+from .odeint import PiecewiseOde, _fold_steps, _node_before, _node_chain, \
     _stage_points, _step, integrate_piecewise, sample_states
 # read only by perfbench's tracer, which patches it here
 from .odeint import integrate_with_quadrature  # noqa: F401
@@ -119,13 +119,16 @@ def _resolved(make, prob):
 def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
     """Integrate the sweep state z forward and evaluate the objective.
 
-    ``cfg`` is one SwitchConfig, whose record keeps ``sample_count`` (at
-    least 2) for ``dense_trajectory``, or a non-empty list of them swept as
-    lanes, without samples; each is checked before any lane is integrated.
+    ``cfg`` is one SwitchConfig, whose record keeps ``sample_count`` (an
+    integer, not a bool; at least 2) for ``dense_trajectory``, or a
+    non-empty list of them swept as lanes, without samples; each is checked
+    before any lane is integrated.
     """
     lanes, starts = not isinstance(cfg, SwitchConfig), []
     if lanes and not cfg:
         raise ValueError(f"{prob.name}: the list of configurations is empty")
+    if not lanes and isinstance(sample_count, bool):
+        raise TypeError(f"sample_count must be an integer, got {sample_count}")
     count = None if lanes else max(2, operator.index(sample_count))
     for c in cfg if lanes else [cfg]:
         validate_config(prob, c)
@@ -300,9 +303,8 @@ def _lam_at_samples(prob, fwd, bwd, tau, phase, x):
     ``bwd``: at a node its lam, else lam_{n+1} (I + D), the reverse pass of
     one step of the method from the sample to the next node n + 1, the
     steps of all phases (none where a phase has no sample past a node) in
-    one ``_fold``.  The chain's nodes are the steps' starts, then 1."""
-    nodes = np.append(np.concatenate([record[0] for record in fwd.records]),
-                      1.0)
+    one ``_fold``, on the nodes of ``odeint._node_chain``."""
+    nodes, _ = _node_chain(fwd.records, 1.0, fwd.checkpoints[-1])
     n, off = _node_before(nodes, tau)
     lam, records = bwd.lam[n], []
     for j in range(prob.k + 1):

@@ -446,11 +446,12 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     return y, steps, tuple(map(np.array, (t_rec, h_rec, y_rec, K_rec)))
 
 
-def _segment_nodes(record, t_end, y_end):
-    """(times, states) of the nodes of a scalar segment record: each
-    step's start, then the end (t_end, y_end)."""
-    t, _, y, _ = record
-    return np.append(t, t_end), np.vstack((y, y_end))
+def _node_chain(records, t_end, y_end):
+    """(times, states) of the node chain of scalar segment records: each
+    accepted step's start, segment after segment, then the end (t_end,
+    y_end)."""
+    return (np.append(np.concatenate([r[0] for r in records]), t_end),
+            np.vstack([r[2] for r in records] + [y_end]))
 
 
 def _node_before(times, sample_times):
@@ -498,17 +499,15 @@ def sample_states(rhs, segments, records, breakpoint_states, sample_times,
                          f"{segments[-1]}]")
     seg = np.minimum(np.searchsorted(segments, sample_times, side="right")
                      - 1, len(records) - 1)
-    out = np.empty((sample_times.size, np.size(breakpoint_states[0])))
-    for j, record in enumerate(records):
-        at = np.flatnonzero(seg == j)
-        times, states = _segment_nodes(record, segments[j + 1],
-                                       breakpoint_states[j + 1])
-        n, off = _node_before(times, sample_times[at])
-        out[at] = states[n]
-        if off.any():
-            a, n = at[off], n[off]
-            out[a] = _step(rhs, j, times[n], sample_times[a] - times[n],
-                           states[n], scale)[0]
+    times, states = _node_chain(records, segments[-1], breakpoint_states[-1])
+    n, off = _node_before(times, sample_times)
+    out = states[n]
+    for j in range(len(records)):
+        a = np.flatnonzero(off & (seg == j))
+        if a.size:
+            m = n[a]
+            out[a] = _step(rhs, j, times[m], sample_times[a] - times[m],
+                           states[m], scale)[0]
     return out
 
 

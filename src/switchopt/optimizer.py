@@ -25,7 +25,7 @@ from .exceptions import InfeasiblePolytope, LineSearchFailure, \
 from .gradients import GradientBundle, evaluate_gradient, \
     feasibility_margins, forward_sweep
 from .odeint import IntegratorSettings
-from .problem import SwitchConfig, horizon
+from .problem import SwitchConfig, horizon, validate_config
 
 __all__ = [
     "OptimizeSettings",
@@ -137,12 +137,7 @@ def _pav_nondecreasing(y):
             v1, c1 = vals.pop(), counts.pop()
             vals.append((v1 * c1 + v2 * c2) / (c1 + c2))
             counts.append(c1 + c2)
-    out = np.empty(len(y))
-    i = 0
-    for v, c in zip(vals, counts):
-        out[i:i + c] = v
-        i += c
-    return out
+    return np.repeat(vals, counts)
 
 
 def project_ordered(v, T, eps_gap):
@@ -450,9 +445,10 @@ def secant_switch(prob, bracket, settings=None, ode_settings=None):
 
     Terminates when |dC/ds_1| <= stat_tol or the update falls below
     1e-14 * T.  Raises ValueError if the bracket's ends are that close
-    already, and SecantDivergence if an iterate leaves (0, T), the budget
-    runs out, or the found stationary point has negative derivative slope
-    (a local maximum of the objective, not a minimum).
+    already and ``validate_config``'s error for an end it refuses, both
+    before any sweep, and SecantDivergence if an iterate leaves (0, T),
+    the budget runs out, or the found stationary point has negative
+    derivative slope (a local maximum of the objective, not a minimum).
     """
     if prob.k != 1:
         raise ValueError("secant_switch requires a single-switch problem")
@@ -467,6 +463,8 @@ def secant_switch(prob, bracket, settings=None, ode_settings=None):
     if abs(s_cur - s_prev) <= 1e-14 * T:
         raise ValueError(f"secant bracket ends {s_prev!r}, {s_cur!r} are "
                          "not more than 1e-14 * T apart")
+    for s in (s_prev, s_cur):
+        validate_config(prob, SwitchConfig(s=np.array([s])))
     g_prev, g_cur = g(s_prev), g(s_cur)
     for it in range(2, settings.max_iters + 2):
         if abs(g_cur) <= settings.stat_tol or abs(s_cur - s_prev) <= 1e-14 * T:

@@ -159,24 +159,24 @@ def tv_prox(signal, weight):
 # ---------------------------------------------------------------------------
 
 def _rollout(prob, u, h):
-    """Forward Euler states x_0..x_N for control matrix u (m, N): on lists
-    of floats, with NumPy's bits, when prob.f has a ``float_body`` (see
-    ``problem.on_floats``) whose arithmetic raises nowhere, else on arrays."""
-    body = _float_body(prob.f)
-    if body is not None:
+    """Forward Euler states x_0..x_N for control matrix u (m, N), on lists
+    of floats: each step runs prob.f's ``float_body`` (see
+    ``problem.on_floats``) on them, or prob.f on arrays where f has no body
+    or the body's float arithmetic raises at that step, with NumPy's bits
+    either way."""
+    def arrays(x, uj):
+        return prob.f(np.array(x), np.array(uj)).tolist()
+
+    body, x, rows = _float_body(prob.f) or arrays, prob.x0.tolist(), []
+    for uj in u.T.tolist():
+        rows.append(x)
         try:
-            x, rows = prob.x0.tolist(), []
-            for uj in u.T.tolist():
-                rows.append(x)
-                x = [a + h * b for a, b in zip(x, body(x, uj))]
-            return np.array(rows + [x])
+            x = [a + h * b for a, b in zip(x, body(x, uj))]
         except _FLOAT_FAILS:
-            pass
-    xs = np.empty((u.shape[1] + 1, prob.n))
-    xs[0] = x = prob.x0
-    for j, uj in enumerate(u.T, 1):
-        xs[j] = x = x + h * prob.f(x, uj)
-    return xs
+            if body is arrays:
+                raise
+            x = [a + h * b for a, b in zip(x, arrays(x, uj))]
+    return np.array(rows + [x])
 
 
 def _adjoint(prob, xs, u, h):

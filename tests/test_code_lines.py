@@ -33,3 +33,17 @@ def test_no_path_prints_the_usage(tool, capsys):
     assert tool.main([]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "Usage" in err
+
+
+@pytest.mark.parametrize("name, error", [("missing.py", "FileNotFoundError"),
+                                         ("README.md", "SyntaxError")])
+def test_a_bad_path_is_named_on_one_line(tool, tmp_path, capsys, name,
+                                         error):
+    # a file that does not exist, or is not Python, stops the count with
+    # one line on stderr that names it, as the usage does with no path
+    (tmp_path / "README.md").write_text("# Title\n\nIt's prose.\n")
+    path = str(tmp_path / name)
+    assert tool.main([path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"{path}: {error}: ")

@@ -455,8 +455,8 @@ def test_margin_sees_a_violation_between_nodes():
                                f=lambda x, u: np.array([1.0, 0.0]))
     fwd = forward_sweep(prob, SwitchConfig(s=np.array([0.9])))
     margin = phase_feasibility(prob, 0)
-    tau, z = odeint._segment_nodes(fwd.records[0], fwd.sigma[1],
-                                   fwd.checkpoints[1])
+    tau, z = odeint._node_chain(fwd.records[:1], fwd.sigma[1],
+                                fwd.checkpoints[1])
     assert min(np.min(margin(t, x)) for t, x in zip(tau * fwd.T, z)) >= 0.0
     assert feasibility_margins(prob, fwd)[0] < -0.05
 
@@ -1310,9 +1310,12 @@ def test_non_integer_sample_count_is_refused_at_the_sweep(monkeypatch):
     T, cfg = CONFIGS["jacobson"]
     prob = build_problem("jacobson", T=T)
     _no_integration(monkeypatch)
-    with pytest.raises(TypeError, match="'float' object cannot be "
-                       "interpreted as an integer"):
-        forward_sweep(prob, cfg, sample_count=2.5)
+    for count, message in ((2.5, "'float' object cannot be interpreted as "
+                                 "an integer"),
+                           (True, "sample_count must be an integer, got "
+                                  "True")):
+        with pytest.raises(TypeError, match=message):
+            forward_sweep(prob, cfg, sample_count=count)
 
 
 @pytest.mark.parametrize("name", ["catalyst1", "goddard"])

@@ -516,6 +516,25 @@ def test_secant_degenerate_bracket_raises_before_any_sweep(monkeypatch,
         secant_switch(prob, bracket)
 
 
+@pytest.mark.parametrize("bracket, end", [((3.0, 11.0), 11.0),
+                                          ((3.0, np.inf), np.inf),
+                                          ((11.0, 3.0), 11.0)])
+def test_secant_bracket_out_of_range_raises_before_any_sweep(monkeypatch,
+                                                             bracket, end):
+    # each end is checked as a configuration before the first evaluation,
+    # with the message that the evaluation at the refused end raises
+    with pytest.raises(InvalidSwitchOrder) as evaluated:
+        evaluate_gradient(build_problem("bressan", T=10.0),
+                          SwitchConfig(s=np.array([end])))
+    swept = []
+    monkeypatch.setattr(optimizer, "evaluate_gradient",
+                        lambda *args, **kwargs: swept.append(args))
+    with pytest.raises(InvalidSwitchOrder) as refused:
+        secant_switch(build_problem("bressan", T=10.0), bracket)
+    assert swept == []
+    assert str(refused.value) == str(evaluated.value)
+
+
 def test_secant_requires_single_switch():
     prob = build_problem("catalyst1", T=1.0)
     with pytest.raises(ValueError):

@@ -297,17 +297,20 @@ def test_one_rollout_per_trial(monkeypatch):
                                   "bressan", "goddard"])
 def test_float_rollout_is_the_reference_loop(name, N):
     # a built-in f has a float body, so the rollout steps on lists of
-    # floats; its rows are the array loop's bits at the box's midpoint, at
-    # each bound and at random controls in the box
+    # floats, and an f without one steps on arrays; either's rows are the
+    # array loop's bits at the box's midpoint, at each bound and at random
+    # controls in the box
     prob = build_problem(name)
+    undecorated = dataclasses.replace(prob, f=lambda x, v: prob.f(x, v))
     lower, upper = _box(prob, N)
     rng = np.random.default_rng(N)
     h = prob.T / N
     for u in (0.5 * (lower + upper), lower, upper,
               lower + rng.random(lower.shape) * (upper - lower)):
-        got = warmstart._rollout(prob, u, h)
         want = _rollout_ref(prob, u, h)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for p in (prob, undecorated):
+            got = warmstart._rollout(p, u, h)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_float_rollout_reruns_on_arrays_where_a_float_step_raises():
@@ -332,6 +335,34 @@ def test_float_rollout_reruns_on_arrays_where_a_float_step_raises():
     u = np.linspace(-1.0, 2.0, 40)[None]
     got = warmstart._rollout(prob, u, 1.0 / 40)
     assert raised and got.tobytes() == _rollout_ref(prob, u, 1.0 / 40).tobytes()
+
+
+def test_float_rollout_steps_on_arrays_only_where_a_float_step_raises():
+    # the float body refuses the points with 0.2625 < x_0 < 0.5125, where
+    # x_0 is about j / 40 at step j, so steps 11 to 20 of 40: each of those
+    # steps, and no other, calls f on arrays, and the rows are the array
+    # loop's
+    raised, on_arrays = [], []
+
+    def body(x, u):
+        if not isinstance(x, list):
+            on_arrays.append(float(x[0]))
+        elif 0.2625 < x[0] < 0.5125:
+            raised.append(x[0])
+            raise ZeroDivisionError
+        return [1.0 + 0.0 * x[1], u[0] * x[0] - x[1]]
+
+    box = lambda t: np.array([0.0])
+    prob = ProblemDef(
+        name="toy", n=2, m=1, x0=np.array([0.0, 1.0]), T=1.0,
+        free_time=False, case=1,
+        phases=(ControlPhase("constant", lambda t: [0.0], box, box),),
+        f=on_floats(body), f_x=None, f_u=None, C=lambda x: x[1],
+        grad_C=None)
+    u = np.linspace(-1.0, 2.0, 40)[None]
+    got = warmstart._rollout(prob, u, 1.0 / 40)
+    assert len(raised) == 10 and on_arrays == raised
+    assert got.tobytes() == _rollout_ref(prob, u, 1.0 / 40).tobytes()
 
 
 # prox passes per warm start at N = 100, rho_tv = 1e-3; the monotone step

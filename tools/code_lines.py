@@ -8,8 +8,9 @@ Usage, from the root of a source checkout:
     python3 tools/code_lines.py src/switchopt
 
 prints each file's code lines and then the total; a directory stands for
-its own .py files, in name order.  With no path it prints this usage and
-exits 2.
+its own .py files, in name order.  With no path it prints this usage, and
+at a file it cannot read or parse as Python one line that names the file;
+either goes to stderr, and it exits 2.
 """
 
 from __future__ import annotations
@@ -65,7 +66,11 @@ def main(paths):
         return 2
     total = 0
     for path in _files(paths):
-        count = code_lines(path)
+        try:
+            count = code_lines(path)
+        except (OSError, SyntaxError, ValueError, tokenize.TokenError) as exc:
+            print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
         total += count
         print(f"{count:6d} {path}")
     print(f"{total:6d} code lines in all")
