@@ -315,8 +315,8 @@ def test_float_rollout_is_the_reference_loop(name, N):
 
 def test_float_rollout_reruns_on_arrays_where_a_float_step_raises():
     # the float body refuses the points from x_0 = 0.5 on, as an
-    # overflowing float operation would: the rollout reruns on arrays and
-    # gives the array loop's rows
+    # overflowing float operation would: the rollout takes each of those
+    # steps on arrays and gives the array loop's rows
     raised = []
 
     def body(x, u):
