@@ -42,8 +42,9 @@ from .odeint import PiecewiseOde, _fold_steps, _node_before, _node_chain, \
     _stage_points, _step, integrate_piecewise, sample_states
 # read only by perfbench's tracer, which patches it here
 from .odeint import integrate_with_quadrature  # noqa: F401
-from .problem import SwitchConfig, horizon, lane_shaped, \
-    phase_feasibility, phase_flow, phase_jacobian, phase_law, validate_config
+from .problem import _FLOAT_FAILS, _LAW_ARGS, SwitchConfig, _float_body, \
+    horizon, lane_shaped, phase_feasibility, phase_flow, phase_jacobian, \
+    phase_law, validate_config
 
 __all__ = [
     "TrajectoryRecord",
@@ -326,7 +327,11 @@ def dense_trajectory(prob, bundle):
     the method from the forward mesh's node before it (``sample_states``).
     In Case 1 p is the adjoint lam of z = x from the backward sweep whose
     Hamiltonian jumps give the gradient, carried from the node after each
-    sample back to it by the reverse pass of one step.
+    sample back to it by the reverse pass of one step.  Each sample's
+    control is its phase law's ``float_body`` on the sample's floats, with
+    the callback's bits (see the ``problem`` module docstring), or the
+    callback where the law has no body or the body's float arithmetic
+    raises.
     """
     fwd, n = bundle.fwd, prob.n
     _one_configuration(fwd, "dense_trajectory")
@@ -339,8 +344,15 @@ def dense_trajectory(prob, bundle):
     x = z[:, :n]
     p = z[:, n:] if z.shape[1] > n \
         else _lam_at_samples(prob, fwd, bundle.bwd, tau, phase, x)
-    laws = _resolved(phase_law, prob)
-    controls = np.empty((times.size, prob.m))
-    for i, t in enumerate(times):
-        controls[i] = laws[phase[i]](t, x[i], p[i])
+    laws, controls = _resolved(phase_law, prob), np.empty((times.size, prob.m))
+    bodies = [(_float_body(ph.law), _LAW_ARGS[ph.law_kind])
+              for ph in prob.phases]
+    rows = zip(phase.tolist(), times.tolist(), x.tolist(), p.tolist())
+    for i, (j, *args) in enumerate(rows):
+        body, k = bodies[j]
+        try:   # (t), (t, x) or (t, x, p) by the law's kind
+            controls[i] = body(*args[:k]) if body else laws[j](
+                times[i], x[i], p[i])
+        except _FLOAT_FAILS:
+            controls[i] = laws[j](times[i], x[i], p[i])
     return times, x, controls, p

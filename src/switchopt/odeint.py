@@ -19,7 +19,8 @@ stage point, the new state and the error estimates, record a segment's
 accepted steps as arrays (t, h, y, K), the step axis first, test each
 attempt's new state once and share one starting step and one error norm,
 which a point of dim < _IN_ORDER takes on Python floats, as it does its
-stage increments from RHS values, lists or 1-D arrays: float64 on Python
+stage increments from RHS values, lists or 1-D arrays, each stored in Z
+one component at a time through a flat float64 view: float64 on Python
 floats rounds as NumPy's does, bit for bit.
 """
 
@@ -346,21 +347,24 @@ def _start_step(probe, y, f0, span, settings):
 
 
 def _stage_views(dim):
-    """(Z, stages): the buffer Z = [y; h s k_0; ..] of a scalar step, and
-    for each stage i >= 1 its (i + 1, c_i, Z[:i + 1].T, [1; a_i]): the row
-    of Z its increment goes to, and the views whose product is its point.
+    """(Z, mv, stages): the buffer Z = [y; h s k_0; ..] of a scalar step,
+    mv the flat float64 ``memoryview`` of Z, through which a stage's
+    increments are stored one component at a time, and for each stage i >=
+    1 its ((i + 1) dim, c_i, Z[:i + 1].T, [1; a_i]): the offset in mv of the
+    row its increments go to, and the views whose product is its point.
     One integration builds them once for all its segments; a buffer of its
     own, so that integrations in other threads, or nested in an RHS, share
     none."""
     Z = np.empty((_STAGES + 1, dim))
-    return Z, [(i + 1, _C[i], Z[:i + 1].T, _A1[i]) for i in range(1, _STAGES)]
+    return Z, memoryview(Z.reshape(-1)), [
+        ((i + 1) * dim, _C[i], Z[:i + 1].T, _A1[i]) for i in range(1, _STAGES)]
 
 
-def _first_value(rhs, j, t, y):
-    """A segment's first RHS value rhs(j, t, y) as an array of y's shape."""
-    F = np.asarray(rhs(j, t, y), dtype=float)
-    if F.shape != y.shape:
-        raise ValueError(f"segment {j}: RHS shape {F.shape}, state {y.shape}")
+def _sized(j, F, want):
+    """F, a value of segment j's RHS, if it has the state's shape ``want``,
+    else ValueError."""
+    if np.shape(F) != want:
+        raise ValueError(f"segment {j}: RHS shape {np.shape(F)}, state {want}")
     return F
 
 
@@ -371,14 +375,17 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     Returns (y_end, steps_used, record), the record of its N accepted
     steps as ``DenseTrajectory`` holds it.  The first attempt's step is
     ``_start_step``'s, from the first RHS call and one probe call, which
-    is no attempt and no stage of one.  No RHS call warns about overflow
-    or division: an attempt with a non-finite new state, tested once after
-    all its stages, halves the step, down to ``NonFiniteState`` at _H_MIN,
-    and a non-finite first call raises it.  Every stage enters that state:
-    0 inf and 0 NaN are NaN in ``_B1.dot(Z)``, whose bits are ``@``'s.
+    is no attempt and no stage of one.  Those two values and each stage's
+    must have the state's length, or ``_sized`` raises ValueError.  No RHS
+    call warns about overflow or division: an attempt with a non-finite
+    new state, tested once after all its stages, halves the step, down to
+    ``NonFiniteState`` at _H_MIN, and a non-finite first call raises it.
+    Every stage enters that state: 0 inf and 0 NaN are NaN in
+    ``_B1.dot(Z)``, whose bits are ``@``'s.
 
     Besides the stage products it works on Python floats (see the module
-    docstring): its clock, each stage's increments, one ``tolist`` of each
+    docstring): its clock, each stage's increments v h s, stored into Z
+    one component at a time through its flat view, one ``tolist`` of each
     new state for the finiteness test and then the error weights.  A
     lane repeats it (``test_decoupled_lane_repeats_the_scalar_loop``).
     """
@@ -387,18 +394,18 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     err_prev = 1.0
     steps = 0
     t_rec, h_rec, y_rec, K_rec = [], [], [], []
-    Z, stages = work
+    (Z, mv, stages), dim = work, len(y)
     abs_y = np.abs(y).tolist()
     abs_tol, rel_tol = settings.abs_tol, settings.rel_tol
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        F = _first_value(rhs, j, t, y)
+        F = _sized(j, np.asarray(rhs(j, t, y), dtype=float), y.shape)
         k1 = F.tolist()
         if not all(map(math.isfinite, k1)):
             raise NonFiniteState(f"non-finite derivative at t={t}")
         sf = scale * F
-        h = float(_start_step(lambda h0: np.multiply(scale, rhs(
-            j, t + h0, y + h0 * sf)), y, sf, t1 - t, settings))
+        h = float(_start_step(lambda h0: np.multiply(scale, _sized(j, rhs(
+            j, t + h0, y + h0 * sf), y.shape)), y, sf, t1 - t, settings))
 
         while t < t1:
             if steps >= budget:
@@ -406,11 +413,17 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
             clipped = h >= t1 - t
             h_try = t1 - t if clipped else h
 
-            hs, Z[0] = h_try * scale, y
-            Z[1] = [v * hs for v in k1]
-            for i, c, columns, a in stages:
+            hs, Z[0], q = h_try * scale, y, dim
+            for v in k1:
+                mv[q] = v * hs
+                q += 1
+            for q, c, columns, a in stages:
                 fsal = rhs(j, t + c * h_try, columns.dot(a))
-                Z[i] = [v * hs for v in fsal]
+                if len(fsal) != dim:
+                    _sized(j, fsal, y.shape)   # raises
+                for v in fsal:
+                    mv[q] = v * hs
+                    q += 1
             y_new = _B1.dot(Z)
 
             steps += 1
@@ -572,22 +585,23 @@ def _lane_error(kind, failing, message):
 def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale, Z):
     """``_integrate_segment`` for B lanes in lockstep.
 
-    t0, t1, budget and scale have shape (B,) and y0 shape (dim, B).  Every
-    lane applies the scalar rules with its own t, h, error history and
-    budget.  The integration's step buffer Z is lane-major, (B, 1 +
-    stages, dim), so that a lane's products are the scalar loop's BLAS
-    calls: given the same RHS values, a lane repeats its scalar
-    integration bit for bit, which keeps step counts equal where the error
-    estimate is rounding noise.  A lane that has
-    reached t1 is frozen, trying steps of length 0, until all have.
-    The first failure raises, naming its lane.  Returns (y_end,
-    steps_used, record): the steps per lane, and the record of
-    ``DenseTrajectory`` on lanes, over the I attempts in which some lane
-    accepted a step.  A lane that accepted none there has h = 0 and K = 0,
-    so that its step folds to the identity even if it went non-finite.
+    t0, t1, budget and scale have shape (B,) and y0 shape (dim, B), which
+    each RHS value must have, or ``_sized`` raises ValueError.  Every lane
+    applies the scalar rules with its own t, h, error history and budget.
+    The integration's step buffer Z is lane-major, (B, 1 + stages, dim),
+    so that a lane's products are the scalar loop's BLAS calls: given the
+    same RHS values, a lane repeats its scalar integration bit for bit,
+    which keeps step counts equal where the error estimate is rounding
+    noise.  A lane that has reached t1 is frozen, trying steps of length
+    0, until all have.  The first failure raises, naming its lane.
+    Returns (y_end, steps_used, record): the steps per lane, and the
+    record of ``DenseTrajectory`` on lanes, over the I attempts in which
+    some lane accepted a step.  A lane that accepted none there has h = 0
+    and K = 0, so that its step folds to the identity even if it went
+    non-finite.
     """
     def f(t, y):
-        return rhs(j, t, y.T).T
+        return _sized(j, rhs(j, t, y.T), y.T.shape).T
 
     t, y = t0, np.array(y0.T, dtype=float)
     err_prev = np.ones(t.shape)
@@ -597,7 +611,7 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale, Z):
     active = t < t1
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k1 = _first_value(rhs, j, t, y.T).T
+        k1 = _sized(j, np.asarray(rhs(j, t, y.T), dtype=float), y.T.shape).T
         bad = ~np.isfinite(k1).all(axis=1)
         if bad.any():
             raise _lane_error(NonFiniteState, bad,

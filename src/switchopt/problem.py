@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 FD_STEP = 1e-6  # relative step of the central difference, read at call time
+# the arguments a law takes by its kind: (t), (t, x) or (t, x, p)
+_LAW_ARGS = {"constant": 1, "state": 2, "state_costate": 3}
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class ControlPhase:
     law_x: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.law_kind not in ("constant", "state", "state_costate"):
+        if self.law_kind not in _LAW_ARGS:
             raise ValueError(f"unknown law_kind {self.law_kind!r}")
 
 
@@ -209,17 +211,14 @@ def _shaped(v, t, m):
 def phase_law(prob, j):
     """Phase j's control law as u(t, x, p=None): (m,) at a point, (m, B) on
     B lanes, t of shape (B,) and x and p of shape (n, B)."""
-    law, kind, m = prob.phases[j].law, prob.phases[j].law_kind, prob.m
-    if kind == "constant":
-        return lambda t, x, p=None: _shaped(law(t), t, m)
-    if kind == "state":
-        return lambda t, x, p=None: _shaped(law(t, x), t, m)
+    law, m = prob.phases[j].law, prob.m
+    takes = _LAW_ARGS[prob.phases[j].law_kind]
 
     def control(t, x, p=None):
-        if p is None:
+        if p is None and takes == 3:
             raise MissingCostate(
                 f"{prob.name}: phase {j} law needs the costate")
-        return _shaped(law(t, x, p), t, m)
+        return _shaped(law(*(t, x, p)[:takes]), t, m)
     return control
 
 
@@ -246,9 +245,11 @@ def phase_flow(prob, j):
     the module docstring), -p f_x summed over each column in order from
     +0.0 as ``np.einsum`` sums it at a point (its bits and signed zeros:
     ``test_case2_point_flow_is_einsums``), and F at a point is ``np.array``
-    of it.  Lanes, a point where a body's float arithmetic raises, and a
-    flow without those bodies, whose point is the ``tolist`` of F, take
-    the callbacks on arrays.
+    of it.  The point is one of three closures, chosen by law kind when
+    the flow is built: Case 2, a Case-1 state law or a constant one, which
+    calls its law with the arguments it takes.  Lanes, a point where a
+    body's float arithmetic raises, and a flow without those bodies, whose
+    point is the ``tolist`` of F, take the callbacks on arrays.
     """
     n, f, f_x, case2 = prob.n, prob.f, prob.f_x, prob.case == 2
     kind, law = prob.phases[j].law_kind, phase_law(prob, j)
@@ -266,22 +267,35 @@ def phase_flow(prob, j):
         arrays.point = lambda t, z: arrays(t, z).tolist()
         return arrays
 
-    def point(t, z):
-        try:
-            zl = z.tolist()
-            x, p = (zl[:n], zl[n:]) if case2 else (zl, None)
-            u = law_b(t, x, p) if costate else law_b(t, x) if state \
-                else law_b(t)
-            dp = []
-            if case2:
+    if case2:
+        def point(t, z):
+            try:
+                zl = z.tolist()
+                x, p = zl[:n], zl[n:]
+                u = law_b(t, x, p) if costate else law_b(t, x) if state \
+                    else law_b(t)
+                dp = []
                 for column in zip(*fx_b(x, u)):
                     total = 0.0
                     for a, b in zip(p, column):
                         total += a * b
                     dp.append(-total)
-            return f_b(x, u) + dp
-        except _FLOAT_FAILS:
-            return arrays(t, z)
+                return f_b(x, u) + dp
+            except _FLOAT_FAILS:
+                return arrays(t, z)
+    elif state:
+        def point(t, z):
+            try:
+                x = z.tolist()
+                return f_b(x, law_b(t, x))
+            except _FLOAT_FAILS:
+                return arrays(t, z)
+    else:
+        def point(t, z):
+            try:
+                return f_b(z.tolist(), law_b(t))
+            except _FLOAT_FAILS:
+                return arrays(t, z)
     flow = lambda t, z: np.array(point(t, z)) if z.ndim == 1 else arrays(t, z)
     flow.point = point
     return flow

@@ -20,7 +20,8 @@ from switchopt.odeint import _A, _B, _C, IntegratorSettings, PiecewiseOde, \
     integrate_piecewise
 from switchopt.optimizer import minimize
 from switchopt.problem import ControlPhase, ProblemDef, SwitchConfig, \
-    phase_feasibility, phase_flow, phase_jacobian
+    _float_body, on_floats, phase_feasibility, phase_flow, phase_jacobian, \
+    phase_law
 
 from oracles import integrate_backward, quadrature_backward, \
     sample_backward, sampled_bundle
@@ -692,6 +693,64 @@ def test_stage_points_are_where_the_scalar_loop_called_the_rhs(name, tol):
             assert np.array_equal(times[a, :W - 1], tau[n, 1:])
             assert np.array_equal(points[a, :W - 1], Y[n, 1:])
             start = times[a, -1], points[a, -1]
+
+
+def _callback_controls(prob, bundle):
+    """The report samples' controls by one phase-law callback call per
+    sample, on NumPy's scalars and rows (reference)."""
+    times, xs, _, ps = dense_trajectory(prob, bundle)
+    fwd = bundle.fwd
+    phase = np.clip(np.searchsorted(fwd.sigma, times / fwd.T, side="right")
+                    - 1, 0, prob.k)
+    laws = [phase_law(prob, j) for j in range(prob.k + 1)]
+    us = np.empty((times.size, prob.m))
+    for i, t in enumerate(times):
+        us[i] = laws[phase[i]](t, xs[i], ps[i])
+    return us
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-11])
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_report_controls_are_the_callbacks_bits(name, tol):
+    # the controls trajectory.csv writes come from the laws' float bodies
+    # on each sample's floats, with the bits of the callbacks on arrays
+    T, cfg = CONFIGS[name]
+    prob = build_problem(name, T=T)
+    bundle = evaluate_gradient(prob, cfg, IntegratorSettings(rel_tol=tol,
+                                                             abs_tol=tol))
+    got = dense_trajectory(prob, bundle)[2]
+    assert got.tobytes() == _callback_controls(prob, bundle).tobytes()
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_report_controls_take_the_callback_where_a_body_cannot(name):
+    # phase 0's law has no float body, and the other phases' bodies raise
+    # on floats past mid-horizon: those samples call the callback, the
+    # others the body, and every control keeps the callback's bits
+    T, cfg = CONFIGS[name]
+    prob = build_problem(name, T=T)
+    bundle = evaluate_gradient(prob, cfg)
+    on_floats_at = []
+
+    def raising(law):
+        body = _float_body(law)
+
+        def part(t, *args):
+            if type(t) is float:
+                on_floats_at.append(t)
+                if t > 0.5 * bundle.fwd.T:
+                    raise ZeroDivisionError("past mid-horizon")
+            return body(t, *args)
+        return on_floats(part)
+
+    phases = [dataclasses.replace(ph, law=raising(ph.law))
+              for ph in prob.phases]
+    law0 = prob.phases[0].law
+    phases[0] = dataclasses.replace(phases[0], law=lambda *a: law0(*a))
+    changed = dataclasses.replace(prob, phases=tuple(phases))
+    got = dense_trajectory(changed, bundle)[2]
+    assert got.tobytes() == _callback_controls(prob, bundle).tobytes()
+    assert on_floats_at and any(t > 0.5 * bundle.fwd.T for t in on_floats_at)
 
 
 @pytest.mark.parametrize("cfg", [

@@ -439,9 +439,14 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     attempt at the first non-finite one (reference).  It holds a step as
     the library does, Z = [y; dk_0; ..] with the stage increments dk_i = h
     scale k_i, and takes the same products on it, in a buffer of its own:
-    it ignores the library's ``work``."""
+    it ignores the library's ``work``.  It stores each stage's row at once,
+    Z[i + 1] = k (h scale), from ``np.asarray`` of the RHS value, and the
+    first value as an array of floats, as the library takes it."""
     S = odeint._STAGES
-    t, y = t0, np.array(y0, dtype=float)
+    # Python floats, as the library's: NumPy's float64 scalar would make
+    # the increments of a float32 value float64
+    t, t1, scale = float(t0), float(t1), float(scale)
+    y = np.array(y0, dtype=float)
     err_prev = 1.0
     steps = 0
     record = []
@@ -449,13 +454,13 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     abs_y = np.abs(y)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k1 = rhs(j, t, y)
+        k1 = np.asarray(rhs(j, t, y), dtype=float)
         if not np.isfinite(k1).all():
             raise NonFiniteState(f"non-finite derivative at t={t}")
         # the library's starting step, from the same probe call
         h = float(odeint._start_step(
-            lambda h0: scale * rhs(j, t + float(h0),
-                                   y + float(h0) * (scale * k1)),
+            lambda h0: scale * np.asarray(rhs(j, t + float(h0),
+                                              y + float(h0) * (scale * k1))),
             y, scale * k1, t1 - t0, settings))
 
         while t < t1:
@@ -467,8 +472,8 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
             Z[0], Z[1] = y, k1 * (h_try * scale)
             failed = False
             for i in range(1, S):
-                k = rhs(j, t + odeint._C[i] * h_try,
-                        Z[:i + 1].T @ odeint._A1[i])
+                k = np.asarray(rhs(j, t + odeint._C[i] * h_try,
+                                   Z[:i + 1].T @ odeint._A1[i]))
                 Z[i + 1] = k * (h_try * scale)
                 if not np.isfinite(Z[i + 1]).all():
                     failed = True
@@ -1072,6 +1077,89 @@ def test_a_mis_sized_rhs_value_is_refused_on_a_point(value):
     ode = PiecewiseOde(3, [0.0, 1.0], lambda j, t, y: value(y))
     with pytest.raises(ValueError, match=r"RHS shape \(.*\), state \(3,\)"):
         integrate_piecewise(ode, np.ones(3))
+
+
+def _mis_sized_after(calls, value):
+    """An RHS that gives -y for its first ``calls`` calls, then value(y)."""
+    made = []
+
+    def rhs(j, t, y):
+        made.append(t)
+        return -y if len(made) <= calls else value(y)
+    return rhs
+
+
+# the value turns mis-sized at call 2, the starting step's probe, or at
+# call 4, the first attempt's second stage.  Checked there, a value of one
+# component no longer broadcasts into the stage's row, and one of dim + 1
+# components writes into no other row
+@pytest.mark.parametrize("calls", [1, 3], ids=["probe", "stage"])
+@pytest.mark.parametrize("value", [
+    lambda y: [-float(y[0])],        # one value, a list
+    lambda y: -y[:1],                # one value, an array
+    lambda y: (-y).tolist() + [1.0],  # dim + 1 values, a list
+    lambda y: -np.append(y, 1.0),    # dim + 1 values, an array
+], ids=["one-list", "one-array", "dim+1-list", "dim+1-array"])
+def test_a_value_mis_sized_after_the_first_is_refused_on_a_point(calls,
+                                                                  value):
+    ode = PiecewiseOde(3, [0.0, 1.0], _mis_sized_after(calls, value))
+    with pytest.raises(ValueError,
+                       match=r"segment 0: RHS shape \([14],\), state \(3,\)"):
+        integrate_piecewise(ode, np.ones(3))
+
+
+@pytest.mark.parametrize("calls", [1, 3], ids=["probe", "stage"])
+@pytest.mark.parametrize("value", [
+    lambda y: -y[:1],                # one component, which would broadcast
+    lambda y: -np.vstack((y, y[:1])),   # dim + 1 components
+], ids=["one", "dim+1"])
+def test_a_value_mis_sized_after_the_first_is_refused_on_lanes(calls, value):
+    ode = PiecewiseOde(3, np.array([[0.0] * 4, [1.0] * 4]),
+                       _mis_sized_after(calls, value))
+    with pytest.raises(ValueError, match=r"segment 0: RHS shape \([14], 4\), "
+                                         r"state \(3, 4\)"):
+        integrate_piecewise(ode, np.ones((3, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 9),
+       kind=st.sampled_from(["list", "float64", "float32", "int"]),
+       scale=st.floats(0.25, 4.0), tol=st.sampled_from([1e-6, 1e-9]))
+def test_the_component_store_keeps_the_row_stores_bits(data, dim, kind,
+                                                       scale, tol):
+    # the scalar loop stores each stage's increments v h s one component
+    # at a time through a flat view of Z; the reference stores the row
+    # Z[i + 1] = k (h s) at once.  Both multiply float32 values in float32
+    # (NumPy's scalars and arrays alike), ints as floats, and dims 1 to 9
+    # take both sides of _IN_ORDER; the records, breakpoint states and
+    # steps are the same bits, or both loops raise the same exception
+    A = data.draw(arrays(np.float64, (2, dim, dim),
+                         elements=st.floats(-2.0, 2.0)))
+    c = data.draw(arrays(np.int64, (2, dim), elements=st.integers(-3, 3)))
+    y0 = data.draw(arrays(np.float64, dim, elements=st.floats(-1.0, 1.0)))
+
+    def rhs(j, t, y):
+        if kind == "int":
+            return c[j].tolist()
+        k = A[j] @ y + c[j] * math.cos(t)
+        return k.tolist() if kind == "list" else k.astype(kind)
+
+    ode = PiecewiseOde(dim, [0.0, 0.6, 1.0], rhs, scale=scale)
+    tols = IntegratorSettings(rel_tol=tol, abs_tol=tol, max_steps=5000)
+
+    def outcome():
+        try:
+            traj = integrate_piecewise(ode, y0, settings=tols)
+        except SwitchOptError as exc:
+            return type(exc)
+        return traj.steps, [(a.dtype, a.tobytes()) for a in
+                            traj.breakpoint_states + [
+                                v for record in traj.records for v in record]]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(odeint, "_integrate_segment", _per_stage_segment)
+        want = outcome()
+    assert outcome() == want
 
 
 @pytest.mark.parametrize("value", [
