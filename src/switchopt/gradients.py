@@ -74,7 +74,7 @@ class TrajectoryRecord:
     sigma: np.ndarray                 # switch points in tau units, incl. 0 and 1
     T: float
     steps: int                        # integrator step attempts of the sweep
-    # per phase, the accepted steps (tau, h, z, K): odeint.DenseTrajectory,
+    # per phase, the accepted steps (tau, h, z, P): odeint.DenseTrajectory,
     # on lanes with a lane axis after the step axis
     records: list = field(repr=False)
     # the sweep's rhs(j, tau, z), at a point or on lanes: dz/dtau = T rhs
@@ -155,7 +155,7 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
 
 
 def _fold(prob, T, records):
-    """``odeint._fold_steps`` of one record (tau, h, z, K) per phase, with
+    """``odeint._fold_steps`` of one record (tau, h, z, P) per phase, with
     the phases' stage Jacobians."""
     jacobians = _resolved(phase_jacobian, prob)
     return _fold_steps(lambda j, t, Y: jacobians[j](t, Y.T).transpose(
@@ -179,8 +179,10 @@ def backward_sweep(prob, fwd):
     lam = np.zeros((len(D) + 1,) + fwd.checkpoints[-1].T.shape)
     want = x_T.shape if grad.ndim > 1 else x_T.shape[:1]
     lam[-1, ..., :prob.n] = lane_shaped(prob, "grad_C", grad, want).T
-    for n in range(len(D) - 1, -1, -1):
-        lam[n] = lam[n + 1] + (lam[n + 1, ..., None, :] @ D[n])[..., 0, :]
+    rows, r = list(lam), lam[-1]
+    for row, Dn in zip(rows[-2::-1], D[::-1]):
+        r = np.add(r, r.dot(Dn) if r.ndim == 1 else (r[:, None] @ Dn)[:, 0],
+                   out=row)
     # the chain's rows at each phase's first node, and at the end
     h = [record[1] for record in fwd.records]
     firsts = np.cumsum([0] + [len(v) for v in h])

@@ -16,7 +16,8 @@ of accepted steps into the transition matrices of the reverse pass.
 ``integrate_piecewise`` runs the loop that the breakpoints' shape picks.
 Both loops hold a step as Z = [y; h s k_0; ..], whose products give each
 stage point, the new state and the error estimates, record a segment's
-accepted steps as arrays (t, h, y, K), the step axis first, test each
+accepted steps as arrays (t, h, y, P) of their starts and the points at
+which they called the RHS, the step axis first, test each
 attempt's new state once and share one starting step and one error norm,
 which a point of dim < _IN_ORDER takes on Python floats, as it does its
 stage increments from RHS values, lists or 1-D arrays, each stored in Z
@@ -133,7 +134,8 @@ _Q = 7  # order of the combined error estimate
 _STAGES = len(_C)
 # the stages that enter y_{n+1}; the last one, FSAL, enters only the error
 _WEIGHTED = int(np.flatnonzero(_B)[-1]) + 1
-# the stages a record keeps: they rebuild the points of the weighted ones
+# the stage points a record keeps: those of the weighted stages after the
+# first, whose point is the step's start
 _RECORDED = _WEIGHTED - 1
 # the weights on Z of the stage points, the new state and the error estimates
 _A1 = [np.append(1.0, row) for row in _A]
@@ -182,6 +184,8 @@ class PiecewiseOde:
     steps' stage increments, not each RHS value.  At a point rhs returns
     dim floats, a list, which saves an array per stage, or a 1-D array.
     Each segment's first value must have the state's shape (ValueError).
+    The state rhs is given may be a view of a buffer that later stages
+    reuse: rhs must neither keep it nor write into it.
 
     ``segments`` of shape (nseg+1, B) describes B lanes, stepped in
     lockstep: column b holds lane b's breakpoints, ``scale`` is a float or
@@ -227,15 +231,17 @@ class DenseTrajectory:
     charged against ``IntegratorSettings.max_steps``.
 
     ``records[j]`` holds segment j's N accepted steps as arrays (t, h, y,
-    K) of shapes (N,), (N,), (N, dim), (N, _RECORDED, dim): step n starts
-    at (t[n], y[n]) with length h[n], and K[n] holds the increments of its
-    first _RECORDED stages, K[n, 0] = h[n] scale rhs(j, t[n], y[n]), which
-    rebuild the points of all the stages that enter y_{n+1}.
+    P) of shapes (N,), (N,), (N, dim), (N, _RECORDED, dim): step n starts
+    at (t[n], y[n]) with length h[n], and P[n] holds the points of its
+    stages 1 .. _RECORDED, those at which the step called the RHS, bit for
+    bit.  With y[n], the point of stage 0, they are the points of all the
+    stages that enter y_{n+1}.
 
     On B lanes the states are (dim, B), ``steps`` (B,), ``step_times``
     (nodes, B) and ``records[j]`` the lockstep loop's record, t and h (I,
-    B), y (I, B, dim), K (I, B, _RECORDED, dim), over segment j's I
-    iterations in which some lane accepted a step.
+    B), y (I, B, dim), P (I, B, _RECORDED, dim), over segment j's I
+    iterations in which some lane accepted a step; a lane that accepted
+    none there records h = 0 and its state y at every stage.
     """
 
     breakpoint_states: list[np.ndarray]
@@ -347,17 +353,21 @@ def _start_step(probe, y, f0, span, settings):
 
 
 def _stage_views(dim):
-    """(Z, mv, stages): the buffer Z = [y; h s k_0; ..] of a scalar step,
-    mv the flat float64 ``memoryview`` of Z, through which a stage's
-    increments are stored one component at a time, and for each stage i >=
-    1 its ((i + 1) dim, c_i, Z[:i + 1].T, [1; a_i]): the offset in mv of the
-    row its increments go to, and the views whose product is its point.
-    One integration builds them once for all its segments; a buffer of its
-    own, so that integrations in other threads, or nested in an RHS, share
-    none."""
-    Z = np.empty((_STAGES + 1, dim))
-    return Z, memoryview(Z.reshape(-1)), [
-        ((i + 1) * dim, _C[i], Z[:i + 1].T, _A1[i]) for i in range(1, _STAGES)]
+    """(Z, mv, P, stages): the buffer Z = [y; h s k_0; ..] of a scalar
+    step, mv the flat float64 ``memoryview`` of Z, through which a stage's
+    increments are stored one component at a time, the buffer P of the
+    points of stages 1 .. _RECORDED, and for each stage i >= 1 its ((i + 1)
+    dim, c_i, Z[:i + 1].T, [1; a_i], P[i - 1]): the offset in mv of the row
+    its increments go to, the views whose product is its point and the row
+    of P it goes to.  The FSAL stage's row is None, a new array: it is the
+    next step's first value, which a rejected attempt must not overwrite
+    should rhs return its argument.  One integration builds them once for
+    all its segments; buffers of its own, so that integrations in other
+    threads, or nested in an RHS, share none."""
+    Z, P = np.empty((_STAGES + 1, dim)), np.empty((_RECORDED, dim))
+    return Z, memoryview(Z.reshape(-1)), P, [
+        ((i + 1) * dim, _C[i], Z[:i + 1].T, _A1[i],
+         P[i - 1] if i < _WEIGHTED else None) for i in range(1, _STAGES)]
 
 
 def _sized(j, F, want):
@@ -376,7 +386,9 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     steps as ``DenseTrajectory`` holds it.  The first attempt's step is
     ``_start_step``'s, from the first RHS call and one probe call, which
     is no attempt and no stage of one.  Those two values and each stage's
-    must have the state's length, or ``_sized`` raises ValueError.  No RHS
+    must have the state's shape, or ``_sized`` raises ValueError: a stage
+    value is tested by its length, and by its shape only when its store
+    fails, so that one of nested rows is refused by name.  No RHS
     call warns about overflow or division: an attempt with a non-finite
     new state, tested once after all its stages, halves the step, down to
     ``NonFiniteState`` at _H_MIN, and a non-finite first call raises it.
@@ -393,8 +405,8 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     y = np.array(y0, dtype=float)
     err_prev = 1.0
     steps = 0
-    t_rec, h_rec, y_rec, K_rec = [], [], [], []
-    (Z, mv, stages), dim = work, len(y)
+    t_rec, h_rec, y_rec, P_rec = [], [], [], []
+    (Z, mv, P, stages), dim = work, len(y)
     abs_y = np.abs(y).tolist()
     abs_tol, rel_tol = settings.abs_tol, settings.rel_tol
 
@@ -417,13 +429,17 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
             for v in k1:
                 mv[q] = v * hs
                 q += 1
-            for q, c, columns, a in stages:
-                fsal = rhs(j, t + c * h_try, columns.dot(a))
+            for q, c, columns, a, row in stages:
+                fsal = rhs(j, t + c * h_try, columns.dot(a, out=row))
                 if len(fsal) != dim:
                     _sized(j, fsal, y.shape)   # raises
-                for v in fsal:
-                    mv[q] = v * hs
-                    q += 1
+                try:
+                    for v in fsal:
+                        mv[q] = v * hs
+                        q += 1
+                except TypeError:   # a component that is no number
+                    _sized(j, fsal, y.shape)
+                    raise
             y_new = _B1.dot(Z)
 
             steps += 1
@@ -442,7 +458,7 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
                 t_rec.append(t)
                 h_rec.append(h_try)
                 y_rec.append(y)
-                K_rec.append(Z[1:_RECORDED + 1].copy())
+                P_rec.append(P.copy())
                 t = t1 if clipped else t + h_try
                 y, abs_y, k1 = y_new, abs_new, fsal   # FSAL
                 fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
@@ -456,7 +472,7 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
                         f"step size {h:.3e} below h_min at t={t}; "
                         "the problem may be stiff or blowing up"
                     )
-    return y, steps, tuple(map(np.array, (t_rec, h_rec, y_rec, K_rec)))
+    return y, steps, tuple(map(np.array, (t_rec, h_rec, y_rec, P_rec)))
 
 
 def _node_chain(records, t_end, y_end):
@@ -483,14 +499,17 @@ def _stage_point(Z, i):
 def _step(rhs, j, t, h, y, scale):
     """One step of dy/dt = scale rhs(j, t, y) from (t, y) over h at M points
     at once: t and h (M,), y (M, dim), and rhs takes t (M,) and states (dim,
-    M).  Returns the end state and the increments of the _WEIGHTED stages
-    that enter it, (M, _WEIGHTED, dim); the FSAL stage is not evaluated."""
+    M).  Returns the end state and the points of stages 1 .. _RECORDED, (M,
+    _RECORDED, dim), as a record holds them; the FSAL stage is not
+    evaluated."""
     Z = np.empty(y.shape[:1] + (_WEIGHTED + 1,) + y.shape[1:])
+    P = np.empty(y.shape[:1] + (_RECORDED,) + y.shape[1:])
     Z[:, 0], hs = y, (h * scale)[:, None]
     np.multiply(rhs(j, t, y.T).T, hs, Z[:, 1])
     for i, c in enumerate(_C[1:_WEIGHTED], 1):
-        np.multiply(rhs(j, t + c * h, _stage_point(Z, i).T).T, hs, Z[:, i + 1])
-    return _B1[:_WEIGHTED + 1] @ Z, Z[:, 1:]
+        P[:, i - 1] = point = _stage_point(Z, i)
+        np.multiply(rhs(j, t + c * h, point.T).T, hs, Z[:, i + 1])
+    return _B1[:_WEIGHTED + 1] @ Z, P
 
 
 def sample_states(rhs, segments, records, breakpoint_states, sample_times,
@@ -540,8 +559,9 @@ def integrate_piecewise(ode, x_start, *, settings=None):
     if segments.ndim == 1:
         loop, work = _integrate_segment, _stage_views(ode.dim)
     else:
-        loop = _integrate_lane_segment
-        work = np.empty((segments.shape[1], _STAGES + 1, ode.dim))
+        loop, lanes = _integrate_lane_segment, segments.shape[1]
+        work = (np.empty((lanes, _STAGES + 1, ode.dim)),
+                np.empty((lanes, _STAGES - 1, ode.dim)))
 
     bp_states, records, used = [y], [], 0
     for j in range(len(segments) - 1):
@@ -582,13 +602,15 @@ def _lane_error(kind, failing, message):
     return kind(f"lane {b}: {message(b)}")
 
 
-def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale, Z):
+def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale,
+                            work):
     """``_integrate_segment`` for B lanes in lockstep.
 
     t0, t1, budget and scale have shape (B,) and y0 shape (dim, B), which
     each RHS value must have, or ``_sized`` raises ValueError.  Every lane
     applies the scalar rules with its own t, h, error history and budget.
-    The integration's step buffer Z is lane-major, (B, 1 + stages, dim),
+    The integration's step buffer Z of ``work`` is lane-major, (B, 1 +
+    stages, dim), as is its buffer Y of the stage points after the first,
     so that a lane's products are the scalar loop's BLAS calls: given the
     same RHS values, a lane repeats its scalar integration bit for bit,
     which keeps step counts equal where the error estimate is rounding
@@ -596,14 +618,15 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale, Z):
     0, until all have.  The first failure raises, naming its lane.
     Returns (y_end, steps_used, record): the steps per lane, and the
     record of ``DenseTrajectory`` on lanes, over the I attempts in which
-    some lane accepted a step.  A lane that accepted none there has h = 0
-    and K = 0, so that its step folds to the identity even if it went
-    non-finite.
+    some lane accepted a step.  A lane that accepted none there records h
+    = 0 and its state y, which is finite, at every stage, so that its step
+    folds to the identity even if its attempt went non-finite.
     """
     def f(t, y):
         return _sized(j, rhs(j, t, y.T), y.T.shape).T
 
     t, y = t0, np.array(y0.T, dtype=float)
+    Z, Y = work
     err_prev = np.ones(t.shape)
     steps = np.zeros(t.shape, dtype=int)
     record = []
@@ -631,7 +654,8 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale, Z):
             hs, Z[:, 0] = h_try[:, None] * scale, y
             np.multiply(k1, hs, out=Z[:, 1])
             for i in range(1, _STAGES):
-                fsal = f(t + _C[i] * h_try, _stage_point(Z, i))
+                Y[:, i - 1] = point = _stage_point(Z, i)
+                fsal = f(t + _C[i] * h_try, point)
                 np.multiply(fsal, hs, out=Z[:, i + 1])
             y_new = _B1 @ Z
             failed = active & ~np.isfinite(y_new).all(axis=1)
@@ -654,7 +678,7 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale, Z):
             if accept.any():
                 record.append((t, np.where(accept, h_try, 0.0), y,
                                np.where(accept[:, None, None],
-                                        Z[:, 1:_RECORDED + 1], 0.0)))
+                                        Y[:, :_RECORDED], y[:, None])))
 
             t = np.where(accept, np.where(clipped, t1, t + h_try), t)
             y = np.where(accept[:, None], y_new, y)
@@ -674,26 +698,26 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale, Z):
     return y.T, steps, tuple(np.array(a) for a in zip(*record))
 
 
-def _stage_points(tau, h, y, K):
-    """(times, points) of the _WEIGHTED stages of steps (tau, h, y, K),
-    the step axis first, (N,), (N,), (N, d) and (N, >= _RECORDED, d), by
-    the loops' own tableau products: shapes (N, _WEIGHTED) and (N,
-    _WEIGHTED, d).  Stage 0's point is the step's start."""
-    Z = np.concatenate((y[:, None], K[:, :_RECORDED]), axis=1)
-    Y = np.stack([y] + [_stage_point(Z, i) for i in range(1, _WEIGHTED)], 1)
-    return tau[:, None] + np.array(_C[:_WEIGHTED]) * h[:, None], Y
+def _stage_points(tau, h, y, P):
+    """(times, points) of the _WEIGHTED stages of steps (tau, h, y, P),
+    the step axis first, (N,), (N,), (N, d) and (N, _RECORDED, d): shapes
+    (N, _WEIGHTED) and (N, _WEIGHTED, d).  Stage 0's point is the step's
+    start y, and the others are those the loop recorded in P."""
+    return tau[:, None] + np.array(_C[:_WEIGHTED]) * h[:, None], \
+        np.concatenate((y[:, None], P), axis=1)
 
 
 def _fold_steps(jacobian, T, records):
     """D = G - I for the transition matrices G = dz_{n+1}/dz_n of the steps
-    of a sweep's segment records (t, h, y, K), of N steps or of (I, B) on B
+    of a sweep's segment records (t, h, y, P), of N steps or of (I, B) on B
     lanes, of dz/dt = T F_j(t T, z), T broadcast against h: the segments'
-    steps in turn, (steps,) + lanes + (d, d).  The stage points are rebuilt
-    by ``_stage_points`` in blocks of at most _FOLD_BLOCK steps of one
+    steps in turn, (steps,) + lanes + (d, d).  The stage points are read by
+    ``_stage_points`` in blocks of at most _FOLD_BLOCK steps of one
     segment, from the last segment to the first, and jacobian(j, t, Y)
     gives segment j's dF/dz at their flat times t (M,) and points Y (M, d)
-    as (M, d, d).  ``_A_ROWS[i] @ theta`` rounds by the block's size, so
-    blocks that never cross a breakpoint keep each segment's bits.
+    as (M, d, d).  ``_A_ROWS[i] . theta`` rounds by the block's size, so
+    blocks that never cross a breakpoint keep each segment's bits.  Each
+    block's stage loop works in its own theta and P, in place.
 
     Walking the stages back, P_i = b_i I + sum_{l>i} a_li Theta_l and
     Theta_i = h T P_i J_i; then D = sum_i Theta_i.  So the reverse pass's
@@ -704,24 +728,26 @@ def _fold_steps(jacobian, T, records):
     Runge-Kutta method (Hager, Numer. Math. 87 (2000) 247-282).
     """
     d, S, folds = records[0][2].shape[-1], _WEIGHTED, []
-    eye = np.eye(d)
+    BI = _B[:S, None, None] * np.eye(d)    # b_i I
     for j in range(len(records) - 1, -1, -1):
         shape = records[j][1].shape
         M, Ts = math.prod(shape), np.broadcast_to(T, shape).reshape(-1)
-        tau, h, y, K = (v.reshape((M,) + v.shape[len(shape):])
-                        for v in records[j])
+        tau, h, y, pts = (v.reshape((M,) + v.shape[len(shape):])
+                          for v in records[j])
         D = np.empty((M, d, d))
         for a in range(0, M, _FOLD_BLOCK):
             at = slice(a, a + _FOLD_BLOCK)
             hb, N = h[at], h[at].size
-            t, Y = _stage_points(tau[at], hb, y[at], K[at])
+            t, Y = _stage_points(tau[at], hb, y[at], pts[at])
             hTJ = (hb * Ts[at])[:, None, None, None] * jacobian(
                 j, (t * Ts[at, None]).reshape(-1),
                 Y.reshape(-1, d)).reshape(N, S, d, d)
-            theta = np.zeros((S, N * d * d))
+            theta, P = np.zeros((S, N, d, d)), np.empty((N, d, d))
+            flat, P_flat = theta.reshape(S, -1), P.reshape(-1)
             for i in range(S - 1, -1, -1):
-                P = (_A_ROWS[i] @ theta).reshape(N, d, d) + _B[i] * eye
-                theta[i] = (P @ hTJ[:, i]).reshape(-1)
-            D[at] = theta.sum(axis=0).reshape(N, d, d)
+                np.dot(_A_ROWS[i], flat, out=P_flat)
+                np.add(P, BI[i], out=P)
+                np.matmul(P, hTJ[:, i], out=theta[i])
+            D[at] = flat.sum(axis=0).reshape(N, d, d)
         folds.insert(0, D.reshape(shape + (d, d)))
     return np.concatenate(folds)

@@ -1,5 +1,6 @@
-"""Backward integrations for the test oracles, by time reflection, and
-gradient bundles with a chosen number of report samples.
+"""Backward integrations for the test oracles, by time reflection,
+gradient bundles with a chosen number of report samples, and the reverse
+pass that rebuilt the stage points from recorded increments.
 
 The library integrates forward only.  The oracles integrate an ODE back
 from the end of its interval: on t' = a + b - t the reflected system runs
@@ -7,12 +8,16 @@ forward through the same integration loop, and the results are mapped back
 to original time here.
 """
 
+import math
+
 import numpy as np
 
-from switchopt.gradients import DEFAULT_SAMPLES, evaluate_gradient, \
-    forward_sweep
+from switchopt import odeint
+from switchopt.gradients import DEFAULT_SAMPLES, BackwardRecord, \
+    evaluate_gradient, forward_sweep
 from switchopt.odeint import PiecewiseOde, integrate_piecewise, \
     integrate_with_quadrature, sample_states
+from switchopt.problem import lane_shaped, phase_jacobian
 
 
 def sampled_bundle(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,
@@ -70,3 +75,115 @@ def quadrature_backward(ode, x_end, integrand, *, settings=None):
         lambda j, t, x: -integrand(nseg - 1 - j, (a + b) - t, x),
         settings=settings)
     return -quad
+
+
+# ---------------------------------------------------------------------------
+# the reverse pass as it was before records held stage points: a record
+# held each step's increments K, the fold rebuilt the stage points from
+# them, and the chain took one batched product per step (reference)
+# ---------------------------------------------------------------------------
+
+def increments(rhs, j, record, scale):
+    """The stage increments K = h scale k of stages 0 .. _RECORDED - 1 of
+    segment j's record (t, h, y, P), which the loop took, recomputed from
+    the RHS at the recorded points with the loop's products: stage 0's
+    value is the segment's first or the FSAL value of the step before,
+    whose point the loop took from that step's Z.  On lanes a lane of h = 0
+    has K = 0, and its FSAL value is kept."""
+    t, h, y, P = record
+    S, W, (C, A1) = odeint._STAGES, odeint._WEIGHTED, (odeint._C, odeint._A1)
+    K = np.zeros(P.shape)
+    with np.errstate(all="ignore"):
+        if h.ndim == 1:
+            def f(t, z):
+                return np.asarray(rhs(j, t, z), dtype=float)
+            Z = np.empty((S + 1, y.shape[-1]))
+            k = f(t[0], y[0])
+            for n in range(len(t)):
+                hs = h[n] * scale
+                Z[0], Z[1] = y[n], k * hs
+                for i in range(1, W):
+                    Z[i + 1] = f(t[n] + C[i] * h[n], P[n, i - 1]) * hs
+                K[n] = Z[1:W]
+                k = f(t[n] + C[W] * h[n], Z[:W + 1].T.dot(A1[W]))
+            return K
+        Z = np.empty((h.shape[1], S + 1, y.shape[-1]))
+        scale = np.broadcast_to(scale, h.shape[1:])[:, None]
+        k = rhs(j, t[0], y[0].T).T
+        for n in range(len(t)):
+            took, hs = h[n] > 0.0, h[n][:, None] * scale
+            Z[:, 0], Z[:, 1] = y[n], k * hs
+            for i in range(1, W):
+                point = np.ascontiguousarray(P[n, :, i - 1])
+                Z[:, i + 1] = rhs(j, t[n] + C[i] * h[n], point.T).T * hs
+            K[n, took] = Z[took, 1:W]
+            point = Z[:, :W + 1].transpose(0, 2, 1) @ A1[W]
+            k = np.where(took[:, None], rhs(j, t[n] + C[W] * h[n],
+                                            point.T).T, k)
+    return K
+
+
+def rebuilt_stage_points(tau, h, y, K):
+    """(times, points) of the _WEIGHTED stages of steps (tau, h, y, K), the
+    points rebuilt from the increments by the loops' tableau products."""
+    Z = np.concatenate((y[:, None], K[:, :odeint._RECORDED]), axis=1)
+    Y = np.stack([y] + [Z[:, :i + 1].transpose(0, 2, 1) @ odeint._A1[i]
+                        for i in range(1, odeint._WEIGHTED)], 1)
+    return tau[:, None] + np.array(odeint._C[:odeint._WEIGHTED]) \
+        * h[:, None], Y
+
+
+def rebuilt_fold(jacobian, T, records):
+    """``odeint._fold_steps`` of records (t, h, y, K), its stage loop
+    taking new temporaries at every stage."""
+    d, S, folds = records[0][2].shape[-1], odeint._WEIGHTED, []
+    eye = np.eye(d)
+    for j in range(len(records) - 1, -1, -1):
+        shape = records[j][1].shape
+        M, Ts = math.prod(shape), np.broadcast_to(T, shape).reshape(-1)
+        tau, h, y, K = (v.reshape((M,) + v.shape[len(shape):])
+                        for v in records[j])
+        D = np.empty((M, d, d))
+        for a in range(0, M, odeint._FOLD_BLOCK):
+            at = slice(a, a + odeint._FOLD_BLOCK)
+            hb, N = h[at], h[at].size
+            t, Y = rebuilt_stage_points(tau[at], hb, y[at], K[at])
+            hTJ = (hb * Ts[at])[:, None, None, None] * jacobian(
+                j, (t * Ts[at, None]).reshape(-1),
+                Y.reshape(-1, d)).reshape(N, S, d, d)
+            theta = np.zeros((S, N * d * d))
+            for i in range(S - 1, -1, -1):
+                P = (odeint._A_ROWS[i] @ theta).reshape(N, d, d) \
+                    + odeint._B[i] * eye
+                theta[i] = (P @ hTJ[:, i]).reshape(-1)
+            D[at] = theta.sum(axis=0).reshape(N, d, d)
+        folds.insert(0, D.reshape(shape + (d, d)))
+    return np.concatenate(folds)
+
+
+def rebuilt_transitions(prob, fwd):
+    """D = G - I of every step of the forward record ``fwd`` by
+    ``rebuilt_fold`` of its records with their increments."""
+    jacobians = [phase_jacobian(prob, j) for j in range(prob.k + 1)]
+    records = [record[:3] + (increments(fwd.rhs, j, record, fwd.T),)
+               for j, record in enumerate(fwd.records)]
+    return rebuilt_fold(lambda j, t, Y: jacobians[j](t, Y.T).transpose(
+        2, 0, 1), fwd.T, records)
+
+
+def rebuilt_backward_sweep(prob, fwd):
+    """``gradients.backward_sweep`` on ``rebuilt_transitions``, the chain
+    one batched product per step."""
+    x_T = fwd.checkpoints[-1, :prob.n]
+    grad = np.asarray(prob.grad_C(x_T), dtype=float)
+    D = rebuilt_transitions(prob, fwd)
+    lam = np.zeros((len(D) + 1,) + fwd.checkpoints[-1].T.shape)
+    want = x_T.shape if grad.ndim > 1 else x_T.shape[:1]
+    lam[-1, ..., :prob.n] = lane_shaped(prob, "grad_C", grad, want).T
+    for n in range(len(D) - 1, -1, -1):
+        lam[n] = lam[n + 1] + (lam[n + 1, ..., None, :] @ D[n])[..., 0, :]
+    h = [record[1] for record in fwd.records]
+    firsts = np.cumsum([0] + [len(v) for v in h])
+    return BackwardRecord(costates=[lam[n].T for n in firsts],
+                          lam=lam.swapaxes(1, -1),
+                          steps=np.count_nonzero(np.concatenate(h), axis=0))

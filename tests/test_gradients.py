@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from switchopt.problem import ControlPhase, ProblemDef, SwitchConfig, \
     phase_law
 
 from oracles import integrate_backward, quadrature_backward, \
-    sample_backward, sampled_bundle
+    rebuilt_backward_sweep, rebuilt_transitions, sample_backward, \
+    sampled_bundle
 
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 
@@ -653,15 +655,15 @@ CONFIGS = {
 @pytest.mark.parametrize("tol", [1e-8, 1e-11])
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_stage_points_are_where_the_scalar_loop_called_the_rhs(name, tol):
-    # the fold and the margins rebuild each accepted step's stage points
-    # from the record, its start and stage increments, by
+    # the fold and the margins read each accepted step's stage points from
+    # the record, its start and the points it recorded, by
     # odeint._stage_points; they are the points at which the scalar loop
     # evaluated them, bit for bit: stages 1 .. _WEIGHTED - 1 in the step's
     # attempt, stage 0 in the FSAL call of the step before or the
     # segment's first call.  The segment's second call, the starting
-    # step's probe, is the one RHS point that is no stage.  This pins the
-    # loop's tableau products to _stage_point's.  The sweep's ODE is
-    # dz/dtau = T rhs: with scale T the integration repeats the sweep's
+    # step's probe, is the one RHS point that is no stage.  The sweep's ODE
+    # is dz/dtau = T rhs: with scale T the integration repeats the sweep's
+    # records
     T, cfg = CONFIGS[name]
     settings = IntegratorSettings(rel_tol=tol, abs_tol=tol)
     fwd = forward_sweep(build_problem(name, T=T), cfg, settings)
@@ -1090,7 +1092,8 @@ def _band_problem(log):
 
 def test_lanes_fold_no_stage_of_an_attempt_that_failed():
     # a lane whose attempt goes non-finite while another lane accepts
-    # records h = 0 and zero stages: its step folds to the identity, where
+    # records h = 0 and its node state, finite, at every stage, not the
+    # failed attempt's points: its step folds to the identity, where
     # 0 * NaN would make its lam NaN
     log = []
     prob = _band_problem(log)
@@ -1110,16 +1113,113 @@ def test_lanes_fold_no_stage_of_an_attempt_that_failed():
     # each recorded phase-1 iteration's attempt, found by the stage-1 times
     # of its accepting lanes (T = 1, so tau is t)
     failed_beside_an_accept = 0
-    for j, (taus, hs, _, Ks) in enumerate(lanes.fwd.records):
-        for tau, h, K in zip(taus, hs, Ks):
+    for j, (taus, hs, ys, Ps) in enumerate(lanes.fwd.records):
+        for tau, h, y, P in zip(taus, hs, ys, Ps):
             idle = h == 0.0
-            assert not K[idle].any()
+            assert np.isfinite(P[idle]).all()
+            assert (P[idle] == y[idle, None]).all()
             if j == 1:
                 stages = next(a for a in attempts if np.array_equal(
                     a[0][0][~idle], (tau + _C[1] * h)[~idle]))
                 failed_beside_an_accept += any(
                     off[idle].any() for _, off in stages[:4])
     assert failed_beside_an_accept > 0
+
+
+def _same_bytes(got, want):
+    return (got is None) == (want is None) and (got is None or (
+        np.shape(got) == np.shape(want)
+        and np.asarray(got).tobytes() == np.asarray(want).tobytes()))
+
+
+def _assert_reverse_pass_is_the_rebuilt_one(prob, cfg, settings=None):
+    """D, lam, the costates, the objective and d_s, d_p0 and d_T of one
+    evaluation byte-equal to those of the reverse pass that rebuilt each
+    step's stage points from its recorded increments (tests/oracles.py)."""
+    got = evaluate_gradient(prob, cfg, settings, with_d_T=True)
+    fwd = got.fwd
+    assert _same_bytes(gradients._fold(prob, fwd.T, fwd.records),
+                       rebuilt_transitions(prob, fwd))
+    with mock.patch.object(gradients, "backward_sweep",
+                           rebuilt_backward_sweep):
+        want = evaluate_gradient(prob, cfg, settings, with_d_T=True, fwd=fwd)
+    for name in ("objective", "d_s", "d_p0", "d_T"):
+        assert _same_bytes(getattr(got, name), getattr(want, name)), name
+    assert _same_bytes(got.bwd.lam, want.bwd.lam)
+    assert all(_same_bytes(a, b)
+               for a, b in zip(got.bwd.costates, want.bwd.costates))
+    return fwd
+
+
+def _driven_problem(n, seed, omega):
+    """x' = A x + b u + sin(x) / 10 on [0, 2], n states, Case 1, C = |x|^2
+    / 2, with a random A and b.  u = cos(omega t), then the state law u =
+    -tanh(x_1), then u = -1: omega sets the first phase's step count."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n)) / np.sqrt(n) - np.eye(n)
+    b, x0 = rng.normal(size=n), rng.normal(size=n)
+
+    def lanes(v, x):   # v with x's lane axes after its own
+        return v.reshape(v.shape + (1,) * (np.ndim(x) - 1))
+
+    def f_x(x, u):
+        J = np.broadcast_to(lanes(A, x), (n, n) + np.shape(x)[1:]).copy()
+        J[range(n), range(n)] += 0.1 * np.cos(x)
+        return J
+
+    def law_x(t, x):
+        J = np.zeros((1,) + np.shape(x))
+        J[0, 0] = np.tanh(x[0]) ** 2 - 1.0
+        return J
+
+    box = (lambda t: np.full(1, -5.0)), (lambda t: np.full(1, 5.0))
+    return ProblemDef(
+        name="driven", n=n, m=1, x0=x0, T=2.0, free_time=False, case=1,
+        phases=(ControlPhase("constant",
+                             lambda t: np.array([np.cos(omega * t)]), *box),
+                ControlPhase("state", lambda t, x: np.array(
+                    [-np.tanh(x[0])]), *box, law_x=law_x),
+                ControlPhase("constant",
+                             lambda t: np.array([-1.0 + 0.0 * t]), *box)),
+        f=lambda x, u: np.tensordot(A, x, 1) + np.multiply.outer(b, u[0])
+        + 0.1 * np.sin(x),
+        f_x=f_x, f_u=lambda x, u: np.broadcast_to(
+            lanes(b[:, None], x), (n, 1) + np.shape(x)[1:]),
+        C=lambda x: 0.5 * np.sum(x ** 2, axis=0), grad_C=lambda x: x)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 9), seed=st.integers(0, 2 ** 16),
+       lanes=st.booleans(), long=st.booleans())
+@example(n=9, seed=0, lanes=True, long=True)
+@example(n=1, seed=1, lanes=False, long=True)
+def test_reverse_pass_keeps_the_rebuilt_bytes(n, seed, lanes, long):
+    # the fold reads the stage points the forward loop recorded where it
+    # rebuilt them from the increments, its stage loop works in place, and
+    # the chain takes one product per step without the lane axis: D, lam
+    # and every derivative keep their bytes, on a point and on lanes.  A
+    # long first phase folds in more than one block
+    prob = _driven_problem(n, seed, 200.0 if long else 3.0)
+    cfg = SwitchConfig(s=np.array([0.9, 1.4]))
+    fwd = _assert_reverse_pass_is_the_rebuilt_one(
+        prob, _three_lanes(cfg) if lanes else cfg, TIGHT)
+    if long:
+        assert len(fwd.records[0][1]) > odeint._FOLD_BLOCK
+
+
+@pytest.mark.parametrize("lanes", [False, True], ids=["scalar", "lanes"])
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_reverse_pass_keeps_the_rebuilt_bytes_on_the_built_ins(name, lanes):
+    T, cfg = CONFIGS[name]
+    _assert_reverse_pass_is_the_rebuilt_one(
+        build_problem(name, T=T), _three_lanes(cfg) if lanes else cfg, TIGHT)
+
+
+def test_reverse_pass_keeps_the_rebuilt_bytes_beside_a_failed_lane():
+    # lanes whose attempts go non-finite beside lanes that accept (see
+    # test_lanes_fold_no_stage_of_an_attempt_that_failed)
+    cfgs = [SwitchConfig(s=np.array([s])) for s in np.linspace(0.3, 0.6, 6)]
+    _assert_reverse_pass_is_the_rebuilt_one(_band_problem([]), cfgs)
 
 
 @pytest.mark.parametrize("B", [1, 200])
@@ -1217,11 +1317,11 @@ def test_no_fold_block_crosses_a_switch(monkeypatch, name, lanes):
     assert phases == sorted(phases, reverse=True)
     assert len(phases) > prob.k + 1
     S, d = odeint._WEIGHTED, fwd.checkpoints.shape[1]
-    for j, (tau, h, y, K) in enumerate(fwd.records):
+    for j, (tau, h, y, P) in enumerate(fwd.records):
         scale = np.broadcast_to(fwd.T, h.shape).reshape(-1)
         t, _ = odeint._stage_points(tau.reshape(-1), h.reshape(-1),
                                     y.reshape(-1, d),
-                                    K.reshape((h.size,) + K.shape[-2:]))
+                                    P.reshape((h.size,) + P.shape[-2:]))
         t = t * scale[:, None]
         mine = [tj for i, tj in calls if i == j]
         assert len(mine) == -(-h.size // 4)

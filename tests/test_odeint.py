@@ -102,9 +102,9 @@ def test_step_converges_at_order_eight():
         t, y = np.zeros(1), np.ones((1, 1))
         h = np.full(1, 2.0 / n)
         for _ in range(n):
-            y, K = odeint._step(f, 0, t, h, y, 1.0)
+            y, P = odeint._step(f, 0, t, h, y, 1.0)
             t = t + h
-        assert K.shape == (1, odeint._WEIGHTED, 1)
+        assert P.shape == (1, odeint._RECORDED, 1)
         errs.append(abs(y[0, 0] - np.exp(np.sin(2.0))))
     assert errs[1] > 1e-13
     assert errs[0] / errs[1] >= 2 ** 7.5
@@ -441,7 +441,8 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     scale k_i, and takes the same products on it, in a buffer of its own:
     it ignores the library's ``work``.  It stores each stage's row at once,
     Z[i + 1] = k (h scale), from ``np.asarray`` of the RHS value, and the
-    first value as an array of floats, as the library takes it."""
+    first value as an array of floats, as the library takes it, and records
+    the points of stages 1 .. _RECORDED."""
     S = odeint._STAGES
     # Python floats, as the library's: NumPy's float64 scalar would make
     # the increments of a float32 value float64
@@ -451,6 +452,7 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
     steps = 0
     record = []
     Z = np.empty((S + 1, y.size))
+    P = np.empty((odeint._RECORDED, y.size))
     abs_y = np.abs(y)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -472,8 +474,10 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
             Z[0], Z[1] = y, k1 * (h_try * scale)
             failed = False
             for i in range(1, S):
-                k = np.asarray(rhs(j, t + odeint._C[i] * h_try,
-                                   Z[:i + 1].T @ odeint._A1[i]))
+                point = Z[:i + 1].T @ odeint._A1[i]
+                if i <= odeint._RECORDED:
+                    P[i - 1] = point
+                k = np.asarray(rhs(j, t + odeint._C[i] * h_try, point))
                 Z[i + 1] = k * (h_try * scale)
                 if not np.isfinite(Z[i + 1]).all():
                     failed = True
@@ -494,7 +498,7 @@ def _per_stage_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
                 Z[1:], settings.abs_tol
                 + settings.rel_tol * np.maximum(abs_y, abs_new)))
             if err <= 1.0:
-                record.append((t, h_try, y, Z[1:odeint._RECORDED + 1].copy()))
+                record.append((t, h_try, y, P.copy()))
                 t = t1 if clipped else t + h_try
                 y, abs_y = y_new, abs_new
                 k1 = k
@@ -846,7 +850,7 @@ def _decoupled(a, c, g):
 def test_decoupled_lane_repeats_the_scalar_loop(data, dim, nseg, lanes, tol):
     # the scalar loop's norms on Python floats (dim < _IN_ORDER) or NumPy
     # (from _IN_ORDER on) against the lockstep loop's: each lane's steps,
-    # breakpoint states and records (t, h, y, K) are its scalar
+    # breakpoint states and records (t, h, y, P) are its scalar
     # integration's bits, the lane's accepted steps being those of h > 0
     def draw(lo, hi, shape):
         return data.draw(arrays(float, shape, elements=st.floats(lo, hi)))
@@ -1091,20 +1095,22 @@ def _mis_sized_after(calls, value):
 
 # the value turns mis-sized at call 2, the starting step's probe, or at
 # call 4, the first attempt's second stage.  Checked there, a value of one
-# component no longer broadcasts into the stage's row, and one of dim + 1
-# components writes into no other row
+# component no longer broadcasts into the stage's row, one of dim + 1
+# components writes into no other row, and one of dim nested rows, which
+# has the state's length, is refused by its shape when its store fails
 @pytest.mark.parametrize("calls", [1, 3], ids=["probe", "stage"])
 @pytest.mark.parametrize("value", [
     lambda y: [-float(y[0])],        # one value, a list
     lambda y: -y[:1],                # one value, an array
     lambda y: (-y).tolist() + [1.0],  # dim + 1 values, a list
     lambda y: -np.append(y, 1.0),    # dim + 1 values, an array
-], ids=["one-list", "one-array", "dim+1-list", "dim+1-array"])
+    lambda y: -y[:, None],           # dim nested rows, (dim, 1)
+], ids=["one-list", "one-array", "dim+1-list", "dim+1-array", "nested-rows"])
 def test_a_value_mis_sized_after_the_first_is_refused_on_a_point(calls,
                                                                   value):
     ode = PiecewiseOde(3, [0.0, 1.0], _mis_sized_after(calls, value))
-    with pytest.raises(ValueError,
-                       match=r"segment 0: RHS shape \([14],\), state \(3,\)"):
+    with pytest.raises(ValueError, match=r"segment 0: RHS shape "
+                                         r"\(([14],|3, 1)\), state \(3,\)"):
         integrate_piecewise(ode, np.ones(3))
 
 

@@ -682,7 +682,7 @@ def test_wrapped_callbacks_take_the_array_path(name, wrap):
 
 
 def _assert_same_records(got, want):
-    """The forward records (tau, h, z, K) of every phase, by tobytes."""
+    """The forward records (tau, h, z, P) of every phase, by tobytes."""
     assert got.steps == want.steps and len(got.records) == len(want.records)
     for rg, rw in zip(got.records, want.records):
         assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
