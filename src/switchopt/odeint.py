@@ -184,8 +184,8 @@ class PiecewiseOde:
     steps' stage increments, not each RHS value.  At a point rhs returns
     dim floats, a list, which saves an array per stage, or a 1-D array.
     Each segment's first value must have the state's shape (ValueError).
-    The state rhs is given may be a view of a buffer that later stages
-    reuse: rhs must neither keep it nor write into it.
+    The state rhs is given may be a read-only view of a buffer that later
+    stages reuse: rhs must neither keep it nor write into it.
 
     ``segments`` of shape (nseg+1, B) describes B lanes, stepped in
     lockstep: column b holds lane b's breakpoints, ``scale`` is a float or
@@ -355,19 +355,20 @@ def _start_step(probe, y, f0, span, settings):
 def _stage_views(dim):
     """(Z, mv, P, stages): the buffer Z = [y; h s k_0; ..] of a scalar
     step, mv the flat float64 ``memoryview`` of Z, through which a stage's
-    increments are stored one component at a time, the buffer P of the
-    points of stages 1 .. _RECORDED, and for each stage i >= 1 its ((i + 1)
-    dim, c_i, Z[:i + 1].T, [1; a_i], P[i - 1]): the offset in mv of the row
-    its increments go to, the views whose product is its point and the row
-    of P it goes to.  The FSAL stage's row is None, a new array: it is the
-    next step's first value, which a rejected attempt must not overwrite
-    should rhs return its argument.  One integration builds them once for
-    all its segments; buffers of its own, so that integrations in other
-    threads, or nested in an RHS, share none."""
-    Z, P = np.empty((_STAGES + 1, dim)), np.empty((_RECORDED, dim))
-    return Z, memoryview(Z.reshape(-1)), P, [
-        ((i + 1) * dim, _C[i], Z[:i + 1].T, _A1[i],
-         P[i - 1] if i < _WEIGHTED else None) for i in range(1, _STAGES)]
+    increments are stored one component at a time, P the points of stages
+    1 .. _RECORDED, which a step records, and for each stage i >= 1 its ((i
+    + 1) dim, c_i, Z[:i + 1].T, [1; a_i], row, point): the offset in mv of
+    the row its increments go to, the views whose product is its point,
+    the buffer row that product goes to, and a read-only view of that row,
+    which rhs is given.  So an RHS that writes into its argument raises
+    where it would change the recorded points.  One integration builds
+    them once for all its segments; buffers of its own, so that
+    integrations in other threads, or nested in an RHS, share none."""
+    Z, P = np.empty((_STAGES + 1, dim)), np.empty((_STAGES - 1, dim))
+    R = np.asarray(P.data.toreadonly())
+    return Z, memoryview(Z.reshape(-1)), P[:_RECORDED], [
+        ((i + 1) * dim, _C[i], Z[:i + 1].T, _A1[i], P[i - 1], R[i - 1])
+        for i in range(1, _STAGES)]
 
 
 def _sized(j, F, want):
@@ -429,8 +430,9 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
             for v in k1:
                 mv[q] = v * hs
                 q += 1
-            for q, c, columns, a, row in stages:
-                fsal = rhs(j, t + c * h_try, columns.dot(a, out=row))
+            for q, c, columns, a, row, point in stages:
+                columns.dot(a, out=row)
+                fsal = rhs(j, t + c * h_try, point)
                 if len(fsal) != dim:
                     _sized(j, fsal, y.shape)   # raises
                 try:
@@ -460,7 +462,9 @@ def _integrate_segment(rhs, j, t0, t1, y0, settings, budget, scale, work):
                 y_rec.append(y)
                 P_rec.append(P.copy())
                 t = t1 if clipped else t + h_try
-                y, abs_y, k1 = y_new, abs_new, fsal   # FSAL
+                # FSAL, copied: fsal may be the view of its point, which
+                # a rejected attempt overwrites, should rhs return it
+                y, abs_y, k1 = y_new, abs_new, list(fsal)
                 fac = _FAC_MAX if err == 0.0 else _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
                 err_prev = max(err, 1e-10)
                 h = h_try * min(_FAC_MAX, max(_FAC_MIN, fac))
@@ -625,8 +629,7 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale,
     def f(t, y):
         return _sized(j, rhs(j, t, y.T), y.T.shape).T
 
-    t, y = t0, np.array(y0.T, dtype=float)
-    Z, Y = work
+    (Z, Y), t, y = work, t0, np.array(y0.T, dtype=float)
     err_prev = np.ones(t.shape)
     steps = np.zeros(t.shape, dtype=int)
     record = []

@@ -1099,18 +1099,19 @@ def _mis_sized_after(calls, value):
 # components writes into no other row, and one of dim nested rows, which
 # has the state's length, is refused by its shape when its store fails
 @pytest.mark.parametrize("calls", [1, 3], ids=["probe", "stage"])
-@pytest.mark.parametrize("value", [
-    lambda y: [-float(y[0])],        # one value, a list
-    lambda y: -y[:1],                # one value, an array
-    lambda y: (-y).tolist() + [1.0],  # dim + 1 values, a list
-    lambda y: -np.append(y, 1.0),    # dim + 1 values, an array
-    lambda y: -y[:, None],           # dim nested rows, (dim, 1)
+@pytest.mark.parametrize("value, shape", [
+    (lambda y: [-float(y[0])], r"\(1,\)"),         # one value, a list
+    (lambda y: -y[:1], r"\(1,\)"),                 # one value, an array
+    (lambda y: (-y).tolist() + [1.0], r"\(4,\)"),   # dim + 1 values, a list
+    (lambda y: -np.append(y, 1.0), r"\(4,\)"),     # dim + 1 values, an array
+    (lambda y: -y[:, None], r"\(3, 1\)"),          # dim nested rows
 ], ids=["one-list", "one-array", "dim+1-list", "dim+1-array", "nested-rows"])
 def test_a_value_mis_sized_after_the_first_is_refused_on_a_point(calls,
-                                                                  value):
+                                                                  value,
+                                                                  shape):
     ode = PiecewiseOde(3, [0.0, 1.0], _mis_sized_after(calls, value))
-    with pytest.raises(ValueError, match=r"segment 0: RHS shape "
-                                         r"\(([14],|3, 1)\), state \(3,\)"):
+    with pytest.raises(ValueError, match=r"segment 0: RHS shape " + shape +
+                                         r", state \(3,\)"):
         integrate_piecewise(ode, np.ones(3))
 
 
@@ -1125,6 +1126,33 @@ def test_a_value_mis_sized_after_the_first_is_refused_on_lanes(calls, value):
     with pytest.raises(ValueError, match=r"segment 0: RHS shape \([14], 4\), "
                                          r"state \(3, 4\)"):
         integrate_piecewise(ode, np.ones((3, 4)))
+
+
+def test_an_rhs_that_writes_into_a_stage_point_raises():
+    # the scalar loop gives rhs a read-only view of each stage point it
+    # records, so a write into it raises where it would change the points
+    # the reverse pass reads
+    def rhs(j, t, y):
+        y *= 1.0
+        return -y
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_piecewise(PiecewiseOde(2, [0.0, 1.0], rhs), np.ones(2))
+
+
+def test_an_rhs_that_returns_its_state_keeps_the_bits_of_a_copy():
+    # dy/dt = y is the RHS's own argument, the view of a stage point, up to
+    # t = 1, and a stiffer decay after it, whose steps reject attempts.  The
+    # FSAL value that starts the next attempt is a copy of that view, not
+    # the row a rejected attempt overwrites
+    def rhs(copy):
+        return lambda j, t, y: (y.copy() if copy else y) if t < 1.0 \
+            else -20.0 * y
+    got, want = (integrate_piecewise(PiecewiseOde(2, [0.0, 3.0], rhs(copy)),
+                                     np.array([1.0, -2.0]))
+                 for copy in (False, True))
+    assert got.steps == want.steps > len(got.records[0][1])
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(got.records[0], want.records[0]))
 
 
 @settings(max_examples=60, deadline=None)

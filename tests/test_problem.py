@@ -713,6 +713,19 @@ def test_a_sweep_on_the_flows_lists_is_the_sweep_on_arrays(name):
     _assert_same_records(got, want)
 
 
+def test_a_callback_that_writes_into_its_state_raises_in_a_sweep():
+    # f without a float body runs on the arrays it is given, at a point the
+    # sweep's read-only view of a stage point: a write into it raises, where
+    # it would change the points the reverse pass reads
+    prob = build_problem("jacobson")
+
+    def f(x, u):
+        x *= 1.0
+        return prob.f(x, u)
+    with pytest.raises(ValueError, match="read-only"):
+        forward_sweep(dataclasses.replace(prob, f=f), SWEEP_CFGS["jacobson"])
+
+
 @pytest.mark.parametrize("j", [0, 1, 2])
 def test_goddard_point_flow_where_exp_overflows_is_the_lanes(j):
     # h = -1e8 makes exp(-h / h0) overflow: the point flow and its array

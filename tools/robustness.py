@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 tools/robustness.py [--check]
+    python3 tools/robustness.py
 
 Each start runs the CLI's ``main`` in this process, as ``switchopt solve
 --problem P --s0 .. [--p0 ..] [--T ..] --ode-tol TOL``, with its output
@@ -24,14 +24,14 @@ for exit code 3), the longest wall time and the worst reference error of
 the solves that exit 0.  Then one JSON line per solve that did not
 converge, with its command.
 
-With ``--check`` it exits 1 unless every solve ended within 1 s, every
-failure is a ``SwitchOptError`` of the solver's kind with exit code 2, and
-every solve that exits 0 is within 1e-4 of its reference.
+It exits 1, after the faults on one JSON line each, unless every solve
+ended within 1 s, every failure is a ``SwitchOptError`` of the solver's
+kind with exit code 2, and every solve that exits 0 is within 1e-4 of its
+reference.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -131,11 +131,7 @@ def _fault(outcome, wall, error, code):
     return None
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--check", action="store_true",
-                    help="exit 1 unless the sweep's asserts hold")
-    args = ap.parse_args(argv)
+def main():
     faults, unconverged = [], []
     with tempfile.TemporaryDirectory() as out:
         for name, size, tol, starts in _groups():
@@ -160,7 +156,7 @@ def main(argv=None):
                 "worst_reference_error": worst}), flush=True)
     for line in unconverged + faults:
         print(json.dumps(line))
-    return 1 if args.check and faults else 0
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
