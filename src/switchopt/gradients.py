@@ -6,14 +6,15 @@ state and costate (x, p) in Case 2, each phase j with its flow F_j (see
 ``problem.phase_flow``).  The backward sweep is the discrete adjoint of the
 forward sweep's accepted steps, for one sweep or B lanes.  ``odeint``,
 which alone knows the method and the records, folds every step of the
-sweep in one call into its d-by-d transition matrix G_n = dz_{n+1}/dz_n;
-this module supplies each phase's stage Jacobian, dF/dz at the stage points
-of a block of one phase's steps per ``problem.phase_jacobian`` call.  lam
-passes a switch point unchanged, so the reverse pass is one chain of
-vector-matrix products over the steps of all phases, lam_n = lam_{n+1} G_n,
-from lam(T) = (grad C, 0), and gives at every node z_n of the forward mesh
-lam_n = dC(z_N)/dz_n of the computed solution.  That one adjoint gives
-every derivative:
+sweep in one call into its d-by-d transition matrix G_n = dz_{n+1}/dz_n,
+and takes the report's samples of z and, in Case 1, of lam in one walk
+(``sample_states``); this module supplies each phase's stage Jacobian,
+dF/dz at the stage points of a block of one phase's steps per
+``problem.phase_jacobian`` call.  lam passes a switch point unchanged, so
+the reverse pass is one chain of vector-matrix products over the steps of
+all phases, lam_n = lam_{n+1} G_n, from lam(T) = (grad C, 0), and gives at
+every node z_n of the forward mesh lam_n = dC(z_N)/dz_n of the computed
+solution.  That one adjoint gives every derivative:
 
 - dC/ds_j = lam . (F_{j-1} - F_j) at s_j, the jump of the Hamiltonian lam . F;
 - dC/dp0 is the p-block of lam(0) (Case 2);
@@ -38,13 +39,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .odeint import PiecewiseOde, _fold_steps, _node_before, _node_chain, \
-    _stage_points, _step, integrate_piecewise, sample_states
+from .odeint import PiecewiseOde, _fold_steps, _stage_points, \
+    integrate_piecewise, sample_states
 # read only by perfbench's tracer, which patches it here
 from .odeint import integrate_with_quadrature  # noqa: F401
-from .problem import _FLOAT_FAILS, _LAW_ARGS, SwitchConfig, _float_body, \
-    horizon, lane_shaped, phase_feasibility, phase_flow, phase_jacobian, \
-    phase_law, validate_config
+from .problem import SwitchConfig, horizon, lane_shaped, \
+    phase_feasibility, phase_flow, phase_jacobian, phase_law, validate_config
 
 __all__ = [
     "TrajectoryRecord",
@@ -154,12 +154,11 @@ def forward_sweep(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES):
         sigma=sigma, T=T, steps=traj.steps, records=traj.records, rhs=rhs)
 
 
-def _fold(prob, T, records):
-    """``odeint._fold_steps`` of one record (tau, h, z, P) per phase, with
-    the phases' stage Jacobians."""
+def _stage_jacobian(prob):
+    """The phases' dF/dz as ``odeint._fold_steps`` takes them: jacobian(j,
+    t, Y) of shape (M, d, d) at phase j's times t (M,) and points Y (M, d)."""
     jacobians = _resolved(phase_jacobian, prob)
-    return _fold_steps(lambda j, t, Y: jacobians[j](t, Y.T).transpose(
-        2, 0, 1), T, records)
+    return lambda j, t, Y: jacobians[j](t, Y.T).transpose(2, 0, 1)
 
 
 def backward_sweep(prob, fwd):
@@ -167,14 +166,14 @@ def backward_sweep(prob, fwd):
 
     The reverse pass of the accepted steps of all phases in one chain from
     lam(T) = (grad C, 0), lam_n = lam_{n+1} (I + D_n) with D_n = G_n - I
-    from one ``_fold`` of the sweep: no tolerance and no error test, and
-    lam passes a switch point unchanged, so the chain runs straight across
-    it.  On lanes a lane whose h is 0 keeps its lam, and a constant grad C
-    of shape (n,) serves every lane.
+    from one ``_fold_steps`` of the sweep: no tolerance and no error test,
+    and lam passes a switch point unchanged, so the chain runs straight
+    across it.  On lanes a lane whose h is 0 keeps its lam, and a constant
+    grad C of shape (n,) serves every lane.
     """
     x_T = fwd.checkpoints[-1, :prob.n]
     grad = np.asarray(prob.grad_C(x_T), dtype=float)
-    D = _fold(prob, fwd.T, fwd.records)
+    D = _fold_steps(_stage_jacobian(prob), fwd.T, fwd.records)
     # lane-major from here on: lam (d,), or (B, d) on lanes
     lam = np.zeros((len(D) + 1,) + fwd.checkpoints[-1].T.shape)
     want = x_T.shape if grad.ndim > 1 else x_T.shape[:1]
@@ -300,61 +299,30 @@ def gradcheck(prob, cfg, settings=None):
             for label, d, name, i in rows]
 
 
-def _lam_at_samples(prob, fwd, bwd, tau, phase, x):
-    """lam of z = x at the samples x, at tau in ``phase``, of the Case-1
-    forward record ``fwd``, from the reverse chain of its backward sweep
-    ``bwd``: at a node its lam, else lam_{n+1} (I + D), the reverse pass of
-    one step of the method from the sample to the next node n + 1, the
-    steps of all phases (none where a phase has no sample past a node) in
-    one ``_fold``, on the nodes of ``odeint._node_chain``."""
-    nodes, _ = _node_chain(fwd.records, 1.0, fwd.checkpoints[-1])
-    n, off = _node_before(nodes, tau)
-    lam, records = bwd.lam[n], []
-    for j in range(prob.k + 1):
-        a = np.flatnonzero(off & (phase == j))
-        h = nodes[n[a] + 1] - tau[a]
-        records.append((tau[a], h, x[a], _step(
-            fwd.rhs, j, tau[a], h, x[a], fwd.T)[1] if a.size else x[a, None]))
-    after, D = bwd.lam[n[off] + 1], _fold(prob, fwd.T, records)
-    lam[off] = after + (after[:, None, :] @ D)[:, 0, :]
-    return lam
-
-
 def dense_trajectory(prob, bundle):
     """Aligned dense samples of (t, x, u, p) for reporting, at ``sample_count``
     even times in [0, T] of the forward record of the gradient ``bundle``:
     no sweep runs.  A sample at s_j belongs to the phase that starts there.
 
-    Each sample of the sweep state z (x, and p in Case 2) is one step of
-    the method from the forward mesh's node before it (``sample_states``).
-    In Case 1 p is the adjoint lam of z = x from the backward sweep whose
-    Hamiltonian jumps give the gradient, carried from the node after each
-    sample back to it by the reverse pass of one step.  Each sample's
-    control is its phase law's ``float_body`` on the sample's floats, with
-    the callback's bits (see the ``problem`` module docstring), or the
-    callback where the law has no body or the body's float arithmetic
-    raises.
+    ``sample_states`` gives each sample of the sweep state z (x, and p in
+    Case 2) by one step of the method from the forward mesh's node before
+    it.  In Case 1 p is the adjoint lam of z = x from the backward sweep
+    whose Hamiltonian jumps give the gradient, which ``sample_states``
+    carries from the node after each sample back to it by the reverse pass
+    of that one step.  Each sample's control is its phase law's ``point``
+    on the sample's floats (see ``problem.phase_law``).
     """
     fwd, n = bundle.fwd, prob.n
     _one_configuration(fwd, "dense_trajectory")
     times = np.linspace(0.0, 1.0, fwd.sample_count) * fwd.T
     tau = times / fwd.T
-    phase = np.clip(np.searchsorted(fwd.sigma, tau, side="right") - 1, 0,
-                    prob.k)
+    adjoint = None if prob.case == 2 else (bundle.bwd.lam,
+                                          _stage_jacobian(prob))
     z = sample_states(fwd.rhs, fwd.sigma, fwd.records, fwd.checkpoints, tau,
-                      fwd.T)
-    x = z[:, :n]
-    p = z[:, n:] if z.shape[1] > n \
-        else _lam_at_samples(prob, fwd, bundle.bwd, tau, phase, x)
-    laws, controls = _resolved(phase_law, prob), np.empty((times.size, prob.m))
-    bodies = [(_float_body(ph.law), _LAW_ARGS[ph.law_kind])
-              for ph in prob.phases]
-    rows = zip(phase.tolist(), times.tolist(), x.tolist(), p.tolist())
-    for i, (j, *args) in enumerate(rows):
-        body, k = bodies[j]
-        try:   # (t), (t, x) or (t, x, p) by the law's kind
-            controls[i] = body(*args[:k]) if body else laws[j](
-                times[i], x[i], p[i])
-        except _FLOAT_FAILS:
-            controls[i] = laws[j](times[i], x[i], p[i])
+                      fwd.T, adjoint)
+    x, p = (z[:, :n], z[:, n:]) if adjoint is None else z
+    laws = [law.point for law in _resolved(phase_law, prob)]
+    phase = np.searchsorted(fwd.sigma[1:-1], tau, side="right")
+    controls = np.array([laws[j](*args) for j, *args in zip(
+        phase.tolist(), times.tolist(), x.tolist(), p.tolist())], dtype=float)
     return times, x, controls, p

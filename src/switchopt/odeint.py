@@ -10,9 +10,11 @@ one probe call, so that its attempts do not climb to the step the error
 test takes from a fixed small start.
 
 The module holds the whole method, whose coefficients no other module
-reads: the scalar loop, the lockstep loop of B lanes, ``sample_states``,
-each sample one step of the method from the node before it, and the fold
-of accepted steps into the transition matrices of the reverse pass.
+reads: the scalar loop, the lockstep loop of B lanes, the fold of accepted
+steps into the transition matrices of the reverse pass, and
+``sample_states``, each sample one step of the method from the node before
+it, whose adjoint, given the reverse chain, is the fold of the one step
+from the sample to the next node.
 ``integrate_piecewise`` runs the loop that the breakpoints' shape picks.
 Both loops hold a step as Z = [y; h s k_0; ..], whose products give each
 stage point, the new state and the error estimates, record a segment's
@@ -190,7 +192,8 @@ class PiecewiseOde:
     ``segments`` of shape (nseg+1, B) describes B lanes, stepped in
     lockstep: column b holds lane b's breakpoints, ``scale`` is a float or
     (B,), and ``rhs`` takes t of shape (B,) and states of shape (dim, B),
-    as in ``gradients.forward_sweep`` of a list of configurations.
+    as in ``gradients.forward_sweep`` of a list of configurations, and
+    returns values of that shape, an array or a list of dim lane arrays.
     """
 
     dim: int
@@ -487,13 +490,6 @@ def _node_chain(records, t_end, y_end):
             np.vstack([r[2] for r in records] + [y_end]))
 
 
-def _node_before(times, sample_times):
-    """(n, off): the index of the last of the sorted node ``times`` at or
-    before each sample time, and whether the sample lies past it."""
-    n = np.searchsorted(times, sample_times, side="right") - 1
-    return n, sample_times != times[n]
-
-
 def _stage_point(Z, i):
     """y + sum_{l<i} a_il dk_l, the point of stage i of steps Z = [y; dk_0;
     ..], lane-major (M, > i, dim), by the loops' product."""
@@ -517,7 +513,7 @@ def _step(rhs, j, t, h, y, scale):
 
 
 def sample_states(rhs, segments, records, breakpoint_states, sample_times,
-                  scale=1.0):
+                  scale=1.0, adjoint=None):
     """The states at ``sample_times``, in the order given, of dy/dt = scale
     rhs(j, t, y) integrated with these records and breakpoint states.
 
@@ -527,6 +523,14 @@ def sample_states(rhs, segments, records, breakpoint_states, sample_times,
     state; one at a breakpoint belongs to the segment that starts there.
     Each segment's samples are one batch: ``rhs(j, t, y)`` is called on
     lanes, t of shape (M,) and y of shape (dim, M).
+
+    With ``adjoint`` = (lam, jacobian) it returns (states, lam at the
+    samples): lam the reverse chain dC/dy at the nodes, each step's start
+    and then the end, (nodes, dim), and jacobian(j, t, Y) segment j's
+    stage Jacobian as ``_fold_steps`` takes it.  A sample at a node takes
+    that node's lam; one past node n takes lam_{n+1} (I + D), D from the
+    fold of the one step of the method from the sample to node n + 1, in
+    the same batch as its state.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if not np.all((sample_times >= segments[0])
@@ -536,15 +540,24 @@ def sample_states(rhs, segments, records, breakpoint_states, sample_times,
     seg = np.minimum(np.searchsorted(segments, sample_times, side="right")
                      - 1, len(records) - 1)
     times, states = _node_chain(records, segments[-1], breakpoint_states[-1])
-    n, off = _node_before(times, sample_times)
-    out = states[n]
+    # the last node at or before each sample, and whether it lies past it
+    n = np.searchsorted(times, sample_times, side="right") - 1
+    off, out = sample_times != times[n], states[n]
+    lam, jacobian = adjoint or (None, None)
+    lam_out = None if lam is None else lam[n]
     for j in range(len(records)):
         a = np.flatnonzero(off & (seg == j))
         if a.size:
-            m = n[a]
-            out[a] = _step(rhs, j, times[m], sample_times[a] - times[m],
-                           states[m], scale)[0]
-    return out
+            m, t = n[a], sample_times[a]
+            out[a] = y = _step(rhs, j, times[m], t - times[m], states[m],
+                               scale)[0]
+            if lam is not None:
+                h = times[m + 1] - t
+                D = _fold_steps(lambda _, tj, Y: jacobian(j, tj, Y), scale,
+                                [(t, h, y, _step(rhs, j, t, h, y, scale)[1])])
+                after = lam[m + 1]
+                lam_out[a] = after + (after[:, None, :] @ D)[:, 0, :]
+    return out if lam is None else (out, lam_out)
 
 
 def integrate_piecewise(ode, x_start, *, settings=None):
@@ -627,7 +640,8 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale,
     folds to the identity even if its attempt went non-finite.
     """
     def f(t, y):
-        return _sized(j, rhs(j, t, y.T), y.T.shape).T
+        return _sized(j, np.asarray(rhs(j, t, y.T), dtype=float),
+                      y.T.shape).T
 
     (Z, Y), t, y = work, t0, np.array(y0.T, dtype=float)
     err_prev = np.ones(t.shape)
@@ -637,7 +651,7 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale,
     active = t < t1
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k1 = _sized(j, np.asarray(rhs(j, t, y.T), dtype=float), y.T.shape).T
+        k1 = f(t, y)
         bad = ~np.isfinite(k1).all(axis=1)
         if bad.any():
             raise _lane_error(NonFiniteState, bad,

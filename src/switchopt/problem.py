@@ -72,8 +72,8 @@ class ProblemDef:
     arrays whose trailing axis is that lane axis; a law or a bound may
     return one value for all lanes.  So each phase's Jacobian at all the
     stage points of a sweep costs one call.  The callbacks always receive
-    arrays; ``on_floats`` callbacks also give ``phase_flow`` a body to run
-    on a point's floats.  The x and p a sweep gives f and the laws may be
+    arrays; ``on_floats`` callbacks also give ``phase_flow`` and
+    ``phase_law``'s point a body to run on a point's floats.  The x and p a sweep gives f and the laws may be
     read-only views of the stage points it records: a callback must
     neither keep them nor write into them.
     """
@@ -212,15 +212,32 @@ def _shaped(v, t, m):
 
 def phase_law(prob, j):
     """Phase j's control law as u(t, x, p=None): (m,) at a point, (m, B) on
-    B lanes, t of shape (B,) and x and p of shape (n, B)."""
+    B lanes, t of shape (B,) and x and p of shape (n, B).
+
+    ``law.point(t, x, p)`` is u at one point given as a float t and lists x
+    and p, as the report's samples give it: the law's ``float_body`` on
+    the arguments its kind takes, with the callback's bits (see the module
+    docstring), or, where the law has no body or the body's float
+    arithmetic raises, u(np.float64(t), np.array(x), np.array(p)).
+    """
     law, m = prob.phases[j].law, prob.m
-    takes = _LAW_ARGS[prob.phases[j].law_kind]
+    takes, body = _LAW_ARGS[prob.phases[j].law_kind], _float_body(law)
 
     def control(t, x, p=None):
         if p is None and takes == 3:
             raise MissingCostate(
                 f"{prob.name}: phase {j} law needs the costate")
         return _shaped(law(*(t, x, p)[:takes]), t, m)
+
+    def point(t, x, p):   # calls law, not control: no cycle for the GC
+        if body is not None:
+            try:
+                return body(*(t, x, p)[:takes])
+            except _FLOAT_FAILS:
+                pass
+        t = np.float64(t)
+        return _shaped(law(*(t, np.array(x), np.array(p))[:takes]), t, m)
+    control.point = point
     return control
 
 

@@ -1,6 +1,7 @@
 """Backward integrations for the test oracles, by time reflection,
-gradient bundles with a chosen number of report samples, and the reverse
-pass that rebuilt the stage points from recorded increments.
+gradient bundles with a chosen number of report samples, the reverse pass
+that rebuilt the stage points from recorded increments, and the report's
+samples taken in two walks over the forward mesh.
 
 The library integrates forward only.  The oracles integrate an ODE back
 from the end of its interval: on t' = a + b - t the reflected system runs
@@ -17,7 +18,8 @@ from switchopt.gradients import DEFAULT_SAMPLES, BackwardRecord, \
     evaluate_gradient, forward_sweep
 from switchopt.odeint import PiecewiseOde, integrate_piecewise, \
     integrate_with_quadrature, sample_states
-from switchopt.problem import lane_shaped, phase_jacobian
+from switchopt.problem import _FLOAT_FAILS, _LAW_ARGS, _float_body, \
+    lane_shaped, phase_jacobian, phase_law
 
 
 def sampled_bundle(prob, cfg, settings=None, sample_count=DEFAULT_SAMPLES,
@@ -187,3 +189,64 @@ def rebuilt_backward_sweep(prob, fwd):
     return BackwardRecord(costates=[lam[n].T for n in firsts],
                           lam=lam.swapaxes(1, -1),
                           steps=np.count_nonzero(np.concatenate(h), axis=0))
+
+
+# ---------------------------------------------------------------------------
+# the report's samples as they were before ``sample_states`` returned the
+# Case-1 costates and each law gave its control at a point: a second walk
+# over the node chain for lam, and the float-body rule written out per
+# sample (reference)
+# ---------------------------------------------------------------------------
+
+def walked_lam_at_samples(prob, fwd, bwd, tau, phase, x):
+    """lam of z = x at the samples x, at tau in ``phase``, of the Case-1
+    forward record ``fwd``, from the reverse chain of its backward sweep
+    ``bwd``: at a node its lam, else lam_{n+1} (I + D), the reverse pass of
+    one step of the method from the sample to the next node n + 1, the
+    steps of all phases (none where a phase has no sample past a node) in
+    one fold, on the nodes of ``odeint._node_chain``."""
+    nodes, _ = odeint._node_chain(fwd.records, 1.0, fwd.checkpoints[-1])
+    n = np.searchsorted(nodes, tau, side="right") - 1
+    off = tau != nodes[n]
+    lam, records = bwd.lam[n], []
+    for j in range(prob.k + 1):
+        a = np.flatnonzero(off & (phase == j))
+        h = nodes[n[a] + 1] - tau[a]
+        records.append((tau[a], h, x[a], odeint._step(
+            fwd.rhs, j, tau[a], h, x[a], fwd.T)[1] if a.size else x[a, None]))
+    jacobians = [phase_jacobian(prob, j) for j in range(prob.k + 1)]
+    after = bwd.lam[n[off] + 1]
+    D = odeint._fold_steps(lambda j, t, Y: jacobians[j](t, Y.T).transpose(
+        2, 0, 1), fwd.T, records)
+    lam[off] = after + (after[:, None, :] @ D)[:, 0, :]
+    return lam
+
+
+def walked_dense_trajectory(prob, bundle):
+    """``gradients.dense_trajectory`` in two walks: ``sample_states`` for
+    z, ``walked_lam_at_samples`` for the Case-1 p, and per sample its
+    phase law's float body, or the callback on the sample's NumPy scalar
+    and rows where the law has no body or the body raises."""
+    fwd, n = bundle.fwd, prob.n
+    times = np.linspace(0.0, 1.0, fwd.sample_count) * fwd.T
+    tau = times / fwd.T
+    phase = np.clip(np.searchsorted(fwd.sigma, tau, side="right") - 1, 0,
+                    prob.k)
+    z = sample_states(fwd.rhs, fwd.sigma, fwd.records, fwd.checkpoints, tau,
+                      fwd.T)
+    x = z[:, :n]
+    p = z[:, n:] if z.shape[1] > n \
+        else walked_lam_at_samples(prob, fwd, bundle.bwd, tau, phase, x)
+    laws = [phase_law(prob, j) for j in range(prob.k + 1)]
+    controls = np.empty((times.size, prob.m))
+    bodies = [(_float_body(ph.law), _LAW_ARGS[ph.law_kind])
+              for ph in prob.phases]
+    rows = zip(phase.tolist(), times.tolist(), x.tolist(), p.tolist())
+    for i, (j, *args) in enumerate(rows):
+        body, k = bodies[j]
+        try:
+            controls[i] = body(*args[:k]) if body else laws[j](
+                times[i], x[i], p[i])
+        except _FLOAT_FAILS:
+            controls[i] = laws[j](times[i], x[i], p[i])
+    return times, x, controls, p

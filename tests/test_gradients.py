@@ -26,7 +26,7 @@ from switchopt.problem import ControlPhase, ProblemDef, SwitchConfig, \
 
 from oracles import integrate_backward, quadrature_backward, \
     rebuilt_backward_sweep, rebuilt_transitions, sample_backward, \
-    sampled_bundle
+    sampled_bundle, walked_dense_trajectory
 
 TIGHT = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-11)
 
@@ -755,6 +755,40 @@ def test_report_controls_take_the_callback_where_a_body_cannot(name):
     assert on_floats_at and any(t > 0.5 * bundle.fwd.T for t in on_floats_at)
 
 
+def _near_optimum(name, moves):
+    """name's built-in and its reference optimum, catalyst2's with the p0
+    of CATALYST2_CFG, with s, p0 and T each moved as ``_moved`` moves
+    them."""
+    prob = build_problem(name)
+    ref = prob.reference
+    return prob, _moved(SwitchConfig(
+        s=ref.s_star, p0=CATALYST2_CFG.p0 if prob.case == 2 else None,
+        T=ref.T_star), moves)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["catalyst1", "catalyst2", "jacobson", "bressan",
+                             "goddard"]),
+       moves=st.lists(st.floats(-1e-2, 1e-2), min_size=4, max_size=4),
+       sample_count=st.integers(2, 301),
+       tol=st.sampled_from([1e-8, 1e-11]))
+@example(name="catalyst1", moves=[0.0] * 4, sample_count=2, tol=1e-8)
+@example(name="goddard", moves=[0.0] * 4, sample_count=301, tol=1e-11)
+def test_report_samples_keep_the_two_walks_bytes(name, moves, sample_count,
+                                                tol):
+    # one walk, the Case-1 costates from sample_states and each control
+    # from its law's point, gives times, x, u and p byte-equal to the two
+    # walks it replaced (tests/oracles.py), near each optimum.  With 2
+    # samples, at 0 and T, no phase has a sample off the nodes
+    prob, cfg = _near_optimum(name, moves)
+    bundle = sampled_bundle(prob, cfg, IntegratorSettings(
+        rel_tol=tol, abs_tol=tol), sample_count)
+    got = dense_trajectory(prob, bundle)
+    want = walked_dense_trajectory(prob, bundle)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("cfg", [
     SwitchConfig(s=np.array([0.1, 0.7]), p0=np.array([0.9, 0.8])),
     SwitchConfig(s=catalyst_switch_times(1.0), p0=np.array([0.8736, 0.8259])),
@@ -1138,7 +1172,8 @@ def _assert_reverse_pass_is_the_rebuilt_one(prob, cfg, settings=None):
     step's stage points from its recorded increments (tests/oracles.py)."""
     got = evaluate_gradient(prob, cfg, settings, with_d_T=True)
     fwd = got.fwd
-    assert _same_bytes(gradients._fold(prob, fwd.T, fwd.records),
+    assert _same_bytes(odeint._fold_steps(gradients._stage_jacobian(prob),
+                                          fwd.T, fwd.records),
                        rebuilt_transitions(prob, fwd))
     with mock.patch.object(gradients, "backward_sweep",
                            rebuilt_backward_sweep):
@@ -1345,8 +1380,8 @@ def test_no_fold_block_crosses_a_switch(monkeypatch, name, lanes):
 @pytest.mark.parametrize("name", ["jacobson", "catalyst1"])
 def test_samples_only_at_nodes_fold_no_step(monkeypatch, name):
     # two samples, at 0 and T, are both nodes of the forward mesh: the
-    # Case-1 costate there is the backward sweep's lam, and the sample
-    # fold, with an empty record in every phase, calls no Jacobian
+    # Case-1 costate there is the backward sweep's lam, and no phase has a
+    # sample off the nodes to fold, so no Jacobian is called
     T, cfg = CONFIGS[name]
     prob = build_problem(name, T=T)
     bundle = sampled_bundle(prob, cfg, sample_count=2)

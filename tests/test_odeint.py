@@ -876,6 +876,29 @@ def test_decoupled_lane_repeats_the_scalar_loop(data, dim, nseg, lanes, tol):
                 assert x.tobytes() == lane[took, b].tobytes()
 
 
+def test_a_list_rhs_on_lanes_repeats_each_lane():
+    # an RHS that returns a list, of floats at a point and of per-lane
+    # arrays on lanes: every value the lockstep loop takes, the first,
+    # the probe and each stage's, becomes one array, and each lane repeats
+    # its point integration bit for bit
+    def rhs(j, t, y):
+        return [-y[0] + (j + 1) * y[1], -y[1] * t]
+
+    seg = np.array([[0.0, 0.5], [0.7, 1.0], [2.0, 1.6]])
+    y_start = np.array([[1.0, 2.0], [0.5, -1.0]])
+    run = integrate_piecewise(PiecewiseOde(2, seg, rhs), y_start)
+    for b in range(2):
+        one = integrate_piecewise(PiecewiseOde(2, seg[:, b], rhs),
+                                  y_start[:, b])
+        assert one.steps == run.steps[b]
+        for x, on_lanes in zip(one.breakpoint_states, run.breakpoint_states):
+            assert x.tobytes() == on_lanes[:, b].tobytes()
+        for record, on_lanes in zip(one.records, run.records):
+            took = on_lanes[1][:, b] > 0.0
+            for x, lane in zip(record, on_lanes):
+                assert x.tobytes() == lane[took, b].tobytes()
+
+
 def _float_edge(kind):
     """(dim, breakpoints, rhs, max_steps) of an ODE whose floats part from
     NumPy's unless the scalar loop's float path copies NumPy.  "overflow":
