@@ -73,9 +73,10 @@ class ProblemDef:
     return one value for all lanes.  So each phase's Jacobian at all the
     stage points of a sweep costs one call.  The callbacks always receive
     arrays; ``on_floats`` callbacks also give ``phase_flow`` and
-    ``phase_law``'s point a body to run on a point's floats.  The x and p a sweep gives f and the laws may be
-    read-only views of the stage points it records: a callback must
-    neither keep them nor write into them.
+    ``phase_law``'s point a body to run on a point's floats.  The x and p
+    a sweep gives f and the laws may be read-only views of the stage
+    points it records: a callback must neither keep them nor write into
+    them.
     """
 
     name: str
