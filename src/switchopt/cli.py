@@ -98,6 +98,18 @@ def _config(prob, s, p0, alternatives=""):
     return cfg
 
 
+def _warm_start(prob, args):
+    """(dcp, est): the TV warm start of ``--N`` and ``--rho-tv`` and its
+    structure, for ``warmstart`` and ``solve --warmstart`` alike.  The TV
+    solve's warnings go to stderr as ``warning: ...`` lines."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dcp = solve_tv_euler(prob, N=args.N, rho_tv=args.rho_tv)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return dcp, detect_structure(dcp)
+
+
 def _one_start(args):
     """Refuse a solve given two starts: --s0 (with --p0), --secant (with
     --bracket) or --warmstart."""
@@ -133,8 +145,7 @@ def cmd_solve(args):
             stationarity=stationarity, message="secant")
     else:
         if args.warmstart:
-            dcp = solve_tv_euler(prob, N=args.N, rho_tv=args.rho_tv)
-            est = detect_structure(dcp)
+            est = _warm_start(prob, args)[1]
             if est.switch_times.size != prob.k:
                 raise NoStructure(
                     f"warm start proposed {est.switch_times.size} switches "
@@ -167,12 +178,7 @@ def cmd_solve(args):
 def cmd_warmstart(args):
     out = _out_dir(args)
     prob = build_problem(args.problem, T=args.T)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dcp = solve_tv_euler(prob, N=args.N, rho_tv=args.rho_tv)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    est = detect_structure(dcp)
+    dcp, est = _warm_start(prob, args)
 
     with open(out / "structure.json", "w") as fh:
         json.dump({
@@ -294,11 +300,12 @@ _LISTS = ("--s0", "--p0", "--bracket", "--grid")
 
 def _joined(argv):
     """argv with each list option and a value that starts with a minus sign
-    and a digit joined, ``--p0 -1,2`` as ``--p0=-1,2``: argparse takes
-    "-1,2" alone for an option."""
+    and a digit, or a minus sign and a point, joined, ``--p0 -1,2`` as
+    ``--p0=-1,2`` and ``--p0 -.5,2`` as ``--p0=-.5,2``: argparse takes
+    "-1,2" and "-.5,2" alone for options."""
     out = []
     for arg in argv:
-        if out and out[-1] in _LISTS and re.match(r"-\d", arg):
+        if out and out[-1] in _LISTS and re.match(r"-\.?\d", arg):
             arg = out.pop() + "=" + arg
         out.append(arg)
     return out

@@ -193,7 +193,9 @@ class PiecewiseOde:
     lockstep: column b holds lane b's breakpoints, ``scale`` is a float or
     (B,), and ``rhs`` takes t of shape (B,) and states of shape (dim, B),
     as in ``gradients.forward_sweep`` of a list of configurations, and
-    returns values of that shape, an array or a list of dim lane arrays.
+    returns values of that shape, an array or a list of dim lane arrays,
+    or ValueError.  ``sample_states`` calls rhs on lanes in the same way,
+    at the samples of an integration of one point too.
     """
 
     dim: int
@@ -490,25 +492,40 @@ def _node_chain(records, t_end, y_end):
             np.vstack([r[2] for r in records] + [y_end]))
 
 
-def _stage_point(Z, i):
-    """y + sum_{l<i} a_il dk_l, the point of stage i of steps Z = [y; dk_0;
-    ..], lane-major (M, > i, dim), by the loops' product."""
-    return Z[:, :i + 1].transpose(0, 2, 1) @ _A1[i]
+def _lane_rhs(rhs, j):
+    """Segment j's RHS as the lockstep loop and ``_step`` call it, on
+    lane-major states: f(t, y), t (M,) and y (M, dim), is the float array
+    of rhs(j, t, y.T), an array or a list of dim lane arrays, checked by
+    ``_sized`` against the shape of y.T and transposed back."""
+    return lambda t, y: _sized(j, np.asarray(rhs(j, t, y.T), dtype=float),
+                               y.T.shape).T
+
+
+def _stage_sweep(f, t, h, y, k0, hs, Z, P):
+    """Fill Z = [y; h s k_0; ..], lane-major (M, 1 + stages, dim), for
+    steps from (t, y) over h, t and h (M,) and hs = h s (M, 1), from the
+    first stage's value k0 and f of ``_lane_rhs``; P[:, i - 1] takes the
+    point of stage i >= 1.  Returns the last stage's value.  The lockstep
+    loop sweeps all _STAGES, the last FSAL, and ``_step`` the _WEIGHTED
+    ones."""
+    Z[:, 0] = y
+    np.multiply(k0, hs, out=Z[:, 1])
+    for i in range(1, Z.shape[1] - 1):
+        P[:, i - 1] = point = Z[:, :i + 1].transpose(0, 2, 1) @ _A1[i]
+        F = f(t + _C[i] * h, point)
+        np.multiply(F, hs, out=Z[:, i + 1])
+    return F
 
 
 def _step(rhs, j, t, h, y, scale):
     """One step of dy/dt = scale rhs(j, t, y) from (t, y) over h at M points
-    at once: t and h (M,), y (M, dim), and rhs takes t (M,) and states (dim,
-    M).  Returns the end state and the points of stages 1 .. _RECORDED, (M,
-    _RECORDED, dim), as a record holds them; the FSAL stage is not
-    evaluated."""
-    Z = np.empty(y.shape[:1] + (_WEIGHTED + 1,) + y.shape[1:])
-    P = np.empty(y.shape[:1] + (_RECORDED,) + y.shape[1:])
-    Z[:, 0], hs = y, (h * scale)[:, None]
-    np.multiply(rhs(j, t, y.T).T, hs, Z[:, 1])
-    for i, c in enumerate(_C[1:_WEIGHTED], 1):
-        P[:, i - 1] = point = _stage_point(Z, i)
-        np.multiply(rhs(j, t + c * h, point.T).T, hs, Z[:, i + 1])
+    at once: t and h (M,), y (M, dim), and rhs as ``_lane_rhs`` takes it.
+    Returns the end state and the points of stages 1 .. _RECORDED, (M,
+    _RECORDED, dim), as a record holds them, by the lockstep loop's
+    ``_stage_sweep``; the FSAL stage is not evaluated."""
+    f, (M, dim) = _lane_rhs(rhs, j), y.shape
+    Z, P = np.empty((M, _WEIGHTED + 1, dim)), np.empty((M, _RECORDED, dim))
+    _stage_sweep(f, t, h, y, f(t, y), (h * scale)[:, None], Z, P)
     return _B1[:_WEIGHTED + 1] @ Z, P
 
 
@@ -521,8 +538,11 @@ def sample_states(rhs, segments, records, breakpoint_states, sample_times,
     by one step of the method to the sample, so it has the accuracy of the
     steps and there is no interpolant.  A sample at a node is that node's
     state; one at a breakpoint belongs to the segment that starts there.
-    Each segment's samples are one batch: ``rhs(j, t, y)`` is called on
-    lanes, t of shape (M,) and y of shape (dim, M).
+    Each segment's samples are one batch, one ``_step``: ``rhs(j, t, y)``
+    is called on lanes, t of shape (M,) and y of shape (dim, M), and its
+    values are taken as the lockstep loop takes them (``_lane_rhs``): an
+    array or a list of dim lane arrays, of y's shape, or ValueError naming
+    the segment.
 
     With ``adjoint`` = (lam, jacobian) it returns (states, lam at the
     samples): lam the reverse chain dC/dy at the nodes, each step's start
@@ -624,26 +644,23 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale,
     """``_integrate_segment`` for B lanes in lockstep.
 
     t0, t1, budget and scale have shape (B,) and y0 shape (dim, B), which
-    each RHS value must have, or ``_sized`` raises ValueError.  Every lane
-    applies the scalar rules with its own t, h, error history and budget.
-    The integration's step buffer Z of ``work`` is lane-major, (B, 1 +
-    stages, dim), as is its buffer Y of the stage points after the first,
-    so that a lane's products are the scalar loop's BLAS calls: given the
-    same RHS values, a lane repeats its scalar integration bit for bit,
-    which keeps step counts equal where the error estimate is rounding
-    noise.  A lane that has reached t1 is frozen, trying steps of length
-    0, until all have.  The first failure raises, naming its lane.
+    each RHS value must have, or ``_lane_rhs`` raises.  Every lane applies
+    the scalar rules with its own t, h, error history and budget.  The
+    integration's step buffer Z of ``work`` is lane-major, (B, 1 + stages,
+    dim), as is its buffer Y of the stage points after the first, which
+    ``_stage_sweep`` fills, so that a lane's products are the scalar loop's
+    BLAS calls: given the same RHS values, a lane repeats its scalar
+    integration bit for bit, which keeps step counts equal where the error
+    estimate is rounding noise.  A lane that has reached t1 is frozen,
+    trying steps of length 0, until all have.  The first failure raises,
+    naming its lane.
     Returns (y_end, steps_used, record): the steps per lane, and the
     record of ``DenseTrajectory`` on lanes, over the I attempts in which
     some lane accepted a step.  A lane that accepted none there records h
     = 0 and its state y, which is finite, at every stage, so that its step
     folds to the identity even if its attempt went non-finite.
     """
-    def f(t, y):
-        return _sized(j, np.asarray(rhs(j, t, y.T), dtype=float),
-                      y.T.shape).T
-
-    (Z, Y), t, y = work, t0, np.array(y0.T, dtype=float)
+    f, (Z, Y), t, y = _lane_rhs(rhs, j), work, t0, np.array(y0.T, dtype=float)
     err_prev = np.ones(t.shape)
     steps = np.zeros(t.shape, dtype=int)
     record = []
@@ -668,12 +685,8 @@ def _integrate_lane_segment(rhs, j, t0, t1, y0, settings, budget, scale,
             clipped = h >= t1 - t
             h_try = np.where(active, np.where(clipped, t1 - t, h), 0.0)
 
-            hs, Z[:, 0] = h_try[:, None] * scale, y
-            np.multiply(k1, hs, out=Z[:, 1])
-            for i in range(1, _STAGES):
-                Y[:, i - 1] = point = _stage_point(Z, i)
-                fsal = f(t + _C[i] * h_try, point)
-                np.multiply(fsal, hs, out=Z[:, i + 1])
+            fsal = _stage_sweep(f, t, h_try, y, k1, h_try[:, None] * scale,
+                                Z, Y)
             y_new = _B1 @ Z
             failed = active & ~np.isfinite(y_new).all(axis=1)
             steps += active

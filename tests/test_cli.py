@@ -325,6 +325,23 @@ def test_warmstart_prints_tv_warnings_on_stderr(tmp_path, monkeypatch,
     assert structure["converged"] is False and structure["iterations"] == 2
 
 
+def test_solve_warmstart_prints_tv_warnings_on_stderr(tmp_path, monkeypatch,
+                                                      capsys):
+    # solve --warmstart runs the warmstart command's TV solve, and prints
+    # its warning as that command does, one line on stderr, then solves
+    from switchopt import cli
+    solve = cli.solve_tv_euler
+    monkeypatch.setattr(cli, "solve_tv_euler",
+                        lambda prob, **kw: solve(prob, max_iters=2, **kw))
+    code = main(["solve", "--problem", "catalyst1", "--T", "1",
+                 "--warmstart", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: catalyst1: TV warm start hit 2 iterations without "
+        "settling; returning last iterate\n")
+    assert (tmp_path / "report.json").exists()
+
+
 def test_solve_warmstart_of_another_switch_count_exits_2(tmp_path,
                                                          monkeypatch, capsys):
     # a warm start whose structure has fewer switches than the problem
@@ -378,6 +395,7 @@ def test_negative_list_value_after_a_space(capsys):
 @pytest.mark.parametrize("argv, dest", [
     (["solve", "--problem", "x", "--s0", "-1,2"], "s0"),
     (["solve", "--problem", "x", "--p0", "-1,2"], "p0"),
+    (["solve", "--problem", "x", "--p0", "-.5,2"], "p0"),
     (["solve", "--problem", "x", "--bracket", "-1,2"], "bracket"),
     (["profile", "--problem", "x", "--grid", "-1,2,3"], "grid"),
 ])

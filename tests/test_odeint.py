@@ -750,6 +750,55 @@ def test_samples_at_nodes_and_outside_the_interval():
                                  traj.breakpoint_states, bad)
 
 
+def _oscillator_jacobian(j, t, Y):
+    """dF/dz of ``_piecewise_oscillator``'s segment j at t (M,) and Y (M,
+    2), as ``_fold_steps`` takes it: (M, 2, 2)."""
+    J = np.zeros((len(t), 2, 2))
+    J[:, 0, 1] = 1.0
+    J[:, 1, 0] = -(1.0, 3.0, 0.5)[j]
+    J[:, 1, 1] = 0.1 * np.sin(t)
+    return J
+
+
+def test_a_list_rhs_gives_the_samples_of_an_array():
+    # sample_states takes an RHS value as the lockstep loop does: a list of
+    # dim lane arrays gives the bytes of the same value as one array, the
+    # states and, with the reverse chain, lam at the samples
+    ode = _piecewise_oscillator()
+
+    def as_list(j, t, x):
+        return list(ode.rhs(j, t, x))
+
+    traj = integrate_piecewise(ode, np.array([1.0, 0.0]), settings=_tight())
+    nodes = traj.step_times.size
+    lam = np.cos(np.arange(2 * nodes, dtype=float)).reshape(nodes, 2)
+    want_t = np.linspace(0.0, 2.0, 37)
+    for adjoint in (None, (lam, _oscillator_jacobian)):
+        got, want = (odeint.sample_states(
+            rhs, ode.segments, traj.records, traj.breakpoint_states, want_t,
+            adjoint=adjoint) for rhs in (as_list, ode.rhs))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("value, shape", [
+    (lambda y: -y[:1], r"\(1, 3\)"),                # one row, would broadcast
+    (lambda y: -np.vstack((y, y[:1])), r"\(3, 3\)"),   # dim + 1 rows
+], ids=["one", "dim+1"])
+def test_a_mis_sized_rhs_value_is_refused_at_the_samples(value, shape):
+    # a value that is not (dim, M) at a segment's M samples is refused by
+    # name, as the lockstep loop refuses it; segment 0's values are right
+    ode = _piecewise_oscillator()
+    traj = integrate_piecewise(ode, np.array([1.0, 0.0]), settings=_tight())
+
+    def rhs(j, t, x):
+        return ode.rhs(j, t, x) if j == 0 else value(ode.rhs(j, t, x))
+
+    with pytest.raises(ValueError, match=r"segment 1: RHS shape " + shape +
+                                         r", state \(2, 3\)"):
+        odeint.sample_states(rhs, ode.segments, traj.records,
+                             traj.breakpoint_states, [0.3, 1.1, 1.2, 1.3])
+
+
 # ---------------------------------------------------------------------------
 # lockstep lanes against the scalar integrator, lane by lane
 # ---------------------------------------------------------------------------
