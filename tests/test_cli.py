@@ -395,9 +395,9 @@ def test_negative_list_value_after_a_space(capsys):
 @pytest.mark.parametrize("argv, dest", [
     (["solve", "--problem", "x", "--s0", "-1,2"], "s0"),
     (["solve", "--problem", "x", "--p0", "-1,2"], "p0"),
-    (["solve", "--problem", "x", "--p0", "-.5,2"], "p0"),
     (["solve", "--problem", "x", "--bracket", "-1,2"], "bracket"),
     (["profile", "--problem", "x", "--grid", "-1,2,3"], "grid"),
+    (["solve", "--problem", "x", "--p0", "-.5,2"], "p0"),
 ])
 def test_list_options_take_a_leading_minus(argv, dest):
     args = build_parser().parse_args(_joined(argv))
