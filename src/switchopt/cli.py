@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 import warnings
 from pathlib import Path
@@ -101,9 +100,11 @@ def _config(prob, s, p0, alternatives=""):
 def _warm_start(prob, args):
     """(dcp, est): the TV warm start of ``--N`` and ``--rho-tv`` and its
     structure, for ``warmstart`` and ``solve --warmstart`` alike.  The TV
-    solve's warnings go to stderr as ``warning: ...`` lines."""
+    solve's user warnings go to stderr as ``warning: ...`` lines; other
+    warnings meet the filters set outside, ``-W error::RuntimeWarning``
+    raising."""
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.simplefilter("always", UserWarning)
         dcp = solve_tv_euler(prob, N=args.N, rho_tv=args.rho_tv)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
@@ -299,13 +300,14 @@ _LISTS = ("--s0", "--p0", "--bracket", "--grid")
 
 
 def _joined(argv):
-    """argv with each list option and a value that starts with a minus sign
-    and a digit, or a minus sign and a point, joined, ``--p0 -1,2`` as
-    ``--p0=-1,2`` and ``--p0 -.5,2`` as ``--p0=-.5,2``: argparse takes
-    "-1,2" and "-.5,2" alone for options."""
+    """argv with each list option and a value that starts with one minus
+    sign joined, ``--p0 -1,2`` as ``--p0=-1,2`` and ``--p0 -.5,2`` as
+    ``--p0=-.5,2``: argparse takes "-1,2" and "-.5,2" alone for options.
+    ``-h`` and the ``--`` options stay options."""
     out = []
     for arg in argv:
-        if out and out[-1] in _LISTS and re.match(r"-\.?\d", arg):
+        if (out and out[-1] in _LISTS and arg.startswith("-")
+                and not arg.startswith("--") and arg != "-h"):
             arg = out.pop() + "=" + arg
         out.append(arg)
     return out

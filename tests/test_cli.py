@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,27 @@ def test_solve_warmstart_prints_tv_warnings_on_stderr(tmp_path, monkeypatch,
     assert (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", [["warmstart"], ["solve", "--warmstart"]])
+def test_warm_start_keeps_runtime_warnings_errors(tmp_path, monkeypatch,
+                                                  capsys, command):
+    # only the TV solve's own warnings become stderr lines: under
+    # error::RuntimeWarning a NumPy warning in the TV solve still raises
+    from switchopt import cli
+    solve = cli.solve_tv_euler
+
+    def overflowing(prob, **kw):
+        warnings.warn("overflow encountered in multiply", RuntimeWarning)
+        return solve(prob, **kw)
+
+    monkeypatch.setattr(cli, "solve_tv_euler", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            main([command[0], "--problem", "catalyst1", "--T", "1",
+                  *command[1:], "--out", str(tmp_path)])
+    assert "warning:" not in capsys.readouterr().err
+
+
 def test_solve_warmstart_of_another_switch_count_exits_2(tmp_path,
                                                          monkeypatch, capsys):
     # a warm start whose structure has fewer switches than the problem
@@ -398,6 +420,7 @@ def test_negative_list_value_after_a_space(capsys):
     (["solve", "--problem", "x", "--bracket", "-1,2"], "bracket"),
     (["profile", "--problem", "x", "--grid", "-1,2,3"], "grid"),
     (["solve", "--problem", "x", "--p0", "-.5,2"], "p0"),
+    (["solve", "--problem", "x", "--p0", "-inf,2"], "p0"),
 ])
 def test_list_options_take_a_leading_minus(argv, dest):
     args = build_parser().parse_args(_joined(argv))
